@@ -118,12 +118,35 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _config_value(key: str, raw) -> object:
+    """``raw`` (text from a config file or a flag) typed as RunConfig's
+    default for ``key``; a value that does not parse raises ConfigError."""
+    text = str(raw)
+    current = getattr(RunConfig, key)
+    if isinstance(current, bool):
+        if text.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ConfigError(f"bad value for {key}: {text} (expected one of "
+                              f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)})")
+        return text.lower() in _TRUE_WORDS
+    try:
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text}") from exc
+    return text.strip("'\"")
+
+
 def parse_config_file(path: str) -> dict:
     """Key = value lines; '#' comments; types resolved against RunConfig."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    type_map = {f.name: f.type for f in fields(RunConfig)}
-    defaults = RunConfig()
     out = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -133,20 +156,12 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in type_map:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            current = getattr(defaults, key)
             try:
-                if isinstance(current, bool):
-                    out[key] = value.lower() in ("1", "true", "yes", "on")
-                elif isinstance(current, int):
-                    out[key] = int(value)
-                elif isinstance(current, float):
-                    out[key] = float(value)
-                else:
-                    out[key] = value.strip("'\"")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: bad value for {key}: {value}") from exc
+                out[key] = _config_value(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{ln}: {exc}") from exc
     return out
 
 
@@ -332,22 +347,51 @@ def run_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_columns(path: str, names: List[str]) -> dict:
+    """The named columns of a CSV artifact written by ``_csv_text``.
+
+    A missing, unreadable or malformed file raises MissingArtifactError.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifactError(f"cannot read {path}: {exc}") from exc
+    absent = [name for name in names if name not in header]
+    if absent or table.shape[1] != len(header):
+        raise MissingArtifactError(
+            f"malformed {path}: header {header}, {table.shape[1]} columns")
+    return {name: table[:, header.index(name)] for name in names}
+
+
 def load_trajectory(outdir: str) -> tuple:
     """Rebuild the trajectory and snapshot states from run artifacts."""
     man_path = os.path.join(outdir, "manifest.json")
     traj_path = os.path.join(outdir, "trajectory.csv")
     if not (os.path.exists(man_path) and os.path.exists(traj_path)):
         raise MissingArtifactError(f"run artifacts not found under {outdir}")
-    with open(man_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(man_path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifactError(f"cannot read {man_path}: {exc}") from exc
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise MissingArtifactError(
+            f"{man_path}: schema_version {manifest.get('schema_version')!r}, "
+            f"expected {SCHEMA_VERSION}")
+    unknown = set(manifest["config"]) - _CONFIG_KEYS
+    if unknown:
+        raise MissingArtifactError(
+            f"{man_path}: unknown config keys {sorted(unknown)}")
     cfg = RunConfig(**manifest["config"])
-    raw = np.genfromtxt(traj_path, delimiter=",", names=True)
+    raw = _read_columns(traj_path, ["x", "lambda", "dx", "F_max",
+                                    "monotonicity_min"])
     grids = {}
 
     def loaded_grid(phi) -> Grid:
         # one Grid per distinct phi grid, as in the march, so the quadrature
         # weights cached on it are built once
-        phi = np.asarray(phi)
         key = phi.tobytes()
         if key not in grids:
             grids[key] = Grid(phi, "loaded")
@@ -355,31 +399,29 @@ def load_trajectory(outdir: str) -> tuple:
 
     snapshots = []
     for meta in manifest["snapshots"]:
-        table = np.genfromtxt(os.path.join(outdir, meta["file"]),
-                              delimiter=",", names=True)
+        table = _read_columns(os.path.join(outdir, meta["file"]), ["phi", "w"])
         grid = loaded_grid(table["phi"])
         state = vm.VMState(x=meta["x"], psi_grid=grid,
-                           W=Field(grid, np.asarray(table["w"])),
+                           W=Field(grid, table["w"]),
                            lam=meta["lam"], x0_pressure=cfg.x0_pressure,
                            source_scale=cfg.source_scale)
         pair = None
         if meta["pair_file"]:
-            pt = np.genfromtxt(os.path.join(outdir, meta["pair_file"]),
-                               delimiter=",", names=True)
+            pt = _read_columns(os.path.join(outdir, meta["pair_file"]),
+                               ["phi", "w"])
             pgrid = loaded_grid(pt["phi"])
             pair = vm.VMState(x=meta["pair_x"], psi_grid=pgrid,
-                              W=Field(pgrid, np.asarray(pt["w"])),
+                              W=Field(pgrid, pt["w"]),
                               lam=meta["pair_lam"], x0_pressure=cfg.x0_pressure,
                               source_scale=cfg.source_scale)
         snapshots.append(vm.Snapshot(index=meta["index"], x=meta["x"],
                                      s=meta["s"], lam=meta["lam"], state=state,
                                      pair_state=pair, pair_s=meta["pair_s"]))
     traj = vm.Trajectory(
-        x=np.asarray(raw["x"]), lam=np.asarray(raw["lambda"]),
-        s=md.accumulate_s(np.asarray(raw["x"]), np.asarray(raw["lambda"]),
-                          manifest["s0"]),
-        dx=np.asarray(raw["dx"]), F_max=np.asarray(raw["F_max"]),
-        mono_min=np.asarray(raw["monotonicity_min"]), snapshots=snapshots,
+        x=raw["x"], lam=raw["lambda"],
+        s=md.accumulate_s(raw["x"], raw["lambda"], manifest["s0"]),
+        dx=raw["dx"], F_max=raw["F_max"],
+        mono_min=raw["monotonicity_min"], snapshots=snapshots,
         s0=manifest["s0"], lambda0=cfg.lambda0, x0_pressure=cfg.x0_pressure,
         config=cfg.march_config(), completed=manifest["completed"],
         failure=manifest["failure"])
@@ -504,20 +546,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    defaults = RunConfig()
     for f in fields(RunConfig):
         raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        current = getattr(defaults, f.name)
-        if isinstance(current, bool):
-            values[f.name] = str(raw).lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            values[f.name] = int(raw)
-        elif isinstance(current, float):
-            values[f.name] = float(raw)
-        else:
-            values[f.name] = str(raw)
+        if raw is not None:
+            values[f.name] = _config_value(f.name, raw)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

@@ -11,7 +11,7 @@ so later slices are genuine checks rather than fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -109,14 +109,7 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641,
                 except SingularInputError:
                     # the half-resolution chain could not even be evaluated
                     resolved = False
-                report = en.EnergyReport(
-                    s=report.s, E0=report.E0, E1=report.E1, E2=report.E2,
-                    D0=report.D0, D1=report.D1, D2=report.D2,
-                    trace_residual=report.trace_residual,
-                    bs_plus_b2=report.bs_plus_b2, resolved=resolved,
-                    trace_value=report.trace_value,
-                    trace_low_confidence=report.trace_low_confidence,
-                )
+                report = replace(report, resolved=resolved)
         frames.append(SnapshotFrame(
             index=snap.index, x=snap.x, s=snap.s, lam=snap.lam,
             b=b, bs=bs, btilde=bt, U=U, ctx=ctx,

@@ -24,34 +24,41 @@ _MIN_NODES = 64
 _STENCIL_WIDTH = {1: 5, 2: 5, 3: 6}
 
 
-def fd_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
+def fd_weights(x: np.ndarray, x0: float | np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights for the ``order``-th derivative at ``x0``.
 
     Fornberg's recursion on the arbitrary nodes ``x``; exact for
-    polynomials up to degree ``len(x) - 1``.
+    polynomials up to degree ``x.shape[-1] - 1``.  Batched: ``x`` of shape
+    ``(..., width)`` and ``x0`` of shape ``(...)`` give weights of shape
+    ``(..., width)``, each row computed with the same operations, in the
+    same order, as a 1-D call on that row.
     """
-    n = len(x)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    x = np.asarray(x, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (order + 1,))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - x0
+    c4 = x[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[..., i] - x0
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = (c1 * (k * c[..., i - 1, k - 1]
+                                          - c5 * c[..., i - 1, k]) / c2)
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
+    # contiguous, so that apply_diff's einsum sums each row in node order
+    return np.ascontiguousarray(c[..., order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +86,6 @@ class Grid:
     @property
     def span(self) -> float:
         return float(self.nodes[-1])
-
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
 
     # -- constructors ---------------------------------------------------------
 
@@ -126,20 +130,16 @@ class Grid:
         n = len(self.nodes)
         if n < order + 3 or n < width:
             raise TooFewNodesError(f"need >= {max(order + 3, width)} nodes for order {order}")
-        starts = np.empty(n, dtype=int)
-        weights = np.empty((n, width))
-        half = width // 2
-        for i in range(n):
-            lo = min(max(i - half, 0), n - width)
-            starts[i] = lo
-            weights[i] = fd_weights(self.nodes[lo : lo + width], self.nodes[i], order)
+        # centered windows, shifted inward (one-sided) at both ends
+        starts = np.clip(np.arange(n) - width // 2, 0, n - width)
+        weights = fd_weights(self.nodes[starts[:, None] + np.arange(width)],
+                             self.nodes, order)
         self._diff_cache[order] = (starts, weights)
         return starts, weights
 
     def apply_diff(self, values: np.ndarray, order: int) -> np.ndarray:
         starts, weights = self._diff_matrix(order)
-        width = weights.shape[1]
-        idx = starts[:, None] + np.arange(width)[None, :]
+        idx = starts[:, None] + np.arange(weights.shape[1])
         return np.einsum("ij,ij->i", weights, values[idx])
 
 
@@ -178,10 +178,6 @@ def cumint(f: Field) -> Field:
     out[0] = 0.0
     np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(x), out=out[1:])
     return f.with_values(out)
-
-
-def trapz(f: Field) -> float:
-    return float(np.trapezoid(f.values, f.grid.nodes))
 
 
 def interpolate(f: Field, points: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -232,11 +228,6 @@ def spline_interpolant(f: Field):
         return spline(np.clip(pts, 0.0, span))
 
     return evaluate
-
-
-def resample(f: Field, grid: Grid) -> Field:
-    """Interpolate a field onto another grid (span must be covered)."""
-    return Field(grid, interpolate(f, grid.nodes))
 
 
 def convergence_order(errors: Iterable[float]) -> float:

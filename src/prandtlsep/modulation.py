@@ -9,21 +9,11 @@ nonlinear least squares in log-log form, with the exponent left free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, FitFailureError, InconsistentLambdaError
 from .gridfields import Field, Grid, spline_interpolant
-
-
-@dataclass(frozen=True)
-class ModulationState:
-    x: float
-    s: float
-    lam: float
-    b: float
-    btilde: float
 
 
 def standard_rescaled_grid(s: float, n: int = 641, span_factor: float = 8.0) -> Grid:
@@ -110,16 +100,11 @@ def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
     n = len(x)
     if n < window:
         raise DomainError(f"need at least {window} samples")
-    half = window // 2
-    lam_x = np.empty(n)
-    for i in range(n):
-        lo = max(0, min(i - half, n - window))
-        xs = x[lo : lo + window]
-        fs = lam[lo : lo + window]
-        dx = xs[:, None] - xs[None, :]
-        df = fs[:, None] - fs[None, :]
-        iu = np.triu_indices(window, 1)
-        lam_x[i] = float(np.median(df[iu] / dx[iu]))
+    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
+    idx = starts[:, None] + np.arange(window)
+    xs, fs = x[idx], lam[idx]
+    a, c = np.triu_indices(window, 1)
+    lam_x = np.median((fs[:, a] - fs[:, c]) / (xs[:, a] - xs[:, c]), axis=1)
     return -2.0 * lam_x * lam**3
 
 
@@ -236,12 +221,3 @@ def rate_inequality_certificate(s: np.ndarray, b: np.ndarray, gamma: float,
     if eta > 0.0:
         out["J_weighted_eta"] = float(np.trapezoid(s ** (3.0 + 2.0 * eta) * defect, s))
     return out
-
-
-def modulation_states(x: np.ndarray, lam: np.ndarray, s0: float,
-                      window: int = 5) -> list[ModulationState]:
-    s = accumulate_s(x, lam, s0)
-    b = compute_b(x, lam, window)
-    bt = evolve_btilde(s, b)
-    return [ModulationState(float(xi), float(si), float(li), float(bi), float(ti))
-            for xi, si, li, bi, ti in zip(x, s, lam, b, bt)]

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,13 +8,23 @@ import pytest
 from prandtlsep import cli
 
 
-@pytest.fixture()
-def quick_cfg(tmp_path):
+def _quick_config(outdir) -> cli.RunConfig:
     # a short run: stop at lambda0/6 so the marching takes a few dozen steps
     return cli.RunConfig(lambda0=0.05, lambda_stop_factor=6.0,
                          n_psi=1153, n_physical=1537, ds_rel=0.02,
-                         snapshots_per_decade=10.0,
-                         outdir=str(tmp_path / "run"))
+                         snapshots_per_decade=10.0, outdir=str(outdir))
+
+
+@pytest.fixture()
+def quick_cfg(tmp_path):
+    return _quick_config(tmp_path / "run")
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    cfg = _quick_config(tmp_path_factory.mktemp("finished") / "run")
+    assert cli.run_simulate(cfg) == cli.EXIT_OK
+    return cfg.outdir
 
 
 class TestConfig:
@@ -38,6 +49,26 @@ class TestConfig:
         path.write_text("no_such_key = 3\n")
         with pytest.raises(cli.ConfigError):
             cli.parse_config_file(str(path))
+
+    def test_boolean_spellings(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("audit_sub_super = OFF\naudit_f_bounds = Yes\n"
+                        "audit_max_principle = 0\n")
+        assert cli.parse_config_file(str(path)) == {
+            "audit_sub_super": False, "audit_f_bounds": True,
+            "audit_max_principle": False}
+
+    def test_unknown_boolean_in_file_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("audit_sub_super = ture\n")
+        with pytest.raises(cli.ConfigError, match="typo.cfg:1"):
+            cli.parse_config_file(str(path))
+
+    def test_unknown_boolean_flag_exit_code(self, tmp_path):
+        code = cli.main(["simulate", "--audit-sub-super", "ture",
+                         "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert not os.listdir(tmp_path)
 
     def test_out_of_range_exit_code(self, tmp_path):
         code = cli.main(["simulate", "--lambda0", "0.7",
@@ -94,6 +125,39 @@ class TestSimulateAndAudit:
     def test_audit_missing_dir_exit_code(self, tmp_path):
         code = cli.main(["audit", str(tmp_path / "nowhere")])
         assert code == cli.EXIT_MISSING
+
+    @pytest.mark.parametrize("damage", [
+        "missing_snapshot", "missing_pair", "unreadable_snapshot",
+        "non_numeric_csv", "ragged_csv", "missing_column",
+        "unknown_config_key", "schema_version"])
+    def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        manifest_path = rundir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        snap = rundir / "snapshot_003.csv"
+        if damage == "missing_snapshot":
+            snap.unlink()
+        elif damage == "missing_pair":
+            (rundir / manifest["snapshots"][3]["pair_file"]).unlink()
+        elif damage == "unreadable_snapshot":
+            snap.unlink()
+            snap.mkdir()
+        elif damage == "non_numeric_csv":
+            snap.write_text(snap.read_text().replace("\n0.0,", "\nzero,", 1))
+        elif damage == "ragged_csv":
+            (rundir / "trajectory.csv").write_text(
+                (rundir / "trajectory.csv").read_text() + "1.0,2.0\n")
+        elif damage == "missing_column":
+            snap.write_text(snap.read_text().replace("phi,w", "phi,v", 1))
+        elif damage == "unknown_config_key":
+            manifest["config"]["no_such_key"] = 1
+        elif damage == "schema_version":
+            manifest["schema_version"] = cli.SCHEMA_VERSION + 1
+        manifest_path.write_text(json.dumps(manifest))
+        code = cli.main(["audit", str(rundir)])
+        assert code == cli.EXIT_MISSING
+        assert "audit:" in capsys.readouterr().out
 
     def test_loaded_trajectory_matches(self, quick_cfg):
         cli.run_simulate(quick_cfg)

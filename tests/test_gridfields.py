@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,41 @@ class TestDiff:
         g = gf.Grid.uniform(64, 1.0)
         with pytest.raises(ValueError):
             gf.diff(gf.Field(g, g.nodes), 4)
+
+
+class TestStencilWeights:
+    def test_batched_call_equals_row_by_row(self):
+        g = gf.Grid.power_clustered(641, 40.0, 5.0)
+        rows = np.array([0, 1, 2, 100, 320, 638, 639, 640])
+        for order, width in gf._STENCIL_WIDTH.items():
+            starts = np.clip(rows - width // 2, 0, len(g) - width)
+            x = g.nodes[starts[:, None] + np.arange(width)]
+            batched = gf.fd_weights(x, g.nodes[rows], order)
+            single = np.array([gf.fd_weights(xr, g.nodes[r], order)
+                               for xr, r in zip(x, rows)])
+            assert batched.shape == (len(rows), width)
+            assert np.array_equal(batched, single)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_exact_on_monomials_to_width_minus_one(self, order):
+        # power-5 clustering: wall cells of 4e-13 next to far-end cells of 0.3
+        g = gf.Grid.power_clustered(641, 40.0, 5.0)
+        y = g.nodes
+        starts, weights = g._diff_matrix(order)
+        width = weights.shape[1]
+        idx = starts[:, None] + np.arange(width)
+        # one-sided stencils at the wall and at the far end
+        assert starts[0] == starts[2] == 0
+        assert starts[-1] == starts[-3] == len(g) - width
+        for p in range(width):
+            f = y**p
+            exact = (factorial(p) / factorial(p - order) * y ** (p - order)
+                     if p >= order else np.zeros_like(y))
+            # roundoff scale of each stencil sum: a wrong weight misses by
+            # orders of magnitude more
+            scale = np.einsum("ij,ij->i", np.abs(weights), np.abs(f[idx]))
+            err = np.abs(g.apply_diff(f, order) - exact)
+            assert np.all(err <= 16 * np.finfo(float).eps * scale), (p, np.argmax(err / scale))
 
 
 class TestCumint:

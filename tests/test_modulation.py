@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,20 @@ class TestModulationRate:
         b = md.compute_b(x, lam)
         assert np.max(np.abs(b * ss - 1.0)[5:-5]) < 0.02
 
+
+    def test_matches_per_window_theil_sen(self):
+        rng = np.random.default_rng(7)
+        x = np.cumsum(rng.uniform(0.5, 1.5, 60))
+        lam = np.exp(-0.01 * x) * (1.0 + 1e-3 * rng.standard_normal(60))
+        for window in (5, 7):
+            half = window // 2
+            ref = np.empty(len(x))
+            for i in range(len(x)):
+                lo = max(0, min(i - half, len(x) - window))
+                pts = range(lo, lo + window)
+                ref[i] = np.median([(lam[a] - lam[c]) / (x[a] - x[c])
+                                    for a, c in itertools.combinations(pts, 2)])
+            assert np.array_equal(md.compute_b(x, lam, window), -2.0 * ref * lam**3)
 
 class TestRegularizedRate:
     def test_inverse_law_fixed_point(self):
