@@ -10,7 +10,7 @@ solutions, weighted Hardy constants) on the computed solutions.
 
 __version__ = "0.1.0"
 
-from .gridfields import Field, Grid, cumint, diff, interpolate  # noqa: F401
+from .gridfields import Field, Grid, cumint, diff  # noqa: F401
 from .profiles import (ApproxProfileParams, InitialData,  # noqa: F401
                        build_initial_data, check_wellprepared, eval_uapp)
 from .ratpoly import (RationalPoly, algebra_certificate,  # noqa: F401

@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
+from . import vonmises as vm
 from .errors import DomainError, PrecisionError
 from .gridfields import Field
 from .operators import OperatorContext
@@ -64,7 +65,7 @@ def curvature_estimate(ctx: OperatorContext, fit_lo: float = 0.02) -> np.ndarray
     return (1.0 - sm) * model + sm * raw
 
 
-def max_principle_audit(U: Field, s: float, b: float, M2: float,
+def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
                         c: float = 0.7, M1: float | None = None,
                         y_min: float = 0.5) -> AuditReport:
     """Check 1 - M2 b Y**2 <= U_YY <= 1 on Y <= c s**(1/3), and the uniform
@@ -75,8 +76,7 @@ def max_principle_audit(U: Field, s: float, b: float, M2: float,
     the identical inequality (F = 2(U_YY - 1) <= 0) is audited natively in
     streamfunction variables with its roundoff trust mask instead.
     """
-    ctx = OperatorContext.from_profile(U, slope_tol=1e-2)
-    y = U.grid.nodes
+    y = ctx.grid.nodes
     uyy = curvature_estimate(ctx)
     h = np.gradient(y)
     tol = audit_tol(h, np.maximum(np.abs(uyy), 1.0))
@@ -93,7 +93,7 @@ def max_principle_audit(U: Field, s: float, b: float, M2: float,
     violations = int(np.sum(margins < 0.0))
     return AuditReport(
         name="max-principle",
-        domain_checked=f"Y in [{y_min}, {U.grid.span:.3g}], inner zone "
+        domain_checked=f"Y in [{y_min}, {ctx.grid.span:.3g}], inner zone "
                        f"Y <= {c} s^(1/3); wall zone delegated to the "
                        f"streamfunction-side balance audit",
         worst_margin=float(np.min(margins)),
@@ -103,14 +103,13 @@ def max_principle_audit(U: Field, s: float, b: float, M2: float,
     )
 
 
-def calibrate_M2(U: Field, s: float, b: float, c: float = 0.7) -> float:
+def calibrate_M2(ctx: OperatorContext, s: float, b: float, c: float = 0.7) -> float:
     """Smallest power of 2 such that U_YY >= 1 - M2 b Y**2 holds at this slice.
 
     The ratio is measured away from the wall (Y >= 1): below that the
     denominator vanishes faster than the data noise floor.
     """
-    ctx = OperatorContext.from_profile(U, slope_tol=1e-2)
-    y = U.grid.nodes
+    y = ctx.grid.nodes
     uyy = curvature_estimate(ctx)
     inner = (y >= 1.0) & (y <= c * s ** (1.0 / 3.0))
     ratio = (1.0 - uyy[inner]) / (b * y[inner] ** 2)
@@ -234,15 +233,9 @@ def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
     """F = sqrt(W) W_psipsi - 2: F <= 0 globally and F >= -btilde alpha
     (psi**2/3 - psi**1/3) on psi in [C_minus btilde^-3/4, c_cap btilde^-5/4]."""
     psi = W.grid.nodes
-    w = W.values
-    hm = psi[1:-1] - psi[:-2]
-    hp = psi[2:] - psi[1:-1]
-    d2 = 2.0 * (w[:-2] * hp - w[1:-1] * (hm + hp) + w[2:] * hm) / (hm * hp * (hm + hp))
-    F = np.full_like(w, -2.0)
-    F[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
-    F[0] = 0.0
+    F = vm.compute_F(W).values
     if trusted is None:
-        trusted = np.ones_like(w, dtype=bool)
+        trusted = np.ones_like(F, dtype=bool)
         trusted[0] = trusted[-1] = False
     h_rel = np.gradient(psi) / np.maximum(psi, psi[1])
     tol = audit_tol(h_rel, np.abs(F) + 2.0)

@@ -34,7 +34,7 @@ from . import vonmises as vm
 from .errors import ConfigError, MissingArtifactError, PrandtlSepError
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_ALGEBRA = 1
@@ -53,7 +53,6 @@ class RunConfig:
     lambda0: float = 0.05
     x0_pressure: float = 1.0
     perturbation_amplitude: float = 0.0
-    scheme: str = "bdf2"
     dx_init: float = 1e-4
     dx_min: float = 1e-13
     cfl_safety: float = 0.9
@@ -65,11 +64,6 @@ class RunConfig:
     snapshots_per_decade: float = 8.0
     n_physical: int = 3073
     n_rescaled: int = 641
-    weight_a: float = 0.05
-    weight_beta1: float = 0.27
-    weight_beta2: float = 0.26
-    weight_m1: int = 40
-    weight_m2: int = 80
     audit_c_minus: float = 32.0
     audit_c_zone: float = 0.7
     audit_max_principle: bool = True
@@ -88,8 +82,6 @@ class RunConfig:
             raise ConfigError("source_scale must be 0 or 1")
         if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
             raise ConfigError("grid sizes too small")
-        if not 0.25 < self.weight_beta2 < self.weight_beta1 < 2.0 / 7.0:
-            raise ConfigError("weight scales must satisfy 1/4 < beta2 < beta1 < 2/7")
         try:
             self.march_config()
         except ValueError as exc:
@@ -102,7 +94,7 @@ class RunConfig:
     def march_config(self) -> vm.MarchConfig:
         return vm.MarchConfig(
             dx_init=self.dx_init, dx_min=self.dx_min, cfl_safety=self.cfl_safety,
-            lambda_stop=self.lambda_stop, scheme=self.scheme, ds_rel=self.ds_rel,
+            lambda_stop=self.lambda_stop, ds_rel=self.ds_rel,
             n_psi=self.n_psi, psi_power=self.psi_power,
             source_scale=self.source_scale,
             snapshots_per_decade=self.snapshots_per_decade,
@@ -365,6 +357,18 @@ def _read_columns(path: str, names: List[str]) -> dict:
     return {name: table[:, header.index(name)] for name in names}
 
 
+_MANIFEST_KEYS = ("config", "s0", "snapshots", "completed", "failure")
+_SNAPSHOT_KEYS = ("index", "x", "s", "lam", "file", "pair_file", "pair_x",
+                  "pair_s", "pair_lam")
+
+
+def _require_keys(entry, keys, where: str) -> None:
+    missing = [key for key in keys if key not in entry] \
+        if isinstance(entry, dict) else list(keys)
+    if missing:
+        raise MissingArtifactError(f"{where}: missing key {missing[0]!r}")
+
+
 def load_trajectory(outdir: str) -> tuple:
     """Rebuild the trajectory and snapshot states from run artifacts."""
     man_path = os.path.join(outdir, "manifest.json")
@@ -376,10 +380,12 @@ def load_trajectory(outdir: str) -> tuple:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise MissingArtifactError(f"cannot read {man_path}: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
+    _require_keys(manifest, ("schema_version",) + _MANIFEST_KEYS, man_path)
+    if manifest["schema_version"] != SCHEMA_VERSION:
         raise MissingArtifactError(
-            f"{man_path}: schema_version {manifest.get('schema_version')!r}, "
+            f"{man_path}: schema_version {manifest['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}")
+    _require_keys(manifest["config"], sorted(_CONFIG_KEYS), f"{man_path} config")
     unknown = set(manifest["config"]) - _CONFIG_KEYS
     if unknown:
         raise MissingArtifactError(
@@ -399,6 +405,7 @@ def load_trajectory(outdir: str) -> tuple:
 
     snapshots = []
     for meta in manifest["snapshots"]:
+        _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
         table = _read_columns(os.path.join(outdir, meta["file"]), ["phi", "w"])
         grid = loaded_grid(table["phi"])
         state = vm.VMState(x=meta["x"], psi_grid=grid,
@@ -458,12 +465,10 @@ def run_audit(outdir: str) -> int:
     }
     reports = [asdict(r) for r in suite.reports]
     commutator = []
-    b_arr = md.compute_b(traj.x, traj.lam)
-    for snap in traj.snapshots[1:-1:4]:
-        i = int(np.argmin(np.abs(traj.x - snap.x)))
+    for snap, fr in zip(traj.snapshots[1:-1:4], frames[1:-1:4]):
         try:
             commutator.append(dg.commutator_identity_check(
-                snap, float(b_arr[i]), n_grid=cfg.n_rescaled))
+                snap, fr.b, n_grid=cfg.n_rescaled))
         except PrandtlSepError as exc:
             commutator.append({"s_mid": snap.s, "error": str(exc)})
     payload = {

@@ -76,8 +76,6 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641,
     recomputation; samples that move more than ``resolved_rtol`` are
     flagged and excluded from acceptance-style gates.
     """
-    if len(traj.x) < 5:
-        return []
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
     bs_arr = md._local_slope(traj.s, b_arr)
@@ -139,11 +137,10 @@ class AuditSuite:
         return all(r.passed for r in self.reports)
 
 
-def measure_M0(U: Field, s: float) -> float:
+def measure_M0(ctx: OperatorContext, s: float) -> float:
     """Envelope constant of the initial curvature defect,
     1 - U_YY <= M0 min(1, Y**2/s), measured away from the wall noise."""
-    ctx = OperatorContext.from_profile(U, slope_tol=1e-2)
-    y = U.grid.nodes
+    y = ctx.grid.nodes
     uyy = au.curvature_estimate(ctx)
     env = np.minimum(1.0, y * y / s)
     sel = y >= 1.0
@@ -158,8 +155,8 @@ def run_audit_suite(frames: List[SnapshotFrame], C_minus: float = 32.0,
     if not frames:
         raise ValueError("no frames to audit")
     first = frames[0]
-    M2 = au.calibrate_M2(first.U, first.s, first.b, c=c_zone)
-    M0 = measure_M0(first.U, first.s)
+    M2 = au.calibrate_M2(first.ctx, first.s, first.b, c=c_zone)
+    M0 = measure_M0(first.ctx, first.s)
     M1 = float(2.0 ** np.ceil(np.log2(1.1 * max(M2, 1.0, M0))))
     alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
     a_minus, a_plus = None, None
@@ -178,7 +175,7 @@ def run_audit_suite(frames: List[SnapshotFrame], C_minus: float = 32.0,
         # as the shear collapses; below it the balance audit in native
         # streamfunction variables carries the same inequality
         y_min = 0.5 * max(1.0, (lam_cal / fr.lam) ** 0.6)
-        suite.reports.append(au.max_principle_audit(fr.U, fr.s, fr.b, M2,
+        suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2,
                                                     c=c_zone, M1=M1,
                                                     y_min=y_min))
         suite.reports.append(au.subsolution_audit(

@@ -11,8 +11,7 @@ it must equal -(b_s + b**2)/2.
 
 Integrals start at the first interior node (the weight is singular but
 integrable at the wall; the first-cell head is below every tolerance used
-here) and are truncated at the grid edge, with an analytic bound on the
-dropped tail reported alongside.
+here) and are truncated at the grid edge.
 """
 
 from __future__ import annotations
@@ -108,65 +107,11 @@ def v_wall_ratio(V: Field, lo: float = 0.05, hi: float = 0.5) -> float:
     return float(sol[0] / norms[0])
 
 
-def _tail_bound(integrand_last: float, spec: WeightSpec, y_max: float) -> float:
-    decay = spec.m + spec.a - 8.0   # conservative: allows Y**8 growth in front
-    if decay <= 1.0:
-        return np.inf
-    return abs(integrand_last) * y_max / (decay - 1.0)
-
-
 def weighted_integral(values_sq: np.ndarray, grid, spec: WeightSpec, s: float) -> float:
     """int values_sq * w over the grid, starting at the first interior node."""
     w = weight_eval(spec, s, grid.nodes)
     integrand = values_sq * w
     return float(np.trapezoid(integrand, grid.nodes))
-
-
-def _chain(ctx: OperatorContext, V: Field, k: int) -> Field:
-    return clu_chain(ctx, V, k)
-
-
-def energy(k: int, ctx: OperatorContext, V: Field, spec: WeightSpec, s: float) -> float:
-    """E_k = int (d2/dY2 L^k V)**2 w."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    g = diff(_chain(ctx, V, k), 2)
-    return weighted_integral(g.values**2, ctx.grid, spec, s)
-
-
-def dissipation(k: int, ctx: OperatorContext, V: Field, spec: WeightSpec, s: float) -> float:
-    """D_k = int (d3 L^k V)**2/U w + int (d2 L^k V)**2/U**2 w."""
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    a_k = _chain(ctx, V, k)
-    g = diff(a_k, 2).values
-    gy = diff(a_k, 3).values
-    u = ctx.U.values
-    vals = np.zeros_like(u)
-    vals[1:] = gy[1:] ** 2 / u[1:] + g[1:] ** 2 / u[1:] ** 2
-    return weighted_integral(vals, ctx.grid, spec, s)
-
-
-def trace_check(ctx: OperatorContext, V: Field, b: float, bs: float) -> dict:
-    """Wall trace of d/dY L**2 V against -(b_s + b**2)/2.
-
-    The trace is extrapolated to Y = 0 by a quadratic fit over interior
-    nodes (the first one skipped); a second fit over a shifted window flags
-    ill-conditioned extrapolations.
-    """
-    t_field = diff(_chain(ctx, V, 2), 1)
-    trace = wall_slope_extrapolation(t_field, 2, 6)
-    trace_alt = wall_slope_extrapolation(t_field, 3, 7)
-    expected = -0.5 * (bs + b * b)
-    residual = trace - expected
-    spread = abs(trace - trace_alt)
-    low_conf = spread > 0.5 * max(abs(trace), abs(expected), 1e-300)
-    return {
-        "trace": float(trace),
-        "expected": float(expected),
-        "residual": float(residual),
-        "low_confidence": bool(low_conf),
-    }
 
 
 def trace_inequality_audit(f: Field, L: float, a: float, c_bar: float = 8.0) -> dict:
@@ -236,6 +181,13 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float, bs: float,
                   w1: Optional[WeightSpec] = None,
                   w2: Optional[WeightSpec] = None,
                   resolved: bool = True) -> EnergyReport:
+    """E_k and D_k for k = 0, 1, 2, and the wall trace of d/dY L**2 V
+    against -(b_s + b**2)/2.
+
+    The trace is extrapolated to Y = 0 by a quadratic fit over nodes 2-6
+    (the first interior node skipped); a second fit over nodes 3-7 flags
+    ill-conditioned extrapolations.
+    """
     w0 = w0 or WeightSpec.default_w0()
     w1 = w1 or WeightSpec.default_w1()
     w2 = w2 or WeightSpec.default_w2()

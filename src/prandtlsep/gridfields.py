@@ -11,7 +11,7 @@ the streamfunction map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -180,33 +180,16 @@ def cumint(f: Field) -> Field:
     return f.with_values(out)
 
 
-def interpolate(f: Field, points: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Local cubic (4-point Lagrange) interpolation; exact on cubics.
+def smoothstep(t):
+    """Quintic C2 ramp t**3 (10 - 15 t + 6 t**2), 0 for t <= 0 and 1 for t >= 1."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
-    Queries must lie inside the grid span (tiny round-off overhang at the
-    ends is tolerated and clipped).
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    x, v = f.grid.nodes, f.values
-    tol = 1e-12 * max(1.0, f.grid.span)
-    if np.any(pts < x[0] - tol) or np.any(pts > x[-1] + tol):
-        raise ExtrapolationError("interpolation query outside grid span")
-    pts = np.clip(pts, x[0], x[-1])
-    n = len(x)
-    right = np.searchsorted(x, pts)
-    lo = np.clip(right - 2, 0, n - 4)
-    out = np.zeros_like(pts)
-    # 4-point Lagrange formula, vectorized over query points
-    for j in range(4):
-        lj = np.ones_like(pts)
-        xj = x[lo + j]
-        for m in range(4):
-            if m == j:
-                continue
-            xm = x[lo + m]
-            lj *= (pts - xm) / (xj - xm)
-        out += v[lo + j] * lj
-    return out
+
+def smoothstep_prime(t):
+    """Derivative of ``smoothstep``: 30 t**2 (1 - t)**2 on [0, 1], else 0."""
+    t = np.clip(t, 0.0, 1.0)
+    return 30.0 * t * t * (1.0 - t) ** 2
 
 
 def spline_interpolant(f: Field):

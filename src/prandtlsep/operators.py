@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidProfileError, SingularInputError
-from .gridfields import Field, cumint, diff
+from .gridfields import Field, cumint, diff, smoothstep
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def _blend(y: np.ndarray, raw: np.ndarray, model: np.ndarray, fit: WallFit) -> n
     The quintic ramp keeps the blended field twice differentiable, so a
     later derivative stage sees no junction spike.
     """
-    t = np.clip((y - fit.lo) / (fit.blend_hi - fit.lo), 0.0, 1.0)
-    s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    s = smoothstep((y - fit.lo) / (fit.blend_hi - fit.lo))
     return (1.0 - s) * model + s * raw
 
 

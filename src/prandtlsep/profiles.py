@@ -20,7 +20,7 @@ the difference start at discretization level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ratpoly
 from .errors import DomainError, InvalidInitialDataError
-from .gridfields import Field, Grid, cumint
+from .gridfields import Field, Grid, cumint, smoothstep, smoothstep_prime
 
 # ---------------------------------------------------------------------------
 # Cutoff and far-field completion shapes
@@ -90,15 +90,11 @@ def theta_second(xi):
 
 def smoothstep_cutoff(r):
     """C2 cutoff: 1 on [0, 1], quintic descent to 0 on [1, 2]."""
-    r = np.asarray(r, dtype=float)
-    t = np.clip(r - 1.0, 0.0, 1.0)
-    return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return 1.0 - smoothstep(np.asarray(r, dtype=float) - 1.0)
 
 
 def smoothstep_cutoff_prime(r):
-    r = np.asarray(r, dtype=float)
-    t = np.clip(r - 1.0, 0.0, 1.0)
-    return -30.0 * t * t * (1.0 - t) ** 2
+    return -smoothstep_prime(np.asarray(r, dtype=float) - 1.0)
 
 
 def smoothstep_cutoff_second(r):
@@ -287,12 +283,10 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         h_ = lambda0 + cumint(Field(grid_, g_base_)).values
 
         def descent(y_c: float) -> np.ndarray:
-            t = np.clip((y_ - y_c) / (span_ - y_c), 0.0, 1.0)
-            return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+            return 1.0 - smoothstep((y_ - y_c) / (span_ - y_c))
 
         def descent_prime(y_c: float) -> np.ndarray:
-            t = np.clip((y_ - y_c) / (span_ - y_c), 0.0, 1.0)
-            return -30.0 * t * t * (1.0 - t) ** 2 / (span_ - y_c)
+            return -smoothstep_prime((y_ - y_c) / (span_ - y_c)) / (span_ - y_c)
 
         def far_value(y_c: float) -> float:
             return float(cumint(Field(grid_, h_ * descent(y_c))).values[-1])
@@ -372,10 +366,7 @@ def check_wellprepared(U0: Field, s0: float, eta: float = 0.1) -> dict:
     ctx = OperatorContext.from_profile(U0, slope_tol=1e-3)
     b0 = 1.0 / s0
     V = energies.compute_V(U0, s0, b0)
-    w1 = energies.WeightSpec.default_w1()
-    w2 = energies.WeightSpec.default_w2()
-    E1 = energies.energy(1, ctx, V, w1, s0)
-    E2 = energies.energy(2, ctx, V, w2, s0)
+    report = energies.energy_report(ctx, V, s0, b0, 0.0)
     Y = U0.grid.nodes
     a4 = float(default_params().a4)
     # curvature-based modulation estimate: U_YY ~ 1 - 12 a4 b Y^2 near wall
@@ -384,8 +375,8 @@ def check_wellprepared(U0: Field, s0: float, eta: float = 0.1) -> dict:
     b_est = float(np.mean((1.0 - uyy[window]) / (12.0 * a4 * Y[window] ** 2)))
     bounds_ok = bool(np.max(uyy) <= 1.0 + 5e-3)
     return {
-        "E1_scaled": E1 * s0 ** (13.0 / 4.0 + eta / 2.0),
-        "E2_scaled": E2 * s0**5,
+        "E1_scaled": report.E1 * s0 ** (13.0 / 4.0 + eta / 2.0),
+        "E2_scaled": report.E2 * s0**5,
         "b_gap": abs(b_est - b0) * s0,
         "UYY_bounds_ok": bounds_ok,
     }

@@ -107,9 +107,6 @@ class RationalPoly:
     def degree_Y(self) -> int:
         return max((m[0] for m in self._terms), default=0)
 
-    def degree_b(self) -> int:
-        return max((m[1] for m in self._terms), default=0)
-
     def degree_bs(self) -> int:
         return max((m[2] for m in self._terms), default=0)
 
@@ -213,20 +210,6 @@ class RationalPoly:
         for (dy, db, dbs), c in self._terms.items():
             total += float(c) * Y**dy * b**db * bs**dbs
         return total
-
-    def wall_series(self, order: int) -> Tuple[Fraction, ...]:
-        """Taylor coefficients in Y up to ``order`` (inclusive); b_s-free, b folded out.
-
-        Only valid for polynomials with no b dependence; used to seed the
-        exact series oracle.
-        """
-        if self.degree_b() > 0 or self.degree_bs() > 0:
-            raise UnsupportedInputError("wall_series requires a pure-Y polynomial")
-        coeffs = [Fraction(0)] * (order + 1)
-        for (dy, _, _), c in self._terms.items():
-            if dy <= order:
-                coeffs[dy] = c
-        return tuple(coeffs)
 
     def canonical_str(self) -> str:
         """Deterministic text form: terms sorted lexicographically on exponents."""

@@ -6,10 +6,11 @@ parabolic equation
     w_x - sqrt(w) w_phiphi = -2,   w(x, 0) = 0,  w -> u_E(x)**2 far out,
 
 with u_E(x) = sqrt(2 (x0 - x)).  The tangential coordinate x acts as time.
-Steps are implicit in the diffusion with the degenerate coefficient
-sqrt(w) frozen at the previous station (optionally iterated to
-convergence); each accepted step must preserve monotonicity in phi, else
-it is retried with half the step.
+Steps are variable-step BDF2, implicit in the diffusion, with the
+degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
+step, which has no previous station, is an iterated backward-Euler step.
+Each accepted step must preserve monotonicity in phi, else it is retried
+with half the step.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -22,7 +23,7 @@ correction is negligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -40,7 +41,6 @@ class MarchConfig:
     dx_min: float = 1e-13
     cfl_safety: float = 0.9
     lambda_stop: float = 1e-3
-    scheme: str = "bdf2"   # or "semi-implicit-frozen" / "implicit-newton"
     ds_rel: float = 0.008          # target step in s, relative: ds = ds_rel * s
     n_psi: int = 2305
     psi_power: float = 5.0
@@ -55,8 +55,6 @@ class MarchConfig:
             raise ValueError("cfl_safety must lie in (0, 1)")
         if self.lambda_stop <= 0.0:
             raise ValueError("lambda_stop must be positive")
-        if self.scheme not in ("semi-implicit-frozen", "implicit-newton", "bdf2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,10 +302,14 @@ def from_von_mises(state: VMState) -> Field:
     return Field(Grid(y, "vm-inverse"), np.sqrt(w))
 
 
-def compute_F(state: VMState) -> Field:
-    """Diffusion balance F = sqrt(w) w_phiphi - 2 on the phi grid."""
-    w = state.W.values
-    phi = state.psi_grid.nodes
+def compute_F(W: Field) -> Field:
+    """Diffusion balance F = sqrt(w) w_phiphi - 2 on W's streamfunction grid.
+
+    The balance is scale-invariant: on the wall-unit rescaling
+    (phi / lam**3, w / lam**4) of a state it is the same F node by node.
+    """
+    w = W.values
+    phi = W.grid.nodes
     f = np.empty_like(w)
     hm = phi[1:-1] - phi[:-2]
     hp = phi[2:] - phi[1:-1]
@@ -315,7 +317,7 @@ def compute_F(state: VMState) -> Field:
     f[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]
-    return Field(state.psi_grid, f)
+    return W.with_values(f)
 
 
 def f_roundoff_floor(state: VMState) -> np.ndarray:
@@ -388,21 +390,20 @@ def _resolvent_solve(phi: np.ndarray, rhs: np.ndarray, coeff: np.ndarray,
     return out
 
 
-def _implicit_solve(phi: np.ndarray, w_old: np.ndarray, coeff: np.ndarray,
-                    dx: float, far_value: float, source: float) -> np.ndarray:
-    """Backward-Euler step of w_x = coeff * D2 w - 2 source."""
-    return _resolvent_solve(phi, w_old - 2.0 * dx * source, coeff, dx, far_value)
-
-
-def _bdf2_solve(phi: np.ndarray, w_n: np.ndarray, w_prev: np.ndarray,
-                h_prev: float, h: float, far_value: float, source: float,
-                scale: float, max_picard: int = 6) -> np.ndarray:
+def _bdf2_solve(phi: np.ndarray, w_n: np.ndarray, prev: tuple | None,
+                h: float, far_value: float, source: float,
+                scale: float) -> np.ndarray:
     """Variable-step BDF2 step with Picard-iterated degenerate coefficient.
 
     Second order in the step, L-stable, and structurally monotone (M-matrix
     resolvent); removes the O(dx) quasi-steady bias that a backward-Euler
-    or frozen-coefficient step leaves in the stiff wall zone.
+    or frozen-coefficient step leaves in the stiff wall zone.  Without
+    ``prev`` (w_previous, h_previous), on the first step, the coefficients
+    are those of an infinitely long previous step: the start-up is a
+    backward-Euler step, with up to 13 Picard sweeps instead of 6.
     """
+    w_prev, h_prev = prev if prev is not None else (w_n, np.inf)
+    max_picard = 6 if prev is not None else 13
     om = h / h_prev
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
     beta = (1.0 + om)
@@ -426,8 +427,8 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
                prev: tuple | None = None) -> VMState:
     """Advance one station; retries with halved dx on monotonicity loss.
 
-    ``prev`` (w_previous, h_previous) enables the two-step scheme; without
-    it the step falls back to the iterated backward-Euler start-up.
+    ``prev`` (w_previous, h_previous) feeds the BDF2 step; without it
+    (the first step) the step is the iterated backward-Euler start-up.
     """
     phi = state.psi_grid.nodes
     w_old = state.W.values
@@ -436,21 +437,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
         far = state.far_target(state.x + dx)
         if far <= 0.0:
             raise StepFailureError("pressure horizon reached before separation")
-        if cfg.scheme == "bdf2" and prev is not None:
-            w_new = _bdf2_solve(phi, w_old, prev[0], prev[1], dx, far,
-                                cfg.source_scale, scale)
-        else:
-            coeff = np.sqrt(np.maximum(w_old, 0.0))
-            w_new = _implicit_solve(phi, w_old, coeff, dx, far, cfg.source_scale)
-            if cfg.scheme in ("implicit-newton", "bdf2"):
-                for _ in range(12):
-                    coeff = np.sqrt(_wall_restore(phi, np.maximum(w_new, 0.0)))
-                    w_next = _implicit_solve(phi, w_old, coeff, dx, far,
-                                             cfg.source_scale)
-                    delta = float(np.max(np.abs(w_next - w_new)))
-                    w_new = w_next
-                    if delta <= 1e-12 * scale:
-                        break
+        w_new = _bdf2_solve(phi, w_old, prev, dx, far, cfg.source_scale, scale)
         # clamp roundoff-level negatives on the first cells to the physical
         # w >= 0 and judge monotonicity with a roundoff-relative tolerance
         w_new = np.maximum(w_new, 0.0)
@@ -524,7 +511,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     completed, failure = False, ""
 
     def record(st: VMState, dx_val: float) -> None:
-        F = compute_F(st).values
+        F = compute_F(st.W).values
         mask = trusted_F_mask(st)
         xs.append(st.x)
         lams.append(st.lam)

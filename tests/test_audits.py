@@ -5,6 +5,7 @@ from prandtlsep import audits as au
 from prandtlsep import profiles as pr
 from prandtlsep.errors import DomainError
 from prandtlsep.gridfields import Field, Grid
+from prandtlsep.operators import OperatorContext
 
 
 class TestHardyConstant:
@@ -60,15 +61,15 @@ class TestHardyGeneral:
 
 
 @pytest.fixture(scope="module")
-def flat_profile():
+def flat_ctx():
     g = Grid.tanh_clustered(641, 25.0, 4.0)
     Y = g.nodes
-    return Field(g, Y + Y**2 / 2)
+    return OperatorContext.from_profile(Field(g, Y + Y**2 / 2), slope_tol=1e-2)
 
 
 class TestMaxPrinciple:
-    def test_flat_profile_passes_with_zero_margin(self, flat_profile):
-        rep = au.max_principle_audit(flat_profile, s=500.0, b=2e-3, M2=0.5)
+    def test_flat_profile_passes_with_zero_margin(self, flat_ctx):
+        rep = au.max_principle_audit(flat_ctx, s=500.0, b=2e-3, M2=0.5)
         assert rep.passed
         assert rep.worst_margin >= 0.0
 
@@ -78,14 +79,15 @@ class TestMaxPrinciple:
         s, b = 400.0, 1.0 / 400.0
         g = Grid.tanh_clustered(2049, 0.7 * s ** (1 / 3) * 1.4, 4.0)
         Y = g.nodes
-        U = Field(g, pr.eval_uapp(s, b, Y))
-        ok = au.max_principle_audit(U, s, b, M2=0.5)
+        ctx = OperatorContext.from_profile(Field(g, pr.eval_uapp(s, b, Y)),
+                                           slope_tol=1e-2)
+        ok = au.max_principle_audit(ctx, s, b, M2=0.5)
         assert ok.passed
-        too_small = au.max_principle_audit(U, s, b, M2=1.0 / 16.0)
+        too_small = au.max_principle_audit(ctx, s, b, M2=1.0 / 16.0)
         assert not too_small.passed
 
-    def test_calibration_rounds_to_dyadic(self, flat_profile):
-        m2 = au.calibrate_M2(flat_profile, 500.0, 2e-3)
+    def test_calibration_rounds_to_dyadic(self, flat_ctx):
+        m2 = au.calibrate_M2(flat_ctx, 500.0, 2e-3)
         assert m2 == 0.5  # floor for a curvature-free profile
         assert np.log2(m2) == round(np.log2(m2))
 

@@ -32,17 +32,26 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(lambda0=0.5).validate()
         with pytest.raises(cli.ConfigError):
-            cli.RunConfig(weight_beta1=0.24).validate()
+            cli.RunConfig(lambda_stop_factor=1.0).validate()
         with pytest.raises(cli.ConfigError):
-            cli.RunConfig(scheme="explicit").validate()
+            cli.RunConfig(cfl_safety=1.5).validate()
 
     def test_round_trip_through_file(self, tmp_path):
-        cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, scheme="implicit-newton")
+        cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, audit_sub_super=False)
         path = tmp_path / "run.cfg"
         path.write_text(cfg.canonical_text().replace(" = ", " = "))
         parsed = cli.RunConfig(**cli.parse_config_file(str(path)))
         assert parsed == cfg
         assert parsed.config_hash() == cfg.config_hash()
+
+    def test_readme_config_block_lists_every_field(self):
+        # the ini block of README.md documents every RunConfig field and no other key
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
+                if line.split("#", 1)[0].strip()]
+        assert sorted(keys) == sorted(f.name for f in cli.fields(cli.RunConfig))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -129,7 +138,8 @@ class TestSimulateAndAudit:
     @pytest.mark.parametrize("damage", [
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
-        "unknown_config_key", "schema_version"])
+        "unknown_config_key", "missing_config_key", "schema_version",
+        "old_schema", "missing_s0", "missing_snapshot_file_key"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -152,12 +162,37 @@ class TestSimulateAndAudit:
             snap.write_text(snap.read_text().replace("phi,w", "phi,v", 1))
         elif damage == "unknown_config_key":
             manifest["config"]["no_such_key"] = 1
+        elif damage == "missing_config_key":
+            del manifest["config"]["n_rescaled"]
         elif damage == "schema_version":
             manifest["schema_version"] = cli.SCHEMA_VERSION + 1
+        elif damage == "old_schema":
+            # version 1 also stored the march scheme and five weight keys
+            manifest["schema_version"] = 1
+            manifest["config"]["scheme"] = "bdf2"
+        elif damage == "missing_s0":
+            del manifest["s0"]
+        elif damage == "missing_snapshot_file_key":
+            del manifest["snapshots"][2]["file"]
         manifest_path.write_text(json.dumps(manifest))
         code = cli.main(["audit", str(rundir)])
         assert code == cli.EXIT_MISSING
         assert "audit:" in capsys.readouterr().out
+
+    def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
+        # a completed run of a few steps is too short for the modulation rate
+        cfg = cli.RunConfig(**{**{f.name: getattr(_quick_config(tmp_path), f.name)
+                                  for f in cli.fields(cli.RunConfig)},
+                               "lambda_stop_factor": 1.01,
+                               "outdir": str(tmp_path / "short")})
+        assert cli.run_simulate(cfg) == cli.EXIT_OK
+        steps = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())["steps"]
+        assert steps < 7
+        capsys.readouterr()
+        assert cli.main(["audit", cfg.outdir]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "need at least 7 samples" in err
 
     def test_loaded_trajectory_matches(self, quick_cfg):
         cli.run_simulate(quick_cfg)

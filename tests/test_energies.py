@@ -5,7 +5,8 @@ from prandtlsep import energies as en
 from prandtlsep import profiles as pr
 from prandtlsep.errors import DomainError
 from prandtlsep.gridfields import Field, Grid, diff
-from prandtlsep.operators import OperatorContext, WallFit, op_cLU, wall_slope_extrapolation
+from prandtlsep.operators import (OperatorContext, WallFit, clu_chain, op_cLU,
+                                  wall_slope_extrapolation)
 
 
 @pytest.fixture(scope="module")
@@ -68,24 +69,24 @@ class TestEnergies:
     def test_zero_corrector(self, flat_ctx):
         g = flat_ctx.grid
         V0 = Field(g, np.zeros(len(g)))
-        for k in (0, 1, 2):
-            assert en.energy(k, flat_ctx, V0, en.WeightSpec.default_w1(), 500.0) == 0.0
-            assert en.dissipation(k, flat_ctx, V0, en.WeightSpec.default_w1(), 500.0) == 0.0
+        rep = en.energy_report(flat_ctx, V0, s=500.0, b=2e-3, bs=-4e-6)
+        for key in ("E0", "E1", "E2", "D0", "D1", "D2"):
+            assert getattr(rep, key) == 0.0
 
     def test_nonnegative_on_generic_field(self, flat_ctx):
         g = flat_ctx.grid
         Y = g.nodes
         V = Field(g, 1e-3 * Y**7 * np.exp(-Y))
-        for k in (0, 1, 2):
-            assert en.energy(k, flat_ctx, V, en.WeightSpec.default_w1(), 500.0) >= 0.0
-            assert en.dissipation(k, flat_ctx, V, en.WeightSpec.default_w1(), 500.0) >= 0.0
+        rep = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6)
+        for key in ("E0", "E1", "E2", "D0", "D1", "D2"):
+            assert getattr(rep, key) >= 0.0
 
     def test_e0_matches_direct_quadrature(self, flat_ctx):
         g = flat_ctx.grid
         Y = g.nodes
         V = Field(g, 1e-2 * Y**4 * np.exp(-Y))
         spec = en.WeightSpec.default_w0()
-        got = en.energy(0, flat_ctx, V, spec, 500.0)
+        got = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6).E0
         d2 = diff(V, 2).values
         ref = np.trapezoid(d2**2 * en.weight_eval(spec, 500.0, Y), Y)
         assert abs(got - ref) < 1e-12 * max(ref, 1.0)
@@ -95,9 +96,9 @@ class TestTrace:
     def test_zero_corrector_inverse_law(self, flat_ctx):
         g = flat_ctx.grid
         V0 = Field(g, np.zeros(len(g)))
-        out = en.trace_check(flat_ctx, V0, b=1e-3, bs=-1e-6)
-        assert out["expected"] == 0.0
-        assert abs(out["residual"]) < 1e-12
+        rep = en.energy_report(flat_ctx, V0, s=500.0, b=1e-3, bs=-1e-6)
+        assert rep.bs_plus_b2 == 0.0
+        assert abs(rep.trace_residual) < 1e-12
 
     def test_synthetic_y7_against_series_oracle(self):
         # operator chain vs the exact rational series value 1260 c;
@@ -170,5 +171,6 @@ class TestReport:
         rep = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6)
         assert rep.E1 > 0 and rep.D1 > 0
         assert rep.bs_plus_b2 == -4e-6 + 4e-6
-        e1 = en.energy(1, flat_ctx, V, en.WeightSpec.default_w1(), 500.0)
+        g1 = diff(clu_chain(flat_ctx, V, 1), 2).values
+        e1 = np.trapezoid(g1**2 * en.weight_eval(en.WeightSpec.default_w1(), 500.0, Y), Y)
         assert abs(rep.E1 - e1) < 1e-12 * e1

@@ -132,7 +132,7 @@ class TestInterpolate:
     def test_identity_at_nodes(self, grid_maker):
         g = grid_maker(90)
         f = gf.Field(g, np.exp(-g.nodes))
-        assert np.allclose(gf.interpolate(f, g.nodes), f.values, atol=1e-14)
+        assert np.allclose(gf.spline_interpolant(f)(g.nodes), f.values, atol=1e-14)
 
     def test_exact_on_cubics(self, grid_maker):
         g = grid_maker(90)
@@ -140,7 +140,7 @@ class TestInterpolate:
         f = gf.Field(g, 1 + y - 2 * y**2 + 0.5 * y**3)
         q = np.linspace(0.0, 6.0, 277)
         expected = 1 + q - 2 * q**2 + 0.5 * q**3
-        assert np.max(np.abs(gf.interpolate(f, q) - expected)) < 1e-11
+        assert np.max(np.abs(gf.spline_interpolant(f)(q) - expected)) < 1e-11
 
     def test_fourth_order_convergence(self, grid_maker):
         errs = []
@@ -148,14 +148,27 @@ class TestInterpolate:
         for n in (129, 257, 513):
             g = grid_maker(n)
             f = gf.Field(g, np.sin(g.nodes))
-            errs.append(np.max(np.abs(gf.interpolate(f, q) - np.sin(q))))
+            errs.append(np.max(np.abs(gf.spline_interpolant(f)(q) - np.sin(q))))
         assert gf.convergence_order(errs) >= 3.5
 
     def test_out_of_span(self):
         g = gf.Grid.uniform(64, 1.0)
         f = gf.Field(g, g.nodes)
         with pytest.raises(ExtrapolationError):
-            gf.interpolate(f, [1.5])
+            gf.spline_interpolant(f)([1.5])
+
+
+def test_smoothstep_ramp_and_derivative():
+    t = np.linspace(-0.5, 1.5, 2001)
+    s = gf.smoothstep(t)
+    assert np.array_equal(s[t <= 0.0], np.zeros(np.sum(t <= 0.0)))
+    assert np.array_equal(s[t >= 1.0], np.ones(np.sum(t >= 1.0)))
+    assert np.all(np.diff(s) >= 0.0)
+    # the derivative matches centred differences and vanishes at both ends
+    h = 1e-6
+    fd = (gf.smoothstep(t + h) - gf.smoothstep(t - h)) / (2.0 * h)
+    assert np.max(np.abs(gf.smoothstep_prime(t) - fd)) < 1e-8
+    assert gf.smoothstep_prime(0.0) == 0.0 and gf.smoothstep_prime(1.0) == 0.0
 
 
 def test_determinism():
