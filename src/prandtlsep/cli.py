@@ -7,7 +7,7 @@ bit-for-bit reproducible.  Exit codes are a stable contract:
     0  success / all checks passed
     1  exact-algebra certificate failed
     2  solver failure (partial artifacts kept)
-    3  invalid configuration
+    3  invalid configuration or command line
     4  missing input artifacts
 """
 
@@ -34,7 +34,7 @@ from . import vonmises as vm
 from .errors import ConfigError, MissingArtifactError, PrandtlSepError
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_ALGEBRA = 1
@@ -53,22 +53,12 @@ class RunConfig:
     lambda0: float = 0.05
     x0_pressure: float = 1.0
     perturbation_amplitude: float = 0.0
-    dx_init: float = 1e-4
-    dx_min: float = 1e-13
-    cfl_safety: float = 0.9
     lambda_stop_factor: float = 50.0
     ds_rel: float = 0.008
     n_psi: int = 2305
-    psi_power: float = 5.0
-    source_scale: float = 1.0
     snapshots_per_decade: float = 8.0
     n_physical: int = 3073
     n_rescaled: int = 641
-    audit_c_minus: float = 32.0
-    audit_c_zone: float = 0.7
-    audit_max_principle: bool = True
-    audit_sub_super: bool = True
-    audit_f_bounds: bool = True
     outdir: str = "run-output"
 
     def validate(self) -> None:
@@ -78,14 +68,8 @@ class RunConfig:
             raise ConfigError("x0_pressure must be positive")
         if self.lambda_stop_factor <= 1.0:
             raise ConfigError("lambda_stop_factor must exceed 1")
-        if self.source_scale not in (0.0, 1.0):
-            raise ConfigError("source_scale must be 0 or 1")
         if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
             raise ConfigError("grid sizes too small")
-        try:
-            self.march_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @property
     def lambda_stop(self) -> float:
@@ -93,10 +77,7 @@ class RunConfig:
 
     def march_config(self) -> vm.MarchConfig:
         return vm.MarchConfig(
-            dx_init=self.dx_init, dx_min=self.dx_min, cfl_safety=self.cfl_safety,
-            lambda_stop=self.lambda_stop, ds_rel=self.ds_rel,
-            n_psi=self.n_psi, psi_power=self.psi_power,
-            source_scale=self.source_scale,
+            lambda_stop=self.lambda_stop, ds_rel=self.ds_rel, n_psi=self.n_psi,
             snapshots_per_decade=self.snapshots_per_decade,
         )
 
@@ -111,8 +92,6 @@ class RunConfig:
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _config_value(key: str, raw) -> object:
@@ -120,11 +99,6 @@ def _config_value(key: str, raw) -> object:
     default for ``key``; a value that does not parse raises ConfigError."""
     text = str(raw)
     current = getattr(RunConfig, key)
-    if isinstance(current, bool):
-        if text.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-            raise ConfigError(f"bad value for {key}: {text} (expected one of "
-                              f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)})")
-        return text.lower() in _TRUE_WORDS
     try:
         if isinstance(current, int):
             return int(text)
@@ -247,6 +221,11 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: columns of energies.csv: EnergyReport fields, then its resolved flag
+_ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
+                   "bs_plus_b2", "resolved_flag"]
+
+
 def _write_manifest(cfg: RunConfig, extra: dict) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -256,8 +235,7 @@ def _write_manifest(cfg: RunConfig, extra: dict) -> None:
         "columns": {
             "trajectory.csv": ["x", "lambda", "dx", "F_max", "monotonicity_min"],
             "snapshot": ["phi", "w"],
-            "energies.csv": ["s", "E0", "E1", "E2", "D0", "D1", "D2",
-                              "trace_residual", "bs_plus_b2", "resolved_flag"],
+            "energies.csv": _ENERGY_COLUMNS,
         },
     }
     manifest.update(extra)
@@ -410,8 +388,7 @@ def load_trajectory(outdir: str) -> tuple:
         grid = loaded_grid(table["phi"])
         state = vm.VMState(x=meta["x"], psi_grid=grid,
                            W=Field(grid, table["w"]),
-                           lam=meta["lam"], x0_pressure=cfg.x0_pressure,
-                           source_scale=cfg.source_scale)
+                           lam=meta["lam"], x0_pressure=cfg.x0_pressure)
         pair = None
         if meta["pair_file"]:
             pt = _read_columns(os.path.join(outdir, meta["pair_file"]),
@@ -419,8 +396,7 @@ def load_trajectory(outdir: str) -> tuple:
             pgrid = loaded_grid(pt["phi"])
             pair = vm.VMState(x=meta["pair_x"], psi_grid=pgrid,
                               W=Field(pgrid, pt["w"]),
-                              lam=meta["pair_lam"], x0_pressure=cfg.x0_pressure,
-                              source_scale=cfg.source_scale)
+                              lam=meta["pair_lam"], x0_pressure=cfg.x0_pressure)
         snapshots.append(vm.Snapshot(index=meta["index"], x=meta["x"],
                                      s=meta["s"], lam=meta["lam"], state=state,
                                      pair_state=pair, pair_s=meta["pair_s"]))
@@ -442,33 +418,19 @@ def run_audit(outdir: str) -> int:
         print(f"audit: {exc}")
         return EXIT_MISSING
     frames = dg.build_frames(traj, n_grid=cfg.n_rescaled)
-    rows = {k: [] for k in ("s", "E0", "E1", "E2", "D0", "D1", "D2",
-                            "trace_residual", "bs_plus_b2", "resolved_flag")}
-    for fr in frames:
-        r = fr.report
-        if r is None:
-            continue
-        rows["s"].append(r.s)
-        for key in ("E0", "E1", "E2", "D0", "D1", "D2"):
-            rows[key].append(getattr(r, key))
-        rows["trace_residual"].append(r.trace_residual)
-        rows["bs_plus_b2"].append(r.bs_plus_b2)
-        rows["resolved_flag"].append(1.0 if r.resolved else 0.0)
+    energies = [fr.report for fr in frames if fr.report is not None]
+    columns = [np.array([getattr(r, key) for r in energies], dtype=float)
+               for key in _ENERGY_COLUMNS[:-1]]
+    columns.append(np.array([float(r.resolved) for r in energies]))
     _atomic_write(os.path.join(outdir, "energies.csv"),
-                  _csv_text(list(rows), [np.asarray(v) for v in rows.values()]))
-    suite = dg.run_audit_suite(frames, C_minus=cfg.audit_c_minus,
-                               c_zone=cfg.audit_c_zone)
-    enabled = {
-        "max-principle": cfg.audit_max_principle,
-        "sub-super-solutions": cfg.audit_sub_super,
-        "diffusion-balance-bounds": cfg.audit_f_bounds,
-    }
+                  _csv_text(_ENERGY_COLUMNS, columns))
+    suite = dg.run_audit_suite(frames)
     reports = [asdict(r) for r in suite.reports]
     commutator = []
     for snap, fr in zip(traj.snapshots[1:-1:4], frames[1:-1:4]):
         try:
             commutator.append(dg.commutator_identity_check(
-                snap, fr.b, n_grid=cfg.n_rescaled))
+                snap, fr.u, fr.b, n_grid=cfg.n_rescaled))
         except PrandtlSepError as exc:
             commutator.append({"s_mid": snap.s, "error": str(exc)})
     payload = {
@@ -477,16 +439,22 @@ def run_audit(outdir: str) -> int:
                          "A_plus": suite.A_plus, "C_minus": suite.C_minus},
         "reports": reports,
         "commutator_identity": commutator,
-        "enabled": enabled,
     }
-    failed = [r for r in suite.reports if enabled.get(r.name, True) and not r.passed]
+    failed = [r for r in suite.reports if not r.passed]
     payload["all_passed"] = not failed
     write_json(os.path.join(outdir, "audit_summary.json"), payload)
+    # the commutator checks and the resolved flags are reported, not gated:
+    # on the default run none of them holds (criteria 6 and 7)
+    holds = sum(c.get("holds") is True for c in commutator)
+    resolved = sum(r.resolved for r in energies)
+    checks = (f"commutator identity holds {holds}/{len(commutator)}; "
+              f"energies resolved {resolved}/{len(energies)}")
     if failed:
-        print(f"audit: {len(failed)} reports FAILED (first: {failed[0].name})")
+        print(f"audit: {len(failed)} reports FAILED (first: {failed[0].name}); "
+              f"{checks}")
         return 1
     print(f"audit: {len(reports)} reports PASS "
-          f"({len(frames)} snapshots audited)")
+          f"({len(frames)} snapshots audited); {checks}")
     return EXIT_OK
 
 
@@ -540,6 +508,13 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, not argparse's 2, the solver-failure code."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value configuration file")
     for f in fields(RunConfig):
@@ -561,7 +536,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prandtlsep",
         description="Marched wall-shear collapse laboratory: simulate, audit, "
                     "and certify the exact profile algebra.")
@@ -584,8 +559,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sw.add_argument("lambda0_values", nargs="+", type=float)
     _add_config_flags(p_sw)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify-algebra":
             return run_verify_algebra(args.outdir, tamper=args.tamper)
         if args.command == "simulate":

@@ -20,9 +20,14 @@ from . import audits as au
 from . import energies as en
 from . import modulation as md
 from . import vonmises as vm
+from .errors import SingularInputError
 from .gridfields import Field, Grid, diff
 from .operators import (CHAIN_FITS, OperatorContext, op_Linv,
                         op_commutator, op_diffusion)
+
+#: sandwich floor psi >= C_MINUS btilde**(-3/4), curvature zone Y <= C_ZONE s**(1/3)
+C_MINUS = 32.0
+C_ZONE = 0.7
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +41,7 @@ class SnapshotFrame:
     b: float
     bs: float
     btilde: float
+    u: Field                # physical profile of the snapshot state
     U: Field
     ctx: OperatorContext
     W_resc: Field
@@ -43,14 +49,15 @@ class SnapshotFrame:
     report: Optional[en.EnergyReport] = None
 
 
-def rescale_snapshot_profile(snap: vm.Snapshot, n_grid: int = 641) -> tuple:
+def rescale_snapshot_profile(snap: vm.Snapshot, u: Field,
+                             n_grid: int = 641) -> tuple:
+    """(U, ctx) of ``u``, the physical profile of ``snap``, in wall units."""
     # the tracked shear and the refitted wall slope drift apart as the shear
     # collapses: on the default run (n_psi = 2305) by 1e-4 at s ~ 700,
     # growing smoothly to 1.0% at s ~ 9e5; at n_psi = 4609 the drift stays
     # below 0.2%, so it is a phi-resolution effect of the march.  The
     # rescale refits the slope anyway, so diagnostics run with a loosened
     # cross-check
-    u = vm.from_von_mises(snap.state)
     grid = md.standard_rescaled_grid(snap.s, n_grid)
     U = md.rescale_profile(u, snap.lam, grid, slope_rtol=2.5e-2)
     ctx = OperatorContext.from_profile(U, slope_tol=1e-6)
@@ -67,14 +74,13 @@ def rescaled_streamfunction(snap: vm.Snapshot) -> tuple:
     return Field(grid, w), vm.trusted_F_mask(snap.state)
 
 
-def build_frames(traj: vm.Trajectory, n_grid: int = 641,
-                 with_energies: bool = True,
-                 resolved_rtol: float = 0.10) -> List[SnapshotFrame]:
+def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
     """Rescale every snapshot and attach modulation data and energies.
 
-    The resolved flag compares the energies against a half-resolution
-    recomputation; samples that move more than ``resolved_rtol`` are
-    flagged and excluded from acceptance-style gates.
+    Each snapshot state is inverted to its physical profile once.  The
+    resolved flag compares the energies against a half-resolution
+    recomputation; samples that move more than 10% are flagged and
+    excluded from acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
@@ -83,34 +89,31 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641,
     for snap in traj.snapshots:
         i = int(np.argmin(np.abs(traj.x - snap.x)))
         b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
-        U, ctx = rescale_snapshot_profile(snap, n_grid)
+        u = vm.from_von_mises(snap.state)
+        U, ctx = rescale_snapshot_profile(snap, u, n_grid)
         W_resc, trusted = rescaled_streamfunction(snap)
-        report = None
-        if with_energies:
-            from .errors import SingularInputError
-
-            V = en.compute_V(U, snap.s, b)
+        V = en.compute_V(U, snap.s, b)
+        try:
+            report = en.energy_report(ctx, V, snap.s, b, bs)
+        except SingularInputError:
+            report = None
+        if report is not None:
+            resolved = True
             try:
-                report = en.energy_report(ctx, V, snap.s, b, bs)
+                U2, ctx2 = rescale_snapshot_profile(snap, u, n_grid // 2 + 1)
+                V2 = en.compute_V(U2, snap.s, b)
+                r2 = en.energy_report(ctx2, V2, snap.s, b, bs)
+                for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
+                             (report.E2, r2.E2)):
+                    if a > 0 and abs(a - c) > 0.10 * max(a, c):
+                        resolved = False
             except SingularInputError:
-                report = None
-            if report is not None:
-                resolved = True
-                try:
-                    U2, ctx2 = rescale_snapshot_profile(snap, n_grid // 2 + 1)
-                    V2 = en.compute_V(U2, snap.s, b)
-                    r2 = en.energy_report(ctx2, V2, snap.s, b, bs)
-                    for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
-                                 (report.E2, r2.E2)):
-                        if a > 0 and abs(a - c) > resolved_rtol * max(a, c):
-                            resolved = False
-                except SingularInputError:
-                    # the half-resolution chain could not even be evaluated
-                    resolved = False
-                report = replace(report, resolved=resolved)
+                # the half-resolution chain could not even be evaluated
+                resolved = False
+            report = replace(report, resolved=resolved)
         frames.append(SnapshotFrame(
             index=snap.index, x=snap.x, s=snap.s, lam=snap.lam,
-            b=b, bs=bs, btilde=bt, U=U, ctx=ctx,
+            b=b, bs=bs, btilde=bt, u=u, U=U, ctx=ctx,
             W_resc=W_resc, trusted=trusted, report=report,
         ))
     return frames
@@ -148,27 +151,26 @@ def measure_M0(ctx: OperatorContext, s: float) -> float:
     return max(float(np.max(ratio)), 1.0)
 
 
-def run_audit_suite(frames: List[SnapshotFrame], C_minus: float = 32.0,
-                    c_zone: float = 0.7) -> AuditSuite:
+def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
     """Calibrate the comparison constants on the first usable frame, freeze
     them, and audit every frame."""
     if not frames:
         raise ValueError("no frames to audit")
     first = frames[0]
-    M2 = au.calibrate_M2(first.ctx, first.s, first.b, c=c_zone)
+    M2 = au.calibrate_M2(first.ctx, first.s, first.b, c=C_ZONE)
     M0 = measure_M0(first.ctx, first.s)
     M1 = float(2.0 ** np.ceil(np.log2(1.1 * max(M2, 1.0, M0))))
     alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
     a_minus, a_plus = None, None
     for fr in frames:
-        bottom = C_minus * fr.btilde ** (-0.75)
+        bottom = C_MINUS * fr.btilde ** (-0.75)
         if bottom < fr.W_resc.grid.span * 0.5:
-            a_minus, a_plus = au.calibrate_A(fr.W_resc, fr.s, fr.b, fr.btilde, C_minus)
+            a_minus, a_plus = au.calibrate_A(fr.W_resc, fr.s, fr.b, fr.btilde, C_MINUS)
             break
     if a_minus is None:
         a_minus, a_plus = 1.0, 1.0
     suite = AuditSuite(M2=M2, M0=M0, M1=M1, alpha=alpha, A_minus=a_minus,
-                       A_plus=a_plus, C_minus=C_minus)
+                       A_plus=a_plus, C_minus=C_MINUS)
     lam_cal = frames[0].lam
     for fr in frames:
         # the wall-layer truncation zone of the fixed marching grid grows
@@ -176,12 +178,12 @@ def run_audit_suite(frames: List[SnapshotFrame], C_minus: float = 32.0,
         # streamfunction variables carries the same inequality
         y_min = 0.5 * max(1.0, (lam_cal / fr.lam) ** 0.6)
         suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2,
-                                                    c=c_zone, M1=M1,
+                                                    c=C_ZONE, M1=M1,
                                                     y_min=y_min))
         suite.reports.append(au.subsolution_audit(
-            fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus, C_minus))
+            fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus, C_MINUS))
         suite.reports.append(au.F_bound_audit(
-            fr.W_resc, fr.s, fr.btilde, alpha, C_minus, trusted=fr.trusted))
+            fr.W_resc, fr.s, fr.btilde, alpha, C_MINUS, trusted=fr.trusted))
     return suite
 
 
@@ -190,12 +192,14 @@ def run_audit_suite(frames: List[SnapshotFrame], C_minus: float = 32.0,
 # ---------------------------------------------------------------------------
 
 
-def commutator_identity_check(snap: vm.Snapshot, b: float,
+def commutator_identity_check(snap: vm.Snapshot, u: Field, b: float,
                               n_grid: int = 641) -> dict:
     """Finite-difference transport commutator against its closed form.
 
-    On the pair of states (s1, s2) around s_mid, with a fixed smooth test
-    function T(Y) = Y**2 exp(-Y/4):
+    ``u`` is the snapshot's physical profile (``vm.from_von_mises`` of its
+    state); only the pair state is inverted here.  On the pair of states
+    (s1, s2) around s_mid, with a fixed smooth test function
+    T(Y) = Y**2 exp(-Y/4):
 
       lhs = d/ds[Linv T] + (b/2)(Linv(Y T') - Y d/dY Linv T) - b Linv T
       rhs = commutator source built from the diffusion field D.
@@ -208,9 +212,8 @@ def commutator_identity_check(snap: vm.Snapshot, b: float,
     s1, s2 = snap.s, snap.pair_s
     s_mid = 0.5 * (s1 + s2)
     grid = md.standard_rescaled_grid(s_mid, n_grid)
-    u1 = vm.from_von_mises(snap.state)
     u2 = vm.from_von_mises(snap.pair_state)
-    U1 = md.rescale_profile(u1, snap.lam, grid, slope_rtol=2.5e-2)
+    U1 = md.rescale_profile(u, snap.lam, grid, slope_rtol=2.5e-2)
     U2 = md.rescale_profile(u2, snap.pair_state.lam, grid, slope_rtol=2.5e-2)
     ctx1 = OperatorContext.from_profile(U1, slope_tol=1e-6)
     ctx2 = OperatorContext.from_profile(U2, slope_tol=1e-6)

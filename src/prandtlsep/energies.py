@@ -84,8 +84,6 @@ class EnergyReport:
     trace_residual: float
     bs_plus_b2: float
     resolved: bool = True
-    trace_value: float = 0.0
-    trace_low_confidence: bool = False
 
 
 def compute_V(U: Field, s: float, b: float,
@@ -176,21 +174,14 @@ def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec, s: float,
     }
 
 
-def energy_report(ctx: OperatorContext, V: Field, s: float, b: float, bs: float,
-                  w0: Optional[WeightSpec] = None,
-                  w1: Optional[WeightSpec] = None,
-                  w2: Optional[WeightSpec] = None,
-                  resolved: bool = True) -> EnergyReport:
+def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
+                  bs: float) -> EnergyReport:
     """E_k and D_k for k = 0, 1, 2, and the wall trace of d/dY L**2 V
     against -(b_s + b**2)/2.
 
     The trace is extrapolated to Y = 0 by a quadratic fit over nodes 2-6
-    (the first interior node skipped); a second fit over nodes 3-7 flags
-    ill-conditioned extrapolations.
+    (the first interior node skipped).
     """
-    w0 = w0 or WeightSpec.default_w0()
-    w1 = w1 or WeightSpec.default_w1()
-    w2 = w2 or WeightSpec.default_w2()
     a1 = clu_chain(ctx, V, 1)
     a2 = clu_chain(ctx, V, 2)
     u = ctx.U.values
@@ -205,19 +196,14 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float, bs: float,
         d = weighted_integral(vals, ctx.grid, spec, s)
         return e, d
 
-    E0, D0 = pair(V, w0)
-    E1, D1 = pair(a1, w1)
-    E2, D2 = pair(a2, w2)
+    E0, D0 = pair(V, WeightSpec.default_w0())
+    E1, D1 = pair(a1, WeightSpec.default_w1())
+    E2, D2 = pair(a2, WeightSpec.default_w2())
     t_field = diff(a2, 1)
     trace = wall_slope_extrapolation(t_field, 2, 6)
-    trace_alt = wall_slope_extrapolation(t_field, 3, 7)
     expected = -0.5 * (bs + b * b)
-    low_conf = abs(trace - trace_alt) > 0.5 * max(abs(trace), abs(expected), 1e-300)
     return EnergyReport(
         s=s, E0=E0, E1=E1, E2=E2, D0=D0, D1=D1, D2=D2,
         trace_residual=float(trace - expected),
         bs_plus_b2=float(bs + b * b),
-        resolved=resolved,
-        trace_value=float(trace),
-        trace_low_confidence=bool(low_conf),
     )

@@ -104,9 +104,6 @@ class RationalPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree_Y(self) -> int:
-        return max((m[0] for m in self._terms), default=0)
-
     def degree_bs(self) -> int:
         return max((m[2] for m in self._terms), default=0)
 

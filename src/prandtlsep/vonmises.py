@@ -166,16 +166,12 @@ def _wall_restore(phi: np.ndarray, w: np.ndarray, max_cells: int = 16) -> np.nda
     return out
 
 
-def wall_shear(state_or_grid, w_values: Optional[np.ndarray] = None,
-               lam_guess: Optional[float] = None) -> float:
+def wall_shear(state: VMState) -> float:
     """Corrected wall-slope estimate of lam from a streamfunction profile."""
-    if w_values is None:
-        grid, w, guess = state_or_grid.psi_grid, state_or_grid.W.values, state_or_grid.lam
-    else:
-        grid, w, guess = state_or_grid, w_values, lam_guess
+    grid = state.psi_grid
     phi = grid.nodes
-    w = _wall_restore(phi, w)
-    guess = float(guess if guess else 0.05)
+    w = _wall_restore(phi, state.W.values)
+    guess = float(state.lam if state.lam else 0.05)
     y = _normal_coordinate(grid, w)
 
     def estimate(g: float):

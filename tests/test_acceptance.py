@@ -209,7 +209,8 @@ def test_criterion_6_commutator_identity(main_run):
     for snap in (traj.snapshots[1], traj.snapshots[len(traj.snapshots) // 2],
                  traj.snapshots[-2]):
         i = int(np.argmin(np.abs(traj.x - snap.x)))
-        out = dg.commutator_identity_check(snap, float(b_arr[i]))
+        out = dg.commutator_identity_check(snap, vm.from_von_mises(snap.state),
+                                           float(b_arr[i]))
         gaps.append(out["relative_gap"])
         tols.append(out["tolerance"])
     ok = all(g <= t for g, t in zip(gaps, tols))

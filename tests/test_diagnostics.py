@@ -66,7 +66,8 @@ class TestCommutator:
         b = md.compute_b(short_traj.x, short_traj.lam)
         snap = short_traj.snapshots[2]
         i = int(np.argmin(np.abs(short_traj.x - snap.x)))
-        out = dg.commutator_identity_check(snap, float(b[i]), n_grid=513)
+        out = dg.commutator_identity_check(snap, vm.from_von_mises(snap.state),
+                                           float(b[i]), n_grid=513)
         assert out["s_mid"] > short_traj.s0
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(
@@ -77,5 +78,6 @@ class TestCommutator:
         bare = vm.Snapshot(index=0, x=snap.x, s=snap.s, lam=snap.lam,
                            state=snap.state)
         with pytest.raises(ValueError):
-            dg.commutator_identity_check(bare, 1.0 / snap.s)
+            dg.commutator_identity_check(bare, vm.from_von_mises(bare.state),
+                                         1.0 / snap.s)
 
