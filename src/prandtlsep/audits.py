@@ -1,4 +1,4 @@
-"""Comparison-principle and Hardy-constant audits on computed solutions.
+"""Comparison-principle audits on computed solutions.
 
 All audits are report-only: they return an AuditReport with a violation
 count and the worst margin, under discretization-aware tolerances
@@ -8,13 +8,11 @@ count and the worst margin, under discretization-aware tolerances
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import vonmises as vm
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .gridfields import Field
 from .operators import OperatorContext
 
@@ -22,11 +20,21 @@ from .operators import OperatorContext
 #: level (measured on manufactured solutions; scales with the step law)
 DATA_FIDELITY = 5e-4
 
+#: below this Y the curvature audits use the wall fit of the operator context
+CURVATURE_FIT_LO = 0.02
+
+#: sandwich tolerance, relative to max(W_base, 1), and the size of the
+#: log-spaced sample of the differential inequalities
+SANDWICH_RTOL = 1e-6
+N_DIFFERENTIAL_SAMPLES = 400
+
+#: the lower balance bound is audited on psi <= F_LOWER_CAP btilde**(-5/4)
+F_LOWER_CAP = 0.5
+
 
 #: discretization-aware tolerance: max(10 h^2 scale, fidelity floor, 1e-10)
-def audit_tol(h: np.ndarray, scale: np.ndarray,
-              fidelity: float = DATA_FIDELITY) -> np.ndarray:
-    return np.maximum.reduce([10.0 * h * h * scale, fidelity * scale,
+def audit_tol(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce([10.0 * h * h * scale, DATA_FIDELITY * scale,
                               np.full_like(np.asarray(scale, dtype=float), 1e-10)])
 
 
@@ -49,18 +57,18 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def curvature_estimate(ctx: OperatorContext, fit_lo: float = 0.02) -> np.ndarray:
+def curvature_estimate(ctx: OperatorContext) -> np.ndarray:
     """U_YY with the sub-window wall region replaced by the context fit.
 
     Raw second differences on the smallest wall cells amplify data noise;
-    below ``fit_lo`` the fitted wall Taylor polynomial is used instead,
-    blended smoothly back into the raw values.
+    below ``CURVATURE_FIT_LO`` the fitted wall Taylor polynomial is used
+    instead, blended smoothly back into the raw values.
     """
     y = ctx.grid.nodes
     raw = ctx.U_YY.values
     c = ctx.near_wall
     model = 2.0 * c[1] + 6.0 * c[2] * y + 12.0 * c[3] * y * y
-    t = np.clip((y - fit_lo) / fit_lo, 0.0, 1.0)
+    t = np.clip((y - CURVATURE_FIT_LO) / CURVATURE_FIT_LO, 0.0, 1.0)
     sm = t * t * (3.0 - 2.0 * t)
     return (1.0 - sm) * model + sm * raw
 
@@ -137,8 +145,7 @@ def _transport_diffusion(psi, w_vals, w_p, w_pp, ds_w, b):
 
 
 def subsolution_audit(W: Field, s: float, b: float, btilde: float,
-                      A_minus: float, A_plus: float, C_minus: float,
-                      rtol: float = 1e-6, n_sample: int = 400) -> AuditReport:
+                      A_minus: float, A_plus: float, C_minus: float) -> AuditReport:
     """Sandwich W_lower <= W <= W_upper plus their differential inequalities.
 
     Operates in rescaled streamfunction variables.  The sandwich is checked
@@ -158,7 +165,7 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     base = (6.0 * p) ** (4.0 / 3.0) / 4.0
     lower = _w_lower(p, A_minus, btilde)
     upper = _w_upper(p, A_plus, btilde)
-    tol = rtol * np.maximum(base, 1.0)
+    tol = SANDWICH_RTOL * np.maximum(base, 1.0)
     pos = lower > 0.0
     low_marg = np.where(pos, w_data - lower + tol, np.inf)
     up_marg = upper - w_data + tol
@@ -168,7 +175,7 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     # differential inequalities on a log-spaced sample, closed-form
     # derivatives (the comparison solutions are explicit; the s-derivative
     # goes through the defining decay law of the regularized rate)
-    ps = np.geomspace(bottom, psi[-1], n_sample)
+    ps = np.geomspace(bottom, psi[-1], N_DIFFERENTIAL_SAMPLES)
     base_p = 2.0 * (6.0 * ps) ** (1.0 / 3.0)
     base_pp = 4.0 * (6.0 * ps) ** (-2.0 / 3.0)
     corr_m = A_minus * btilde**1.25
@@ -197,7 +204,7 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
         domain_checked=f"psi in [{bottom:.3g}, {float(psi[-1]):.3g}]",
         worst_margin=float(np.min(margins)),
         violation_count=violations,
-        samples=int(len(p) * 2 + 2 * n_sample),
+        samples=int(len(p) * 2 + 2 * N_DIFFERENTIAL_SAMPLES),
         details={
             "A_minus": A_minus, "A_plus": A_plus, "C_minus": C_minus,
             "btilde": btilde, "s": s,
@@ -228,10 +235,11 @@ def calibrate_A(W: Field, s: float, b: float, btilde: float, C_minus: float) -> 
 
 
 def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
-                  C_minus: float, c_cap: float = 0.5,
+                  C_minus: float,
                   trusted: np.ndarray | None = None) -> AuditReport:
     """F = sqrt(W) W_psipsi - 2: F <= 0 globally and F >= -btilde alpha
-    (psi**2/3 - psi**1/3) on psi in [C_minus btilde^-3/4, c_cap btilde^-5/4]."""
+    (psi**2/3 - psi**1/3) on psi in [C_minus btilde^-3/4,
+    F_LOWER_CAP btilde^-5/4]."""
     psi = W.grid.nodes
     F = vm.compute_F(W).values
     if trusted is None:
@@ -242,120 +250,18 @@ def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
     upper_marg = tol - F
     nv_upper = int(np.sum(upper_marg[trusted] < 0))
     lower = -btilde * alpha * (psi ** (2.0 / 3.0) - psi ** (1.0 / 3.0))
-    dom = (psi >= C_minus * btilde ** (-0.75)) & (psi <= c_cap * btilde ** (-1.25)) & trusted
+    dom = ((psi >= C_minus * btilde ** (-0.75))
+           & (psi <= F_LOWER_CAP * btilde ** (-1.25)) & trusted)
     lower_marg = (F - lower + tol)[dom] if dom.any() else np.array([np.inf])
     nv_lower = int(np.sum(lower_marg < 0))
     worst = float(min(np.min(upper_marg[trusted]), np.min(lower_marg)))
     return AuditReport(
         name="diffusion-balance-bounds",
         domain_checked=f"global upper; lower on [{C_minus * btilde**-0.75:.3g}, "
-                       f"{c_cap * btilde**-1.25:.3g}]",
+                       f"{F_LOWER_CAP * btilde**-1.25:.3g}]",
         worst_margin=worst,
         violation_count=nv_upper + nv_lower,
         samples=int(np.sum(trusted) + np.sum(dom)),
         details={"alpha": alpha, "btilde": btilde, "s": s,
                  "upper_violations": nv_upper, "lower_violations": nv_lower},
     )
-
-
-# ---------------------------------------------------------------------------
-# Hardy constants
-# ---------------------------------------------------------------------------
-
-
-def hardy_phi(r: float, a: float, mu: float, r_tail: float = 400.0) -> float:
-    """phi(r, a, mu) = (int_r^inf Y^-a/(mu Y + Y^2/2)^2) (int_0^r Y^a (Y + Y^2/2)).
-
-    The outer factor is closed-form; the inner integral uses adaptive
-    quadrature up to ``r_tail`` plus an analytic binomial-series tail.
-    """
-    if a < 0.0 or not 0.0 < mu <= 1.0:
-        raise DomainError("need a >= 0 and mu in (0, 1]")
-    outer = r ** (2.0 + a) / (2.0 + a) + r ** (3.0 + a) / (2.0 * (3.0 + a))
-
-    def integrand(t):
-        return t ** (-a) / (mu * t + 0.5 * t * t) ** 2
-
-    hi = max(r_tail, 2.0 * r)
-    val, err = quad(integrand, r, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
-    if err > 1e-8 * max(abs(val), 1.0):
-        raise PrecisionError("inner Hardy quadrature did not converge")
-    # tail: 4 Y^(-4-a) (1 + 2 mu / Y)^(-2) integrated term by term
-    tail = 0.0
-    for k in range(12):
-        tail += 4.0 * (k + 1) * (-2.0 * mu) ** k * hi ** (-3.0 - a - k) / (3.0 + a + k)
-    return (val + tail) * outer
-
-
-def hardy_phi_closed(r: float, mu: float) -> float:
-    """Closed form of phi(r, 0, mu)."""
-    return (1.0 / mu**2) * (np.log(r / (2.0 * mu + r)) / mu + 1.0 / r
-                            + 1.0 / (2.0 * mu + r)) * (r * r / 2.0 + r**3 / 6.0)
-
-
-def hardy_constant(a: float, mu: float, r_max: float = 300.0, n: int = 60) -> float:
-    """4 sup_r phi(r, a, mu) over log-spaced r (phi increases toward its sup)."""
-    rs = np.geomspace(1e-3, r_max, n)
-    vals = [hardy_phi(float(r), a, mu) for r in rs]
-    return 4.0 * float(np.max(vals))
-
-
-def hardy_general(p1: Callable[[float], float], p2: Callable[[float], float],
-                  R: float, n: int = 80) -> float:
-    """C_H = 4 sup_{0<r<R} (int_r^R p1) (int_0^r 1/p2); inf when 1/p2 is
-    not integrable at 0.
-
-    The inner integral uses the log substitution t = r exp(-tau), which
-    makes any integrable weight exponentially convergent in tau and leaves
-    divergent ones visibly non-convergent, flagged as an infinite constant.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-
-        block = 60.0   # tau-window per block in the log substitution
-        n_blocks = 5
-
-        def inner(r: float) -> float:
-            def integrand(tau: float) -> float:
-                t = r * np.exp(-tau)
-                if t <= 0.0:
-                    return 0.0
-                den = p2(t)
-                if den == 0.0 or not np.isfinite(den):
-                    return 1e300
-                val = t / den
-                return val if np.isfinite(val) else 1e300
-
-            blocks = []
-            for k in range(n_blocks):
-                v, _ = quad(integrand, k * block, (k + 1) * block, limit=200)
-                if not np.isfinite(v) or v > 1e250:
-                    return float("inf")
-                blocks.append(v)
-            total = float(np.sum(blocks))
-            # blocks of an integrable weight contract geometrically in tau;
-            # extrapolate the remainder and flag non-contraction as divergence
-            b_prev, b_last = blocks[-2], blocks[-1]
-            if b_last <= 1e-12 * max(total, 1e-300):
-                return total
-            if b_prev <= 0.0 or b_last >= 0.9999 * b_prev:
-                return float("inf")
-            rho = b_last / b_prev
-            return total + b_last * rho / (1.0 - rho)
-
-        if not np.isfinite(inner(min(1.0, R))):
-            return float("inf")
-
-        def product(r: float) -> float:
-            return quad(p1, r, R, limit=200)[0] * inner(r)
-
-        rs = np.geomspace(R * 1e-5, R * (1.0 - 1e-9), n)
-        vals = np.array([product(r) for r in rs])
-        if not np.all(np.isfinite(vals)):
-            return float("inf")
-        k = int(np.argmax(vals))
-        fine = np.linspace(rs[max(k - 1, 0)], rs[min(k + 1, n - 1)], 40)
-        sup = max(float(np.max(vals)), float(np.max([product(r) for r in fine])))
-    return 4.0 * sup

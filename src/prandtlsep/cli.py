@@ -5,10 +5,10 @@ configuration and its hash; reruns from the same configuration are
 bit-for-bit reproducible.  Exit codes are a stable contract:
 
     0  success / all checks passed
-    1  exact-algebra certificate failed
+    1  certificate or audit failure
     2  solver failure (partial artifacts kept)
     3  invalid configuration or command line
-    4  missing input artifacts
+    4  missing or unreadable input artifacts
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from . import modulation as md
 from . import profiles as pr
 from . import ratpoly as rp
 from . import vonmises as vm
-from .errors import ConfigError, MissingArtifactError, PrandtlSepError
+from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
+                     TooFewNodesError)
 from .gridfields import Field, Grid
 
 SCHEMA_VERSION = 3
 
 EXIT_OK = 0
-EXIT_ALGEBRA = 1
+EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 EXIT_MISSING = 4
@@ -209,7 +210,7 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
     failing = [c.name for c in checks if not c.passed]
     if failing:
         print(f"verify-algebra: FAIL at {failing[0]}")
-        return EXIT_ALGEBRA
+        return EXIT_CHECK_FAILED
     print(f"verify-algebra: {len(checks)} identities PASS "
           f"(a4 = {coeffs['a4']}, a7 = {coeffs['a7']}); "
           f"{sum(not e['match'] for e in erratum)} documented erratum rows")
@@ -317,10 +318,11 @@ def run_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_columns(path: str, names: List[str]) -> dict:
+def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
     """The named columns of a CSV artifact written by ``_csv_text``.
 
-    A missing, unreadable or malformed file raises MissingArtifactError.
+    A missing, unreadable or malformed file, or a non-finite value in one
+    of the ``finite`` columns, raises MissingArtifactError.
     """
     try:
         with open(path) as fh:
@@ -332,7 +334,11 @@ def _read_columns(path: str, names: List[str]) -> dict:
     if absent or table.shape[1] != len(header):
         raise MissingArtifactError(
             f"malformed {path}: header {header}, {table.shape[1]} columns")
-    return {name: table[:, header.index(name)] for name in names}
+    columns = {name: table[:, header.index(name)] for name in names}
+    for name in finite:
+        if not np.all(np.isfinite(columns[name])):
+            raise MissingArtifactError(f"{path}: non-finite value in column {name}")
+    return columns
 
 
 _MANIFEST_KEYS = ("config", "s0", "snapshots", "completed", "failure")
@@ -369,31 +375,36 @@ def load_trajectory(outdir: str) -> tuple:
         raise MissingArtifactError(
             f"{man_path}: unknown config keys {sorted(unknown)}")
     cfg = RunConfig(**manifest["config"])
+    # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, ["x", "lambda", "dx", "F_max",
-                                    "monotonicity_min"])
+                                    "monotonicity_min"], finite=("x", "lambda"))
     grids = {}
 
-    def loaded_grid(phi) -> Grid:
+    def loaded_grid(path: str, phi) -> Grid:
         # one Grid per distinct phi grid, as in the march, so the quadrature
         # weights cached on it are built once
         key = phi.tobytes()
         if key not in grids:
-            grids[key] = Grid(phi, "loaded")
+            try:
+                grids[key] = Grid(phi, "loaded")
+            except (ValueError, TooFewNodesError) as exc:
+                raise MissingArtifactError(f"{path}: {exc}") from exc
         return grids[key]
 
     snapshots = []
     for meta in manifest["snapshots"]:
         _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
-        table = _read_columns(os.path.join(outdir, meta["file"]), ["phi", "w"])
-        grid = loaded_grid(table["phi"])
+        path = os.path.join(outdir, meta["file"])
+        table = _read_columns(path, ["phi", "w"], finite=("phi", "w"))
+        grid = loaded_grid(path, table["phi"])
         state = vm.VMState(x=meta["x"], psi_grid=grid,
                            W=Field(grid, table["w"]),
                            lam=meta["lam"], x0_pressure=cfg.x0_pressure)
         pair = None
         if meta["pair_file"]:
-            pt = _read_columns(os.path.join(outdir, meta["pair_file"]),
-                               ["phi", "w"])
-            pgrid = loaded_grid(pt["phi"])
+            path = os.path.join(outdir, meta["pair_file"])
+            pt = _read_columns(path, ["phi", "w"], finite=("phi", "w"))
+            pgrid = loaded_grid(path, pt["phi"])
             pair = vm.VMState(x=meta["pair_x"], psi_grid=pgrid,
                               W=Field(pgrid, pt["w"]),
                               lam=meta["pair_lam"], x0_pressure=cfg.x0_pressure)
@@ -452,7 +463,7 @@ def run_audit(outdir: str) -> int:
     if failed:
         print(f"audit: {len(failed)} reports FAILED (first: {failed[0].name}); "
               f"{checks}")
-        return 1
+        return EXIT_CHECK_FAILED
     print(f"audit: {len(reports)} reports PASS "
           f"({len(frames)} snapshots audited); {checks}")
     return EXIT_OK

@@ -135,10 +135,6 @@ class AuditSuite:
     C_minus: float
     reports: List[au.AuditReport] = field(default_factory=list)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.reports)
-
 
 def measure_M0(ctx: OperatorContext, s: float) -> float:
     """Envelope constant of the initial curvature defect,

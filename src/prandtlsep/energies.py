@@ -17,7 +17,6 @@ here) and are truncated at the grid edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -86,10 +85,9 @@ class EnergyReport:
     resolved: bool = True
 
 
-def compute_V(U: Field, s: float, b: float,
-              params: Optional[profiles.ApproxProfileParams] = None) -> Field:
+def compute_V(U: Field, s: float, b: float) -> Field:
     """Corrector V = U - U_app(s, b) on U's grid."""
-    uapp = profiles.eval_uapp(s, b, U.grid.nodes, params)
+    uapp = profiles.eval_uapp(s, b, U.grid.nodes)
     return U.with_values(U.values - uapp)
 
 
@@ -200,7 +198,7 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     E1, D1 = pair(a1, WeightSpec.default_w1())
     E2, D2 = pair(a2, WeightSpec.default_w2())
     t_field = diff(a2, 1)
-    trace = wall_slope_extrapolation(t_field, 2, 6)
+    trace = wall_slope_extrapolation(t_field)
     expected = -0.5 * (bs + b * b)
     return EnergyReport(
         s=s, E0=E0, E1=E1, E2=E2, D0=D0, D1=D1, D2=D2,

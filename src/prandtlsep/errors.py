@@ -57,10 +57,6 @@ class FitFailureError(PrandtlSepError):
     """Nonlinear fit did not converge."""
 
 
-class PrecisionError(PrandtlSepError):
-    """Quadrature failed to reach the requested precision."""
-
-
 class ConfigError(PrandtlSepError):
     """Run configuration invalid or out of documented range."""
 

@@ -11,7 +11,6 @@ the streamfunction map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -88,25 +87,6 @@ class Grid:
         return float(self.nodes[-1])
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def uniform(cls, n: int, x_max: float) -> "Grid":
-        return cls(np.linspace(0.0, x_max, n), "uniform")
-
-    @classmethod
-    def geometric(cls, n: int, x_max: float, contrast: float = 50.0) -> "Grid":
-        """Spacings grow geometrically; last/first spacing ratio = ``contrast``.
-
-        Keeping the contrast (rather than the per-cell ratio) fixed makes the
-        family refine uniformly, so convergence studies behave.
-        """
-        if contrast <= 1.0:
-            return cls.uniform(n, x_max)
-        ratio = contrast ** (1.0 / (n - 2))
-        h = ratio ** np.arange(n - 1, dtype=float)
-        nodes = np.concatenate(([0.0], np.cumsum(h)))
-        nodes *= x_max / nodes[-1]
-        return cls(nodes, "geometric")
 
     @classmethod
     def tanh_clustered(cls, n: int, x_max: float, strength: float = 4.0) -> "Grid":
@@ -212,11 +192,3 @@ def spline_interpolant(f: Field):
 
     return evaluate
 
-
-def convergence_order(errors: Iterable[float]) -> float:
-    """Observed order from errors on grids refined by 2 each time."""
-    errs = [e for e in errors]
-    if len(errs) < 2:
-        raise ValueError("need at least two error samples")
-    rates = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    return float(np.min(rates))

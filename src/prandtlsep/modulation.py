@@ -10,15 +10,14 @@ nonlinear least squares in log-log form, with the exponent left free.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, FitFailureError, InconsistentLambdaError
 from .gridfields import Field, Grid, spline_interpolant
 
 
-def standard_rescaled_grid(s: float, n: int = 641, span_factor: float = 8.0) -> Grid:
-    """Wall-clustered grid on [0, span_factor * s**(2/7)]."""
-    return Grid.tanh_clustered(n, span_factor * s ** (2.0 / 7.0), strength=4.0)
+def standard_rescaled_grid(s: float, n: int = 641) -> Grid:
+    """Wall-clustered grid on [0, 8 s**(2/7)]."""
+    return Grid.tanh_clustered(n, 8.0 * s ** (2.0 / 7.0), strength=4.0)
 
 
 def rescale_profile(u: Field, lam: float, rescaled_grid: Grid,
@@ -73,8 +72,9 @@ def accumulate_s(x: np.ndarray, lam: np.ndarray, s0: float) -> np.ndarray:
     return out
 
 
-def _local_slope(x: np.ndarray, f: np.ndarray, window: int = 5) -> np.ndarray:
-    """Least-squares slope of f(x) over a centered window per sample."""
+def _local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Least-squares slope of f(x) over a centered 5-sample window per sample."""
+    window = 5
     n = len(x)
     half = window // 2
     out = np.empty(n)
@@ -127,6 +127,8 @@ def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     Needs a tail spanning at least a decade in lam; returns the fitted
     parameters and the rms log-residual.
     """
+    from scipy.optimize import least_squares  # only simulate fits
+
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if len(x) < 30:
@@ -160,18 +162,23 @@ def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     }
 
 
-def fit_window(x: np.ndarray, lam: np.ndarray, lambda_stop: float,
-               decades: float = 1.05, skip_last: int = 10) -> slice:
+#: the collapse fit spans FIT_DECADES of lam and drops the last
+#: FIT_SKIP_LAST samples above 3 * lambda_stop (stop-criterion contamination)
+FIT_DECADES = 1.05
+FIT_SKIP_LAST = 10
+
+
+def fit_window(x: np.ndarray, lam: np.ndarray, lambda_stop: float) -> slice:
     """Spec'd fit window: last decade of lam above 3*lambda_stop, minus the
-    final ``skip_last`` samples (stop-criterion contamination)."""
+    final ``FIT_SKIP_LAST`` samples."""
     lam = np.asarray(lam, dtype=float)
     valid = np.nonzero(lam > 3.0 * lambda_stop)[0]
     if len(valid) == 0:
         raise DomainError("no samples above 3 * lambda_stop")
-    end = valid[-1] - skip_last
+    end = valid[-1] - FIT_SKIP_LAST
     if end <= 0:
         raise DomainError("window empty after discarding final samples")
-    lam_hi = lam[end] * 10.0**decades
+    lam_hi = lam[end] * 10.0**FIT_DECADES
     start = int(np.nonzero(lam[: end + 1] <= lam_hi)[0][0]) if lam[0] > lam_hi else 0
     return slice(start, end + 1)
 

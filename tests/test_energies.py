@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import uniform_grid
 
 from prandtlsep import energies as en
 from prandtlsep import profiles as pr
@@ -120,13 +121,13 @@ class TestTrace:
 
 class TestInequalities:
     def test_trace_inequality_constant_function(self):
-        g = Grid.uniform(257, 8.0)
+        g = uniform_grid(257, 8.0)
         f = Field(g, np.full(len(g), 0.7))
         out = en.trace_inequality_audit(f, L=4.0, a=0.05)
         assert out["holds"]
 
     def test_trace_inequality_linear(self):
-        g = Grid.uniform(257, 8.0)
+        g = uniform_grid(257, 8.0)
         f = Field(g, g.nodes.copy())
         out = en.trace_inequality_audit(f, L=4.0, a=0.05)
         assert out["lhs"] == 0.0
@@ -134,7 +135,7 @@ class TestInequalities:
 
     def test_trace_inequality_randomized(self):
         rng = np.random.default_rng(42)
-        g = Grid.uniform(513, 8.0)
+        g = uniform_grid(513, 8.0)
         y = g.nodes
         violations = 0
         for _ in range(100):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import uniform_grid
 
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
@@ -23,7 +24,7 @@ def short_traj(data05):
 class TestTransforms:
     def test_linear_profile(self):
         # u = y: phi = y^2/2, w = y^2 = 2 phi
-        g = Grid.uniform(1025, 2.0)
+        g = uniform_grid(1025, 2.0)
         state = vm.to_von_mises(Field(g, g.nodes), x0_pressure=2.0)
         phi = state.psi_grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
@@ -59,7 +60,7 @@ class TestTransforms:
         def phi_of(Y):
             return Y**2 / 2 + Y**3 / 6 - b * Y**5 / 240
 
-        psi = vm.default_psi_grid(phi_of(1.1 * grid.span), 2305, 5.0)
+        psi = vm.default_psi_grid(phi_of(1.1 * grid.span), 2305)
         phi = psi.nodes
         Y_exact = np.minimum(np.sqrt(2 * phi), np.cbrt(6 * phi))
         for _ in range(60):   # Newton from above: monotone convergence
@@ -81,7 +82,7 @@ class TestTransforms:
         assert np.max(np.abs(D + b * Y / 2)[window]) < 1e-8
 
     def test_monotonicity_required(self):
-        g = Grid.uniform(256, 2.0)
+        g = uniform_grid(256, 2.0)
         u = np.sin(3 * g.nodes)
         with pytest.raises(InvalidProfileError):
             vm.to_von_mises(Field(g, u))
@@ -168,9 +169,9 @@ class TestZeroSource:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            vm.MarchConfig(dx_min=1.0, dx_init=1e-4)
+            vm.MarchConfig(dx_init=vm.DX_MIN)
         with pytest.raises(ValueError):
-            vm.MarchConfig(cfl_safety=1.5)
+            vm.MarchConfig(lambda_stop=0.0)
 
 
 class TestRefinement:
