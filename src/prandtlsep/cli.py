@@ -18,10 +18,9 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -137,24 +136,27 @@ def parse_config_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to a temporary file, then rename it to
+    ``path``.  The temporary file is made by ``open``, so the artifact gets
+    the mode that the umask gives any new file."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    directory = os.path.dirname(os.path.abspath(path))
-    with tempfile.NamedTemporaryFile("w", dir=directory, delete=False) as tmp:
-        tmp.write(text)
-        tmp_path = tmp.name
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    with open(tmp_path, "w") as fh:
+        fh.writelines(chunks)
     os.replace(tmp_path, path)
 
 
-def _csv_text(header: List[str], columns: List[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: List[str], columns: List[np.ndarray]) -> Iterable[str]:
+    """CSV text row by row, each value the ``repr`` of its float, so a large
+    table is never held in memory as text."""
+    yield ",".join(header) + "\n"
+    for row in np.asarray(columns, dtype=float).T:
+        yield ",".join(map(repr, row.tolist())) + "\n"
 
 
 def write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,8 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
     for e in erratum:
         tag = "MATCH" if e["match"] else "MISMATCH (documented erratum)"
         lines.append(f"[{tag}] {e['name']}: derived {e['derived']}")
-    _atomic_write(os.path.join(outdir, "certificate.txt"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(outdir, "certificate.txt"),
+                  ["\n".join(lines) + "\n"])
     failing = [c.name for c in checks if not c.passed]
     if failing:
         print(f"verify-algebra: FAIL at {failing[0]}")
@@ -227,7 +230,13 @@ _ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
                    "bs_plus_b2", "resolved_flag"]
 
 
-def _write_manifest(cfg: RunConfig, extra: dict) -> None:
+def _snapshot_columns(index: int) -> tuple:
+    """Columns of snapshots.csv holding w of a snapshot state and its pair."""
+    return f"w_{index:03d}", f"w_{index:03d}_pair"
+
+
+def _write_manifest(cfg: RunConfig, snapshot_header: List[str],
+                    extra: dict) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -235,7 +244,7 @@ def _write_manifest(cfg: RunConfig, extra: dict) -> None:
         "config_hash": cfg.config_hash(),
         "columns": {
             "trajectory.csv": ["x", "lambda", "dx", "F_max", "monotonicity_min"],
-            "snapshot": ["phi", "w"],
+            "snapshots.csv": snapshot_header,
             "energies.csv": _ENERGY_COLUMNS,
         },
     }
@@ -251,34 +260,29 @@ def run_simulate(cfg: RunConfig) -> int:
         x0_pressure=cfg.x0_pressure)
     _atomic_write(
         os.path.join(cfg.outdir, "initial_data.csv"),
-        _csv_text(["y", "u0", "u0_prime", "u0_second"],
-                  [data.grid.nodes, data.u0.values,
-                   data.u0_prime.values, data.u0_second.values]))
+        _csv_lines(["y", "u0", "u0_prime", "u0_second"],
+                   [data.grid.nodes, data.u0.values,
+                    data.u0_prime.values, data.u0_second.values]))
     traj = vm.solve_until_separation(data, cfg.march_config())
     _atomic_write(
         os.path.join(cfg.outdir, "trajectory.csv"),
-        _csv_text(["x", "lambda", "dx", "F_max", "monotonicity_min"],
-                  [traj.x, traj.lam, traj.dx, traj.F_max, traj.mono_min]))
-    snap_meta = []
+        _csv_lines(["x", "lambda", "dx", "F_max", "monotonicity_min"],
+                   [traj.x, traj.lam, traj.dx, traj.F_max, traj.mono_min]))
+    # one table: the shared phi grid, then w of each snapshot and its pair
+    header, columns, snap_meta = ["phi"], [traj.psi_grid.nodes], []
     for snap in traj.snapshots:
-        name = f"snapshot_{snap.index:03d}.csv"
-        _atomic_write(os.path.join(cfg.outdir, name),
-                      _csv_text(["phi", "w"], [snap.state.psi_grid.nodes,
-                                               snap.state.W.values]))
-        pair_name = ""
-        if snap.pair_state is not None:
-            pair_name = f"snapshot_{snap.index:03d}_pair.csv"
-            _atomic_write(os.path.join(cfg.outdir, pair_name),
-                          _csv_text(["phi", "w"],
-                                    [snap.pair_state.psi_grid.nodes,
-                                     snap.pair_state.W.values]))
+        for state in (snap.state, snap.pair_state):
+            if state.psi_grid is not traj.psi_grid:
+                raise ValueError(f"snapshot {snap.index} is off the march's phi grid")
+            columns.append(state.W.values)
+        header.extend(_snapshot_columns(snap.index))
         snap_meta.append({
             "index": snap.index, "x": snap.x, "s": snap.s, "lam": snap.lam,
-            "file": name, "pair_file": pair_name,
-            "pair_x": snap.pair_state.x if snap.pair_state else None,
-            "pair_s": snap.pair_s,
-            "pair_lam": snap.pair_state.lam if snap.pair_state else None,
+            "pair_x": snap.pair_state.x, "pair_s": snap.pair_s,
+            "pair_lam": snap.pair_state.lam,
         })
+    _atomic_write(os.path.join(cfg.outdir, "snapshots.csv"),
+                  _csv_lines(header, columns))
 
     fit_payload = {"completed": traj.completed, "failure": traj.failure}
     if traj.completed and len(traj.x) > 50:
@@ -289,7 +293,7 @@ def run_simulate(cfg: RunConfig) -> int:
             b = md.compute_b(traj.x, traj.lam)
             late = s >= 5.0 * traj.s0
             bs_prod = (b * s)[late]
-            defect = md._local_slope(s, b) + b * b
+            defect = md.local_slope(s, b) + b * b
             fit_payload.update(fit)
             fit_payload.update({
                 "J_gamma_13_4": float(np.trapezoid((s ** (13.0 / 4.0) * defect**2)[late],
@@ -300,10 +304,10 @@ def run_simulate(cfg: RunConfig) -> int:
         except PrandtlSepError as exc:
             fit_payload["fit_error"] = str(exc)
     write_json(os.path.join(cfg.outdir, "fit_report.json"), fit_payload)
-    _write_manifest(cfg, {"snapshots": snap_meta,
-                          "s0": traj.s0, "completed": traj.completed,
-                          "failure": traj.failure, "x_end": traj.x_end,
-                          "steps": int(len(traj.x))})
+    _write_manifest(cfg, header, {"snapshots": snap_meta,
+                                  "s0": traj.s0, "completed": traj.completed,
+                                  "failure": traj.failure, "x_end": traj.x_end,
+                                  "steps": int(len(traj.x))})
     if not traj.completed:
         print(f"simulate: solver stopped early: {traj.failure}")
         return EXIT_SOLVER
@@ -319,7 +323,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
-    """The named columns of a CSV artifact written by ``_csv_text``.
+    """The named columns of a CSV artifact written by ``_csv_lines``.
 
     A missing, unreadable or malformed file, or a non-finite value in one
     of the ``finite`` columns, raises MissingArtifactError.
@@ -331,9 +335,12 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
     except (OSError, ValueError) as exc:
         raise MissingArtifactError(f"cannot read {path}: {exc}") from exc
     absent = [name for name in names if name not in header]
-    if absent or table.shape[1] != len(header):
+    if absent:
+        raise MissingArtifactError(f"{path}: missing column {absent[0]!r}")
+    if table.shape[1] != len(header):
         raise MissingArtifactError(
-            f"malformed {path}: header {header}, {table.shape[1]} columns")
+            f"malformed {path}: {len(header)} names in the header, "
+            f"{table.shape[1]} columns")
     columns = {name: table[:, header.index(name)] for name in names}
     for name in finite:
         if not np.all(np.isfinite(columns[name])):
@@ -342,8 +349,7 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
 
 
 _MANIFEST_KEYS = ("config", "s0", "snapshots", "completed", "failure")
-_SNAPSHOT_KEYS = ("index", "x", "s", "lam", "file", "pair_file", "pair_x",
-                  "pair_s", "pair_lam")
+_SNAPSHOT_KEYS = ("index", "x", "s", "lam", "pair_x", "pair_s", "pair_lam")
 
 
 def _require_keys(entry, keys, where: str) -> None:
@@ -378,47 +384,40 @@ def load_trajectory(outdir: str) -> tuple:
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, ["x", "lambda", "dx", "F_max",
                                     "monotonicity_min"], finite=("x", "lambda"))
-    grids = {}
+    names = ["phi"]
+    for meta in manifest["snapshots"]:
+        _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
+        names.extend(_snapshot_columns(meta["index"]))
+    table_path = os.path.join(outdir, "snapshots.csv")
+    table = _read_columns(table_path, names, finite=names)
+    if len(table["phi"]) != cfg.n_psi:
+        raise MissingArtifactError(
+            f"{table_path}: {len(table['phi'])} rows, expected n_psi = {cfg.n_psi}")
+    try:
+        grid = Grid(table["phi"], "loaded")
+    except (ValueError, TooFewNodesError) as exc:
+        raise MissingArtifactError(f"{table_path}: {exc}") from exc
 
-    def loaded_grid(path: str, phi) -> Grid:
-        # one Grid per distinct phi grid, as in the march, so the quadrature
-        # weights cached on it are built once
-        key = phi.tobytes()
-        if key not in grids:
-            try:
-                grids[key] = Grid(phi, "loaded")
-            except (ValueError, TooFewNodesError) as exc:
-                raise MissingArtifactError(f"{path}: {exc}") from exc
-        return grids[key]
+    def state(name: str, x: float, lam: float) -> vm.VMState:
+        return vm.VMState(x=x, psi_grid=grid, W=Field(grid, table[name]),
+                          lam=lam, x0_pressure=cfg.x0_pressure)
 
     snapshots = []
     for meta in manifest["snapshots"]:
-        _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
-        path = os.path.join(outdir, meta["file"])
-        table = _read_columns(path, ["phi", "w"], finite=("phi", "w"))
-        grid = loaded_grid(path, table["phi"])
-        state = vm.VMState(x=meta["x"], psi_grid=grid,
-                           W=Field(grid, table["w"]),
-                           lam=meta["lam"], x0_pressure=cfg.x0_pressure)
-        pair = None
-        if meta["pair_file"]:
-            path = os.path.join(outdir, meta["pair_file"])
-            pt = _read_columns(path, ["phi", "w"], finite=("phi", "w"))
-            pgrid = loaded_grid(path, pt["phi"])
-            pair = vm.VMState(x=meta["pair_x"], psi_grid=pgrid,
-                              W=Field(pgrid, pt["w"]),
-                              lam=meta["pair_lam"], x0_pressure=cfg.x0_pressure)
-        snapshots.append(vm.Snapshot(index=meta["index"], x=meta["x"],
-                                     s=meta["s"], lam=meta["lam"], state=state,
-                                     pair_state=pair, pair_s=meta["pair_s"]))
+        w_name, pair_name = _snapshot_columns(meta["index"])
+        snapshots.append(vm.Snapshot(
+            index=meta["index"], s=meta["s"],
+            state=state(w_name, meta["x"], meta["lam"]),
+            pair_state=state(pair_name, meta["pair_x"], meta["pair_lam"]),
+            pair_s=meta["pair_s"]))
     traj = vm.Trajectory(
         x=raw["x"], lam=raw["lambda"],
         s=md.accumulate_s(raw["x"], raw["lambda"], manifest["s0"]),
         dx=raw["dx"], F_max=raw["F_max"],
         mono_min=raw["monotonicity_min"], snapshots=snapshots,
-        s0=manifest["s0"], lambda0=cfg.lambda0, x0_pressure=cfg.x0_pressure,
-        config=cfg.march_config(), completed=manifest["completed"],
-        failure=manifest["failure"])
+        psi_grid=grid, s0=manifest["s0"], lambda0=cfg.lambda0,
+        x0_pressure=cfg.x0_pressure, config=cfg.march_config(),
+        completed=manifest["completed"], failure=manifest["failure"])
     return cfg, traj
 
 
@@ -434,7 +433,7 @@ def run_audit(outdir: str) -> int:
                for key in _ENERGY_COLUMNS[:-1]]
     columns.append(np.array([float(r.resolved) for r in energies]))
     _atomic_write(os.path.join(outdir, "energies.csv"),
-                  _csv_text(_ENERGY_COLUMNS, columns))
+                  _csv_lines(_ENERGY_COLUMNS, columns))
     suite = dg.run_audit_suite(frames)
     reports = [asdict(r) for r in suite.reports]
     commutator = []
@@ -503,9 +502,10 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
                      x_star / entry["lambda0"] ** 2 if np.isfinite(x_star) else float("nan"),
                      fit.get("exponent", float("nan"))))
         any_fail = any_fail or entry["exit"] != 0
-    table = _csv_text(["lambda0", "x_star", "x_star_over_lambda0_sq", "exponent"],
-                      [np.asarray(col) for col in zip(*rows)])
-    _atomic_write(os.path.join(cfg.outdir, "sweep.csv"), table)
+    table = "".join(_csv_lines(
+        ["lambda0", "x_star", "x_star_over_lambda0_sq", "exponent"],
+        [np.asarray(col) for col in zip(*rows)]))
+    _atomic_write(os.path.join(cfg.outdir, "sweep.csv"), [table])
     print(table, end="")
     ratios = [r[2] for r in rows if np.isfinite(r[2])]
     if len(ratios) >= 2:

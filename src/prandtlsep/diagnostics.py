@@ -84,7 +84,7 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
-    bs_arr = md._local_slope(traj.s, b_arr)
+    bs_arr = md.local_slope(traj.s, b_arr)
     frames: List[SnapshotFrame] = []
     for snap in traj.snapshots:
         i = int(np.argmin(np.abs(traj.x - snap.x)))
@@ -203,8 +203,6 @@ def commutator_identity_check(snap: vm.Snapshot, u: Field, b: float,
     Returns the relative gap on Y in [0.1, s**(1/4)] and the pinned
     tolerance 5 (ds/s + h_rel**2).
     """
-    if snap.pair_state is None:
-        raise ValueError("snapshot carries no marching pair")
     s1, s2 = snap.s, snap.pair_s
     s_mid = 0.5 * (s1 + s2)
     grid = md.standard_rescaled_grid(s_mid, n_grid)

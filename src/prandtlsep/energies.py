@@ -23,7 +23,8 @@ import numpy as np
 from . import profiles
 from .errors import DomainError
 from .gridfields import Field, diff
-from .operators import OperatorContext, clu_chain, wall_slope_extrapolation
+from .operators import (CHAIN_FITS, OperatorContext, clu_chain, op_cLU,
+                        wall_slope_extrapolation)
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     (the first interior node skipped).
     """
     a1 = clu_chain(ctx, V, 1)
-    a2 = clu_chain(ctx, V, 2)
+    a2 = op_cLU(ctx, a1, CHAIN_FITS[1])   # = clu_chain(ctx, V, 2)
     u = ctx.U.values
     y = ctx.grid.nodes
 

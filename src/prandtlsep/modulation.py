@@ -72,20 +72,24 @@ def accumulate_s(x: np.ndarray, lam: np.ndarray, s0: float) -> np.ndarray:
     return out
 
 
-def _local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _windows(n: int, window: int) -> np.ndarray:
+    """(n, window) indices of the centered window of each of n samples;
+    the windows of the first and last samples are shifted inward."""
+    if n < window:
+        raise DomainError(f"need at least {window} samples")
+    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
+    return starts[:, None] + np.arange(window)
+
+
+def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Least-squares slope of f(x) over a centered 5-sample window per sample."""
     window = 5
-    n = len(x)
-    half = window // 2
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, min(i - half, n - window))
-        sl = slice(lo, lo + window)
-        xs = x[sl] - x[i]
-        fs = f[sl]
-        den = np.sum(xs * xs) - np.sum(xs) ** 2 / window
-        out[i] = (np.sum(xs * fs) - np.sum(xs) * np.sum(fs) / window) / den
-    return out
+    idx = _windows(len(x), window)
+    xs = x[idx] - x[:, None]
+    fs = f[idx]
+    sum_x = np.sum(xs, axis=1)
+    den = np.sum(xs * xs, axis=1) - sum_x ** 2 / window
+    return (np.sum(xs * fs, axis=1) - sum_x * np.sum(fs, axis=1) / window) / den
 
 
 def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
@@ -97,11 +101,7 @@ def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    n = len(x)
-    if n < window:
-        raise DomainError(f"need at least {window} samples")
-    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
-    idx = starts[:, None] + np.arange(window)
+    idx = _windows(len(x), window)
     xs, fs = x[idx], lam[idx]
     a, c = np.triu_indices(window, 1)
     lam_x = np.median((fs[:, a] - fs[:, c]) / (xs[:, a] - xs[:, c]), axis=1)
@@ -202,7 +202,7 @@ def rate_inequality_certificate(s: np.ndarray, b: np.ndarray, gamma: float,
     bs_prod = b * s
     eps = float(np.max(np.abs(bs_prod - 1.0)))
     env_ok = eps < 1.0
-    b_s = _local_slope(s, b)
+    b_s = local_slope(s, b)
     defect = (b_s + b * b) ** 2
     J = float(np.trapezoid(s**gamma * defect, s))
     if env_ok:

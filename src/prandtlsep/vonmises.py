@@ -448,13 +448,22 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
 
 @dataclass(frozen=True)
 class Snapshot:
+    """A marching pair: a snapshot state and the state one accepted step
+    later, at slow times s and pair_s."""
+
     index: int
-    x: float
     s: float
-    lam: float
     state: VMState
-    pair_state: Optional[VMState] = None   # state one accepted step later
-    pair_s: float = 0.0
+    pair_state: VMState
+    pair_s: float
+
+    @property
+    def x(self) -> float:
+        return self.state.x
+
+    @property
+    def lam(self) -> float:
+        return self.state.lam
 
 
 @dataclass
@@ -466,6 +475,7 @@ class Trajectory:
     F_max: np.ndarray
     mono_min: np.ndarray
     snapshots: List[Snapshot]
+    psi_grid: Grid             # the one phi grid of every marched state
     s0: float
     lambda0: float
     x0_pressure: float
@@ -493,8 +503,6 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     s = data.s0
     xs, lams, ss, dxs, fmaxs, monos = [], [], [], [], [], []
     snapshots: List[Snapshot] = []
-    pending_pair: Optional[int] = None
-    lam_next_snap = data.lambda0
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     completed, failure = False, ""
 
@@ -510,8 +518,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         monos.append(float(np.min(np.diff(w) / np.diff(st.psi_grid.nodes))))
 
     record(state, 0.0)
-    snapshots.append(Snapshot(index=0, x=state.x, s=s, lam=state.lam, state=state))
-    pending_pair = 0
+    # (state, s) of the snapshot that waits for its pair, the next state
+    pending: Optional[tuple] = (state, s)
     prev = None
     lam_next_snap = data.lambda0 * decade_step
     for step in range(cfg.max_steps):
@@ -535,26 +543,23 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         s = s + dx_actual / lam**4
         state = new_state
         record(state, dx_actual)
-        if pending_pair is not None:
-            snapshots[pending_pair] = replace(
-                snapshots[pending_pair], pair_state=state, pair_s=s
-            )
-            pending_pair = None
+        if pending is not None:
+            snap_state, snap_s = pending
+            snapshots.append(Snapshot(index=len(snapshots), s=snap_s,
+                                      state=snap_state, pair_state=state,
+                                      pair_s=s))
+            pending = None
         if state.lam <= lam_next_snap and state.lam > cfg.lambda_stop:
-            snapshots.append(Snapshot(index=len(snapshots), x=state.x, s=s,
-                                      lam=state.lam, state=state))
-            pending_pair = len(snapshots) - 1
+            pending = (state, s)
             lam_next_snap = state.lam * decade_step
     else:
         failure = "max_steps exhausted"
 
-    # drop a trailing snapshot that never received its pair
-    if snapshots and snapshots[-1].pair_state is None:
-        snapshots = snapshots[:-1]
+    # a snapshot still pending here never got its pair and is not kept
     return Trajectory(
         x=np.array(xs), lam=np.array(lams), s=np.array(ss), dx=np.array(dxs),
         F_max=np.array(fmaxs), mono_min=np.array(monos),
-        snapshots=snapshots, s0=data.s0, lambda0=data.lambda0,
-        x0_pressure=data.x0_pressure, config=cfg,
+        snapshots=snapshots, psi_grid=state.psi_grid, s0=data.s0,
+        lambda0=data.lambda0, x0_pressure=data.x0_pressure, config=cfg,
         completed=completed, failure=failure,
     )

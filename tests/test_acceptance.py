@@ -108,7 +108,7 @@ def test_criterion_3_modulation_law(main_run):
     s = traj.s
     late = s >= 5.0 * traj.s0
     prod = (b * s)[late]
-    defect = md._local_slope(s, b) + b * b
+    defect = md.local_slope(s, b) + b * b
     J = float(np.trapezoid((s ** (13.0 / 4.0) * defect**2)[late], s[late]))
     ok = prod.min() >= 0.9 and prod.max() <= 1.1 and np.isfinite(J)
     conclude(3, ok, f"b*s in [{prod.min():.4f}, {prod.max():.4f}] for "

@@ -117,10 +117,15 @@ class TestSimulateAndAudit:
         assert code == cli.EXIT_OK
         outdir = quick_cfg.outdir
         for name in ("trajectory.csv", "manifest.json", "fit_report.json",
-                     "initial_data.csv", "snapshot_000.csv"):
+                     "initial_data.csv", "snapshots.csv"):
             assert os.path.exists(os.path.join(outdir, name))
+        # one snapshot table, not a file per snapshot
+        assert not [f for f in os.listdir(outdir) if f.startswith("snapshot_")]
         manifest = json.loads(open(os.path.join(outdir, "manifest.json")).read())
         assert manifest["completed"]
+        header = open(os.path.join(outdir, "snapshots.csv")).readline().strip()
+        assert header.split(",") == manifest["columns"]["snapshots.csv"]
+        assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
         capsys.readouterr()
         code = cli.main(["audit", outdir])
@@ -138,13 +143,27 @@ class TestSimulateAndAudit:
 
     def test_rerun_is_bit_identical(self, quick_cfg, tmp_path):
         cli.run_simulate(quick_cfg)
-        first = open(os.path.join(quick_cfg.outdir, "trajectory.csv"), "rb").read()
         again = cli.RunConfig(**{**{f.name: getattr(quick_cfg, f.name)
                                     for f in cli.fields(quick_cfg)},
                                  "outdir": str(tmp_path / "rerun")})
         cli.run_simulate(again)
-        second = open(os.path.join(again.outdir, "trajectory.csv"), "rb").read()
-        assert first == second
+        for name in ("trajectory.csv", "snapshots.csv"):
+            first = open(os.path.join(quick_cfg.outdir, name), "rb").read()
+            second = open(os.path.join(again.outdir, name), "rb").read()
+            assert first == second
+
+    def test_artifact_mode_follows_umask(self, tmp_path):
+        # artifacts get the mode of any file the user creates, not 0600
+        old = os.umask(0o022)
+        try:
+            cli.write_json(str(tmp_path / "artifact.json"), {"a": 1})
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "artifact.json").st_mode & 0o777
+        assert mode == os.stat(tmp_path / "plain.txt").st_mode & 0o777
+        assert sorted(os.listdir(tmp_path)) == ["artifact.json", "plain.txt"]
 
     def test_audit_missing_dir_exit_code(self, tmp_path):
         code = cli.main(["audit", str(tmp_path / "nowhere")])
@@ -154,18 +173,20 @@ class TestSimulateAndAudit:
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
-        "old_schema", "schema_2", "missing_s0", "missing_snapshot_file_key",
-        "nan_value", "unsorted_phi", "truncated_snapshot"])
+        "old_schema", "schema_2", "schema_3", "missing_s0",
+        "missing_snapshot_key", "nan_value", "unsorted_phi",
+        "truncated_snapshot", "short_snapshot"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         manifest_path = rundir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        snap = rundir / "snapshot_003.csv"
+        snap = rundir / "snapshots.csv"
+        header = snap.read_text().split("\n", 1)[0].split(",")
         if damage == "missing_snapshot":
             snap.unlink()
         elif damage == "missing_pair":
-            (rundir / manifest["snapshots"][3]["pair_file"]).unlink()
+            snap.write_text(snap.read_text().replace(",w_003_pair,", ",v_003_pair,", 1))
         elif damage == "unreadable_snapshot":
             snap.unlink()
             snap.mkdir()
@@ -175,7 +196,7 @@ class TestSimulateAndAudit:
             (rundir / "trajectory.csv").write_text(
                 (rundir / "trajectory.csv").read_text() + "1.0,2.0\n")
         elif damage == "missing_column":
-            snap.write_text(snap.read_text().replace("phi,w", "phi,v", 1))
+            snap.write_text(snap.read_text().replace("phi,", "psi,", 1))
         elif damage == "unknown_config_key":
             manifest["config"]["no_such_key"] = 1
         elif damage == "missing_config_key":
@@ -190,18 +211,27 @@ class TestSimulateAndAudit:
             # version 2 also stored the march numerics and the audit settings
             manifest["schema_version"] = 2
             manifest["config"]["cfl_safety"] = 0.9
+        elif damage == "schema_3":
+            # version 3 kept each snapshot and its pair in files of their own
+            manifest["schema_version"] = 3
+            manifest["snapshots"][2]["file"] = "snapshot_002.csv"
         elif damage == "missing_s0":
             del manifest["s0"]
-        elif damage == "missing_snapshot_file_key":
-            del manifest["snapshots"][2]["file"]
-        elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot"):
+        elif damage == "missing_snapshot_key":
+            del manifest["snapshots"][2]["pair_lam"]
+        elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot",
+                        "short_snapshot"):
             rows = snap.read_text().splitlines()
             if damage == "nan_value":
-                rows[10] = rows[10].split(",")[0] + ",nan"
+                cells = rows[10].split(",")
+                cells[header.index("w_003")] = "nan"
+                rows[10] = ",".join(cells)
             elif damage == "unsorted_phi":
                 rows[10], rows[11] = rows[11], rows[10]
-            else:
+            elif damage == "truncated_snapshot":
                 rows = rows[:40]   # 39 nodes, too few for a grid
+            else:
+                rows = rows[:201]  # 200 nodes: a valid grid, but not n_psi
             snap.write_text("\n".join(rows) + "\n")
         manifest_path.write_text(json.dumps(manifest))
         code = cli.main(["audit", str(rundir)])
@@ -223,12 +253,30 @@ class TestSimulateAndAudit:
         assert len(err.strip().splitlines()) == 1
         assert "need at least 7 samples" in err
 
-    def test_loaded_trajectory_matches(self, quick_cfg):
+    def test_loaded_trajectory_matches(self, quick_cfg, monkeypatch):
+        # every loaded snapshot and pair state equals the march's bit for bit
+        marched = []
+        solve = cli.vm.solve_until_separation
+
+        def keep_march(*args):
+            marched.append(solve(*args))
+            return marched[-1]
+
+        monkeypatch.setattr(cli.vm, "solve_until_separation", keep_march)
         cli.run_simulate(quick_cfg)
         cfg, traj = cli.load_trajectory(quick_cfg.outdir)
         assert cfg.lambda0 == quick_cfg.lambda0
-        assert traj.snapshots[0].pair_state is not None
         assert len(traj.x) > 10
+        (ref,) = marched
+        assert len(traj.snapshots) == len(ref.snapshots) > 2
+        assert np.array_equal(traj.psi_grid.nodes, ref.psi_grid.nodes)
+        for got, want in zip(traj.snapshots, ref.snapshots):
+            assert (got.index, got.s, got.pair_s) == (want.index, want.s, want.pair_s)
+            for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
+                # one Grid shared by every loaded state, as in the march
+                assert a.psi_grid is traj.psi_grid
+                assert np.array_equal(a.W.values, b.W.values)
+                assert (a.x, a.lam) == (b.x, b.lam)
 
 
 class TestSweep:

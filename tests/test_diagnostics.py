@@ -72,12 +72,3 @@ class TestCommutator:
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(
             5.0 * (out["ds_over_s"] + out["h_rel"] ** 2))
-
-    def test_needs_pair(self, short_traj):
-        snap = short_traj.snapshots[2]
-        bare = vm.Snapshot(index=0, x=snap.x, s=snap.s, lam=snap.lam,
-                           state=snap.state)
-        with pytest.raises(ValueError):
-            dg.commutator_identity_check(bare, vm.from_von_mises(bare.state),
-                                         1.0 / snap.s)
-

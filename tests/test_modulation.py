@@ -89,6 +89,29 @@ class TestModulationRate:
                                     for a, c in itertools.combinations(pts, 2)])
             assert np.array_equal(md.compute_b(x, lam, window), -2.0 * ref * lam**3)
 
+
+class TestLocalSlope:
+    def test_matches_per_sample_loop(self):
+        # the vectorised slope repeats the per-sample arithmetic exactly
+        rng = np.random.default_rng(3)
+        x = np.cumsum(rng.uniform(0.5, 1.5, 40))
+        f = np.sin(0.1 * x) + 1e-3 * rng.standard_normal(40)
+        ref = np.empty(len(x))
+        for i in range(len(x)):
+            lo = max(0, min(i - 2, len(x) - 5))
+            xs = x[lo:lo + 5] - x[i]
+            fs = f[lo:lo + 5]
+            den = np.sum(xs * xs) - np.sum(xs) ** 2 / 5
+            ref[i] = (np.sum(xs * fs) - np.sum(xs) * np.sum(fs) / 5) / den
+        assert np.array_equal(md.local_slope(x, f), ref)
+
+    def test_exact_on_lines_and_needs_a_window(self):
+        x = np.geomspace(1.0, 50.0, 12)
+        assert np.allclose(md.local_slope(x, 3.0 - 0.5 * x), -0.5, rtol=1e-12)
+        with pytest.raises(DomainError):
+            md.local_slope(x[:4], x[:4])
+
+
 class TestRegularizedRate:
     def test_inverse_law_fixed_point(self):
         s = np.linspace(100.0, 1e4, 8000)

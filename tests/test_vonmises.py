@@ -139,6 +139,18 @@ class TestMarch:
         # monotone trend up to estimator noise
         assert np.sum(np.diff(lam) > 1e-6 * lam[0]) == 0
 
+    def test_every_snapshot_is_a_marching_pair(self, short_traj):
+        # each snapshot's pair is the next accepted station, on the same grid
+        snaps = short_traj.snapshots
+        assert [snap.index for snap in snaps] == list(range(len(snaps)))
+        for snap in snaps:
+            i = int(np.nonzero(short_traj.x == snap.x)[0][0])
+            assert snap.pair_state.x == short_traj.x[i + 1]
+            assert (snap.s, snap.pair_s) == (short_traj.s[i], short_traj.s[i + 1])
+            assert snap.lam == short_traj.lam[i] == snap.state.lam
+            assert snap.state.psi_grid is snap.pair_state.psi_grid \
+                is short_traj.psi_grid
+
     def test_far_field_consistency(self, short_traj):
         snap = short_traj.snapshots[-1]
         far = snap.state.far_target()
