@@ -10,7 +10,9 @@ Steps are variable-step BDF2, implicit in the diffusion, with the
 degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
 Each accepted step must preserve monotonicity in phi, else it is retried
-with half the step.
+with half the step.  Every tridiagonal system goes straight to LAPACK
+``gtsv`` (``solve_banded``), and the grid-only coefficients and spacings
+are built once per grid and cached on it.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -18,7 +20,9 @@ below lam**3, which becomes hopeless near collapse; instead we use the
 identity  w_phi = 2 lam + 2 y(phi) + 2 int_0^y (u_yy - 1), whose last term
 is O(y**3) by the curvature bounds, and evaluate
 lam ~ w_phi(phi_j)/2 - y(phi_j)  on a window y_j ~ lam**(1/3) where the
-correction is negligible.
+correction is negligible.  Only y on the node prefix that covers the window
+is integrated: w is monotone, so y(phi_k) >= phi_k/sqrt(w_k) bounds where
+the window ends.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidProfileError, InvalidStateError, StepFailureError
 from .gridfields import Field, Grid, diff
@@ -113,7 +117,8 @@ def _normal_coordinate_weights(grid: Grid) -> tuple:
     return cached
 
 
-def _normal_coordinate(grid: Grid, w: np.ndarray) -> np.ndarray:
+def _normal_coordinate(grid: Grid, w: np.ndarray,
+                       m: Optional[int] = None) -> np.ndarray:
     """y(phi_i) = int_0^phi_i dphi/sqrt(w), accurate through the wall layer.
 
     In t = sqrt(phi), y = int 2 dt/sqrt(g) with g = w/phi = 2 lam + O(t):
@@ -123,13 +128,20 @@ def _normal_coordinate(grid: Grid, w: np.ndarray) -> np.ndarray:
     phi + O(phi**(3/2)) has no cubic fit at the wall, and the quadrature
     loses five digits of y there.)  A cell where the interpolant breaks down
     keeps the closed form for g linear in t.
+
+    With ``m`` (4 <= m < len(grid)), y on the first m nodes only, the same
+    values bit for bit: the last cell's 4-node stencil reads g up to node m.
     """
     h, lo, lag, wall = _normal_coordinate_weights(grid)
+    if m is not None:
+        w = w[:m + 1]
+        h, lo, lag = h[:m - 1], lo[:m - 1], lag[:m - 1]
+    cells = len(h)
     g = np.empty_like(w)
-    g[1:] = w[1:] / grid.nodes[1:]
+    g[1:] = w[1:] / grid.nodes[1:len(w)]
     g[0] = wall @ g[1:4]
     sq = np.sqrt(np.maximum(g, 0.0))
-    seg = 4.0 * h / np.maximum(sq[1:] + sq[:-1], 1e-300)
+    seg = 4.0 * h / np.maximum(sq[1:cells + 1] + sq[:cells], 1e-300)
     stencil = g[lo[:, None] + np.arange(4)[None, :]]
     g_pts = np.einsum("iqj,ij->iq", lag, stencil)
     with np.errstate(invalid="ignore"):
@@ -162,10 +174,27 @@ def wall_shear(state: VMState) -> float:
     phi = grid.nodes
     w = _wall_restore(phi, state.W.values)
     guess = float(state.lam if state.lam else 0.05)
-    y = _normal_coordinate(grid, w)
+    sqrt_w = np.sqrt(w)
+
+    def normal_coordinate(y_cap: float) -> np.ndarray:
+        # y on a node prefix that ends past y_cap.  For monotone w,
+        # y(phi_k) >= phi_k/sqrt(w_k), so the prefix through the first node
+        # k where that bound passes y_cap suffices.  It is rounded up to a
+        # multiple of 64 nodes: per-step temporaries of a few sizes keep
+        # the heap from fragmenting (prefixes sized node by node raised the
+        # peak RSS of a run by 0.4 MB).  Where no node passes, or the
+        # prefix falls short, y on the whole grid.
+        k = int(np.argmax(phi > y_cap * sqrt_w))
+        m = (k // 64 + 1) * 64
+        if k > 0 and m < len(phi):
+            y = _normal_coordinate(grid, w, m)
+            if y[-1] > y_cap:
+                return y
+        return _normal_coordinate(grid, w)
 
     def estimate(g: float):
         y_cap = 0.25 * g ** (1.0 / 3.0)
+        y = normal_coordinate(y_cap)
         window = (y >= 0.25 * y_cap) & (y <= y_cap)
         idx = np.nonzero(window)[0]
         idx = idx[(idx > 0) & (idx < len(phi) - 1)]
@@ -287,6 +316,17 @@ def from_von_mises(state: VMState) -> Field:
     return Field(Grid(y, "vm-inverse"), np.sqrt(w))
 
 
+def _spacings(grid: Grid) -> tuple:
+    """(hm, hp, np.diff(nodes)): the left and right spacings of the interior
+    nodes, as views of the node spacings, which are cached on the grid."""
+    dphi = grid._diff_cache.get("spacings")
+    if dphi is None:
+        dphi = np.diff(grid.nodes)
+        dphi.flags.writeable = False
+        grid._diff_cache["spacings"] = dphi
+    return dphi[:-1], dphi[1:], dphi
+
+
 def compute_F(W: Field) -> Field:
     """Diffusion balance F = sqrt(w) w_phiphi - 2 on W's streamfunction grid.
 
@@ -314,11 +354,9 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
     w = state.W.values
-    phi = state.psi_grid.nodes
+    hm, hp, _ = _spacings(state.psi_grid)
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
     out = np.full_like(w, np.inf)
-    hm = phi[1:-1] - phi[:-2]
-    hp = phi[2:] - phi[1:-1]
     out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * 4.0 * eps_w / (hm * hp)
     out[0] = 0.0
     return out
@@ -341,15 +379,39 @@ def trusted_F_mask(state: VMState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _d2_weights(phi: np.ndarray):
-    hm = phi[1:-1] - phi[:-2]
-    hp = phi[2:] - phi[1:-1]
-    a = 2.0 / (hm * (hm + hp))      # weight of w_{i-1}
-    c = 2.0 / (hp * (hm + hp))      # weight of w_{i+1}
-    return a, -(a + c), c
+def _d2_weights(grid: Grid) -> tuple:
+    """(a, b, c): weights of w_{i-1}, w_i, w_{i+1} in the second difference
+    at the interior nodes, cached on the grid."""
+    cached = grid._diff_cache.get("d2_weights")
+    if cached is None:
+        hm, hp, _ = _spacings(grid)
+        a = 2.0 / (hm * (hm + hp))      # weight of w_{i-1}
+        c = 2.0 / (hp * (hm + hp))      # weight of w_{i+1}
+        cached = (a, -(a + c), c)
+        for arr in cached:
+            arr.flags.writeable = False
+        grid._diff_cache["d2_weights"] = cached
+    return cached
 
 
-def _resolvent_solve(phi: np.ndarray, rhs: np.ndarray, coeff: np.ndarray,
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system ``ab`` x = rhs by LAPACK ``gtsv``.
+
+    ``ab`` holds the three diagonals in the (1, 1) form of
+    ``scipy.linalg.solve_banded``, and the result is the same bit for bit:
+    the same ``gtsv`` call on the same diagonals, without the wrapper's
+    per-call argument handling.  A non-finite entry or a singular matrix
+    fails the step.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise StepFailureError("tridiagonal solve: non-finite entry")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info != 0:
+        raise StepFailureError(f"tridiagonal solve: singular matrix (gtsv info {info})")
+    return x
+
+
+def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
                      tau: float, far_value: float) -> np.ndarray:
     """Solve (I - tau * coeff * D2) w = rhs with Dirichlet ends.
 
@@ -361,8 +423,8 @@ def _resolvent_solve(phi: np.ndarray, rhs: np.ndarray, coeff: np.ndarray,
     first 10-30 nodes.  Equilibrated, the elimination error stays relative
     to each row's own scale.
     """
-    n = len(phi)
-    a, b, c = _d2_weights(phi)
+    n = len(grid)
+    a, b, c = _d2_weights(grid)
     r = tau * coeff[1:-1]
     diag = 1.0 - r * b
     ab = np.zeros((3, n))
@@ -373,13 +435,13 @@ def _resolvent_solve(phi: np.ndarray, rhs: np.ndarray, coeff: np.ndarray,
     rhs[1:-1] /= diag
     rhs[0] = 0.0
     rhs[-1] = far_value
-    out = solve_banded((1, 1), ab, rhs)
+    out = solve_banded(ab, rhs)
     out[0] = 0.0          # pivoting leaves eps-level residue on Dirichlet rows
     out[-1] = far_value
     return out
 
 
-def _bdf2_solve(phi: np.ndarray, w_n: np.ndarray, prev: tuple | None,
+def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple | None,
                 h: float, far_value: float, source: float,
                 scale: float) -> np.ndarray:
     """Variable-step BDF2 step with Picard-iterated degenerate coefficient.
@@ -403,8 +465,8 @@ def _bdf2_solve(phi: np.ndarray, w_n: np.ndarray, prev: tuple | None,
     for _ in range(max_picard):
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
-        coeff = np.sqrt(_wall_restore(phi, np.maximum(w_new, 0.0)))
-        w_next = _resolvent_solve(phi, rhs, coeff, tau, far_value)
+        coeff = np.sqrt(_wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
+        w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value)
         delta = float(np.max(np.abs(w_next - w_new)))
         w_new = w_next
         if delta <= 1e-12 * scale:
@@ -419,14 +481,14 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     ``prev`` (w_previous, h_previous) feeds the BDF2 step; without it
     (the first step) the step is the iterated backward-Euler start-up.
     """
-    phi = state.psi_grid.nodes
     w_old = state.W.values
     scale = float(np.max(w_old))
     while True:
         far = state.far_target(state.x + dx)
         if far <= 0.0:
             raise StepFailureError("pressure horizon reached before separation")
-        w_new = _bdf2_solve(phi, w_old, prev, dx, far, cfg.source_scale, scale)
+        w_new = _bdf2_solve(state.psi_grid, w_old, prev, dx, far,
+                            cfg.source_scale, scale)
         # clamp roundoff-level negatives on the first cells to the physical
         # w >= 0 and judge monotonicity with a roundoff-relative tolerance
         w_new = np.maximum(w_new, 0.0)
@@ -514,8 +576,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         ss.append(s)
         dxs.append(dx_val)
         fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
-        w = st.W.values
-        monos.append(float(np.min(np.diff(w) / np.diff(st.psi_grid.nodes))))
+        dphi = _spacings(st.psi_grid)[2]
+        monos.append(float(np.min(np.diff(st.W.values) / dphi)))
 
     record(state, 0.0)
     # (state, s) of the snapshot that waits for its pair, the next state

@@ -3,8 +3,11 @@
 Each is a closed form, a forward operator or a bookkeeping helper that no
 ``prandtlsep`` subcommand needs: the forward product ``L_U``, whose inverse
 the package implements; the derivatives of the profile's far-field
-completion; float evaluation of an exact polynomial; the uniform grid; and
-the observed convergence order of an error sequence.
+completion; float evaluation of an exact polynomial; the uniform grid; the
+observed convergence order of an error sequence; a bitwise array
+comparison; and two per-step formulas of the march without its grid
+caches: the F roundoff floor with its spacings computed inline, and the
+wall shear with y(phi) integrated over the whole grid.
 """
 
 from typing import Iterable
@@ -13,7 +16,8 @@ import numpy as np
 
 from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
-from prandtlsep.errors import DomainError
+from prandtlsep import vonmises as vm
+from prandtlsep.errors import DomainError, InvalidStateError
 from prandtlsep.gridfields import Field, Grid, cumint
 
 
@@ -102,3 +106,64 @@ def eval_uapp_Y(s: float, b: float, Y):
     return (pr.smoothstep_cutoff_prime(r) / scale * pr._bracket_poly(b, Y)
             + pr.smoothstep_cutoff(r) * _bracket_poly_prime(b, Y)
             + theta_prime(np.sqrt(b) * Y) / np.sqrt(b))
+
+
+def same_bits(a, b) -> bool:
+    """Two float64 arrays (or floats) equal bit for bit, nan and inf included."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# Streamfunction march: per-step formulas without the grid caches
+# ---------------------------------------------------------------------------
+
+
+def f_roundoff_floor(state) -> np.ndarray:
+    """``vonmises.f_roundoff_floor`` with its spacings computed inline."""
+    w = state.W.values
+    phi = state.psi_grid.nodes
+    eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
+    out = np.full_like(w, np.inf)
+    hm = phi[1:-1] - phi[:-2]
+    hp = phi[2:] - phi[1:-1]
+    out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * 4.0 * eps_w / (hm * hp)
+    out[0] = 0.0
+    return out
+
+
+def wall_shear_full_y(state) -> float:
+    """``vonmises.wall_shear`` with y(phi) integrated over the whole grid."""
+    grid = state.psi_grid
+    phi = grid.nodes
+    w = vm._wall_restore(phi, state.W.values)
+    guess = float(state.lam if state.lam else 0.05)
+    y = vm._normal_coordinate(grid, w)
+
+    def estimate(g: float):
+        y_cap = 0.25 * g ** (1.0 / 3.0)
+        window = (y >= 0.25 * y_cap) & (y <= y_cap)
+        idx = np.nonzero(window)[0]
+        idx = idx[(idx > 0) & (idx < len(phi) - 1)]
+        if len(idx) < 4:
+            return None
+        hm = phi[idx] - phi[idx - 1]
+        hp = phi[idx + 1] - phi[idx]
+        w_phi = (w[idx + 1] * hm**2 - w[idx - 1] * hp**2
+                 + w[idx] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
+        samples = 0.5 * w_phi - y[idx]
+        cols = np.stack([np.ones_like(idx, dtype=float), y[idx] ** 3], axis=1)
+        sol, *_ = np.linalg.lstsq(cols, samples, rcond=None)
+        est_ = float(sol[0])
+        if not 0.0 < est_ < 20.0 * g:
+            est_ = float(np.median(samples))
+        return est_
+
+    est = estimate(guess)
+    if est is None:
+        raise InvalidStateError("wall window under-resolved in phi")
+    if est > 0.0 and abs(est - guess) > 0.05 * guess:
+        refined = estimate(est)
+        if refined is not None and refined > 0.0:
+            est = refined
+    return est

@@ -314,6 +314,26 @@ class TestSolverFailurePath:
         assert not manifest["completed"]
         assert manifest["failure"]
 
+    def test_singular_solve_exits_2_with_partial_artifacts(self, quick_cfg,
+                                                           monkeypatch):
+        # LAPACK reports a zero pivot from the 40th tridiagonal solve on
+        gtsv = cli.vm.dgtsv
+        calls = []
+
+        def singular_from_40th(*args):
+            calls.append(None)
+            *out, info = gtsv(*args)
+            return (*out, 2 if len(calls) >= 40 else info)
+
+        monkeypatch.setattr(cli.vm, "dgtsv", singular_from_40th)
+        assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
+        assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.csv"))
+        manifest = json.loads(open(os.path.join(quick_cfg.outdir,
+                                                "manifest.json")).read())
+        assert not manifest["completed"]
+        assert "singular" in manifest["failure"]
+        assert manifest["steps"] > 1
+
 
 def test_cli_import_loads_neither_integrate_nor_optimize():
     # every subcommand pays for what importing the CLI loads; only simulate

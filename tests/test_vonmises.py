@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from reference import uniform_grid
+import reference
+import scipy.linalg
+from reference import same_bits, uniform_grid
 
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
-from prandtlsep.errors import InvalidProfileError
+from prandtlsep.errors import InvalidProfileError, StepFailureError
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 
@@ -90,6 +94,102 @@ class TestTransforms:
     def test_wall_shear_estimate(self, data05):
         state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
         assert abs(state.lam - 0.05) / 0.05 < 2e-3
+
+
+class TestWallShearWindow:
+    @staticmethod
+    def _spy_prefixes(monkeypatch):
+        # the node count m of every normal-coordinate call (None: whole grid)
+        prefixes = []
+        normal_coordinate = vm._normal_coordinate
+
+        def spy(grid, w, m=None):
+            prefixes.append(m)
+            return normal_coordinate(grid, w, m)
+
+        monkeypatch.setattr(vm, "_normal_coordinate", spy)
+        return prefixes
+
+    def test_prefix_equals_full_y_on_every_snapshot(self, short_traj, monkeypatch):
+        prefixes = self._spy_prefixes(monkeypatch)
+        states = [st for snap in short_traj.snapshots
+                  for st in (snap.state, snap.pair_state)]
+        assert len(states) > 2
+        for st in states:
+            assert vm.wall_shear(st) == reference.wall_shear_full_y(st)
+        # the full-y reference calls with m None; every windowed call is short
+        windowed = [m for m in prefixes if m is not None]
+        assert len(windowed) >= len(states)
+        assert max(windowed) < len(short_traj.psi_grid) // 2
+
+    def test_fallback_to_full_y_when_the_bound_never_passes(self, short_traj,
+                                                            monkeypatch):
+        # a guess whose y_cap lies past every phi_k/sqrt(w_k) but inside the
+        # grid's y span: the bound finds no prefix, the whole grid is used
+        st = short_traj.snapshots[-1].state
+        phi = st.psi_grid.nodes
+        w = vm._wall_restore(phi, st.W.values)
+        y_end = vm._normal_coordinate(st.psi_grid, w)[-1]
+        bound_max = np.max(phi[1:] / np.sqrt(w[1:]))
+        assert bound_max < y_end
+        y_cap = 0.5 * (bound_max + y_end)
+        guess = replace(st, lam=(4.0 * y_cap) ** 3)
+        prefixes = self._spy_prefixes(monkeypatch)
+        assert vm.wall_shear(guess) == reference.wall_shear_full_y(guess)
+        assert prefixes[0] is None
+
+
+class TestGridCaches:
+    def test_d2_weights_built_once_per_grid(self):
+        grid = vm.default_psi_grid(3.0, 2305)
+        first = vm._d2_weights(grid)
+        second = vm._d2_weights(grid)
+        assert all(a is b for a, b in zip(first, second))
+        assert vm._spacings(grid)[2] is vm._spacings(grid)[2]
+
+    def test_cached_spacings_give_the_inline_formula(self, short_traj):
+        st = short_traj.snapshots[-1].state
+        assert same_bits(vm.f_roundoff_floor(st), reference.f_roundoff_floor(st))
+
+
+class TestTridiagonalSolve:
+    @staticmethod
+    def _system(n=64):
+        ab = np.zeros((3, n))
+        ab[0, 1:] = 1.0
+        ab[1] = 4.0
+        ab[2, :-1] = 1.0
+        return ab, np.linspace(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("n_psi", [2305, 4609])
+    def test_equals_scipy_bit_for_bit(self, data05, n_psi, monkeypatch):
+        # the equilibrated systems of the march's first steps, start-up included
+        systems = []
+        solve = vm.solve_banded
+
+        def keep(ab, rhs):
+            systems.append((ab.copy(), rhs.copy()))
+            return solve(ab, rhs)
+
+        monkeypatch.setattr(vm, "solve_banded", keep)
+        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=n_psi, max_steps=3))
+        assert len(systems) > 6
+        for ab, rhs in systems:
+            assert len(rhs) == n_psi
+            assert same_bits(solve(ab, rhs),
+                             scipy.linalg.solve_banded((1, 1), ab, rhs))
+
+    def test_nonfinite_entry_fails_the_step(self):
+        ab, rhs = self._system()
+        rhs[7] = np.nan
+        with pytest.raises(StepFailureError, match="non-finite"):
+            vm.solve_banded(ab, rhs)
+
+    def test_zero_pivot_fails_the_step(self):
+        ab, rhs = self._system()
+        ab[1, 0] = ab[2, 0] = 0.0     # first column zero
+        with pytest.raises(StepFailureError, match="singular"):
+            vm.solve_banded(ab, rhs)
 
 
 class TestDiffusionBalance:
