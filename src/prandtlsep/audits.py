@@ -38,6 +38,12 @@ def audit_tol(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
                               np.full_like(np.asarray(scale, dtype=float), 1e-10)])
 
 
+def dyadic_ceil(x: float) -> float:
+    """Smallest power of 2 at or above x: calibrated constants are rounded
+    up to one, so later frames are checked against a round number."""
+    return float(2.0 ** np.ceil(np.log2(x)))
+
+
 @dataclass(frozen=True)
 class AuditReport:
     name: str
@@ -122,7 +128,7 @@ def calibrate_M2(ctx: OperatorContext, s: float, b: float, c: float = 0.7) -> fl
     inner = (y >= 1.0) & (y <= c * s ** (1.0 / 3.0))
     ratio = (1.0 - uyy[inner]) / (b * y[inner] ** 2)
     need = max(float(np.max(ratio)), 0.25)
-    return float(2.0 ** np.ceil(np.log2(1.10 * need)))
+    return dyadic_ceil(1.10 * need)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +142,16 @@ def _w_lower(psi, A_minus, btilde):
 
 def _w_upper(psi, A_plus, btilde):
     return (6.0 * psi) ** (4.0 / 3.0) / 4.0 + A_plus * psi ** (10.0 / 3.0) * btilde**2
+
+
+def _sandwich_domain(W: Field, btilde: float, C_minus: float) -> tuple:
+    """(bottom, psi, w, base) on the sandwich domain psi >= bottom =
+    C_minus btilde**(-3/4): the grid nodes and values there, and the
+    comparison profile (6 psi)**(4/3)/4 that both bounds perturb."""
+    bottom = C_minus * btilde ** (-0.75)
+    dom = W.grid.nodes >= bottom
+    p = W.grid.nodes[dom]
+    return bottom, p, W.values[dom], (6.0 * p) ** (4.0 / 3.0) / 4.0
 
 
 def _transport_diffusion(psi, w_vals, w_p, w_pp, ds_w, b):
@@ -155,14 +171,10 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     regularized rate).
     """
     psi = W.grid.nodes
-    bottom = C_minus * btilde ** (-0.75)
-    dom = psi >= bottom
-    if not dom.any():
+    bottom, p, w_data, base = _sandwich_domain(W, btilde, C_minus)
+    if not len(p):
         return AuditReport("sub-super-sandwich", "empty domain", 0.0, 0, 0,
                            {"bottom": bottom, "psi_max": float(psi[-1])})
-    p = psi[dom]
-    w_data = W.values[dom]
-    base = (6.0 * p) ** (4.0 / 3.0) / 4.0
     lower = _w_lower(p, A_minus, btilde)
     upper = _w_upper(p, A_plus, btilde)
     tol = SANDWICH_RTOL * np.maximum(base, 1.0)
@@ -216,22 +228,15 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
 
 def calibrate_A(W: Field, s: float, b: float, btilde: float, C_minus: float) -> tuple:
     """Smallest dyadic amplitudes making the sandwich pass at this slice."""
-    psi = W.grid.nodes
-    bottom = C_minus * btilde ** (-0.75)
-    dom = psi >= bottom
-    if not dom.any():
+    _, p, w_data, base = _sandwich_domain(W, btilde, C_minus)
+    if not len(p):
         raise DomainError("empty sandwich domain at the calibration slice")
-    p = psi[dom]
-    w_data = W.values[dom]
-    base = (6.0 * p) ** (4.0 / 3.0) / 4.0
     deficit = base - w_data
     corr_minus = p ** (7.0 / 3.0) * btilde**1.25
     corr_plus = p ** (10.0 / 3.0) * btilde**2
     need_minus = max(float(np.max(deficit / corr_minus)), 2.0**-10)
     need_plus = max(float(np.max(-deficit / corr_plus)), 2.0**-10)
-    a_minus = 2.0 ** np.ceil(np.log2(1.15 * need_minus))
-    a_plus = 2.0 ** np.ceil(np.log2(1.15 * need_plus))
-    return float(a_minus), float(a_plus)
+    return dyadic_ceil(1.15 * need_minus), dyadic_ceil(1.15 * need_plus)
 
 
 def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,

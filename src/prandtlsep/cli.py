@@ -64,10 +64,12 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 < self.lambda0 <= 0.2:
             raise ConfigError("lambda0 must lie in (0, 0.2]")
-        if self.x0_pressure <= 0.0:
-            raise ConfigError("x0_pressure must be positive")
-        if self.lambda_stop_factor <= 1.0:
-            raise ConfigError("lambda_stop_factor must exceed 1")
+        for name, low in (("x0_pressure", 0.0), ("lambda_stop_factor", 1.0),
+                          ("ds_rel", 0.0), ("snapshots_per_decade", 0.0)):
+            if not low < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and exceed {low:g}")
+        if not np.isfinite(self.perturbation_amplitude):
+            raise ConfigError("perturbation_amplitude must be finite")
         if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
             raise ConfigError("grid sizes too small")
 
@@ -381,6 +383,8 @@ def load_trajectory(outdir: str) -> tuple:
         raise MissingArtifactError(
             f"{man_path}: unknown config keys {sorted(unknown)}")
     cfg = RunConfig(**manifest["config"])
+    if not manifest["snapshots"]:
+        raise MissingArtifactError(f"{man_path}: no snapshots listed")
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, ["x", "lambda", "dx", "F_max",
                                     "monotonicity_min"], finite=("x", "lambda"))
@@ -415,8 +419,7 @@ def load_trajectory(outdir: str) -> tuple:
         s=md.accumulate_s(raw["x"], raw["lambda"], manifest["s0"]),
         dx=raw["dx"], F_max=raw["F_max"],
         mono_min=raw["monotonicity_min"], snapshots=snapshots,
-        psi_grid=grid, s0=manifest["s0"], lambda0=cfg.lambda0,
-        x0_pressure=cfg.x0_pressure, config=cfg.march_config(),
+        psi_grid=grid, s0=manifest["s0"],
         completed=manifest["completed"], failure=manifest["failure"])
     return cfg, traj
 

@@ -34,34 +34,34 @@ C_ZONE = 0.7
 class SnapshotFrame:
     """One snapshot in rescaled variables plus modulation data."""
 
-    index: int
-    x: float
     s: float
     lam: float
     b: float
-    bs: float
     btilde: float
     u: Field                # physical profile of the snapshot state
-    U: Field
     ctx: OperatorContext
     W_resc: Field
     trusted: np.ndarray
     report: Optional[en.EnergyReport] = None
 
 
-def rescale_snapshot_profile(snap: vm.Snapshot, u: Field,
-                             n_grid: int = 641) -> tuple:
-    """(U, ctx) of ``u``, the physical profile of ``snap``, in wall units."""
+def wall_units(u: Field, lam: float, grid: Grid) -> tuple:
+    """(U, ctx): the physical profile ``u`` of shear ``lam`` rescaled to
+    wall units on ``grid``, and its operator context."""
     # the tracked shear and the refitted wall slope drift apart as the shear
     # collapses: on the default run (n_psi = 2305) by 1e-4 at s ~ 700,
     # growing smoothly to 1.0% at s ~ 9e5; at n_psi = 4609 the drift stays
     # below 0.2%, so it is a phi-resolution effect of the march.  The
     # rescale refits the slope anyway, so diagnostics run with a loosened
     # cross-check
-    grid = md.standard_rescaled_grid(snap.s, n_grid)
-    U = md.rescale_profile(u, snap.lam, grid, slope_rtol=2.5e-2)
-    ctx = OperatorContext.from_profile(U, slope_tol=1e-6)
-    return U, ctx
+    U = md.rescale_profile(u, lam, grid, slope_rtol=2.5e-2)
+    return U, OperatorContext.from_profile(U)
+
+
+def rescale_snapshot_profile(snap: vm.Snapshot, u: Field,
+                             n_grid: int = 641) -> tuple:
+    """(U, ctx) of ``u``, the physical profile of ``snap``, in wall units."""
+    return wall_units(u, snap.lam, md.standard_rescaled_grid(snap.s, n_grid))
 
 
 def rescaled_streamfunction(snap: vm.Snapshot) -> tuple:
@@ -112,8 +112,7 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
                 resolved = False
             report = replace(report, resolved=resolved)
         frames.append(SnapshotFrame(
-            index=snap.index, x=snap.x, s=snap.s, lam=snap.lam,
-            b=b, bs=bs, btilde=bt, u=u, U=U, ctx=ctx,
+            s=snap.s, lam=snap.lam, b=b, btilde=bt, u=u, ctx=ctx,
             W_resc=W_resc, trusted=trusted, report=report,
         ))
     return frames
@@ -155,7 +154,7 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
     first = frames[0]
     M2 = au.calibrate_M2(first.ctx, first.s, first.b, c=C_ZONE)
     M0 = measure_M0(first.ctx, first.s)
-    M1 = float(2.0 ** np.ceil(np.log2(1.1 * max(M2, 1.0, M0))))
+    M1 = au.dyadic_ceil(1.1 * max(M2, 1.0, M0))
     alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
     a_minus, a_plus = None, None
     for fr in frames:
@@ -206,11 +205,9 @@ def commutator_identity_check(snap: vm.Snapshot, u: Field, b: float,
     s1, s2 = snap.s, snap.pair_s
     s_mid = 0.5 * (s1 + s2)
     grid = md.standard_rescaled_grid(s_mid, n_grid)
-    u2 = vm.from_von_mises(snap.pair_state)
-    U1 = md.rescale_profile(u, snap.lam, grid, slope_rtol=2.5e-2)
-    U2 = md.rescale_profile(u2, snap.pair_state.lam, grid, slope_rtol=2.5e-2)
-    ctx1 = OperatorContext.from_profile(U1, slope_tol=1e-6)
-    ctx2 = OperatorContext.from_profile(U2, slope_tol=1e-6)
+    U1, ctx1 = wall_units(u, snap.lam, grid)
+    U2, ctx2 = wall_units(vm.from_von_mises(snap.pair_state),
+                          snap.pair_state.lam, grid)
     U_mid = U1.with_values(0.5 * (U1.values + U2.values))
     ctx = OperatorContext.from_profile(U_mid, slope_tol=1e-3)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import profiles
 from .errors import DomainError
-from .gridfields import Field, diff
+from .gridfields import Field, cumtrapz, diff, lstsq_powers
 from .operators import (CHAIN_FITS, OperatorContext, clu_chain, op_cLU,
                         wall_slope_extrapolation)
 
@@ -98,10 +98,7 @@ def v_wall_ratio(V: Field, lo: float = 0.05, hi: float = 0.5) -> float:
     idx = np.nonzero((y >= lo) & (y <= hi))[0]
     if len(idx) < 4:
         raise DomainError("wall window under-resolved")
-    cols = np.stack([y[idx] ** 7, y[idx] ** 8], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
-    sol, *_ = np.linalg.lstsq(cols / norms, V.values[idx], rcond=None)
-    return float(sol[0] / norms[0])
+    return float(lstsq_powers(y[idx], V.values[idx], (7, 8))[0])
 
 
 def weighted_integral(values_sq: np.ndarray, grid, spec: WeightSpec, s: float) -> float:
@@ -161,7 +158,7 @@ def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec, s: float,
     cut = profiles.smoothstep_cutoff(y / s**0.25)
     integrand = np.zeros_like(y)
     integrand[1:] = (1.0 - cut[1:]) * f.values[1:] / u[1:] ** 2
-    inner = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(y))])
+    inner = cumtrapz(integrand, y)
     outer_zone = y >= c_zone * s ** (1.0 / 3.0)
     tail = float(np.trapezoid((u * inner**2 * w)[outer_zone], y[outer_zone])) if outer_zone.any() else 0.0
     return {

@@ -14,13 +14,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtrapolationError, TooFewNodesError
+from .errors import DomainError, ExtrapolationError, TooFewNodesError
 
 _MIN_NODES = 64
 
 # Stencil width per derivative order: formal accuracy is width - order for
 # arbitrary nodes, i.e. >= 3rd order interior for all three.
 _STENCIL_WIDTH = {1: 5, 2: 5, 3: 6}
+
+
+def window_starts(n: int, width: int) -> np.ndarray:
+    """First index of the centred ``width``-sample window of each of n
+    samples; the windows of the first and last samples are shifted inward."""
+    if n < width:
+        raise DomainError(f"need at least {width} samples")
+    return np.clip(np.arange(n) - width // 2, 0, n - width)
+
+
+def cumtrapz(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Trapezoidal primitive of ``values`` over ``nodes``, 0 at the first node."""
+    out = np.empty_like(values)
+    out[0] = 0.0
+    np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(nodes), out=out[1:])
+    return out
+
+
+def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
+    """Least-squares coefficients of v in the monomials y**p, p in ``powers``.
+
+    The columns are scaled to unit norm for the solve, which keeps the
+    high powers of a small wall window from being lost to conditioning.
+    """
+    cols = np.stack([y**p for p in powers], axis=1)
+    norms = np.linalg.norm(cols, axis=0)
+    norms[norms == 0.0] = 1.0
+    sol, *_ = np.linalg.lstsq(cols / norms, v, rcond=None)
+    return sol / norms
 
 
 def fd_weights(x: np.ndarray, x0: float | np.ndarray, order: int) -> np.ndarray:
@@ -103,22 +132,30 @@ class Grid:
         xi = np.linspace(0.0, 1.0, n)
         return cls(x_max * xi**exponent, "power")
 
-    def _diff_matrix(self, order: int):
-        if order in self._diff_cache:
-            return self._diff_cache[order]
+    def cached(self, key, build, *args):
+        """Grid-only data stored under ``key``: ``build(*args)`` on the first
+        call, the stored value after.  Its arrays are made read-only, since
+        every later caller shares them."""
+        try:
+            return self._diff_cache[key]
+        except KeyError:
+            value = build(*args)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            self._diff_cache[key] = value
+            return value
+
+    def _diff_matrix(self, order: int) -> tuple:
+        """(starts, weights) of the centred stencils of the given order,
+        shifted inward (one-sided) at both ends."""
         width = _STENCIL_WIDTH[order]
-        n = len(self.nodes)
-        if n < order + 3 or n < width:
-            raise TooFewNodesError(f"need >= {max(order + 3, width)} nodes for order {order}")
-        # centered windows, shifted inward (one-sided) at both ends
-        starts = np.clip(np.arange(n) - width // 2, 0, n - width)
+        starts = window_starts(len(self.nodes), width)
         weights = fd_weights(self.nodes[starts[:, None] + np.arange(width)],
                              self.nodes, order)
-        self._diff_cache[order] = (starts, weights)
         return starts, weights
 
     def apply_diff(self, values: np.ndarray, order: int) -> np.ndarray:
-        starts, weights = self._diff_matrix(order)
+        starts, weights = self.cached(order, self._diff_matrix, order)
         idx = starts[:, None] + np.arange(weights.shape[1])
         return np.einsum("ij,ij->i", weights, values[idx])
 
@@ -153,11 +190,7 @@ def diff(f: Field, order: int) -> Field:
 
 def cumint(f: Field) -> Field:
     """Trapezoidal primitive vanishing at the first node."""
-    x, v = f.grid.nodes, f.values
-    out = np.empty_like(v)
-    out[0] = 0.0
-    np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(x), out=out[1:])
-    return f.with_values(out)
+    return f.with_values(cumtrapz(f.values, f.grid.nodes))
 
 
 def smoothstep(t):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, FitFailureError, InconsistentLambdaError
-from .gridfields import Field, Grid, spline_interpolant
+from .gridfields import (Field, Grid, cumtrapz, lstsq_powers, spline_interpolant,
+                         window_starts)
 
 
 def standard_rescaled_grid(s: float, n: int = 641) -> Grid:
@@ -37,17 +38,12 @@ def rescale_profile(u: Field, lam: float, rescaled_grid: Grid,
     if np.count_nonzero(fit_zone) < 8:
         fit_zone = np.zeros_like(Y, dtype=bool)
         fit_zone[1:12] = True
-    cols = np.stack([Y[fit_zone] ** p for p in (1, 2, 3, 4)], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
-    cols /= norms
-
     u_at = spline_interpolant(u)
     lam_use = lam
     vals = None
     for _ in range(4):
         vals = u_at(lam_use * Y) / lam_use**2
-        sol, *_ = np.linalg.lstsq(cols, vals[fit_zone], rcond=None)
-        c1 = float(sol[0] / norms[0])
+        c1 = float(lstsq_powers(Y[fit_zone], vals[fit_zone], (1, 2, 3, 4))[0])
         if abs(c1 - 1.0) < 1e-9:
             break
         lam_use *= c1
@@ -64,27 +60,13 @@ def accumulate_s(x: np.ndarray, lam: np.ndarray, s0: float) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or np.any(np.diff(x) < 0.0):
         raise DomainError("need positive shear and non-decreasing x")
-    integrand = lam**-4.0
-    out = np.empty_like(x)
-    out[0] = s0
-    np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(x), out=out[1:])
-    out[1:] += s0
-    return out
-
-
-def _windows(n: int, window: int) -> np.ndarray:
-    """(n, window) indices of the centered window of each of n samples;
-    the windows of the first and last samples are shifted inward."""
-    if n < window:
-        raise DomainError(f"need at least {window} samples")
-    starts = np.clip(np.arange(n) - window // 2, 0, n - window)
-    return starts[:, None] + np.arange(window)
+    return s0 + cumtrapz(lam**-4.0, x)
 
 
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Least-squares slope of f(x) over a centered 5-sample window per sample."""
     window = 5
-    idx = _windows(len(x), window)
+    idx = window_starts(len(x), window)[:, None] + np.arange(window)
     xs = x[idx] - x[:, None]
     fs = f[idx]
     sum_x = np.sum(xs, axis=1)
@@ -101,7 +83,7 @@ def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    idx = _windows(len(x), window)
+    idx = window_starts(len(x), window)[:, None] + np.arange(window)
     xs, fs = x[idx], lam[idx]
     a, c = np.triu_indices(window, 1)
     lam_x = np.median((fs[:, a] - fs[:, c]) / (xs[:, a] - xs[:, c]), axis=1)
@@ -117,8 +99,7 @@ def evolve_btilde(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (b[1:] + b[:-1]) * np.diff(s))])
-    return np.exp(-acc) / s[0]
+    return np.exp(-cumtrapz(b, s)) / s[0]
 
 
 def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import InvalidProfileError, SingularInputError
-from .gridfields import Field, cumint, diff, smoothstep
+from .gridfields import Field, cumint, diff, lstsq_powers, smoothstep
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,6 @@ def clu_chain(ctx: "OperatorContext", v: "Field", k: int) -> "Field":
     return out
 
 
-def _poly_eval(coeffs, y):
-    out = np.zeros_like(y)
-    for c in reversed(list(coeffs)):
-        out = out * y + c
-    return out
-
-
 def _series_div(num, den, order):
     """Power-series quotient num/den up to Y**order; den[0] != 0."""
     out = np.zeros(order + 1)
@@ -91,14 +85,6 @@ def _window_indices(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if len(idx) < min_nodes:
         raise SingularInputError("grid too coarse for the wall-fit window")
     return idx
-
-
-def _lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
-    cols = np.stack([y**p for p in powers], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
-    norms[norms == 0.0] = 1.0
-    sol, *_ = np.linalg.lstsq(cols / norms, v, rcond=None)
-    return sol / norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +110,7 @@ class OperatorContext:
         if np.any(vals[1:] <= 0.0):
             raise InvalidProfileError("profile must be positive away from the wall")
         idx = _window_indices(y, y[1], DEFAULT_FIT.hi)
-        c = _lstsq_powers(y[idx], vals[idx], (1, 2, 3, 4))
+        c = lstsq_powers(y[idx], vals[idx], (1, 2, 3, 4))
         if abs(c[0] - 1.0) > slope_tol:
             raise InvalidProfileError(
                 f"wall slope {c[0]:.8f} outside 1 +/- {slope_tol:g}"
@@ -150,14 +136,13 @@ def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
     """
     y = ctx.grid.nodes
     idx = _window_indices(y, fit.lo, fit.hi)
-    coeffs = _lstsq_powers(y[idx], f[idx], fit.powers)
+    coeffs = lstsq_powers(y[idx], f[idx], fit.powers)
     scale = max(float(np.max(np.abs(f))), scale_hint, 1e-300)
     span = y[idx][-1]
     # probe the model residual for constant/linear content: structure the
     # vanishing model can represent must not trip the check
-    resid = f[idx] - _poly_eval(np.concatenate([[0.0] * fit.powers[0], coeffs]),
-                                y[idx])
-    probe = _lstsq_powers(y[idx], resid, (0, 1))
+    resid = f[idx] - polyval(y[idx], np.concatenate([[0.0] * fit.powers[0], coeffs]))
+    probe = lstsq_powers(y[idx], resid, (0, 1))
     low = abs(probe[0]) + abs(probe[1]) * span
     if low > fit.rel_tol * scale + 1e-14:
         raise SingularInputError(
@@ -171,14 +156,23 @@ def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
     return coeffs
 
 
-def _blend(y: np.ndarray, raw: np.ndarray, model: np.ndarray, fit: WallFit) -> np.ndarray:
-    """model below fit.lo, raw above fit.blend_hi, C2 smoothstep in between.
+def _wall_patched(y: np.ndarray, raw_tail: np.ndarray, model: np.ndarray,
+                  fit: WallFit) -> np.ndarray:
+    """A singular quotient spliced with its wall-series model.
 
-    The quintic ramp keeps the blended field twice differentiable, so a
-    later derivative stage sees no junction spike.
+    ``raw_tail`` holds the quotient on nodes 1.., where it is defined; the
+    wall node takes the model's value.  Below fit.lo the model replaces the
+    raw values, above fit.blend_hi they are kept, and a C2 smoothstep blends
+    the two in between: the quintic ramp keeps the result twice
+    differentiable, so a later derivative stage sees no junction spike.
     """
-    s = smoothstep((y - fit.lo) / (fit.blend_hi - fit.lo))
-    return (1.0 - s) * model + s * raw
+    out = np.empty_like(model)
+    out[1:] = raw_tail
+    out[0] = model[0]
+    inside = y <= fit.blend_hi
+    s = smoothstep((y[inside] - fit.lo) / (fit.blend_hi - fit.lo))
+    out[inside] = (1.0 - s) * model[inside] + s * out[inside]
+    return out
 
 
 def _model_series(ctx: OperatorContext, coeffs, fit: WallFit):
@@ -195,19 +189,8 @@ def _patched_quotients(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit
     y = ctx.grid.nodes
     u = ctx.U.values
     over_u2, over_u = _model_series(ctx, coeffs, fit)
-    g_raw = np.empty_like(f)
-    h_raw = np.empty_like(f)
-    g_raw[1:] = f[1:] / u[1:] ** 2
-    h_raw[1:] = f[1:] / u[1:]
-    g_model = _poly_eval(over_u2, y)
-    h_model = _poly_eval(over_u, y) * y
-    g_raw[0] = g_model[0]
-    h_raw[0] = 0.0
-    inside = y <= fit.blend_hi
-    g = g_raw.copy()
-    h = h_raw.copy()
-    g[inside] = _blend(y[inside], g_raw[inside], g_model[inside], fit)
-    h[inside] = _blend(y[inside], h_raw[inside], h_model[inside], fit)
+    g = _wall_patched(y, f[1:] / u[1:] ** 2, polyval(y, over_u2), fit)
+    h = _wall_patched(y, f[1:] / u[1:], polyval(y, over_u) * y, fit)
     return g, h
 
 
@@ -242,14 +225,9 @@ def op_commutator(ctx: OperatorContext, D: Field, w: Field,
     y = ctx.grid.nodes
     u = ctx.U.values
     idx = _window_indices(y, fit.lo, fit.hi)
-    dc = _lstsq_powers(y[idx], D.values[idx], (1, 2, 3))
+    dc = lstsq_powers(y[idx], D.values[idx], (1, 2, 3))
     ratio = _series_div(dc, ctx.near_wall, 4)  # (D/Y)/(U/Y) = D/U
-    d_over_u = np.empty_like(D.values)
-    d_over_u[1:] = D.values[1:] / u[1:]
-    model = _poly_eval(ratio, y)
-    d_over_u[0] = model[0]
-    inside = y <= fit.blend_hi
-    d_over_u[inside] = _blend(y[inside], d_over_u[inside], model[inside], fit)
+    d_over_u = _wall_patched(y, D.values[1:] / u[1:], polyval(y, ratio), fit)
     i2 = cumint(w.with_values(g * d_over_u)).values
     term2 = 2.0 * ctx.grid.apply_diff(u * i2, 1)
     return w.with_values(term1 + term2)
@@ -276,7 +254,6 @@ def dLinv(ctx: OperatorContext, w: Field, order: int,
     uyy = ctx.U_YY.values
     g, _ = _patched_quotients(ctx, w.values, coeffs, fit)
     integral = cumint(w.with_values(g)).values
-    inside = y <= fit.blend_hi
 
     def ser(a, n=8):
         a = np.asarray(a, dtype=float)
@@ -295,14 +272,9 @@ def dLinv(ctx: OperatorContext, w: Field, order: int,
     w_y = ctx.grid.apply_diff(w.values, 1)
 
     def patched(raw_tail: np.ndarray, num_series, den_series, shift: int) -> np.ndarray:
-        """Combine raw values (index >= 1) with a series model near the wall."""
-        out = np.empty_like(u)
-        out[1:] = raw_tail
-        model = _poly_eval(_series_div(ser(num_series)[shift : shift + 5],
-                                       den_series, 4), y)
-        out[0] = model[0]
-        out[inside] = _blend(y[inside], out[inside], model[inside], fit)
-        return out
+        model = polyval(y, _series_div(ser(num_series)[shift : shift + 5],
+                                       den_series, 4))
+        return _wall_patched(y, raw_tail, model, fit)
 
     cpoly = np.asarray(ctx.near_wall)
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import ratpoly
 from .errors import DomainError, InvalidInitialDataError
@@ -43,19 +44,12 @@ _P_TAIL = (1.0, 4.0 / 7.0, 44.0 / 49.0, 1.0, 1.0, 1.0, 2.0)
 _THETA_GAP = 1.0 - THETA_C0**2 / 2.0
 
 
-def _p_tail(t):
-    out = np.zeros_like(t)
-    for c in reversed(_P_TAIL):
-        out = out * t + c
-    return out
-
-
 def theta(xi):
     """Far-field completion: xi**2/2 up to c0, then a C2 rational rise to 1."""
     xi = np.asarray(xi, dtype=float)
     t = np.maximum(xi - THETA_C0, 0.0)
     inner = 0.5 * xi**2
-    outer = 1.0 - _THETA_GAP / _p_tail(t)
+    outer = 1.0 - _THETA_GAP / polyval(t, _P_TAIL)
     return np.where(xi <= THETA_C0, inner, outer)
 
 

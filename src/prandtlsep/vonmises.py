@@ -11,8 +11,8 @@ degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
-``gtsv`` (``solve_banded``), and the grid-only coefficients and spacings
-are built once per grid and cached on it.
+``gtsv`` (``solve_banded``); ``Grid.cached`` builds the grid-only data
+(difference weights, spacings, quadrature weights) once per grid.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -87,15 +87,12 @@ _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 def _normal_coordinate_weights(grid: Grid) -> tuple:
-    """Grid-only part of ``_normal_coordinate``, cached on the grid.
+    """Grid-only part of ``_normal_coordinate``.
 
     Returns the t-cell widths, the 4-node stencil starts, the Lagrange
     weights of the Gauss points on those stencils, and the weights that
     extrapolate nodes 1-3 quadratically to t = 0.
     """
-    cached = grid._diff_cache.get("normal_coordinate")
-    if cached is not None:
-        return cached
     t = np.sqrt(grid.nodes)
     n = len(t)
     h = np.diff(t)
@@ -112,9 +109,7 @@ def _normal_coordinate_weights(grid: Grid) -> tuple:
     wall = np.array([t2 * t3 / ((t1 - t2) * (t1 - t3)),
                      t1 * t3 / ((t2 - t1) * (t2 - t3)),
                      t1 * t2 / ((t3 - t1) * (t3 - t2))])
-    cached = (h, lo, lag, wall)
-    grid._diff_cache["normal_coordinate"] = cached
-    return cached
+    return h, lo, lag, wall
 
 
 def _normal_coordinate(grid: Grid, w: np.ndarray,
@@ -132,7 +127,8 @@ def _normal_coordinate(grid: Grid, w: np.ndarray,
     With ``m`` (4 <= m < len(grid)), y on the first m nodes only, the same
     values bit for bit: the last cell's 4-node stencil reads g up to node m.
     """
-    h, lo, lag, wall = _normal_coordinate_weights(grid)
+    h, lo, lag, wall = grid.cached("normal_coordinate",
+                                    _normal_coordinate_weights, grid)
     if m is not None:
         w = w[:m + 1]
         h, lo, lag = h[:m - 1], lo[:m - 1], lag[:m - 1]
@@ -319,11 +315,7 @@ def from_von_mises(state: VMState) -> Field:
 def _spacings(grid: Grid) -> tuple:
     """(hm, hp, np.diff(nodes)): the left and right spacings of the interior
     nodes, as views of the node spacings, which are cached on the grid."""
-    dphi = grid._diff_cache.get("spacings")
-    if dphi is None:
-        dphi = np.diff(grid.nodes)
-        dphi.flags.writeable = False
-        grid._diff_cache["spacings"] = dphi
+    dphi = grid.cached("spacings", np.diff, grid.nodes)
     return dphi[:-1], dphi[1:], dphi
 
 
@@ -381,17 +373,11 @@ def trusted_F_mask(state: VMState) -> np.ndarray:
 
 def _d2_weights(grid: Grid) -> tuple:
     """(a, b, c): weights of w_{i-1}, w_i, w_{i+1} in the second difference
-    at the interior nodes, cached on the grid."""
-    cached = grid._diff_cache.get("d2_weights")
-    if cached is None:
-        hm, hp, _ = _spacings(grid)
-        a = 2.0 / (hm * (hm + hp))      # weight of w_{i-1}
-        c = 2.0 / (hp * (hm + hp))      # weight of w_{i+1}
-        cached = (a, -(a + c), c)
-        for arr in cached:
-            arr.flags.writeable = False
-        grid._diff_cache["d2_weights"] = cached
-    return cached
+    at the interior nodes."""
+    hm, hp, _ = _spacings(grid)
+    a = 2.0 / (hm * (hm + hp))      # weight of w_{i-1}
+    c = 2.0 / (hp * (hm + hp))      # weight of w_{i+1}
+    return a, -(a + c), c
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -424,7 +410,7 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     to each row's own scale.
     """
     n = len(grid)
-    a, b, c = _d2_weights(grid)
+    a, b, c = grid.cached("d2_weights", _d2_weights, grid)
     r = tau * coeff[1:-1]
     diag = 1.0 - r * b
     ab = np.zeros((3, n))
@@ -539,9 +525,6 @@ class Trajectory:
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
     s0: float
-    lambda0: float
-    x0_pressure: float
-    config: MarchConfig
     completed: bool
     failure: str = ""
 
@@ -622,6 +605,5 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         x=np.array(xs), lam=np.array(lams), s=np.array(ss), dx=np.array(dxs),
         F_max=np.array(fmaxs), mono_min=np.array(monos),
         snapshots=snapshots, psi_grid=state.psi_grid, s0=data.s0,
-        lambda0=data.lambda0, x0_pressure=data.x0_pressure, config=cfg,
         completed=completed, failure=failure,
     )

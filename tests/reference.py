@@ -5,14 +5,17 @@ Each is a closed form, a forward operator or a bookkeeping helper that no
 the package implements; the derivatives of the profile's far-field
 completion; float evaluation of an exact polynomial; the uniform grid; the
 observed convergence order of an error sequence; a bitwise array
-comparison; and two per-step formulas of the march without its grid
-caches: the F roundoff floor with its spacings computed inline, and the
-wall shear with y(phi) integrated over the whole grid.
+comparison; the cumulative trapezoid as it was written inline before
+``gridfields.cumtrapz`` replaced the copies; and two per-step formulas of
+the march without its grid caches: the F roundoff floor with its spacings
+computed inline, and the wall shear with y(phi) integrated over the whole
+grid.
 """
 
 from typing import Iterable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
@@ -78,14 +81,14 @@ def _p_tail_second(t):
 def theta_prime(xi):
     xi = np.asarray(xi, dtype=float)
     t = np.maximum(xi - pr.THETA_C0, 0.0)
-    outer = pr._THETA_GAP * _p_tail_prime(t) / pr._p_tail(t) ** 2
+    outer = pr._THETA_GAP * _p_tail_prime(t) / polyval(t, pr._P_TAIL) ** 2
     return np.where(xi <= pr.THETA_C0, xi, outer)
 
 
 def theta_second(xi):
     xi = np.asarray(xi, dtype=float)
     t = np.maximum(xi - pr.THETA_C0, 0.0)
-    p, dp, d2p = pr._p_tail(t), _p_tail_prime(t), _p_tail_second(t)
+    p, dp, d2p = polyval(t, pr._P_TAIL), _p_tail_prime(t), _p_tail_second(t)
     outer = pr._THETA_GAP * (d2p * p - 2.0 * dp**2) / p**3
     return np.where(xi <= pr.THETA_C0, 1.0, outer)
 
@@ -106,6 +109,13 @@ def eval_uapp_Y(s: float, b: float, Y):
     return (pr.smoothstep_cutoff_prime(r) / scale * pr._bracket_poly(b, Y)
             + pr.smoothstep_cutoff(r) * _bracket_poly_prime(b, Y)
             + theta_prime(np.sqrt(b) * Y) / np.sqrt(b))
+
+
+def cumtrapz(values, nodes) -> np.ndarray:
+    """Trapezoidal primitive, 0 at the first node, in the inline form that
+    ``modulation.evolve_btilde`` and ``energies.coercivity_audit`` used."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1])
+                                            * np.diff(nodes))])
 
 
 def same_bits(a, b) -> bool:

@@ -32,10 +32,13 @@ def finished_run(tmp_path_factory):
 
 class TestConfig:
     def test_validation_catches_bad_values(self):
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig(lambda0=0.5).validate()
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig(lambda_stop_factor=1.0).validate()
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"lambda0": 0.5}, {"lambda_stop_factor": 1.0},
+                    {"ds_rel": 0.0}, {"ds_rel": nan},
+                    {"snapshots_per_decade": 0.0}, {"snapshots_per_decade": -8.0},
+                    {"x0_pressure": inf}, {"perturbation_amplitude": nan}):
+            with pytest.raises(cli.ConfigError):
+                cli.RunConfig(**bad).validate()
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, ds_rel=0.01)
@@ -86,10 +89,18 @@ class TestConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
 
-    def test_out_of_range_exit_code(self, tmp_path):
-        code = cli.main(["simulate", "--lambda0", "0.7",
-                         "--outdir", str(tmp_path)])
-        assert code == cli.EXIT_CONFIG
+    def test_out_of_range_exit_code(self, tmp_path, capsys):
+        # each is rejected before the march starts (ds_rel = 0 is left to
+        # the validation test: a march with it would take 200,000 steps)
+        for flag, value in (("--lambda0", "0.7"), ("--snapshots-per-decade", "0"),
+                            ("--snapshots-per-decade", "-8"), ("--ds-rel", "nan"),
+                            ("--x0-pressure", "inf"),
+                            ("--perturbation-amplitude", "nan")):
+            code = cli.main(["simulate", flag, value, "--outdir", str(tmp_path)])
+            assert code == cli.EXIT_CONFIG, flag
+            assert not os.listdir(tmp_path)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("configuration error:")
 
 
 class TestVerifyAlgebra:
@@ -175,7 +186,7 @@ class TestSimulateAndAudit:
         "unknown_config_key", "missing_config_key", "schema_version",
         "old_schema", "schema_2", "schema_3", "missing_s0",
         "missing_snapshot_key", "nan_value", "unsorted_phi",
-        "truncated_snapshot", "short_snapshot"])
+        "truncated_snapshot", "short_snapshot", "empty_snapshots"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -219,6 +230,8 @@ class TestSimulateAndAudit:
             del manifest["s0"]
         elif damage == "missing_snapshot_key":
             del manifest["snapshots"][2]["pair_lam"]
+        elif damage == "empty_snapshots":
+            manifest["snapshots"] = []
         elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot",
                         "short_snapshot"):
             rows = snap.read_text().splitlines()

@@ -31,7 +31,7 @@ class TestFrames:
     def test_profiles_normalized(self, frames):
         for fr in frames:
             assert abs(fr.ctx.near_wall[0] - 1.0) < 1e-6
-            assert fr.U.values[0] == 0.0
+            assert fr.ctx.U.values[0] == 0.0
 
     def test_streamfunction_scaling(self, frames, short_traj):
         fr = frames[2]

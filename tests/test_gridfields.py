@@ -2,7 +2,8 @@ from math import factorial
 
 import numpy as np
 import pytest
-from reference import convergence_order, uniform_grid
+import reference
+from reference import convergence_order, same_bits, uniform_grid
 
 from prandtlsep import gridfields as gf
 from prandtlsep.errors import ExtrapolationError, TooFewNodesError
@@ -126,6 +127,9 @@ class TestCumint:
             g = grid_maker(n)
             out = gf.cumint(gf.Field(g, 3 * g.nodes**2)).values
             errs.append(np.max(np.abs(out - g.nodes**3)))
+            # the plain-array primitive under cumint: the inline formula, bitwise
+            f = np.cos(g.nodes) ** 2
+            assert same_bits(gf.cumtrapz(f, g.nodes), reference.cumtrapz(f, g.nodes))
         assert convergence_order(errs) >= 1.9
 
     def test_monotone_for_nonnegative(self, grid_maker):

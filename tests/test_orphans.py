@@ -98,6 +98,14 @@ def _reachable(defs, roots, module_uses) -> set:
     return seen
 
 
+def test_grid_cache_is_reached_only_through_grid_cached():
+    # grid-only data is built and stored by Grid.cached, in gridfields
+    users = [os.path.basename(path)
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+             if "_diff_cache" in open(path).read()]
+    assert users == ["gridfields.py"]
+
+
 def test_every_function_is_reachable_from_the_cli():
     defs, roots, module_uses = _definitions()
     orphans = set(defs) - _reachable(defs, roots, module_uses)

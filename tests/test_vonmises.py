@@ -6,6 +6,7 @@ import reference
 import scipy.linalg
 from reference import same_bits, uniform_grid
 
+from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
 from prandtlsep import profiles as pr
@@ -77,7 +78,7 @@ class TestTransforms:
         assert np.max(rel) < 5e-9
 
         U = md.rescale_profile(u, 1.0, grid)
-        ctx = ops.OperatorContext.from_profile(U, slope_tol=1e-6)
+        ctx = ops.OperatorContext.from_profile(U)
         Y = grid.nodes
         near = (Y > 0.05) & (Y <= 0.2)
         assert np.max(np.abs(ctx.U_YY.values - (1 - b * Y**2 / 4))[near]) < 1e-9
@@ -140,12 +141,52 @@ class TestWallShearWindow:
 
 
 class TestGridCaches:
-    def test_d2_weights_built_once_per_grid(self):
+    @staticmethod
+    def _builds(monkeypatch, owner, name) -> list:
+        """Arguments of every call of ``owner.name`` from now on."""
+        calls = []
+        build = getattr(owner, name)
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @staticmethod
+    def _frozen(grid, key) -> bool:
+        # a cache hit never calls the builder, so None stands in for it
+        value = grid.cached(key, None)
+        arrays = value if isinstance(value, tuple) else (value,)
+        return all(not arr.flags.writeable for arr in arrays)
+
+    def test_d2_weights_built_once_per_grid(self, monkeypatch):
         grid = vm.default_psi_grid(3.0, 2305)
-        first = vm._d2_weights(grid)
-        second = vm._d2_weights(grid)
-        assert all(a is b for a, b in zip(first, second))
+        builds = self._builds(monkeypatch, vm, "_d2_weights")
+        w = grid.nodes ** 0.75
+        for _ in range(2):
+            vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1])
+        assert len(builds) == 1
+        assert self._frozen(grid, "d2_weights") and self._frozen(grid, "spacings")
         assert vm._spacings(grid)[2] is vm._spacings(grid)[2]
+
+    def test_normal_coordinate_weights_built_once_per_grid(self, monkeypatch):
+        grid = vm.default_psi_grid(3.0, 2305)
+        builds = self._builds(monkeypatch, vm, "_normal_coordinate_weights")
+        w = 2.0 * grid.nodes + grid.nodes ** 1.5
+        full = vm._normal_coordinate(grid, w)
+        assert same_bits(vm._normal_coordinate(grid, w, 640), full[:640])
+        assert len(builds) == 1
+        assert self._frozen(grid, "normal_coordinate")
+
+    def test_diff_stencils_built_once_per_grid(self, monkeypatch):
+        grid = Grid.power_clustered(641, 40.0, 5.0)
+        builds = self._builds(monkeypatch, gf, "fd_weights")
+        for order in (1, 2, 3, 1, 2, 3):
+            grid.apply_diff(np.sin(grid.nodes), order)
+        assert [args[2] for args in builds] == [1, 2, 3]
+        assert all(self._frozen(grid, order) for order in (1, 2, 3))
 
     def test_cached_spacings_give_the_inline_formula(self, short_traj):
         st = short_traj.snapshots[-1].state
