@@ -34,7 +34,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -227,6 +227,10 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: columns of trajectory.csv, one row per march station; ``s`` is the
+#: march's own slow-time clock
+_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "dx", "F_max", "monotonicity_min"]
+
 #: columns of energies.csv: EnergyReport fields, then its resolved flag
 _ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
                    "bs_plus_b2", "resolved_flag"]
@@ -245,7 +249,7 @@ def _write_manifest(cfg: RunConfig, snapshot_header: List[str],
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "config_hash": cfg.config_hash(),
         "columns": {
-            "trajectory.csv": ["x", "lambda", "dx", "F_max", "monotonicity_min"],
+            "trajectory.csv": _TRAJECTORY_COLUMNS,
             "snapshots.csv": snapshot_header,
             "energies.csv": _ENERGY_COLUMNS,
         },
@@ -268,8 +272,8 @@ def run_simulate(cfg: RunConfig) -> int:
     traj = vm.solve_until_separation(data, cfg.march_config())
     _atomic_write(
         os.path.join(cfg.outdir, "trajectory.csv"),
-        _csv_lines(["x", "lambda", "dx", "F_max", "monotonicity_min"],
-                   [traj.x, traj.lam, traj.dx, traj.F_max, traj.mono_min]))
+        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s, traj.dx,
+                                         traj.F_max, traj.mono_min]))
     # one table: the shared phi grid, then w of each snapshot and its pair
     header, columns, snap_meta = ["phi"], [traj.psi_grid.nodes], []
     for snap in traj.snapshots:
@@ -382,12 +386,17 @@ def load_trajectory(outdir: str) -> tuple:
     if unknown:
         raise MissingArtifactError(
             f"{man_path}: unknown config keys {sorted(unknown)}")
-    cfg = RunConfig(**manifest["config"])
+    try:
+        cfg = RunConfig(**{key: _config_value(key, value)
+                           for key, value in manifest["config"].items()})
+        cfg.validate()
+    except ConfigError as exc:
+        raise MissingArtifactError(f"{man_path}: {exc}") from exc
     if not manifest["snapshots"]:
         raise MissingArtifactError(f"{man_path}: no snapshots listed")
     # F_max is nan where a station has no trusted node
-    raw = _read_columns(traj_path, ["x", "lambda", "dx", "F_max",
-                                    "monotonicity_min"], finite=("x", "lambda"))
+    raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
+                        finite=("x", "lambda", "s"))
     names = ["phi"]
     for meta in manifest["snapshots"]:
         _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
@@ -415,9 +424,7 @@ def load_trajectory(outdir: str) -> tuple:
             pair_state=state(pair_name, meta["pair_x"], meta["pair_lam"]),
             pair_s=meta["pair_s"]))
     traj = vm.Trajectory(
-        x=raw["x"], lam=raw["lambda"],
-        s=md.accumulate_s(raw["x"], raw["lambda"], manifest["s0"]),
-        dx=raw["dx"], F_max=raw["F_max"],
+        x=raw["x"], lam=raw["lambda"], s=raw["s"], dx=raw["dx"], F_max=raw["F_max"],
         mono_min=raw["monotonicity_min"], snapshots=snapshots,
         psi_grid=grid, s0=manifest["s0"],
         completed=manifest["completed"], failure=manifest["failure"])

@@ -1,10 +1,11 @@
 """Self-similar post-processing: rescaling, modulation rate, collapse fit.
 
-The physical trajectory (x, lam(x)) is converted to the slow variable
-through ds/dx = lam**-4; profiles are rescaled by U(Y) = lam**-2 u(lam Y);
-the modulation rate b = -2 lam_x lam**3 is extracted with a smoothed local
-slope; and the wall-shear collapse law lam ~ C (x* - x)**p is fitted by
-nonlinear least squares in log-log form, with the exponent left free.
+The slow variable s, with ds/dx = lam**-4, is the march's own clock (see
+``vonmises.solve_until_separation``); profiles are rescaled by
+U(Y) = lam**-2 u(lam Y); the modulation rate b = -2 lam_x lam**3 is
+extracted with a smoothed local slope; and the wall-shear collapse law
+lam ~ C (x* - x)**p is fitted by nonlinear least squares in log-log form,
+with the exponent left free.
 """
 
 from __future__ import annotations
@@ -52,15 +53,6 @@ def rescale_profile(u: Field, lam: float, rescaled_grid: Grid,
             f"claimed shear {lam:.6g} vs wall-normalized {lam_use:.6g}"
         )
     return Field(rescaled_grid, vals)
-
-
-def accumulate_s(x: np.ndarray, lam: np.ndarray, s0: float) -> np.ndarray:
-    """Slow variable s(x) = s0 + int lam**-4 dx (trapezoid)."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0) or np.any(np.diff(x) < 0.0):
-        raise DomainError("need positive shear and non-decreasing x")
-    return s0 + cumtrapz(lam**-4.0, x)
 
 
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -125,14 +125,25 @@ class RationalPoly:
         if isinstance(other, (int, Fraction)):
             factor = _as_fraction(other)
             return RationalPoly({m: c * factor for m, c in self._terms.items()})
+        # no product of two capped polynomials passes 2*DEGREE_CAP in Y, so
+        # nothing is dropped here and the constructor's cap check still fires
+        return self.times(other, 2 * DEGREE_CAP)
+
+    __rmul__ = __mul__
+
+    def times(self, other: "RationalPoly", max_deg_Y: int) -> "RationalPoly":
+        """Product with every term above Y**max_deg_Y dropped as it forms.
+
+        Truncating during the product, not after it, keeps a power-series
+        product inside DEGREE_CAP even when the full product would not be.
+        """
         terms: Dict[Monomial, Fraction] = {}
         for (y1, b1, s1), c1 in self._terms.items():
             for (y2, b2, s2), c2 in other._terms.items():
-                mono = (y1 + y2, b1 + b2, s1 + s2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                if y1 + y2 <= max_deg_Y:
+                    mono = (y1 + y2, b1 + b2, s1 + s2)
+                    terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
         return RationalPoly(terms)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPoly):
@@ -197,6 +208,24 @@ class RationalPoly:
     def truncate_degree_Y(self, max_deg: int) -> "RationalPoly":
         return RationalPoly({m: c for m, c in self._terms.items() if m[0] <= max_deg})
 
+    def divide_Y(self, k: int) -> "RationalPoly":
+        """self / Y**k; every term must carry at least Y**k."""
+        if any(m[0] < k for m in self._terms):
+            raise UnsupportedInputError(f"polynomial does not vanish to order {k} at the wall")
+        return RationalPoly({(dy - k, db, dbs): c for (dy, db, dbs), c in self._terms.items()})
+
+    def reciprocal_Y(self, order: int) -> "RationalPoly":
+        """Power series of 1/self through Y**order, for a polynomial in Y
+        alone with a nonzero constant term."""
+        a0 = self.coeff(0)
+        if a0 == 0 or any(db or dbs for _, db, dbs in self._terms):
+            raise UnsupportedInputError(
+                "series reciprocal needs a nonzero constant term and no b or b_s")
+        inv = [1 / a0]
+        for n in range(1, order + 1):
+            inv.append(-sum(self.coeff(k) * inv[n - k] for k in range(1, n + 1)) / a0)
+        return RationalPoly({(n, 0, 0): c for n, c in enumerate(inv)})
+
     # -- text form --------------------------------------------------------------
 
     def canonical_str(self) -> str:
@@ -221,6 +250,10 @@ class RationalPoly:
 
     def __repr__(self) -> str:
         return f"RationalPoly({self.canonical_str()})"
+
+
+#: the first profile iterate, U_1 = Y + Y**2/2
+U1 = RationalPoly.Y() + RationalPoly.monomial(Fraction(1, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +310,22 @@ def next_iterate(u: RationalPoly) -> RationalPoly:
 
 def profile_chain(n: int) -> list[RationalPoly]:
     """[U_1, ..., U_n] starting from U_1 = Y + Y**2/2."""
-    u = RationalPoly.Y() + RationalPoly.monomial(Fraction(1, 2), 2)
-    chain = [u]
+    chain = [U1]
     for _ in range(n - 1):
-        u = next_iterate(u)
-        chain.append(u)
+        chain.append(next_iterate(chain[-1]))
     return chain
 
 
-def profile_coefficients() -> Dict[str, Fraction]:
+def profile_coefficients(u4: RationalPoly | None = None) -> Dict[str, Fraction]:
     """Exact coefficients of the fourth iterate, keyed a4, a7, a10, a11, a13, a16.
 
     Sign convention: the iterate is
     Y + Y**2/2 - a4 b Y**4 - a7 b**2 Y**7 - a10 b**3 Y**10 - a11 b**3 Y**11
-    + a13 b**4 Y**13 + a16 b**5 Y**16.
+    + a13 b**4 Y**13 + a16 b**5 Y**16.  They are read off ``u4``, which is
+    built by the recursion when not given.
     """
-    u4 = profile_chain(4)[-1]
+    if u4 is None:
+        u4 = profile_chain(4)[-1]
     return {
         "a4": -u4.coeff(4, 1),
         "a7": -u4.coeff(7, 2),
@@ -328,17 +361,22 @@ class RemainderDecomposition:
 
     ``bs_b2_coeff``: polynomial multiplying (b_s + b**2);
     ``b4_part``: the pure-b**4 polynomial part;
-    ``inner_bracket``: the polynomial fed to the inverse operator after the
-    Y**7 leftover is traded against L_{U}(Y**7) (its Y**8/Y**9 entries must
-    cancel exactly);
     ``d_terms``: surviving bracket coefficients keyed by (deg_Y, deg_b).
     """
 
     bs_b2_coeff: RationalPoly
     b4_part: RationalPoly
     leftover_b3_y7: Fraction
-    inner_bracket: RationalPoly
     d_terms: Dict[Tuple[int, int], Fraction]
+
+
+def _remainder_shapes(c: Mapping[str, Fraction]) -> Tuple[RationalPoly, RationalPoly]:
+    """The (b_s + b**2) coefficient and the pure-b**4 part of the remainder
+    for the chain coefficients ``c`` (see remainder_decomposition)."""
+    mono = RationalPoly.monomial
+    aligned = (mono(c["a4"], 4, 0) + mono(2 * c["a7"], 7, 1)
+               + mono(3 * c["a10"], 10, 2) + mono(3 * c["a11"], 11, 2))
+    return aligned, mono(c["a10"], 10, 4) + mono(Fraction(3, 2) * c["a11"], 11, 4)
 
 
 def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
@@ -351,37 +389,28 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
         (b_s + b**2) * [a4 Y**4 + 2 a7 b Y**7 + 3 a10 b**2 Y**10
                         + 3 a11 b**2 Y**11]
         + [a10 b**4 Y**10 + (3/2) a11 b**4 Y**11]
-        + (a7/2) b**3 Y**7.
+        + (a7/2) b**3 Y**7,
 
-    The last monomial is rewritten through the inverse operator against
-    L_P(Y**7) and combined with the curvature defect of P; the Y**8 and
-    Y**9 entries of the resulting bracket must vanish identically, and the
-    survivors are the d-coefficients.  Any shape mismatch raises.
+    with a4...a11 read off ``u4``.  The last monomial is rewritten through
+    the inverse operator against L_P(Y**7) and combined with the curvature
+    defect of P; the Y**8 and Y**9 entries of the resulting bracket must
+    vanish identically, and the survivors are the d-coefficients.  Any shape
+    mismatch raises.
     """
-    coeffs = profile_coefficients()
-    a4, a7, a10, a11 = coeffs["a4"], coeffs["a7"], coeffs["a10"], coeffs["a11"]
+    coeffs = profile_coefficients(u4)
+    expected_aligned, expected_b4 = _remainder_shapes(coeffs)
 
     p = u4.truncate_degree_Y(11)
     b = RationalPoly.b()
     y = RationalPoly.Y()
 
-    transport = (
-        p.s_derivative()
-        - b * p
-        + Fraction(1, 2) * b * y * p.derivative_Y()
-        + Fraction(1, 2) * b * y
-    )
+    transport = (p.s_derivative() - b * p + Fraction(1, 2) * b * y * p.derivative_Y()
+                 + Fraction(1, 2) * b * y)
     main = -transport
     aligned, rest = main.split_bs_linear()
     # main = aligned*b_s + rest = aligned*(b_s + b**2) + (rest - aligned*b**2)
     pure = rest - (aligned * b * b)
 
-    expected_aligned = (
-        RationalPoly.monomial(a4, 4, 0)
-        + RationalPoly.monomial(2 * a7, 7, 1)
-        + RationalPoly.monomial(3 * a10, 10, 2)
-        + RationalPoly.monomial(3 * a11, 11, 2)
-    )
     if aligned != expected_aligned:
         raise AlgebraCertificateError(
             "modulation-aligned remainder part has unexpected shape: "
@@ -389,9 +418,6 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
         )
 
     b4_part = RationalPoly({m: c for m, c in pure.terms.items() if m[0] >= 10})
-    expected_b4 = RationalPoly.monomial(a10, 10, 4) + RationalPoly.monomial(
-        Fraction(3, 2) * a11, 11, 4
-    )
     if b4_part != expected_b4:
         raise AlgebraCertificateError(
             "pure-b**4 remainder part has unexpected shape: " + b4_part.canonical_str()
@@ -404,7 +430,7 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
             + leftover.canonical_str()
         )
     c7 = leftover.coeff(7, 3)
-    if c7 != a7 / 2:
+    if c7 != coeffs["a7"] / 2:
         raise AlgebraCertificateError(f"b**3 Y**7 leftover is {c7}, expected a7/2")
 
     # Curvature defect of P beyond the head (b/2) L_P(Y), then the traded term.
@@ -428,13 +454,8 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
             f"bracket supported on {sorted(d_terms)}, expected {sorted(expected_keys)}"
         )
 
-    return RemainderDecomposition(
-        bs_b2_coeff=aligned,
-        b4_part=b4_part,
-        leftover_b3_y7=c7,
-        inner_bracket=bracket,
-        d_terms=d_terms,
-    )
+    return RemainderDecomposition(bs_b2_coeff=aligned, b4_part=b4_part,
+                                  leftover_b3_y7=c7, d_terms=d_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -442,88 +463,34 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def series_mul(a: Tuple[Fraction, ...], c: Tuple[Fraction, ...], order: int) -> Tuple[Fraction, ...]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, cj in enumerate(c):
-            if i + j > order:
-                break
-            if cj != 0:
-                out[i + j] += ai * cj
-    return tuple(out)
-
-
-def series_inv(a: Tuple[Fraction, ...], order: int) -> Tuple[Fraction, ...]:
-    """Reciprocal power series; requires a[0] != 0."""
-    if not a or a[0] == 0:
-        raise UnsupportedInputError("series reciprocal needs a nonzero constant term")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / a[0]
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else Fraction(0)
-            acc += ak * inv[n - k]
-        inv[n] = -acc / a[0]
-    return tuple(inv)
-
-
-def series_shift_down(a: Tuple[Fraction, ...], k: int) -> Tuple[Fraction, ...]:
-    """Divide by Y**k; the dropped coefficients must vanish."""
-    if any(c != 0 for c in a[:k]):
-        raise UnsupportedInputError(f"series does not vanish to order {k} at the wall")
-    return tuple(a[k:])
-
-
-def series_integrate(a: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(a))
-
-
-def series_derivative(a: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    if len(a) <= 1:
-        return (Fraction(0),)
-    return tuple(c * i for i, c in enumerate(a))[1:]
-
-
-def linv_series(u: Tuple[Fraction, ...], f: Tuple[Fraction, ...], order: int) -> Tuple[Fraction, ...]:
+def linv_series(u: RationalPoly, f: RationalPoly, order: int) -> RationalPoly:
     """Wall Taylor series of the inverse operator:  U_Y int_0^Y f/U**2 + f/U.
 
     ``u`` must vanish at 0 with unit slope; ``f`` must vanish to second
-    order.  All arithmetic exact.
+    order; the series runs through Y**order.  All arithmetic exact.
     """
     work = order + 4
-    u = tuple(u) + (Fraction(0),) * max(0, work + 1 - len(u))
-    f = tuple(f) + (Fraction(0),) * max(0, work + 1 - len(f))
-    p = series_shift_down(u, 1)  # u / Y, p[0] = 1
-    q = series_shift_down(f, 2)  # f / Y**2
-    inv_p = series_inv(p, work)
-    inv_p2 = series_mul(inv_p, inv_p, work)
-    integrand = series_mul(q, inv_p2, work)  # f / u**2
-    integral = series_integrate(integrand)
-    uy = series_derivative(u) + (Fraction(0),)
-    part1 = series_mul(uy, integral, work)
-    f_over_u = series_mul(series_shift_down(f, 1), inv_p, work)  # (f/Y)/(u/Y)
-    out = tuple(part1[i] + f_over_u[i] for i in range(work + 1))
-    return out[: order + 1]
+    inv_p = u.divide_Y(1).reciprocal_Y(work)  # Y / u
+    integrand = f.divide_Y(2).times(inv_p.times(inv_p, work), work)  # f / u**2
+    part1 = u.derivative_Y().times(integrand.antiderivative_Y(), work)
+    f_over_u = f.divide_Y(1).times(inv_p, work)  # (f/Y)/(u/Y)
+    return (part1 + f_over_u).truncate_degree_Y(order)
 
 
-def clu_series(u: Tuple[Fraction, ...], v: Tuple[Fraction, ...], order: int) -> Tuple[Fraction, ...]:
+def clu_series(u: RationalPoly, v: RationalPoly, order: int) -> RationalPoly:
     """Series of the diffusion operator (inverse of L composed with d2/dY2)."""
-    d2v = series_derivative(series_derivative(v))
-    return linv_series(u, d2v, order)
+    return linv_series(u, v.derivative_Y().derivative_Y(), order)
 
 
-def wall_trace_coefficient(u: Tuple[Fraction, ...], v: Tuple[Fraction, ...]) -> Fraction:
+def wall_trace_coefficient(u: RationalPoly, v: RationalPoly) -> Fraction:
     """d/dY at Y=0 of the twice-applied diffusion operator on v.
 
     This is the wall functional that reads the modulation defect off the
     corrector; exact rational output.
     """
-    g = clu_series(u, v, len(v) + 4)
-    h = clu_series(u, g, 4)
-    return h[1] if len(h) > 1 else Fraction(0)
+    # the arithmetic is exact, so any inner order 3 or more past the outer
+    # one gives the same coefficient
+    return clu_series(u, clu_series(u, v, 19), 4).coeff(1)
 
 
 def perturbation_y8_weight() -> Fraction:
@@ -531,20 +498,10 @@ def perturbation_y8_weight() -> Fraction:
 
     Chosen so the wall trace of Y**7 + c8*Y**8 has no linear Y-correction,
     which keeps the second trace derivative at the size of the modulation
-    defect.  Computed exactly from the series oracle on Y + Y**2/2.
+    defect.  Computed exactly from the series oracle on U_1.
     """
-    order = 14
-    u = (Fraction(0), Fraction(1), Fraction(1, 2)) + (Fraction(0),) * (order - 2)
-
-    def trace_linear(power: int) -> Tuple[Fraction, Fraction]:
-        v = [Fraction(0)] * (order + 1)
-        v[power] = Fraction(1)
-        g = clu_series(u, tuple(v), order)
-        h = clu_series(u, g, 5)
-        return h[1], h[2]
-
-    _, y7_quad = trace_linear(7)
-    _, y8_quad = trace_linear(8)
+    y7_quad, y8_quad = (clu_series(U1, clu_series(U1, RationalPoly.Y(power), 14), 5).coeff(2)
+                        for power in (7, 8))
     if y8_quad == 0:
         raise AlgebraCertificateError("Y**8 companion has no quadratic trace response")
     return -y7_quad / y8_quad
@@ -631,19 +588,9 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
 
     try:
         dec = remainder_decomposition(u4)
-        add(
-            "remainder: (b_s+b^2) coefficient",
-            RationalPoly.monomial(a4, 4, 0)
-            + RationalPoly.monomial(2 * a7, 7, 1)
-            + RationalPoly.monomial(3 * a10, 10, 2)
-            + RationalPoly.monomial(3 * a11, 11, 2),
-            dec.bs_b2_coeff,
-        )
-        add(
-            "remainder: pure b^4 part",
-            RationalPoly.monomial(a10, 10, 4) + RationalPoly.monomial(Fraction(3, 2) * a11, 11, 4),
-            dec.b4_part,
-        )
+        aligned, b4 = _remainder_shapes({"a4": a4, "a7": a7, "a10": a10, "a11": a11})
+        add("remainder: (b_s+b^2) coefficient", aligned, dec.bs_b2_coeff)
+        add("remainder: pure b^4 part", b4, dec.b4_part)
         d_str = ", ".join(
             f"d[Y^{dy} b^{db}] = {dec.d_terms[(dy, db)]}" for dy, db in sorted(dec.d_terms)
         )
@@ -655,17 +602,14 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
     add("corrector Y^7 coefficient = -8 a7/5 = -1/2520", Fraction(-8, 5) * a7, c7v)
     add("corrector Y^8 coefficient = -3 a4/560 = -1/8960", Fraction(-3, 560) * a4, c8v)
 
-    order = 14
-    base = (Fraction(0), Fraction(1), Fraction(1, 2)) + (Fraction(0),) * (order - 2)
-    y7 = tuple(Fraction(1) if i == 7 else Fraction(0) for i in range(order + 1))
-    t7 = wall_trace_coefficient(base, y7)
+    t7 = wall_trace_coefficient(u1, ysym(7))
     add("wall trace of Y^7 on Y + Y^2/2", Fraction(1260), t7)
     add("corrector trace = -1/2 of modulation defect", Fraction(-1, 2), c7v * t7)
 
     c8 = perturbation_y8_weight()
     add("perturbation companion weight c8 = 9/32", Fraction(9, 32), c8)
 
-    coeffs = profile_coefficients()
+    coeffs = profile_coefficients(u4)
     scaling = (
         f"c7 = 4*a7 = {4 * coeffs['a7']}, c10 = 8*a10 = {8 * coeffs['a10']}, "
         f"c11 = 8*a11 = {8 * coeffs['a11']}"

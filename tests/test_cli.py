@@ -57,6 +57,18 @@ class TestConfig:
                 if line.split("#", 1)[0].strip()]
         assert sorted(keys) == sorted(f.name for f in cli.fields(cli.RunConfig))
 
+    def test_readme_api_tour_runs(self, capsys):
+        # the python block of README.md runs as printed: one default march,
+        # the collapse fit and the audit suite
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        (block,) = [part.split("```", 1)[0]
+                    for part in readme.split("```python\n")[1:]]
+        exec(compile(block, "README.md", "exec"), {})
+        exponent, all_passed = capsys.readouterr().out.split()
+        assert abs(float(exponent) - 0.5) < 0.05
+        assert all_passed == "True"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("no_such_key = 3\n")
@@ -186,7 +198,8 @@ class TestSimulateAndAudit:
         "unknown_config_key", "missing_config_key", "schema_version",
         "old_schema", "schema_2", "schema_3", "missing_s0",
         "missing_snapshot_key", "nan_value", "unsorted_phi",
-        "truncated_snapshot", "short_snapshot", "empty_snapshots"])
+        "truncated_snapshot", "short_snapshot", "empty_snapshots",
+        "config_out_of_range", "config_not_a_number"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -212,6 +225,10 @@ class TestSimulateAndAudit:
             manifest["config"]["no_such_key"] = 1
         elif damage == "missing_config_key":
             del manifest["config"]["n_rescaled"]
+        elif damage == "config_out_of_range":
+            manifest["config"]["n_rescaled"] = 20
+        elif damage == "config_not_a_number":
+            manifest["config"]["lambda0"] = "abc"
         elif damage == "schema_version":
             manifest["schema_version"] = cli.SCHEMA_VERSION + 1
         elif damage == "old_schema":
@@ -281,6 +298,9 @@ class TestSimulateAndAudit:
         assert cfg.lambda0 == quick_cfg.lambda0
         assert len(traj.x) > 10
         (ref,) = marched
+        # the loaded stations and slow-time clock are the march's, bit for bit
+        for got, want in ((traj.x, ref.x), (traj.lam, ref.lam), (traj.s, ref.s)):
+            assert np.array_equal(got, want)
         assert len(traj.snapshots) == len(ref.snapshots) > 2
         assert np.array_equal(traj.psi_grid.nodes, ref.psi_grid.nodes)
         for got, want in zip(traj.snapshots, ref.snapshots):

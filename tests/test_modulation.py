@@ -10,40 +10,6 @@ from prandtlsep.errors import DomainError, InconsistentLambdaError
 from prandtlsep.gridfields import Field, Grid
 
 
-class TestAccumulate:
-    def test_constant_shear(self):
-        x = np.linspace(0.0, 3.0, 200)
-        s = md.accumulate_s(x, np.ones_like(x), 10.0)
-        assert np.allclose(s, 10.0 + x, atol=1e-14)
-
-    def test_exact_collapse_law_round_trip(self):
-        # lam(s) = lam0 sqrt(s0/s) transported to x and back
-        s0 = 100.0
-        ss = np.geomspace(s0, 1e5, 4000)
-        lam = 0.05 * np.sqrt(s0 / ss)
-        x = np.concatenate([[0.0], np.cumsum(
-            0.5 * (lam[1:] ** 4 + lam[:-1] ** 4) * np.diff(ss))])
-        s_back = md.accumulate_s(x, lam, s0)
-        assert np.max(np.abs(s_back - ss) / ss) < 5e-5
-        # x* - x ~ (lam0^4 s0^2)/s
-        x_star = x[-1] + lam[-1] ** 4 * ss[-1]
-        assert abs((x_star - x[0]) - 0.05**4 * s0) / (0.05**4 * s0) < 2e-2
-
-    def test_pointwise_consistency(self):
-        s0 = 50.0
-        ss = np.geomspace(s0, 1e4, 3000)
-        lam = 0.1 * (s0 / ss) ** 0.5
-        x = np.concatenate([[0.0], np.cumsum(
-            0.5 * (lam[1:] ** 4 + lam[:-1] ** 4) * np.diff(ss))])
-        s = md.accumulate_s(x, lam, s0)
-        ds_dx = np.gradient(s, x)
-        assert np.max(np.abs(ds_dx * lam**4 - 1.0)[2:-2]) < 5e-3
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            md.accumulate_s(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 1.0)
-
-
 class TestModulationRate:
     def test_synthetic_inverse_law(self):
         s0 = 100.0

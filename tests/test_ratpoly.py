@@ -29,6 +29,9 @@ class TestArithmetic:
     def test_square(self):
         u = Y() + mono((1, 2), 2)
         assert u * u == mono(1, 2) + mono(1, 3) + mono((1, 4), 4)
+        # the truncated product is the full product cut at the given degree
+        for max_deg in range(6):
+            assert u.times(u, max_deg) == (u * u).truncate_degree_Y(max_deg)
 
     def test_monomial_product(self):
         assert mono(1, 4, 1) * mono(1, 1, 0, 1) == P({(5, 1, 1): F(1)})
@@ -189,10 +192,8 @@ class TestRemainderDecomposition:
 
 class TestSeriesOracle:
     def test_wall_trace_of_y7(self):
-        order = 14
-        u = (F(0), F(1), F(1, 2)) + (F(0),) * (order - 2)
-        v = tuple(F(1) if i == 7 else F(0) for i in range(order + 1))
-        assert rp.wall_trace_coefficient(u, v) == 1260
+        u = Y() + mono((1, 2), 2)
+        assert rp.wall_trace_coefficient(u, Y(7)) == 1260
 
     def test_trace_times_leading_coefficient_is_half(self):
         c7, _ = rp.leading_V_coefficients()
@@ -205,13 +206,22 @@ class TestSeriesOracle:
         # Linv(U^2) = U + Y U_Y for U = Y + Y^2/2:
         # series check of the non-local inverse
         order = 8
-        u = (F(0), F(1), F(1, 2)) + (F(0),) * (order - 2)
-        u2 = rp.series_mul(u, u, order)
-        got = rp.linv_series(u, u2, order)
-        uy = rp.series_derivative(u) + (F(0),)
-        y_uy = (F(0),) + tuple(uy[:order])
-        expected = tuple(u[i] + y_uy[i] for i in range(order + 1))
-        assert got[: order - 1] == expected[: order - 1]
+        u = Y() + mono((1, 2), 2)
+        assert rp.linv_series(u, u * u, order) == u + Y() * u.derivative_Y()
+        # the series inverse of u/Y, which the oracle divides by:
+        # p * p^-1 = 1 + O(Y^(n+1))
+        p = u.divide_Y(1)
+        for n in range(order + 1):
+            inv = p.reciprocal_Y(n)
+            assert inv.truncate_degree_Y(n) == inv
+            assert (p * inv).truncate_degree_Y(n) == mono(1)
+        # f must vanish to second order at the wall, u must have a slope there
+        with pytest.raises(UnsupportedInputError):
+            rp.linv_series(u, Y(), order)
+        with pytest.raises(UnsupportedInputError):
+            Y(2).divide_Y(3)
+        with pytest.raises(UnsupportedInputError):
+            Y(2).divide_Y(1).reciprocal_Y(order)
 
 
 class TestSerialization:
