@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, List, Optional
 
@@ -41,6 +40,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 EXIT_MISSING = 4
+
+#: The march takes about 650 steps per decade of the wall shear on the
+#: default configuration, so at this bound a snapshot (a marching pair)
+#: falls about every 11th step: 102 pairs and 9.6 MB of snapshots.csv.
+#: At 1000 per decade every step was a snapshot, and the file was 100 MB.
+MAX_SNAPSHOTS_PER_DECADE = 64.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +73,9 @@ class RunConfig:
                           ("ds_rel", 0.0), ("snapshots_per_decade", 0.0)):
             if not low < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and exceed {low:g}")
+        if self.snapshots_per_decade > MAX_SNAPSHOTS_PER_DECADE:
+            raise ConfigError("snapshots_per_decade must not exceed "
+                              f"{MAX_SNAPSHOTS_PER_DECADE:g}")
         if not np.isfinite(self.perturbation_amplitude):
             raise ConfigError("perturbation_amplitude must be finite")
         if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
@@ -497,6 +505,10 @@ def _sweep_worker(args: tuple) -> dict:
 
 
 def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
+    # only sweep starts processes: the pool machinery stays out of the import
+    # that every subcommand pays for
+    from concurrent.futures import ProcessPoolExecutor
+
     if len(lambda0_list) < 2:
         raise ConfigError("sweep needs at least two lambda0 values")
     base = {f.name: getattr(cfg, f.name) for f in fields(cfg)}

@@ -247,8 +247,8 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
     g = g_base * D + h * descent_prime(y_c)
     u_vals = cumint(Field(grid, u_prime)).values
 
-    c8 = float(ratpoly.perturbation_y8_weight())
-    v, v1, v2 = _perturbation(y, lambda0, perturbation_amplitude, c8)
+    v, v1, v2 = _perturbation(y, lambda0, perturbation_amplitude,
+                              float(ratpoly.PERTURBATION_Y8_WEIGHT))
     u_vals = u_vals + v
     u_prime = u_prime + v1
     g = g + v2

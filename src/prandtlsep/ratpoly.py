@@ -493,6 +493,11 @@ def wall_trace_coefficient(u: RationalPoly, v: RationalPoly) -> Fraction:
     return clu_series(u, clu_series(u, v, 19), 4).coeff(1)
 
 
+#: c8 of ``perturbation_y8_weight``, which the march's inflow perturbation
+#: uses; the algebra certificate re-derives it from the series
+PERTURBATION_Y8_WEIGHT = Fraction(9, 32)
+
+
 def perturbation_y8_weight() -> Fraction:
     """Ratio tuning the Y**8 companion of a Y**7 wall perturbation.
 
@@ -606,8 +611,8 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
     add("wall trace of Y^7 on Y + Y^2/2", Fraction(1260), t7)
     add("corrector trace = -1/2 of modulation defect", Fraction(-1, 2), c7v * t7)
 
-    c8 = perturbation_y8_weight()
-    add("perturbation companion weight c8 = 9/32", Fraction(9, 32), c8)
+    add("perturbation companion weight c8 = 9/32", PERTURBATION_Y8_WEIGHT,
+        perturbation_y8_weight())
 
     coeffs = profile_coefficients(u4)
     scaling = (

@@ -11,8 +11,9 @@ degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
-``gtsv`` (``solve_banded``); ``Grid.cached`` builds the grid-only data
-(difference weights, spacings, quadrature weights) once per grid.
+``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
+refill in place; ``Grid.cached`` builds the grid-only data (difference
+weights, spacings, quadrature weights) once per grid.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -31,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidProfileError, InvalidStateError, StepFailureError
 from .gridfields import Field, Grid, diff
@@ -380,25 +380,43 @@ def _d2_weights(grid: Grid) -> tuple:
     return a, -(a + c), c
 
 
+#: LAPACK ``dgtsv``, bound by the first ``solve_banded`` call: importing
+#: scipy.linalg takes about 0.3 s, which only a march needs to pay
+_dgtsv = None
+
+
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system ``ab`` x = rhs by LAPACK ``gtsv``.
 
     ``ab`` holds the three diagonals in the (1, 1) form of
     ``scipy.linalg.solve_banded``, and the result is the same bit for bit:
     the same ``gtsv`` call on the same diagonals, without the wrapper's
-    per-call argument handling.  A non-finite entry or a singular matrix
-    fails the step.
+    per-call argument handling.  ``gtsv`` works on copies, so ``ab`` and
+    ``rhs`` are left as they are and the result is a new array.  A
+    non-finite entry or a singular matrix fails the step.
     """
+    global _dgtsv
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as _dgtsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise StepFailureError("tridiagonal solve: non-finite entry")
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
         raise StepFailureError(f"tridiagonal solve: singular matrix (gtsv info {info})")
     return x
 
 
+def _resolvent_buffers(n: int) -> tuple:
+    """(band, rhs, r, diag): the work arrays of ``_resolvent_solve`` on an
+    n-node grid.  The band's unit diagonal and its zero Dirichlet
+    off-diagonal entries are set here once; the solves fill the rest."""
+    band = np.zeros((3, n))
+    band[1] = 1.0
+    return band, np.empty(n), np.empty(n - 2), np.empty(n - 2)
+
+
 def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
-                     tau: float, far_value: float) -> np.ndarray:
+                     tau: float, far_value: float, buffers: tuple) -> np.ndarray:
     """Solve (I - tau * coeff * D2) w = rhs with Dirichlet ends.
 
     Each row is divided by its diagonal first.  Raw, the diagonal runs from
@@ -408,20 +426,25 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     the marched w/phi there came out wrong by factors 0.5 to 1e6 over the
     first 10-30 nodes.  Equilibrated, the elimination error stays relative
     to each row's own scale.
+
+    ``buffers`` (from ``_resolvent_buffers``) are overwritten; the result
+    is a new array.
     """
-    n = len(grid)
+    band, scaled_rhs, r, diag = buffers
     a, b, c = grid.cached("d2_weights", _d2_weights, grid)
-    r = tau * coeff[1:-1]
-    diag = 1.0 - r * b
-    ab = np.zeros((3, n))
-    ab[1] = 1.0
-    ab[0, 2:] = -r * c / diag       # superdiagonal (column-indexed)
-    ab[2, :-2] = -r * a / diag      # subdiagonal
-    rhs = rhs.copy()
-    rhs[1:-1] /= diag
-    rhs[0] = 0.0
-    rhs[-1] = far_value
-    out = solve_banded(ab, rhs)
+    np.multiply(tau, coeff[1:-1], out=r)
+    np.multiply(r, b, out=diag)
+    np.subtract(1.0, diag, out=diag)
+    for row, weight in ((band[0, 2:], c), (band[2, :-2], a)):
+        # -(r * weight) / diag: the superdiagonal (column-indexed) and the
+        # subdiagonal
+        np.multiply(r, weight, out=row)
+        np.negative(row, out=row)
+        np.divide(row, diag, out=row)
+    np.divide(rhs[1:-1], diag, out=scaled_rhs[1:-1])
+    scaled_rhs[0] = 0.0
+    scaled_rhs[-1] = far_value
+    out = solve_banded(band, scaled_rhs)
     out[0] = 0.0          # pivoting leaves eps-level residue on Dirichlet rows
     out[-1] = far_value
     return out
@@ -447,12 +470,13 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple | None,
     gamma = om * om / (1.0 + om)
     rhs = (beta * w_n - gamma * w_prev - 2.0 * h * source) / alpha
     tau = h / alpha
+    buffers = _resolvent_buffers(len(grid))
     w_new = w_n
     for _ in range(max_picard):
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
         coeff = np.sqrt(_wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
-        w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value)
+        w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value, buffers)
         delta = float(np.max(np.abs(w_next - w_new)))
         w_new = w_next
         if delta <= 1e-12 * scale:

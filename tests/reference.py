@@ -7,14 +7,16 @@ completion; float evaluation of an exact polynomial; the uniform grid; the
 observed convergence order of an error sequence; a bitwise array
 comparison; the cumulative trapezoid as it was written inline before
 ``gridfields.cumtrapz`` replaced the copies; and two per-step formulas of
-the march without its grid caches: the F roundoff floor with its spacings
-computed inline, and the wall shear with y(phi) integrated over the whole
-grid.
+the march without its grid caches or work buffers: the F roundoff floor
+with its spacings computed inline, the wall shear with y(phi) integrated
+over the whole grid, and the equilibrated resolvent solve on a freshly
+allocated band.
 """
 
 from typing import Iterable
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial.polynomial import polyval
 
 from prandtlsep import profiles as pr
@@ -139,6 +141,31 @@ def f_roundoff_floor(state) -> np.ndarray:
     hp = phi[2:] - phi[1:-1]
     out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * 4.0 * eps_w / (hm * hp)
     out[0] = 0.0
+    return out
+
+
+def resolvent_solve(grid, rhs, coeff, tau: float, far_value: float) -> np.ndarray:
+    """``vonmises._resolvent_solve`` on a fresh band and right-hand side,
+    solved by ``scipy.linalg.solve_banded``."""
+    n = len(grid)
+    phi = grid.nodes
+    hm = phi[1:-1] - phi[:-2]
+    hp = phi[2:] - phi[1:-1]
+    a = 2.0 / (hm * (hm + hp))
+    c = 2.0 / (hp * (hm + hp))
+    r = tau * coeff[1:-1]
+    diag = 1.0 - r * -(a + c)
+    ab = np.zeros((3, n))
+    ab[1] = 1.0
+    ab[0, 2:] = -r * c / diag
+    ab[2, :-2] = -r * a / diag
+    rhs = rhs.copy()
+    rhs[1:-1] /= diag
+    rhs[0] = 0.0
+    rhs[-1] = far_value
+    out = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    out[0] = 0.0
+    out[-1] = far_value
     return out
 
 

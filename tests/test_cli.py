@@ -36,9 +36,13 @@ class TestConfig:
         for bad in ({"lambda0": 0.5}, {"lambda_stop_factor": 1.0},
                     {"ds_rel": 0.0}, {"ds_rel": nan},
                     {"snapshots_per_decade": 0.0}, {"snapshots_per_decade": -8.0},
+                    {"snapshots_per_decade": cli.MAX_SNAPSHOTS_PER_DECADE + 1.0},
                     {"x0_pressure": inf}, {"perturbation_amplitude": nan}):
             with pytest.raises(cli.ConfigError):
                 cli.RunConfig(**bad).validate()
+        # the dense-snapshots benchmark workload and the bound itself pass
+        for spd in (16.0, cli.MAX_SNAPSHOTS_PER_DECADE):
+            cli.RunConfig(snapshots_per_decade=spd).validate()
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, ds_rel=0.01)
@@ -105,7 +109,8 @@ class TestConfig:
         # each is rejected before the march starts (ds_rel = 0 is left to
         # the validation test: a march with it would take 200,000 steps)
         for flag, value in (("--lambda0", "0.7"), ("--snapshots-per-decade", "0"),
-                            ("--snapshots-per-decade", "-8"), ("--ds-rel", "nan"),
+                            ("--snapshots-per-decade", "-8"),
+                            ("--snapshots-per-decade", "1000"), ("--ds-rel", "nan"),
                             ("--x0-pressure", "inf"),
                             ("--perturbation-amplitude", "nan")):
             code = cli.main(["simulate", flag, value, "--outdir", str(tmp_path)])
@@ -349,8 +354,10 @@ class TestSolverFailurePath:
 
     def test_singular_solve_exits_2_with_partial_artifacts(self, quick_cfg,
                                                            monkeypatch):
-        # LAPACK reports a zero pivot from the 40th tridiagonal solve on
-        gtsv = cli.vm.dgtsv
+        # LAPACK reports a zero pivot from the 40th tridiagonal solve on;
+        # the march binds its gtsv on the first solve, so a patched one
+        # stands in from the start
+        from scipy.linalg.lapack import dgtsv as gtsv
         calls = []
 
         def singular_from_40th(*args):
@@ -358,7 +365,7 @@ class TestSolverFailurePath:
             *out, info = gtsv(*args)
             return (*out, 2 if len(calls) >= 40 else info)
 
-        monkeypatch.setattr(cli.vm, "dgtsv", singular_from_40th)
+        monkeypatch.setattr(cli.vm, "_dgtsv", singular_from_40th)
         assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
         assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.csv"))
         manifest = json.loads(open(os.path.join(quick_cfg.outdir,
@@ -368,14 +375,29 @@ class TestSolverFailurePath:
         assert manifest["steps"] > 1
 
 
-def test_cli_import_loads_neither_integrate_nor_optimize():
-    # every subcommand pays for what importing the CLI loads; only simulate
-    # fits (scipy.optimize) and no subcommand integrates by quadrature
+def _loaded_after(code: str, modules) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(prandtlsep.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, prandtlsep.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted("
+             f"m for m in {tuple(modules)!r} if m in sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_loads_neither_integrate_nor_optimize():
+    # every subcommand pays for what importing the CLI loads: only the march
+    # solves (scipy.linalg), only simulate fits (scipy.optimize), only audit
+    # interpolates (scipy.interpolate), only sweep starts processes, and no
+    # subcommand integrates by quadrature
+    assert _loaded_after("import prandtlsep.cli", (
+        "scipy.integrate", "scipy.optimize", "scipy.linalg",
+        "scipy.interpolate", "concurrent.futures.process")) == []
+
+
+def test_verify_algebra_never_loads_lapack(tmp_path):
+    code = ("from prandtlsep import cli\n"
+            f"assert cli.main(['verify-algebra', '--outdir', {str(tmp_path)!r}]) == 0")
+    assert _loaded_after(code, ("scipy.linalg",)) == []

@@ -200,7 +200,8 @@ class TestSeriesOracle:
         assert c7 * 1260 == F(-1, 2)
 
     def test_companion_weight(self):
-        assert rp.perturbation_y8_weight() == F(9, 32)
+        # the constant the march uses is the series' value
+        assert rp.perturbation_y8_weight() == F(9, 32) == rp.PERTURBATION_Y8_WEIGHT
 
     def test_linv_series_on_closed_form(self):
         # Linv(U^2) = U + Y U_Y for U = Y + Y^2/2:

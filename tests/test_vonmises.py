@@ -165,8 +165,9 @@ class TestGridCaches:
         grid = vm.default_psi_grid(3.0, 2305)
         builds = self._builds(monkeypatch, vm, "_d2_weights")
         w = grid.nodes ** 0.75
+        buffers = vm._resolvent_buffers(len(grid))
         for _ in range(2):
-            vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1])
+            vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1], buffers)
         assert len(builds) == 1
         assert self._frozen(grid, "d2_weights") and self._frozen(grid, "spacings")
         assert vm._spacings(grid)[2] is vm._spacings(grid)[2]
@@ -219,6 +220,25 @@ class TestTridiagonalSolve:
             assert len(rhs) == n_psi
             assert same_bits(solve(ab, rhs),
                              scipy.linalg.solve_banded((1, 1), ab, rhs))
+
+    def test_reused_buffers_give_the_fresh_band(self, data05, monkeypatch):
+        # every Picard sweep of the march's first steps refills the buffers
+        # that the sweep before it left behind
+        solves = []
+        resolvent = vm._resolvent_solve
+
+        def keep(grid, rhs, coeff, tau, far_value, buffers):
+            out = resolvent(grid, rhs, coeff, tau, far_value, buffers)
+            solves.append((grid, rhs.copy(), coeff.copy(), tau, far_value,
+                           out.copy()))
+            return out
+
+        monkeypatch.setattr(vm, "_resolvent_solve", keep)
+        vm.solve_until_separation(data05, vm.MarchConfig(max_steps=3))
+        assert len(solves) > 6
+        for grid, rhs, coeff, tau, far_value, out in solves:
+            assert same_bits(out, reference.resolvent_solve(grid, rhs, coeff,
+                                                            tau, far_value))
 
     def test_nonfinite_entry_fails_the_step(self):
         ab, rhs = self._system()
