@@ -321,13 +321,17 @@ def run_simulate(cfg: RunConfig) -> int:
     _write_manifest(cfg, header, {"snapshots": snap_meta,
                                   "s0": traj.s0, "completed": traj.completed,
                                   "failure": traj.failure, "x_end": traj.x_end,
-                                  "steps": int(len(traj.x))})
+                                  "steps": int(len(traj.x)),
+                                  "tridiag_solves": traj.picard.solves,
+                                  "picard_short_steps": traj.picard.short_steps})
+    work = (f"{traj.picard.solves} solves, {traj.picard.short_steps} steps "
+            "short of the Picard tolerance")
     if not traj.completed:
-        print(f"simulate: solver stopped early: {traj.failure}")
+        print(f"simulate: solver stopped early: {traj.failure}; {work}")
         return EXIT_SOLVER
     print(f"simulate: {len(traj.x)} steps to lambda = {traj.lam[-1]:.3e}, "
           f"x_end = {traj.x_end:.6f}; exponent "
-          f"{fit_payload.get('exponent', float('nan')):.4f}")
+          f"{fit_payload.get('exponent', float('nan')):.4f}; {work}")
     return EXIT_OK
 
 
@@ -355,6 +359,8 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
         raise MissingArtifactError(
             f"malformed {path}: {len(header)} names in the header, "
             f"{table.shape[1]} columns")
+    # frozen: the columns are read-only views that states keep as they are
+    table.flags.writeable = False
     columns = {name: table[:, header.index(name)] for name in names}
     for name in finite:
         if not np.all(np.isfinite(columns[name])):

@@ -18,6 +18,23 @@ from .errors import DomainError, ExtrapolationError, TooFewNodesError
 
 _MIN_NODES = 64
 
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array.  An array that is read-only on
+    read-only memory is kept as it is, a view included (the snapshot
+    columns of a loaded run share one parsed table); anything else is
+    copied first."""
+    base = getattr(values, "base", None)
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable
+            and (base is None or isinstance(base, np.ndarray)
+                 and not base.flags.writeable)):
+        return values
+    values = np.array(values, dtype=float, copy=True)
+    values.flags.writeable = False
+    return values
+
+
 # Stencil width per derivative order: formal accuracy is width - order for
 # arbitrary nodes, i.e. >= 3rd order interior for all three.
 _STENCIL_WIDTH = {1: 5, 2: 5, 3: 6}
@@ -98,14 +115,13 @@ class Grid:
     _diff_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float, copy=True)
+        nodes = _frozen(self.nodes)
         if nodes.ndim != 1 or len(nodes) < _MIN_NODES:
             raise TooFewNodesError(f"grid needs >= {_MIN_NODES} nodes, got {nodes.shape}")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
     def __len__(self) -> int:
@@ -168,10 +184,9 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
+        values = _frozen(self.values)
         if values.shape != self.grid.nodes.shape:
             raise ValueError("field length must match its grid")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:

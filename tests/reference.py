@@ -10,7 +10,8 @@ comparison; the cumulative trapezoid as it was written inline before
 the march without its grid caches or work buffers: the F roundoff floor
 with its spacings computed inline, the wall shear with y(phi) integrated
 over the whole grid, and the equilibrated resolvent solve on a freshly
-allocated band.
+allocated band; and the BDF2 step with its Picard iteration started from
+the old station instead of the extrapolated one.
 """
 
 from typing import Iterable
@@ -204,3 +205,28 @@ def wall_shear_full_y(state) -> float:
         if refined is not None and refined > 0.0:
             est = refined
     return est
+
+
+def bdf2_solve_from_old_station(grid, w_n, prev, h: float, far_value: float,
+                                source: float, scale: float) -> tuple:
+    """``vonmises._bdf2_solve`` with every Picard iteration started from
+    w_n, as the march did before it started from the extrapolated state."""
+    if prev is None:
+        w_prev, h_prev, max_picard = w_n, np.inf, vm.STARTUP_SWEEPS
+    else:
+        (w_prev, h_prev), max_picard = prev, vm.PICARD_SWEEPS
+    om = h / h_prev
+    alpha = (1.0 + 2.0 * om) / (1.0 + om)
+    rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev
+           - 2.0 * h * source) / alpha
+    buffers = vm._resolvent_buffers(len(grid))
+    w_new = w_n
+    for sweep in range(1, max_picard + 1):
+        coeff = np.sqrt(vm._wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
+        w_next = vm._resolvent_solve(grid, rhs, coeff, h / alpha, far_value,
+                                     buffers)
+        delta = float(np.max(np.abs(w_next - w_new)))
+        w_new = w_next
+        if delta <= vm.PICARD_TOL * scale:
+            return w_new, sweep, True
+    return w_new, max_picard, False

@@ -115,6 +115,24 @@ def test_criterion_3_modulation_law(main_run):
                     f"s >= 5 s0; weighted defect integral J = {J:.4g} (finite)")
 
 
+def test_march_lambda_slope_has_no_jumps(main_run):
+    # the rate b reads the slope of lambda; step-to-step jumps in it (up to
+    # 19% when each Picard iteration started from the old station) pulled
+    # the b*s envelope down to 0.92
+    _, _, traj, _ = main_run
+    slope = np.abs(np.diff(traj.lam) / np.diff(traj.x))
+    jump = np.abs(np.diff(slope)) / np.minimum(slope[:-1], slope[1:])
+    assert np.max(jump[traj.s[2:] >= 2000.0]) <= 0.05
+
+
+def test_march_picard_work(main_run):
+    # every step meets the Picard tolerance, at no more than 2 solves a step
+    _, _, traj, _ = main_run
+    steps = len(traj.x) - 1
+    assert traj.picard.short_steps == 0
+    assert traj.picard.solves <= 2 * steps
+
+
 def test_criterion_4_exact_algebra():
     cert = {c.name: c for c in rp.algebra_certificate()}
     coeffs = rp.profile_coefficients()

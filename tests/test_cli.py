@@ -143,6 +143,7 @@ class TestSimulateAndAudit:
     def test_end_to_end_short_run(self, quick_cfg, capsys):
         code = cli.run_simulate(quick_cfg)
         assert code == cli.EXIT_OK
+        simulate_line = capsys.readouterr().out
         outdir = quick_cfg.outdir
         for name in ("trajectory.csv", "manifest.json", "fit_report.json",
                      "initial_data.csv", "snapshots.csv"):
@@ -155,7 +156,11 @@ class TestSimulateAndAudit:
         assert header.split(",") == manifest["columns"]["snapshots.csv"]
         assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
-        capsys.readouterr()
+        # the march's Picard work, as the manifest records it
+        solves, short = manifest["tridiag_solves"], manifest["picard_short_steps"]
+        assert 0 < solves and short == 0
+        assert (f"{solves} solves, {short} steps short of the Picard tolerance"
+                in simulate_line)
         code = cli.main(["audit", outdir])
         assert code == cli.EXIT_OK
         summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
@@ -168,6 +173,19 @@ class TestSimulateAndAudit:
         out = capsys.readouterr().out
         assert f"commutator identity holds {holds}/{len(checks)}" in out
         assert f"energies resolved {int(resolved.sum())}/{len(resolved)}" in out
+
+    def test_steps_at_the_picard_cap_are_counted(self, quick_cfg, monkeypatch,
+                                                 capsys):
+        # with no tolerance to meet every step ends at its sweep cap
+        monkeypatch.setattr(cli.vm, "PICARD_TOL", 0.0)
+        assert cli.run_simulate(quick_cfg) == cli.EXIT_OK
+        manifest = json.loads(open(os.path.join(quick_cfg.outdir,
+                                                "manifest.json")).read())
+        steps = manifest["steps"] - 1
+        assert manifest["picard_short_steps"] == steps
+        assert manifest["tridiag_solves"] == (cli.vm.STARTUP_SWEEPS
+                                              + (steps - 1) * cli.vm.PICARD_SWEEPS)
+        assert f"{steps} steps short of the Picard tolerance" in capsys.readouterr().out
 
     def test_rerun_is_bit_identical(self, quick_cfg, tmp_path):
         cli.run_simulate(quick_cfg)
@@ -313,6 +331,9 @@ class TestSimulateAndAudit:
             for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
                 # one Grid shared by every loaded state, as in the march
                 assert a.psi_grid is traj.psi_grid
+                # w is a column of the one parsed table, next to phi, not a
+                # copy of it
+                assert np.may_share_memory(a.W.values, traj.psi_grid.nodes)
                 assert np.array_equal(a.W.values, b.W.values)
                 assert (a.x, a.lam) == (b.x, b.lam)
 

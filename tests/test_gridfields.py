@@ -47,6 +47,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.nodes[3] = 99.0
 
+    def test_frozen_columns_are_kept_and_writable_ones_copied(self):
+        # a column of a read-only table is kept as the view it is; a view
+        # frozen over writable memory is copied, as is any writable array
+        table = np.linspace(0.0, 1.0, 128).reshape(64, 2).copy()
+        table.flags.writeable = False
+        g = gf.Grid(table[:, 0])
+        f = gf.Field(g, table[:, 1])
+        assert np.shares_memory(g.nodes, table) and np.shares_memory(f.values, table)
+        loose = np.linspace(0.0, 1.0, 64)
+        view = loose[:]
+        view.flags.writeable = False
+        for values in (loose, view):
+            kept = gf.Field(g, values).values
+            assert not np.shares_memory(kept, loose) and not kept.flags.writeable
+
 
 class TestDiff:
     def test_second_derivative_exact_on_quadratic(self, grid_maker):

@@ -123,21 +123,45 @@ class TestWallShearWindow:
         assert len(windowed) >= len(states)
         assert max(windowed) < len(short_traj.psi_grid) // 2
 
-    def test_fallback_to_full_y_when_the_bound_never_passes(self, short_traj,
-                                                            monkeypatch):
-        # a guess whose y_cap lies past every phi_k/sqrt(w_k) but inside the
-        # grid's y span: the bound finds no prefix, the whole grid is used
+    @staticmethod
+    def _guess_at(st, y_cap):
+        # a state whose shear guess puts the fit window's end at y_cap
+        return replace(st, lam=(4.0 * y_cap) ** 3)
+
+    def test_fallback_to_full_y_when_the_estimate_never_passes(self, short_traj,
+                                                               monkeypatch):
+        # a y_cap past every wall estimate 2 phi_k/sqrt(w_k): no prefix is
+        # tried, the whole grid is used
         st = short_traj.snapshots[-1].state
         phi = st.psi_grid.nodes
         w = vm._wall_restore(phi, st.W.values)
-        y_end = vm._normal_coordinate(st.psi_grid, w)[-1]
-        bound_max = np.max(phi[1:] / np.sqrt(w[1:]))
-        assert bound_max < y_end
-        y_cap = 0.5 * (bound_max + y_end)
-        guess = replace(st, lam=(4.0 * y_cap) ** 3)
+        guess = self._guess_at(st, 1.01 * np.max(2.0 * phi[1:] / np.sqrt(w[1:])))
         prefixes = self._spy_prefixes(monkeypatch)
         assert vm.wall_shear(guess) == reference.wall_shear_full_y(guess)
         assert prefixes[0] is None
+
+    def test_fallback_to_full_y_when_the_prefix_falls_short(self, short_traj,
+                                                            monkeypatch):
+        # far from the wall w tends to a constant and 2 phi/sqrt(w) runs
+        # ahead of y, so a y_cap near the grid's end gets a prefix that
+        # ends before it: that prefix is dropped for the whole grid
+        st = short_traj.snapshots[-1].state
+        w = vm._wall_restore(st.psi_grid.nodes, st.W.values)
+        y_end = vm._normal_coordinate(st.psi_grid, w)[-1]
+        guess = self._guess_at(st, 0.95 * y_end)
+        prefixes = self._spy_prefixes(monkeypatch)
+        assert vm.wall_shear(guess) == reference.wall_shear_full_y(guess)
+        assert prefixes[0] is not None and prefixes[1] is None
+
+    def test_prefix_covers_the_window_on_the_default_march(self, monkeypatch):
+        # on the default march every wall-shear call's prefix reaches y_cap,
+        # so the whole-grid fallback never runs, and no prefix spans a fifth
+        # of the grid (the bound phi/sqrt(w) <= y took 576-640 nodes here)
+        calls = self._spy_prefixes(monkeypatch)
+        traj = vm.solve_until_separation(pr.build_initial_data(0.05),
+                                         vm.MarchConfig(max_steps=200))
+        assert len(calls) >= len(traj.x) and None not in calls
+        assert max(calls) < 0.2 * len(traj.psi_grid)
 
 
 class TestGridCaches:
@@ -279,7 +303,7 @@ class TestMarch:
         state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
-        new = vm.march_step(state, dx, cfg)
+        new = vm.march_step(state, dx, cfg, vm.PicardCounts())
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         dw_rate = (new.W.values - state.W.values) / dx
@@ -287,6 +311,30 @@ class TestMarch:
             & (state.psi_grid.nodes < 0.9 * state.psi_grid.span)
         err = np.abs(dw_rate[sel] - F[sel])
         assert np.max(err) / np.max(np.abs(F[sel])) < 0.05
+
+    def test_extrapolated_start_reaches_the_old_fixed_point(self, data05,
+                                                            monkeypatch):
+        # Picard started from the extrapolated state and from the old station
+        # converges to the same BDF2 step: on each of 20 stations, from the
+        # same inputs, the two agree within 1e-11 max w, and the
+        # extrapolated start takes fewer solves
+        gaps, sweeps = [], []
+        solve = vm._bdf2_solve
+
+        def both(grid, w_n, prev, h, far_value, source, scale):
+            out = solve(grid, w_n, prev, h, far_value, source, scale)
+            old = reference.bdf2_solve_from_old_station(
+                grid, w_n, prev, h, far_value, source, scale)
+            gaps.append(float(np.max(np.abs(out[0] - old[0]))) / scale)
+            sweeps.append((out[1], old[1]))
+            return out
+
+        monkeypatch.setattr(vm, "_bdf2_solve", both)
+        vm.solve_until_separation(data05, vm.MarchConfig(max_steps=20))
+        assert len(gaps) == 20
+        assert max(gaps) <= 1e-11
+        assert sweeps[0][0] == sweeps[0][1]          # the start-up step
+        assert sum(new for new, _ in sweeps) < sum(old for _, old in sweeps)
 
     def test_monotonicity_preserved(self, short_traj):
         assert short_traj.mono_min.min() >= -1e-9
