@@ -20,8 +20,9 @@ from .operators import OperatorContext
 #: level (measured on manufactured solutions; scales with the step law)
 DATA_FIDELITY = 5e-4
 
-#: below this Y the curvature audits use the wall fit of the operator context
-CURVATURE_FIT_LO = 0.02
+#: the curvature bound 1 - M2 b Y**2 <= U_YY holds on Y <= C_ZONE s**(1/3);
+#: the coercivity audit's tail term starts at the same zone edge
+C_ZONE = 0.7
 
 #: sandwich tolerance, relative to max(W_base, 1), and the size of the
 #: log-spaced sample of the differential inequalities
@@ -63,27 +64,10 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def curvature_estimate(ctx: OperatorContext) -> np.ndarray:
-    """U_YY with the sub-window wall region replaced by the context fit.
-
-    Raw second differences on the smallest wall cells amplify data noise;
-    below ``CURVATURE_FIT_LO`` the fitted wall Taylor polynomial is used
-    instead, blended smoothly back into the raw values.
-    """
-    y = ctx.grid.nodes
-    raw = ctx.U_YY.values
-    c = ctx.near_wall
-    model = 2.0 * c[1] + 6.0 * c[2] * y + 12.0 * c[3] * y * y
-    t = np.clip((y - CURVATURE_FIT_LO) / CURVATURE_FIT_LO, 0.0, 1.0)
-    sm = t * t * (3.0 - 2.0 * t)
-    return (1.0 - sm) * model + sm * raw
-
-
 def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
-                        c: float = 0.7, M1: float | None = None,
-                        y_min: float = 0.5) -> AuditReport:
-    """Check 1 - M2 b Y**2 <= U_YY <= 1 on Y <= c s**(1/3), and the uniform
-    band -M1 <= U_YY <= 1 beyond, over the curvature-resolvable zone.
+                        M1: float, y_min: float = 0.5) -> AuditReport:
+    """Check 1 - M2 b Y**2 <= U_YY <= 1 on Y <= C_ZONE s**(1/3), and the
+    uniform band -M1 <= U_YY <= 1 beyond, over the curvature-resolvable zone.
 
     The zone below ``y_min`` is excluded: there the rescaled curvature is
     dominated by the wall-layer data floor of the marching solution, and
@@ -91,14 +75,12 @@ def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
     streamfunction variables with its roundoff trust mask instead.
     """
     y = ctx.grid.nodes
-    uyy = curvature_estimate(ctx)
+    uyy = ctx.U_YY.values
     h = np.gradient(y)
     tol = audit_tol(h, np.maximum(np.abs(uyy), 1.0))
     audited = y >= y_min
-    inner = audited & (y <= c * s ** (1.0 / 3.0))
-    outer = audited & (y > c * s ** (1.0 / 3.0))
-    if M1 is None:
-        M1 = max(M2, 1.0)
+    inner = audited & (y <= C_ZONE * s ** (1.0 / 3.0))
+    outer = audited & (y > C_ZONE * s ** (1.0 / 3.0))
     margins = np.concatenate([
         (1.0 + tol - uyy)[audited],
         (uyy - (1.0 - M2 * b * y**2) + tol)[inner],
@@ -108,7 +90,7 @@ def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
     return AuditReport(
         name="max-principle",
         domain_checked=f"Y in [{y_min}, {ctx.grid.span:.3g}], inner zone "
-                       f"Y <= {c} s^(1/3); wall zone delegated to the "
+                       f"Y <= {C_ZONE} s^(1/3); wall zone delegated to the "
                        f"streamfunction-side balance audit",
         worst_margin=float(np.min(margins)),
         violation_count=violations,
@@ -117,15 +99,15 @@ def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
     )
 
 
-def calibrate_M2(ctx: OperatorContext, s: float, b: float, c: float = 0.7) -> float:
+def calibrate_M2(ctx: OperatorContext, s: float, b: float) -> float:
     """Smallest power of 2 such that U_YY >= 1 - M2 b Y**2 holds at this slice.
 
     The ratio is measured away from the wall (Y >= 1): below that the
     denominator vanishes faster than the data noise floor.
     """
     y = ctx.grid.nodes
-    uyy = curvature_estimate(ctx)
-    inner = (y >= 1.0) & (y <= c * s ** (1.0 / 3.0))
+    uyy = ctx.U_YY.values
+    inner = (y >= 1.0) & (y <= C_ZONE * s ** (1.0 / 3.0))
     ratio = (1.0 - uyy[inner]) / (b * y[inner] ** 2)
     need = max(float(np.max(ratio)), 0.25)
     return dyadic_ceil(1.10 * need)
@@ -240,16 +222,12 @@ def calibrate_A(W: Field, s: float, b: float, btilde: float, C_minus: float) -> 
 
 
 def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
-                  C_minus: float,
-                  trusted: np.ndarray | None = None) -> AuditReport:
+                  C_minus: float, trusted: np.ndarray) -> AuditReport:
     """F = sqrt(W) W_psipsi - 2: F <= 0 globally and F >= -btilde alpha
     (psi**2/3 - psi**1/3) on psi in [C_minus btilde^-3/4,
     F_LOWER_CAP btilde^-5/4]."""
     psi = W.grid.nodes
     F = vm.compute_F(W).values
-    if trusted is None:
-        trusted = np.ones_like(F, dtype=bool)
-        trusted[0] = trusted[-1] = False
     h_rel = np.gradient(psi) / np.maximum(psi, psi[1])
     tol = audit_tol(h_rel, np.abs(F) + 2.0)
     upper_marg = tol - F

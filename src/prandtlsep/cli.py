@@ -458,10 +458,16 @@ def run_audit(outdir: str) -> int:
     columns.append(np.array([float(r.resolved) for r in energies]))
     _atomic_write(os.path.join(outdir, "energies.csv"),
                   _csv_lines(_ENERGY_COLUMNS, columns))
+    # a snapshot that cannot be rescaled is listed, and the other frames
+    # are still audited
+    broken = [{"index": fr.index, "error": fr.failure}
+              for fr in frames if fr.failure]
     suite = dg.run_audit_suite(frames)
     reports = [asdict(r) for r in suite.reports]
+    snapshots = {snap.index: snap for snap in traj.snapshots}
     commutator = []
-    for snap, fr in zip(traj.snapshots[1:-1:4], frames[1:-1:4]):
+    for fr in frames[1:-1:4]:
+        snap = snapshots[fr.index]
         try:
             commutator.append(dg.commutator_identity_check(
                 snap, fr.u, fr.b, n_grid=cfg.n_rescaled))
@@ -473,9 +479,10 @@ def run_audit(outdir: str) -> int:
                          "A_plus": suite.A_plus, "C_minus": suite.C_minus},
         "reports": reports,
         "commutator_identity": commutator,
+        "failed_snapshots": broken,
     }
     failed = [r for r in suite.reports if not r.passed]
-    payload["all_passed"] = not failed
+    payload["all_passed"] = not failed and not broken
     write_json(os.path.join(outdir, "audit_summary.json"), payload)
     # the commutator checks and the resolved flags are reported, not gated:
     # on the default run none of them holds (criteria 6 and 7)
@@ -483,13 +490,17 @@ def run_audit(outdir: str) -> int:
     resolved = sum(r.resolved for r in energies)
     checks = (f"commutator identity holds {holds}/{len(commutator)}; "
               f"energies resolved {resolved}/{len(energies)}")
+    if broken:
+        checks = (f"{len(broken)} snapshots failed to rescale (first: snapshot "
+                  f"{broken[0]['index']}: {broken[0]['error']}); {checks}")
     if failed:
         print(f"audit: {len(failed)} reports FAILED (first: {failed[0].name}); "
               f"{checks}")
-        return EXIT_CHECK_FAILED
-    print(f"audit: {len(reports)} reports PASS "
-          f"({len(frames)} snapshots audited); {checks}")
-    return EXIT_OK
+    else:
+        print(f"audit: {len(reports)} reports PASS "
+              f"({len(frames) - len(broken)} snapshots audited); {checks}")
+    # a snapshot that failed to rescale is a solver failure
+    return EXIT_SOLVER if broken else EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -20,41 +20,40 @@ from . import audits as au
 from . import energies as en
 from . import modulation as md
 from . import vonmises as vm
-from .errors import SingularInputError
+from .errors import InconsistentLambdaError, SingularInputError
 from .gridfields import Field, Grid, diff
 from .operators import (CHAIN_FITS, OperatorContext, op_Linv,
                         op_commutator, op_diffusion)
 
-#: sandwich floor psi >= C_MINUS btilde**(-3/4), curvature zone Y <= C_ZONE s**(1/3)
+#: sandwich floor psi >= C_MINUS btilde**(-3/4)
 C_MINUS = 32.0
-C_ZONE = 0.7
 
 
 @dataclass(frozen=True, eq=False)
 class SnapshotFrame:
-    """One snapshot in rescaled variables plus modulation data."""
+    """One snapshot in rescaled variables plus modulation data.
 
+    A snapshot that cannot be rescaled to wall units keeps its frame, with
+    no ``ctx`` and no report, and ``failure`` says why.
+    """
+
+    index: int              # the snapshot's index
     s: float
     lam: float
     b: float
     btilde: float
     u: Field                # physical profile of the snapshot state
-    ctx: OperatorContext
     W_resc: Field
     trusted: np.ndarray
+    ctx: Optional[OperatorContext] = None
     report: Optional[en.EnergyReport] = None
+    failure: str = ""
 
 
 def wall_units(u: Field, lam: float, grid: Grid) -> tuple:
     """(U, ctx): the physical profile ``u`` of shear ``lam`` rescaled to
     wall units on ``grid``, and its operator context."""
-    # the tracked shear and the refitted wall slope drift apart as the shear
-    # collapses: on the default run (n_psi = 2305) by 1e-4 at s ~ 700,
-    # growing smoothly to 1.0% at s ~ 9e5; at n_psi = 4609 the drift stays
-    # below 0.2%, so it is a phi-resolution effect of the march.  The
-    # rescale refits the slope anyway, so diagnostics run with a loosened
-    # cross-check
-    U = md.rescale_profile(u, lam, grid, slope_rtol=2.5e-2)
+    U = md.rescale_profile(u, lam, grid)
     return U, OperatorContext.from_profile(U)
 
 
@@ -77,10 +76,13 @@ def rescaled_streamfunction(snap: vm.Snapshot) -> tuple:
 def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
     """Rescale every snapshot and attach modulation data and energies.
 
-    Each snapshot state is inverted to its physical profile once.  The
-    resolved flag compares the energies against a half-resolution
-    recomputation; samples that move more than 10% are flagged and
-    excluded from acceptance-style gates.
+    Each snapshot state is inverted to its physical profile once.  A
+    snapshot whose wall-fitted shear misses the tracked one
+    (``InconsistentLambdaError``) keeps a frame that records the failure,
+    so the list holds one frame per snapshot.  The resolved flag compares
+    the energies against a half-resolution recomputation; samples that
+    move more than 10%, or whose half-resolution chain fails, are flagged
+    and excluded from acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
@@ -90,8 +92,14 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
         i = int(np.argmin(np.abs(traj.x - snap.x)))
         b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
         u = vm.from_von_mises(snap.state)
-        U, ctx = rescale_snapshot_profile(snap, u, n_grid)
         W_resc, trusted = rescaled_streamfunction(snap)
+        frame = SnapshotFrame(index=snap.index, s=snap.s, lam=snap.lam, b=b,
+                              btilde=bt, u=u, W_resc=W_resc, trusted=trusted)
+        try:
+            U, ctx = rescale_snapshot_profile(snap, u, n_grid)
+        except InconsistentLambdaError as exc:
+            frames.append(replace(frame, failure=str(exc)))
+            continue
         V = en.compute_V(U, snap.s, b)
         try:
             report = en.energy_report(ctx, V, snap.s, b, bs)
@@ -107,14 +115,11 @@ def build_frames(traj: vm.Trajectory, n_grid: int = 641) -> List[SnapshotFrame]:
                              (report.E2, r2.E2)):
                     if a > 0 and abs(a - c) > 0.10 * max(a, c):
                         resolved = False
-            except SingularInputError:
+            except (SingularInputError, InconsistentLambdaError):
                 # the half-resolution chain could not even be evaluated
                 resolved = False
             report = replace(report, resolved=resolved)
-        frames.append(SnapshotFrame(
-            s=snap.s, lam=snap.lam, b=b, btilde=bt, u=u, ctx=ctx,
-            W_resc=W_resc, trusted=trusted, report=report,
-        ))
+        frames.append(replace(frame, ctx=ctx, report=report))
     return frames
 
 
@@ -139,7 +144,7 @@ def measure_M0(ctx: OperatorContext, s: float) -> float:
     """Envelope constant of the initial curvature defect,
     1 - U_YY <= M0 min(1, Y**2/s), measured away from the wall noise."""
     y = ctx.grid.nodes
-    uyy = au.curvature_estimate(ctx)
+    uyy = ctx.U_YY.values
     env = np.minimum(1.0, y * y / s)
     sel = y >= 1.0
     ratio = (1.0 - uyy[sel]) / np.maximum(env[sel], 1e-300)
@@ -147,12 +152,13 @@ def measure_M0(ctx: OperatorContext, s: float) -> float:
 
 
 def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
-    """Calibrate the comparison constants on the first usable frame, freeze
-    them, and audit every frame."""
+    """Calibrate the comparison constants on the first rescaled frame,
+    freeze them, and audit every rescaled frame."""
+    frames = [fr for fr in frames if fr.ctx is not None]
     if not frames:
-        raise ValueError("no frames to audit")
+        raise InconsistentLambdaError("no snapshot could be rescaled to wall units")
     first = frames[0]
-    M2 = au.calibrate_M2(first.ctx, first.s, first.b, c=C_ZONE)
+    M2 = au.calibrate_M2(first.ctx, first.s, first.b)
     M0 = measure_M0(first.ctx, first.s)
     M1 = au.dyadic_ceil(1.1 * max(M2, 1.0, M0))
     alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
@@ -172,8 +178,7 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
         # as the shear collapses; below it the balance audit in native
         # streamfunction variables carries the same inequality
         y_min = 0.5 * max(1.0, (lam_cal / fr.lam) ** 0.6)
-        suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2,
-                                                    c=C_ZONE, M1=M1,
+        suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2, M1,
                                                     y_min=y_min))
         suite.reports.append(au.subsolution_audit(
             fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus, C_MINUS))

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profiles
+from .audits import C_ZONE
 from .errors import DomainError
-from .gridfields import Field, cumtrapz, diff, lstsq_powers
+from .gridfields import Field, cumtrapz, diff, lstsq_powers, wall_window
 from .operators import (CHAIN_FITS, OperatorContext, clu_chain, op_cLU,
                         wall_slope_extrapolation)
 
@@ -95,17 +96,8 @@ def compute_V(U: Field, s: float, b: float) -> Field:
 def v_wall_ratio(V: Field, lo: float = 0.05, hi: float = 0.5) -> float:
     """Fitted V / Y**7 over a wall window (leading corrector coefficient)."""
     y = V.grid.nodes
-    idx = np.nonzero((y >= lo) & (y <= hi))[0]
-    if len(idx) < 4:
-        raise DomainError("wall window under-resolved")
+    idx = wall_window(y, lo, hi)
     return float(lstsq_powers(y[idx], V.values[idx], (7, 8))[0])
-
-
-def weighted_integral(values_sq: np.ndarray, grid, spec: WeightSpec, s: float) -> float:
-    """int values_sq * w over the grid, starting at the first interior node."""
-    w = weight_eval(spec, s, grid.nodes)
-    integrand = values_sq * w
-    return float(np.trapezoid(integrand, grid.nodes))
 
 
 def trace_inequality_audit(f: Field, L: float, a: float, c_bar: float = 8.0) -> dict:
@@ -130,8 +122,8 @@ def trace_inequality_audit(f: Field, L: float, a: float, c_bar: float = 8.0) -> 
 
 
 def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec, s: float,
-                     c_bar: float = 1.0 / 50.0, delta: float = 1.0 / 50.0,
-                     c_zone: float = 0.7) -> dict:
+                     c_bar: float = 1.0 / 50.0,
+                     delta: float = 1.0 / 50.0) -> dict:
     """Compare the diffusion quadratic form against its coercive minorant.
 
     lhs  = -int (d2/dY2 Linv f) f w
@@ -159,7 +151,7 @@ def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec, s: float,
     integrand = np.zeros_like(y)
     integrand[1:] = (1.0 - cut[1:]) * f.values[1:] / u[1:] ** 2
     inner = cumtrapz(integrand, y)
-    outer_zone = y >= c_zone * s ** (1.0 / 3.0)
+    outer_zone = y >= C_ZONE * s ** (1.0 / 3.0)
     tail = float(np.trapezoid((u * inner**2 * w)[outer_zone], y[outer_zone])) if outer_zone.any() else 0.0
     return {
         "lhs": lhs,
@@ -184,13 +176,13 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     y = ctx.grid.nodes
 
     def pair(field: Field, spec: WeightSpec):
+        w = weight_eval(spec, s, y)
         g = diff(field, 2).values
         gy = diff(field, 3).values
-        e = weighted_integral(g**2, ctx.grid, spec, s)
         vals = np.zeros_like(u)
         vals[1:] = gy[1:] ** 2 / u[1:] + g[1:] ** 2 / u[1:] ** 2
-        d = weighted_integral(vals, ctx.grid, spec, s)
-        return e, d
+        return (float(np.trapezoid(g**2 * w, y)),
+                float(np.trapezoid(vals * w, y)))
 
     E0, D0 = pair(V, WeightSpec.default_w0())
     E1, D1 = pair(a1, WeightSpec.default_w1())

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ExtrapolationError, TooFewNodesError
+from .errors import (DomainError, ExtrapolationError, SingularInputError,
+                     TooFewNodesError)
 
 _MIN_NODES = 64
 
@@ -54,6 +55,18 @@ def cumtrapz(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(nodes), out=out[1:])
     return out
+
+
+def wall_window(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Indices of the nodes in [lo, hi], with hi widened until the window
+    holds 8 nodes: the one window rule of every near-wall fit."""
+    idx = np.nonzero((y >= lo) & (y <= hi))[0]
+    while len(idx) < 8 and hi < y[-1]:
+        hi *= 1.6
+        idx = np.nonzero((y >= lo) & (y <= hi))[0]
+    if len(idx) < 8:
+        raise SingularInputError("grid too coarse for the wall-fit window")
+    return idx
 
 
 def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import InvalidProfileError, SingularInputError
-from .gridfields import Field, cumint, diff, lstsq_powers, smoothstep
+from .gridfields import (Field, cumint, diff, lstsq_powers, smoothstep,
+                         wall_window)
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,6 @@ def _series_div(num, den, order):
     return out
 
 
-def _window_indices(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Nodes in [lo, hi], with hi widened until the window holds 8 nodes."""
-    min_nodes = 8
-    idx = np.nonzero((y >= lo) & (y <= hi))[0]
-    hi_eff = hi
-    while len(idx) < min_nodes and hi_eff < y[-1]:
-        hi_eff *= 1.6
-        idx = np.nonzero((y >= lo) & (y <= hi_eff))[0]
-    if len(idx) < min_nodes:
-        raise SingularInputError("grid too coarse for the wall-fit window")
-    return idx
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorContext:
     """Rescaled profile plus cached derivatives and wall Taylor data.
@@ -109,7 +97,7 @@ class OperatorContext:
             raise InvalidProfileError("profile must vanish at the wall")
         if np.any(vals[1:] <= 0.0):
             raise InvalidProfileError("profile must be positive away from the wall")
-        idx = _window_indices(y, y[1], DEFAULT_FIT.hi)
+        idx = wall_window(y, y[1], DEFAULT_FIT.hi)
         c = lstsq_powers(y[idx], vals[idx], (1, 2, 3, 4))
         if abs(c[0] - 1.0) > slope_tol:
             raise InvalidProfileError(
@@ -135,7 +123,7 @@ def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
     (e.g. a curvature defect).
     """
     y = ctx.grid.nodes
-    idx = _window_indices(y, fit.lo, fit.hi)
+    idx = wall_window(y, fit.lo, fit.hi)
     coeffs = lstsq_powers(y[idx], f[idx], fit.powers)
     scale = max(float(np.max(np.abs(f))), scale_hint, 1e-300)
     span = y[idx][-1]
@@ -224,7 +212,7 @@ def op_commutator(ctx: OperatorContext, D: Field, w: Field,
 
     y = ctx.grid.nodes
     u = ctx.U.values
-    idx = _window_indices(y, fit.lo, fit.hi)
+    idx = wall_window(y, fit.lo, fit.hi)
     dc = lstsq_powers(y[idx], D.values[idx], (1, 2, 3))
     ratio = _series_div(dc, ctx.near_wall, 4)  # (D/Y)/(U/Y) = D/U
     d_over_u = _wall_patched(y, D.values[1:] / u[1:], polyval(y, ratio), fit)
@@ -317,8 +305,4 @@ def wall_slope_extrapolation(f: Field) -> float:
     The first interior node is skipped: it carries the largest
     discretization error of the operator chain.
     """
-    y = f.grid.nodes[2:7]
-    v = f.values[2:7]
-    cols = np.stack([np.ones_like(y), y, y * y], axis=1)
-    sol, *_ = np.linalg.lstsq(cols, v, rcond=None)
-    return float(sol[0])
+    return float(lstsq_powers(f.grid.nodes[2:7], f.values[2:7], (0, 1, 2))[0])

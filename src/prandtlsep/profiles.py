@@ -20,7 +20,6 @@ the difference start at discretization level.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,13 +76,9 @@ def smoothstep_cutoff_second(r):
 CUTOFF_EXPONENT = 2.0 / 7.0
 
 
-@functools.cache
 def wall_coefficients() -> tuple:
-    """(a4, a7, a10, a11) of the wall polynomial as floats.
-
-    Derived by the algebra engine on first use, not at import.
-    """
-    c = ratpoly.profile_coefficients()
+    """(a4, a7, a10, a11) of the wall polynomial as floats."""
+    c = ratpoly.WALL_COEFFICIENTS
     return tuple(float(c[key]) for key in ("a4", "a7", "a10", "a11"))
 
 

@@ -493,6 +493,12 @@ def wall_trace_coefficient(u: RationalPoly, v: RationalPoly) -> Fraction:
     return clu_series(u, clu_series(u, v, 19), 4).coeff(1)
 
 
+#: a4, a7, a10 and a11 of ``profile_coefficients``, which the approximate
+#: profile evaluates; the algebra certificate re-derives each from the
+#: recursion: a4 = 1/48, a7 = a4/84, a10 = 27 a7/1440, a11 = 3 a7/1760
+WALL_COEFFICIENTS = {"a4": Fraction(1, 48), "a7": Fraction(1, 4032),
+                     "a10": Fraction(1, 215040), "a11": Fraction(1, 2365440)}
+
 #: c8 of ``perturbation_y8_weight``, which the march's inflow perturbation
 #: uses; the algebra certificate re-derives it from the series
 PERTURBATION_Y8_WEIGHT = Fraction(9, 32)
@@ -546,10 +552,8 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
     if tamper == "a4":
         u2 = u2 + RationalPoly.monomial(Fraction(1, 10**6), 4, 1)
 
-    a4 = Fraction(1, 48)
-    a7 = a4 / 84
-    a10 = Fraction(27, 1440) * a7
-    a11 = Fraction(3, 1760) * a7
+    c = WALL_COEFFICIENTS
+    a4, a7, a10, a11 = c["a4"], c["a7"], c["a10"], c["a11"]
     # the Y^13/Y^16 coefficients follow from the recursion's residual terms
     # (1/4) a4 a7 b^4 Y^11 and (1/16) a7^2 b^5 Y^14 after double integration
     a13 = a4 * a7 / 624
@@ -593,7 +597,7 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
 
     try:
         dec = remainder_decomposition(u4)
-        aligned, b4 = _remainder_shapes({"a4": a4, "a7": a7, "a10": a10, "a11": a11})
+        aligned, b4 = _remainder_shapes(WALL_COEFFICIENTS)
         add("remainder: (b_s+b^2) coefficient", aligned, dec.bs_b2_coeff)
         add("remainder: pure b^4 part", b4, dec.b4_part)
         d_str = ", ".join(

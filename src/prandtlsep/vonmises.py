@@ -40,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import InvalidProfileError, InvalidStateError, StepFailureError
-from .gridfields import Field, Grid, diff
+from .gridfields import Field, Grid, diff, lstsq_powers
 
 _MONO_TOL_FACTOR = 1e-9
 
@@ -213,9 +213,7 @@ def wall_shear(state: VMState) -> float:
                  + w[idx] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
         samples = 0.5 * w_phi - y[idx]
         # the curvature-defect bias grows like y**3: extrapolate it away
-        cols = np.stack([np.ones_like(idx, dtype=float), y[idx] ** 3], axis=1)
-        sol, *_ = np.linalg.lstsq(cols, samples, rcond=None)
-        est_ = float(sol[0])
+        est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
         if not 0.0 < est_ < 20.0 * g:
             est_ = float(np.median(samples))
         return est_
@@ -305,7 +303,8 @@ def to_von_mises(u: Field, x0_pressure: float = 1.0, n_psi: int = 1153,
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
     near = (y > 0) & (y <= 0.02 * u.grid.span)
-    lam0 = float(np.polyfit(y[near], u_vals[near] - 0.5 * y[near] ** 2, 1)[0]) \
+    lam0 = float(lstsq_powers(y[near], u_vals[near] - 0.5 * y[near] ** 2,
+                              (0, 1))[1]) \
         if np.count_nonzero(near) >= 3 else float(u_vals[1] / y[1])
     state = VMState(x=0.0, psi_grid=grid, W=Field(grid, w), lam=lam0,
                     x0_pressure=x0_pressure, source_scale=source_scale)
@@ -337,11 +336,9 @@ def compute_F(W: Field) -> Field:
     (phi / lam**3, w / lam**4) of a state it is the same F node by node.
     """
     w = W.values
-    phi = W.grid.nodes
+    a, b, c = W.grid.cached("d2_weights", _d2_weights, W.grid)
     f = np.empty_like(w)
-    hm = phi[1:-1] - phi[:-2]
-    hp = phi[2:] - phi[1:-1]
-    d2 = 2.0 * (w[:-2] * hp - w[1:-1] * (hm + hp) + w[2:] * hm) / (hm * hp * (hm + hp))
+    d2 = a * w[:-2] + b * w[1:-1] + c * w[2:]
     f[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]

@@ -24,7 +24,7 @@ from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
 from prandtlsep import vonmises as vm
 from prandtlsep.errors import DomainError, InvalidStateError
-from prandtlsep.gridfields import Field, Grid, cumint
+from prandtlsep.gridfields import Field, Grid, cumint, lstsq_powers
 
 
 def uniform_grid(n: int, x_max: float) -> Grid:
@@ -190,9 +190,7 @@ def wall_shear_full_y(state) -> float:
         w_phi = (w[idx + 1] * hm**2 - w[idx - 1] * hp**2
                  + w[idx] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
         samples = 0.5 * w_phi - y[idx]
-        cols = np.stack([np.ones_like(idx, dtype=float), y[idx] ** 3], axis=1)
-        sol, *_ = np.linalg.lstsq(cols, samples, rcond=None)
-        est_ = float(sol[0])
+        est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
         if not 0.0 < est_ < 20.0 * g:
             est_ = float(np.median(samples))
         return est_

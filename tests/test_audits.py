@@ -72,7 +72,7 @@ def flat_ctx():
 
 class TestMaxPrinciple:
     def test_flat_profile_passes_with_zero_margin(self, flat_ctx):
-        rep = au.max_principle_audit(flat_ctx, s=500.0, b=2e-3, M2=0.5)
+        rep = au.max_principle_audit(flat_ctx, s=500.0, b=2e-3, M2=0.5, M1=1.0)
         assert rep.passed
         assert rep.worst_margin >= 0.0
 
@@ -84,9 +84,9 @@ class TestMaxPrinciple:
         Y = g.nodes
         ctx = OperatorContext.from_profile(Field(g, pr.eval_uapp(s, b, Y)),
                                            slope_tol=1e-2)
-        ok = au.max_principle_audit(ctx, s, b, M2=0.5)
+        ok = au.max_principle_audit(ctx, s, b, M2=0.5, M1=1.0)
         assert ok.passed
-        too_small = au.max_principle_audit(ctx, s, b, M2=1.0 / 16.0)
+        too_small = au.max_principle_audit(ctx, s, b, M2=1.0 / 16.0, M1=1.0)
         assert not too_small.passed
 
     def test_calibration_rounds_to_dyadic(self, flat_ctx):
@@ -130,8 +130,12 @@ class TestBalanceBounds:
     def test_pure_power_profile(self):
         psi = Grid.power_clustered(900, 1e6, 3.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
+        # every interior node trusted: F is undefined at the two ends
+        trusted = np.ones(len(psi), dtype=bool)
+        trusted[0] = trusted[-1] = False
         rep = au.F_bound_audit(w, s=500.0, btilde=2e-3,
-                               alpha=6.0 ** (2.0 / 3.0), C_minus=32.0)
+                               alpha=6.0 ** (2.0 / 3.0), C_minus=32.0,
+                               trusted=trusted)
         assert rep.passed
 
     def test_tolerance_floor(self):

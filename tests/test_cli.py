@@ -9,6 +9,7 @@ import pytest
 
 import prandtlsep
 from prandtlsep import cli
+from prandtlsep.errors import InconsistentLambdaError
 
 
 def _quick_config(outdir) -> cli.RunConfig:
@@ -222,7 +223,8 @@ class TestSimulateAndAudit:
         "old_schema", "schema_2", "schema_3", "missing_s0",
         "missing_snapshot_key", "nan_value", "unsorted_phi",
         "truncated_snapshot", "short_snapshot", "empty_snapshots",
-        "config_out_of_range", "config_not_a_number"])
+        "config_out_of_range", "config_not_a_number", "manifest_not_json",
+        "header_names_columns"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -244,6 +246,10 @@ class TestSimulateAndAudit:
                 (rundir / "trajectory.csv").read_text() + "1.0,2.0\n")
         elif damage == "missing_column":
             snap.write_text(snap.read_text().replace("phi,", "psi,", 1))
+        elif damage == "header_names_columns":
+            # one name more than the rows have columns
+            traj = rundir / "trajectory.csv"
+            traj.write_text(traj.read_text().replace("\n", ",extra\n", 1))
         elif damage == "unknown_config_key":
             manifest["config"]["no_such_key"] = 1
         elif damage == "missing_config_key":
@@ -286,10 +292,73 @@ class TestSimulateAndAudit:
             else:
                 rows = rows[:201]  # 200 nodes: a valid grid, but not n_psi
             snap.write_text("\n".join(rows) + "\n")
-        manifest_path.write_text(json.dumps(manifest))
+        text = json.dumps(manifest)
+        if damage == "manifest_not_json":
+            text = text[:len(text) // 2]
+        manifest_path.write_text(text)
         code = cli.main(["audit", str(rundir)])
         assert code == cli.EXIT_MISSING
-        assert "audit:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "audit:" in out
+        # these two reach their own check, not an earlier one
+        assert {"manifest_not_json": "cannot read",
+                "header_names_columns": "names in the header"}.get(damage, "") in out
+
+    def test_failed_report_exits_1(self, finished_run, tmp_path, monkeypatch,
+                                   capsys):
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        # a negative tolerance fails the curvature audit of every frame
+        monkeypatch.setattr(cli.dg.au, "audit_tol",
+                            lambda h, scale: -np.ones_like(scale))
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_CHECK_FAILED
+        assert "reports FAILED (first: max-principle)" in capsys.readouterr().out
+        summary = json.loads((rundir / "audit_summary.json").read_text())
+        assert not summary["all_passed"]
+        assert summary["failed_snapshots"] == []
+
+    def test_snapshot_that_fails_to_rescale_is_listed(self, finished_run, tmp_path,
+                                                      monkeypatch, capsys):
+        # snapshot 2 fails to rescale at full resolution, snapshot 3 only at
+        # half resolution: the first is listed and left out, the second is
+        # audited with its energies flagged unresolved
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        cfg, traj = cli.load_trajectory(str(rundir))
+        n = len(traj.snapshots)
+        planted = {(traj.snapshots[2].lam, cfg.n_rescaled),
+                   (traj.snapshots[3].lam, cfg.n_rescaled // 2 + 1)}
+        rescale, build = cli.dg.md.rescale_profile, cli.dg.build_frames
+        built = []
+
+        def failing_rescale(u, lam, grid):
+            if (lam, len(grid)) in planted:
+                raise InconsistentLambdaError("planted")
+            return rescale(u, lam, grid)
+
+        def keep_frames(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli.dg.md, "rescale_profile", failing_rescale)
+        monkeypatch.setattr(cli.dg, "build_frames", keep_frames)
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_SOLVER
+        # one frame per snapshot, in snapshot order
+        assert [fr.index for fr in built[0]] == list(range(n))
+        assert [fr.failure for fr in built[0]][2:4] == ["planted", ""]
+        summary = json.loads((rundir / "audit_summary.json").read_text())
+        assert summary["failed_snapshots"] == [{"index": 2, "error": "planted"}]
+        assert len(summary["reports"]) == 3 * (n - 1)
+        assert not summary["all_passed"]
+        energies = np.loadtxt(rundir / "energies.csv", delimiter=",",
+                              skiprows=1, ndmin=2)
+        assert len(energies) == n - 1
+        assert traj.snapshots[2].s not in energies[:, 0]
+        (row,) = energies[energies[:, 0] == traj.snapshots[3].s]
+        assert row[-1] == 0.0
+        out = capsys.readouterr().out
+        assert (f"({n - 1} snapshots audited); 1 snapshots failed to rescale "
+                "(first: snapshot 2: planted)") in out
 
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
         # a completed run of a few steps is too short for the modulation rate

@@ -19,6 +19,7 @@ import ast
 import glob
 import importlib
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
 
@@ -103,6 +104,14 @@ def test_grid_cache_is_reached_only_through_grid_cached():
     users = [os.path.basename(path)
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
              if "_diff_cache" in open(path).read()]
+    assert users == ["gridfields.py"]
+
+
+def test_least_squares_is_solved_only_in_gridfields():
+    # every fit goes through gridfields.lstsq_powers
+    users = [os.path.basename(path)
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+             if re.search(r"\b(lstsq|polyfit)\b", open(path).read())]
     assert users == ["gridfields.py"]
 
 

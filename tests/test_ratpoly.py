@@ -203,6 +203,16 @@ class TestSeriesOracle:
         # the constant the march uses is the series' value
         assert rp.perturbation_y8_weight() == F(9, 32) == rp.PERTURBATION_Y8_WEIGHT
 
+    @pytest.mark.parametrize("key, row", [
+        ("a4", "U2 = Y + Y^2/2 - (1/48) b Y^4"), ("a7", "a7 = a4/84 = 1/4032"),
+        ("a10", "a10 = 27 a7/1440"), ("a11", "a11 = 3 a7/1760")])
+    def test_tampered_wall_coefficient_fails_its_row(self, monkeypatch, key, row):
+        # the certificate checks the constants the approximate profile uses
+        monkeypatch.setitem(rp.WALL_COEFFICIENTS, key,
+                            rp.WALL_COEFFICIENTS[key] * F(1001, 1000))
+        failed = [c.name for c in rp.algebra_certificate() if not c.passed]
+        assert row in failed
+
     def test_linv_series_on_closed_form(self):
         # Linv(U^2) = U + Y U_Y for U = Y + Y^2/2:
         # series check of the non-local inverse
