@@ -451,7 +451,7 @@ def run_audit(outdir: str) -> int:
     except MissingArtifactError as exc:
         print(f"audit: {exc}")
         return EXIT_MISSING
-    frames = dg.build_frames(traj, n_grid=cfg.n_rescaled)
+    frames = dg.build_frames(traj, cfg.n_rescaled)
     energies = [fr.report for fr in frames if fr.report is not None]
     columns = [np.array([getattr(r, key) for r in energies], dtype=float)
                for key in _ENERGY_COLUMNS[:-1]]
@@ -470,7 +470,7 @@ def run_audit(outdir: str) -> int:
         snap = snapshots[fr.index]
         try:
             commutator.append(dg.commutator_identity_check(
-                snap, fr.u, fr.b, n_grid=cfg.n_rescaled))
+                snap, fr.u_at, fr.b, cfg.n_rescaled))
         except PrandtlSepError as exc:
             commutator.append({"s_mid": snap.s, "error": str(exc)})
     payload = {

@@ -1,63 +1,24 @@
-"""Self-similar post-processing: rescaling, modulation rate, collapse fit.
+"""Self-similar post-processing: wall-unit grid, modulation rate, collapse fit.
 
 The slow variable s, with ds/dx = lam**-4, is the march's own clock (see
-``vonmises.solve_until_separation``); profiles are rescaled by
-U(Y) = lam**-2 u(lam Y); the modulation rate b = -2 lam_x lam**3 is
-extracted with a smoothed local slope; and the wall-shear collapse law
-lam ~ C (x* - x)**p is fitted by nonlinear least squares in log-log form,
-with the exponent left free.
+``vonmises.solve_until_separation``); ``standard_rescaled_grid`` is the
+wall-unit grid of the rescaled profiles; the modulation rate
+b = -2 lam_x lam**3 is extracted with a smoothed local slope; and the
+wall-shear collapse law lam ~ C (x* - x)**p is fitted by nonlinear least
+squares in log-log form, with the exponent left free.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, FitFailureError, InconsistentLambdaError
-from .gridfields import (Field, Grid, cumtrapz, lstsq_powers, spline_interpolant,
-                         wall_window, window_starts)
-from .operators import DEFAULT_FIT
+from .errors import DomainError, FitFailureError
+from .gridfields import Grid, cumtrapz, window_starts
 
 
-def standard_rescaled_grid(s: float, n: int = 641) -> Grid:
-    """Wall-clustered grid on [0, 8 s**(2/7)]."""
+def standard_rescaled_grid(s: float, n: int) -> Grid:
+    """Wall-clustered grid of n nodes on [0, 8 s**(2/7)]."""
     return Grid.tanh_clustered(n, 8.0 * s ** (2.0 / 7.0), strength=4.0)
-
-
-#: the tracked shear and the refitted wall slope of a snapshot drift apart
-#: as the shear collapses: on the default run (n_psi = 2305) by 1e-4 at
-#: s ~ 700, growing smoothly to 1.0% at s ~ 9e5; at n_psi = 4609 the drift
-#: stays below 0.2%, so it is a phi-resolution effect of the march.  The
-#: rescale refits the slope anyway, so the cross-check is this loose
-SLOPE_RTOL = 2.5e-2
-
-
-def rescale_profile(u: Field, lam: float, rescaled_grid: Grid) -> Field:
-    """U(Y) = lam**-2 u(lam Y) on the given rescaled grid.
-
-    u is read off a quintic interpolating spline, so the rescaled profile
-    stays smooth on grids finer than u's own.  The wall slope of u is
-    re-fitted and used as the actual scaling factor, which pins U_Y(0) = 1
-    to fit accuracy; if it disagrees with the claimed lam by more than
-    ``SLOPE_RTOL`` the profile is rejected.
-    """
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
-    Y = rescaled_grid.nodes
-    window = wall_window(Y, Y[1], DEFAULT_FIT.hi)
-    u_at = spline_interpolant(u)
-    lam_use = lam
-    vals = None
-    for _ in range(4):
-        vals = u_at(lam_use * Y) / lam_use**2
-        c1 = float(lstsq_powers(Y[window], vals[window], (1, 2, 3, 4))[0])
-        if abs(c1 - 1.0) < 1e-9:
-            break
-        lam_use *= c1
-    if abs(lam_use / lam - 1.0) > SLOPE_RTOL:
-        raise InconsistentLambdaError(
-            f"claimed shear {lam:.6g} vs wall-normalized {lam_use:.6g}"
-        )
-    return Field(rescaled_grid, vals)
 
 
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:

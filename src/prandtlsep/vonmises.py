@@ -55,6 +55,9 @@ PICARD_TOL = 1e-12
 #: Picard sweeps allowed in a BDF2 step and in the backward-Euler start-up
 PICARD_SWEEPS = 6
 STARTUP_SWEEPS = 13
+#: a step may clamp a leading block of at most WALL_FLOOR_CELLS cells to the
+#: noise floor w = 0, and ``_wall_restore`` puts the wall law back on it
+WALL_FLOOR_CELLS = 12
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,13 @@ def _normal_coordinate(grid: Grid, w: np.ndarray,
 
 
 def _wall_restore(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Replace a leading block of nonpositive cells, among the first 16, by
-    the linear wall law.
+    """Replace a leading block of nonpositive cells, among the first
+    ``WALL_FLOOR_CELLS``, by the linear wall law.
 
     The march clamps roundoff-level negatives on the deepest cells of the
     clustered grid to 0; their physical values follow w ~ (w_k/phi_k) phi.
     """
-    max_cells = 16
-    nonpos = np.nonzero(w[1 : max_cells + 1] <= 0.0)[0]
+    nonpos = np.nonzero(w[1 : WALL_FLOOR_CELLS + 1] <= 0.0)[0]
     if len(nonpos) == 0:
         return w
     kp = int(nonpos[-1]) + 2
@@ -180,7 +182,7 @@ def wall_shear(state: VMState) -> float:
     grid = state.psi_grid
     phi = grid.nodes
     w = _wall_restore(phi, state.W.values)
-    guess = float(state.lam if state.lam else 0.05)
+    guess = float(state.lam)
     sqrt_w = np.sqrt(w)
 
     def normal_coordinate(y_cap: float) -> np.ndarray:
@@ -284,9 +286,10 @@ def _u_at_streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray,
     return u_at(th)
 
 
-def to_von_mises(u: Field, x0_pressure: float = 1.0, n_psi: int = 1153,
-                 source_scale: float = 1.0) -> VMState:
-    """Map a physical profile u(y) to the streamfunction state at x = 0.
+def to_von_mises(u: Field, lam: float, x0_pressure: float = 1.0,
+                 n_psi: int = 1153, source_scale: float = 1.0) -> VMState:
+    """Map a physical profile u(y) of wall shear ``lam`` to the streamfunction
+    state at x = 0.
 
     w = u**2 is evaluated at the y of each phi node, not interpolated in phi,
     where it has a phi**(3/2) term at the wall.
@@ -302,14 +305,8 @@ def to_von_mises(u: Field, x0_pressure: float = 1.0, n_psi: int = 1153,
     w = _u_at_streamfunction(y, u_vals, du, phi, grid.nodes) ** 2
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
-    near = (y > 0) & (y <= 0.02 * u.grid.span)
-    lam0 = float(lstsq_powers(y[near], u_vals[near] - 0.5 * y[near] ** 2,
-                              (0, 1))[1]) \
-        if np.count_nonzero(near) >= 3 else float(u_vals[1] / y[1])
-    state = VMState(x=0.0, psi_grid=grid, W=Field(grid, w), lam=lam0,
-                    x0_pressure=x0_pressure, source_scale=source_scale)
-    lam = wall_shear(state)
-    return replace(state, lam=lam)
+    return VMState(x=0.0, psi_grid=grid, W=Field(grid, w), lam=lam,
+                   x0_pressure=x0_pressure, source_scale=source_scale)
 
 
 def from_von_mises(state: VMState) -> Field:
@@ -533,7 +530,8 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
         w_new = np.maximum(w_new, 0.0)
         mono_ok = np.min(np.diff(w_new)) >= -_MONO_TOL_FACTOR * scale
         nonpos = np.nonzero(w_new[1:] <= 0.0)[0]
-        floor_ok = len(nonpos) == 0 or (nonpos[-1] < 12 and len(nonpos) == nonpos[-1] + 1)
+        floor_ok = len(nonpos) == 0 or (nonpos[-1] < WALL_FLOOR_CELLS
+                                        and len(nonpos) == nonpos[-1] + 1)
         if mono_ok and floor_ok:
             if not converged:
                 counts.short_steps += 1
@@ -600,9 +598,9 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     schedule in log(lam), together with the state one step later (used by
     the finite-difference commutator identity).
     """
-    state = to_von_mises(data.u0, x0_pressure=data.x0_pressure,
-                         n_psi=cfg.n_psi, source_scale=cfg.source_scale)
-    state = replace(state, lam=float(data.lambda0))
+    state = to_von_mises(data.u0, float(data.lambda0),
+                         x0_pressure=data.x0_pressure, n_psi=cfg.n_psi,
+                         source_scale=cfg.source_scale)
     s = data.s0
     xs, lams, ss, dxs, fmaxs, monos = [], [], [], [], [], []
     snapshots: List[Snapshot] = []

@@ -175,7 +175,7 @@ def wall_shear_full_y(state) -> float:
     grid = state.psi_grid
     phi = grid.nodes
     w = vm._wall_restore(phi, state.W.values)
-    guess = float(state.lam if state.lam else 0.05)
+    guess = float(state.lam)
     y = vm._normal_coordinate(grid, w)
 
     def estimate(g: float):

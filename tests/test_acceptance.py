@@ -68,7 +68,7 @@ def main_fit(main_run):
 @pytest.fixture(scope="module")
 def main_frames(main_run):
     _, _, traj, _ = main_run
-    return dg.build_frames(traj)
+    return dg.build_frames(traj, cli.RunConfig().n_rescaled)
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +228,9 @@ def test_criterion_6_commutator_identity(main_run):
     for snap in (traj.snapshots[1], traj.snapshots[len(traj.snapshots) // 2],
                  traj.snapshots[-2]):
         i = int(np.argmin(np.abs(traj.x - snap.x)))
-        out = dg.commutator_identity_check(snap, vm.from_von_mises(snap.state),
-                                           float(b_arr[i]))
+        out = dg.commutator_identity_check(
+            snap, gf.spline_interpolant(vm.from_von_mises(snap.state)),
+            float(b_arr[i]), cli.RunConfig().n_rescaled)
         gaps.append(out["relative_gap"])
         tols.append(out["tolerance"])
     ok = all(g <= t for g, t in zip(gaps, tols))
@@ -262,7 +263,7 @@ def test_criterion_7_trace_identity(main_run, main_frames):
     refined = vm.solve_until_separation(
         data, vm.MarchConfig(lambda_stop=cfg.lambda_stop,
                              ds_rel=cfg.ds_rel / 2.0, n_psi=3457))
-    frames_ref = dg.build_frames(refined)
+    frames_ref = dg.build_frames(refined, cli.RunConfig().n_rescaled)
     rep_ref = [fr.report for fr in frames_ref
                if fr.report is not None and fr.report.resolved]
     pass_ref = [

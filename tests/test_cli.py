@@ -328,19 +328,19 @@ class TestSimulateAndAudit:
         n = len(traj.snapshots)
         planted = {(traj.snapshots[2].lam, cfg.n_rescaled),
                    (traj.snapshots[3].lam, cfg.n_rescaled // 2 + 1)}
-        rescale, build = cli.dg.md.rescale_profile, cli.dg.build_frames
+        rescale, build = cli.dg.rescale_snapshot_profile, cli.dg.build_frames
         built = []
 
-        def failing_rescale(u, lam, grid):
+        def failing_rescale(u_at, lam, grid):
             if (lam, len(grid)) in planted:
                 raise InconsistentLambdaError("planted")
-            return rescale(u, lam, grid)
+            return rescale(u_at, lam, grid)
 
         def keep_frames(*args, **kwargs):
             built.append(build(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(cli.dg.md, "rescale_profile", failing_rescale)
+        monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", failing_rescale)
         monkeypatch.setattr(cli.dg, "build_frames", keep_frames)
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_SOLVER
         # one frame per snapshot, in snapshot order
@@ -359,6 +359,34 @@ class TestSimulateAndAudit:
         out = capsys.readouterr().out
         assert (f"({n - 1} snapshots audited); 1 snapshots failed to rescale "
                 "(first: snapshot 2: planted)") in out
+
+    def test_audit_splines_and_inverts_each_state_once(self, finished_run,
+                                                       tmp_path, monkeypatch):
+        # an inverted state, a snapshot or a commutator pair, is splined once
+        # and every rescale of it (full and half resolution, commutator)
+        # reads that spline
+        import scipy.interpolate
+
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        calls = {"spline": 0, "invert": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.interpolate, "make_interp_spline",
+                            counted("spline", scipy.interpolate.make_interp_spline))
+        monkeypatch.setattr(cli.dg.vm, "from_von_mises",
+                            counted("invert", cli.dg.vm.from_von_mises))
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        summary = json.loads((rundir / "audit_summary.json").read_text())
+        assert summary["commutator_identity"]
+        states = len(manifest["snapshots"]) + len(summary["commutator_identity"])
+        assert calls == {"spline": states, "invert": states}
 
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
         # a completed run of a few steps is too short for the modulation rate

@@ -5,6 +5,7 @@ from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
+from prandtlsep.gridfields import spline_interpolant
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def short_traj():
 
 @pytest.fixture(scope="module")
 def frames(short_traj):
-    return dg.build_frames(short_traj, n_grid=513)
+    return dg.build_frames(short_traj, 513)
 
 
 class TestFrames:
@@ -66,8 +67,8 @@ class TestCommutator:
         b = md.compute_b(short_traj.x, short_traj.lam)
         snap = short_traj.snapshots[2]
         i = int(np.argmin(np.abs(short_traj.x - snap.x)))
-        out = dg.commutator_identity_check(snap, vm.from_von_mises(snap.state),
-                                           float(b[i]), n_grid=513)
+        out = dg.commutator_identity_check(
+            snap, spline_interpolant(vm.from_von_mises(snap.state)), float(b[i]), 513)
         assert out["s_mid"] > short_traj.s0
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(

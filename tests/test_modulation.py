@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
-from prandtlsep.errors import DomainError, InconsistentLambdaError
-from prandtlsep.gridfields import Field, Grid
+from prandtlsep.errors import (DomainError, InconsistentLambdaError,
+                               InvalidProfileError)
+from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 
 class TestModulationRate:
@@ -160,13 +162,17 @@ class TestRateCertificate:
 
 
 class TestRescale:
+    @staticmethod
+    def _rescale(u, lam, grid):
+        return dg.rescale_snapshot_profile(spline_interpolant(u), lam, grid).U
+
     def test_designed_scaling_identity(self):
         # u = lam y + y^2/2 maps to exactly Y + Y^2/2
         lam = 0.05
         g = Grid.tanh_clustered(2049, 3.0, 5.0)
         u = Field(g, lam * g.nodes + g.nodes**2 / 2)
         grid = md.standard_rescaled_grid(400.0, 321)
-        U = md.rescale_profile(u, lam, grid)
+        U = self._rescale(u, lam, grid)
         expected = grid.nodes + grid.nodes**2 / 2
         assert np.max(np.abs(U.values - expected)) < 1e-6
 
@@ -175,7 +181,7 @@ class TestRescale:
         g = Grid.tanh_clustered(2049, 3.0, 5.0)
         u = Field(g, lam * g.nodes + g.nodes**2 / 2 - 0.02 * g.nodes**4)
         grid = md.standard_rescaled_grid(625.0, 321)
-        U = md.rescale_profile(u, lam, grid)
+        U = self._rescale(u, lam, grid)
         Y = grid.nodes
         sel = (Y > 0) & (Y < 0.35)
         cols = np.stack([Y[sel] ** p for p in (1, 2, 3, 4)], axis=1)
@@ -187,4 +193,27 @@ class TestRescale:
         u = Field(g, 0.05 * g.nodes + g.nodes**2 / 2)
         grid = md.standard_rescaled_grid(400.0, 321)
         with pytest.raises(InconsistentLambdaError):
-            md.rescale_profile(u, 0.06, grid)
+            self._rescale(u, 0.06, grid)
+
+    @pytest.mark.parametrize("drift, error, message", [
+        (1.007, InvalidProfileError, "wall slope 1.00700000"),
+        (1.01, InconsistentLambdaError, "wall-normalized 1.0303$"),
+    ], ids=["shear-within-tolerance", "shear-rejected"])
+    def test_check_judges_the_shear_the_profile_is_built_with(self, drift, error,
+                                                             message):
+        # a wall slope that never settles: every fit reads c1 = drift, so
+        # the fourth and last profile is built with lam = drift**3.  At 1.007
+        # that shear is within SLOPE_RTOL of 1 (one more update would leave
+        # it) and only the context's own slope check rejects the profile; at
+        # 1.01 the rejection quotes the shear the profile was built with
+        grid = md.standard_rescaled_grid(400.0, 321)
+        calls = []
+
+        def u_at(y):
+            calls.append(y)
+            return drift ** len(calls) * y
+
+        with pytest.raises(error, match=message):
+            dg.rescale_snapshot_profile(u_at, 1.0, grid)
+        assert len(calls) == 4
+        assert np.allclose(calls[-1], drift**3 * grid.nodes, rtol=1e-12, atol=0)

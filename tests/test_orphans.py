@@ -119,3 +119,26 @@ def test_every_function_is_reachable_from_the_cli():
     defs, roots, module_uses = _definitions()
     orphans = set(defs) - _reachable(defs, roots, module_uses)
     assert orphans == TEST_ONLY
+
+
+def test_every_benchmark_hook_resolves():
+    # perfbench/spans.py rebinds these (module, attribute) pairs to trace
+    # them; a renamed or deleted target would only fail the traced benchmark
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    tree = ast.parse(open(path).read(), path)
+    (hooks,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"]]
+    assert hooks
+    missing = []
+    for module_name, attr in hooks:
+        owner = importlib.import_module(module_name)
+        *owners, leaf = attr.split(".")
+        for part in owners:
+            owner = getattr(owner, part, None)
+        # a method or classmethod must be the class's own attribute
+        found = (leaf in vars(owner) if isinstance(owner, type)
+                 else hasattr(owner, leaf))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

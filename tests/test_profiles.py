@@ -5,7 +5,7 @@ from reference import (eval_uapp_Y, poly_eval, theta_prime, theta_second,
 
 from prandtlsep import profiles as pr
 from prandtlsep.errors import DomainError
-from prandtlsep.gridfields import Field, Grid
+from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 
 class TestTheta:
@@ -130,11 +130,13 @@ class TestInitialData:
 
 class TestWellPrepared:
     def test_constructed_data_is_well_prepared(self):
+        from prandtlsep import diagnostics as dg
         from prandtlsep import modulation as md
 
         data = pr.build_initial_data(0.05)
         grid = md.standard_rescaled_grid(data.s0, 513)
-        U0 = md.rescale_profile(data.u0, data.lambda0, grid)
+        U0 = dg.rescale_snapshot_profile(spline_interpolant(data.u0),
+                                         data.lambda0, grid).U
         report = pr.check_wellprepared(U0, data.s0)
         assert report["UYY_bounds_ok"]
         assert report["b_gap"] < 0.05

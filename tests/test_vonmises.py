@@ -6,6 +6,7 @@ import reference
 import scipy.linalg
 from reference import same_bits, uniform_grid
 
+from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
@@ -30,14 +31,14 @@ class TestTransforms:
     def test_linear_profile(self):
         # u = y: phi = y^2/2, w = y^2 = 2 phi
         g = uniform_grid(1025, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes), x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes), 1.0, x0_pressure=2.0)
         phi = state.psi_grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
 
     def test_quadratic_profile(self):
         # u = y^2/2: phi = y^3/6, w = (6 phi)^(4/3)/4 exactly
         g = Grid.power_clustered(2049, 2.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, x0_pressure=2.0)
         phi = state.psi_grid.nodes[1:]
         expected = (6.0 * phi) ** (4.0 / 3.0) / 4.0
         rel = np.abs(state.W.values[1:] - expected) / expected
@@ -45,7 +46,7 @@ class TestTransforms:
         assert np.max(rel[phi > 1e-4]) < 1e-5
 
     def test_round_trip(self, data05):
-        state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
         u_back = vm.from_von_mises(state)
         ref = spline_interpolant(data05.u0)(
             np.clip(u_back.grid.nodes, 0, data05.grid.span))
@@ -77,8 +78,7 @@ class TestTransforms:
         rel = np.abs(u.grid.nodes[1:] - Y_exact[1:]) / Y_exact[1:]
         assert np.max(rel) < 5e-9
 
-        U = md.rescale_profile(u, 1.0, grid)
-        ctx = ops.OperatorContext.from_profile(U)
+        ctx = dg.rescale_snapshot_profile(spline_interpolant(u), 1.0, grid)
         Y = grid.nodes
         near = (Y > 0.05) & (Y <= 0.2)
         assert np.max(np.abs(ctx.U_YY.values - (1 - b * Y**2 / 4))[near]) < 1e-9
@@ -90,11 +90,11 @@ class TestTransforms:
         g = uniform_grid(256, 2.0)
         u = np.sin(3 * g.nodes)
         with pytest.raises(InvalidProfileError):
-            vm.to_von_mises(Field(g, u))
+            vm.to_von_mises(Field(g, u), 3.0)
 
     def test_wall_shear_estimate(self, data05):
-        state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
-        assert abs(state.lam - 0.05) / 0.05 < 2e-3
+        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        assert abs(vm.wall_shear(state) - 0.05) / 0.05 < 2e-3
 
 
 class TestWallShearWindow:
@@ -156,11 +156,12 @@ class TestWallShearWindow:
     def test_prefix_covers_the_window_on_the_default_march(self, monkeypatch):
         # on the default march every wall-shear call's prefix reaches y_cap,
         # so the whole-grid fallback never runs, and no prefix spans a fifth
-        # of the grid (the bound phi/sqrt(w) <= y took 576-640 nodes here)
+        # of the grid (the bound phi/sqrt(w) <= y took 576-640 nodes here).
+        # Every station past the inflow, whose shear is lambda0, is estimated
         calls = self._spy_prefixes(monkeypatch)
         traj = vm.solve_until_separation(pr.build_initial_data(0.05),
                                          vm.MarchConfig(max_steps=200))
-        assert len(calls) >= len(traj.x) and None not in calls
+        assert len(calls) >= len(traj.x) - 1 and None not in calls
         assert max(calls) < 0.2 * len(traj.psi_grid)
 
 
@@ -281,18 +282,18 @@ class TestDiffusionBalance:
     def test_self_similar_region_balances(self):
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
         g = Grid.power_clustered(2049, 3.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), x0_pressure=4.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, x0_pressure=4.0)
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         inner = trusted & (state.psi_grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
-        state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
         assert vm.compute_F(state.W).values[0] == 0.0
 
     def test_far_field_approaches_minus_two(self, data05):
-        state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
         F = vm.compute_F(state.W).values
         assert abs(F[-2] + 2.0) < 1e-2
 
@@ -300,7 +301,7 @@ class TestDiffusionBalance:
 class TestMarch:
     def test_step_consistency_with_balance(self, data05):
         # one small step must move w by dx * (sqrt(w) w_phiphi - 2)
-        state = vm.to_von_mises(data05.u0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
         new = vm.march_step(state, dx, cfg, vm.PicardCounts())
