@@ -33,7 +33,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -149,12 +149,16 @@ def parse_config_file(path: str) -> dict:
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to a temporary file, then rename it to
     ``path``.  The temporary file is made by ``open``, so the artifact gets
-    the mode that the umask gives any new file."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    the mode that the umask gives any new file.  The output path is part of
+    the configuration, so a path that cannot be written raises ConfigError."""
     tmp_path = f"{path}.{os.getpid()}.tmp"
-    with open(tmp_path, "w") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp_path, path)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(tmp_path, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp_path, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_lines(header: List[str], columns: List[np.ndarray]) -> Iterable[str]:
@@ -237,7 +241,7 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 
 #: columns of trajectory.csv, one row per march station; ``s`` is the
 #: march's own slow-time clock
-_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "dx", "F_max", "monotonicity_min"]
+_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "monotonicity_min"]
 
 #: columns of energies.csv: EnergyReport fields, then its resolved flag
 _ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
@@ -245,25 +249,8 @@ _ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
 
 
 def _snapshot_columns(index: int) -> tuple:
-    """Columns of snapshots.csv holding w of a snapshot state and its pair."""
+    """Columns of snapshots.csv holding w of snapshot ``index`` and its pair."""
     return f"w_{index:03d}", f"w_{index:03d}_pair"
-
-
-def _write_manifest(cfg: RunConfig, snapshot_header: List[str],
-                    extra: dict) -> None:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
-        "config_hash": cfg.config_hash(),
-        "columns": {
-            "trajectory.csv": _TRAJECTORY_COLUMNS,
-            "snapshots.csv": snapshot_header,
-            "energies.csv": _ENERGY_COLUMNS,
-        },
-    }
-    manifest.update(extra)
-    write_json(os.path.join(cfg.outdir, "manifest.json"), manifest)
 
 
 def run_simulate(cfg: RunConfig) -> int:
@@ -280,32 +267,27 @@ def run_simulate(cfg: RunConfig) -> int:
     traj = vm.solve_until_separation(data, cfg.march_config())
     _atomic_write(
         os.path.join(cfg.outdir, "trajectory.csv"),
-        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s, traj.dx,
+        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s,
                                          traj.F_max, traj.mono_min]))
     # one table: the shared phi grid, then w of each snapshot and its pair
-    header, columns, snap_meta = ["phi"], [traj.psi_grid.nodes], []
+    header, columns = ["phi"], [traj.psi_grid.nodes]
     for snap in traj.snapshots:
         for state in (snap.state, snap.pair_state):
             if state.psi_grid is not traj.psi_grid:
                 raise ValueError(f"snapshot {snap.index} is off the march's phi grid")
             columns.append(state.W.values)
         header.extend(_snapshot_columns(snap.index))
-        snap_meta.append({
-            "index": snap.index, "x": snap.x, "s": snap.s, "lam": snap.lam,
-            "pair_x": snap.pair_state.x, "pair_s": snap.pair_s,
-            "pair_lam": snap.pair_state.lam,
-        })
     _atomic_write(os.path.join(cfg.outdir, "snapshots.csv"),
                   _csv_lines(header, columns))
 
-    fit_payload = {"completed": traj.completed, "failure": traj.failure}
+    fit_payload = {}
     if traj.completed and len(traj.x) > 50:
         try:
             win = md.fit_window(traj.x, traj.lam, cfg.lambda_stop)
             fit = md.fit_singularity(traj.x[win], traj.lam[win])
             s = traj.s
             b = md.compute_b(traj.x, traj.lam)
-            late = s >= 5.0 * traj.s0
+            late = s >= 5.0 * s[0]
             bs_prod = (b * s)[late]
             defect = md.local_slope(s, b) + b * b
             fit_payload.update(fit)
@@ -318,19 +300,24 @@ def run_simulate(cfg: RunConfig) -> int:
         except PrandtlSepError as exc:
             fit_payload["fit_error"] = str(exc)
     write_json(os.path.join(cfg.outdir, "fit_report.json"), fit_payload)
-    _write_manifest(cfg, header, {"snapshots": snap_meta,
-                                  "s0": traj.s0, "completed": traj.completed,
-                                  "failure": traj.failure, "x_end": traj.x_end,
-                                  "steps": int(len(traj.x)),
-                                  "tridiag_solves": traj.picard.solves,
-                                  "picard_short_steps": traj.picard.short_steps})
+    # a snapshot is named by its trajectory row; its pair is the next row
+    write_json(os.path.join(cfg.outdir, "manifest.json"), {
+        "schema_version": SCHEMA_VERSION,
+        "package_version": __version__,
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        "config_hash": cfg.config_hash(),
+        "snapshots": [snap.station for snap in traj.snapshots],
+        "completed": traj.completed, "failure": traj.failure,
+        "steps": int(len(traj.x)),
+        "tridiag_solves": traj.picard.solves,
+        "picard_short_steps": traj.picard.short_steps})
     work = (f"{traj.picard.solves} solves, {traj.picard.short_steps} steps "
             "short of the Picard tolerance")
     if not traj.completed:
         print(f"simulate: solver stopped early: {traj.failure}; {work}")
         return EXIT_SOLVER
     print(f"simulate: {len(traj.x)} steps to lambda = {traj.lam[-1]:.3e}, "
-          f"x_end = {traj.x_end:.6f}; exponent "
+          f"x_end = {traj.x[-1]:.6f}; exponent "
           f"{fit_payload.get('exponent', float('nan')):.4f}; {work}")
     return EXIT_OK
 
@@ -368,8 +355,7 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
     return columns
 
 
-_MANIFEST_KEYS = ("config", "s0", "snapshots", "completed", "failure")
-_SNAPSHOT_KEYS = ("index", "x", "s", "lam", "pair_x", "pair_s", "pair_lam")
+_MANIFEST_KEYS = ("config", "snapshots", "completed", "failure")
 
 
 def _require_keys(entry, keys, where: str) -> None:
@@ -406,15 +392,25 @@ def load_trajectory(outdir: str) -> tuple:
         cfg.validate()
     except ConfigError as exc:
         raise MissingArtifactError(f"{man_path}: {exc}") from exc
-    if not manifest["snapshots"]:
+    stations = manifest["snapshots"]
+    if not isinstance(stations, list):
+        raise MissingArtifactError(f"{man_path}: snapshots is not a list")
+    if not stations:
         raise MissingArtifactError(f"{man_path}: no snapshots listed")
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
                         finite=("x", "lambda", "s"))
-    names = ["phi"]
-    for meta in manifest["snapshots"]:
-        _require_keys(meta, _SNAPSHOT_KEYS, f"{man_path} snapshot entry")
-        names.extend(_snapshot_columns(meta["index"]))
+    rows = len(raw["x"])
+    for station in stations:
+        problem = ("is not an integer" if type(station) is not int
+                   else "is negative" if station < 0
+                   else f"has no pair row among the {rows} rows of {traj_path}"
+                   if station + 1 >= rows else "")
+        if problem:
+            raise MissingArtifactError(
+                f"{man_path}: snapshot station {station!r} {problem}")
+    names = ["phi"] + [name for index in range(len(stations))
+                       for name in _snapshot_columns(index)]
     table_path = os.path.join(outdir, "snapshots.csv")
     table = _read_columns(table_path, names, finite=names)
     if len(table["phi"]) != cfg.n_psi:
@@ -425,22 +421,21 @@ def load_trajectory(outdir: str) -> tuple:
     except (ValueError, TooFewNodesError) as exc:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
 
-    def state(name: str, x: float, lam: float) -> vm.VMState:
-        return vm.VMState(x=x, psi_grid=grid, W=Field(grid, table[name]),
-                          lam=lam, x0_pressure=cfg.x0_pressure)
+    def state(name: str, row: int) -> vm.VMState:
+        return vm.VMState(x=float(raw["x"][row]), s=float(raw["s"][row]),
+                          psi_grid=grid, W=Field(grid, table[name]),
+                          lam=float(raw["lambda"][row]),
+                          x0_pressure=cfg.x0_pressure)
 
     snapshots = []
-    for meta in manifest["snapshots"]:
-        w_name, pair_name = _snapshot_columns(meta["index"])
+    for index, station in enumerate(stations):
+        w_name, pair_name = _snapshot_columns(index)
         snapshots.append(vm.Snapshot(
-            index=meta["index"], s=meta["s"],
-            state=state(w_name, meta["x"], meta["lam"]),
-            pair_state=state(pair_name, meta["pair_x"], meta["pair_lam"]),
-            pair_s=meta["pair_s"]))
+            index=index, station=station, state=state(w_name, station),
+            pair_state=state(pair_name, station + 1)))
     traj = vm.Trajectory(
-        x=raw["x"], lam=raw["lambda"], s=raw["s"], dx=raw["dx"], F_max=raw["F_max"],
-        mono_min=raw["monotonicity_min"], snapshots=snapshots,
-        psi_grid=grid, s0=manifest["s0"],
+        x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
+        mono_min=raw["monotonicity_min"], snapshots=snapshots, psi_grid=grid,
         completed=manifest["completed"], failure=manifest["failure"])
     return cfg, traj
 
@@ -472,7 +467,7 @@ def run_audit(outdir: str) -> int:
             commutator.append(dg.commutator_identity_check(
                 snap, fr.u_at, fr.b, cfg.n_rescaled))
         except PrandtlSepError as exc:
-            commutator.append({"s_mid": snap.s, "error": str(exc)})
+            commutator.append({"s_mid": snap.state.s, "error": str(exc)})
     payload = {
         "calibration": {"M2": suite.M2, "M1": suite.M1, "M0": suite.M0,
                          "alpha": suite.alpha, "A_minus": suite.A_minus,
@@ -511,7 +506,7 @@ def run_audit(outdir: str) -> int:
 def _sweep_worker(args: tuple) -> dict:
     lambda0, base = args
     cfg = RunConfig(**{**base, "lambda0": lambda0,
-                       "outdir": os.path.join(base["outdir"], f"lam{lambda0:g}")})
+                       "outdir": os.path.join(base["outdir"], f"lam{lambda0!r}")})
     code = run_simulate(cfg)
     entry = {"lambda0": lambda0, "exit": code}
     fit_path = os.path.join(cfg.outdir, "fit_report.json")
@@ -528,6 +523,9 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
 
     if len(lambda0_list) < 2:
         raise ConfigError("sweep needs at least two lambda0 values")
+    if len(set(lambda0_list)) < len(lambda0_list):
+        raise ConfigError("sweep lambda0 values must differ: each member "
+                          "writes to the directory named by its value")
     base = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     jobs = [(lam0, base) for lam0 in sorted(lambda0_list, reverse=True)]
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 2)) as ex:

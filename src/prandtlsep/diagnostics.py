@@ -87,15 +87,16 @@ def rescale_snapshot_profile(u_at: Callable, lam: float,
     return OperatorContext.from_profile(Field(grid, vals))
 
 
-def _wall_unit_energies(u_at: Callable, snap: vm.Snapshot, b: float, bs: float,
+def _wall_unit_energies(u_at: Callable, state: vm.VMState, b: float, bs: float,
                         n_grid: int) -> tuple:
-    """(ctx, report): the snapshot's profile in wall units on ``n_grid``
+    """(ctx, report): the state's profile in wall units on ``n_grid``
     nodes and its energies; no report where the operator chain is singular."""
-    ctx = rescale_snapshot_profile(u_at, snap.lam,
-                                   md.standard_rescaled_grid(snap.s, n_grid))
+    s = state.s
+    ctx = rescale_snapshot_profile(u_at, state.lam,
+                                   md.standard_rescaled_grid(s, n_grid))
     try:
-        V = en.compute_V(ctx.U, snap.s, b)
-        return ctx, en.energy_report(ctx, V, snap.s, b, bs)
+        V = en.compute_V(ctx.U, s, b)
+        return ctx, en.energy_report(ctx, V, s, b, bs)
     except SingularInputError:
         return ctx, None
 
@@ -116,25 +117,25 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     bs_arr = md.local_slope(traj.s, b_arr)
     frames: List[SnapshotFrame] = []
     for snap in traj.snapshots:
-        i = int(np.argmin(np.abs(traj.x - snap.x)))
+        i, state = snap.station, snap.state
         b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
-        u_at = spline_interpolant(vm.from_von_mises(snap.state))
+        u_at = spline_interpolant(vm.from_von_mises(state))
         # the diffusion balance F is scale-invariant, so the physical
         # roundoff trust mask carries over node by node
-        lam = snap.lam
-        W_resc = Field(Grid(snap.state.psi_grid.nodes / lam**3,
-                            "rescaled-streamfunction"), snap.state.W.values / lam**4)
-        frame = SnapshotFrame(index=snap.index, s=snap.s, lam=lam, b=b,
+        lam = state.lam
+        W_resc = Field(Grid(state.psi_grid.nodes / lam**3,
+                            "rescaled-streamfunction"), state.W.values / lam**4)
+        frame = SnapshotFrame(index=snap.index, s=state.s, lam=lam, b=b,
                               btilde=bt, u_at=u_at, W_resc=W_resc,
-                              trusted=vm.trusted_F_mask(snap.state))
+                              trusted=vm.trusted_F_mask(state))
         try:
-            ctx, report = _wall_unit_energies(u_at, snap, b, bs, n_grid)
+            ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
         except InconsistentLambdaError as exc:
             frames.append(replace(frame, failure=str(exc)))
             continue
         if report is not None:
             try:
-                r2 = _wall_unit_energies(u_at, snap, b, bs, n_grid // 2 + 1)[1]
+                r2 = _wall_unit_energies(u_at, state, b, bs, n_grid // 2 + 1)[1]
             except InconsistentLambdaError:
                 r2 = None
             # unresolved also where the half-resolution chain could not even
@@ -232,10 +233,10 @@ def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
     Returns the relative gap on Y in [0.1, s**(1/4)] and the pinned
     tolerance 5 (ds/s + h_rel**2).
     """
-    s1, s2 = snap.s, snap.pair_s
+    s1, s2 = snap.state.s, snap.pair_state.s
     s_mid = 0.5 * (s1 + s2)
     grid = md.standard_rescaled_grid(s_mid, n_grid)
-    ctx1 = rescale_snapshot_profile(u_at, snap.lam, grid)
+    ctx1 = rescale_snapshot_profile(u_at, snap.state.lam, grid)
     ctx2 = rescale_snapshot_profile(
         spline_interpolant(vm.from_von_mises(snap.pair_state)),
         snap.pair_state.lam, grid)

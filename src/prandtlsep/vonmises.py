@@ -79,7 +79,10 @@ class MarchConfig:
 
 @dataclass(frozen=True, eq=False)
 class VMState:
+    """A streamfunction state at station x and slow time s."""
+
     x: float
+    s: float
     psi_grid: Grid
     W: Field
     lam: float
@@ -286,10 +289,10 @@ def _u_at_streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray,
     return u_at(th)
 
 
-def to_von_mises(u: Field, lam: float, x0_pressure: float = 1.0,
+def to_von_mises(u: Field, lam: float, s: float, x0_pressure: float = 1.0,
                  n_psi: int = 1153, source_scale: float = 1.0) -> VMState:
     """Map a physical profile u(y) of wall shear ``lam`` to the streamfunction
-    state at x = 0.
+    state at x = 0 and slow time ``s``.
 
     w = u**2 is evaluated at the y of each phi node, not interpolated in phi,
     where it has a phi**(3/2) term at the wall.
@@ -305,7 +308,7 @@ def to_von_mises(u: Field, lam: float, x0_pressure: float = 1.0,
     w = _u_at_streamfunction(y, u_vals, du, phi, grid.nodes) ** 2
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
-    return VMState(x=0.0, psi_grid=grid, W=Field(grid, w), lam=lam,
+    return VMState(x=0.0, s=s, psi_grid=grid, W=Field(grid, w), lam=lam,
                    x0_pressure=x0_pressure, source_scale=source_scale)
 
 
@@ -514,7 +517,9 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
 
     ``prev`` (w_previous, h_previous) feeds the BDF2 step; without it
     (the first step) the step is the iterated backward-Euler start-up.
-    The step's Picard work is added to ``counts``.
+    The step's Picard work is added to ``counts``.  The slow time advances
+    by ds = dx / lam**4 on the old station's shear: this is the march's one
+    clock.
     """
     w_old = state.W.values
     scale = float(np.max(w_old))
@@ -539,7 +544,9 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
         dx *= 0.5
         if dx < DX_MIN:
             raise StepFailureError("step size underflow (separation reached?)")
-    state_new = VMState(x=state.x + dx, psi_grid=state.psi_grid,
+    x_new = state.x + dx
+    state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
+                        psi_grid=state.psi_grid,
                         W=Field(state.psi_grid, w_new), lam=state.lam,
                         x0_pressure=state.x0_pressure,
                         source_scale=cfg.source_scale)
@@ -549,22 +556,13 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A marching pair: a snapshot state and the state one accepted step
-    later, at slow times s and pair_s."""
+    """A marching pair: the state at trajectory row ``station`` and the
+    state one accepted step later, at row station + 1."""
 
     index: int
-    s: float
+    station: int
     state: VMState
     pair_state: VMState
-    pair_s: float
-
-    @property
-    def x(self) -> float:
-        return self.state.x
-
-    @property
-    def lam(self) -> float:
-        return self.state.lam
 
 
 @dataclass
@@ -572,21 +570,15 @@ class Trajectory:
     x: np.ndarray
     lam: np.ndarray
     s: np.ndarray
-    dx: np.ndarray
     F_max: np.ndarray
     mono_min: np.ndarray
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
-    s0: float
     completed: bool
     failure: str = ""
     # the march's PicardCounts; None on a trajectory rebuilt from artifacts,
     # whose manifest records them
     picard: Optional[PicardCounts] = None
-
-    @property
-    def x_end(self) -> float:
-        return float(self.x[-1])
 
 
 def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
@@ -598,29 +590,27 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     schedule in log(lam), together with the state one step later (used by
     the finite-difference commutator identity).
     """
-    state = to_von_mises(data.u0, float(data.lambda0),
+    state = to_von_mises(data.u0, float(data.lambda0), data.s0,
                          x0_pressure=data.x0_pressure, n_psi=cfg.n_psi,
                          source_scale=cfg.source_scale)
-    s = data.s0
-    xs, lams, ss, dxs, fmaxs, monos = [], [], [], [], [], []
+    xs, lams, ss, fmaxs, monos = [], [], [], [], []
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     completed, failure = False, ""
 
-    def record(st: VMState, dx_val: float) -> None:
+    def record(st: VMState) -> None:
         F = compute_F(st.W).values
         mask = trusted_F_mask(st)
         xs.append(st.x)
         lams.append(st.lam)
-        ss.append(s)
-        dxs.append(dx_val)
+        ss.append(st.s)
         fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
         dphi = _spacings(st.psi_grid)[2]
         monos.append(float(np.min(np.diff(st.W.values) / dphi)))
 
-    record(state, 0.0)
-    # (state, s) of the snapshot that waits for its pair, the next state
-    pending: Optional[tuple] = (state, s)
+    record(state)
+    # the snapshot state that waits for its pair, the next state
+    pending: Optional[VMState] = state
     prev = None
     counts = PicardCounts()
     lam_next_snap = data.lambda0 * decade_step
@@ -629,38 +619,35 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         if lam <= cfg.lambda_stop:
             completed = True
             break
-        dx = min(cfg.dx_init, CFL_SAFETY * lam**4 * cfg.ds_rel * s)
+        dx = min(cfg.dx_init, CFL_SAFETY * lam**4 * cfg.ds_rel * state.s)
         dx = max(dx, DX_MIN * 10.0)
         try:
             new_state = march_step(state, dx, cfg, counts, prev=prev)
         except (StepFailureError, InvalidStateError) as exc:
             failure = str(exc)
             break
-        dx_actual = new_state.x - state.x
         if new_state.lam <= 0.0:
             failure = ("wall shear no longer resolvable on this grid "
                        "(separation reached before lambda_stop)")
             break
-        prev = (state.W.values, dx_actual)
-        s = s + dx_actual / lam**4
+        prev = (state.W.values, new_state.x - state.x)
         state = new_state
-        record(state, dx_actual)
+        record(state)
         if pending is not None:
-            snap_state, snap_s = pending
-            snapshots.append(Snapshot(index=len(snapshots), s=snap_s,
-                                      state=snap_state, pair_state=state,
-                                      pair_s=s))
+            # the pending state sits one row above the pair just recorded
+            snapshots.append(Snapshot(index=len(snapshots), station=len(xs) - 2,
+                                      state=pending, pair_state=state))
             pending = None
         if state.lam <= lam_next_snap and state.lam > cfg.lambda_stop:
-            pending = (state, s)
+            pending = state
             lam_next_snap = state.lam * decade_step
     else:
         failure = "max_steps exhausted"
 
     # a snapshot still pending here never got its pair and is not kept
     return Trajectory(
-        x=np.array(xs), lam=np.array(lams), s=np.array(ss), dx=np.array(dxs),
+        x=np.array(xs), lam=np.array(lams), s=np.array(ss),
         F_max=np.array(fmaxs), mono_min=np.array(monos),
-        snapshots=snapshots, psi_grid=state.psi_grid, s0=data.s0,
+        snapshots=snapshots, psi_grid=state.psi_grid,
         completed=completed, failure=failure, picard=counts,
     )

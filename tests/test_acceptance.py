@@ -106,7 +106,7 @@ def test_criterion_3_modulation_law(main_run):
     _, _, traj, _ = main_run
     b = md.compute_b(traj.x, traj.lam)
     s = traj.s
-    late = s >= 5.0 * traj.s0
+    late = s >= 5.0 * s[0]
     prod = (b * s)[late]
     defect = md.local_slope(s, b) + b * b
     J = float(np.trapezoid((s ** (13.0 / 4.0) * defect**2)[late], s[late]))
@@ -227,10 +227,9 @@ def test_criterion_6_commutator_identity(main_run):
     gaps, tols = [], []
     for snap in (traj.snapshots[1], traj.snapshots[len(traj.snapshots) // 2],
                  traj.snapshots[-2]):
-        i = int(np.argmin(np.abs(traj.x - snap.x)))
         out = dg.commutator_identity_check(
             snap, gf.spline_interpolant(vm.from_von_mises(snap.state)),
-            float(b_arr[i]), cli.RunConfig().n_rescaled)
+            float(b_arr[snap.station]), cli.RunConfig().n_rescaled)
         gaps.append(out["relative_gap"])
         tols.append(out["tolerance"])
     ok = all(g <= t for g, t in zip(gaps, tols))

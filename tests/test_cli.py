@@ -120,6 +120,18 @@ class TestConfig:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("configuration error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-algebra"])
+    def test_unwritable_outdir_exit_code(self, tmp_path, command, capsys):
+        # the output path is configuration: a path under a regular file is
+        # rejected in one line, not with a traceback
+        (tmp_path / "file").write_text("")
+        outdir = str(tmp_path / "file" / "sub")
+        assert cli.main([command, "--outdir", outdir]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: cannot write {outdir}")
+        assert os.listdir(tmp_path) == ["file"]
+
 
 class TestVerifyAlgebra:
     def test_fresh_build_passes(self, tmp_path):
@@ -154,7 +166,10 @@ class TestSimulateAndAudit:
         manifest = json.loads(open(os.path.join(outdir, "manifest.json")).read())
         assert manifest["completed"]
         header = open(os.path.join(outdir, "snapshots.csv")).readline().strip()
-        assert header.split(",") == manifest["columns"]["snapshots.csv"]
+        # the k-th listed station names the columns w_k and w_k_pair
+        assert header.split(",") == ["phi"] + [
+            f"w_{k:03d}{tail}" for k in range(len(manifest["snapshots"]))
+            for tail in ("", "_pair")]
         assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
         # the march's Picard work, as the manifest records it
@@ -220,9 +235,10 @@ class TestSimulateAndAudit:
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
-        "old_schema", "schema_2", "schema_3", "missing_s0",
-        "missing_snapshot_key", "nan_value", "unsorted_phi",
-        "truncated_snapshot", "short_snapshot", "empty_snapshots",
+        "old_schema", "schema_2", "schema_3", "schema_5", "nan_value",
+        "unsorted_phi", "truncated_snapshot", "short_snapshot",
+        "empty_snapshots", "snapshots_not_a_list", "station_not_an_int",
+        "station_is_a_bool", "negative_station", "station_without_pair",
         "config_out_of_range", "config_not_a_number", "manifest_not_json",
         "header_names_columns"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
@@ -271,13 +287,26 @@ class TestSimulateAndAudit:
         elif damage == "schema_3":
             # version 3 kept each snapshot and its pair in files of their own
             manifest["schema_version"] = 3
-            manifest["snapshots"][2]["file"] = "snapshot_002.csv"
-        elif damage == "missing_s0":
-            del manifest["s0"]
-        elif damage == "missing_snapshot_key":
-            del manifest["snapshots"][2]["pair_lam"]
+            manifest["snapshots"] = [{"index": k, "file": f"snapshot_{k:03d}.csv"}
+                                     for k in range(len(manifest["snapshots"]))]
+        elif damage == "schema_5":
+            # version 5 repeated each snapshot's x, s and lam and its pair's
+            manifest["schema_version"] = 5
+            manifest["snapshots"] = [{"index": k, "x": 0.0, "s": 1.0, "lam": 0.05}
+                                     for k in range(len(manifest["snapshots"]))]
         elif damage == "empty_snapshots":
             manifest["snapshots"] = []
+        elif damage == "snapshots_not_a_list":
+            manifest["snapshots"] = 5
+        elif damage == "station_not_an_int":
+            manifest["snapshots"][2] = "a"
+        elif damage == "station_is_a_bool":
+            manifest["snapshots"][2] = True
+        elif damage == "negative_station":
+            manifest["snapshots"][2] = -1
+        elif damage == "station_without_pair":
+            # the last trajectory row has no next row to pair with
+            manifest["snapshots"][-1] = manifest["steps"] - 1
         elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot",
                         "short_snapshot"):
             rows = snap.read_text().splitlines()
@@ -300,9 +329,15 @@ class TestSimulateAndAudit:
         assert code == cli.EXIT_MISSING
         out = capsys.readouterr().out
         assert "audit:" in out
-        # these two reach their own check, not an earlier one
+        # these reach their own check, not an earlier one
         assert {"manifest_not_json": "cannot read",
-                "header_names_columns": "names in the header"}.get(damage, "") in out
+                "header_names_columns": "names in the header",
+                "schema_5": "schema_version 5",
+                "snapshots_not_a_list": "snapshots is not a list",
+                "station_not_an_int": "station 'a' is not an integer",
+                "station_is_a_bool": "station True is not an integer",
+                "negative_station": "station -1 is negative",
+                "station_without_pair": "has no pair row"}.get(damage, "") in out
 
     def test_failed_report_exits_1(self, finished_run, tmp_path, monkeypatch,
                                    capsys):
@@ -326,8 +361,8 @@ class TestSimulateAndAudit:
         shutil.copytree(finished_run, rundir)
         cfg, traj = cli.load_trajectory(str(rundir))
         n = len(traj.snapshots)
-        planted = {(traj.snapshots[2].lam, cfg.n_rescaled),
-                   (traj.snapshots[3].lam, cfg.n_rescaled // 2 + 1)}
+        planted = {(traj.snapshots[2].state.lam, cfg.n_rescaled),
+                   (traj.snapshots[3].state.lam, cfg.n_rescaled // 2 + 1)}
         rescale, build = cli.dg.rescale_snapshot_profile, cli.dg.build_frames
         built = []
 
@@ -353,8 +388,8 @@ class TestSimulateAndAudit:
         energies = np.loadtxt(rundir / "energies.csv", delimiter=",",
                               skiprows=1, ndmin=2)
         assert len(energies) == n - 1
-        assert traj.snapshots[2].s not in energies[:, 0]
-        (row,) = energies[energies[:, 0] == traj.snapshots[3].s]
+        assert traj.snapshots[2].state.s not in energies[:, 0]
+        (row,) = energies[energies[:, 0] == traj.snapshots[3].state.s]
         assert row[-1] == 0.0
         out = capsys.readouterr().out
         assert (f"({n - 1} snapshots audited); 1 snapshots failed to rescale "
@@ -424,7 +459,7 @@ class TestSimulateAndAudit:
         assert len(traj.snapshots) == len(ref.snapshots) > 2
         assert np.array_equal(traj.psi_grid.nodes, ref.psi_grid.nodes)
         for got, want in zip(traj.snapshots, ref.snapshots):
-            assert (got.index, got.s, got.pair_s) == (want.index, want.s, want.pair_s)
+            assert (got.index, got.station) == (want.index, want.station)
             for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
                 # one Grid shared by every loaded state, as in the march
                 assert a.psi_grid is traj.psi_grid
@@ -432,13 +467,32 @@ class TestSimulateAndAudit:
                 # copy of it
                 assert np.may_share_memory(a.W.values, traj.psi_grid.nodes)
                 assert np.array_equal(a.W.values, b.W.values)
-                assert (a.x, a.lam) == (b.x, b.lam)
+                assert (a.x, a.s, a.lam) == (b.x, b.s, b.lam)
 
 
 class TestSweep:
     def test_needs_two_values(self, tmp_path):
         code = cli.main(["sweep", "0.05", "--outdir", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+
+    def test_repeated_value_rejected(self, tmp_path, capsys):
+        # two members would share one directory; rejected before any worker
+        code = cli.main(["sweep", "0.05", "0.05", "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert not os.listdir(tmp_path)
+        assert "must differ" in capsys.readouterr().err
+
+    def test_member_directory_keeps_every_digit(self, tmp_path, monkeypatch):
+        # 0.05 and 0.05000001 print alike under :g and must not share lam0.05
+        outdirs = []
+        monkeypatch.setattr(cli, "run_simulate",
+                            lambda cfg: outdirs.append(cfg.outdir) or cli.EXIT_OK)
+        base = {f.name: getattr(cli.RunConfig(outdir=str(tmp_path)), f.name)
+                for f in cli.fields(cli.RunConfig)}
+        for lam0 in (0.05, 0.05000001, 0.025):
+            cli._sweep_worker((lam0, base))
+        assert [os.path.basename(d) for d in outdirs] == [
+            "lam0.05", "lam0.05000001", "lam0.025"]
 
 
 class TestSweepIntegration:
@@ -493,16 +547,52 @@ class TestSolverFailurePath:
         assert manifest["steps"] > 1
 
 
-def _loaded_after(code: str, modules) -> list:
-    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
+def _run_fresh(code: str):
+    """The JSON value that a fresh interpreter, importing this checkout's
+    prandtlsep, prints on the last line of its output after running ``code``."""
     src = os.path.dirname(os.path.dirname(prandtlsep.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = (f"import json, sys\n{code}\nprint(json.dumps(sorted("
-             f"m for m in {tuple(modules)!r} if m in sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(code: str, modules) -> list:
+    """Which of ``modules`` a fresh interpreter holds after running ``code``."""
+    return _run_fresh(f"import json, sys\n{code}\nprint(json.dumps(sorted("
+                      f"m for m in {tuple(modules)!r} if m in sys.modules)))")
+
+
+def test_benchmark_checks_read_the_cli_artifacts(tmp_path):
+    # perfbench/worker.py checks every simulate and audit by the keys it
+    # reads from their artifacts; a key the CLI no longer writes fails here.
+    # The worker imports scipy.linalg, so it runs in a fresh interpreter
+    cfg = cli.RunConfig(lambda0=0.05, lambda_stop_factor=50.0, n_psi=1153,
+                        n_physical=1537, ds_rel=0.02, snapshots_per_decade=10.0,
+                        outdir=str(tmp_path / "run"))
+    assert cli.run_simulate(cfg) == cli.EXIT_OK
+    assert cli.main(["audit", cfg.outdir]) in (cli.EXIT_OK, cli.EXIT_SOLVER)
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    (sim, sim_problems), (aud, _) = _run_fresh(
+        f"import json, sys\nsys.path.insert(0, {perfbench!r})\nimport worker\n"
+        f"print(json.dumps([worker.check_simulate({cfg.outdir!r}), "
+        f"worker.check_audit({cfg.outdir!r})]))")
+    assert sim_problems == []
+    manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
+    summary = json.loads(open(os.path.join(cfg.outdir,
+                                           "audit_summary.json")).read())
+    assert sim["steps"] == manifest["steps"] > 50
+    assert set(sim) == {"steps", "exponent", "residual", "x_star",
+                        "x_star_over_lambda0_sq", "b_envelope"}
+    # this coarse grid leaves snapshots that fail to rescale: their reports
+    # are missing, which the audit check reports
+    audited = len(manifest["snapshots"]) - len(summary["failed_snapshots"])
+    assert aud["reports"] == 3 * audited
+    assert aud["all_passed"] == summary["all_passed"]
+    assert set(aud) == {"reports", "all_passed", "commutator_holds",
+                        "resolved_samples"}
 
 
 def test_cli_import_loads_neither_integrate_nor_optimize():

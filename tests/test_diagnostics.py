@@ -37,7 +37,7 @@ class TestFrames:
     def test_streamfunction_scaling(self, frames, short_traj):
         fr = frames[2]
         snap = short_traj.snapshots[2]
-        assert np.allclose(fr.W_resc.values * snap.lam**4,
+        assert np.allclose(fr.W_resc.values * snap.state.lam**4,
                            snap.state.W.values, atol=1e-30)
 
     def test_energy_reports_attached(self, frames):
@@ -66,10 +66,10 @@ class TestCommutator:
     def test_pair_based_identity_runs(self, short_traj):
         b = md.compute_b(short_traj.x, short_traj.lam)
         snap = short_traj.snapshots[2]
-        i = int(np.argmin(np.abs(short_traj.x - snap.x)))
         out = dg.commutator_identity_check(
-            snap, spline_interpolant(vm.from_von_mises(snap.state)), float(b[i]), 513)
-        assert out["s_mid"] > short_traj.s0
+            snap, spline_interpolant(vm.from_von_mises(snap.state)),
+            float(b[snap.station]), 513)
+        assert out["s_mid"] > short_traj.s[0]
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(
             5.0 * (out["ds_over_s"] + out["h_rel"] ** 2))

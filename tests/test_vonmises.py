@@ -31,14 +31,14 @@ class TestTransforms:
     def test_linear_profile(self):
         # u = y: phi = y^2/2, w = y^2 = 2 phi
         g = uniform_grid(1025, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes), 1.0, x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0, x0_pressure=2.0)
         phi = state.psi_grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
 
     def test_quadratic_profile(self):
         # u = y^2/2: phi = y^3/6, w = (6 phi)^(4/3)/4 exactly
         g = Grid.power_clustered(2049, 2.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, x0_pressure=2.0)
         phi = state.psi_grid.nodes[1:]
         expected = (6.0 * phi) ** (4.0 / 3.0) / 4.0
         rel = np.abs(state.W.values[1:] - expected) / expected
@@ -46,7 +46,7 @@ class TestTransforms:
         assert np.max(rel[phi > 1e-4]) < 1e-5
 
     def test_round_trip(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
         u_back = vm.from_von_mises(state)
         ref = spline_interpolant(data05.u0)(
             np.clip(u_back.grid.nodes, 0, data05.grid.span))
@@ -72,7 +72,7 @@ class TestTransforms:
         for _ in range(60):   # Newton from above: monotone convergence
             Y_exact = Y_exact - (phi_of(Y_exact) - phi) / np.maximum(
                 u_of(Y_exact), 1e-300)
-        state = vm.VMState(x=0.0, psi_grid=psi, W=Field(psi, u_of(Y_exact)**2),
+        state = vm.VMState(x=0.0, s=s, psi_grid=psi, W=Field(psi, u_of(Y_exact)**2),
                            lam=1.0, x0_pressure=1.0)
         u = vm.from_von_mises(state)
         rel = np.abs(u.grid.nodes[1:] - Y_exact[1:]) / Y_exact[1:]
@@ -90,10 +90,10 @@ class TestTransforms:
         g = uniform_grid(256, 2.0)
         u = np.sin(3 * g.nodes)
         with pytest.raises(InvalidProfileError):
-            vm.to_von_mises(Field(g, u), 3.0)
+            vm.to_von_mises(Field(g, u), 3.0, 1.0)
 
     def test_wall_shear_estimate(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
         assert abs(vm.wall_shear(state) - 0.05) / 0.05 < 2e-3
 
 
@@ -282,18 +282,18 @@ class TestDiffusionBalance:
     def test_self_similar_region_balances(self):
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
         g = Grid.power_clustered(2049, 3.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, x0_pressure=4.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, x0_pressure=4.0)
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         inner = trusted & (state.psi_grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
         assert vm.compute_F(state.W).values[0] == 0.0
 
     def test_far_field_approaches_minus_two(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
         F = vm.compute_F(state.W).values
         assert abs(F[-2] + 2.0) < 1e-2
 
@@ -301,10 +301,12 @@ class TestDiffusionBalance:
 class TestMarch:
     def test_step_consistency_with_balance(self, data05):
         # one small step must move w by dx * (sqrt(w) w_phiphi - 2)
-        state = vm.to_von_mises(data05.u0, data05.lambda0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
         new = vm.march_step(state, dx, cfg, vm.PicardCounts())
+        # the slow-time clock: ds = dx / lam**4 on the old station's shear
+        assert new.s == state.s + (new.x - state.x) / state.lam**4
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         dw_rate = (new.W.values - state.W.values) / dx
@@ -354,10 +356,10 @@ class TestMarch:
         snaps = short_traj.snapshots
         assert [snap.index for snap in snaps] == list(range(len(snaps)))
         for snap in snaps:
-            i = int(np.nonzero(short_traj.x == snap.x)[0][0])
-            assert snap.pair_state.x == short_traj.x[i + 1]
-            assert (snap.s, snap.pair_s) == (short_traj.s[i], short_traj.s[i + 1])
-            assert snap.lam == short_traj.lam[i] == snap.state.lam
+            i = snap.station
+            for state, row in ((snap.state, i), (snap.pair_state, i + 1)):
+                assert (state.x, state.s, state.lam) == (
+                    short_traj.x[row], short_traj.s[row], short_traj.lam[row])
             assert snap.state.psi_grid is snap.pair_state.psi_grid \
                 is short_traj.psi_grid
 
@@ -370,13 +372,13 @@ class TestMarch:
         snap = short_traj.snapshots[-1]
         u = vm.from_von_mises(snap.state)
         y = u.grid.nodes
-        hi = 0.6 * snap.lam
+        hi = 0.6 * snap.state.lam
         idx = np.nonzero((y > 0) & (y <= hi))[0]
         cols = np.stack([y[idx] ** p for p in (1, 2, 3, 4)], axis=1)
         norms = np.linalg.norm(cols, axis=0)
         sol, *_ = np.linalg.lstsq(cols / norms, u.values[idx], rcond=None)
         lam_fit = sol[0] / norms[0]
-        assert abs(snap.lam - lam_fit) / lam_fit < 0.02
+        assert abs(snap.state.lam - lam_fit) / lam_fit < 0.02
 
 
 class TestZeroSource:
