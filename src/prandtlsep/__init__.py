@@ -11,8 +11,7 @@ solutions, diffusion-balance bounds) on the computed solutions.
 __version__ = "0.1.0"
 
 from .gridfields import Field, Grid, cumint, diff  # noqa: F401
-from .profiles import (InitialData, build_initial_data,  # noqa: F401
-                       check_wellprepared, eval_uapp)
+from .profiles import InitialData, build_initial_data, eval_uapp  # noqa: F401
 from .ratpoly import (RationalPoly, algebra_certificate,  # noqa: F401
                       apply_L, leading_V_coefficients, next_iterate,
                       prandtl_residual, profile_coefficients,

@@ -29,6 +29,7 @@ from . import modulation as md
 from . import profiles as pr
 from . import ratpoly as rp
 from . import vonmises as vm
+from .energies import EnergyReport
 from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
@@ -243,9 +244,8 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 #: march's own slow-time clock
 _TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "monotonicity_min"]
 
-#: columns of energies.csv: EnergyReport fields, then its resolved flag
-_ENERGY_COLUMNS = ["s", "E0", "E1", "E2", "D0", "D1", "D2", "trace_residual",
-                   "bs_plus_b2", "resolved_flag"]
+#: columns of energies.csv, one row per frame with a report
+_ENERGY_COLUMNS = [f.name for f in fields(EnergyReport)]
 
 
 def _snapshot_columns(index: int) -> tuple:
@@ -289,11 +289,10 @@ def run_simulate(cfg: RunConfig) -> int:
             b = md.compute_b(traj.x, traj.lam)
             late = s >= 5.0 * s[0]
             bs_prod = (b * s)[late]
-            defect = md.local_slope(s, b) + b * b
             fit_payload.update(fit)
             fit_payload.update({
-                "J_gamma_13_4": float(np.trapezoid((s ** (13.0 / 4.0) * defect**2)[late],
-                                                s[late])),
+                "rate_certificate": md.rate_inequality_certificate(
+                    s[late], b[late], gamma=13.0 / 4.0),
                 "b_envelope": [float(bs_prod.min()), float(bs_prod.max())],
                 "x_star_over_lambda0_sq": fit["x_star"] / cfg.lambda0**2,
             })
@@ -449,29 +448,31 @@ def run_audit(outdir: str) -> int:
     frames = dg.build_frames(traj, cfg.n_rescaled)
     energies = [fr.report for fr in frames if fr.report is not None]
     columns = [np.array([getattr(r, key) for r in energies], dtype=float)
-               for key in _ENERGY_COLUMNS[:-1]]
-    columns.append(np.array([float(r.resolved) for r in energies]))
+               for key in _ENERGY_COLUMNS]
     _atomic_write(os.path.join(outdir, "energies.csv"),
                   _csv_lines(_ENERGY_COLUMNS, columns))
-    # a snapshot that cannot be rescaled is listed, and the other frames
-    # are still audited
-    broken = [{"index": fr.index, "error": fr.failure}
-              for fr in frames if fr.failure]
+    # a snapshot that cannot be inverted, splined or rescaled is listed with
+    # its error, and the other frames are still audited
+    broken = [{"index": fr.index, "error": str(fr.failure),
+               "type": type(fr.failure).__name__}
+              for fr in frames if fr.failure is not None]
     suite = dg.run_audit_suite(frames)
-    reports = [asdict(r) for r in suite.reports]
+    calibration = asdict(suite)
+    reports = calibration.pop("reports")
     snapshots = {snap.index: snap for snap in traj.snapshots}
     commutator = []
     for fr in frames[1:-1:4]:
         snap = snapshots[fr.index]
+        if fr.failure is not None:   # no spline or context to check
+            commutator.append({"s_mid": snap.state.s, "error": str(fr.failure)})
+            continue
         try:
             commutator.append(dg.commutator_identity_check(
                 snap, fr.u_at, fr.b, cfg.n_rescaled))
         except PrandtlSepError as exc:
             commutator.append({"s_mid": snap.state.s, "error": str(exc)})
     payload = {
-        "calibration": {"M2": suite.M2, "M1": suite.M1, "M0": suite.M0,
-                         "alpha": suite.alpha, "A_minus": suite.A_minus,
-                         "A_plus": suite.A_plus, "C_minus": suite.C_minus},
+        "calibration": calibration,
         "reports": reports,
         "commutator_identity": commutator,
         "failed_snapshots": broken,
@@ -482,12 +483,14 @@ def run_audit(outdir: str) -> int:
     # the commutator checks and the resolved flags are reported, not gated:
     # on the default run none of them holds (criteria 6 and 7)
     holds = sum(c.get("holds") is True for c in commutator)
-    resolved = sum(r.resolved for r in energies)
+    resolved = sum(r.resolved_flag for r in energies)
     checks = (f"commutator identity holds {holds}/{len(commutator)}; "
               f"energies resolved {resolved}/{len(energies)}")
     if broken:
         checks = (f"{len(broken)} snapshots failed to rescale (first: snapshot "
                   f"{broken[0]['index']}: {broken[0]['error']}); {checks}")
+    if not traj.completed:
+        checks += f"; the manifest marks the run incomplete: {traj.failure}"
     if failed:
         print(f"audit: {len(failed)} reports FAILED (first: {failed[0].name}); "
               f"{checks}")

@@ -20,7 +20,8 @@ from . import audits as au
 from . import energies as en
 from . import modulation as md
 from . import vonmises as vm
-from .errors import DomainError, InconsistentLambdaError, SingularInputError
+from .errors import (DomainError, InconsistentLambdaError, PrandtlSepError,
+                     SingularInputError)
 from .gridfields import (Field, Grid, diff, lstsq_powers, spline_interpolant,
                          wall_window)
 from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
@@ -41,8 +42,9 @@ SLOPE_RTOL = 2.5e-2
 class SnapshotFrame:
     """One snapshot in rescaled variables plus modulation data.
 
-    A snapshot that cannot be rescaled to wall units keeps its frame, with
-    no ``ctx`` and no report, and ``failure`` says why.
+    A snapshot that cannot be inverted, splined or rescaled to wall units
+    keeps its frame, with no ``ctx`` and no report, and ``failure`` holds
+    the error that stopped it.
     """
 
     index: int              # the snapshot's index
@@ -50,12 +52,12 @@ class SnapshotFrame:
     lam: float
     b: float
     btilde: float
-    u_at: Callable          # spline of the snapshot state's physical profile
     W_resc: Field
     trusted: np.ndarray
+    u_at: Optional[Callable] = None   # spline of the state's physical profile
     ctx: Optional[OperatorContext] = None
     report: Optional[en.EnergyReport] = None
-    failure: str = ""
+    failure: Optional[PrandtlSepError] = None
 
 
 def rescale_snapshot_profile(u_at: Callable, lam: float,
@@ -105,12 +107,13 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     """Rescale every snapshot and attach modulation data and energies.
 
     Each snapshot state is inverted to its physical profile and splined
-    once.  A snapshot whose wall-fitted shear misses the tracked one
-    (``InconsistentLambdaError``) keeps a frame that records the failure,
-    so the list holds one frame per snapshot.  The resolved flag compares
-    the energies against a half-resolution recomputation; samples that
-    move more than 10%, or whose half-resolution chain fails, are flagged
-    and excluded from acceptance-style gates.
+    once.  A snapshot that raises a package error on the way, such as a
+    wall-fitted shear that misses the tracked one or a wall-unit grid that
+    reaches past the inverted profile, keeps a frame that records the
+    error, so the list holds one frame per snapshot.  The resolved flag
+    compares the energies against a half-resolution recomputation; samples
+    that move more than 10%, or whose half-resolution chain fails, are
+    flagged and excluded from acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
@@ -119,24 +122,24 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     for snap in traj.snapshots:
         i, state = snap.station, snap.state
         b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
-        u_at = spline_interpolant(vm.from_von_mises(state))
         # the diffusion balance F is scale-invariant, so the physical
         # roundoff trust mask carries over node by node
         lam = state.lam
         W_resc = Field(Grid(state.psi_grid.nodes / lam**3,
                             "rescaled-streamfunction"), state.W.values / lam**4)
         frame = SnapshotFrame(index=snap.index, s=state.s, lam=lam, b=b,
-                              btilde=bt, u_at=u_at, W_resc=W_resc,
+                              btilde=bt, W_resc=W_resc,
                               trusted=vm.trusted_F_mask(state))
         try:
+            u_at = spline_interpolant(vm.from_von_mises(state))
             ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
-        except InconsistentLambdaError as exc:
-            frames.append(replace(frame, failure=str(exc)))
+        except PrandtlSepError as exc:
+            frames.append(replace(frame, failure=exc))
             continue
         if report is not None:
             try:
                 r2 = _wall_unit_energies(u_at, state, b, bs, n_grid // 2 + 1)[1]
-            except InconsistentLambdaError:
+            except PrandtlSepError:
                 r2 = None
             # unresolved also where the half-resolution chain could not even
             # be evaluated
@@ -144,8 +147,8 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
                 a > 0 and abs(a - c) > 0.10 * max(a, c)
                 for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
                              (report.E2, r2.E2)))
-            report = replace(report, resolved=resolved)
-        frames.append(replace(frame, ctx=ctx, report=report))
+            report = replace(report, resolved_flag=resolved)
+        frames.append(replace(frame, u_at=u_at, ctx=ctx, report=report))
     return frames
 
 

@@ -7,7 +7,10 @@ The corrector is V = U - U_app.  The controlled quantities are
 
 with weights w = Y**(-a) (1 + s**(-beta) Y)**(-m) that see nothing beyond
 Y ~ s**beta.  The wall trace of d/dY L**2 V reads the modulation defect:
-it must equal -(b_s + b**2)/2.
+it must equal -(b_s + b**2)/2.  The trace inequality of the energy
+argument bounds that same wall value by weighted integrals of the field;
+each report carries both of its sides, and the leading wall coefficient
+V/Y**7 of the corrector.  They are reported, not gated.
 
 Integrals start at the first interior node (the weight is singular but
 integrable at the wall; the first-cell head is below every tolerance used
@@ -25,7 +28,7 @@ from .audits import C_ZONE
 from .errors import DomainError
 from .gridfields import Field, cumtrapz, diff, lstsq_powers, wall_window
 from .operators import (CHAIN_FITS, OperatorContext, clu_chain, op_cLU,
-                        wall_slope_extrapolation)
+                        op_Linv, wall_slope_extrapolation)
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,10 @@ class EnergyReport:
     D2: float
     trace_residual: float
     bs_plus_b2: float
-    resolved: bool = True
+    v_wall_ratio: float
+    trace_ineq_lhs: float
+    trace_ineq_rhs: float
+    resolved_flag: bool = True
 
 
 def compute_V(U: Field, s: float, b: float) -> Field:
@@ -132,12 +138,10 @@ def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec, s: float,
     The dropped cross-window tail of the underlying inequality is evaluated
     separately (unit constant) and reported, not subtracted.
     """
-    from .operators import dLinv
-
     y = ctx.grid.nodes
     u = ctx.U.values
     w = weight_eval(spec, s, y)
-    d2 = dLinv(ctx, f, 2)
+    d2 = diff(op_Linv(ctx, f), 2)
     lhs = -float(np.trapezoid(d2.values * f.values * w, y))
     fy = diff(f, 1).values
     quad_vals = np.zeros_like(y)
@@ -168,7 +172,9 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     against -(b_s + b**2)/2.
 
     The trace is extrapolated to Y = 0 by a quadratic fit over nodes 2-6
-    (the first interior node skipped).
+    (the first interior node skipped).  The trace inequality is evaluated
+    on the same field, on the window Y <= s**beta with the exponent a of
+    the E2 weight.
     """
     a1 = clu_chain(ctx, V, 1)
     a2 = op_cLU(ctx, a1, CHAIN_FITS[1])   # = clu_chain(ctx, V, 2)
@@ -184,14 +190,18 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
         return (float(np.trapezoid(g**2 * w, y)),
                 float(np.trapezoid(vals * w, y)))
 
+    w2 = WeightSpec.default_w2()
     E0, D0 = pair(V, WeightSpec.default_w0())
     E1, D1 = pair(a1, WeightSpec.default_w1())
-    E2, D2 = pair(a2, WeightSpec.default_w2())
+    E2, D2 = pair(a2, w2)
     t_field = diff(a2, 1)
     trace = wall_slope_extrapolation(t_field)
     expected = -0.5 * (bs + b * b)
+    bound = trace_inequality_audit(t_field, L=s**w2.beta, a=w2.a)
     return EnergyReport(
         s=s, E0=E0, E1=E1, E2=E2, D0=D0, D1=D1, D2=D2,
         trace_residual=float(trace - expected),
         bs_plus_b2=float(bs + b * b),
+        v_wall_ratio=v_wall_ratio(V),
+        trace_ineq_lhs=bound["lhs"], trace_ineq_rhs=bound["rhs"],
     )

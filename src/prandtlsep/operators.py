@@ -111,7 +111,7 @@ class OperatorContext:
 
 
 def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
-                   min_power: int = 2, scale_hint: float = 0.0) -> np.ndarray:
+                   scale_hint: float = 0.0) -> np.ndarray:
     """Model coefficients of f over the wall window, starting at Y**2.
 
     A probe fit with constant and linear columns measures the content of f
@@ -137,10 +137,6 @@ def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
             f"input does not vanish to O(Y^2) at the wall "
             f"(low-order content {low:.3e} vs scale {scale:.3e})"
         )
-    if min_power >= 3:
-        window_scale = max(float(np.max(np.abs(f[idx]))), 1e-300)
-        if abs(coeffs[0]) * span**2 > fit.rel_tol * window_scale + 1e-14:
-            raise SingularInputError("input does not vanish to O(Y^3) at the wall")
     return coeffs
 
 
@@ -219,84 +215,6 @@ def op_commutator(ctx: OperatorContext, D: Field, w: Field,
     i2 = cumint(w.with_values(g * d_over_u)).values
     term2 = 2.0 * ctx.grid.apply_diff(u * i2, 1)
     return w.with_values(term1 + term2)
-
-
-def dLinv(ctx: OperatorContext, w: Field, order: int,
-          fit: WallFit = DEFAULT_FIT) -> Field:
-    """Closed-form Y-derivatives of the inverse operator (order 1, 2 or 3).
-
-    order 1:  U_YY I + w_Y / U
-    order 2:  U_YYY I + U_YY w/U**2 + (w_YY U - w_Y U_Y)/U**2
-    order 3:  U_YYYY I + 2 (U U_YYY - U_YY U_Y) w/U**3
-              + (2 U_Y**2 w_Y - 2 U_Y w_YY U + w_YYY U**2)/U**3
-    with I = int_0^Y w/U**2.  Order 3 needs w vanishing like Y**3.  The
-    singular groupings are evaluated from Taylor quotients below the fit
-    window.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    coeffs = _fit_vanishing(ctx, w.values, fit, min_power=3 if order == 3 else 2)
-    y = ctx.grid.nodes
-    u = ctx.U.values
-    uy = ctx.U_Y.values
-    uyy = ctx.U_YY.values
-    g, _ = _patched_quotients(ctx, w.values, coeffs, fit)
-    integral = cumint(w.with_values(g)).values
-
-    def ser(a, n=8):
-        a = np.asarray(a, dtype=float)
-        return a[:n] if len(a) >= n else np.concatenate([a, np.zeros(n - len(a))])
-
-    def sder(a):
-        return np.array([k * a[k] for k in range(1, len(a))])
-
-    mul = np.convolve
-    w_ser = ser(np.concatenate([[0.0, 0.0], coeffs]))
-    u_ser = ser(np.concatenate([[0.0], ctx.near_wall]))
-    wy_ser = ser(sder(w_ser))
-    wyy_ser = ser(sder(wy_ser))
-    wyyy_ser = ser(sder(wyy_ser))
-    uy_ser = ser(sder(u_ser))
-    w_y = ctx.grid.apply_diff(w.values, 1)
-
-    def patched(raw_tail: np.ndarray, num_series, den_series, shift: int) -> np.ndarray:
-        model = polyval(y, _series_div(ser(num_series)[shift : shift + 5],
-                                       den_series, 4))
-        return _wall_patched(y, raw_tail, model, fit)
-
-    cpoly = np.asarray(ctx.near_wall)
-
-    if order == 1:
-        term = patched(w_y[1:] / u[1:], wy_ser, cpoly, 1)
-        return w.with_values(uyy * integral + term)
-
-    if order == 2:
-        u3 = diff(ctx.U_YY, 1).values
-        w_yy = ctx.grid.apply_diff(w.values, 2)
-        num = mul(wyy_ser, u_ser) - mul(wy_ser, uy_ser)
-        term = patched((w_yy[1:] * u[1:] - w_y[1:] * uy[1:]) / u[1:] ** 2,
-                       num, mul(cpoly, cpoly), 2)
-        return w.with_values(u3 * integral + uyy * g + term)
-
-    u3 = diff(ctx.U_YY, 1).values
-    u4 = ctx.grid.apply_diff(ctx.U_YY.values, 2)
-    w_yy = ctx.grid.apply_diff(w.values, 2)
-    w_yyy = ctx.grid.apply_diff(w.values, 3)
-    den3 = mul(mul(cpoly, cpoly), cpoly)
-    pref = 2.0 * (u * u3 - uyy * uy)
-    w_over_u3 = patched(w.values[1:] / u[1:] ** 3, w_ser, den3, 3)
-    tail_num = (
-        2.0 * ser(mul(mul(uy_ser, uy_ser), wy_ser))
-        - 2.0 * ser(mul(mul(uy_ser, wyy_ser), u_ser))
-        + ser(mul(wyyy_ser, mul(u_ser, u_ser)))
-    )
-    tail_raw = (
-        2.0 * uy[1:] ** 2 * w_y[1:]
-        - 2.0 * uy[1:] * w_yy[1:] * u[1:]
-        + w_yyy[1:] * u[1:] ** 2
-    ) / u[1:] ** 3
-    tail = patched(tail_raw, tail_num, den3, 3)
-    return w.with_values(u4 * integral + pref * w_over_u3 + tail)
 
 
 def wall_slope_extrapolation(f: Field) -> float:

@@ -278,30 +278,3 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         C0_measured=C0,
         compat_slope=compat,
     )
-
-
-def check_wellprepared(U0: Field, s0: float, eta: float = 0.1) -> dict:
-    """Scaled smallness report for rescaled initial data (diagnostic only)."""
-    from . import energies  # local import; energies depends on this module
-
-    if s0 <= 1.0:
-        raise DomainError("s0 must exceed 1")
-    from .operators import OperatorContext
-
-    ctx = OperatorContext.from_profile(U0, slope_tol=1e-3)
-    b0 = 1.0 / s0
-    V = energies.compute_V(U0, s0, b0)
-    report = energies.energy_report(ctx, V, s0, b0, 0.0)
-    Y = U0.grid.nodes
-    a4 = wall_coefficients()[0]
-    # curvature-based modulation estimate: U_YY ~ 1 - 12 a4 b Y^2 near wall
-    window = (Y > 0.2) & (Y < 1.5)
-    uyy = ctx.U_YY.values
-    b_est = float(np.mean((1.0 - uyy[window]) / (12.0 * a4 * Y[window] ** 2)))
-    bounds_ok = bool(np.max(uyy) <= 1.0 + 5e-3)
-    return {
-        "E1_scaled": report.E1 * s0 ** (13.0 / 4.0 + eta / 2.0),
-        "E2_scaled": report.E2 * s0**5,
-        "b_gap": abs(b_est - b0) * s0,
-        "UYY_bounds_ok": bounds_ok,
-    }

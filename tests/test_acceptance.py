@@ -246,7 +246,7 @@ def test_criterion_7_trace_identity(main_run, main_frames):
     # trace residuals are resolution-stable but sit at 6e-3 .. 0.35, carried
     # by the same curvature error of the marched data as criterion 6
     reports = [fr.report for fr in main_frames if fr.report is not None]
-    resolved = [r for r in reports if r.resolved]
+    resolved = [r for r in reports if r.resolved_flag]
     detail_all = f"{len(resolved)}/{len(reports)} samples resolved"
     if not resolved:
         conclude(7, False, detail_all + "; criterion requires resolved "
@@ -264,7 +264,7 @@ def test_criterion_7_trace_identity(main_run, main_frames):
                              ds_rel=cfg.ds_rel / 2.0, n_psi=3457))
     frames_ref = dg.build_frames(refined, cli.RunConfig().n_rescaled)
     rep_ref = [fr.report for fr in frames_ref
-               if fr.report is not None and fr.report.resolved]
+               if fr.report is not None and fr.report.resolved_flag]
     pass_ref = [
         r for r in rep_ref
         if abs(r.trace_residual)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -380,9 +382,12 @@ class TestSimulateAndAudit:
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_SOLVER
         # one frame per snapshot, in snapshot order
         assert [fr.index for fr in built[0]] == list(range(n))
-        assert [fr.failure for fr in built[0]][2:4] == ["planted", ""]
+        failure, no_failure = (fr.failure for fr in built[0][2:4])
+        assert isinstance(failure, InconsistentLambdaError)
+        assert str(failure) == "planted" and no_failure is None
         summary = json.loads((rundir / "audit_summary.json").read_text())
-        assert summary["failed_snapshots"] == [{"index": 2, "error": "planted"}]
+        assert summary["failed_snapshots"] == [
+            {"index": 2, "error": "planted", "type": "InconsistentLambdaError"}]
         assert len(summary["reports"]) == 3 * (n - 1)
         assert not summary["all_passed"]
         energies = np.loadtxt(rundir / "energies.csv", delimiter=",",
@@ -470,6 +475,51 @@ class TestSimulateAndAudit:
                 assert (a.x, a.s, a.lam) == (b.x, b.s, b.lam)
 
 
+@pytest.fixture(scope="module")
+def large_lambda0_run(tmp_path_factory):
+    """(outdir, audit exit code, audit line) of a lambda0 = 0.1 run: the
+    wall-unit grid of snapshot 0 reaches y = 2.982, past the 2.944 that
+    its inverted profile spans."""
+    cfg = cli.RunConfig(lambda0=0.1, n_psi=1153, n_physical=1537,
+                        outdir=str(tmp_path_factory.mktemp("large") / "run"))
+    assert cli.run_simulate(cfg) == cli.EXIT_OK
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["audit", cfg.outdir])
+    return cfg.outdir, code, out.getvalue()
+
+
+class TestLargeLambda0:
+    def test_frame_past_the_profile_span_is_listed(self, large_lambda0_run):
+        # snapshot 0 is listed with its error type; the other 13 are audited
+        outdir, code, line = large_lambda0_run
+        assert code == cli.EXIT_SOLVER
+        summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
+        assert summary["failed_snapshots"] == [
+            {"index": 0, "error": "interpolation query outside grid span",
+             "type": "ExtrapolationError"}]
+        assert len(summary["reports"]) == 3 * 13
+        energies = np.loadtxt(os.path.join(outdir, "energies.csv"), delimiter=",",
+                              skiprows=1, ndmin=2)
+        assert len(energies) == 13
+        assert "(13 snapshots audited); 1 snapshots failed" in line
+
+    def test_energies_header_is_the_report_fields(self, large_lambda0_run):
+        outdir = large_lambda0_run[0]
+        header = open(os.path.join(outdir, "energies.csv")).readline().strip()
+        assert header.split(",") == [f.name for f in cli.fields(cli.EnergyReport)]
+
+    def test_fit_report_carries_rate_certificate(self, large_lambda0_run):
+        fit = json.loads(open(os.path.join(large_lambda0_run[0],
+                                           "fit_report.json")).read())
+        cert = fit["rate_certificate"]
+        assert "J_gamma_13_4" not in fit
+        assert cert["gamma"] == 13.0 / 4.0 and cert["J"] > 0.0
+        # the certificate's envelope is the b*s envelope of the same samples
+        lo, hi = fit["b_envelope"]
+        assert cert["epsilon"] == max(1.0 - lo, hi - 1.0)
+        assert cert["violations"] == 0 and cert["holds"]
+
+
 class TestSweep:
     def test_needs_two_values(self, tmp_path):
         code = cli.main(["sweep", "0.05", "--outdir", str(tmp_path)])
@@ -510,7 +560,8 @@ class TestSweepIntegration:
 
 
 class TestSolverFailurePath:
-    def test_unreachable_stop_exits_2_with_partial_artifacts(self, tmp_path):
+    def test_unreachable_stop_exits_2_with_partial_artifacts(self, tmp_path,
+                                                             capsys):
         # a stop threshold below the grid's wall resolution: the march ends
         # early with a recorded failure and keeps partial artifacts
         cfg = cli.RunConfig(lambda0=0.05, lambda_stop_factor=1e5,
@@ -523,6 +574,17 @@ class TestSolverFailurePath:
         manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
         assert not manifest["completed"]
         assert manifest["failure"]
+        # the snapshots that can be rescaled are audited; the late ones near
+        # collapse are listed, and the summary line says the run stopped
+        capsys.readouterr()
+        assert cli.main(["audit", cfg.outdir]) == cli.EXIT_SOLVER
+        summary = json.loads(open(os.path.join(cfg.outdir,
+                                               "audit_summary.json")).read())
+        audited = len(manifest["snapshots"]) - len(summary["failed_snapshots"])
+        assert audited > 0 and summary["failed_snapshots"]
+        assert len(summary["reports"]) == 3 * audited
+        out = capsys.readouterr().out
+        assert f"the manifest marks the run incomplete: {manifest['failure']}" in out
 
     def test_singular_solve_exits_2_with_partial_artifacts(self, quick_cfg,
                                                            monkeypatch):

@@ -137,44 +137,27 @@ class TestCommutator:
         assert np.max(np.abs(dds[win] + closed[win])) / scale < 2e-3
 
 
-class TestDerivativeFormulas:
-    def test_order1_matches_direct_derivative(self, ctx513):
-        ctx, g, Y = ctx513
-        w = Field(g, Y**5)
-        d1 = ops.dLinv(ctx, w, 1).values
-        ref = gf.diff(ops.op_Linv(ctx, w), 1).values
-        win = (Y > 0.05) & (Y < 6.0)
-        assert np.max(np.abs(d1[win] - ref[win]) / np.abs(ref[win])) < 1e-4
+class TestInverseDerivatives:
+    # Y-derivatives of the inverse are stencil derivatives of op_Linv; on
+    # this grid they miss the closed forms by 2.7e-5 (k = 2) and 2.5e-5 (k = 3)
 
-    def test_order2_closed_form(self, ctx513):
+    def test_second_derivative_closed_form(self, ctx513):
         # d2 Linv(Y^5) = (6 Y^5 + 15 Y^4)/U^2 for U = Y + Y^2/2
         ctx, g, Y = ctx513
         U = ctx.U.values
-        d2 = ops.dLinv(ctx, Field(g, Y**5), 2).values
+        d2 = gf.diff(ops.op_Linv(ctx, Field(g, Y**5)), 2).values
         win = (Y > 0.05) & (Y < 6.0)
         ref = (6 * Y[win] ** 5 + 15 * Y[win] ** 4) / U[win] ** 2
-        assert np.max(np.abs(d2[win] - ref) / ref) < 1e-6
+        assert np.max(np.abs(d2[win] - ref) / ref) < 1e-4
 
-    def test_order3_closed_form(self, ctx513):
-        # derived from the closed-form derivative formulas:
-        # d3 Linv(Y^5) = 3 Y^4 (Y^2 + 6 Y + 10)/U^3, checked independently
-        # against the small-Y limit 30 Y of Linv(Y^5) ~ (5/4) Y^4
+    def test_third_derivative_closed_form(self, ctx513):
+        # d3 Linv(Y^5) = 3 Y^4 (Y^2 + 6 Y + 10)/U^3 for U = Y + Y^2/2
         ctx, g, Y = ctx513
         U = ctx.U.values
-        d3 = ops.dLinv(ctx, Field(g, Y**5), 3).values
+        d3 = gf.diff(ops.op_Linv(ctx, Field(g, Y**5)), 3).values
         win = (Y > 0.05) & (Y < 6.0)
         ref = 3 * Y[win] ** 4 * (Y[win] ** 2 + 6 * Y[win] + 10) / U[win] ** 3
-        assert np.max(np.abs(d3[win] - ref) / ref) < 1e-6
-
-    def test_order3_needs_cubic_vanishing(self, ctx513):
-        ctx, g, Y = ctx513
-        with pytest.raises(SingularInputError):
-            ops.dLinv(ctx, Field(g, Y**2), 3)
-
-    def test_invalid_order(self, ctx513):
-        ctx, g, Y = ctx513
-        with pytest.raises(ValueError):
-            ops.dLinv(ctx, Field(g, Y**5), 4)
+        assert np.max(np.abs(d3[win] - ref) / ref) < 1e-4
 
 
 class TestWallChain:

@@ -10,9 +10,15 @@ hook), are called implicitly and count as reached.
 Names are matched without their owner, so methods sharing a name are
 merged: one reachable ``validate`` makes every ``validate`` reachable.
 
-The pinned set holds the energy-estimate audits of the source paper that
-only tests call so far; any other function that the command line cannot
-reach fails here.
+The pinned set holds one function, ``energies.coercivity_audit``, which
+only tests call.  Its verdict on marched frames depends on the wall-fit
+window of the inverse operator.  With f the curvature of one diffusion
+application at the default window, it holds on the 13 default frames where
+f can be formed.  With f the curvature of the energies' first chain stage,
+the default window rejects f on 13 of 14 frames, and the chain's own
+window gives a left side below the form on all 14.  Until that dependence
+is understood the audit is not reported.  Any other function that the
+command line cannot reach fails here.
 """
 
 import ast
@@ -23,14 +29,7 @@ import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
 
-TEST_ONLY = {
-    "energies.coercivity_audit",
-    "energies.trace_inequality_audit",
-    "energies.v_wall_ratio",
-    "modulation.rate_inequality_certificate",
-    "operators.dLinv",
-    "profiles.check_wellprepared",
-}
+TEST_ONLY = {"energies.coercivity_audit"}
 
 
 def _overrides(cls, name: str) -> bool:
