@@ -32,6 +32,15 @@ N_DIFFERENTIAL_SAMPLES = 400
 #: the lower balance bound is audited on psi <= F_LOWER_CAP btilde**(-5/4)
 F_LOWER_CAP = 0.5
 
+#: the sandwich domain and the lower balance bound start at psi = C_MINUS
+#: btilde**(-3/4)
+C_MINUS = 32.0
+
+
+def sandwich_floor(btilde: float) -> float:
+    """The floor C_MINUS btilde**(-3/4) of the sandwich domain."""
+    return C_MINUS * btilde ** (-0.75)
+
 
 #: discretization-aware tolerance: max(10 h^2 scale, fidelity floor, 1e-10)
 def audit_tol(h: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -126,11 +135,11 @@ def _w_upper(psi, A_plus, btilde):
     return (6.0 * psi) ** (4.0 / 3.0) / 4.0 + A_plus * psi ** (10.0 / 3.0) * btilde**2
 
 
-def _sandwich_domain(W: Field, btilde: float, C_minus: float) -> tuple:
+def _sandwich_domain(W: Field, btilde: float) -> tuple:
     """(bottom, psi, w, base) on the sandwich domain psi >= bottom =
-    C_minus btilde**(-3/4): the grid nodes and values there, and the
+    ``sandwich_floor(btilde)``: the grid nodes and values there, and the
     comparison profile (6 psi)**(4/3)/4 that both bounds perturb."""
-    bottom = C_minus * btilde ** (-0.75)
+    bottom = sandwich_floor(btilde)
     dom = W.grid.nodes >= bottom
     p = W.grid.nodes[dom]
     return bottom, p, W.values[dom], (6.0 * p) ** (4.0 / 3.0) / 4.0
@@ -143,7 +152,7 @@ def _transport_diffusion(psi, w_vals, w_p, w_pp, ds_w, b):
 
 
 def subsolution_audit(W: Field, s: float, b: float, btilde: float,
-                      A_minus: float, A_plus: float, C_minus: float) -> AuditReport:
+                      A_minus: float, A_plus: float) -> AuditReport:
     """Sandwich W_lower <= W <= W_upper plus their differential inequalities.
 
     Operates in rescaled streamfunction variables.  The sandwich is checked
@@ -153,7 +162,7 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     regularized rate).
     """
     psi = W.grid.nodes
-    bottom, p, w_data, base = _sandwich_domain(W, btilde, C_minus)
+    bottom, p, w_data, base = _sandwich_domain(W, btilde)
     if not len(p):
         return AuditReport("sub-super-sandwich", "empty domain", 0.0, 0, 0,
                            {"bottom": bottom, "psi_max": float(psi[-1])})
@@ -200,7 +209,7 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
         violation_count=violations,
         samples=int(len(p) * 2 + 2 * N_DIFFERENTIAL_SAMPLES),
         details={
-            "A_minus": A_minus, "A_plus": A_plus, "C_minus": C_minus,
+            "A_minus": A_minus, "A_plus": A_plus, "C_minus": C_MINUS,
             "btilde": btilde, "s": s,
             "sandwich_violations": int(np.sum(low_marg < 0)) + int(np.sum(up_marg < 0)),
             "differential_violations": viol_low + viol_up,
@@ -208,9 +217,9 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     )
 
 
-def calibrate_A(W: Field, s: float, b: float, btilde: float, C_minus: float) -> tuple:
+def calibrate_A(W: Field, btilde: float) -> tuple:
     """Smallest dyadic amplitudes making the sandwich pass at this slice."""
-    _, p, w_data, base = _sandwich_domain(W, btilde, C_minus)
+    _, p, w_data, base = _sandwich_domain(W, btilde)
     if not len(p):
         raise DomainError("empty sandwich domain at the calibration slice")
     deficit = base - w_data
@@ -222,9 +231,9 @@ def calibrate_A(W: Field, s: float, b: float, btilde: float, C_minus: float) -> 
 
 
 def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
-                  C_minus: float, trusted: np.ndarray) -> AuditReport:
+                  trusted: np.ndarray) -> AuditReport:
     """F = sqrt(W) W_psipsi - 2: F <= 0 globally and F >= -btilde alpha
-    (psi**2/3 - psi**1/3) on psi in [C_minus btilde^-3/4,
+    (psi**2/3 - psi**1/3) on psi in [``sandwich_floor(btilde)``,
     F_LOWER_CAP btilde^-5/4]."""
     psi = W.grid.nodes
     F = vm.compute_F(W).values
@@ -233,14 +242,15 @@ def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
     upper_marg = tol - F
     nv_upper = int(np.sum(upper_marg[trusted] < 0))
     lower = -btilde * alpha * (psi ** (2.0 / 3.0) - psi ** (1.0 / 3.0))
-    dom = ((psi >= C_minus * btilde ** (-0.75))
+    bottom = sandwich_floor(btilde)
+    dom = ((psi >= bottom)
            & (psi <= F_LOWER_CAP * btilde ** (-1.25)) & trusted)
     lower_marg = (F - lower + tol)[dom] if dom.any() else np.array([np.inf])
     nv_lower = int(np.sum(lower_marg < 0))
     worst = float(min(np.min(upper_marg[trusted]), np.min(lower_marg)))
     return AuditReport(
         name="diffusion-balance-bounds",
-        domain_checked=f"global upper; lower on [{C_minus * btilde**-0.75:.3g}, "
+        domain_checked=f"global upper; lower on [{bottom:.3g}, "
                        f"{F_LOWER_CAP * btilde**-1.25:.3g}]",
         worst_margin=worst,
         violation_count=nv_upper + nv_lower,

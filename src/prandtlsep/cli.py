@@ -283,7 +283,7 @@ def run_simulate(cfg: RunConfig) -> int:
     fit_payload = {}
     if traj.completed and len(traj.x) > 50:
         try:
-            win = md.fit_window(traj.x, traj.lam, cfg.lambda_stop)
+            win = md.fit_window(traj.lam, cfg.lambda_stop)
             fit = md.fit_singularity(traj.x[win], traj.lam[win])
             s = traj.s
             b = md.compute_b(traj.x, traj.lam)

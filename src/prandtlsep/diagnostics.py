@@ -27,9 +27,6 @@ from .gridfields import (Field, Grid, diff, lstsq_powers, spline_interpolant,
 from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
                         op_commutator, op_diffusion)
 
-#: sandwich floor psi >= C_MINUS btilde**(-3/4)
-C_MINUS = 32.0
-
 #: the tracked shear and the refitted wall slope of a snapshot drift apart
 #: as the shear collapses: on the default run (n_psi = 2305) by 1e-4 at
 #: s ~ 700, growing smoothly to 1.0% at s ~ 9e5; at n_psi = 4609 the drift
@@ -92,10 +89,11 @@ def rescale_snapshot_profile(u_at: Callable, lam: float,
 def _wall_unit_energies(u_at: Callable, state: vm.VMState, b: float, bs: float,
                         n_grid: int) -> tuple:
     """(ctx, report): the state's profile in wall units on ``n_grid``
-    nodes and its energies; no report where the operator chain is singular."""
-    s = state.s
-    ctx = rescale_snapshot_profile(u_at, state.lam,
-                                   md.standard_rescaled_grid(s, n_grid))
+    nodes and its energies; no report where the operator chain is singular.
+    The wall-unit grid ends where the profile ``u_at`` ends."""
+    s, lam = state.s, state.lam
+    grid = md.standard_rescaled_grid(s, n_grid, reach=u_at.span / lam)
+    ctx = rescale_snapshot_profile(u_at, lam, grid)
     try:
         V = en.compute_V(ctx.U, s, b)
         return ctx, en.energy_report(ctx, V, s, b, bs)
@@ -108,9 +106,8 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
 
     Each snapshot state is inverted to its physical profile and splined
     once.  A snapshot that raises a package error on the way, such as a
-    wall-fitted shear that misses the tracked one or a wall-unit grid that
-    reaches past the inverted profile, keeps a frame that records the
-    error, so the list holds one frame per snapshot.  The resolved flag
+    wall-fitted shear that misses the tracked one, keeps a frame that
+    records the error, so the list holds one frame per snapshot.  The resolved flag
     compares the energies against a half-resolution recomputation; samples
     that move more than 10%, or whose half-resolution chain fails, are
     flagged and excluded from acceptance-style gates.
@@ -193,14 +190,13 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
     alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
     a_minus, a_plus = None, None
     for fr in frames:
-        bottom = C_MINUS * fr.btilde ** (-0.75)
-        if bottom < fr.W_resc.grid.span * 0.5:
-            a_minus, a_plus = au.calibrate_A(fr.W_resc, fr.s, fr.b, fr.btilde, C_MINUS)
+        if au.sandwich_floor(fr.btilde) < fr.W_resc.grid.span * 0.5:
+            a_minus, a_plus = au.calibrate_A(fr.W_resc, fr.btilde)
             break
     if a_minus is None:
         a_minus, a_plus = 1.0, 1.0
     suite = AuditSuite(M2=M2, M0=M0, M1=M1, alpha=alpha, A_minus=a_minus,
-                       A_plus=a_plus, C_minus=C_MINUS)
+                       A_plus=a_plus, C_minus=au.C_MINUS)
     lam_cal = frames[0].lam
     for fr in frames:
         # the wall-layer truncation zone of the fixed marching grid grows
@@ -210,9 +206,9 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
         suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2, M1,
                                                     y_min=y_min))
         suite.reports.append(au.subsolution_audit(
-            fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus, C_MINUS))
+            fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus))
         suite.reports.append(au.F_bound_audit(
-            fr.W_resc, fr.s, fr.btilde, alpha, C_MINUS, trusted=fr.trusted))
+            fr.W_resc, fr.s, fr.btilde, alpha, trusted=fr.trusted))
     return suite
 
 
@@ -238,11 +234,12 @@ def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
     """
     s1, s2 = snap.state.s, snap.pair_state.s
     s_mid = 0.5 * (s1 + s2)
-    grid = md.standard_rescaled_grid(s_mid, n_grid)
-    ctx1 = rescale_snapshot_profile(u_at, snap.state.lam, grid)
-    ctx2 = rescale_snapshot_profile(
-        spline_interpolant(vm.from_von_mises(snap.pair_state)),
-        snap.pair_state.lam, grid)
+    lam1, lam2 = snap.state.lam, snap.pair_state.lam
+    u_at2 = spline_interpolant(vm.from_von_mises(snap.pair_state))
+    grid = md.standard_rescaled_grid(
+        s_mid, n_grid, reach=min(u_at.span / lam1, u_at2.span / lam2))
+    ctx1 = rescale_snapshot_profile(u_at, lam1, grid)
+    ctx2 = rescale_snapshot_profile(u_at2, lam2, grid)
     U_mid = ctx1.U.with_values(0.5 * (ctx1.U.values + ctx2.U.values))
     ctx = OperatorContext.from_profile(U_mid, slope_tol=1e-3)
 

@@ -237,7 +237,8 @@ def spline_interpolant(f: Field):
     """Quintic interpolating spline of the field, C**4 across the nodes.
 
     Local Lagrange interpolation is only continuous: derivatives taken on a
-    finer target grid see its kinks.  Queries must lie inside the grid span.
+    finer target grid see its kinks.  Queries must lie inside the grid span,
+    which the returned function carries as its ``span``.
     """
     from scipy.interpolate import make_interp_spline
 
@@ -251,5 +252,6 @@ def spline_interpolant(f: Field):
             raise ExtrapolationError("interpolation query outside grid span")
         return spline(np.clip(pts, 0.0, span))
 
+    evaluate.span = span
     return evaluate
 

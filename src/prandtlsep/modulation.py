@@ -16,9 +16,10 @@ from .errors import DomainError, FitFailureError
 from .gridfields import Grid, cumtrapz, window_starts
 
 
-def standard_rescaled_grid(s: float, n: int) -> Grid:
-    """Wall-clustered grid of n nodes on [0, 8 s**(2/7)]."""
-    return Grid.tanh_clustered(n, 8.0 * s ** (2.0 / 7.0), strength=4.0)
+def standard_rescaled_grid(s: float, n: int, reach: float = np.inf) -> Grid:
+    """Wall-clustered grid of n nodes on [0, 8 s**(2/7)], cut at ``reach``:
+    the span of the profile it samples, in wall units."""
+    return Grid.tanh_clustered(n, min(8.0 * s ** (2.0 / 7.0), reach), strength=4.0)
 
 
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -107,7 +108,7 @@ FIT_DECADES = 1.05
 FIT_SKIP_LAST = 10
 
 
-def fit_window(x: np.ndarray, lam: np.ndarray, lambda_stop: float) -> slice:
+def fit_window(lam: np.ndarray, lambda_stop: float) -> slice:
     """Spec'd fit window: last decade of lam above 3*lambda_stop, minus the
     final ``FIT_SKIP_LAST`` samples."""
     lam = np.asarray(lam, dtype=float)

@@ -159,7 +159,7 @@ def _wall_patched(y: np.ndarray, raw_tail: np.ndarray, model: np.ndarray,
     return out
 
 
-def _model_series(ctx: OperatorContext, coeffs, fit: WallFit):
+def _model_series(ctx: OperatorContext, coeffs):
     """Wall series (in Y) of f/U**2 and f/U given the Y**2.. model of f."""
     c = np.asarray(ctx.near_wall)  # U/Y series
     f_over_y2 = np.asarray(coeffs, dtype=float)  # f/Y^2 series
@@ -172,7 +172,7 @@ def _patched_quotients(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit
     """(f/U**2, f/U) with the sub-window region replaced by the fit model."""
     y = ctx.grid.nodes
     u = ctx.U.values
-    over_u2, over_u = _model_series(ctx, coeffs, fit)
+    over_u2, over_u = _model_series(ctx, coeffs)
     g = _wall_patched(y, f[1:] / u[1:] ** 2, polyval(y, over_u2), fit)
     h = _wall_patched(y, f[1:] / u[1:], polyval(y, over_u) * y, fit)
     return g, h

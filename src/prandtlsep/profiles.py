@@ -122,12 +122,8 @@ class InitialData:
     u0_prime: Field
     u0_second: Field
     perturbation_amplitude: float
-    b0: float
     s0: float
     x0_pressure: float
-    inner_edge: float            # y below which u'' is the exact wall polynomial
-    C0_measured: float           # smallest constant in the curvature lower bound
-    compat_slope: float          # measured sup |u''-1|/y^2 near the wall
 
     @property
     def grid(self) -> Grid:
@@ -257,13 +253,6 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         raise InvalidInitialDataError("u0 is not strictly increasing on the grid")
     if np.max(g) > 1.0 + 1e-12:
         raise InvalidInitialDataError("curvature exceeds 1 somewhere")
-    defect = 1.0 - g
-    envelope = np.minimum(y * y, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(envelope > 0, defect / envelope, 0.0)
-    C0 = float(np.max(ratio))
-    inner = (y > 0) & (y < 0.5 * y1)
-    compat = float(np.max(np.abs((g[inner] - 1.0)) / y[inner] ** 2)) if inner.any() else 0.0
 
     return InitialData(
         lambda0=lambda0,
@@ -271,10 +260,6 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         u0_prime=Field(grid, u_prime),
         u0_second=Field(grid, g),
         perturbation_amplitude=perturbation_amplitude,
-        b0=b0,
         s0=s0,
         x0_pressure=x0_pressure,
-        inner_edge=y1,
-        C0_measured=C0,
-        compat_slope=compat,
     )

@@ -61,7 +61,7 @@ def small_run():
 @pytest.fixture(scope="module")
 def main_fit(main_run):
     _, cfg, traj, _ = main_run
-    win = md.fit_window(traj.x, traj.lam, cfg.lambda_stop)
+    win = md.fit_window(traj.lam, cfg.lambda_stop)
     return md.fit_singularity(traj.x[win], traj.lam[win])
 
 
@@ -92,7 +92,7 @@ def test_criterion_1_goldstein_exponent(main_run, main_fit):
 
 def test_criterion_2_xstar_scaling(main_fit, small_run):
     _, cfg_s, traj_s = small_run
-    win = md.fit_window(traj_s.x, traj_s.lam, cfg_s.lambda_stop)
+    win = md.fit_window(traj_s.lam, cfg_s.lambda_stop)
     fit_s = md.fit_singularity(traj_s.x[win], traj_s.lam[win])
     r_main = main_fit["x_star"] / 0.05**2
     r_small = fit_s["x_star"] / 0.025**2

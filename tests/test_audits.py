@@ -102,27 +102,27 @@ class TestSubSuper:
         psi = Grid.power_clustered(700, 1e6, 3.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
         rep = au.subsolution_audit(w, s=500.0, b=2e-3, btilde=2e-3,
-                                   A_minus=0.5, A_plus=0.25, C_minus=32.0)
+                                   A_minus=0.5, A_plus=0.25)
         assert rep.details["sandwich_violations"] == 0
 
     def test_differential_inequalities_hold(self):
         psi = Grid.power_clustered(700, 1e7, 3.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
         rep = au.subsolution_audit(w, s=2000.0, b=5e-4, btilde=5e-4,
-                                   A_minus=0.5, A_plus=0.25, C_minus=32.0)
+                                   A_minus=0.5, A_plus=0.25)
         assert rep.passed
 
     def test_empty_domain_reported(self):
         psi = uniform_grid(128, 10.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
         rep = au.subsolution_audit(w, s=500.0, b=2e-3, btilde=2e-3,
-                                   A_minus=0.5, A_plus=0.25, C_minus=32.0)
+                                   A_minus=0.5, A_plus=0.25)
         assert rep.samples == 0
 
     def test_calibration_floors(self):
         psi = Grid.power_clustered(700, 1e6, 3.0)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
-        a_minus, a_plus = au.calibrate_A(w, 500.0, 2e-3, 2e-3, 32.0)
+        a_minus, a_plus = au.calibrate_A(w, 2e-3)
         assert a_minus >= 2.0**-10 and a_plus >= 2.0**-10
 
 
@@ -134,8 +134,7 @@ class TestBalanceBounds:
         trusted = np.ones(len(psi), dtype=bool)
         trusted[0] = trusted[-1] = False
         rep = au.F_bound_audit(w, s=500.0, btilde=2e-3,
-                               alpha=6.0 ** (2.0 / 3.0), C_minus=32.0,
-                               trusted=trusted)
+                               alpha=6.0 ** (2.0 / 3.0), trusted=trusted)
         assert rep.passed
 
     def test_tolerance_floor(self):

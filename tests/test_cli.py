@@ -478,8 +478,8 @@ class TestSimulateAndAudit:
 @pytest.fixture(scope="module")
 def large_lambda0_run(tmp_path_factory):
     """(outdir, audit exit code, audit line) of a lambda0 = 0.1 run: the
-    wall-unit grid of snapshot 0 reaches y = 2.982, past the 2.944 that
-    its inverted profile spans."""
+    wall-unit span 8 s0**(2/7) of snapshot 0 reaches y = 2.982, past the
+    2.944 that its inverted profile spans."""
     cfg = cli.RunConfig(lambda0=0.1, n_psi=1153, n_physical=1537,
                         outdir=str(tmp_path_factory.mktemp("large") / "run"))
     assert cli.run_simulate(cfg) == cli.EXIT_OK
@@ -489,19 +489,18 @@ def large_lambda0_run(tmp_path_factory):
 
 
 class TestLargeLambda0:
-    def test_frame_past_the_profile_span_is_listed(self, large_lambda0_run):
-        # snapshot 0 is listed with its error type; the other 13 are audited
+    def test_frame_past_the_profile_span_is_audited(self, large_lambda0_run):
+        # snapshot 0's wall-unit grid stops at the end of its profile, so
+        # all 14 snapshots are audited
         outdir, code, line = large_lambda0_run
-        assert code == cli.EXIT_SOLVER
+        assert code == cli.EXIT_OK
         summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
-        assert summary["failed_snapshots"] == [
-            {"index": 0, "error": "interpolation query outside grid span",
-             "type": "ExtrapolationError"}]
-        assert len(summary["reports"]) == 3 * 13
+        assert summary["failed_snapshots"] == []
+        assert len(summary["reports"]) == 3 * 14
         energies = np.loadtxt(os.path.join(outdir, "energies.csv"), delimiter=",",
                               skiprows=1, ndmin=2)
-        assert len(energies) == 13
-        assert "(13 snapshots audited); 1 snapshots failed" in line
+        assert len(energies) == 14
+        assert "(14 snapshots audited)" in line
 
     def test_energies_header_is_the_report_fields(self, large_lambda0_run):
         outdir = large_lambda0_run[0]

@@ -120,6 +120,27 @@ def test_every_function_is_reachable_from_the_cli():
     assert orphans == TEST_ONLY
 
 
+def test_every_parameter_is_used():
+    # a parameter that its function never reads is a dead argument at every
+    # call site; ``self`` and ``cls`` are bound implicitly
+    unread = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        modname = os.path.basename(path)[:-3]
+        for fn in ast.walk(ast.parse(open(path).read(), path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for node in ast.walk(ast.Module(body, []))
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread += [f"{modname}.{name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []
+
+
 def test_every_benchmark_hook_resolves():
     # perfbench/spans.py rebinds these (module, attribute) pairs to trace
     # them; a renamed or deleted target would only fail the traced benchmark
