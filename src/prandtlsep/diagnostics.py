@@ -107,10 +107,11 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     Each snapshot state is inverted to its physical profile and splined
     once.  A snapshot that raises a package error on the way, such as a
     wall-fitted shear that misses the tracked one, keeps a frame that
-    records the error, so the list holds one frame per snapshot.  The resolved flag
-    compares the energies against a half-resolution recomputation; samples
-    that move more than 10%, or whose half-resolution chain fails, are
-    flagged and excluded from acceptance-style gates.
+    records the error, so the list holds one frame per snapshot.  The
+    resolved flag compares the energies against a half-resolution
+    recomputation; samples that move more than 10%, or whose
+    half-resolution chain fails, are flagged and excluded from
+    acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)

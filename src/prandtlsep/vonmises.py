@@ -18,8 +18,8 @@ steps whose last sweep still moved w by more than the Picard tolerance
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
 ``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
-refill in place; ``Grid.cached`` builds the grid-only data (difference
-weights, spacings, quadrature weights) once per grid.
+refill in place; every stencil weight comes from ``gridfields.fd_weights``,
+built once per grid by ``Grid.cached``.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -39,6 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import gridfields  # fd_weights through its module: rebinding it reaches here
 from .errors import InvalidProfileError, InvalidStateError, StepFailureError
 from .gridfields import Field, Grid, diff, lstsq_powers
 
@@ -106,27 +107,18 @@ _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 def _normal_coordinate_weights(grid: Grid) -> tuple:
     """Grid-only part of ``_normal_coordinate``.
 
-    Returns the t-cell widths, the 4-node stencil starts, the Lagrange
-    weights of the Gauss points on those stencils, and the weights that
-    extrapolate nodes 1-3 quadratically to t = 0.
+    Returns the t-cell widths, the node indices of each cell's 4-node
+    stencil, the interpolation weights of the cell's Gauss points on it, and
+    the weights that extrapolate nodes 1-3 quadratically to t = 0.
     """
     t = np.sqrt(grid.nodes)
-    n = len(t)
     h = np.diff(t)
     pts = t[:-1, None] + h[:, None] * _GAUSS3_T[None, :]
-    lo = np.clip(np.arange(n - 1) - 1, 0, n - 4)
-    lag = np.ones((n - 1, 3, 4))
-    for j in range(4):
-        xj = t[lo + j]
-        for m in range(4):
-            if m != j:
-                xm = t[lo + m]
-                lag[:, :, j] *= (pts - xm[:, None]) / (xj - xm)[:, None]
-    t1, t2, t3 = t[1:4]
-    wall = np.array([t2 * t3 / ((t1 - t2) * (t1 - t3)),
-                     t1 * t3 / ((t2 - t1) * (t2 - t3)),
-                     t1 * t2 / ((t3 - t1) * (t3 - t2))])
-    return h, lo, lag, wall
+    lo = np.clip(np.arange(len(t) - 1) - 1, 0, len(t) - 4)
+    stencils = lo[:, None] + np.arange(4)
+    lag = gridfields.fd_weights(t[stencils][:, None].repeat(3, axis=1), pts, 0)
+    wall = gridfields.fd_weights(t[1:4], 0.0, 0)
+    return h, stencils, lag, wall
 
 
 def _normal_coordinate(grid: Grid, w: np.ndarray,
@@ -144,19 +136,18 @@ def _normal_coordinate(grid: Grid, w: np.ndarray,
     With ``m`` (4 <= m < len(grid)), y on the first m nodes only, the same
     values bit for bit: the last cell's 4-node stencil reads g up to node m.
     """
-    h, lo, lag, wall = grid.cached("normal_coordinate",
-                                    _normal_coordinate_weights, grid)
+    h, stencils, lag, wall = grid.cached("normal_coordinate",
+                                          _normal_coordinate_weights, grid)
     if m is not None:
         w = w[:m + 1]
-        h, lo, lag = h[:m - 1], lo[:m - 1], lag[:m - 1]
+        h, stencils, lag = h[:m - 1], stencils[:m - 1], lag[:m - 1]
     cells = len(h)
     g = np.empty_like(w)
     g[1:] = w[1:] / grid.nodes[1:len(w)]
     g[0] = wall @ g[1:4]
     sq = np.sqrt(np.maximum(g, 0.0))
     seg = 4.0 * h / np.maximum(sq[1:cells + 1] + sq[:cells], 1e-300)
-    stencil = g[lo[:, None] + np.arange(4)[None, :]]
-    g_pts = np.einsum("iqj,ij->iq", lag, stencil)
+    g_pts = np.einsum("iqj,ij->iq", lag, g[stencils])
     with np.errstate(invalid="ignore"):
         gauss = h * ((2.0 / np.sqrt(g_pts)) @ _GAUSS3_W)
     ok = np.isfinite(gauss) & (gauss <= 4.0 * seg)
@@ -212,10 +203,8 @@ def wall_shear(state: VMState) -> float:
         idx = idx[(idx > 0) & (idx < len(phi) - 1)]
         if len(idx) < 4:
             return None
-        hm = phi[idx] - phi[idx - 1]
-        hp = phi[idx + 1] - phi[idx]
-        w_phi = (w[idx + 1] * hm**2 - w[idx - 1] * hp**2
-                 + w[idx] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
+        a, b, c = _three_point_weights(grid, 1)[:, idx - 1]
+        w_phi = a * w[idx - 1] + b * w[idx] + c * w[idx + 1]
         samples = 0.5 * w_phi - y[idx]
         # the curvature-defect bias grows like y**3: extrapolate it away
         est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
@@ -322,11 +311,16 @@ def from_von_mises(state: VMState) -> Field:
     return Field(Grid(y, "vm-inverse"), np.sqrt(w))
 
 
-def _spacings(grid: Grid) -> tuple:
-    """(hm, hp, np.diff(nodes)): the left and right spacings of the interior
-    nodes, as views of the node spacings, which are cached on the grid."""
-    dphi = grid.cached("spacings", np.diff, grid.nodes)
-    return dphi[:-1], dphi[1:], dphi
+def _build_three_point(grid: Grid, order: int) -> np.ndarray:
+    phi = grid.nodes
+    stencils = np.stack([phi[:-2], phi[1:-1], phi[2:]], axis=-1)
+    return gridfields.fd_weights(stencils, phi[1:-1], order).T.copy()
+
+
+def _three_point_weights(grid: Grid, order: int) -> np.ndarray:
+    """Rows (a, b, c): the weights of w_{i-1}, w_i and w_{i+1} in the
+    ``order``-th derivative at the interior nodes, built once per grid."""
+    return grid.cached(("three_point", order), _build_three_point, grid, order)
 
 
 def compute_F(W: Field) -> Field:
@@ -336,7 +330,7 @@ def compute_F(W: Field) -> Field:
     (phi / lam**3, w / lam**4) of a state it is the same F node by node.
     """
     w = W.values
-    a, b, c = W.grid.cached("d2_weights", _d2_weights, W.grid)
+    a, b, c = _three_point_weights(W.grid, 2)
     f = np.empty_like(w)
     d2 = a * w[:-2] + b * w[1:-1] + c * w[2:]
     f[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
@@ -348,16 +342,16 @@ def compute_F(W: Field) -> Field:
 def f_roundoff_floor(state: VMState) -> np.ndarray:
     """Roundoff bound on the F diagnostic per node.
 
-    The marching solve determines w to absolute accuracy ~ eps * max(w);
-    propagated through the second difference this floor blows up on the
-    first cells of the clustered grid, where F is therefore undefined in
+    The marching solve determines w to absolute accuracy ~ eps * max(w),
+    and the second difference multiplies that by the sum of its weights'
+    magnitudes: on the first cells of the clustered grid F is undefined in
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
     w = state.W.values
-    hm, hp, _ = _spacings(state.psi_grid)
+    gain = np.abs(_three_point_weights(state.psi_grid, 2)).sum(axis=0)
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
     out = np.full_like(w, np.inf)
-    out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * 4.0 * eps_w / (hm * hp)
+    out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * eps_w * gain
     out[0] = 0.0
     return out
 
@@ -377,15 +371,6 @@ def trusted_F_mask(state: VMState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Marching
 # ---------------------------------------------------------------------------
-
-
-def _d2_weights(grid: Grid) -> tuple:
-    """(a, b, c): weights of w_{i-1}, w_i, w_{i+1} in the second difference
-    at the interior nodes."""
-    hm, hp, _ = _spacings(grid)
-    a = 2.0 / (hm * (hm + hp))      # weight of w_{i-1}
-    c = 2.0 / (hp * (hm + hp))      # weight of w_{i+1}
-    return a, -(a + c), c
 
 
 #: LAPACK ``dgtsv``, bound by the first ``solve_banded`` call: importing
@@ -439,7 +424,7 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     is a new array.
     """
     band, scaled_rhs, r, diag = buffers
-    a, b, c = grid.cached("d2_weights", _d2_weights, grid)
+    a, b, c = _three_point_weights(grid, 2)
     np.multiply(tau, coeff[1:-1], out=r)
     np.multiply(r, b, out=diag)
     np.subtract(1.0, diag, out=diag)
@@ -483,9 +468,8 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple | None,
         (w_prev, h_prev), max_picard = prev, PICARD_SWEEPS
     om = h / h_prev
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
-    beta = (1.0 + om)
-    gamma = om * om / (1.0 + om)
-    rhs = (beta * w_n - gamma * w_prev - 2.0 * h * source) / alpha
+    rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev
+           - 2.0 * h * source) / alpha
     tau = h / alpha
     buffers = _resolvent_buffers(len(grid))
     w_new = w_n if prev is None else w_n + om * (w_n - w_prev)
@@ -605,8 +589,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         lams.append(st.lam)
         ss.append(st.s)
         fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
-        dphi = _spacings(st.psi_grid)[2]
-        monos.append(float(np.min(np.diff(st.W.values) / dphi)))
+        monos.append(float(np.min(np.diff(st.W.values)
+                                  / np.diff(st.psi_grid.nodes))))
 
     record(state)
     # the snapshot state that waits for its pair, the next state

@@ -6,12 +6,15 @@ the package implements; the derivatives of the profile's far-field
 completion; float evaluation of an exact polynomial; the uniform grid; the
 observed convergence order of an error sequence; a bitwise array
 comparison; the cumulative trapezoid as it was written inline before
-``gridfields.cumtrapz`` replaced the copies; and two per-step formulas of
-the march without its grid caches or work buffers: the F roundoff floor
-with its spacings computed inline, the wall shear with y(phi) integrated
-over the whole grid, and the equilibrated resolvent solve on a freshly
-allocated band; and the BDF2 step with its Picard iteration started from
-the old station instead of the extrapolated one.
+``gridfields.cumtrapz`` replaced the copies; the closed forms of the
+march's stencil weights, which ``gridfields.fd_weights`` now generates:
+the three-point first and second differences on the phi grid, the cubic
+interpolation at the Gauss points of each t = sqrt(phi) cell, the quadratic
+extrapolation to the wall and the F roundoff floor; two per-step formulas
+of the march without its prefix or work buffers: the wall shear with
+y(phi) integrated over the whole grid, and the equilibrated resolvent
+solve on a freshly allocated band; and the BDF2 step with its Picard
+iteration started from the old station instead of the extrapolated one.
 """
 
 from typing import Iterable
@@ -128,12 +131,47 @@ def same_bits(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Streamfunction march: per-step formulas without the grid caches
+# Streamfunction march: closed-form stencil weights
 # ---------------------------------------------------------------------------
 
 
+def three_point_weights(phi: np.ndarray, order: int) -> np.ndarray:
+    """Rows (a, b, c): the weights of w_{i-1}, w_i and w_{i+1} in the first
+    (order 1) or second (order 2) difference at the interior nodes."""
+    hm = phi[1:-1] - phi[:-2]
+    hp = phi[2:] - phi[1:-1]
+    if order == 1:
+        return np.array([-hp**2, hp**2 - hm**2, hm**2]) / (hm * hp * (hm + hp))
+    a = 2.0 / (hm * (hm + hp))
+    c = 2.0 / (hp * (hm + hp))
+    return np.array([a, -(a + c), c])
+
+
+def gauss_interpolation_weights(t: np.ndarray, lo: np.ndarray,
+                                pts: np.ndarray) -> np.ndarray:
+    """Lagrange weights, shape (cells, 3, 4), of the points ``pts`` of each
+    cell on the 4-node stencil that starts at ``lo``."""
+    lag = np.ones(pts.shape + (4,))
+    for j in range(4):
+        xj = t[lo + j]
+        for m in range(4):
+            if m != j:
+                xm = t[lo + m]
+                lag[:, :, j] *= (pts - xm[:, None]) / (xj - xm)[:, None]
+    return lag
+
+
+def wall_extrapolation_weights(t: np.ndarray) -> np.ndarray:
+    """Weights that extrapolate nodes 1-3 quadratically to t = 0."""
+    t1, t2, t3 = t[1:4]
+    return np.array([t2 * t3 / ((t1 - t2) * (t1 - t3)),
+                     t1 * t3 / ((t2 - t1) * (t2 - t3)),
+                     t1 * t2 / ((t3 - t1) * (t3 - t2))])
+
+
 def f_roundoff_floor(state) -> np.ndarray:
-    """``vonmises.f_roundoff_floor`` with its spacings computed inline."""
+    """``vonmises.f_roundoff_floor`` in closed form: the second difference's
+    weights sum to 4/(hm hp) in magnitude."""
     w = state.W.values
     phi = state.psi_grid.nodes
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
@@ -145,17 +183,18 @@ def f_roundoff_floor(state) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Streamfunction march: per-step formulas without the prefix or buffers
+# ---------------------------------------------------------------------------
+
+
 def resolvent_solve(grid, rhs, coeff, tau: float, far_value: float) -> np.ndarray:
     """``vonmises._resolvent_solve`` on a fresh band and right-hand side,
     solved by ``scipy.linalg.solve_banded``."""
     n = len(grid)
-    phi = grid.nodes
-    hm = phi[1:-1] - phi[:-2]
-    hp = phi[2:] - phi[1:-1]
-    a = 2.0 / (hm * (hm + hp))
-    c = 2.0 / (hp * (hm + hp))
+    a, b, c = vm._three_point_weights(grid, 2)
     r = tau * coeff[1:-1]
-    diag = 1.0 - r * -(a + c)
+    diag = 1.0 - r * b
     ab = np.zeros((3, n))
     ab[1] = 1.0
     ab[0, 2:] = -r * c / diag
@@ -185,10 +224,8 @@ def wall_shear_full_y(state) -> float:
         idx = idx[(idx > 0) & (idx < len(phi) - 1)]
         if len(idx) < 4:
             return None
-        hm = phi[idx] - phi[idx - 1]
-        hp = phi[idx + 1] - phi[idx]
-        w_phi = (w[idx + 1] * hm**2 - w[idx - 1] * hp**2
-                 + w[idx] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
+        a, b, c = vm._three_point_weights(grid, 1)[:, idx - 1]
+        w_phi = a * w[idx - 1] + b * w[idx] + c * w[idx + 1]
         samples = 0.5 * w_phi - y[idx]
         est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
         if not 0.0 < est_ < 20.0 * g:

@@ -18,7 +18,8 @@ f can be formed.  With f the curvature of the energies' first chain stage,
 the default window rejects f on 13 of 14 frames, and the chain's own
 window gives a left side below the form on all 14.  Until that dependence
 is understood the audit is not reported.  Any other function that the
-command line cannot reach fails here.
+command line cannot reach fails here, and so does a parameter that its
+function never reads.
 """
 
 import ast
@@ -123,8 +124,9 @@ def test_every_function_is_reachable_from_the_cli():
 def test_every_parameter_is_used():
     # a parameter that its function never reads is a dead argument at every
     # call site; ``self`` and ``cls`` are bound implicitly
-    unread = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+    unread, paths = [], sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    for path in paths:
         modname = os.path.basename(path)[:-3]
         for fn in ast.walk(ast.parse(open(path).read(), path)):
             if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):

@@ -188,14 +188,29 @@ class TestGridCaches:
 
     def test_d2_weights_built_once_per_grid(self, monkeypatch):
         grid = vm.default_psi_grid(3.0, 2305)
-        builds = self._builds(monkeypatch, vm, "_d2_weights")
+        builds = self._builds(monkeypatch, vm, "_build_three_point")
         w = grid.nodes ** 0.75
         buffers = vm._resolvent_buffers(len(grid))
         for _ in range(2):
             vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1], buffers)
-        assert len(builds) == 1
-        assert self._frozen(grid, "d2_weights") and self._frozen(grid, "spacings")
-        assert vm._spacings(grid)[2] is vm._spacings(grid)[2]
+        vm.compute_F(Field(grid, w))
+        assert [args[1] for args in builds] == [2]
+        assert self._frozen(grid, ("three_point", 2))
+
+    def test_march_builds_its_stencils_once_per_grid(self, data05, monkeypatch):
+        # a fresh phi grid asks fd_weights for the second and first
+        # differences, the Gauss-point interpolation and the wall
+        # extrapolation; the next step and the per-step record ask for none
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0,
+                                x0_pressure=data05.x0_pressure, n_psi=1153)
+        builds = self._builds(monkeypatch, gf, "fd_weights")
+        cfg, counts = vm.MarchConfig(n_psi=1153), vm.PicardCounts()
+        first = vm.march_step(state, 1e-6, cfg, counts)
+        assert sorted(args[2] for args in builds) == [0, 0, 1, 2]
+        vm.march_step(first, 1e-6, cfg, counts, prev=(state.W.values, 1e-6))
+        vm.compute_F(first.W)
+        vm.trusted_F_mask(first)
+        assert len(builds) == 4
 
     def test_normal_coordinate_weights_built_once_per_grid(self, monkeypatch):
         grid = vm.default_psi_grid(3.0, 2305)
@@ -214,9 +229,32 @@ class TestGridCaches:
         assert [args[2] for args in builds] == [1, 2, 3]
         assert all(self._frozen(grid, order) for order in (1, 2, 3))
 
-    def test_cached_spacings_give_the_inline_formula(self, short_traj):
-        st = short_traj.snapshots[-1].state
-        assert same_bits(vm.f_roundoff_floor(st), reference.f_roundoff_floor(st))
+    @pytest.mark.parametrize("n_psi", [1153, 9217])
+    def test_stencil_weights_match_the_closed_forms(self, n_psi):
+        # each weight within 1e-15 of the largest weight magnitude of its
+        # stencil: the centre weight of the first difference is a
+        # cancellation hm - hp, which neither form resolves to more digits
+        grid = vm.default_psi_grid(3.0, n_psi)
+        phi = grid.nodes
+
+        def close(got, ref):
+            scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+            return got.shape == ref.shape and np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+        for order in (1, 2):
+            assert close(vm._three_point_weights(grid, order).T,
+                         reference.three_point_weights(phi, order).T)
+        h, stencils, lag, wall = vm._normal_coordinate_weights(grid)
+        t = np.sqrt(phi)
+        pts = t[:-1, None] + h[:, None] * vm._GAUSS3_T[None, :]
+        assert close(lag, reference.gauss_interpolation_weights(
+            t, stencils[:, 0], pts))
+        assert close(wall, reference.wall_extrapolation_weights(t))
+        state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
+                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0,
+                           x0_pressure=1.0)
+        got, ref = vm.f_roundoff_floor(state)[:-1], reference.f_roundoff_floor(state)[:-1]
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
 class TestTridiagonalSolve:
