@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vonmises as vm
 from .errors import DomainError
 from .gridfields import Field
 from .operators import OperatorContext
@@ -230,13 +229,12 @@ def calibrate_A(W: Field, btilde: float) -> tuple:
     return dyadic_ceil(1.15 * need_minus), dyadic_ceil(1.15 * need_plus)
 
 
-def F_bound_audit(W: Field, s: float, btilde: float, alpha: float,
-                  trusted: np.ndarray) -> AuditReport:
-    """F = sqrt(W) W_psipsi - 2: F <= 0 globally and F >= -btilde alpha
-    (psi**2/3 - psi**1/3) on psi in [``sandwich_floor(btilde)``,
-    F_LOWER_CAP btilde^-5/4]."""
+def F_bound_audit(W: Field, F: np.ndarray, s: float, btilde: float,
+                  alpha: float, trusted: np.ndarray) -> AuditReport:
+    """The balance F = sqrt(W) W_psipsi - 2 of W, node by node: F <= 0
+    globally and F >= -btilde alpha (psi**2/3 - psi**1/3) on psi in
+    [``sandwich_floor(btilde)``, F_LOWER_CAP btilde^-5/4]."""
     psi = W.grid.nodes
-    F = vm.compute_F(W).values
     h_rel = np.gradient(psi) / np.maximum(psi, psi[1])
     tol = audit_tol(h_rel, np.abs(F) + 2.0)
     upper_marg = tol - F

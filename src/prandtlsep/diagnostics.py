@@ -50,6 +50,7 @@ class SnapshotFrame:
     b: float
     btilde: float
     W_resc: Field
+    F: np.ndarray           # the balance F of W_resc
     trusted: np.ndarray
     u_at: Optional[Callable] = None   # spline of the state's physical profile
     ctx: Optional[OperatorContext] = None
@@ -120,13 +121,14 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     for snap in traj.snapshots:
         i, state = snap.station, snap.state
         b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
-        # the diffusion balance F is scale-invariant, so the physical
-        # roundoff trust mask carries over node by node
+        # the diffusion balance F is scale-invariant, so F and its
+        # roundoff trust mask carry over from the marched state node by node
         lam = state.lam
         W_resc = Field(Grid(state.psi_grid.nodes / lam**3,
                             "rescaled-streamfunction"), state.W.values / lam**4)
         frame = SnapshotFrame(index=snap.index, s=state.s, lam=lam, b=b,
                               btilde=bt, W_resc=W_resc,
+                              F=vm.compute_F(state.W).values,
                               trusted=vm.trusted_F_mask(state))
         try:
             u_at = spline_interpolant(vm.from_von_mises(state))
@@ -209,7 +211,7 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
         suite.reports.append(au.subsolution_audit(
             fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus))
         suite.reports.append(au.F_bound_audit(
-            fr.W_resc, fr.s, fr.btilde, alpha, trusted=fr.trusted))
+            fr.W_resc, fr.F, fr.s, fr.btilde, alpha, trusted=fr.trusted))
     return suite
 
 

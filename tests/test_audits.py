@@ -6,6 +6,7 @@ from reference import uniform_grid
 
 from prandtlsep import audits as au
 from prandtlsep import profiles as pr
+from prandtlsep import vonmises as vm
 from prandtlsep.errors import DomainError
 from prandtlsep.gridfields import Field, Grid
 from prandtlsep.operators import OperatorContext
@@ -133,8 +134,9 @@ class TestBalanceBounds:
         # every interior node trusted: F is undefined at the two ends
         trusted = np.ones(len(psi), dtype=bool)
         trusted[0] = trusted[-1] = False
-        rep = au.F_bound_audit(w, s=500.0, btilde=2e-3,
-                               alpha=6.0 ** (2.0 / 3.0), trusted=trusted)
+        rep = au.F_bound_audit(w, vm.compute_F(w).values, s=500.0,
+                               btilde=2e-3, alpha=6.0 ** (2.0 / 3.0),
+                               trusted=trusted)
         assert rep.passed
 
     def test_tolerance_floor(self):
