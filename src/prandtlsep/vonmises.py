@@ -577,6 +577,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     state = to_von_mises(data.u0, float(data.lambda0), data.s0,
                          x0_pressure=data.x0_pressure, n_psi=cfg.n_psi,
                          source_scale=cfg.source_scale)
+    dphi = np.diff(state.psi_grid.nodes)     # every marched state's grid
     xs, lams, ss, fmaxs, monos = [], [], [], [], []
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
@@ -589,8 +590,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         lams.append(st.lam)
         ss.append(st.s)
         fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
-        monos.append(float(np.min(np.diff(st.W.values)
-                                  / np.diff(st.psi_grid.nodes))))
+        monos.append(float(np.min(np.diff(st.W.values) / dphi)))
 
     record(state)
     # the snapshot state that waits for its pair, the next state
