@@ -48,6 +48,13 @@ EXIT_MISSING = 4
 #: At 1000 per decade every step was a snapshot, and the file was 100 MB.
 MAX_SNAPSHOTS_PER_DECADE = 64.0
 
+#: Largest node count of any grid: there a state's w takes 8 MB, and a size
+#: such as 10**11 is rejected before numpy is asked for 745 GiB.
+MAX_GRID_NODES = 2**20 + 1
+
+#: The collapse fit needs more march stations than this
+MIN_FIT_STATIONS = 50
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -81,6 +88,8 @@ class RunConfig:
             raise ConfigError("perturbation_amplitude must be finite")
         if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
             raise ConfigError("grid sizes too small")
+        if max(self.n_psi, self.n_rescaled, self.n_physical) > MAX_GRID_NODES:
+            raise ConfigError(f"grid sizes must not exceed {MAX_GRID_NODES} nodes")
 
     @property
     def lambda_stop(self) -> float:
@@ -281,7 +290,10 @@ def run_simulate(cfg: RunConfig) -> int:
                   _csv_lines(header, columns))
 
     fit_payload = {}
-    if traj.completed and len(traj.x) > 50:
+    if traj.completed and len(traj.x) <= MIN_FIT_STATIONS:
+        fit_payload["fit_error"] = (f"{len(traj.x)} stations, the fit needs "
+                                    f"more than {MIN_FIT_STATIONS}")
+    elif traj.completed:
         try:
             win = md.fit_window(traj.lam, cfg.lambda_stop)
             fit = md.fit_singularity(traj.x[win], traj.lam[win])
@@ -315,9 +327,11 @@ def run_simulate(cfg: RunConfig) -> int:
     if not traj.completed:
         print(f"simulate: solver stopped early: {traj.failure}; {work}")
         return EXIT_SOLVER
+    exponent = f"exponent {fit_payload.get('exponent', float('nan')):.4f}"
+    if "fit_error" in fit_payload:
+        exponent += f" ({fit_payload['fit_error']})"
     print(f"simulate: {len(traj.x)} steps to lambda = {traj.lam[-1]:.3e}, "
-          f"x_end = {traj.x[-1]:.6f}; exponent "
-          f"{fit_payload.get('exponent', float('nan')):.4f}; {work}")
+          f"x_end = {traj.x[-1]:.6f}; {exponent}; {work}")
     return EXIT_OK
 
 
@@ -416,15 +430,14 @@ def load_trajectory(outdir: str) -> tuple:
         raise MissingArtifactError(
             f"{table_path}: {len(table['phi'])} rows, expected n_psi = {cfg.n_psi}")
     try:
-        grid = Grid(table["phi"], "loaded")
+        grid = Grid(table["phi"])
     except (ValueError, TooFewNodesError) as exc:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
 
     def state(name: str, row: int) -> vm.VMState:
         return vm.VMState(x=float(raw["x"][row]), s=float(raw["s"][row]),
                           psi_grid=grid, W=Field(grid, table[name]),
-                          lam=float(raw["lambda"][row]),
-                          x0_pressure=cfg.x0_pressure)
+                          lam=float(raw["lambda"][row]))
 
     snapshots = []
     for index, station in enumerate(stations):

@@ -124,8 +124,7 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
         # the diffusion balance F is scale-invariant, so F and its
         # roundoff trust mask carry over from the marched state node by node
         lam = state.lam
-        W_resc = Field(Grid(state.psi_grid.nodes / lam**3,
-                            "rescaled-streamfunction"), state.W.values / lam**4)
+        W_resc = Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4)
         frame = SnapshotFrame(index=snap.index, s=state.s, lam=lam, b=b,
                               btilde=bt, W_resc=W_resc,
                               F=vm.compute_F(state.W).values,

@@ -124,7 +124,6 @@ class Grid:
     """Strictly increasing nodes starting at 0."""
 
     nodes: np.ndarray
-    stretching: str = "custom"
     _diff_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,13 +152,13 @@ class Grid:
         nodes = x_max * (1.0 + np.tanh(strength * (xi - 1.0)) / np.tanh(strength))
         nodes[0] = 0.0
         nodes[-1] = x_max
-        return cls(nodes, "tanh")
+        return cls(nodes)
 
     @classmethod
     def power_clustered(cls, n: int, x_max: float, exponent: float = 2.0) -> "Grid":
         """Nodes x_max * (i/(n-1))**exponent; strong wall clustering."""
         xi = np.linspace(0.0, 1.0, n)
-        return cls(x_max * xi**exponent, "power")
+        return cls(x_max * xi**exponent)
 
     def cached(self, key, build, *args):
         """Grid-only data stored under ``key``: ``build(*args)`` on the first

@@ -121,9 +121,7 @@ class InitialData:
     u0: Field
     u0_prime: Field
     u0_second: Field
-    perturbation_amplitude: float
     s0: float
-    x0_pressure: float
 
     @property
     def grid(self) -> Grid:
@@ -176,66 +174,57 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         raise DomainError("grid span must cover at least 6 * lambda0^(3/7)")
 
     b0 = lambda0 * lambda0
-    s0 = 1.0 / b0
+    s0 = 1.0 / b0 if b0 > 0.0 else np.inf
+    if not np.isfinite(s0):
+        raise DomainError(f"lambda0 = {lambda0!r}: 1/lambda0**2 is not finite")
 
     # slope profile: h = lambda0 + int g_base (increasing, bounded), then a
     # C2 descent window D sends the slope to zero exactly at the far edge;
-    # the single descent-onset parameter is solved so u(y_max) hits the
+    # the single descent-onset parameter y_c is solved so u(y_max) hits the
     # outer-flow speed on this grid's own quadrature.  The supplied grid is
     # a resolution/clustering template: its span is rescaled as needed so
     # the matching problem brackets.
     from scipy.optimize import brentq
 
     u_inf = np.sqrt(2.0 * x0_pressure)
-
-    def curvature_on(grid_: Grid):
-        y_ = grid_.nodes
-        r_ = y_ / y1
-        sat_ = np.where(r_ <= 1.0,
-                        r_, 1.0 + 0.7 * np.tanh((np.maximum(r_, 1.0) - 1.0) / 0.7))
-        g_ = wall_curvature(b0, sat_ * (y1 / lambda0))
-        tau_ = np.maximum(y_ - y1, 0.0) / 0.9
-        return g_ * np.exp(-(tau_**3))
-
-    def shaped(grid_: Grid):
-        y_ = grid_.nodes
-        span_ = grid_.span
-        g_base_ = curvature_on(grid_)
-        h_ = lambda0 + cumint(Field(grid_, g_base_)).values
-
-        def descent(y_c: float) -> np.ndarray:
-            return 1.0 - smoothstep((y_ - y_c) / (span_ - y_c))
-
-        def descent_prime(y_c: float) -> np.ndarray:
-            return -smoothstep_prime((y_ - y_c) / (span_ - y_c)) / (span_ - y_c)
+    for _ in range(60):
+        y, span = grid.nodes, grid.span
+        r = y / y1
+        sat = np.where(r <= 1.0,
+                       r, 1.0 + 0.7 * np.tanh((np.maximum(r, 1.0) - 1.0) / 0.7))
+        tau = np.maximum(y - y1, 0.0) / 0.9
+        # a tiny lambda0 overflows the powers; the far-value check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_base = wall_curvature(b0, sat * (y1 / lambda0)) * np.exp(-(tau**3))
+        h = lambda0 + cumint(Field(grid, g_base)).values
 
         def far_value(y_c: float) -> float:
-            return float(cumint(Field(grid_, h_ * descent(y_c))).values[-1])
+            D = 1.0 - smoothstep((y - y_c) / (span - y_c))
+            return float(cumint(Field(grid, h * D)).values[-1])
 
-        return g_base_, h_, descent, descent_prime, far_value
-
-    for _ in range(60):
-        g_base, h, descent, descent_prime, far_value = shaped(grid)
-        lo, hi = 1.05 * y1, 0.98 * grid.span
+        lo, hi = 1.05 * y1, 0.98 * span
         v_lo, v_hi = far_value(lo), far_value(hi)
+        if not (np.isfinite(v_lo) and np.isfinite(v_hi)):
+            raise InvalidInitialDataError(
+                f"lambda0 = {lambda0!r}: the outer-speed matching is not finite")
         if v_lo > u_inf:
-            grid = Grid(grid.nodes * 0.92, grid.stretching)
+            grid = Grid(y * 0.92)
             continue
         if v_hi < u_inf:
-            grid = Grid(grid.nodes * 1.12, grid.stretching)
+            grid = Grid(y * 1.12)
             continue
         break
     else:
         raise InvalidInitialDataError("could not bracket the outer-speed matching")
-    if grid.span < 4.5 * y1:
+    if span < 4.5 * y1:
         raise InvalidInitialDataError("matched span leaves too little inner room")
-    y = grid.nodes
 
     y_c = brentq(lambda yc: far_value(yc) - u_inf, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
-    D = descent(y_c)
+    t = (y - y_c) / (span - y_c)
+    D = 1.0 - smoothstep(t)
     u_prime = h * D
-    g = g_base * D + h * descent_prime(y_c)
+    g = g_base * D - h * (smoothstep_prime(t) / (span - y_c))
     u_vals = cumint(Field(grid, u_prime)).values
 
     v, v1, v2 = _perturbation(y, lambda0, perturbation_amplitude,
@@ -259,7 +248,5 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
         u0=Field(grid, u_vals),
         u0_prime=Field(grid, u_prime),
         u0_second=Field(grid, g),
-        perturbation_amplitude=perturbation_amplitude,
         s0=s0,
-        x0_pressure=x0_pressure,
     )

@@ -5,7 +5,8 @@ parabolic equation
 
     w_x - sqrt(w) w_phiphi = -2,   w(x, 0) = 0,  w -> u_E(x)**2 far out,
 
-with u_E(x) = sqrt(2 (x0 - x)).  The tangential coordinate x acts as time.
+with u_E(x) = sqrt(2 (x0 - x)), which a step carries from the old edge
+value by d(u_E**2)/dx = -2.  The tangential coordinate x acts as time.
 Steps are variable-step BDF2, implicit in the diffusion, with the
 degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
@@ -87,12 +88,6 @@ class VMState:
     psi_grid: Grid
     W: Field
     lam: float
-    x0_pressure: float
-    source_scale: float = 1.0
-
-    def far_target(self, x: Optional[float] = None) -> float:
-        x = self.x if x is None else x
-        return 2.0 * (self.x0_pressure - self.source_scale * x)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +273,7 @@ def _u_at_streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray,
     return u_at(th)
 
 
-def to_von_mises(u: Field, lam: float, s: float, x0_pressure: float = 1.0,
-                 n_psi: int = 1153, source_scale: float = 1.0) -> VMState:
+def to_von_mises(u: Field, lam: float, s: float, n_psi: int = 1153) -> VMState:
     """Map a physical profile u(y) of wall shear ``lam`` to the streamfunction
     state at x = 0 and slow time ``s``.
 
@@ -297,8 +291,7 @@ def to_von_mises(u: Field, lam: float, s: float, x0_pressure: float = 1.0,
     w = _u_at_streamfunction(y, u_vals, du, phi, grid.nodes) ** 2
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
-    return VMState(x=0.0, s=s, psi_grid=grid, W=Field(grid, w), lam=lam,
-                   x0_pressure=x0_pressure, source_scale=source_scale)
+    return VMState(x=0.0, s=s, psi_grid=grid, W=Field(grid, w), lam=lam)
 
 
 def from_von_mises(state: VMState) -> Field:
@@ -308,7 +301,7 @@ def from_von_mises(state: VMState) -> Field:
     if np.any(w[1:] <= 0.0):
         raise InvalidStateError("w must be positive away from the wall")
     y = _normal_coordinate(state.psi_grid, w)
-    return Field(Grid(y, "vm-inverse"), np.sqrt(w))
+    return Field(Grid(y), np.sqrt(w))
 
 
 def _build_three_point(grid: Grid, order: int) -> np.ndarray:
@@ -503,12 +496,12 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     (the first step) the step is the iterated backward-Euler start-up.
     The step's Picard work is added to ``counts``.  The slow time advances
     by ds = dx / lam**4 on the old station's shear: this is the march's one
-    clock.
+    clock.  The far value is the old edge value less 2 source_scale dx.
     """
     w_old = state.W.values
     scale = float(np.max(w_old))
     while True:
-        far = state.far_target(state.x + dx)
+        far = w_old[-1] - 2.0 * cfg.source_scale * dx
         if far <= 0.0:
             raise StepFailureError("pressure horizon reached before separation")
         w_new, sweeps, converged = _bdf2_solve(state.psi_grid, w_old, prev,
@@ -531,9 +524,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     x_new = state.x + dx
     state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
                         psi_grid=state.psi_grid,
-                        W=Field(state.psi_grid, w_new), lam=state.lam,
-                        x0_pressure=state.x0_pressure,
-                        source_scale=cfg.source_scale)
+                        W=Field(state.psi_grid, w_new), lam=state.lam)
     lam = wall_shear(state_new)
     return replace(state_new, lam=lam)
 
@@ -574,9 +565,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     schedule in log(lam), together with the state one step later (used by
     the finite-difference commutator identity).
     """
-    state = to_von_mises(data.u0, float(data.lambda0), data.s0,
-                         x0_pressure=data.x0_pressure, n_psi=cfg.n_psi,
-                         source_scale=cfg.source_scale)
+    state = to_von_mises(data.u0, float(data.lambda0), data.s0, n_psi=cfg.n_psi)
     dphi = np.diff(state.psi_grid.nodes)     # every marched state's grid
     xs, lams, ss, fmaxs, monos = [], [], [], [], []
     snapshots: List[Snapshot] = []

@@ -31,7 +31,7 @@ from prandtlsep.gridfields import Field, Grid, cumint, lstsq_powers
 
 
 def uniform_grid(n: int, x_max: float) -> Grid:
-    return Grid(np.linspace(0.0, x_max, n), "uniform")
+    return Grid(np.linspace(0.0, x_max, n))
 
 
 def convergence_order(errors: Iterable[float]) -> float:

@@ -40,7 +40,9 @@ class TestConfig:
                     {"ds_rel": 0.0}, {"ds_rel": nan},
                     {"snapshots_per_decade": 0.0}, {"snapshots_per_decade": -8.0},
                     {"snapshots_per_decade": cli.MAX_SNAPSHOTS_PER_DECADE + 1.0},
-                    {"x0_pressure": inf}, {"perturbation_amplitude": nan}):
+                    {"x0_pressure": inf}, {"perturbation_amplitude": nan},
+                    {"n_psi": 10**11}, {"n_physical": 10**11},
+                    {"n_rescaled": 10**11}):
             with pytest.raises(cli.ConfigError):
                 cli.RunConfig(**bad).validate()
         # the dense-snapshots benchmark workload and the bound itself pass
@@ -115,12 +117,27 @@ class TestConfig:
                             ("--snapshots-per-decade", "-8"),
                             ("--snapshots-per-decade", "1000"), ("--ds-rel", "nan"),
                             ("--x0-pressure", "inf"),
-                            ("--perturbation-amplitude", "nan")):
+                            ("--perturbation-amplitude", "nan"),
+                            # rejected before any array exists: 10**11 nodes
+                            # would ask numpy for 745 GiB
+                            ("--n-psi", str(10**11)), ("--n-physical", str(10**11)),
+                            ("--n-rescaled", str(10**11))):
             code = cli.main(["simulate", flag, value, "--outdir", str(tmp_path)])
             assert code == cli.EXIT_CONFIG, flag
             assert not os.listdir(tmp_path)
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("configuration error:")
+
+    @pytest.mark.parametrize("lambda0", ["1e-300", "1e-100"])
+    def test_tiny_lambda0_exits_2(self, tmp_path, lambda0, capsys):
+        # inside (0, 0.2], but 1/lambda0**2 overflows (1e-300) or the
+        # wall polynomial does (1e-100): one line, no traceback, no files
+        code = cli.main(["simulate", "--lambda0", lambda0,
+                         "--outdir", str(tmp_path / "run")])
+        assert code == cli.EXIT_SOLVER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error:")
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("command", ["simulate", "verify-algebra"])
     def test_unwritable_outdir_exit_code(self, tmp_path, command, capsys):
@@ -192,6 +209,20 @@ class TestSimulateAndAudit:
         assert f"commutator identity holds {holds}/{len(checks)}" in out
         assert f"energies resolved {int(resolved.sum())}/{len(resolved)}" in out
 
+    @pytest.mark.parametrize("stop, error", [
+        (2.0, "no samples above 3 * lambda_stop"),
+        (1.01, "stations, the fit needs more than 50")])
+    def test_summary_line_says_why_there_is_no_exponent(self, tmp_path, stop,
+                                                        error, capsys):
+        # a run that stops above the fit window (about 200 stations) or
+        # after a few steps completes, and its line quotes fit_report.json
+        cfg = cli.RunConfig(lambda_stop_factor=stop, n_psi=1153, n_physical=1537,
+                            outdir=str(tmp_path / "run"))
+        assert cli.run_simulate(cfg) == cli.EXIT_OK
+        fit = json.loads(open(os.path.join(cfg.outdir, "fit_report.json")).read())
+        assert list(fit) == ["fit_error"] and error in fit["fit_error"]
+        assert f"; exponent nan ({fit['fit_error']}); " in capsys.readouterr().out
+
     def test_steps_at_the_picard_cap_are_counted(self, quick_cfg, monkeypatch,
                                                  capsys):
         # with no tolerance to meet every step ends at its sweep cap
@@ -241,8 +272,8 @@ class TestSimulateAndAudit:
         "unsorted_phi", "truncated_snapshot", "short_snapshot",
         "empty_snapshots", "snapshots_not_a_list", "station_not_an_int",
         "station_is_a_bool", "negative_station", "station_without_pair",
-        "config_out_of_range", "config_not_a_number", "manifest_not_json",
-        "header_names_columns"])
+        "config_out_of_range", "config_grid_too_large", "config_not_a_number",
+        "manifest_not_json", "header_names_columns"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -274,6 +305,8 @@ class TestSimulateAndAudit:
             del manifest["config"]["n_rescaled"]
         elif damage == "config_out_of_range":
             manifest["config"]["n_rescaled"] = 20
+        elif damage == "config_grid_too_large":
+            manifest["config"]["n_psi"] = 10**11
         elif damage == "config_not_a_number":
             manifest["config"]["lambda0"] = "abc"
         elif damage == "schema_version":
@@ -339,7 +372,8 @@ class TestSimulateAndAudit:
                 "station_not_an_int": "station 'a' is not an integer",
                 "station_is_a_bool": "station True is not an integer",
                 "negative_station": "station -1 is negative",
-                "station_without_pair": "has no pair row"}.get(damage, "") in out
+                "station_without_pair": "has no pair row",
+                "config_grid_too_large": "must not exceed"}.get(damage, "") in out
 
     def test_failed_report_exits_1(self, finished_run, tmp_path, monkeypatch,
                                    capsys):

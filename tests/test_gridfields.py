@@ -17,7 +17,7 @@ def _geometric(n: int, x_max: float, contrast: float) -> gf.Grid:
     """
     h = (contrast ** (1.0 / (n - 2))) ** np.arange(n - 1, dtype=float)
     nodes = np.concatenate(([0.0], np.cumsum(h)))
-    return gf.Grid(nodes * (x_max / nodes[-1]), "geometric")
+    return gf.Grid(nodes * (x_max / nodes[-1]))
 
 
 @pytest.fixture(params=["uniform", "tanh", "geometric", "power"])

@@ -31,14 +31,14 @@ class TestTransforms:
     def test_linear_profile(self):
         # u = y: phi = y^2/2, w = y^2 = 2 phi
         g = uniform_grid(1025, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0, x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0)
         phi = state.psi_grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
 
     def test_quadratic_profile(self):
         # u = y^2/2: phi = y^3/6, w = (6 phi)^(4/3)/4 exactly
         g = Grid.power_clustered(2049, 2.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, x0_pressure=2.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0)
         phi = state.psi_grid.nodes[1:]
         expected = (6.0 * phi) ** (4.0 / 3.0) / 4.0
         rel = np.abs(state.W.values[1:] - expected) / expected
@@ -46,7 +46,7 @@ class TestTransforms:
         assert np.max(rel[phi > 1e-4]) < 1e-5
 
     def test_round_trip(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
         u_back = vm.from_von_mises(state)
         ref = spline_interpolant(data05.u0)(
             np.clip(u_back.grid.nodes, 0, data05.grid.span))
@@ -72,8 +72,8 @@ class TestTransforms:
         for _ in range(60):   # Newton from above: monotone convergence
             Y_exact = Y_exact - (phi_of(Y_exact) - phi) / np.maximum(
                 u_of(Y_exact), 1e-300)
-        state = vm.VMState(x=0.0, s=s, psi_grid=psi, W=Field(psi, u_of(Y_exact)**2),
-                           lam=1.0, x0_pressure=1.0)
+        state = vm.VMState(x=0.0, s=s, psi_grid=psi,
+                           W=Field(psi, u_of(Y_exact)**2), lam=1.0)
         u = vm.from_von_mises(state)
         rel = np.abs(u.grid.nodes[1:] - Y_exact[1:]) / Y_exact[1:]
         assert np.max(rel) < 5e-9
@@ -93,7 +93,7 @@ class TestTransforms:
             vm.to_von_mises(Field(g, u), 3.0, 1.0)
 
     def test_wall_shear_estimate(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
         assert abs(vm.wall_shear(state) - 0.05) / 0.05 < 2e-3
 
 
@@ -201,8 +201,7 @@ class TestGridCaches:
         # a fresh phi grid asks fd_weights for the second and first
         # differences, the Gauss-point interpolation and the wall
         # extrapolation; the next step and the per-step record ask for none
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0,
-                                x0_pressure=data05.x0_pressure, n_psi=1153)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         builds = self._builds(monkeypatch, gf, "fd_weights")
         cfg, counts = vm.MarchConfig(n_psi=1153), vm.PicardCounts()
         first = vm.march_step(state, 1e-6, cfg, counts)
@@ -251,8 +250,7 @@ class TestGridCaches:
             t, stencils[:, 0], pts))
         assert close(wall, reference.wall_extrapolation_weights(t))
         state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
-                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0,
-                           x0_pressure=1.0)
+                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
         got, ref = vm.f_roundoff_floor(state)[:-1], reference.f_roundoff_floor(state)[:-1]
         assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
@@ -320,18 +318,18 @@ class TestDiffusionBalance:
     def test_self_similar_region_balances(self):
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
         g = Grid.power_clustered(2049, 3.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, x0_pressure=4.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0)
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         inner = trusted & (state.psi_grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
         assert vm.compute_F(state.W).values[0] == 0.0
 
     def test_far_field_approaches_minus_two(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
         F = vm.compute_F(state.W).values
         assert abs(F[-2] + 2.0) < 1e-2
 
@@ -339,7 +337,7 @@ class TestDiffusionBalance:
 class TestMarch:
     def test_step_consistency_with_balance(self, data05):
         # one small step must move w by dx * (sqrt(w) w_phiphi - 2)
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, x0_pressure=1.0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
         new = vm.march_step(state, dx, cfg, vm.PicardCounts())
@@ -402,9 +400,11 @@ class TestMarch:
                 is short_traj.psi_grid
 
     def test_far_field_consistency(self, short_traj):
-        snap = short_traj.snapshots[-1]
-        far = snap.state.far_target()
-        assert abs(snap.state.W.values[-1] - far) / far < 1e-3
+        # the march carries the far edge from the inflow's own value by
+        # d(w_far)/dx = -2: it stays on u_E**2 = 2 (1 - x) to roundoff
+        for snap in short_traj.snapshots:
+            far = 2.0 * (1.0 - snap.state.x)
+            assert abs(snap.state.W.values[-1] - far) / far < 1e-13
 
     def test_two_shear_estimators_agree(self, short_traj):
         snap = short_traj.snapshots[-1]
@@ -426,6 +426,16 @@ class TestZeroSource:
         traj = vm.solve_until_separation(data05, cfg)
         assert traj.lam.min() >= 0.5 * data05.lambda0
         assert traj.lam[-1] >= traj.lam[0]
+
+    def test_flat_outer_flow_keeps_the_far_edge(self, data05):
+        # with no source the far value is the old edge value, bit for bit,
+        # and the step is taken whole: the far value and the source term
+        # come from one source_scale
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
+        cfg = vm.MarchConfig(source_scale=0.0, n_psi=1153)
+        new = vm.march_step(state, 1e-5, cfg, vm.PicardCounts())
+        assert new.x == 1e-5
+        assert same_bits(new.W.values[-1], state.W.values[-1])
 
 
 class TestConfig:
