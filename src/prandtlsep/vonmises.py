@@ -193,16 +193,17 @@ def wall_shear(state: VMState) -> float:
     def estimate(g: float):
         y_cap = 0.25 * g ** (1.0 / 3.0)
         y = normal_coordinate(y_cap)
-        window = (y >= 0.25 * y_cap) & (y <= y_cap)
-        idx = np.nonzero(window)[0]
-        idx = idx[(idx > 0) & (idx < len(phi) - 1)]
-        if len(idx) < 4:
+        # the window y in [y_cap/4, y_cap] of the increasing y, interior nodes
+        lo = max(int(np.searchsorted(y, 0.25 * y_cap, side="left")), 1)
+        hi = min(int(np.searchsorted(y, y_cap, side="right")), len(phi) - 1)
+        if hi - lo < 4:
             return None
-        a, b, c = _three_point_weights(grid, 1)[:, idx - 1]
-        w_phi = a * w[idx - 1] + b * w[idx] + c * w[idx + 1]
-        samples = 0.5 * w_phi - y[idx]
+        a, b, c = _three_point_weights(grid, 1)[:, lo - 1:hi - 1]
+        w_phi = a * w[lo - 1:hi - 1] + b * w[lo:hi] + c * w[lo + 1:hi + 1]
+        y_win = y[lo:hi]
+        samples = 0.5 * w_phi - y_win
         # the curvature-defect bias grows like y**3: extrapolate it away
-        est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
+        est_ = float(lstsq_powers(y_win, samples, (0, 3))[0])
         if not 0.0 < est_ < 20.0 * g:
             est_ = float(np.median(samples))
         return est_
@@ -329,7 +330,13 @@ def compute_F(W: Field) -> Field:
     f[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]
+    f.flags.writeable = False         # owned here: Field keeps it uncopied
     return W.with_values(f)
+
+
+def _d2_gain(grid: Grid) -> np.ndarray:
+    """Sum of the second difference's weight magnitudes at the interior nodes."""
+    return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
 
 
 def f_roundoff_floor(state: VMState) -> np.ndarray:
@@ -341,7 +348,7 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
     w = state.W.values
-    gain = np.abs(_three_point_weights(state.psi_grid, 2)).sum(axis=0)
+    gain = state.psi_grid.cached("d2_gain", _d2_gain, state.psi_grid)
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
     out = np.full_like(w, np.inf)
     out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * eps_w * gain
@@ -521,6 +528,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
         dx *= 0.5
         if dx < DX_MIN:
             raise StepFailureError("step size underflow (separation reached?)")
+    w_new.flags.writeable = False     # owned here: Field keeps it uncopied
     x_new = state.x + dx
     state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
                         psi_grid=state.psi_grid,

@@ -220,6 +220,18 @@ class TestGridCaches:
         assert len(builds) == 1
         assert self._frozen(grid, "normal_coordinate")
 
+    def test_roundoff_gain_built_once_per_grid(self, monkeypatch):
+        grid = vm.default_psi_grid(3.0, 2305)
+        builds = self._builds(monkeypatch, vm, "_d2_gain")
+        phi = grid.nodes
+        state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
+                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
+        first = vm.f_roundoff_floor(state)
+        vm.trusted_F_mask(state)
+        assert same_bits(vm.f_roundoff_floor(state), first)
+        assert len(builds) == 1
+        assert self._frozen(grid, "d2_gain")
+
     def test_diff_stencils_built_once_per_grid(self, monkeypatch):
         grid = Grid.power_clustered(641, 40.0, 5.0)
         builds = self._builds(monkeypatch, gf, "fd_weights")
