@@ -34,7 +34,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -250,8 +250,12 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 
 
 #: columns of trajectory.csv, one row per march station; ``s`` is the
-#: march's own slow-time clock
-_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "monotonicity_min"]
+#: march's own slow-time clock, ``solves`` and ``halvings`` the tridiagonal
+#: solves and dx halvings of the step that reached the row
+_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "monotonicity_min",
+                       "solves", "halvings"]
+#: the columns that count work, whole numbers >= 0
+_COUNT_COLUMNS = ("solves", "halvings")
 
 #: columns of energies.csv, one row per frame with a report
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyReport)]
@@ -277,7 +281,8 @@ def run_simulate(cfg: RunConfig) -> int:
     _atomic_write(
         os.path.join(cfg.outdir, "trajectory.csv"),
         _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s,
-                                         traj.F_max, traj.mono_min]))
+                                         traj.F_max, traj.mono_min,
+                                         traj.solves, traj.halvings]))
     # one table: the shared phi grid, then w of each snapshot and its pair
     header, columns = ["phi"], [traj.psi_grid.nodes]
     for snap in traj.snapshots:
@@ -320,7 +325,6 @@ def run_simulate(cfg: RunConfig) -> int:
         "snapshots": [snap.station for snap in traj.snapshots],
         "completed": traj.completed, "failure": traj.failure,
         "steps": int(len(traj.x)),
-        "tridiag_solves": traj.picard.solves,
         "picard_short_steps": traj.picard.short_steps})
     work = (f"{traj.picard.solves} solves, {traj.picard.short_steps} steps "
             "short of the Picard tolerance")
@@ -331,7 +335,7 @@ def run_simulate(cfg: RunConfig) -> int:
     if "fit_error" in fit_payload:
         exponent += f" ({fit_payload['fit_error']})"
     print(f"simulate: {len(traj.x)} steps to lambda = {traj.lam[-1]:.3e}, "
-          f"x_end = {traj.x[-1]:.6f}; {exponent}; {work}")
+          f"x_end = {traj.x[-1]:.6e}; {exponent}; {work}")
     return EXIT_OK
 
 
@@ -412,7 +416,11 @@ def load_trajectory(outdir: str) -> tuple:
         raise MissingArtifactError(f"{man_path}: no snapshots listed")
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
-                        finite=("x", "lambda", "s"))
+                        finite=("x", "lambda", "s") + _COUNT_COLUMNS)
+    for name in _COUNT_COLUMNS:
+        if np.any((raw[name] < 0.0) | (raw[name] != np.floor(raw[name]))):
+            raise MissingArtifactError(
+                f"{traj_path}: column {name} holds a value that is not a count")
     rows = len(raw["x"])
     for station in stations:
         problem = ("is not an integer" if type(station) is not int
@@ -447,7 +455,8 @@ def load_trajectory(outdir: str) -> tuple:
             pair_state=state(pair_name, station + 1)))
     traj = vm.Trajectory(
         x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
-        mono_min=raw["monotonicity_min"], snapshots=snapshots, psi_grid=grid,
+        mono_min=raw["monotonicity_min"], solves=raw["solves"],
+        halvings=raw["halvings"], snapshots=snapshots, psi_grid=grid,
         completed=manifest["completed"], failure=manifest["failure"])
     return cfg, traj
 

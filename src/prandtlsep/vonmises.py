@@ -10,12 +10,14 @@ value by d(u_E**2)/dx = -2.  The tangential coordinate x acts as time.
 Steps are variable-step BDF2, implicit in the diffusion, with the
 degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
-Each BDF2 step's Picard iteration starts from the linear extrapolation of
-the last two stations, which is already within the step's local error of
-the fixed point: on the default run a step takes 1.7 solves, against 4.3
-from the old station.  The march counts its tridiagonal solves and the
-steps whose last sweep still moved w by more than the Picard tolerance
-(``PicardCounts``, kept as ``Trajectory.picard``).
+The second step's Picard iteration starts from the linear extrapolation of
+the last two stations, and every later one from the quadratic through the
+last three, which is one order closer to the fixed point: on the default
+run a step takes 1.11 solves, against 1.67 from the linear start and 4.3
+from the old station.  The march counts its tridiagonal solves, the steps
+whose last sweep still moved w by more than the Picard tolerance and its
+dx halvings (``PicardCounts``, kept as ``Trajectory.picard``), and records
+each step's solves and halvings on the station it reached.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
 ``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
@@ -443,36 +445,49 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     return out
 
 
-def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple | None,
+def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
                 h: float, far_value: float, source: float,
                 scale: float) -> tuple:
     """Variable-step BDF2 step with Picard-iterated degenerate coefficient.
 
     Second order in the step, L-stable, and structurally monotone (M-matrix
     resolvent); removes the O(dx) quasi-steady bias that a backward-Euler
-    or frozen-coefficient step leaves in the stiff wall zone.  Without
-    ``prev`` (w_previous, h_previous), on the first step, the coefficients
-    are those of an infinitely long previous step: the start-up is a
-    backward-Euler step from w_n, with up to STARTUP_SWEEPS Picard sweeps
-    instead of PICARD_SWEEPS.  With ``prev`` the iteration starts from the
-    linear extrapolation w_n + om (w_n - w_previous): every sweep is the
-    same resolvent and the stopping test is the same, so it seeks the same
-    fixed point from a start one order closer to it.
+    or frozen-coefficient step leaves in the stiff wall zone.  ``prev``
+    holds the stations before w_n, newest first, each as (w, h) with h the
+    step from that station to the next: none on the first step, one on the
+    second, two after.  Without ``prev`` the coefficients are those of an
+    infinitely long previous step: the start-up is a backward-Euler step
+    from w_n, with up to STARTUP_SWEEPS Picard sweeps instead of
+    PICARD_SWEEPS.  With one station the iteration starts from the linear
+    extrapolation w_n + om (w_n - w_previous), with two from the quadratic
+    through the three stations; the BDF2 step itself reads only the newest.
+    Every sweep is the same resolvent and the stopping test is the same, so
+    each start seeks the same fixed point, the quadratic from one order
+    closer to it.
 
     Returns (w, sweeps, converged): ``converged`` is False when the last
     allowed sweep still moved w by more than PICARD_TOL * scale.
     """
-    if prev is None:
+    if not prev:
         w_prev, h_prev, max_picard = w_n, np.inf, STARTUP_SWEEPS
     else:
-        (w_prev, h_prev), max_picard = prev, PICARD_SWEEPS
+        (w_prev, h_prev), max_picard = prev[0], PICARD_SWEEPS
     om = h / h_prev
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
     rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev
            - 2.0 * h * source) / alpha
     tau = h / alpha
     buffers = _resolvent_buffers(len(grid))
-    w_new = w_n if prev is None else w_n + om * (w_n - w_prev)
+    w_new = w_n
+    if prev:
+        dw = w_n - w_prev
+        w_new = w_n + om * dw
+        if len(prev) > 1:
+            # Newton form: the linear start plus h (h + h_prev) times the
+            # second divided difference of the three stations
+            w_older, h_older = prev[1]
+            w_new += (om * (h + h_prev) / (h_prev + h_older)
+                      * (dw - h_prev / h_older * (w_prev - w_older)))
     for sweep in range(1, max_picard + 1):
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
@@ -488,19 +503,22 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple | None,
 @dataclass
 class PicardCounts:
     """Work of the march's Picard iterations: tridiagonal solves, halved
-    retries included, and accepted steps that stopped at the sweep cap with
-    the last update above the tolerance."""
+    retries included, accepted steps that stopped at the sweep cap with the
+    last update above the tolerance, and dx halvings."""
 
     solves: int = 0
     short_steps: int = 0
+    halvings: int = 0
 
 
 def march_step(state: VMState, dx: float, cfg: MarchConfig,
-               counts: PicardCounts, prev: tuple | None = None) -> VMState:
+               counts: PicardCounts, prev: tuple = ()) -> VMState:
     """Advance one station; retries with halved dx on monotonicity loss.
 
-    ``prev`` (w_previous, h_previous) feeds the BDF2 step; without it
-    (the first step) the step is the iterated backward-Euler start-up.
+    ``prev``, the (w, h) of up to two stations before this one, newest
+    first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
+    without it (the first step) the step is the iterated backward-Euler
+    start-up.
     The step's Picard work is added to ``counts``.  The slow time advances
     by ds = dx / lam**4 on the old station's shear: this is the march's one
     clock.  The far value is the old edge value less 2 source_scale dx.
@@ -526,6 +544,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
                 counts.short_steps += 1
             break
         dx *= 0.5
+        counts.halvings += 1
         if dx < DX_MIN:
             raise StepFailureError("step size underflow (separation reached?)")
     w_new.flags.writeable = False     # owned here: Field keeps it uncopied
@@ -555,6 +574,10 @@ class Trajectory:
     s: np.ndarray
     F_max: np.ndarray
     mono_min: np.ndarray
+    # the tridiagonal solves and dx halvings of the step that reached each
+    # row, halved retries included; 0 on the inflow row
+    solves: np.ndarray
+    halvings: np.ndarray
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
     completed: bool
@@ -575,12 +598,12 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     """
     state = to_von_mises(data.u0, float(data.lambda0), data.s0, n_psi=cfg.n_psi)
     dphi = np.diff(state.psi_grid.nodes)     # every marched state's grid
-    xs, lams, ss, fmaxs, monos = [], [], [], [], []
+    xs, lams, ss, fmaxs, monos, solves, halvings = [], [], [], [], [], [], []
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     completed, failure = False, ""
 
-    def record(st: VMState) -> None:
+    def record(st: VMState, step_solves: int, step_halvings: int) -> None:
         F = compute_F(st.W).values
         mask = trusted_F_mask(st)
         xs.append(st.x)
@@ -588,11 +611,13 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         ss.append(st.s)
         fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
         monos.append(float(np.min(np.diff(st.W.values) / dphi)))
+        solves.append(step_solves)
+        halvings.append(step_halvings)
 
-    record(state)
+    record(state, 0, 0)
     # the snapshot state that waits for its pair, the next state
     pending: Optional[VMState] = state
-    prev = None
+    prev = ()
     counts = PicardCounts()
     lam_next_snap = data.lambda0 * decade_step
     for step in range(cfg.max_steps):
@@ -602,6 +627,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
             break
         dx = min(cfg.dx_init, CFL_SAFETY * lam**4 * cfg.ds_rel * state.s)
         dx = max(dx, DX_MIN * 10.0)
+        solves_before, halvings_before = counts.solves, counts.halvings
         try:
             new_state = march_step(state, dx, cfg, counts, prev=prev)
         except (StepFailureError, InvalidStateError) as exc:
@@ -611,9 +637,11 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
             failure = ("wall shear no longer resolvable on this grid "
                        "(separation reached before lambda_stop)")
             break
-        prev = (state.W.values, new_state.x - state.x)
+        # the station just left and the one before it start the next Picard
+        prev = ((state.W.values, new_state.x - state.x),) + prev[:1]
         state = new_state
-        record(state)
+        record(state, counts.solves - solves_before,
+               counts.halvings - halvings_before)
         if pending is not None:
             # the pending state sits one row above the pair just recorded
             snapshots.append(Snapshot(index=len(snapshots), station=len(xs) - 2,
@@ -629,6 +657,7 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     return Trajectory(
         x=np.array(xs), lam=np.array(lams), s=np.array(ss),
         F_max=np.array(fmaxs), mono_min=np.array(monos),
+        solves=np.array(solves), halvings=np.array(halvings),
         snapshots=snapshots, psi_grid=state.psi_grid,
         completed=completed, failure=failure, picard=counts,
     )

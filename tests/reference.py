@@ -246,10 +246,10 @@ def bdf2_solve_from_old_station(grid, w_n, prev, h: float, far_value: float,
                                 source: float, scale: float) -> tuple:
     """``vonmises._bdf2_solve`` with every Picard iteration started from
     w_n, as the march did before it started from the extrapolated state."""
-    if prev is None:
+    if not prev:
         w_prev, h_prev, max_picard = w_n, np.inf, vm.STARTUP_SWEEPS
     else:
-        (w_prev, h_prev), max_picard = prev, vm.PICARD_SWEEPS
+        (w_prev, h_prev), max_picard = prev[0], vm.PICARD_SWEEPS
     om = h / h_prev
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
     rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev

@@ -21,6 +21,14 @@ def _quick_config(outdir) -> cli.RunConfig:
                          snapshots_per_decade=10.0, outdir=str(outdir))
 
 
+def _trajectory_columns(outdir) -> dict:
+    """The columns of a run's trajectory.csv by name."""
+    path = os.path.join(outdir, "trajectory.csv")
+    names = open(path).readline().strip().split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return dict(zip(names, table.T))
+
+
 @pytest.fixture()
 def quick_cfg(tmp_path):
     return _quick_config(tmp_path / "run")
@@ -191,11 +199,16 @@ class TestSimulateAndAudit:
             for tail in ("", "_pair")]
         assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
-        # the march's Picard work, as the manifest records it
-        solves, short = manifest["tridiag_solves"], manifest["picard_short_steps"]
+        # the march's Picard work: the solves are the sum of the per-row
+        # column, the manifest counts the short steps
+        trajectory = _trajectory_columns(outdir)
+        solves, short = trajectory["solves"].sum(), manifest["picard_short_steps"]
         assert 0 < solves and short == 0
-        assert (f"{solves} solves, {short} steps short of the Picard tolerance"
+        assert (f"{solves:.0f} solves, {short} steps short of the Picard tolerance"
                 in simulate_line)
+        # x_end is the last station to 6 significant digits
+        x_end = float(simulate_line.split("x_end = ", 1)[1].split(";", 1)[0])
+        assert abs(x_end - trajectory["x"][-1]) <= 5e-6 * trajectory["x"][-1]
         code = cli.main(["audit", outdir])
         assert code == cli.EXIT_OK
         summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
@@ -232,8 +245,12 @@ class TestSimulateAndAudit:
                                                 "manifest.json")).read())
         steps = manifest["steps"] - 1
         assert manifest["picard_short_steps"] == steps
-        assert manifest["tridiag_solves"] == (cli.vm.STARTUP_SWEEPS
+        trajectory = _trajectory_columns(quick_cfg.outdir)
+        assert trajectory["solves"].sum() == (cli.vm.STARTUP_SWEEPS
                                               + (steps - 1) * cli.vm.PICARD_SWEEPS)
+        assert trajectory["solves"].tolist() == [0, cli.vm.STARTUP_SWEEPS] \
+            + [cli.vm.PICARD_SWEEPS] * (steps - 1)
+        assert not trajectory["halvings"].any()
         assert f"{steps} steps short of the Picard tolerance" in capsys.readouterr().out
 
     def test_rerun_is_bit_identical(self, quick_cfg, tmp_path):
@@ -268,7 +285,8 @@ class TestSimulateAndAudit:
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
-        "old_schema", "schema_2", "schema_3", "schema_5", "nan_value",
+        "old_schema", "schema_2", "schema_3", "schema_5", "schema_6",
+        "fractional_solves", "negative_halvings", "nan_value",
         "unsorted_phi", "truncated_snapshot", "short_snapshot",
         "empty_snapshots", "snapshots_not_a_list", "station_not_an_int",
         "station_is_a_bool", "negative_station", "station_without_pair",
@@ -329,6 +347,19 @@ class TestSimulateAndAudit:
             manifest["schema_version"] = 5
             manifest["snapshots"] = [{"index": k, "x": 0.0, "s": 1.0, "lam": 0.05}
                                      for k in range(len(manifest["snapshots"]))]
+        elif damage == "schema_6":
+            # version 6 counted the run's solves in the manifest
+            manifest["schema_version"] = 6
+            manifest["tridiag_solves"] = 1
+        elif damage in ("fractional_solves", "negative_halvings"):
+            # each step's work is a count: a whole number >= 0
+            traj = rundir / "trajectory.csv"
+            rows = traj.read_text().splitlines()
+            column = rows[0].split(",").index(damage.split("_")[1])
+            cells = rows[5].split(",")
+            cells[column] = "1.5" if damage == "fractional_solves" else "-1.0"
+            rows[5] = ",".join(cells)
+            traj.write_text("\n".join(rows) + "\n")
         elif damage == "empty_snapshots":
             manifest["snapshots"] = []
         elif damage == "snapshots_not_a_list":
@@ -368,6 +399,9 @@ class TestSimulateAndAudit:
         assert {"manifest_not_json": "cannot read",
                 "header_names_columns": "names in the header",
                 "schema_5": "schema_version 5",
+                "schema_6": "schema_version 6",
+                "fractional_solves": "column solves holds a value that is not a count",
+                "negative_halvings": "column halvings holds a value that is not a count",
                 "snapshots_not_a_list": "snapshots is not a list",
                 "station_not_an_int": "station 'a' is not an integer",
                 "station_is_a_bool": "station True is not an integer",

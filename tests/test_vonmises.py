@@ -206,7 +206,7 @@ class TestGridCaches:
         cfg, counts = vm.MarchConfig(n_psi=1153), vm.PicardCounts()
         first = vm.march_step(state, 1e-6, cfg, counts)
         assert sorted(args[2] for args in builds) == [0, 0, 1, 2]
-        vm.march_step(first, 1e-6, cfg, counts, prev=(state.W.values, 1e-6))
+        vm.march_step(first, 1e-6, cfg, counts, prev=((state.W.values, 1e-6),))
         vm.compute_F(first.W)
         vm.trusted_F_mask(first)
         assert len(builds) == 4
@@ -368,8 +368,10 @@ class TestMarch:
         # Picard started from the extrapolated state and from the old station
         # converges to the same BDF2 step: on each of 20 stations, from the
         # same inputs, the two agree within 1e-11 max w, and the
-        # extrapolated start takes fewer solves
-        gaps, sweeps = [], []
+        # extrapolated start takes fewer solves.  From the third step on the
+        # start is the quadratic through three stations, which also takes
+        # fewer solves than the linear start through two (prev[:1])
+        gaps, sweeps, linear = [], [], []
         solve = vm._bdf2_solve
 
         def both(grid, w_n, prev, h, far_value, source, scale):
@@ -378,6 +380,9 @@ class TestMarch:
                 grid, w_n, prev, h, far_value, source, scale)
             gaps.append(float(np.max(np.abs(out[0] - old[0]))) / scale)
             sweeps.append((out[1], old[1]))
+            if len(prev) == 2:
+                two = solve(grid, w_n, prev[:1], h, far_value, source, scale)
+                linear.append((out[1], two[1]))
             return out
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
@@ -386,6 +391,33 @@ class TestMarch:
         assert max(gaps) <= 1e-11
         assert sweeps[0][0] == sweeps[0][1]          # the start-up step
         assert sum(new for new, _ in sweeps) < sum(old for _, old in sweeps)
+        assert len(linear) == 18
+        assert sum(new for new, _ in linear) < sum(two for _, two in linear)
+
+    def test_each_row_counts_its_steps_solves_and_halvings(self, data05,
+                                                           monkeypatch):
+        # the fourth solve call returns w with a bump at the far edge: that
+        # step loses monotonicity once, halves dx and solves again, and its
+        # row carries both attempts' sweeps and one halving
+        sweeps = []
+        solve = vm._bdf2_solve
+
+        def bumped(grid, w_n, prev, h, far_value, source, scale):
+            w, n, converged = solve(grid, w_n, prev, h, far_value, source, scale)
+            sweeps.append(n)
+            if len(sweeps) == 4:
+                w = w.copy()
+                w[-2] = 2.0 * w[-1]
+            return w, n, converged
+
+        monkeypatch.setattr(vm, "_bdf2_solve", bumped)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig(max_steps=6))
+        assert len(traj.x) == 7 and len(sweeps) == 7
+        assert traj.solves.tolist() == [0] + sweeps[:3] + [sweeps[3] + sweeps[4]] \
+            + sweeps[5:]
+        assert traj.halvings.tolist() == [0, 0, 0, 0, 1, 0, 0]
+        assert traj.picard.solves == sum(sweeps) == traj.solves.sum()
+        assert traj.picard.halvings == 1
 
     def test_monotonicity_preserved(self, short_traj):
         assert short_traj.mono_min.min() >= -1e-9
