@@ -583,7 +583,7 @@ class Trajectory:
     completed: bool
     failure: str = ""
     # the march's PicardCounts; None on a trajectory rebuilt from artifacts,
-    # whose manifest records them
+    # whose columns and manifest record them
     picard: Optional[PicardCounts] = None
 
 
