@@ -34,7 +34,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -249,13 +249,12 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: columns of trajectory.csv, one row per march station; ``s`` is the
-#: march's own slow-time clock, ``solves`` and ``halvings`` the tridiagonal
-#: solves and dx halvings of the step that reached the row
-_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "monotonicity_min",
-                       "solves", "halvings"]
+#: columns of trajectory.csv, one row per march station: the fields of
+#: ``vonmises.Trajectory``, ``s`` the march's own slow-time clock
+_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "solves", "halvings",
+                       "short"]
 #: the columns that count work, whole numbers >= 0
-_COUNT_COLUMNS = ("solves", "halvings")
+_COUNT_COLUMNS = ("solves", "halvings", "short")
 
 #: columns of energies.csv, one row per frame with a report
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyReport)]
@@ -280,9 +279,9 @@ def run_simulate(cfg: RunConfig) -> int:
     traj = vm.solve_until_separation(data, cfg.march_config())
     _atomic_write(
         os.path.join(cfg.outdir, "trajectory.csv"),
-        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s,
-                                         traj.F_max, traj.mono_min,
-                                         traj.solves, traj.halvings]))
+        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s, traj.F_max,
+                                         traj.solves, traj.halvings,
+                                         traj.short]))
     # one table: the shared phi grid, then w of each snapshot and its pair
     header, columns = ["phi"], [traj.psi_grid.nodes]
     for snap in traj.snapshots:
@@ -324,12 +323,14 @@ def run_simulate(cfg: RunConfig) -> int:
         "config_hash": cfg.config_hash(),
         "snapshots": [snap.station for snap in traj.snapshots],
         "completed": traj.completed, "failure": traj.failure,
-        "steps": int(len(traj.x)),
-        "picard_short_steps": traj.picard.short_steps})
-    work = (f"{traj.picard.solves} solves, {traj.picard.short_steps} steps "
-            "short of the Picard tolerance")
+        "steps": int(len(traj.x)), "failed_step": traj.failed_step})
+    # the rows' work, and the failed step's on a run that stopped early
+    failed = traj.failed_step or {"solves": 0, "halvings": 0}
+    work = (f"{traj.solves.sum() + failed['solves']} solves, "
+            f"{traj.short.sum()} steps short of the Picard tolerance")
     if not traj.completed:
-        print(f"simulate: solver stopped early: {traj.failure}; {work}")
+        print(f"simulate: solver stopped early: {traj.failure}; {work} (failed "
+              f"step: {failed['solves']} solves, {failed['halvings']} dx halvings)")
         return EXIT_SOLVER
     exponent = f"exponent {fit_payload.get('exponent', float('nan')):.4f}"
     if "fit_error" in fit_payload:
@@ -372,7 +373,7 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
     return columns
 
 
-_MANIFEST_KEYS = ("config", "snapshots", "completed", "failure")
+_MANIFEST_KEYS = ("config", "snapshots", "completed", "failure", "failed_step")
 
 
 def _require_keys(entry, keys, where: str) -> None:
@@ -393,27 +394,39 @@ def load_trajectory(outdir: str) -> tuple:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise MissingArtifactError(f"cannot read {man_path}: {exc}") from exc
-    _require_keys(manifest, ("schema_version",) + _MANIFEST_KEYS, man_path)
+    # an older schema is named as such, not by a key it lacks
+    _require_keys(manifest, ("schema_version",), man_path)
     if manifest["schema_version"] != SCHEMA_VERSION:
         raise MissingArtifactError(
             f"{man_path}: schema_version {manifest['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}")
+    _require_keys(manifest, _MANIFEST_KEYS, man_path)
     _require_keys(manifest["config"], sorted(_CONFIG_KEYS), f"{man_path} config")
-    unknown = set(manifest["config"]) - _CONFIG_KEYS
-    if unknown:
-        raise MissingArtifactError(
-            f"{man_path}: unknown config keys {sorted(unknown)}")
+    # known config keys, snapshot rows in a list, and a run summary that
+    # names a failure and a failed step exactly when the run stopped early
+    config, stations, completed, failure, step = (manifest[key]
+                                                  for key in _MANIFEST_KEYS)
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    whole = isinstance(step, dict) and sorted(step) == ["halvings", "solves"] \
+        and all(type(n) is int and n >= 0 for n in step.values())
+    for ok, problem in (
+            (not unknown, f"unknown config keys {unknown}"),
+            (isinstance(stations, list), "snapshots is not a list"),
+            (stations != [], "no snapshots listed"),
+            (type(completed) is bool, f"completed {completed!r} is not a bool"),
+            (type(failure) is str, f"failure {failure!r} is not a string"),
+            (completed == (failure == ""),
+             f"completed is {completed} but failure is {failure!r}"),
+            (step is None if completed else whole, f"failed_step {step!r}: "
+             "null on a completed run, else whole solves and halvings >= 0")):
+        if not ok:
+            raise MissingArtifactError(f"{man_path}: {problem}")
     try:
         cfg = RunConfig(**{key: _config_value(key, value)
-                           for key, value in manifest["config"].items()})
+                           for key, value in config.items()})
         cfg.validate()
     except ConfigError as exc:
         raise MissingArtifactError(f"{man_path}: {exc}") from exc
-    stations = manifest["snapshots"]
-    if not isinstance(stations, list):
-        raise MissingArtifactError(f"{man_path}: snapshots is not a list")
-    if not stations:
-        raise MissingArtifactError(f"{man_path}: no snapshots listed")
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
                         finite=("x", "lambda", "s") + _COUNT_COLUMNS)
@@ -455,9 +468,9 @@ def load_trajectory(outdir: str) -> tuple:
             pair_state=state(pair_name, station + 1)))
     traj = vm.Trajectory(
         x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
-        mono_min=raw["monotonicity_min"], solves=raw["solves"],
-        halvings=raw["halvings"], snapshots=snapshots, psi_grid=grid,
-        completed=manifest["completed"], failure=manifest["failure"])
+        solves=raw["solves"], halvings=raw["halvings"], short=raw["short"],
+        snapshots=snapshots, psi_grid=grid, failure=manifest["failure"],
+        failed_step=manifest["failed_step"])
     return cfg, traj
 
 

@@ -14,10 +14,8 @@ The second step's Picard iteration starts from the linear extrapolation of
 the last two stations, and every later one from the quadratic through the
 last three, which is one order closer to the fixed point: on the default
 run a step takes 1.11 solves, against 1.67 from the linear start and 4.3
-from the old station.  The march counts its tridiagonal solves, the steps
-whose last sweep still moved w by more than the Picard tolerance and its
-dx halvings (``PicardCounts``, kept as ``Trajectory.picard``), and records
-each step's solves and halvings on the station it reached.
+from the old station.  Each trajectory row records the work of the step
+that reached it, and a run that stops early keeps its failed step's work.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
 ``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
@@ -492,7 +490,11 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
         coeff = np.sqrt(_wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
-        w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value, buffers)
+        try:
+            w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value, buffers)
+        except StepFailureError as exc:
+            exc.solves = sweep        # this attempt's, the failed solve included
+            raise
         delta = float(np.max(np.abs(w_next - w_new)))
         w_new = w_next
         if delta <= PICARD_TOL * scale:
@@ -500,60 +502,57 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
     return w_new, max_picard, False
 
 
-@dataclass
-class PicardCounts:
-    """Work of the march's Picard iterations: tridiagonal solves, halved
-    retries included, accepted steps that stopped at the sweep cap with the
-    last update above the tolerance, and dx halvings."""
-
-    solves: int = 0
-    short_steps: int = 0
-    halvings: int = 0
-
-
 def march_step(state: VMState, dx: float, cfg: MarchConfig,
-               counts: PicardCounts, prev: tuple = ()) -> VMState:
+               prev: tuple = ()) -> tuple:
     """Advance one station; retries with halved dx on monotonicity loss.
 
     ``prev``, the (w, h) of up to two stations before this one, newest
     first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
     without it (the first step) the step is the iterated backward-Euler
-    start-up.
-    The step's Picard work is added to ``counts``.  The slow time advances
-    by ds = dx / lam**4 on the old station's shear: this is the march's one
-    clock.  The far value is the old edge value less 2 source_scale dx.
+    start-up.  The slow time advances by ds = dx / lam**4 on the old
+    station's shear: this is the march's one clock.  The far value is the
+    old edge value less 2 source_scale dx.  Returns (state, solves,
+    halvings, converged), the last False when the accepted attempt stopped
+    at the sweep cap above PICARD_TOL; a failed step's error carries
+    ``work``, the {"solves", "halvings"} of its attempts.
     """
     w_old = state.W.values
     scale = float(np.max(w_old))
-    while True:
-        far = w_old[-1] - 2.0 * cfg.source_scale * dx
-        if far <= 0.0:
-            raise StepFailureError("pressure horizon reached before separation")
-        w_new, sweeps, converged = _bdf2_solve(state.psi_grid, w_old, prev,
-                                               dx, far, cfg.source_scale, scale)
-        counts.solves += sweeps
-        # clamp roundoff-level negatives on the first cells to the physical
-        # w >= 0 and judge monotonicity with a roundoff-relative tolerance
-        w_new = np.maximum(w_new, 0.0)
-        mono_ok = np.min(np.diff(w_new)) >= -_MONO_TOL_FACTOR * scale
-        nonpos = np.nonzero(w_new[1:] <= 0.0)[0]
-        floor_ok = len(nonpos) == 0 or (nonpos[-1] < WALL_FLOOR_CELLS
-                                        and len(nonpos) == nonpos[-1] + 1)
-        if mono_ok and floor_ok:
-            if not converged:
-                counts.short_steps += 1
-            break
-        dx *= 0.5
-        counts.halvings += 1
-        if dx < DX_MIN:
-            raise StepFailureError("step size underflow (separation reached?)")
-    w_new.flags.writeable = False     # owned here: Field keeps it uncopied
-    x_new = state.x + dx
-    state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
-                        psi_grid=state.psi_grid,
-                        W=Field(state.psi_grid, w_new), lam=state.lam)
-    lam = wall_shear(state_new)
-    return replace(state_new, lam=lam)
+    solves = halvings = 0
+    try:
+        while True:
+            far = w_old[-1] - 2.0 * cfg.source_scale * dx
+            if far <= 0.0:
+                raise StepFailureError("pressure horizon reached before separation")
+            w_new, sweeps, converged = _bdf2_solve(
+                state.psi_grid, w_old, prev, dx, far, cfg.source_scale, scale)
+            solves += sweeps
+            # clamp roundoff negatives on the first cells to w >= 0, and judge
+            # monotonicity with a roundoff-relative tolerance
+            w_new = np.maximum(w_new, 0.0)
+            mono_ok = np.min(np.diff(w_new)) >= -_MONO_TOL_FACTOR * scale
+            nonpos = np.nonzero(w_new[1:] <= 0.0)[0]
+            floor_ok = len(nonpos) == 0 or (nonpos[-1] < WALL_FLOOR_CELLS
+                                            and len(nonpos) == nonpos[-1] + 1)
+            if mono_ok and floor_ok:
+                break
+            dx *= 0.5
+            halvings += 1
+            if dx < DX_MIN:
+                raise StepFailureError("step size underflow (separation reached?)")
+        w_new.flags.writeable = False     # owned here: Field keeps it uncopied
+        x_new = state.x + dx
+        state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
+                            psi_grid=state.psi_grid,
+                            W=Field(state.psi_grid, w_new), lam=state.lam)
+        lam = wall_shear(state_new)
+        if lam <= 0.0:
+            raise InvalidStateError("wall shear no longer resolvable on this "
+                                    "grid (separation reached before lambda_stop)")
+    except (StepFailureError, InvalidStateError) as exc:
+        exc.work = {"solves": solves + getattr(exc, "solves", 0), "halvings": halvings}
+        raise
+    return replace(state_new, lam=lam), solves, halvings, converged
 
 
 @dataclass(frozen=True)
@@ -573,18 +572,22 @@ class Trajectory:
     lam: np.ndarray
     s: np.ndarray
     F_max: np.ndarray
-    mono_min: np.ndarray
-    # the tridiagonal solves and dx halvings of the step that reached each
-    # row, halved retries included; 0 on the inflow row
+    # the work of the step that reached each row: its tridiagonal solves
+    # (halved retries included), its dx halvings, and 1 where it stopped at
+    # the Picard sweep cap above PICARD_TOL; 0 on the inflow row
     solves: np.ndarray
     halvings: np.ndarray
+    short: np.ndarray
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
-    completed: bool
     failure: str = ""
-    # the march's PicardCounts; None on a trajectory rebuilt from artifacts,
-    # whose columns and manifest record them
-    picard: Optional[PicardCounts] = None
+    # {"solves", "halvings"} of the attempts of the step that ended a run
+    # that stopped early; None on a completed run
+    failed_step: Optional[dict] = None
+
+    @property
+    def completed(self) -> bool:
+        return not self.failure
 
 
 def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
@@ -597,67 +600,49 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     the finite-difference commutator identity).
     """
     state = to_von_mises(data.u0, float(data.lambda0), data.s0, n_psi=cfg.n_psi)
-    dphi = np.diff(state.psi_grid.nodes)     # every marched state's grid
-    xs, lams, ss, fmaxs, monos, solves, halvings = [], [], [], [], [], [], []
+    rows = []       # a station's Trajectory columns, x to short, in order
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
-    completed, failure = False, ""
+    failure, failed_step = "", None
 
-    def record(st: VMState, step_solves: int, step_halvings: int) -> None:
+    def record(st: VMState, solves: int, halvings: int, converged: bool) -> None:
         F = compute_F(st.W).values
         mask = trusted_F_mask(st)
-        xs.append(st.x)
-        lams.append(st.lam)
-        ss.append(st.s)
-        fmaxs.append(float(np.max(F[mask])) if mask.any() else np.nan)
-        monos.append(float(np.min(np.diff(st.W.values) / dphi)))
-        solves.append(step_solves)
-        halvings.append(step_halvings)
+        rows.append((st.x, st.lam, st.s,
+                     float(np.max(F[mask])) if mask.any() else np.nan,
+                     solves, halvings, int(not converged)))
 
-    record(state, 0, 0)
+    record(state, 0, 0, True)
     # the snapshot state that waits for its pair, the next state
     pending: Optional[VMState] = state
     prev = ()
-    counts = PicardCounts()
     lam_next_snap = data.lambda0 * decade_step
     for step in range(cfg.max_steps):
-        lam = state.lam
-        if lam <= cfg.lambda_stop:
-            completed = True
+        if state.lam <= cfg.lambda_stop:
             break
-        dx = min(cfg.dx_init, CFL_SAFETY * lam**4 * cfg.ds_rel * state.s)
-        dx = max(dx, DX_MIN * 10.0)
-        solves_before, halvings_before = counts.solves, counts.halvings
+        dx = max(min(cfg.dx_init, CFL_SAFETY * state.lam**4 * cfg.ds_rel * state.s),
+                 DX_MIN * 10.0)
         try:
-            new_state = march_step(state, dx, cfg, counts, prev=prev)
+            new_state, *work = march_step(state, dx, cfg, prev=prev)
         except (StepFailureError, InvalidStateError) as exc:
-            failure = str(exc)
-            break
-        if new_state.lam <= 0.0:
-            failure = ("wall shear no longer resolvable on this grid "
-                       "(separation reached before lambda_stop)")
+            failure, failed_step = str(exc), exc.work
             break
         # the station just left and the one before it start the next Picard
         prev = ((state.W.values, new_state.x - state.x),) + prev[:1]
         state = new_state
-        record(state, counts.solves - solves_before,
-               counts.halvings - halvings_before)
+        record(state, *work)
         if pending is not None:
             # the pending state sits one row above the pair just recorded
-            snapshots.append(Snapshot(index=len(snapshots), station=len(xs) - 2,
+            snapshots.append(Snapshot(index=len(snapshots), station=len(rows) - 2,
                                       state=pending, pair_state=state))
             pending = None
         if state.lam <= lam_next_snap and state.lam > cfg.lambda_stop:
             pending = state
             lam_next_snap = state.lam * decade_step
     else:
-        failure = "max_steps exhausted"
+        failure, failed_step = "max_steps exhausted", {"solves": 0, "halvings": 0}
 
     # a snapshot still pending here never got its pair and is not kept
-    return Trajectory(
-        x=np.array(xs), lam=np.array(lams), s=np.array(ss),
-        F_max=np.array(fmaxs), mono_min=np.array(monos),
-        solves=np.array(solves), halvings=np.array(halvings),
-        snapshots=snapshots, psi_grid=state.psi_grid,
-        completed=completed, failure=failure, picard=counts,
-    )
+    return Trajectory(*map(np.array, zip(*rows)), snapshots=snapshots,
+                      psi_grid=state.psi_grid, failure=failure,
+                      failed_step=failed_step)

@@ -128,14 +128,13 @@ def test_march_lambda_slope_has_no_jumps(main_run):
 def test_march_picard_work(main_run):
     # every step meets the Picard tolerance, at no more than 2 solves a step;
     # the quadratic Picard start takes at most 1.2 (1.67 from the linear
-    # start), and the per-row counts add up to the march's
+    # start), and no step of the completed run failed
     _, _, traj, _ = main_run
     steps = len(traj.x) - 1
-    assert traj.picard.short_steps == 0
-    assert traj.picard.solves <= 2 * steps
-    assert traj.picard.solves <= 1.2 * steps
-    assert traj.solves.sum() == traj.picard.solves
-    assert traj.halvings.sum() == traj.picard.halvings
+    assert traj.short.sum() == 0
+    assert traj.solves.sum() <= 2 * steps
+    assert traj.solves.sum() <= 1.2 * steps
+    assert traj.completed and traj.failed_step is None
 
 
 def test_criterion_4_exact_algebra():

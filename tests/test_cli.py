@@ -74,6 +74,21 @@ class TestConfig:
                 if line.split("#", 1)[0].strip()]
         assert sorted(keys) == sorted(f.name for f in cli.fields(cli.RunConfig))
 
+    def test_readme_artifact_table_names_every_column_and_key(self, finished_run):
+        # README's artifact table names the columns of trajectory.csv in
+        # order, and in its manifest.json row every key that simulate
+        # writes and no other
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md")).read()
+        rows = {line.split(" | ", 1)[0].strip("| `"): line.split(" | ", 1)[1]
+                for line in readme.splitlines() if line.startswith("| `")}
+        columns = rows["trajectory.csv"].split("`")[1]
+        assert columns.split(", ") == cli._TRAJECTORY_COLUMNS
+        keys = set(rows["manifest.json"].split("`")[1::2])
+        manifest = json.loads(open(os.path.join(finished_run,
+                                                "manifest.json")).read())
+        assert keys == set(manifest)
+
     def test_readme_api_tour_runs(self, capsys):
         # the python block of README.md runs as printed: one default march,
         # the collapse fit and the audit suite
@@ -199,13 +214,14 @@ class TestSimulateAndAudit:
             for tail in ("", "_pair")]
         assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
-        # the march's Picard work: the solves are the sum of the per-row
-        # column, the manifest counts the short steps
+        # the march's Picard work: the solves and the short steps are the
+        # sums of the per-row columns, and no step failed
         trajectory = _trajectory_columns(outdir)
-        solves, short = trajectory["solves"].sum(), manifest["picard_short_steps"]
+        solves, short = trajectory["solves"].sum(), trajectory["short"].sum()
         assert 0 < solves and short == 0
-        assert (f"{solves:.0f} solves, {short} steps short of the Picard tolerance"
-                in simulate_line)
+        assert manifest["failed_step"] is None
+        assert (f"{solves:.0f} solves, {short:.0f} steps short of the Picard "
+                "tolerance" in simulate_line)
         # x_end is the last station to 6 significant digits
         x_end = float(simulate_line.split("x_end = ", 1)[1].split(";", 1)[0])
         assert abs(x_end - trajectory["x"][-1]) <= 5e-6 * trajectory["x"][-1]
@@ -244,8 +260,8 @@ class TestSimulateAndAudit:
         manifest = json.loads(open(os.path.join(quick_cfg.outdir,
                                                 "manifest.json")).read())
         steps = manifest["steps"] - 1
-        assert manifest["picard_short_steps"] == steps
         trajectory = _trajectory_columns(quick_cfg.outdir)
+        assert trajectory["short"].tolist() == [0] + [1] * steps
         assert trajectory["solves"].sum() == (cli.vm.STARTUP_SWEEPS
                                               + (steps - 1) * cli.vm.PICARD_SWEEPS)
         assert trajectory["solves"].tolist() == [0, cli.vm.STARTUP_SWEEPS] \
@@ -285,7 +301,9 @@ class TestSimulateAndAudit:
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
-        "old_schema", "schema_2", "schema_3", "schema_5", "schema_6",
+        "old_schema", "schema_2", "schema_3", "schema_5", "schema_6", "schema_7",
+        "completed_not_a_bool", "failure_not_a_string", "completed_with_failure",
+        "failed_step_on_completed_run",
         "fractional_solves", "negative_halvings", "nan_value",
         "unsorted_phi", "truncated_snapshot", "short_snapshot",
         "empty_snapshots", "snapshots_not_a_list", "station_not_an_int",
@@ -351,6 +369,19 @@ class TestSimulateAndAudit:
             # version 6 counted the run's solves in the manifest
             manifest["schema_version"] = 6
             manifest["tridiag_solves"] = 1
+        elif damage == "schema_7":
+            # version 7 counted the short steps in the manifest and kept no
+            # failed step
+            manifest["schema_version"] = 7
+            del manifest["failed_step"]
+        elif damage == "completed_not_a_bool":
+            manifest["completed"] = "yes"
+        elif damage == "failure_not_a_string":
+            manifest["failure"] = 5
+        elif damage == "completed_with_failure":
+            manifest["failure"] = "max_steps exhausted"
+        elif damage == "failed_step_on_completed_run":
+            manifest["failed_step"] = {"solves": 1, "halvings": 0}
         elif damage in ("fractional_solves", "negative_halvings"):
             # each step's work is a count: a whole number >= 0
             traj = rundir / "trajectory.csv"
@@ -400,6 +431,12 @@ class TestSimulateAndAudit:
                 "header_names_columns": "names in the header",
                 "schema_5": "schema_version 5",
                 "schema_6": "schema_version 6",
+                "schema_7": "schema_version 7",
+                "completed_not_a_bool": "completed 'yes' is not a bool",
+                "failure_not_a_string": "failure 5 is not a string",
+                "completed_with_failure":
+                    "completed is True but failure is 'max_steps exhausted'",
+                "failed_step_on_completed_run": "failed_step {'solves': 1",
                 "fractional_solves": "column solves holds a value that is not a count",
                 "negative_halvings": "column halvings holds a value that is not a count",
                 "snapshots_not_a_list": "snapshots is not a list",
@@ -628,12 +665,15 @@ class TestSweepIntegration:
 
 class TestSolverFailurePath:
     def test_unreachable_stop_exits_2_with_partial_artifacts(self, tmp_path,
-                                                             capsys):
+                                                             monkeypatch, capsys):
         # a stop threshold below the grid's wall resolution: the march ends
         # early with a recorded failure and keeps partial artifacts
         cfg = cli.RunConfig(lambda0=0.05, lambda_stop_factor=1e5,
                             n_psi=1153, n_physical=1537, ds_rel=0.02,
                             outdir=str(tmp_path / "fail"))
+        calls, solve = [], cli.vm.solve_banded
+        monkeypatch.setattr(cli.vm, "solve_banded",
+                            lambda *args: calls.append(None) or solve(*args))
         code = cli.run_simulate(cfg)
         assert code == cli.EXIT_SOLVER
         # partial artifacts kept
@@ -641,9 +681,11 @@ class TestSolverFailurePath:
         manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
         assert not manifest["completed"]
         assert manifest["failure"]
+        solves = _assert_line_counts_every_solve(cfg.outdir, manifest,
+                                                 capsys.readouterr().out)
+        assert solves == len(calls)
         # the snapshots that can be rescaled are audited; the late ones near
         # collapse are listed, and the summary line says the run stopped
-        capsys.readouterr()
         assert cli.main(["audit", cfg.outdir]) == cli.EXIT_SOLVER
         summary = json.loads(open(os.path.join(cfg.outdir,
                                                "audit_summary.json")).read())
@@ -654,7 +696,7 @@ class TestSolverFailurePath:
         assert f"the manifest marks the run incomplete: {manifest['failure']}" in out
 
     def test_singular_solve_exits_2_with_partial_artifacts(self, quick_cfg,
-                                                           monkeypatch):
+                                                           monkeypatch, capsys):
         # LAPACK reports a zero pivot from the 40th tridiagonal solve on;
         # the march binds its gtsv on the first solve, so a patched one
         # stands in from the start
@@ -674,6 +716,21 @@ class TestSolverFailurePath:
         assert not manifest["completed"]
         assert "singular" in manifest["failure"]
         assert manifest["steps"] > 1
+        # the failed solve is the failed step's last
+        solves = _assert_line_counts_every_solve(quick_cfg.outdir, manifest,
+                                                 capsys.readouterr().out)
+        assert solves == len(calls) == 40
+        assert manifest["failed_step"]["solves"] >= 1
+
+
+def _assert_line_counts_every_solve(outdir, manifest, line) -> int:
+    """The solves on the summary line of a run that stopped early: the
+    rows' and the failed step's, which the manifest records."""
+    failed = manifest["failed_step"]
+    assert failed is not None
+    solves = int(line.split("; ")[-1].split(" solves, ", 1)[0])
+    assert solves == _trajectory_columns(outdir)["solves"].sum() + failed["solves"]
+    return solves
 
 
 def _run_fresh(code: str):
