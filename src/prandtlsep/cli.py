@@ -34,7 +34,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,9 +42,9 @@ EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 EXIT_MISSING = 4
 
-#: The march takes about 650 steps per decade of the wall shear on the
+#: The march takes about 330 steps per decade of the wall shear on the
 #: default configuration, so at this bound a snapshot (a marching pair)
-#: falls about every 11th step: 102 pairs and 9.6 MB of snapshots.csv.
+#: falls about every 6th step: 101 pairs and 9.5 MB of snapshots.csv.
 #: At 1000 per decade every step was a snapshot, and the file was 100 MB.
 MAX_SNAPSHOTS_PER_DECADE = 64.0
 
@@ -67,7 +67,7 @@ class RunConfig:
     x0_pressure: float = 1.0
     perturbation_amplitude: float = 0.0
     lambda_stop_factor: float = 50.0
-    ds_rel: float = 0.008
+    ds_rel: float = 0.016
     n_psi: int = 2305
     snapshots_per_decade: float = 8.0
     n_physical: int = 3073
@@ -252,7 +252,7 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 #: columns of trajectory.csv, one row per march station: the fields of
 #: ``vonmises.Trajectory``, ``s`` the march's own slow-time clock
 _TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "solves", "halvings",
-                       "short"]
+                       "short", "step_error"]
 #: the columns that count work, whole numbers >= 0
 _COUNT_COLUMNS = ("solves", "halvings", "short")
 
@@ -281,7 +281,7 @@ def run_simulate(cfg: RunConfig) -> int:
         os.path.join(cfg.outdir, "trajectory.csv"),
         _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s, traj.F_max,
                                          traj.solves, traj.halvings,
-                                         traj.short]))
+                                         traj.short, traj.step_error]))
     # one table: the shared phi grid, then w of each snapshot and its pair
     header, columns = ["phi"], [traj.psi_grid.nodes]
     for snap in traj.snapshots:
@@ -305,8 +305,13 @@ def run_simulate(cfg: RunConfig) -> int:
             b = md.compute_b(traj.x, traj.lam)
             late = s >= 5.0 * s[0]
             bs_prod = (b * s)[late]
+            # b s = k held constant in ds/dx = lam**-4 gives the collapse
+            # lam ~ (x* - x)**(k / (2 (2k - 1))), exactly 1/2 at k = 1
+            bs_median = float(np.median((b * s)[win]))
             fit_payload.update(fit)
             fit_payload.update({
+                "bs_median": bs_median,
+                "exponent_predicted": bs_median / (2.0 * (2.0 * bs_median - 1.0)),
                 "rate_certificate": md.rate_inequality_certificate(
                     s[late], b[late], gamma=13.0 / 4.0),
                 "b_envelope": [float(bs_prod.min()), float(bs_prod.max())],
@@ -327,7 +332,8 @@ def run_simulate(cfg: RunConfig) -> int:
     # the rows' work, and the failed step's on a run that stopped early
     failed = traj.failed_step or {"solves": 0, "halvings": 0}
     work = (f"{traj.solves.sum() + failed['solves']} solves, "
-            f"{traj.short.sum()} steps short of the Picard tolerance")
+            f"{traj.short.sum()} steps short of the Picard tolerance, "
+            f"worst step error {np.fmax.reduce(traj.step_error):.2e}")
     if not traj.completed:
         print(f"simulate: solver stopped early: {traj.failure}; {work} (failed "
               f"step: {failed['solves']} solves, {failed['halvings']} dx halvings)")
@@ -335,6 +341,9 @@ def run_simulate(cfg: RunConfig) -> int:
     exponent = f"exponent {fit_payload.get('exponent', float('nan')):.4f}"
     if "fit_error" in fit_payload:
         exponent += f" ({fit_payload['fit_error']})"
+    else:
+        exponent += (f" (b*s law {fit_payload['exponent_predicted']:.4f} at "
+                     f"median b*s {fit_payload['bs_median']:.4f})")
     print(f"simulate: {len(traj.x)} steps to lambda = {traj.lam[-1]:.3e}, "
           f"x_end = {traj.x[-1]:.6e}; {exponent}; {work}")
     return EXIT_OK
@@ -434,6 +443,23 @@ def load_trajectory(outdir: str) -> tuple:
         if np.any((raw[name] < 0.0) | (raw[name] != np.floor(raw[name]))):
             raise MissingArtifactError(
                 f"{traj_path}: column {name} holds a value that is not a count")
+    # the march's stations: s and lambda positive, x and s strictly increasing,
+    # and each step's ds the march's clock from x and lambda
+    x, s, lam = raw["x"], raw["s"], raw["lambda"]
+    with np.errstate(all="ignore"):
+        clock = np.diff(s) / vm.slow_time_increment(np.diff(x), lam[:-1], lam[1:])
+    rising = "does not exceed the row before"
+    for name, bad, problem in (
+            ("s", s <= 0.0, "is not positive"),
+            ("lambda", lam <= 0.0, "is not positive"),
+            ("x", np.diff(x, prepend=-np.inf) <= 0.0, rising),
+            ("s", np.diff(s, prepend=-np.inf) <= 0.0, rising),
+            ("s", np.concatenate([[False], ~(np.abs(clock - 1.0) <= 1e-9)]),
+             "is off the clock ds/dx = lambda**-4 from the row before")):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise MissingArtifactError(f"{traj_path}: column {name}, row {row}: "
+                                       f"{float(raw[name][row])!r} {problem}")
     rows = len(raw["x"])
     for station in stations:
         problem = ("is not an integer" if type(station) is not int
@@ -443,6 +469,10 @@ def load_trajectory(outdir: str) -> tuple:
         if problem:
             raise MissingArtifactError(
                 f"{man_path}: snapshot station {station!r} {problem}")
+    for before, station in zip(stations, stations[1:]):
+        if station <= before:
+            raise MissingArtifactError(f"{man_path}: snapshot station {station} "
+                                       f"does not exceed the one before, {before}")
     names = ["phi"] + [name for index in range(len(stations))
                        for name in _snapshot_columns(index)]
     table_path = os.path.join(outdir, "snapshots.csv")
@@ -469,8 +499,8 @@ def load_trajectory(outdir: str) -> tuple:
     traj = vm.Trajectory(
         x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
         solves=raw["solves"], halvings=raw["halvings"], short=raw["short"],
-        snapshots=snapshots, psi_grid=grid, failure=manifest["failure"],
-        failed_step=manifest["failed_step"])
+        step_error=raw["step_error"], snapshots=snapshots, psi_grid=grid,
+        failure=manifest["failure"], failed_step=manifest["failed_step"])
     return cfg, traj
 
 

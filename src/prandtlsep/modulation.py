@@ -1,11 +1,14 @@
 """Self-similar post-processing: wall-unit grid, modulation rate, collapse fit.
 
-The slow variable s, with ds/dx = lam**-4, is the march's own clock (see
-``vonmises.solve_until_separation``); ``standard_rescaled_grid`` is the
-wall-unit grid of the rescaled profiles; the modulation rate
-b = -2 lam_x lam**3 is extracted with a smoothed local slope; and the
-wall-shear collapse law lam ~ C (x* - x)**p is fitted by nonlinear least
-squares in log-log form, with the exponent left free.
+The slow variable s, with ds/dx = lam**-4, is the march's own clock, which
+``vonmises.march_step`` advances by the trapezoid rule on each step's two
+shears; ``standard_rescaled_grid`` is the wall-unit grid of the rescaled
+profiles; the modulation rate b = -2 lam_x lam**3 is extracted with a
+smoothed local slope; and the wall-shear collapse law lam ~ C (x* - x)**p
+is fitted by nonlinear least squares in log-log form, with the exponent
+left free, on a window whose ends are set in lam (``fit_window``).  With
+b s = k held constant the clock gives p = k / (2 (2k - 1)), which
+``simulate`` reports beside the fitted p.
 """
 
 from __future__ import annotations
@@ -102,24 +105,26 @@ def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     }
 
 
-#: the collapse fit spans FIT_DECADES of lam and drops the last
-#: FIT_SKIP_LAST samples above 3 * lambda_stop (stop-criterion contamination)
+#: the collapse fit spans FIT_DECADES of lam down to FIT_END * lambda_stop,
+#: clear of the stop (stop-criterion contamination)
 FIT_DECADES = 1.05
-FIT_SKIP_LAST = 10
+FIT_END = 3.11
 
 
 def fit_window(lam: np.ndarray, lambda_stop: float) -> slice:
-    """Spec'd fit window: last decade of lam above 3*lambda_stop, minus the
-    final ``FIT_SKIP_LAST`` samples."""
+    """Spec'd fit window: the stations with lam in (lam_end, lam_end *
+    10**FIT_DECADES], lam_end = FIT_END * lambda_stop.
+
+    Both ends are set in lam, not in samples, so the window covers the same
+    stretch of the collapse at any step size."""
     lam = np.asarray(lam, dtype=float)
-    valid = np.nonzero(lam > 3.0 * lambda_stop)[0]
+    lam_end = FIT_END * lambda_stop
+    valid = np.nonzero(lam > lam_end)[0]
     if len(valid) == 0:
-        raise DomainError("no samples above 3 * lambda_stop")
-    end = valid[-1] - FIT_SKIP_LAST
-    if end <= 0:
-        raise DomainError("window empty after discarding final samples")
-    lam_hi = lam[end] * 10.0**FIT_DECADES
-    start = int(np.nonzero(lam[: end + 1] <= lam_hi)[0][0]) if lam[0] > lam_hi else 0
+        raise DomainError(f"no samples above {FIT_END:g} * lambda_stop")
+    end = valid[-1]
+    # the first station at or below lam_end * 10**FIT_DECADES
+    start = int(np.argmax(lam[: end + 1] <= lam_end * 10.0**FIT_DECADES))
     return slice(start, end + 1)
 
 

@@ -13,9 +13,13 @@ step, which has no previous station, is an iterated backward-Euler step.
 The second step's Picard iteration starts from the linear extrapolation of
 the last two stations, and every later one from the quadratic through the
 last three, which is one order closer to the fixed point: on the default
-run a step takes 1.11 solves, against 1.67 from the linear start and 4.3
-from the old station.  Each trajectory row records the work of the step
-that reached it, and a run that stops early keeps its failed step's work.
+run a step takes 1.20 solves, 2 through the inflow's transient and 1
+after it.  That start is an order-2 predictor of the step, so its gap to
+the converged state also estimates the step's local error.  The slow time
+s, ds/dx = lam**-4, advances by the trapezoid rule on each step's two
+shears, second order like the step.  Each trajectory row records the work
+and the error estimate of the step that reached it, and a run that stops
+early keeps its failed step's work.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
 ``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
@@ -66,7 +70,7 @@ WALL_FLOOR_CELLS = 12
 class MarchConfig:
     dx_init: float = 1e-4
     lambda_stop: float = 1e-3
-    ds_rel: float = 0.008          # target step in s, relative: ds = ds_rel * s
+    ds_rel: float = 0.016          # target step in s, relative: ds = ds_rel * s
     n_psi: int = 2305
     source_scale: float = 1.0      # 1: adverse gradient; 0: flat outer flow
     snapshots_per_decade: float = 8.0
@@ -443,6 +447,22 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     return out
 
 
+def _milne_ratio(h: float, h_prev: float, h_older: float) -> float:
+    """The BDF2 step's local error over its gap to the quadratic start.
+
+    Milne's device (Hairer & Wanner, *Solving ODEs II*, III.5): each misses
+    the solution by K h**3 w_xxx / 6, with K_p = (1 + 1/om)(1 + 1/om +
+    h_older/h) for the extrapolation through the last three stations and
+    K_c = -(1 + om)**2 / (om (1 + 2 om)) for variable-step BDF2, om =
+    h/h_prev.  The gap is (K_p - K_c) h**3 w_xxx / 6, so the ratio is
+    |K_c| / (K_p - K_c): 2/11 at a constant step.
+    """
+    om = h / h_prev
+    k_p = (1.0 + 1.0 / om) * (1.0 + 1.0 / om + h_older / h)
+    k_c = (1.0 + om) ** 2 / (om * (1.0 + 2.0 * om))
+    return k_c / (k_p + k_c)
+
+
 def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
                 h: float, far_value: float, source: float,
                 scale: float) -> tuple:
@@ -463,8 +483,14 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
     each start seeks the same fixed point, the quadratic from one order
     closer to it.
 
-    Returns (w, sweeps, converged): ``converged`` is False when the last
-    allowed sweep still moved w by more than PICARD_TOL * scale.
+    The quadratic start is an order-2 predictor and the converged step its
+    corrector, so their gap, scaled by ``_milne_ratio``, estimates the
+    step's local error.
+
+    Returns (w, sweeps, converged, step_error): ``converged`` is False when
+    the last allowed sweep still moved w by more than PICARD_TOL * scale,
+    and ``step_error`` is the estimate's largest magnitude relative to
+    ``scale``, nan without the quadratic start.
     """
     if not prev:
         w_prev, h_prev, max_picard = w_n, np.inf, STARTUP_SWEEPS
@@ -476,7 +502,7 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
            - 2.0 * h * source) / alpha
     tau = h / alpha
     buffers = _resolvent_buffers(len(grid))
-    w_new = w_n
+    w_new, error_gain = w_n, np.nan
     if prev:
         dw = w_n - w_prev
         w_new = w_n + om * dw
@@ -486,6 +512,8 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
             w_older, h_older = prev[1]
             w_new += (om * (h + h_prev) / (h_prev + h_older)
                       * (dw - h_prev / h_older * (w_prev - w_older)))
+            error_gain = _milne_ratio(h, h_prev, h_older) / scale
+    start, converged = w_new, False
     for sweep in range(1, max_picard + 1):
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
@@ -498,8 +526,15 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
         delta = float(np.max(np.abs(w_next - w_new)))
         w_new = w_next
         if delta <= PICARD_TOL * scale:
-            return w_new, sweep, True
-    return w_new, max_picard, False
+            converged = True
+            break
+    return w_new, sweep, converged, error_gain * float(np.max(np.abs(w_new - start)))
+
+
+def slow_time_increment(dx, lam_old, lam_new):
+    """ds of a step of length dx: the trapezoid rule on ds/dx = lam**-4
+    over the shears at its two ends, the march's one clock."""
+    return 0.5 * dx * (lam_old**-4 + lam_new**-4)
 
 
 def march_step(state: VMState, dx: float, cfg: MarchConfig,
@@ -509,11 +544,12 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     ``prev``, the (w, h) of up to two stations before this one, newest
     first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
     without it (the first step) the step is the iterated backward-Euler
-    start-up.  The slow time advances by ds = dx / lam**4 on the old
-    station's shear: this is the march's one clock.  The far value is the
-    old edge value less 2 source_scale dx.  Returns (state, solves,
-    halvings, converged), the last False when the accepted attempt stopped
-    at the sweep cap above PICARD_TOL; a failed step's error carries
+    start-up.  The slow time advances by ``slow_time_increment``, second
+    order in dx like the step.  The far value is the old edge value less
+    2 source_scale dx.  Returns (state, solves, halvings, converged,
+    step_error): ``converged`` is False when the accepted attempt stopped
+    at the sweep cap above PICARD_TOL, and ``step_error`` is its local
+    error estimate (see ``_bdf2_solve``).  A failed step's error carries
     ``work``, the {"solves", "halvings"} of its attempts.
     """
     w_old = state.W.values
@@ -524,7 +560,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
             far = w_old[-1] - 2.0 * cfg.source_scale * dx
             if far <= 0.0:
                 raise StepFailureError("pressure horizon reached before separation")
-            w_new, sweeps, converged = _bdf2_solve(
+            w_new, sweeps, converged, step_error = _bdf2_solve(
                 state.psi_grid, w_old, prev, dx, far, cfg.source_scale, scale)
             solves += sweeps
             # clamp roundoff negatives on the first cells to w >= 0, and judge
@@ -541,10 +577,8 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
             if dx < DX_MIN:
                 raise StepFailureError("step size underflow (separation reached?)")
         w_new.flags.writeable = False     # owned here: Field keeps it uncopied
-        x_new = state.x + dx
-        state_new = VMState(x=x_new, s=state.s + (x_new - state.x) / state.lam**4,
-                            psi_grid=state.psi_grid,
-                            W=Field(state.psi_grid, w_new), lam=state.lam)
+        # wall_shear centres its window on the old shear and reads no s
+        state_new = replace(state, x=state.x + dx, W=Field(state.psi_grid, w_new))
         lam = wall_shear(state_new)
         if lam <= 0.0:
             raise InvalidStateError("wall shear no longer resolvable on this "
@@ -552,7 +586,9 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     except (StepFailureError, InvalidStateError) as exc:
         exc.work = {"solves": solves + getattr(exc, "solves", 0), "halvings": halvings}
         raise
-    return replace(state_new, lam=lam), solves, halvings, converged
+    ds = slow_time_increment(state_new.x - state.x, state.lam, lam)
+    return (replace(state_new, s=state.s + ds, lam=lam), solves, halvings,
+            converged, step_error)
 
 
 @dataclass(frozen=True)
@@ -578,6 +614,9 @@ class Trajectory:
     solves: np.ndarray
     halvings: np.ndarray
     short: np.ndarray
+    # that step's local error estimate relative to max w (``_bdf2_solve``);
+    # nan on the first three rows, which no quadratic start reached
+    step_error: np.ndarray
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
     failure: str = ""
@@ -597,22 +636,25 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     follows dx = cfl * lam**4 * (ds_rel * s), mirroring the slow-variable
     clock, and the full streamfunction state is snapshotted on a uniform
     schedule in log(lam), together with the state one step later (used by
-    the finite-difference commutator identity).
+    the finite-difference commutator identity).  That pair step is taken at
+    ds_rel / 2, so the commutator check's ds/s, and with it its tolerance,
+    is that of a march at half the step.
     """
     state = to_von_mises(data.u0, float(data.lambda0), data.s0, n_psi=cfg.n_psi)
-    rows = []       # a station's Trajectory columns, x to short, in order
+    rows = []       # a station's Trajectory columns, x to step_error, in order
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     failure, failed_step = "", None
 
-    def record(st: VMState, solves: int, halvings: int, converged: bool) -> None:
+    def record(st: VMState, solves: int, halvings: int, converged: bool,
+               step_error: float) -> None:
         F = compute_F(st.W).values
         mask = trusted_F_mask(st)
         rows.append((st.x, st.lam, st.s,
                      float(np.max(F[mask])) if mask.any() else np.nan,
-                     solves, halvings, int(not converged)))
+                     solves, halvings, int(not converged), step_error))
 
-    record(state, 0, 0, True)
+    record(state, 0, 0, True, np.nan)
     # the snapshot state that waits for its pair, the next state
     pending: Optional[VMState] = state
     prev = ()
@@ -620,7 +662,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     for step in range(cfg.max_steps):
         if state.lam <= cfg.lambda_stop:
             break
-        dx = max(min(cfg.dx_init, CFL_SAFETY * state.lam**4 * cfg.ds_rel * state.s),
+        ds_rel = cfg.ds_rel if pending is None else 0.5 * cfg.ds_rel
+        dx = max(min(cfg.dx_init, CFL_SAFETY * state.lam**4 * ds_rel * state.s),
                  DX_MIN * 10.0)
         try:
             new_state, *work = march_step(state, dx, cfg, prev=prev)

@@ -194,6 +194,16 @@ class TestVerifyAlgebra:
         assert "U2" in out
 
 
+#: edits of trajectory.csv that each end in a traceback without the
+#: checks of ``load_trajectory``: (column, value on every row), or
+#: (column, None) for one row moved off the clock
+_TRAJECTORY_EDITS = {
+    "lambda_all_zero": ("lambda", "0.0"), "lambda_all_negative": ("lambda", "-0.01"),
+    "lambda_all_huge": ("lambda", "1e300"), "s_all_zero": ("s", "0.0"),
+    "s_all_negative": ("s", "-5.0"), "x_constant": ("x", "0.001"),
+    "s_off_the_clock": ("s", None)}
+
+
 class TestSimulateAndAudit:
     def test_end_to_end_short_run(self, quick_cfg, capsys):
         code = cli.run_simulate(quick_cfg)
@@ -239,11 +249,11 @@ class TestSimulateAndAudit:
         assert f"energies resolved {int(resolved.sum())}/{len(resolved)}" in out
 
     @pytest.mark.parametrize("stop, error", [
-        (2.0, "no samples above 3 * lambda_stop"),
+        (2.0, "no samples above 3.11 * lambda_stop"),
         (1.01, "stations, the fit needs more than 50")])
     def test_summary_line_says_why_there_is_no_exponent(self, tmp_path, stop,
                                                         error, capsys):
-        # a run that stops above the fit window (about 200 stations) or
+        # a run that stops above the fit window (about 100 stations) or
         # after a few steps completes, and its line quotes fit_report.json
         cfg = cli.RunConfig(lambda_stop_factor=stop, n_psi=1153, n_physical=1537,
                             outdir=str(tmp_path / "run"))
@@ -309,7 +319,9 @@ class TestSimulateAndAudit:
         "empty_snapshots", "snapshots_not_a_list", "station_not_an_int",
         "station_is_a_bool", "negative_station", "station_without_pair",
         "config_out_of_range", "config_grid_too_large", "config_not_a_number",
-        "manifest_not_json", "header_names_columns"])
+        "manifest_not_json", "header_names_columns",
+        "lambda_all_zero", "lambda_all_negative", "lambda_all_huge", "s_all_zero",
+        "s_all_negative", "x_constant", "s_off_the_clock", "stations_reversed"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -391,6 +403,20 @@ class TestSimulateAndAudit:
             cells[column] = "1.5" if damage == "fractional_solves" else "-1.0"
             rows[5] = ",".join(cells)
             traj.write_text("\n".join(rows) + "\n")
+        elif damage in _TRAJECTORY_EDITS:
+            # one column of trajectory.csv set to one value on every row, or,
+            # for s_off_the_clock, one row's s moved by 1e-6 relative
+            traj = rundir / "trajectory.csv"
+            rows = traj.read_text().splitlines()
+            name, value = _TRAJECTORY_EDITS[damage]
+            column = rows[0].split(",").index(name)
+            for k in range(1, len(rows)) if value else (5,):
+                cells = rows[k].split(",")
+                cells[column] = value or repr(float(cells[column]) * (1.0 + 1e-6))
+                rows[k] = ",".join(cells)
+            traj.write_text("\n".join(rows) + "\n")
+        elif damage == "stations_reversed":
+            manifest["snapshots"] = manifest["snapshots"][::-1]
         elif damage == "empty_snapshots":
             manifest["snapshots"] = []
         elif damage == "snapshots_not_a_list":
@@ -425,7 +451,7 @@ class TestSimulateAndAudit:
         code = cli.main(["audit", str(rundir)])
         assert code == cli.EXIT_MISSING
         out = capsys.readouterr().out
-        assert "audit:" in out
+        assert "audit:" in out and len(out.strip().splitlines()) == 1
         # these reach their own check, not an earlier one
         assert {"manifest_not_json": "cannot read",
                 "header_names_columns": "names in the header",
@@ -444,7 +470,17 @@ class TestSimulateAndAudit:
                 "station_is_a_bool": "station True is not an integer",
                 "negative_station": "station -1 is negative",
                 "station_without_pair": "has no pair row",
-                "config_grid_too_large": "must not exceed"}.get(damage, "") in out
+                "config_grid_too_large": "must not exceed",
+                "lambda_all_zero": "column lambda, row 0: 0.0 is not positive",
+                "lambda_all_negative": "column lambda, row 0: -0.01 is not positive",
+                "lambda_all_huge": "column s, row 1: ",
+                "s_all_zero": "column s, row 0: 0.0 is not positive",
+                "s_all_negative": "column s, row 0: -5.0 is not positive",
+                "x_constant": "column x, row 1: 0.001 does not exceed the row before",
+                "s_off_the_clock": "column s, row 4: ",   # text line 5
+                "stations_reversed": "does not exceed the one before"}.get(damage, "") in out
+        if damage in ("lambda_all_huge", "s_off_the_clock"):
+            assert "is off the clock ds/dx = lambda**-4" in out
 
     def test_failed_report_exits_1(self, finished_run, tmp_path, monkeypatch,
                                    capsys):
@@ -582,22 +618,23 @@ class TestSimulateAndAudit:
 
 @pytest.fixture(scope="module")
 def large_lambda0_run(tmp_path_factory):
-    """(outdir, audit exit code, audit line) of a lambda0 = 0.1 run: the
-    wall-unit span 8 s0**(2/7) of snapshot 0 reaches y = 2.982, past the
-    2.944 that its inverted profile spans."""
+    """(outdir, audit exit code, audit line, simulate line) of a lambda0 =
+    0.1 run: the wall-unit span 8 s0**(2/7) of snapshot 0 reaches y = 2.982,
+    past the 2.944 that its inverted profile spans."""
     cfg = cli.RunConfig(lambda0=0.1, n_psi=1153, n_physical=1537,
                         outdir=str(tmp_path_factory.mktemp("large") / "run"))
-    assert cli.run_simulate(cfg) == cli.EXIT_OK
+    with contextlib.redirect_stdout(io.StringIO()) as simulated:
+        assert cli.run_simulate(cfg) == cli.EXIT_OK
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(["audit", cfg.outdir])
-    return cfg.outdir, code, out.getvalue()
+    return cfg.outdir, code, out.getvalue(), simulated.getvalue()
 
 
 class TestLargeLambda0:
     def test_frame_past_the_profile_span_is_audited(self, large_lambda0_run):
         # snapshot 0's wall-unit grid stops at the end of its profile, so
         # all 14 snapshots are audited
-        outdir, code, line = large_lambda0_run
+        outdir, code, line, _ = large_lambda0_run
         assert code == cli.EXIT_OK
         summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
         assert summary["failed_snapshots"] == []
@@ -622,6 +659,25 @@ class TestLargeLambda0:
         lo, hi = fit["b_envelope"]
         assert cert["epsilon"] == max(1.0 - lo, hi - 1.0)
         assert cert["violations"] == 0 and cert["holds"]
+
+    def test_fit_report_explains_the_exponent(self, large_lambda0_run):
+        # the median b*s over the fit window, the exponent k/(2(2k - 1)) that
+        # a constant b*s = k gives, and the summary line beside the fitted one
+        outdir, *_, line = large_lambda0_run
+        fit = json.loads(open(os.path.join(outdir, "fit_report.json")).read())
+        traj = _trajectory_columns(outdir)
+        win = cli.md.fit_window(traj["lambda"], 0.1 / 50.0)
+        assert fit["window"] == [traj["x"][win][0], traj["x"][win][-1]]
+        b = cli.md.compute_b(traj["x"], traj["lambda"])
+        k = float(np.median((b * traj["s"])[win]))
+        assert fit["bs_median"] == k and 0.9 < k < 1.1
+        assert fit["exponent_predicted"] == k / (2.0 * (2.0 * k - 1.0))
+        assert (f"exponent {fit['exponent']:.4f} (b*s law "
+                f"{fit['exponent_predicted']:.4f} at median b*s {k:.4f})") in line
+        # and the worst step error, the column's largest value
+        worst = np.nanmax(traj["step_error"])
+        assert np.isnan(traj["step_error"][:3]).all() and 0.0 < worst < 1e-8
+        assert line.rstrip().endswith(f"worst step error {worst:.2e}")
 
 
 class TestSweep:

@@ -135,6 +135,41 @@ class TestCollapseFit:
             md.fit_singularity(x[:10], lam[:10])
 
 
+class TestFitWindow:
+    def test_ends_are_set_in_lambda(self):
+        # the window holds the samples with lam in (lam_end, lam_end *
+        # 10**FIT_DECADES], lam_end = FIT_END * lambda_stop, however densely
+        # lam is sampled
+        lam_end = md.FIT_END * 1e-3
+        for n in (300, 3000):
+            lam = np.geomspace(0.05, 1e-3, n)
+            win = md.fit_window(lam, 1e-3)
+            inside = (lam > lam_end) & (lam <= lam_end * 10.0**md.FIT_DECADES)
+            assert np.array_equal(np.nonzero(inside)[0],
+                                  np.arange(win.start, win.stop))
+        with pytest.raises(DomainError, match="no samples above 3.11"):
+            md.fit_window(np.geomspace(0.003, 0.001, 100), 1e-3)
+
+    def test_same_lambda_at_two_step_sizes(self):
+        # a coarse march at ds_rel 0.008 and 0.016: each window ends at its
+        # last station above lam_end, so the two end shears lie within one
+        # step's change of lam (0.7% at ds_rel 0.016) of each other
+        from prandtlsep import profiles as pr
+        from prandtlsep import vonmises as vm
+
+        data = pr.build_initial_data(0.05)
+        lam_end = md.FIT_END * 5e-3
+        ends = []
+        for ds_rel in (0.008, 0.016):
+            traj = vm.solve_until_separation(
+                data, vm.MarchConfig(lambda_stop=5e-3, ds_rel=ds_rel, n_psi=577))
+            win = md.fit_window(traj.lam, 5e-3)
+            assert traj.lam[win.stop] <= lam_end < traj.lam[win.stop - 1]
+            ends.append(traj.lam[win.stop - 1])
+        assert ends[0] / lam_end - 1.0 < 0.004 and ends[1] / lam_end - 1.0 < 0.008
+        assert abs(ends[1] / ends[0] - 1.0) < 0.008
+
+
 class TestRateCertificate:
     def test_exact_law_trivially_holds(self):
         s = np.geomspace(100, 1e5, 2000)

@@ -353,8 +353,11 @@ class TestMarch:
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
         new, *_ = vm.march_step(state, dx, cfg)
-        # the slow-time clock: ds = dx / lam**4 on the old station's shear
-        assert new.s == state.s + (new.x - state.x) / state.lam**4
+        # the slow-time clock: the trapezoid rule on the two stations' shears,
+        # not the first-order rule on the old one
+        dx_taken = new.x - state.x
+        assert new.s == state.s + 0.5 * dx_taken * (state.lam**-4 + new.lam**-4)
+        assert new.s != state.s + dx_taken / state.lam**4
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         dw_rate = (new.W.values - state.W.values) / dx
@@ -362,6 +365,66 @@ class TestMarch:
             & (state.psi_grid.nodes < 0.9 * state.psi_grid.span)
         err = np.abs(dw_rate[sel] - F[sel])
         assert np.max(err) / np.max(np.abs(F[sel])) < 0.05
+
+    def test_pair_steps_are_half_steps(self, short_traj):
+        # the step that makes a snapshot's pair is taken at ds_rel / 2, so its
+        # ds/s, which sets the commutator check's tolerance, is half a
+        # regular step's.  With dx = CFL lam_old**4 ds_rel s and the clock
+        # ds = dx (lam_old**-4 + lam**-4) / 2, ds/s divided by the trapezoid
+        # factor is CFL ds_rel, or half of it, to roundoff
+        traj = short_traj
+        pairs = np.array([snap.station for snap in traj.snapshots])
+        assert len(pairs) >= 2 and not traj.halvings.any()
+        half = np.isin(np.arange(len(traj.x) - 1), pairs)
+        ds_over_s = np.diff(traj.s) / traj.s[:-1]
+        trapezoid = 0.5 * (1.0 + (traj.lam[:-1] / traj.lam[1:]) ** 4)
+        np.testing.assert_allclose(
+            ds_over_s / trapezoid,
+            vm.CFL_SAFETY * vm.MarchConfig().ds_rel * np.where(half, 0.5, 1.0),
+            rtol=1e-12)
+        late = pairs[pairs > 0]
+        np.testing.assert_allclose(ds_over_s[late] / ds_over_s[late - 1], 0.5,
+                                   rtol=0.02)
+
+    @pytest.mark.parametrize("h, h_prev, h_older", [
+        (1.0, 1.0, 1.0), (1.0, 2.0, 0.5), (0.5, 1.0, 3.0), (2.0, 0.7, 1.3)])
+    def test_milne_ratio_is_exact_on_a_cubic(self, h, h_prev, h_older):
+        # on y = x**3, y' = 3 x**2 (third derivative constant, f free of y),
+        # the quadratic extrapolation and the variable-step BDF2 step each
+        # miss y by exactly their error constant times h**3: the ratio turns
+        # the gap between them into the BDF2 step's error, 2/11 of it at a
+        # constant step
+        x = 0.3 + np.cumsum([0.0, h_older, h_prev, h])
+        y = x**3
+        start = np.polyval(np.polyfit(x[:3], y[:3], 2), x[3])
+        om = h / h_prev
+        alpha = (1.0 + 2.0 * om) / (1.0 + om)
+        step = ((1.0 + om) * y[2] - om * om / (1.0 + om) * y[1]
+                + h * 3.0 * x[3] ** 2) / alpha
+        ratio = vm._milne_ratio(h, h_prev, h_older)
+        assert ratio * abs(step - start) == pytest.approx(abs(y[3] - step),
+                                                          rel=1e-9)
+        if h == h_prev == h_older:
+            assert ratio == pytest.approx(2.0 / 11.0, rel=1e-15)
+
+    def test_step_error_is_the_scaled_gap_to_the_quadratic_start(self, data05):
+        # three constant steps from the inflow: the third's start is
+        # 3 w_2 - 3 w_1 + w_0, and its step_error is 2/11 of the converged
+        # state's gap to it, relative to max w; the start-up step and the
+        # second step have no quadratic start
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
+        cfg, h = vm.MarchConfig(n_psi=1153), 2e-5
+        ws, errors, prev = [state.W.values], [], ()
+        for _ in range(3):
+            new, *_, error = vm.march_step(state, h, cfg, prev=prev)
+            prev = ((state.W.values, h),) + prev[:1]
+            state = new
+            ws.append(state.W.values)
+            errors.append(error)
+        assert np.isnan(errors[:2]).all()
+        gap = np.max(np.abs(ws[3] - (3.0 * ws[2] - 3.0 * ws[1] + ws[0])))
+        assert errors[2] == pytest.approx(2.0 / 11.0 * gap / np.max(ws[2]),
+                                          rel=1e-6)
 
     def test_extrapolated_start_reaches_the_old_fixed_point(self, data05,
                                                             monkeypatch):
@@ -403,12 +466,13 @@ class TestMarch:
         solve = vm._bdf2_solve
 
         def bumped(grid, w_n, prev, h, far_value, source, scale):
-            w, n, converged = solve(grid, w_n, prev, h, far_value, source, scale)
+            w, n, converged, error = solve(grid, w_n, prev, h, far_value,
+                                           source, scale)
             sweeps.append(n)
             if len(sweeps) == 4:
                 w = w.copy()
                 w[-2] = 2.0 * w[-1]
-            return w, n, converged
+            return w, n, converged, error
 
         monkeypatch.setattr(vm, "_bdf2_solve", bumped)
         traj = vm.solve_until_separation(data05, vm.MarchConfig(max_steps=6))
