@@ -1,8 +1,9 @@
 """Command-line driver: simulate, audit, verify-algebra, sweep.
 
-Artifacts are plain CSV/JSON with a manifest carrying the full
-configuration and its hash; reruns from the same configuration are
-bit-for-bit reproducible.  Exit codes are a stable contract:
+Artifacts are plain CSV/JSON, but for the marched snapshot states, which
+are one binary NPY table; a manifest carries the full configuration and
+its hash, and reruns from the same configuration are bit-for-bit
+reproducible.  Exit codes are a stable contract:
 
     0  success / all checks passed
     1  certificate or audit failure
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,7 +45,7 @@ EXIT_MISSING = 4
 
 #: The march takes about 330 steps per decade of the wall shear on the
 #: default configuration, so at this bound a snapshot (a marching pair)
-#: falls about every 6th step: 101 pairs and 9.5 MB of snapshots.csv.
+#: falls about every 6th step: 101 pairs and 3.7 MB of snapshots.npy.
 #: At 1000 per decade every step was a snapshot, and the file was 100 MB.
 MAX_SNAPSHOTS_PER_DECADE = 64.0
 
@@ -156,19 +157,25 @@ def parse_config_file(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to a temporary file, then rename it to
-    ``path``.  The temporary file is made by ``open``, so the artifact gets
-    the mode that the umask gives any new file.  The output path is part of
-    the configuration, so a path that cannot be written raises ConfigError."""
+def _atomic_save(path: str, write: Callable, mode: str) -> None:
+    """Open a temporary file in ``mode``, hand it to ``write``, then rename
+    it to ``path``.  The temporary file is made by ``open``, so the artifact
+    gets the mode that the umask gives any new file.  The output path is
+    part of the configuration, so a path that cannot be written raises
+    ConfigError."""
     tmp_path = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(tmp_path, "w") as fh:
-            fh.writelines(chunks)
+        with open(tmp_path, mode) as fh:
+            write(fh)
         os.replace(tmp_path, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` through ``_atomic_save``."""
+    _atomic_save(path, lambda fh: fh.writelines(chunks), "w")
 
 
 def _csv_lines(header: List[str], columns: List[np.ndarray]) -> Iterable[str]:
@@ -260,9 +267,12 @@ _COUNT_COLUMNS = ("solves", "halvings", "short")
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyReport)]
 
 
-def _snapshot_columns(index: int) -> tuple:
-    """Columns of snapshots.csv holding w of snapshot ``index`` and its pair."""
-    return f"w_{index:03d}", f"w_{index:03d}_pair"
+def _row_name(row: int) -> str:
+    """The name of a row of snapshots.npy: ``phi`` for row 0, then
+    ``w_003`` for w of snapshot 3 (row 7) and ``w_003_pair`` for its pair's
+    (row 8)."""
+    index, pair = divmod(row - 1, 2)
+    return "phi" if row == 0 else f"w_{index:03d}" + "_pair" * pair
 
 
 def run_simulate(cfg: RunConfig) -> int:
@@ -283,16 +293,17 @@ def run_simulate(cfg: RunConfig) -> int:
                                          traj.solves, traj.halvings,
                                          traj.short, traj.step_error]))
     # one table: the shared phi grid, then w of each snapshot and its pair
-    header, columns = ["phi"], [traj.psi_grid.nodes]
+    rows = [traj.psi_grid.nodes]
     for snap in traj.snapshots:
         for state in (snap.state, snap.pair_state):
             if state.psi_grid is not traj.psi_grid:
                 raise ValueError(f"snapshot {snap.index} is off the march's phi grid")
-            columns.append(state.W.values)
-        header.extend(_snapshot_columns(snap.index))
-    _atomic_write(os.path.join(cfg.outdir, "snapshots.csv"),
-                  _csv_lines(header, columns))
+            rows.append(state.W.values)
+    table = np.array(rows, dtype=np.float64)
+    _atomic_save(os.path.join(cfg.outdir, "snapshots.npy"),
+                 lambda fh: np.save(fh, table, allow_pickle=False), "wb")
 
+    late = traj.s >= 5.0 * traj.s[0]
     fit_payload = {}
     if traj.completed and len(traj.x) <= MIN_FIT_STATIONS:
         fit_payload["fit_error"] = (f"{len(traj.x)} stations, the fit needs "
@@ -303,7 +314,6 @@ def run_simulate(cfg: RunConfig) -> int:
             fit = md.fit_singularity(traj.x[win], traj.lam[win])
             s = traj.s
             b = md.compute_b(traj.x, traj.lam)
-            late = s >= 5.0 * s[0]
             bs_prod = (b * s)[late]
             # b s = k held constant in ds/dx = lam**-4 gives the collapse
             # lam ~ (x* - x)**(k / (2 (2k - 1))), exactly 1/2 at k = 1
@@ -331,9 +341,14 @@ def run_simulate(cfg: RunConfig) -> int:
         "steps": int(len(traj.x)), "failed_step": traj.failed_step})
     # the rows' work, and the failed step's on a run that stopped early
     failed = traj.failed_step or {"solves": 0, "halvings": 0}
+    # the worst step error (nan on rows no quadratic start reached) is the
+    # inflow's start-up; past s = 5 s0 the march's own steps are left
+    error = traj.step_error
+    worst = int(np.argmax(np.fmax(error, -np.inf)))
     work = (f"{traj.solves.sum() + failed['solves']} solves, "
             f"{traj.short.sum()} steps short of the Picard tolerance, "
-            f"worst step error {np.fmax.reduce(traj.step_error):.2e}")
+            f"worst step error {error[worst]:.2e} at row {worst}, "
+            f"{np.fmax.reduce(error[late], initial=np.nan):.1e} past s = 5 s0")
     if not traj.completed:
         print(f"simulate: solver stopped early: {traj.failure}; {work} (failed "
               f"step: {failed['solves']} solves, {failed['halvings']} dx halvings)")
@@ -473,29 +488,70 @@ def load_trajectory(outdir: str) -> tuple:
         if station <= before:
             raise MissingArtifactError(f"{man_path}: snapshot station {station} "
                                        f"does not exceed the one before, {before}")
-    names = ["phi"] + [name for index in range(len(stations))
-                       for name in _snapshot_columns(index)]
-    table_path = os.path.join(outdir, "snapshots.csv")
-    table = _read_columns(table_path, names, finite=names)
-    if len(table["phi"]) != cfg.n_psi:
-        raise MissingArtifactError(
-            f"{table_path}: {len(table['phi'])} rows, expected n_psi = {cfg.n_psi}")
+    # np.load opens a file that starts as a zip archive does with zipfile
+    from zipfile import BadZipFile
+
+    table_path = os.path.join(outdir, "snapshots.npy")
+    # mapped, not read: mapping fails on a file shorter than its header
+    # declares before any memory is allocated for the values
     try:
-        grid = Grid(table["phi"])
+        mapped = np.load(table_path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError, BadZipFile) as exc:
+        raise MissingArtifactError(f"cannot read {table_path}: {exc}") from exc
+    if not isinstance(mapped, np.ndarray):
+        mapped.close()
+        raise MissingArtifactError(f"{table_path}: an .npz archive, not one array")
+    # phi, then w of each listed snapshot and of its pair, on n_psi nodes
+    shape = (1 + 2 * len(stations), cfg.n_psi)
+    if mapped.dtype != np.float64 or mapped.shape != shape:
+        raise MissingArtifactError(
+            f"{table_path}: a {mapped.dtype} array of shape {mapped.shape}, "
+            f"expected float64 of shape {shape}")
+    # one copy in memory, frozen: the rows are read-only views that states
+    # keep as they are
+    table = np.array(mapped)
+    table.flags.writeable = False
+
+    def reject(bad: np.ndarray, problem: str, first_row: int = 0,
+               first_node: int = 0) -> None:
+        row, node = divmod(int(np.argmax(bad)), bad.shape[1])
+        row, node = row + first_row, node + first_node
+        raise MissingArtifactError(
+            f"{table_path}: row {_row_name(row)}, node {node}: "
+            f"{float(table[row, node])!r} {problem}")
+
+    finite = np.isfinite(table)
+    if not finite.all():
+        reject(~finite, "is not finite")
+    try:
+        grid = Grid(table[0])
     except (ValueError, TooFewNodesError) as exc:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
+    # each w as the march leaves it: 0 at the wall, w/phi finite, and rising
+    # but for the roundoff that the march's own monotonicity test forgives
+    w = table[1:]
+    with np.errstate(all="ignore"):
+        steep = ~np.isfinite(w[:, 1:] / grid.nodes[1:])
+    falls = np.diff(w, axis=1) < -vm._MONO_TOL_FACTOR * w.max(axis=1, keepdims=True)
+    for bad, first_node, problem in (
+            (w[:, :1] != 0.0, 0, "is not 0 at the wall"),
+            (w < 0.0, 0, "is negative"),
+            (steep, 1, "over phi is not finite"),
+            (falls, 1, "falls below the node before by more than the march "
+                       "accepts")):
+        if bad.any():
+            reject(bad, problem, 1, first_node)
 
-    def state(name: str, row: int) -> vm.VMState:
-        return vm.VMState(x=float(raw["x"][row]), s=float(raw["s"][row]),
-                          psi_grid=grid, W=Field(grid, table[name]),
-                          lam=float(raw["lambda"][row]))
+    def state(row: int, station: int) -> vm.VMState:
+        return vm.VMState(x=float(raw["x"][station]), s=float(raw["s"][station]),
+                          psi_grid=grid, W=Field(grid, table[row]),
+                          lam=float(raw["lambda"][station]))
 
-    snapshots = []
-    for index, station in enumerate(stations):
-        w_name, pair_name = _snapshot_columns(index)
-        snapshots.append(vm.Snapshot(
-            index=index, station=station, state=state(w_name, station),
-            pair_state=state(pair_name, station + 1)))
+    # the k-th listed station's w is row 2k + 1, its pair's row 2k + 2
+    snapshots = [vm.Snapshot(index=index, station=station,
+                             state=state(2 * index + 1, station),
+                             pair_state=state(2 * index + 2, station + 1))
+                 for index, station in enumerate(stations)]
     traj = vm.Trajectory(
         x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
         solves=raw["solves"], halvings=raw["halvings"], short=raw["short"],

@@ -23,7 +23,7 @@ _MIN_NODES = 64
 def _frozen(values) -> np.ndarray:
     """``values`` as a read-only float array.  An array that is read-only on
     read-only memory is kept as it is, a view included (the snapshot
-    columns of a loaded run share one parsed table); anything else is
+    rows of a loaded run share one loaded table); anything else is
     copied first."""
     base = getattr(values, "base", None)
     if (isinstance(values, np.ndarray) and values.dtype == np.float64

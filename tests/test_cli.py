@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -194,6 +195,16 @@ class TestVerifyAlgebra:
         assert "U2" in out
 
 
+class _MakesDirectory:
+    """A pickle payload: loading it calls ``os.mkdir(path)``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
 #: edits of trajectory.csv that each end in a traceback without the
 #: checks of ``load_trajectory``: (column, value on every row), or
 #: (column, None) for one row moved off the clock
@@ -211,18 +222,21 @@ class TestSimulateAndAudit:
         simulate_line = capsys.readouterr().out
         outdir = quick_cfg.outdir
         for name in ("trajectory.csv", "manifest.json", "fit_report.json",
-                     "initial_data.csv", "snapshots.csv"):
+                     "initial_data.csv", "snapshots.npy"):
             assert os.path.exists(os.path.join(outdir, name))
         # one snapshot table, not a file per snapshot
         assert not [f for f in os.listdir(outdir) if f.startswith("snapshot_")]
         manifest = json.loads(open(os.path.join(outdir, "manifest.json")).read())
         assert manifest["completed"]
-        header = open(os.path.join(outdir, "snapshots.csv")).readline().strip()
-        # the k-th listed station names the columns w_k and w_k_pair
-        assert header.split(",") == ["phi"] + [
-            f"w_{k:03d}{tail}" for k in range(len(manifest["snapshots"]))
-            for tail in ("", "_pair")]
-        assert header.split(",")[:3] == ["phi", "w_000", "w_000_pair"]
+        # one C-ordered float64 table: phi, then w of the k-th listed station
+        # in row 2k + 1 and of its pair in row 2k + 2
+        table = np.load(os.path.join(outdir, "snapshots.npy"), allow_pickle=False)
+        k = len(manifest["snapshots"])
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert table.shape == (1 + 2 * k, quick_cfg.n_psi)
+        assert [cli._row_name(row) for row in (0, 1, 2, 7, 8, 2 * k)] == [
+            "phi", "w_000", "w_000_pair", "w_003", "w_003_pair",
+            f"w_{k - 1:03d}_pair"]
         assert manifest["config_hash"] == quick_cfg.config_hash()
         # the march's Picard work: the solves and the short steps are the
         # sums of the per-row columns, and no step failed
@@ -285,7 +299,7 @@ class TestSimulateAndAudit:
                                     for f in cli.fields(quick_cfg)},
                                  "outdir": str(tmp_path / "rerun")})
         cli.run_simulate(again)
-        for name in ("trajectory.csv", "snapshots.csv"):
+        for name in ("trajectory.csv", "snapshots.npy"):
             first = open(os.path.join(quick_cfg.outdir, name), "rb").read()
             second = open(os.path.join(again.outdir, name), "rb").read()
             assert first == second
@@ -312,6 +326,9 @@ class TestSimulateAndAudit:
         "non_numeric_csv", "ragged_csv", "missing_column",
         "unknown_config_key", "missing_config_key", "schema_version",
         "old_schema", "schema_2", "schema_3", "schema_5", "schema_6", "schema_7",
+        "schema_9", "text_file", "npz_archive", "cut_npz_archive",
+        "pickled_object_array", "int64_array", "one_d_array", "empty_file",
+        "half_file", "huge_header", "huge_row", "wall_nonzero", "decreasing_row",
         "completed_not_a_bool", "failure_not_a_string", "completed_with_failure",
         "failed_step_on_completed_run",
         "fractional_solves", "negative_halvings", "nan_value",
@@ -327,17 +344,58 @@ class TestSimulateAndAudit:
         shutil.copytree(finished_run, rundir)
         manifest_path = rundir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        snap = rundir / "snapshots.csv"
-        header = snap.read_text().split("\n", 1)[0].split(",")
-        if damage == "missing_snapshot":
+        snap = rundir / "snapshots.npy"
+        # phi is row 0; w of snapshot 3 is row 7 and its pair's row 8
+        table = np.load(snap, allow_pickle=False)
+        shape = table.shape
+        edited = {"missing_pair": np.delete(table, 8, axis=0),
+                  "missing_column": table[1:],
+                  "non_numeric_csv": table.astype(str),
+                  "int64_array": table.astype(np.int64),
+                  "one_d_array": table.ravel(),
+                  "truncated_snapshot": table[:, :39],   # too few for a grid
+                  "short_snapshot": table[:, :200]}      # a grid, not n_psi
+        if damage in edited:
+            np.save(snap, edited[damage])
+        elif damage in ("nan_value", "unsorted_phi", "huge_row", "wall_nonzero",
+                        "decreasing_row"):
+            table = table.copy()
+            if damage == "nan_value":
+                table[7, 10] = np.nan
+            elif damage == "unsorted_phi":
+                table[0, [10, 11]] = table[0, [11, 10]]
+            elif damage == "huge_row":
+                # the wall value kept: w/phi overflows on the first node
+                table[7, 1:] = 1e300
+            elif damage == "wall_nonzero":
+                table[7, 0] = 1e-3
+            else:
+                table[7, 500] *= 0.5
+            np.save(snap, table)
+        elif damage == "missing_snapshot":
             snap.unlink()
-        elif damage == "missing_pair":
-            snap.write_text(snap.read_text().replace(",w_003_pair,", ",v_003_pair,", 1))
         elif damage == "unreadable_snapshot":
             snap.unlink()
             snap.mkdir()
-        elif damage == "non_numeric_csv":
-            snap.write_text(snap.read_text().replace("\n0.0,", "\nzero,", 1))
+        elif damage == "text_file":
+            snap.write_text("phi,w_000\n0.0,0.0\n")
+        elif damage in ("npz_archive", "cut_npz_archive"):
+            with open(snap, "wb") as fh:
+                np.savez(fh, table=table)
+            if damage == "cut_npz_archive":
+                snap.write_bytes(snap.read_bytes()[:-100])
+        elif damage == "pickled_object_array":
+            np.save(snap, table.astype(object), allow_pickle=True)
+        elif damage == "empty_file":
+            snap.write_bytes(b"")
+        elif damage == "half_file":
+            snap.write_bytes(snap.read_bytes()[:snap.stat().st_size // 2])
+        elif damage == "huge_header":
+            # a header that declares 8 TiB of values, on a few bytes of them
+            with open(snap, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+                fh.write(bytes(16))
         elif damage == "ragged_csv":
             (rundir / "trajectory.csv").write_text(
                 (rundir / "trajectory.csv").read_text() + "1.0,2.0\n")
@@ -386,6 +444,11 @@ class TestSimulateAndAudit:
             # failed step
             manifest["schema_version"] = 7
             del manifest["failed_step"]
+        elif damage == "schema_9":
+            # version 9 kept the snapshot states as text in snapshots.csv
+            manifest["schema_version"] = 9
+            snap.unlink()
+            (rundir / "snapshots.csv").write_text("phi,w_000,w_000_pair\n")
         elif damage == "completed_not_a_bool":
             manifest["completed"] = "yes"
         elif damage == "failure_not_a_string":
@@ -430,20 +493,6 @@ class TestSimulateAndAudit:
         elif damage == "station_without_pair":
             # the last trajectory row has no next row to pair with
             manifest["snapshots"][-1] = manifest["steps"] - 1
-        elif damage in ("nan_value", "unsorted_phi", "truncated_snapshot",
-                        "short_snapshot"):
-            rows = snap.read_text().splitlines()
-            if damage == "nan_value":
-                cells = rows[10].split(",")
-                cells[header.index("w_003")] = "nan"
-                rows[10] = ",".join(cells)
-            elif damage == "unsorted_phi":
-                rows[10], rows[11] = rows[11], rows[10]
-            elif damage == "truncated_snapshot":
-                rows = rows[:40]   # 39 nodes, too few for a grid
-            else:
-                rows = rows[:201]  # 200 nodes: a valid grid, but not n_psi
-            snap.write_text("\n".join(rows) + "\n")
         text = json.dumps(manifest)
         if damage == "manifest_not_json":
             text = text[:len(text) // 2]
@@ -458,6 +507,29 @@ class TestSimulateAndAudit:
                 "schema_5": "schema_version 5",
                 "schema_6": "schema_version 6",
                 "schema_7": "schema_version 7",
+                "schema_9": "schema_version 9",
+                "missing_snapshot": "cannot read",
+                "unreadable_snapshot": "cannot read",
+                "text_file": "cannot read",
+                "cut_npz_archive": "cannot read",
+                "pickled_object_array": "cannot read",
+                "empty_file": "cannot read",
+                "half_file": "cannot read",
+                "huge_header": "cannot read",
+                "npz_archive": "an .npz archive, not one array",
+                "missing_pair": f"a float64 array of shape ({shape[0] - 1}, {shape[1]}), "
+                                f"expected float64 of shape {shape}",
+                "missing_column": f"shape ({shape[0] - 1}, {shape[1]}), expected",
+                "non_numeric_csv": "expected float64",
+                "int64_array": f"a int64 array of shape {shape}, expected",
+                "one_d_array": f"shape ({table.size},), expected",
+                "truncated_snapshot": f"shape ({shape[0]}, 39), expected",
+                "short_snapshot": f"shape ({shape[0]}, 200), expected",
+                "nan_value": "row w_003, node 10: nan is not finite",
+                "unsorted_phi": "strictly increasing",
+                "huge_row": "row w_003, node 1: 1e+300 over phi is not finite",
+                "wall_nonzero": "row w_003, node 0: 0.001 is not 0 at the wall",
+                "decreasing_row": "row w_003, node 500: ",
                 "completed_not_a_bool": "completed 'yes' is not a bool",
                 "failure_not_a_string": "failure 5 is not a string",
                 "completed_with_failure":
@@ -481,6 +553,24 @@ class TestSimulateAndAudit:
                 "stations_reversed": "does not exceed the one before"}.get(damage, "") in out
         if damage in ("lambda_all_huge", "s_off_the_clock"):
             assert "is off the clock ds/dx = lambda**-4" in out
+        if damage == "decreasing_row":
+            assert "falls below the node before by more than the march" in out
+
+    def test_loading_the_table_runs_no_code(self, finished_run, tmp_path, capsys):
+        # a pickle in place of snapshots.npy is refused unread: unpickling
+        # it makes the sentinel directory
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        sentinel = tmp_path / "sentinel"
+        payload = pickle.dumps(_MakesDirectory(str(sentinel)))
+        pickle.loads(payload)
+        assert sentinel.is_dir()
+        sentinel.rmdir()
+        (rundir / "snapshots.npy").write_bytes(payload)
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_MISSING
+        assert not sentinel.exists()
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith("audit: cannot read")
 
     def test_failed_report_exits_1(self, finished_run, tmp_path, monkeypatch,
                                    capsys):
@@ -609,9 +699,9 @@ class TestSimulateAndAudit:
             for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
                 # one Grid shared by every loaded state, as in the march
                 assert a.psi_grid is traj.psi_grid
-                # w is a column of the one parsed table, next to phi, not a
+                # w is a row of the one loaded table, next to phi, not a
                 # copy of it
-                assert np.may_share_memory(a.W.values, traj.psi_grid.nodes)
+                assert a.W.values.base is traj.psi_grid.nodes.base is not None
                 assert np.array_equal(a.W.values, b.W.values)
                 assert (a.x, a.s, a.lam) == (b.x, b.s, b.lam)
 
@@ -674,10 +764,14 @@ class TestLargeLambda0:
         assert fit["exponent_predicted"] == k / (2.0 * (2.0 * k - 1.0))
         assert (f"exponent {fit['exponent']:.4f} (b*s law "
                 f"{fit['exponent_predicted']:.4f} at median b*s {k:.4f})") in line
-        # and the worst step error, the column's largest value
-        worst = np.nanmax(traj["step_error"])
-        assert np.isnan(traj["step_error"][:3]).all() and 0.0 < worst < 1e-8
-        assert line.rstrip().endswith(f"worst step error {worst:.2e}")
+        # and the worst step error, the column's largest value and its row,
+        # and the largest past s = 5 s0, where the inflow's start-up is over
+        error = traj["step_error"]
+        worst, row = np.nanmax(error), np.nanargmax(error)
+        late = np.nanmax(error[traj["s"] >= 5.0 * traj["s"][0]])
+        assert np.isnan(error[:3]).all() and 0.0 < late < worst < 1e-8
+        assert line.rstrip().endswith(f"worst step error {worst:.2e} at row "
+                                      f"{row}, {late:.1e} past s = 5 s0")
 
 
 class TestSweep:
@@ -766,7 +860,7 @@ class TestSolverFailurePath:
 
         monkeypatch.setattr(cli.vm, "_dgtsv", singular_from_40th)
         assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
-        assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.csv"))
+        assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.npy"))
         manifest = json.loads(open(os.path.join(quick_cfg.outdir,
                                                 "manifest.json")).read())
         assert not manifest["completed"]
