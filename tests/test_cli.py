@@ -522,7 +522,7 @@ class TestSimulateAndAudit:
                 "missing_column": f"shape ({shape[0] - 1}, {shape[1]}), expected",
                 "non_numeric_csv": "expected float64",
                 "int64_array": f"a int64 array of shape {shape}, expected",
-                "one_d_array": f"shape ({table.size},), expected",
+                "one_d_array": f"shape ({shape[0] * shape[1]},), expected",
                 "truncated_snapshot": f"shape ({shape[0]}, 39), expected",
                 "short_snapshot": f"shape ({shape[0]}, 200), expected",
                 "nan_value": "row w_003, node 10: nan is not finite",
