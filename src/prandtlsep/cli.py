@@ -488,19 +488,24 @@ def load_trajectory(outdir: str) -> tuple:
         if station <= before:
             raise MissingArtifactError(f"{man_path}: snapshot station {station} "
                                        f"does not exceed the one before, {before}")
-    # np.load opens a file that starts as a zip archive does with zipfile
-    from zipfile import BadZipFile
-
     table_path = os.path.join(outdir, "snapshots.npy")
+    # np.load reads a file by what it starts with, and a cut zip archive
+    # leaves its handle open there: only a file with the .npy magic gets in
+    npy_magic = np.lib.format.MAGIC_PREFIX
+    try:
+        with open(table_path, "rb") as fh:
+            magic = fh.read(len(npy_magic))
+    except OSError as exc:
+        raise MissingArtifactError(f"cannot read {table_path}: {exc}") from exc
+    if magic != npy_magic:
+        raise MissingArtifactError(f"cannot read {table_path}: it does not "
+                                   f"start with the .npy magic {npy_magic!r}")
     # mapped, not read: mapping fails on a file shorter than its header
     # declares before any memory is allocated for the values
     try:
         mapped = np.load(table_path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError, EOFError, BadZipFile) as exc:
+    except (OSError, ValueError, EOFError) as exc:
         raise MissingArtifactError(f"cannot read {table_path}: {exc}") from exc
-    if not isinstance(mapped, np.ndarray):
-        mapped.close()
-        raise MissingArtifactError(f"{table_path}: an .npz archive, not one array")
     # phi, then w of each listed snapshot and of its pair, on n_psi nodes
     shape = (1 + 2 * len(stations), cfg.n_psi)
     if mapped.dtype != np.float64 or mapped.shape != shape:

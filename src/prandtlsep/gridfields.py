@@ -125,6 +125,8 @@ class Grid:
 
     nodes: np.ndarray
     _diff_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # the grid whose stencils this one scales (see ``scaled``)
+    _unit: "Grid | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = _frozen(self.nodes)
@@ -160,6 +162,12 @@ class Grid:
         xi = np.linspace(0.0, 1.0, n)
         return cls(x_max * xi**exponent)
 
+    def scaled(self, length: float) -> "Grid":
+        """The grid on this grid's nodes times ``length``.  Fornberg's
+        weights of order k on nodes L x are L**-k times those on x, so it
+        scales this grid's stencils, built once, instead of building its own."""
+        return Grid(length * self.nodes, _unit=self)
+
     def cached(self, key, build, *args):
         """Grid-only data stored under ``key``: ``build(*args)`` on the first
         call, the stored value after.  Its arrays are made read-only, since
@@ -174,17 +182,19 @@ class Grid:
             return value
 
     def _diff_matrix(self, order: int) -> tuple:
-        """(starts, weights) of the centred stencils of the given order,
-        shifted inward (one-sided) at both ends."""
+        """(gather index, weights) of the centred stencils of the given
+        order, shifted inward (one-sided) at both ends.  A scaled grid
+        shares its unit grid's index and scales the unit weights."""
+        if self._unit is not None:
+            unit = self._unit
+            idx, weights = unit.cached(order, unit._diff_matrix, order)
+            return idx, weights * (unit.span / self.span) ** order
         width = _STENCIL_WIDTH[order]
-        starts = window_starts(len(self.nodes), width)
-        weights = fd_weights(self.nodes[starts[:, None] + np.arange(width)],
-                             self.nodes, order)
-        return starts, weights
+        idx = window_starts(len(self.nodes), width)[:, None] + np.arange(width)
+        return idx, fd_weights(self.nodes[idx], self.nodes, order)
 
     def apply_diff(self, values: np.ndarray, order: int) -> np.ndarray:
-        starts, weights = self.cached(order, self._diff_matrix, order)
-        idx = starts[:, None] + np.arange(weights.shape[1])
+        idx, weights = self.cached(order, self._diff_matrix, order)
         return np.einsum("ij,ij->i", weights, values[idx])
 
 

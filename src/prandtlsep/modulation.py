@@ -13,16 +13,25 @@ b s = k held constant the clock gives p = k / (2 (2k - 1)), which
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DomainError, FitFailureError
 from .gridfields import Grid, cumtrapz, window_starts
 
 
+# one unit grid, and so one stencil set, per node count, kept for the process
+@lru_cache(maxsize=8)
+def _unit_rescaled_grid(n: int) -> Grid:
+    return Grid.tanh_clustered(n, 1.0, strength=4.0)
+
+
 def standard_rescaled_grid(s: float, n: int, reach: float = np.inf) -> Grid:
     """Wall-clustered grid of n nodes on [0, 8 s**(2/7)], cut at ``reach``:
-    the span of the profile it samples, in wall units."""
-    return Grid.tanh_clustered(n, min(8.0 * s ** (2.0 / 7.0), reach), strength=4.0)
+    the span of the profile it samples, in wall units.  Every such grid of
+    n nodes is one unit grid scaled, whose stencils it shares."""
+    return _unit_rescaled_grid(n).scaled(min(8.0 * s ** (2.0 / 7.0), reach))
 
 
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,15 @@ def _quick_config(outdir) -> cli.RunConfig:
                          snapshots_per_decade=10.0, outdir=str(outdir))
 
 
+def _json(*parts):
+    return json.loads(Path(*parts).read_text())
+
+
 def _trajectory_columns(outdir) -> dict:
     """The columns of a run's trajectory.csv by name."""
     path = os.path.join(outdir, "trajectory.csv")
-    names = open(path).readline().strip().split(",")
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return dict(zip(names, table.T))
 
@@ -68,8 +74,7 @@ class TestConfig:
 
     def test_readme_config_block_lists_every_field(self):
         # the ini block of README.md documents every RunConfig field and no other key
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md")).read()
+        readme = Path(os.path.dirname(__file__), os.pardir, "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         keys = [line.split("=", 1)[0].strip() for line in block.splitlines()
                 if line.split("#", 1)[0].strip()]
@@ -79,22 +84,19 @@ class TestConfig:
         # README's artifact table names the columns of trajectory.csv in
         # order, and in its manifest.json row every key that simulate
         # writes and no other
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md")).read()
+        readme = Path(os.path.dirname(__file__), os.pardir, "README.md").read_text()
         rows = {line.split(" | ", 1)[0].strip("| `"): line.split(" | ", 1)[1]
                 for line in readme.splitlines() if line.startswith("| `")}
         columns = rows["trajectory.csv"].split("`")[1]
         assert columns.split(", ") == cli._TRAJECTORY_COLUMNS
         keys = set(rows["manifest.json"].split("`")[1::2])
-        manifest = json.loads(open(os.path.join(finished_run,
-                                                "manifest.json")).read())
+        manifest = _json(finished_run, "manifest.json")
         assert keys == set(manifest)
 
     def test_readme_api_tour_runs(self, capsys):
         # the python block of README.md runs as printed: one default march,
         # the collapse fit and the audit suite
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md")).read()
+        readme = Path(os.path.dirname(__file__), os.pardir, "README.md").read_text()
         (block,) = [part.split("```", 1)[0]
                     for part in readme.split("```python\n")[1:]]
         exec(compile(block, "README.md", "exec"), {})
@@ -226,7 +228,7 @@ class TestSimulateAndAudit:
             assert os.path.exists(os.path.join(outdir, name))
         # one snapshot table, not a file per snapshot
         assert not [f for f in os.listdir(outdir) if f.startswith("snapshot_")]
-        manifest = json.loads(open(os.path.join(outdir, "manifest.json")).read())
+        manifest = _json(outdir, "manifest.json")
         assert manifest["completed"]
         # one C-ordered float64 table: phi, then w of the k-th listed station
         # in row 2k + 1 and of its pair in row 2k + 2
@@ -251,7 +253,7 @@ class TestSimulateAndAudit:
         assert abs(x_end - trajectory["x"][-1]) <= 5e-6 * trajectory["x"][-1]
         code = cli.main(["audit", outdir])
         assert code == cli.EXIT_OK
-        summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
+        summary = _json(outdir, "audit_summary.json")
         assert summary["all_passed"]
         # the summary line counts the ungated checks as the artifacts record them
         checks = summary["commutator_identity"]
@@ -272,7 +274,7 @@ class TestSimulateAndAudit:
         cfg = cli.RunConfig(lambda_stop_factor=stop, n_psi=1153, n_physical=1537,
                             outdir=str(tmp_path / "run"))
         assert cli.run_simulate(cfg) == cli.EXIT_OK
-        fit = json.loads(open(os.path.join(cfg.outdir, "fit_report.json")).read())
+        fit = _json(cfg.outdir, "fit_report.json")
         assert list(fit) == ["fit_error"] and error in fit["fit_error"]
         assert f"; exponent nan ({fit['fit_error']}); " in capsys.readouterr().out
 
@@ -281,8 +283,7 @@ class TestSimulateAndAudit:
         # with no tolerance to meet every step ends at its sweep cap
         monkeypatch.setattr(cli.vm, "PICARD_TOL", 0.0)
         assert cli.run_simulate(quick_cfg) == cli.EXIT_OK
-        manifest = json.loads(open(os.path.join(quick_cfg.outdir,
-                                                "manifest.json")).read())
+        manifest = _json(quick_cfg.outdir, "manifest.json")
         steps = manifest["steps"] - 1
         trajectory = _trajectory_columns(quick_cfg.outdir)
         assert trajectory["short"].tolist() == [0] + [1] * steps
@@ -300,8 +301,8 @@ class TestSimulateAndAudit:
                                  "outdir": str(tmp_path / "rerun")})
         cli.run_simulate(again)
         for name in ("trajectory.csv", "snapshots.npy"):
-            first = open(os.path.join(quick_cfg.outdir, name), "rb").read()
-            second = open(os.path.join(again.outdir, name), "rb").read()
+            first = Path(quick_cfg.outdir, name).read_bytes()
+            second = Path(again.outdir, name).read_bytes()
             assert first == second
 
     def test_artifact_mode_follows_umask(self, tmp_path):
@@ -511,12 +512,12 @@ class TestSimulateAndAudit:
                 "missing_snapshot": "cannot read",
                 "unreadable_snapshot": "cannot read",
                 "text_file": "cannot read",
-                "cut_npz_archive": "cannot read",
+                "cut_npz_archive": "does not start with the .npy magic",
                 "pickled_object_array": "cannot read",
                 "empty_file": "cannot read",
                 "half_file": "cannot read",
                 "huge_header": "cannot read",
-                "npz_archive": "an .npz archive, not one array",
+                "npz_archive": "does not start with the .npy magic",
                 "missing_pair": f"a float64 array of shape ({shape[0] - 1}, {shape[1]}), "
                                 f"expected float64 of shape {shape}",
                 "missing_column": f"shape ({shape[0] - 1}, {shape[1]}), expected",
@@ -659,6 +660,39 @@ class TestSimulateAndAudit:
         states = len(manifest["snapshots"]) + len(summary["commutator_identity"])
         assert calls == {"spline": states, "invert": states}
 
+    def test_audit_builds_one_stencil_set_per_wall_unit_shape(
+            self, finished_run, tmp_path, monkeypatch):
+        # every wall-unit grid of n nodes, full or half resolution or a
+        # commutator grid, scales the stencils of one unit grid, so a fresh
+        # process builds each order once per shape however many frames it
+        # rescales, next to the loaded phi grid's own second differences,
+        # Gauss-point interpolation and wall extrapolation
+        from prandtlsep import gridfields as gf
+        from prandtlsep import modulation as md
+
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        builds = []
+        build = gf.fd_weights
+
+        def counted(x, x0, order):
+            builds.append((np.shape(x), order))
+            return build(x, x0, order)
+
+        monkeypatch.setattr(gf, "fd_weights", counted)
+        md._unit_rescaled_grid.cache_clear()
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+        n = _quick_config(rundir).n_rescaled
+        shapes = (n, n // 2 + 1)
+        wall = sorted(b for b in builds if len(b[0]) == 2 and b[0][0] in shapes)
+        assert wall == sorted(((m, gf._STENCIL_WIDTH[k]), k)
+                              for m in shapes for k in (1, 2, 3))
+        assert len(builds) == len(wall) + 3 == 9
+        # a later audit in the process builds only its phi grid's
+        builds.clear()
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+        assert len(builds) == 3
+
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
         # a completed run of a few steps is too short for the modulation rate
         cfg = cli.RunConfig(**{**{f.name: getattr(_quick_config(tmp_path), f.name)
@@ -666,7 +700,7 @@ class TestSimulateAndAudit:
                                "lambda_stop_factor": 1.01,
                                "outdir": str(tmp_path / "short")})
         assert cli.run_simulate(cfg) == cli.EXIT_OK
-        steps = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())["steps"]
+        steps = _json(cfg.outdir, "manifest.json")["steps"]
         assert steps < 7
         capsys.readouterr()
         assert cli.main(["audit", cfg.outdir]) == cli.EXIT_SOLVER
@@ -726,7 +760,7 @@ class TestLargeLambda0:
         # all 14 snapshots are audited
         outdir, code, line, _ = large_lambda0_run
         assert code == cli.EXIT_OK
-        summary = json.loads(open(os.path.join(outdir, "audit_summary.json")).read())
+        summary = _json(outdir, "audit_summary.json")
         assert summary["failed_snapshots"] == []
         assert len(summary["reports"]) == 3 * 14
         energies = np.loadtxt(os.path.join(outdir, "energies.csv"), delimiter=",",
@@ -736,12 +770,12 @@ class TestLargeLambda0:
 
     def test_energies_header_is_the_report_fields(self, large_lambda0_run):
         outdir = large_lambda0_run[0]
-        header = open(os.path.join(outdir, "energies.csv")).readline().strip()
+        with open(os.path.join(outdir, "energies.csv")) as fh:
+            header = fh.readline().strip()
         assert header.split(",") == [f.name for f in cli.fields(cli.EnergyReport)]
 
     def test_fit_report_carries_rate_certificate(self, large_lambda0_run):
-        fit = json.loads(open(os.path.join(large_lambda0_run[0],
-                                           "fit_report.json")).read())
+        fit = _json(large_lambda0_run[0], "fit_report.json")
         cert = fit["rate_certificate"]
         assert "J_gamma_13_4" not in fit
         assert cert["gamma"] == 13.0 / 4.0 and cert["J"] > 0.0
@@ -754,7 +788,7 @@ class TestLargeLambda0:
         # the median b*s over the fit window, the exponent k/(2(2k - 1)) that
         # a constant b*s = k gives, and the summary line beside the fitted one
         outdir, *_, line = large_lambda0_run
-        fit = json.loads(open(os.path.join(outdir, "fit_report.json")).read())
+        fit = _json(outdir, "fit_report.json")
         traj = _trajectory_columns(outdir)
         win = cli.md.fit_window(traj["lambda"], 0.1 / 50.0)
         assert fit["window"] == [traj["x"][win][0], traj["x"][win][-1]]
@@ -806,7 +840,7 @@ class TestSweepIntegration:
                             outdir=str(tmp_path / "sweep"))
         code = cli.run_sweep([0.05, 0.04], cfg)
         assert code == cli.EXIT_OK
-        table = open(os.path.join(cfg.outdir, "sweep.csv")).read().splitlines()
+        table = Path(cfg.outdir, "sweep.csv").read_text().splitlines()
         assert table[0] == "lambda0,x_star,x_star_over_lambda0_sq,exponent"
         assert len(table) == 3
         ratios = [float(r.split(",")[2]) for r in table[1:]]
@@ -828,7 +862,7 @@ class TestSolverFailurePath:
         assert code == cli.EXIT_SOLVER
         # partial artifacts kept
         assert os.path.exists(os.path.join(cfg.outdir, "trajectory.csv"))
-        manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
+        manifest = _json(cfg.outdir, "manifest.json")
         assert not manifest["completed"]
         assert manifest["failure"]
         solves = _assert_line_counts_every_solve(cfg.outdir, manifest,
@@ -837,8 +871,7 @@ class TestSolverFailurePath:
         # the snapshots that can be rescaled are audited; the late ones near
         # collapse are listed, and the summary line says the run stopped
         assert cli.main(["audit", cfg.outdir]) == cli.EXIT_SOLVER
-        summary = json.loads(open(os.path.join(cfg.outdir,
-                                               "audit_summary.json")).read())
+        summary = _json(cfg.outdir, "audit_summary.json")
         audited = len(manifest["snapshots"]) - len(summary["failed_snapshots"])
         assert audited > 0 and summary["failed_snapshots"]
         assert len(summary["reports"]) == 3 * audited
@@ -861,8 +894,7 @@ class TestSolverFailurePath:
         monkeypatch.setattr(cli.vm, "_dgtsv", singular_from_40th)
         assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
         assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.npy"))
-        manifest = json.loads(open(os.path.join(quick_cfg.outdir,
-                                                "manifest.json")).read())
+        manifest = _json(quick_cfg.outdir, "manifest.json")
         assert not manifest["completed"]
         assert "singular" in manifest["failure"]
         assert manifest["steps"] > 1
@@ -916,9 +948,8 @@ def test_benchmark_checks_read_the_cli_artifacts(tmp_path):
         f"print(json.dumps([worker.check_simulate({cfg.outdir!r}), "
         f"worker.check_audit({cfg.outdir!r})]))")
     assert sim_problems == []
-    manifest = json.loads(open(os.path.join(cfg.outdir, "manifest.json")).read())
-    summary = json.loads(open(os.path.join(cfg.outdir,
-                                           "audit_summary.json")).read())
+    manifest = _json(cfg.outdir, "manifest.json")
+    summary = _json(cfg.outdir, "audit_summary.json")
     assert sim["steps"] == manifest["steps"] > 50
     assert set(sim) == {"steps", "exponent", "residual", "x_star",
                         "x_star_over_lambda0_sq", "b_envelope"}

@@ -6,6 +6,7 @@ import reference
 from reference import convergence_order, same_bits, uniform_grid
 
 from prandtlsep import gridfields as gf
+from prandtlsep import modulation as md
 from prandtlsep.errors import ExtrapolationError, TooFewNodesError
 
 
@@ -20,13 +21,18 @@ def _geometric(n: int, x_max: float, contrast: float) -> gf.Grid:
     return gf.Grid(nodes * (x_max / nodes[-1]))
 
 
-@pytest.fixture(params=["uniform", "tanh", "geometric", "power"])
+@pytest.fixture(params=["uniform", "tanh", "geometric", "power", "rescaled",
+                        "rescaled_reach"])
 def grid_maker(request):
     makers = {
         "uniform": lambda n: uniform_grid(n, 6.0),
         "tanh": lambda n: gf.Grid.tanh_clustered(n, 6.0, 4.0),
         "geometric": lambda n: _geometric(n, 6.0, 50.0),
         "power": lambda n: gf.Grid.power_clustered(n, 6.0, 3.0),
+        # wall-unit grids, which scale a shared unit grid's stencils: the
+        # span 8 s**(2/7) is 6 at s = 0.75**3.5, and cut to 6 at s = 400
+        "rescaled": lambda n: md.standard_rescaled_grid(0.75**3.5, n),
+        "rescaled_reach": lambda n: md.standard_rescaled_grid(400.0, n, reach=6.0),
     }
     return makers[request.param]
 
@@ -108,9 +114,9 @@ class TestStencilWeights:
         # power-5 clustering: wall cells of 4e-13 next to far-end cells of 0.3
         g = gf.Grid.power_clustered(641, 40.0, 5.0)
         y = g.nodes
-        starts, weights = g._diff_matrix(order)
+        idx, weights = g._diff_matrix(order)
         width = weights.shape[1]
-        idx = starts[:, None] + np.arange(width)
+        starts = idx[:, 0]
         # one-sided stencils at the wall and at the far end
         assert starts[0] == starts[2] == 0
         assert starts[-1] == starts[-3] == len(g) - width
@@ -123,6 +129,34 @@ class TestStencilWeights:
             scale = np.einsum("ij,ij->i", np.abs(weights), np.abs(f[idx]))
             err = np.abs(g.apply_diff(f, order) - exact)
             assert np.all(err <= 16 * np.finfo(float).eps * scale), (p, np.argmax(err / scale))
+
+    @pytest.mark.parametrize("reach", [np.inf, 3.0])
+    def test_scaled_stencils_are_fornbergs(self, reach, monkeypatch):
+        n, s = 321, 400.0
+        grid = md.standard_rescaled_grid(s, n, reach)
+        span = min(8.0 * s ** (2.0 / 7.0), reach)
+        assert same_bits(grid.nodes, gf.Grid.tanh_clustered(n, span, 4.0).nodes)
+        # the unit weights times span**-order are the weights on the grid's
+        # own nodes, to roundoff of each stencil's largest weight
+        for order in gf._STENCIL_WIDTH:
+            idx, weights = grid.cached(order, grid._diff_matrix, order)
+            own = gf.fd_weights(grid.nodes[idx], grid.nodes, order)
+            largest = np.max(np.abs(own), axis=1, keepdims=True)
+            assert np.max(np.abs(weights - own) / largest) <= 1e-12, order
+        # another wall-unit grid of n nodes builds no stencil: it gathers
+        # with the unit grid's index, the very array the first one holds
+        builds = []
+        build = gf.fd_weights
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(gf, "fd_weights", counted)
+        other = md.standard_rescaled_grid(2.0 * s, n, reach)
+        shared = [other.cached(k, other._diff_matrix, k)[0] is grid.cached(k, None)[0]
+                  for k in gf._STENCIL_WIDTH]
+        assert shared == [True, True, True] and not builds
 
 
 class TestCumint:

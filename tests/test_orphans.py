@@ -27,6 +27,7 @@ import glob
 import importlib
 import os
 import re
+from pathlib import Path
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
 
@@ -60,7 +61,7 @@ def _definitions():
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         modname = os.path.basename(path)[:-3]
         module = importlib.import_module("prandtlsep." + modname)
-        tree = ast.parse(open(path).read(), path)
+        tree = ast.parse(Path(path).read_text(), path)
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defs[f"{modname}.{node.name}"] = (node.name, node)
@@ -103,7 +104,7 @@ def test_grid_cache_is_reached_only_through_grid_cached():
     # grid-only data is built and stored by Grid.cached, in gridfields
     users = [os.path.basename(path)
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
-             if "_diff_cache" in open(path).read()]
+             if "_diff_cache" in Path(path).read_text()]
     assert users == ["gridfields.py"]
 
 
@@ -111,7 +112,7 @@ def test_least_squares_is_solved_only_in_gridfields():
     # every fit goes through gridfields.lstsq_powers
     users = [os.path.basename(path)
              for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
-             if re.search(r"\b(lstsq|polyfit)\b", open(path).read())]
+             if re.search(r"\b(lstsq|polyfit)\b", Path(path).read_text())]
     assert users == ["gridfields.py"]
 
 
@@ -128,7 +129,7 @@ def test_every_parameter_is_used():
     assert paths
     for path in paths:
         modname = os.path.basename(path)[:-3]
-        for fn in ast.walk(ast.parse(open(path).read(), path)):
+        for fn in ast.walk(ast.parse(Path(path).read_text(), path)):
             if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                 continue
             args = fn.args
@@ -147,7 +148,7 @@ def test_every_benchmark_hook_resolves():
     # perfbench/spans.py rebinds these (module, attribute) pairs to trace
     # them; a renamed or deleted target would only fail the traced benchmark
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
-    tree = ast.parse(open(path).read(), path)
+    tree = ast.parse(Path(path).read_text(), path)
     (hooks,) = [ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)
                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"]]
