@@ -397,7 +397,8 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
     return columns
 
 
-_MANIFEST_KEYS = ("config", "snapshots", "completed", "failure", "failed_step")
+_MANIFEST_KEYS = ("config", "config_hash", "snapshots", "steps", "completed",
+                  "failure", "failed_step")
 
 
 def _require_keys(entry, keys, where: str) -> None:
@@ -428,8 +429,8 @@ def load_trajectory(outdir: str) -> tuple:
     _require_keys(manifest["config"], sorted(_CONFIG_KEYS), f"{man_path} config")
     # known config keys, snapshot rows in a list, and a run summary that
     # names a failure and a failed step exactly when the run stopped early
-    config, stations, completed, failure, step = (manifest[key]
-                                                  for key in _MANIFEST_KEYS)
+    config, config_hash, stations, steps, completed, failure, step = (
+        manifest[key] for key in _MANIFEST_KEYS)
     unknown = sorted(set(config) - _CONFIG_KEYS)
     whole = isinstance(step, dict) and sorted(step) == ["halvings", "solves"] \
         and all(type(n) is int and n >= 0 for n in step.values())
@@ -451,6 +452,9 @@ def load_trajectory(outdir: str) -> tuple:
         cfg.validate()
     except ConfigError as exc:
         raise MissingArtifactError(f"{man_path}: {exc}") from exc
+    if config_hash != cfg.config_hash():
+        raise MissingArtifactError(f"{man_path}: config_hash {config_hash!r}, but "
+                                   f"the config hashes to {cfg.config_hash()!r}")
     # F_max is nan where a station has no trusted node
     raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
                         finite=("x", "lambda", "s") + _COUNT_COLUMNS)
@@ -460,7 +464,7 @@ def load_trajectory(outdir: str) -> tuple:
                 f"{traj_path}: column {name} holds a value that is not a count")
     # the march's stations: s and lambda positive, x and s strictly increasing,
     # and each step's ds the march's clock from x and lambda
-    x, s, lam = raw["x"], raw["s"], raw["lambda"]
+    x, s, lam, error = raw["x"], raw["s"], raw["lambda"], raw["step_error"]
     with np.errstate(all="ignore"):
         clock = np.diff(s) / vm.slow_time_increment(np.diff(x), lam[:-1], lam[1:])
     rising = "does not exceed the row before"
@@ -470,12 +474,18 @@ def load_trajectory(outdir: str) -> tuple:
             ("x", np.diff(x, prepend=-np.inf) <= 0.0, rising),
             ("s", np.diff(s, prepend=-np.inf) <= 0.0, rising),
             ("s", np.concatenate([[False], ~(np.abs(clock - 1.0) <= 1e-9)]),
-             "is off the clock ds/dx = lambda**-4 from the row before")):
+             "is off the clock ds/dx = lambda**-4 from the row before"),
+            # a magnitude, nan on the rows no quadratic start reached
+            ("step_error", ~(np.isnan(error) | (error >= 0.0) & (error < np.inf)),
+             "is neither nan nor a finite value >= 0")):
         if bad.any():
             row = int(np.argmax(bad))
             raise MissingArtifactError(f"{traj_path}: column {name}, row {row}: "
                                        f"{float(raw[name][row])!r} {problem}")
     rows = len(raw["x"])
+    if type(steps) is not int or steps != rows:
+        raise MissingArtifactError(f"{man_path}: steps {steps!r}, but "
+                                   f"{traj_path} holds {rows} rows")
     for station in stations:
         problem = ("is not an integer" if type(station) is not int
                    else "is negative" if station < 0

@@ -18,6 +18,7 @@ from .errors import (DomainError, ExtrapolationError, SingularInputError,
                      TooFewNodesError)
 
 _MIN_NODES = 64
+_EPS = np.finfo(float).eps
 
 
 def _frozen(values) -> np.ndarray:
@@ -69,17 +70,44 @@ def wall_window(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
+#: LAPACK ``dgels``, bound by the first ``lstsq_powers`` call: importing
+#: scipy.linalg takes about 0.3 s, which ``import prandtlsep.cli`` need not pay
+_dgels = None
+
+
 def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
     """Least-squares coefficients of v in the monomials y**p, p in ``powers``.
 
-    The columns are scaled to unit norm for the solve, which keeps the
-    high powers of a small wall window from being lost to conditioning.
+    One LAPACK ``gels`` call, Householder QR, on the unscaled monomial
+    columns.  Householder QR's backward error is columnwise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 20): each column
+    is perturbed relative to its own norm.  Scaling the columns to unit
+    norm, which the high powers of a small wall window need under an SVD
+    solve with a rank cut, would not change its accuracy.
+
+    Raises SingularInputError on a non-finite solution, and where a column
+    lies within m eps of its norm from the span of the columns before it
+    (numpy's ``rcond=None`` rank rule, m the node count), as on a window of
+    fewer distinct nodes than columns.
     """
-    cols = np.stack([y**p for p in powers], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
-    norms[norms == 0.0] = 1.0
-    sol, *_ = np.linalg.lstsq(cols / norms, v, rcond=None)
-    return sol / norms
+    global _dgels
+    if _dgels is None:
+        from scipy.linalg.lapack import dgels as _dgels
+    m, n = len(y), len(powers)
+    if m < n:
+        raise SingularInputError(f"{m} nodes for {n} monomials")
+    # (m, n) in Fortran order, which gels may overwrite in place
+    cols = (y ** np.array(powers, dtype=float)[:, None]).T
+    norms2 = (cols * cols).sum(axis=0)
+    qr, x, info = _dgels(cols, v[:, None], overwrite_a=1)
+    # |R_jj| is column j's distance from the span of the columns before it
+    diag = qr.diagonal()
+    sol = x[:n, 0]
+    if (info != 0 or not (diag * diag > (m * _EPS) ** 2 * norms2).all()
+            or not np.isfinite(sol).all()):
+        raise SingularInputError(f"monomials {tuple(powers)} are rank-deficient "
+                                 "on the fit window, or a sample is not finite")
+    return sol
 
 
 def fd_weights(x: np.ndarray, x0: float | np.ndarray, order: int) -> np.ndarray:

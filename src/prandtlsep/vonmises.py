@@ -45,7 +45,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import gridfields  # fd_weights through its module: rebinding it reaches here
-from .errors import InvalidProfileError, InvalidStateError, StepFailureError
+from .errors import (InvalidProfileError, InvalidStateError, SingularInputError,
+                     StepFailureError)
 from .gridfields import Field, Grid, diff, lstsq_powers
 
 _MONO_TOL_FACTOR = 1e-9
@@ -206,8 +207,12 @@ def wall_shear(state: VMState) -> float:
         w_phi = a * w[lo - 1:hi - 1] + b * w[lo:hi] + c * w[lo + 1:hi + 1]
         y_win = y[lo:hi]
         samples = 0.5 * w_phi - y_win
-        # the curvature-defect bias grows like y**3: extrapolate it away
-        est_ = float(lstsq_powers(y_win, samples, (0, 3))[0])
+        # the curvature-defect bias grows like y**3: extrapolate it away.  A
+        # window the fit cannot use is under-resolved, like one of too few nodes
+        try:
+            est_ = float(lstsq_powers(y_win, samples, (0, 3))[0])
+        except SingularInputError:
+            return None
         if not 0.0 < est_ < 20.0 * g:
             est_ = float(np.median(samples))
         return est_

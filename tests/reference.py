@@ -6,7 +6,9 @@ the package implements; the derivatives of the profile's far-field
 completion; float evaluation of an exact polynomial; the uniform grid; the
 observed convergence order of an error sequence; a bitwise array
 comparison; the cumulative trapezoid as it was written inline before
-``gridfields.cumtrapz`` replaced the copies; the closed forms of the
+``gridfields.cumtrapz`` replaced the copies; the least-squares fit as the
+scaled SVD solve that ``gridfields.lstsq_powers`` was before it called
+LAPACK ``gels``; the closed forms of the
 march's stencil weights, which ``gridfields.fd_weights`` now generates:
 the three-point first and second differences on the phi grid, the cubic
 interpolation at the Gauss points of each t = sqrt(phi) cell, the quadratic
@@ -26,7 +28,7 @@ from numpy.polynomial.polynomial import polyval
 from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
 from prandtlsep import vonmises as vm
-from prandtlsep.errors import DomainError, InvalidStateError
+from prandtlsep.errors import DomainError, InvalidStateError, SingularInputError
 from prandtlsep.gridfields import Field, Grid, cumint, lstsq_powers
 
 
@@ -122,6 +124,17 @@ def cumtrapz(values, nodes) -> np.ndarray:
     ``modulation.evolve_btilde`` and ``energies.coercivity_audit`` used."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1])
                                             * np.diff(nodes))])
+
+
+def lstsq_powers_svd(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
+    """``gridfields.lstsq_powers`` in the form it had before it called
+    LAPACK ``gels``: the columns scaled to unit norm, then numpy's SVD
+    solve with its default rank cut."""
+    cols = np.stack([y**p for p in powers], axis=1)
+    norms = np.linalg.norm(cols, axis=0)
+    norms[norms == 0.0] = 1.0
+    sol, *_ = np.linalg.lstsq(cols / norms, v, rcond=None)
+    return sol / norms
 
 
 def same_bits(a, b) -> bool:
@@ -227,7 +240,10 @@ def wall_shear_full_y(state) -> float:
         a, b, c = vm._three_point_weights(grid, 1)[:, idx - 1]
         w_phi = a * w[idx - 1] + b * w[idx] + c * w[idx + 1]
         samples = 0.5 * w_phi - y[idx]
-        est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
+        try:
+            est_ = float(lstsq_powers(y[idx], samples, (0, 3))[0])
+        except SingularInputError:
+            return None
         if not 0.0 < est_ < 20.0 * g:
             est_ = float(np.median(samples))
         return est_

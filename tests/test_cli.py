@@ -215,6 +215,13 @@ _TRAJECTORY_EDITS = {
     "lambda_all_huge": ("lambda", "1e300"), "s_all_zero": ("s", "0.0"),
     "s_all_negative": ("s", "-5.0"), "x_constant": ("x", "0.001"),
     "s_off_the_clock": ("s", None)}
+#: damages that set one cell of trajectory.csv: (column, value, data row).
+#: Each step's work is a count, a whole number >= 0, and its error estimate
+#: a magnitude
+_CELL_EDITS = {
+    "fractional_solves": ("solves", "1.5", 4),
+    "negative_halvings": ("halvings", "-1.0", 4),
+    "negative_step_error": ("step_error", "-1.0", 50)}
 
 
 class TestSimulateAndAudit:
@@ -339,7 +346,9 @@ class TestSimulateAndAudit:
         "config_out_of_range", "config_grid_too_large", "config_not_a_number",
         "manifest_not_json", "header_names_columns",
         "lambda_all_zero", "lambda_all_negative", "lambda_all_huge", "s_all_zero",
-        "s_all_negative", "x_constant", "s_off_the_clock", "stations_reversed"])
+        "s_all_negative", "x_constant", "s_off_the_clock", "stations_reversed",
+        "steps_off_the_rows", "steps_is_a_bool", "steps_is_a_string", "config_edited",
+        "config_hash_zeroed", "negative_step_error"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -458,14 +467,15 @@ class TestSimulateAndAudit:
             manifest["failure"] = "max_steps exhausted"
         elif damage == "failed_step_on_completed_run":
             manifest["failed_step"] = {"solves": 1, "halvings": 0}
-        elif damage in ("fractional_solves", "negative_halvings"):
-            # each step's work is a count: a whole number >= 0
+        elif damage in _CELL_EDITS:
+            # one cell of trajectory.csv, on the text line after the data row
             traj = rundir / "trajectory.csv"
             rows = traj.read_text().splitlines()
-            column = rows[0].split(",").index(damage.split("_")[1])
-            cells = rows[5].split(",")
-            cells[column] = "1.5" if damage == "fractional_solves" else "-1.0"
-            rows[5] = ",".join(cells)
+            name, value, row = _CELL_EDITS[damage]
+            column = rows[0].split(",").index(name)
+            cells = rows[row + 1].split(",")
+            cells[column] = value
+            rows[row + 1] = ",".join(cells)
             traj.write_text("\n".join(rows) + "\n")
         elif damage in _TRAJECTORY_EDITS:
             # one column of trajectory.csv set to one value on every row, or,
@@ -494,6 +504,13 @@ class TestSimulateAndAudit:
         elif damage == "station_without_pair":
             # the last trajectory row has no next row to pair with
             manifest["snapshots"][-1] = manifest["steps"] - 1
+        elif damage in ("steps_off_the_rows", "steps_is_a_bool", "steps_is_a_string"):
+            manifest["steps"] = {"steps_off_the_rows": 999, "steps_is_a_bool": True,
+                                 "steps_is_a_string": str(manifest["steps"])}[damage]
+        elif damage == "config_edited":
+            manifest["config"]["lambda0"] = 0.07
+        elif damage == "config_hash_zeroed":
+            manifest["config_hash"] = "0" * 64
         text = json.dumps(manifest)
         if damage == "manifest_not_json":
             text = text[:len(text) // 2]
@@ -551,7 +568,18 @@ class TestSimulateAndAudit:
                 "s_all_negative": "column s, row 0: -5.0 is not positive",
                 "x_constant": "column x, row 1: 0.001 does not exceed the row before",
                 "s_off_the_clock": "column s, row 4: ",   # text line 5
-                "stations_reversed": "does not exceed the one before"}.get(damage, "") in out
+                "stations_reversed": "does not exceed the one before",
+                "steps_off_the_rows": "steps 999, but ",
+                "steps_is_a_bool": "steps True, but ",
+                "steps_is_a_string": "steps '",
+                "config_edited": "the config hashes to",
+                "config_hash_zeroed": f"config_hash '{'0' * 64}', but",
+                "negative_step_error":
+                    "column step_error, row 50: -1.0 is neither nan nor a finite"
+                }.get(damage, "") in out
+        if damage.startswith("steps_"):
+            rows = len((rundir / "trajectory.csv").read_text().splitlines()) - 1
+            assert f"trajectory.csv holds {rows} rows" in out
         if damage in ("lambda_all_huge", "s_off_the_clock"):
             assert "is off the clock ds/dx = lambda**-4" in out
         if damage == "decreasing_row":
@@ -904,6 +932,26 @@ class TestSolverFailurePath:
         assert solves == len(calls) == 40
         assert manifest["failed_step"]["solves"] >= 1
 
+    def test_singular_wall_fit_exits_2_with_partial_artifacts(self, quick_cfg,
+                                                              monkeypatch, capsys):
+        # LAPACK reports a rank-deficient wall-shear fit from the 20th fit
+        # on: the window is unusable, and the march stops at that step
+        from scipy.linalg.lapack import dgels as gels
+        calls = []
+
+        def singular_from_20th(*args, **kwargs):
+            calls.append(None)
+            *out, info = gels(*args, **kwargs)
+            return (*out, 1 if len(calls) >= 20 else info)
+
+        monkeypatch.setattr(cli.vm.gridfields, "_dgels", singular_from_20th)
+        assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
+        manifest = _json(quick_cfg.outdir, "manifest.json")
+        assert not manifest["completed"]
+        assert manifest["failure"] == "wall window under-resolved in phi"
+        assert manifest["steps"] == len(_trajectory_columns(quick_cfg.outdir)["x"]) > 1
+        assert "solver stopped early" in capsys.readouterr().out
+
 
 def _assert_line_counts_every_solve(outdir, manifest, line) -> int:
     """The solves on the summary line of a run that stopped early: the
@@ -964,9 +1012,10 @@ def test_benchmark_checks_read_the_cli_artifacts(tmp_path):
 
 def test_cli_import_loads_neither_integrate_nor_optimize():
     # every subcommand pays for what importing the CLI loads: only the march
-    # solves (scipy.linalg), only simulate fits (scipy.optimize), only audit
-    # interpolates (scipy.interpolate), only sweep starts processes, and no
-    # subcommand integrates by quadrature
+    # and the least-squares fits of simulate and audit call LAPACK
+    # (scipy.linalg), only simulate fits the collapse law (scipy.optimize),
+    # only audit interpolates (scipy.interpolate), only sweep starts
+    # processes, and no subcommand integrates by quadrature
     assert _loaded_after("import prandtlsep.cli", (
         "scipy.integrate", "scipy.optimize", "scipy.linalg",
         "scipy.interpolate", "concurrent.futures.process")) == []

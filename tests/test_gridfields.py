@@ -7,7 +7,8 @@ from reference import convergence_order, same_bits, uniform_grid
 
 from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
-from prandtlsep.errors import ExtrapolationError, TooFewNodesError
+from prandtlsep.errors import (ExtrapolationError, SingularInputError,
+                               TooFewNodesError)
 
 
 def _geometric(n: int, x_max: float, contrast: float) -> gf.Grid:
@@ -157,6 +158,44 @@ class TestStencilWeights:
         shared = [other.cached(k, other._diff_matrix, k)[0] is grid.cached(k, None)[0]
                   for k in gf._STENCIL_WIDTH]
         assert shared == [True, True, True] and not builds
+
+
+#: every monomial set that a least-squares fit of the package uses
+FIT_POWERS = [(0, 3), (0, 1), (0, 1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5),
+              (2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7), (7, 8)]
+#: windows shaped like the package's: the wall-unit Y in [0.25, 2] of the
+#: first chained fit, and a physical y window of the march's wall shear
+FIT_WINDOWS = [(0.25, 2.0, 129), (2e-3, 8e-3, 12)]
+
+
+class TestLstsqPowers:
+    @pytest.mark.parametrize("powers", FIT_POWERS)
+    @pytest.mark.parametrize("lo, hi, n", FIT_WINDOWS)
+    def test_agrees_with_the_scaled_svd_solve(self, powers, lo, hi, n):
+        # coefficients of order 1 in y/hi, so each monomial carries signal,
+        # and a cosine the model cannot fit, so the residual is not 0
+        y = np.linspace(lo, hi, n)
+        coeffs = np.linspace(0.5, 1.5, len(powers))
+        v = sum(c * (y / hi) ** p for c, p in zip(coeffs, powers)) \
+            + 1e-3 * np.cos(3.0 * y / hi)
+        expected = reference.lstsq_powers_svd(y, v, powers)
+        got = gf.lstsq_powers(y, v, powers)
+        assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-10
+
+    @pytest.mark.parametrize("powers", FIT_POWERS)
+    @pytest.mark.parametrize("lo, hi, n", FIT_WINDOWS)
+    def test_unusable_window_raises(self, powers, lo, hi, n):
+        # fewer distinct nodes than monomials, each node repeated, or fewer
+        # nodes than monomials; then a nan sample on a good window
+        y = np.linspace(lo, hi, n)
+        distinct = np.linspace(lo, hi, len(powers) - 1)
+        for nodes in (np.repeat(distinct, 3), distinct):
+            with pytest.raises(SingularInputError):
+                gf.lstsq_powers(nodes, np.cos(nodes), powers)
+        v = np.cos(y)
+        v[n // 2] = np.nan
+        with pytest.raises(SingularInputError):
+            gf.lstsq_powers(y, v, powers)
 
 
 class TestCumint:

@@ -109,11 +109,15 @@ def test_grid_cache_is_reached_only_through_grid_cached():
 
 
 def test_least_squares_is_solved_only_in_gridfields():
-    # every fit goes through gridfields.lstsq_powers
-    users = [os.path.basename(path)
-             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
-             if re.search(r"\b(lstsq|polyfit)\b", Path(path).read_text())]
+    # every fit goes through gridfields.lstsq_powers, one call of a LAPACK
+    # least-squares driver (gels); no module solves one through numpy
+    texts = {os.path.basename(path): Path(path).read_text()
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    users = [name for name, text in texts.items()
+             if re.search(r"\b([sdcz]?gels[dsy]?|lstsq|polyfit)\b", text)]
     assert users == ["gridfields.py"]
+    assert [name for name, text in texts.items()
+            if re.search(r"\b(np|numpy)\.linalg\b", text)] == []
 
 
 def test_every_function_is_reachable_from_the_cli():

@@ -529,10 +529,7 @@ class TestMarch:
         y = u.grid.nodes
         hi = 0.6 * snap.state.lam
         idx = np.nonzero((y > 0) & (y <= hi))[0]
-        cols = np.stack([y[idx] ** p for p in (1, 2, 3, 4)], axis=1)
-        norms = np.linalg.norm(cols, axis=0)
-        sol, *_ = np.linalg.lstsq(cols / norms, u.values[idx], rcond=None)
-        lam_fit = sol[0] / norms[0]
+        lam_fit = reference.lstsq_powers_svd(y[idx], u.values[idx], (1, 2, 3, 4))[0]
         assert abs(snap.state.lam - lam_fit) / lam_fit < 0.02
 
 
