@@ -221,7 +221,8 @@ _TRAJECTORY_EDITS = {
 _CELL_EDITS = {
     "fractional_solves": ("solves", "1.5", 4),
     "negative_halvings": ("halvings", "-1.0", 4),
-    "negative_step_error": ("step_error", "-1.0", 50)}
+    "negative_step_error": ("step_error", "-1.0", 50),
+    "nan_in_x": ("x", "nan", 10), "inf_in_solves": ("solves", "inf", 4)}
 
 
 class TestSimulateAndAudit:
@@ -331,7 +332,7 @@ class TestSimulateAndAudit:
 
     @pytest.mark.parametrize("damage", [
         "missing_snapshot", "missing_pair", "unreadable_snapshot",
-        "non_numeric_csv", "ragged_csv", "missing_column",
+        "text_array", "ragged_csv", "missing_row", "renamed_column",
         "unknown_config_key", "missing_config_key", "schema_version",
         "old_schema", "schema_2", "schema_3", "schema_5", "schema_6", "schema_7",
         "schema_9", "text_file", "npz_archive", "cut_npz_archive",
@@ -348,7 +349,7 @@ class TestSimulateAndAudit:
         "lambda_all_zero", "lambda_all_negative", "lambda_all_huge", "s_all_zero",
         "s_all_negative", "x_constant", "s_off_the_clock", "stations_reversed",
         "steps_off_the_rows", "steps_is_a_bool", "steps_is_a_string", "config_edited",
-        "config_hash_zeroed", "negative_step_error"])
+        "config_hash_zeroed", "negative_step_error", "nan_in_x", "inf_in_solves"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -359,8 +360,8 @@ class TestSimulateAndAudit:
         table = np.load(snap, allow_pickle=False)
         shape = table.shape
         edited = {"missing_pair": np.delete(table, 8, axis=0),
-                  "missing_column": table[1:],
-                  "non_numeric_csv": table.astype(str),
+                  "missing_row": table[1:],
+                  "text_array": table.astype(str),
                   "int64_array": table.astype(np.int64),
                   "one_d_array": table.ravel(),
                   "truncated_snapshot": table[:, :39],   # too few for a grid
@@ -409,8 +410,9 @@ class TestSimulateAndAudit:
         elif damage == "ragged_csv":
             (rundir / "trajectory.csv").write_text(
                 (rundir / "trajectory.csv").read_text() + "1.0,2.0\n")
-        elif damage == "missing_column":
-            snap.write_text(snap.read_text().replace("phi,", "psi,", 1))
+        elif damage == "renamed_column":
+            traj = rundir / "trajectory.csv"
+            traj.write_text(traj.read_text().replace("F_max", "Fmax", 1))
         elif damage == "header_names_columns":
             # one name more than the rows have columns
             traj = rundir / "trajectory.csv"
@@ -522,6 +524,13 @@ class TestSimulateAndAudit:
         # these reach their own check, not an earlier one
         assert {"manifest_not_json": "cannot read",
                 "header_names_columns": "names in the header",
+                "ragged_csv": "the number of columns changed from 8 to 2",
+                "renamed_column": "trajectory.csv: missing column 'F_max'",
+                "unknown_config_key": "unknown config keys ['no_such_key']",
+                "missing_config_key": "config: missing key 'n_rescaled'",
+                "empty_snapshots": "no snapshots listed",
+                "nan_in_x": "trajectory.csv: non-finite value in column x",
+                "inf_in_solves": "trajectory.csv: non-finite value in column solves",
                 "schema_5": "schema_version 5",
                 "schema_6": "schema_version 6",
                 "schema_7": "schema_version 7",
@@ -537,8 +546,8 @@ class TestSimulateAndAudit:
                 "npz_archive": "does not start with the .npy magic",
                 "missing_pair": f"a float64 array of shape ({shape[0] - 1}, {shape[1]}), "
                                 f"expected float64 of shape {shape}",
-                "missing_column": f"shape ({shape[0] - 1}, {shape[1]}), expected",
-                "non_numeric_csv": "expected float64",
+                "missing_row": f"shape ({shape[0] - 1}, {shape[1]}), expected",
+                "text_array": "expected float64",
                 "int64_array": f"a int64 array of shape {shape}, expected",
                 "one_d_array": f"shape ({shape[0] * shape[1]},), expected",
                 "truncated_snapshot": f"shape ({shape[0]}, 39), expected",
