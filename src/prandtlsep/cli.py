@@ -35,7 +35,7 @@ from .errors import (ConfigError, MissingArtifactError, PrandtlSepError,
                      TooFewNodesError)
 from .gridfields import Field, Grid
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -256,12 +256,41 @@ def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: columns of trajectory.csv, one row per march station: the fields of
-#: ``vonmises.Trajectory``, ``s`` the march's own slow-time clock
-_TRAJECTORY_COLUMNS = ["x", "lambda", "s", "F_max", "solves", "halvings",
-                       "short", "step_error"]
-#: the columns that count work, whole numbers >= 0
-_COUNT_COLUMNS = ("solves", "halvings", "short")
+#: the value contracts of a column: the rows that break one, and the problem
+#: that an error line names
+_CONTRACTS = {
+    "finite": (lambda v: ~np.isfinite(v), "is not finite"),
+    "positive": (lambda v: v <= 0.0, "is not positive"),
+    "rising": (lambda v: np.diff(v, prepend=-np.inf) <= 0.0,
+               "does not exceed the row before"),
+    "count": (lambda v: (v < 0.0) | (v != np.floor(v)), "is not a count"),
+    "magnitude": (lambda v: ~(np.isnan(v) | (v >= 0.0) & (v < np.inf)),
+                  "is neither nan nor a finite value >= 0"),
+}
+
+#: trajectory.csv, one row per march station: each column's field of
+#: ``vonmises.Trajectory`` and its value contracts, checked in order.
+#: ``step_error`` is nan on the rows no quadratic start reached, F_max where
+#: a station has no trusted node
+_TRAJECTORY_CSV = {
+    "x": ("x", ("finite", "rising")),
+    "lambda": ("lam", ("finite", "positive")),
+    "s": ("s", ("finite", "positive", "rising")),
+    "F_max": ("F_max", ()),
+    "solves": ("solves", ("finite", "count")),
+    "halvings": ("halvings", ("finite", "count")),
+    "short": ("short", ("finite", "count")),
+    "step_error": ("step_error", ("magnitude",)),
+}
+
+#: manifest.json: each key and the JSON types its value may take
+_MANIFEST_JSON = {
+    "schema_version": (int,), "package_version": (str,), "config": (dict,),
+    "config_hash": (str,), "snapshots": (list,), "steps": (int,),
+    "completed": (bool,), "failure": (str,), "failed_step": (dict, type(None)),
+}
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", bool: "a boolean", type(None): "null"}
 
 #: columns of energies.csv, one row per frame with a report
 _ENERGY_COLUMNS = [f.name for f in fields(EnergyReport)]
@@ -281,17 +310,10 @@ def run_simulate(cfg: RunConfig) -> int:
         cfg.lambda0, grid=pr.default_physical_grid(cfg.n_physical),
         perturbation_amplitude=cfg.perturbation_amplitude,
         x0_pressure=cfg.x0_pressure)
-    _atomic_write(
-        os.path.join(cfg.outdir, "initial_data.csv"),
-        _csv_lines(["y", "u0", "u0_prime", "u0_second"],
-                   [data.grid.nodes, data.u0.values,
-                    data.u0_prime.values, data.u0_second.values]))
     traj = vm.solve_until_separation(data, cfg.march_config())
-    _atomic_write(
-        os.path.join(cfg.outdir, "trajectory.csv"),
-        _csv_lines(_TRAJECTORY_COLUMNS, [traj.x, traj.lam, traj.s, traj.F_max,
-                                         traj.solves, traj.halvings,
-                                         traj.short, traj.step_error]))
+    _atomic_write(os.path.join(cfg.outdir, "trajectory.csv"), _csv_lines(
+        list(_TRAJECTORY_CSV),
+        [getattr(traj, field) for field, _ in _TRAJECTORY_CSV.values()]))
     # one table: the shared phi grid, then w of each snapshot and its pair
     rows = [traj.psi_grid.nodes]
     for snap in traj.snapshots:
@@ -369,19 +391,33 @@ def run_simulate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
-    """The named columns of a CSV artifact written by ``_csv_lines``.
+def _reject(path: str, values: np.ndarray, bad: np.ndarray, place: Callable,
+            problem: str) -> None:
+    """Raise MissingArtifactError at the first ``bad`` entry of ``values``, if
+    any, where ``place`` names it from its index."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise MissingArtifactError(
+            f"{path}: {place(*index)}: {float(values[index])!r} {problem}")
 
-    A missing, unreadable or malformed file, or a non-finite value in one
-    of the ``finite`` columns, raises MissingArtifactError.
+
+def _read_columns(path: str, columns: dict) -> dict:
+    """The columns of a CSV artifact written by ``_csv_lines``, by name,
+    each checked against its contracts in ``columns``.
+
+    A missing, unreadable, malformed or empty file, or a value that breaks
+    a contract, raises MissingArtifactError.
     """
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            lines = [line for line in fh if line.strip()]
+        if not lines:
+            raise MissingArtifactError(f"{path} holds no rows")
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError) as exc:
         raise MissingArtifactError(f"cannot read {path}: {exc}") from exc
-    absent = [name for name in names if name not in header]
+    absent = [name for name in columns if name not in header]
     if absent:
         raise MissingArtifactError(f"{path}: missing column {absent[0]!r}")
     if table.shape[1] != len(header):
@@ -390,56 +426,51 @@ def _read_columns(path: str, names: List[str], finite: tuple) -> dict:
             f"{table.shape[1]} columns")
     # frozen: the columns are read-only views that states keep as they are
     table.flags.writeable = False
-    columns = {name: table[:, header.index(name)] for name in names}
-    for name in finite:
-        if not np.all(np.isfinite(columns[name])):
-            raise MissingArtifactError(f"{path}: non-finite value in column {name}")
-    return columns
-
-
-_MANIFEST_KEYS = ("config", "config_hash", "snapshots", "steps", "completed",
-                  "failure", "failed_step")
-
-
-def _require_keys(entry, keys, where: str) -> None:
-    missing = [key for key in keys if key not in entry] \
-        if isinstance(entry, dict) else list(keys)
-    if missing:
-        raise MissingArtifactError(f"{where}: missing key {missing[0]!r}")
+    values = {name: table[:, header.index(name)] for name in columns}
+    for name, (_, contracts) in columns.items():
+        for contract in contracts:
+            flags, problem = _CONTRACTS[contract]
+            _reject(path, values[name], flags(values[name]),
+                    lambda row: f"column {name}, row {row}", problem)
+    return values
 
 
 def load_trajectory(outdir: str) -> tuple:
     """Rebuild the trajectory and snapshot states from run artifacts."""
     man_path = os.path.join(outdir, "manifest.json")
     traj_path = os.path.join(outdir, "trajectory.csv")
-    if not (os.path.exists(man_path) and os.path.exists(traj_path)):
-        raise MissingArtifactError(f"run artifacts not found under {outdir}")
     try:
         with open(man_path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise MissingArtifactError(f"cannot read {man_path}: {exc}") from exc
+    if type(manifest) is not dict:
+        raise MissingArtifactError(f"{man_path}: not a JSON object")
     # an older schema is named as such, not by a key it lacks
-    _require_keys(manifest, ("schema_version",), man_path)
-    if manifest["schema_version"] != SCHEMA_VERSION:
+    version = manifest.get("schema_version")
+    if version != SCHEMA_VERSION:
         raise MissingArtifactError(
-            f"{man_path}: schema_version {manifest['schema_version']!r}, "
-            f"expected {SCHEMA_VERSION}")
-    _require_keys(manifest, _MANIFEST_KEYS, man_path)
-    _require_keys(manifest["config"], sorted(_CONFIG_KEYS), f"{man_path} config")
-    # known config keys, snapshot rows in a list, and a run summary that
-    # names a failure and a failed step exactly when the run stopped early
-    config, config_hash, stations, steps, completed, failure, step = (
-        manifest[key] for key in _MANIFEST_KEYS)
+            f"{man_path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+    for key, types in _MANIFEST_JSON.items():
+        if key not in manifest:
+            raise MissingArtifactError(f"{man_path}: missing key {key!r}")
+        if type(manifest[key]) not in types:
+            raise MissingArtifactError(
+                f"{man_path}: {key} {manifest[key]!r} is not "
+                f"{' or '.join(_JSON_NAMES[kind] for kind in types)}")
+    # known config keys, snapshot rows listed, and a run summary that names
+    # a failure and a failed step exactly when the run stopped early
+    config, stations, completed, failure, step = (
+        manifest[key] for key in ("config", "snapshots", "completed", "failure",
+                                  "failed_step"))
+    missing = sorted(_CONFIG_KEYS - set(config))
     unknown = sorted(set(config) - _CONFIG_KEYS)
-    whole = isinstance(step, dict) and sorted(step) == ["halvings", "solves"] \
+    whole = step is not None and sorted(step) == ["halvings", "solves"] \
         and all(type(n) is int and n >= 0 for n in step.values())
     for ok, problem in (
+            (not missing, f"missing config keys {missing}"),
             (not unknown, f"unknown config keys {unknown}"),
-            (isinstance(stations, list), "snapshots is not a list"),
             (stations != [], "no snapshots listed"),
-            (type(completed) is bool, f"completed {completed!r} is not a bool"),
-            (type(failure) is str, f"failure {failure!r} is not a string"),
             (completed == (failure == ""),
              f"completed is {completed} but failure is {failure!r}"),
             (step is None if completed else whole, f"failed_step {step!r}: "
@@ -452,40 +483,22 @@ def load_trajectory(outdir: str) -> tuple:
         cfg.validate()
     except ConfigError as exc:
         raise MissingArtifactError(f"{man_path}: {exc}") from exc
-    if config_hash != cfg.config_hash():
-        raise MissingArtifactError(f"{man_path}: config_hash {config_hash!r}, but "
-                                   f"the config hashes to {cfg.config_hash()!r}")
-    # F_max is nan where a station has no trusted node
-    raw = _read_columns(traj_path, _TRAJECTORY_COLUMNS,
-                        finite=("x", "lambda", "s") + _COUNT_COLUMNS)
-    for name in _COUNT_COLUMNS:
-        if np.any((raw[name] < 0.0) | (raw[name] != np.floor(raw[name]))):
-            raise MissingArtifactError(
-                f"{traj_path}: column {name} holds a value that is not a count")
-    # the march's stations: s and lambda positive, x and s strictly increasing,
-    # and each step's ds the march's clock from x and lambda
-    x, s, lam, error = raw["x"], raw["s"], raw["lambda"], raw["step_error"]
+    if manifest["config_hash"] != cfg.config_hash():
+        raise MissingArtifactError(
+            f"{man_path}: config_hash {manifest['config_hash']!r}, but the "
+            f"config hashes to {cfg.config_hash()!r}")
+    raw = _read_columns(traj_path, _TRAJECTORY_CSV)
+    # each step's ds the march's clock from x and lambda
+    x, s, lam = raw["x"], raw["s"], raw["lambda"]
     with np.errstate(all="ignore"):
         clock = np.diff(s) / vm.slow_time_increment(np.diff(x), lam[:-1], lam[1:])
-    rising = "does not exceed the row before"
-    for name, bad, problem in (
-            ("s", s <= 0.0, "is not positive"),
-            ("lambda", lam <= 0.0, "is not positive"),
-            ("x", np.diff(x, prepend=-np.inf) <= 0.0, rising),
-            ("s", np.diff(s, prepend=-np.inf) <= 0.0, rising),
-            ("s", np.concatenate([[False], ~(np.abs(clock - 1.0) <= 1e-9)]),
-             "is off the clock ds/dx = lambda**-4 from the row before"),
-            # a magnitude, nan on the rows no quadratic start reached
-            ("step_error", ~(np.isnan(error) | (error >= 0.0) & (error < np.inf)),
-             "is neither nan nor a finite value >= 0")):
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise MissingArtifactError(f"{traj_path}: column {name}, row {row}: "
-                                       f"{float(raw[name][row])!r} {problem}")
-    rows = len(raw["x"])
-    if type(steps) is not int or steps != rows:
-        raise MissingArtifactError(f"{man_path}: steps {steps!r}, but "
-                                   f"{traj_path} holds {rows} rows")
+    _reject(traj_path, s, np.concatenate([[False], ~(np.abs(clock - 1.0) <= 1e-9)]),
+            lambda row: f"column s, row {row}",
+            "is off the clock ds/dx = lambda**-4 from the row before")
+    rows = len(x)
+    if manifest["steps"] != rows:
+        raise MissingArtifactError(f"{man_path}: steps {manifest['steps']!r}, "
+                                   f"but {traj_path} holds {rows} rows")
     for station in stations:
         problem = ("is not an integer" if type(station) is not int
                    else "is negative" if station < 0
@@ -500,19 +513,15 @@ def load_trajectory(outdir: str) -> tuple:
                                        f"does not exceed the one before, {before}")
     table_path = os.path.join(outdir, "snapshots.npy")
     # np.load reads a file by what it starts with, and a cut zip archive
-    # leaves its handle open there: only a file with the .npy magic gets in
+    # leaves its handle open there: only a file with the .npy magic gets in.
+    # It is mapped, not read: mapping fails on a file shorter than its
+    # header declares before any memory is allocated for the values
     npy_magic = np.lib.format.MAGIC_PREFIX
     try:
         with open(table_path, "rb") as fh:
-            magic = fh.read(len(npy_magic))
-    except OSError as exc:
-        raise MissingArtifactError(f"cannot read {table_path}: {exc}") from exc
-    if magic != npy_magic:
-        raise MissingArtifactError(f"cannot read {table_path}: it does not "
-                                   f"start with the .npy magic {npy_magic!r}")
-    # mapped, not read: mapping fails on a file shorter than its header
-    # declares before any memory is allocated for the values
-    try:
+            if fh.read(len(npy_magic)) != npy_magic:
+                raise ValueError("it does not start with the .npy magic "
+                                 f"{npy_magic!r}")
         mapped = np.load(table_path, mmap_mode="r", allow_pickle=False)
     except (OSError, ValueError, EOFError) as exc:
         raise MissingArtifactError(f"cannot read {table_path}: {exc}") from exc
@@ -526,18 +535,8 @@ def load_trajectory(outdir: str) -> tuple:
     # keep as they are
     table = np.array(mapped)
     table.flags.writeable = False
-
-    def reject(bad: np.ndarray, problem: str, first_row: int = 0,
-               first_node: int = 0) -> None:
-        row, node = divmod(int(np.argmax(bad)), bad.shape[1])
-        row, node = row + first_row, node + first_node
-        raise MissingArtifactError(
-            f"{table_path}: row {_row_name(row)}, node {node}: "
-            f"{float(table[row, node])!r} {problem}")
-
-    finite = np.isfinite(table)
-    if not finite.all():
-        reject(~finite, "is not finite")
+    _reject(table_path, table, ~np.isfinite(table),
+            lambda row, node: f"row {_row_name(row)}, node {node}", "is not finite")
     try:
         grid = Grid(table[0])
     except (ValueError, TooFewNodesError) as exc:
@@ -554,13 +553,13 @@ def load_trajectory(outdir: str) -> tuple:
             (steep, 1, "over phi is not finite"),
             (falls, 1, "falls below the node before by more than the march "
                        "accepts")):
-        if bad.any():
-            reject(bad, problem, 1, first_node)
+        _reject(table_path, w[:, first_node:], bad, lambda row, node: (
+            f"row {_row_name(row + 1)}, node {node + first_node}"), problem)
 
     def state(row: int, station: int) -> vm.VMState:
-        return vm.VMState(x=float(raw["x"][station]), s=float(raw["s"][station]),
+        return vm.VMState(x=float(x[station]), s=float(s[station]),
                           psi_grid=grid, W=Field(grid, table[row]),
-                          lam=float(raw["lambda"][station]))
+                          lam=float(lam[station]))
 
     # the k-th listed station's w is row 2k + 1, its pair's row 2k + 2
     snapshots = [vm.Snapshot(index=index, station=station,
@@ -568,10 +567,8 @@ def load_trajectory(outdir: str) -> tuple:
                              pair_state=state(2 * index + 2, station + 1))
                  for index, station in enumerate(stations)]
     traj = vm.Trajectory(
-        x=raw["x"], lam=raw["lambda"], s=raw["s"], F_max=raw["F_max"],
-        solves=raw["solves"], halvings=raw["halvings"], short=raw["short"],
-        step_error=raw["step_error"], snapshots=snapshots, psi_grid=grid,
-        failure=manifest["failure"], failed_step=manifest["failed_step"])
+        **{field: raw[name] for name, (field, _) in _TRAJECTORY_CSV.items()},
+        snapshots=snapshots, psi_grid=grid, failure=failure, failed_step=step)
     return cfg, traj
 
 

@@ -6,10 +6,13 @@ import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prandtlsep
 from prandtlsep import cli
@@ -80,18 +83,27 @@ class TestConfig:
                 if line.split("#", 1)[0].strip()]
         assert sorted(keys) == sorted(f.name for f in cli.fields(cli.RunConfig))
 
-    def test_readme_artifact_table_names_every_column_and_key(self, finished_run):
-        # README's artifact table names the columns of trajectory.csv in
-        # order, and in its manifest.json row every key that simulate
-        # writes and no other
+    def test_readme_artifact_table_names_every_column_and_key(self, finished_run,
+                                                              tmp_path):
+        # README's artifact table has a row for each file that simulate,
+        # audit and verify-algebra write and no other; its trajectory.csv row
+        # names the columns of cli's trajectory table in order, and its
+        # manifest.json row the keys of cli's manifest table, which are the
+        # keys that simulate writes
         readme = Path(os.path.dirname(__file__), os.pardir, "README.md").read_text()
-        rows = {line.split(" | ", 1)[0].strip("| `"): line.split(" | ", 1)[1]
-                for line in readme.splitlines() if line.startswith("| `")}
+        table = readme.split("### Artifacts\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = dict(line.strip("| `").split("` | ", 1)
+                    for line in table.splitlines()[2:])
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+            assert cli.main(["verify-algebra", "--outdir", str(rundir)]) == cli.EXIT_OK
+        assert sorted(rows) == sorted(os.listdir(rundir))
         columns = rows["trajectory.csv"].split("`")[1]
-        assert columns.split(", ") == cli._TRAJECTORY_COLUMNS
+        assert columns.split(", ") == list(cli._TRAJECTORY_CSV)
         keys = set(rows["manifest.json"].split("`")[1::2])
-        manifest = _json(finished_run, "manifest.json")
-        assert keys == set(manifest)
+        assert keys == set(cli._MANIFEST_JSON) == set(_json(rundir, "manifest.json"))
 
     def test_readme_api_tour_runs(self, capsys):
         # the python block of README.md runs as printed: one default march,
@@ -225,17 +237,29 @@ _CELL_EDITS = {
     "nan_in_x": ("x", "nan", 10), "inf_in_solves": ("solves", "inf", 4)}
 
 
+#: hostile values for a cell of trajectory.csv or the value of a manifest key;
+#: the last five are of other JSON types than a number
+_HOSTILE = (0, -1, 1e300, float("nan"), float("inf"), "text", [], {}, None, True)
+
+
+@pytest.fixture(scope="module")
+def hostile_rundir(finished_run, tmp_path_factory):
+    """A copy of the finished run whose two text artifacts each example of
+    the property test rewrites."""
+    rundir = tmp_path_factory.mktemp("hostile") / "run"
+    shutil.copytree(finished_run, rundir)
+    return rundir
+
+
 class TestSimulateAndAudit:
     def test_end_to_end_short_run(self, quick_cfg, capsys):
         code = cli.run_simulate(quick_cfg)
         assert code == cli.EXIT_OK
         simulate_line = capsys.readouterr().out
         outdir = quick_cfg.outdir
-        for name in ("trajectory.csv", "manifest.json", "fit_report.json",
-                     "initial_data.csv", "snapshots.npy"):
-            assert os.path.exists(os.path.join(outdir, name))
-        # one snapshot table, not a file per snapshot
-        assert not [f for f in os.listdir(outdir) if f.startswith("snapshot_")]
+        # one snapshot table, not a file per snapshot, and no inflow profile
+        assert sorted(os.listdir(outdir)) == ["fit_report.json", "manifest.json",
+                                              "snapshots.npy", "trajectory.csv"]
         manifest = _json(outdir, "manifest.json")
         assert manifest["completed"]
         # one C-ordered float64 table: phi, then w of the k-th listed station
@@ -349,7 +373,9 @@ class TestSimulateAndAudit:
         "lambda_all_zero", "lambda_all_negative", "lambda_all_huge", "s_all_zero",
         "s_all_negative", "x_constant", "s_off_the_clock", "stations_reversed",
         "steps_off_the_rows", "steps_is_a_bool", "steps_is_a_string", "config_edited",
-        "config_hash_zeroed", "negative_step_error", "nan_in_x", "inf_in_solves"])
+        "config_hash_zeroed", "negative_step_error", "nan_in_x", "inf_in_solves",
+        "header_only_csv", "empty_csv", "commented_rows", "manifest_not_an_object",
+        "config_not_an_object", "schema_10"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -413,6 +439,12 @@ class TestSimulateAndAudit:
         elif damage == "renamed_column":
             traj = rundir / "trajectory.csv"
             traj.write_text(traj.read_text().replace("F_max", "Fmax", 1))
+        elif damage in ("header_only_csv", "empty_csv", "commented_rows"):
+            traj = rundir / "trajectory.csv"
+            header, *rows = traj.read_text().splitlines(True)
+            traj.write_text({"header_only_csv": header, "empty_csv": "",
+                             "commented_rows": header + "#".join([""] + rows)
+                             }[damage])
         elif damage == "header_names_columns":
             # one name more than the rows have columns
             traj = rundir / "trajectory.csv"
@@ -421,6 +453,8 @@ class TestSimulateAndAudit:
             manifest["config"]["no_such_key"] = 1
         elif damage == "missing_config_key":
             del manifest["config"]["n_rescaled"]
+        elif damage == "config_not_an_object":
+            manifest["config"] = list(manifest["config"])
         elif damage == "config_out_of_range":
             manifest["config"]["n_rescaled"] = 20
         elif damage == "config_grid_too_large":
@@ -456,6 +490,10 @@ class TestSimulateAndAudit:
             # failed step
             manifest["schema_version"] = 7
             del manifest["failed_step"]
+        elif damage == "schema_10":
+            # version 10 also wrote the inflow profile to initial_data.csv
+            manifest["schema_version"] = 10
+            (rundir / "initial_data.csv").write_text("y,u0,u0_prime,u0_second\n")
         elif damage == "schema_9":
             # version 9 kept the snapshot states as text in snapshots.csv
             manifest["schema_version"] = 9
@@ -513,24 +551,36 @@ class TestSimulateAndAudit:
             manifest["config"]["lambda0"] = 0.07
         elif damage == "config_hash_zeroed":
             manifest["config_hash"] = "0" * 64
-        text = json.dumps(manifest)
+        text = json.dumps([manifest] if damage == "manifest_not_an_object"
+                          else manifest)
         if damage == "manifest_not_json":
             text = text[:len(text) // 2]
         manifest_path.write_text(text)
-        code = cli.main(["audit", str(rundir)])
+        # one line, and no warning on the way to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["audit", str(rundir)])
         assert code == cli.EXIT_MISSING
-        out = capsys.readouterr().out
-        assert "audit:" in out and len(out.strip().splitlines()) == 1
+        out, err = capsys.readouterr()
+        assert "audit:" in out and len(out.strip().splitlines()) == 1 and not err
         # these reach their own check, not an earlier one
         assert {"manifest_not_json": "cannot read",
                 "header_names_columns": "names in the header",
                 "ragged_csv": "the number of columns changed from 8 to 2",
                 "renamed_column": "trajectory.csv: missing column 'F_max'",
                 "unknown_config_key": "unknown config keys ['no_such_key']",
-                "missing_config_key": "config: missing key 'n_rescaled'",
+                "missing_config_key": "missing config keys ['n_rescaled']",
                 "empty_snapshots": "no snapshots listed",
-                "nan_in_x": "trajectory.csv: non-finite value in column x",
-                "inf_in_solves": "trajectory.csv: non-finite value in column solves",
+                "nan_in_x": "trajectory.csv: column x, row 10: nan is not finite",
+                "inf_in_solves":
+                    "trajectory.csv: column solves, row 4: inf is not finite",
+                "header_only_csv": "trajectory.csv holds no rows",
+                "empty_csv": "trajectory.csv holds no rows",
+                # a '#' is text, not the start of a comment
+                "commented_rows": "could not convert string '#0.0' to float",
+                "manifest_not_an_object": "manifest.json: not a JSON object",
+                "config_not_an_object": "manifest.json: config ['",
+                "schema_10": f"schema_version 10, expected {cli.SCHEMA_VERSION}",
                 "schema_5": "schema_version 5",
                 "schema_6": "schema_version 6",
                 "schema_7": "schema_version 7",
@@ -557,14 +607,14 @@ class TestSimulateAndAudit:
                 "huge_row": "row w_003, node 1: 1e+300 over phi is not finite",
                 "wall_nonzero": "row w_003, node 0: 0.001 is not 0 at the wall",
                 "decreasing_row": "row w_003, node 500: ",
-                "completed_not_a_bool": "completed 'yes' is not a bool",
+                "completed_not_a_bool": "completed 'yes' is not a boolean",
                 "failure_not_a_string": "failure 5 is not a string",
                 "completed_with_failure":
                     "completed is True but failure is 'max_steps exhausted'",
                 "failed_step_on_completed_run": "failed_step {'solves': 1",
-                "fractional_solves": "column solves holds a value that is not a count",
-                "negative_halvings": "column halvings holds a value that is not a count",
-                "snapshots_not_a_list": "snapshots is not a list",
+                "fractional_solves": "column solves, row 4: 1.5 is not a count",
+                "negative_halvings": "column halvings, row 4: -1.0 is not a count",
+                "snapshots_not_a_list": "snapshots 5 is not an array",
                 "station_not_an_int": "station 'a' is not an integer",
                 "station_is_a_bool": "station True is not an integer",
                 "negative_station": "station -1 is negative",
@@ -579,20 +629,58 @@ class TestSimulateAndAudit:
                 "s_off_the_clock": "column s, row 4: ",   # text line 5
                 "stations_reversed": "does not exceed the one before",
                 "steps_off_the_rows": "steps 999, but ",
-                "steps_is_a_bool": "steps True, but ",
-                "steps_is_a_string": "steps '",
+                "steps_is_a_bool": "steps True is not an integer",
+                "steps_is_a_string": f"steps '{manifest['steps']}' is not an integer",
                 "config_edited": "the config hashes to",
                 "config_hash_zeroed": f"config_hash '{'0' * 64}', but",
                 "negative_step_error":
                     "column step_error, row 50: -1.0 is neither nan nor a finite"
                 }.get(damage, "") in out
-        if damage.startswith("steps_"):
+        if damage == "steps_off_the_rows":
             rows = len((rundir / "trajectory.csv").read_text().splitlines()) - 1
             assert f"trajectory.csv holds {rows} rows" in out
+        if damage == "config_not_an_object":
+            assert "is not an object" in out
         if damage in ("lambda_all_huge", "s_off_the_clock"):
             assert "is off the clock ds/dx = lambda**-4" in out
         if damage == "decreasing_row":
             assert "falls below the node before by more than the march" in out
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_hostile_edit_exits_with_one_line(self, finished_run, hostile_rundir,
+                                              data):
+        # one cell of a trajectory.csv column, or the value of one manifest
+        # key, set to a hostile value or, in the trajectory, swapped with the
+        # next row's: audit exits with a known code after one line, and
+        # raises no exception and no warning
+        rows = Path(finished_run, "trajectory.csv").read_text().splitlines()
+        manifest = _json(finished_run, "manifest.json")
+        if data.draw(st.booleans()):
+            column = rows[0].split(",").index(
+                data.draw(st.sampled_from(list(cli._TRAJECTORY_CSV))))
+            row = data.draw(st.integers(1, len(rows) - 2))
+            value = data.draw(st.sampled_from(_HOSTILE[:6] + ("swap",)))
+            cells = [line.split(",") for line in rows]
+            if value == "swap":
+                cells[row][column], cells[row + 1][column] = (
+                    cells[row + 1][column], cells[row][column])
+            else:
+                cells[row][column] = str(value)
+            rows = [",".join(line) for line in cells]
+        else:
+            manifest[data.draw(st.sampled_from(list(cli._MANIFEST_JSON)))] = \
+                data.draw(st.sampled_from(_HOSTILE))
+        (hostile_rundir / "trajectory.csv").write_text("\n".join(rows) + "\n")
+        (hostile_rundir / "manifest.json").write_text(json.dumps(manifest))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["audit", str(hostile_rundir)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_SOLVER,
+                        cli.EXIT_MISSING)
+        assert len(out.getvalue().strip().splitlines()) == 1
 
     def test_loading_the_table_runs_no_code(self, finished_run, tmp_path, capsys):
         # a pickle in place of snapshots.npy is refused unread: unpickling
