@@ -451,6 +451,9 @@ def load_trajectory(outdir: str) -> tuple:
     if version != SCHEMA_VERSION:
         raise MissingArtifactError(
             f"{man_path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
+    extra = sorted(set(manifest) - set(_MANIFEST_JSON))
+    if extra:
+        raise MissingArtifactError(f"{man_path}: unknown keys {extra}")
     for key, types in _MANIFEST_JSON.items():
         if key not in manifest:
             raise MissingArtifactError(f"{man_path}: missing key {key!r}")

@@ -22,9 +22,13 @@ and the error estimate of the step that reached it, and a run that stops
 early keeps its failed step's work.
 Each accepted step must preserve monotonicity in phi, else it is retried
 with half the step.  Every tridiagonal system goes straight to LAPACK
-``gtsv`` (``solve_banded``), on a band that the Picard sweeps of a step
-refill in place; every stencil weight comes from ``gridfields.fd_weights``,
-built once per grid by ``Grid.cached``.
+``gtsv`` (``solve_banded``).  The band, the right-hand side, the Picard
+start and each sweep's temporaries are work arrays that a march allocates
+once (``_march_buffers``) and every step refills in place; each solve
+returns a new array, so no kept station is one of them.  An accepted
+state's trajectory row takes one pass: one sqrt(w) serves F and its
+roundoff floor (``_balance``).  Every stencil weight comes from
+``gridfields.fd_weights``, built once per grid by ``Grid.cached``.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -33,13 +37,14 @@ identity  w_phi = 2 lam + 2 y(phi) + 2 int_0^y (u_yy - 1), whose last term
 is O(y**3) by the curvature bounds, and evaluate
 lam ~ w_phi(phi_j)/2 - y(phi_j)  on a window y_j ~ lam**(1/3) where the
 correction is negligible.  Only y on the node prefix that covers the window
-is integrated: at the wall y = 2 phi/sqrt(w), which sizes the prefix, and a
+is integrated: at the wall y = 2 phi/sqrt(w), which sizes the prefix,
+compared squared so that no sqrt(w) is taken on the whole grid, and a
 prefix that falls short of the window is replaced by the whole grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -177,17 +182,19 @@ def wall_shear(state: VMState) -> float:
     phi = grid.nodes
     w = _wall_restore(phi, state.W.values)
     guess = float(state.lam)
-    sqrt_w = np.sqrt(w)
+    phi_sq = grid.cached("phi_squared", np.square, phi)
 
     def normal_coordinate(y_cap: float) -> np.ndarray:
         # y on a node prefix that ends past y_cap.  Where w ~ 2 lam phi,
         # y = 2 phi/sqrt(w), so the prefix runs through the first node k
-        # where that estimate passes y_cap.  It is rounded up to a multiple
+        # where that estimate passes y_cap, compared squared to skip a
+        # sqrt(w): phi**2 > (y_cap**2/4) w.  It is rounded up to a multiple
         # of 64 nodes: per-step temporaries of a few sizes keep the heap
         # from fragmenting (prefixes sized node by node raised the peak RSS
         # of a run by 0.4 MB).  Where no node passes, or the prefix falls
-        # short, y on the whole grid.
-        k = int(np.argmax(phi > 0.5 * y_cap * sqrt_w))
+        # short, y on the whole grid; y on any prefix is y on the whole grid
+        # bit for bit, so the prefix sets the work and not the result.
+        k = int(np.argmax(phi_sq > 0.25 * y_cap * y_cap * w))
         m = (k // 64 + 1) * 64
         if k > 0 and m < len(phi):
             y = _normal_coordinate(grid, w, m)
@@ -326,26 +333,42 @@ def _three_point_weights(grid: Grid, order: int) -> np.ndarray:
     return grid.cached(("three_point", order), _build_three_point, grid, order)
 
 
+def _d2_gain(grid: Grid) -> np.ndarray:
+    """Sum of the second difference's weight magnitudes at the interior nodes."""
+    return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
+
+
+def _balance(W: Field, with_F: bool = True, with_floor: bool = True) -> tuple:
+    """(F, its roundoff floor) at the interior nodes of W, each None unless
+    asked for: both read one sqrt(w), and each formula is written here only.
+
+    F = sqrt(w) w_phiphi - 2.  The floor is sqrt(w) 8 eps max(w) times the
+    sum of the second difference's weight magnitudes (``f_roundoff_floor``).
+    """
+    w = W.values
+    sq = np.sqrt(np.maximum(w[1:-1], 0.0))
+    F = floor = None
+    if with_F:
+        a, b, c = _three_point_weights(W.grid, 2)
+        F = sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]) - 2.0
+    if with_floor:
+        gain = W.grid.cached("d2_gain", _d2_gain, W.grid)
+        floor = sq * (8.0 * np.finfo(float).eps * float(w.max())) * gain
+    return F, floor
+
+
 def compute_F(W: Field) -> Field:
     """Diffusion balance F = sqrt(w) w_phiphi - 2 on W's streamfunction grid.
 
     The balance is scale-invariant: on the wall-unit rescaling
     (phi / lam**3, w / lam**4) of a state it is the same F node by node.
     """
-    w = W.values
-    a, b, c = _three_point_weights(W.grid, 2)
-    f = np.empty_like(w)
-    d2 = a * w[:-2] + b * w[1:-1] + c * w[2:]
-    f[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * d2 - 2.0
+    f = np.empty_like(W.values)
+    f[1:-1] = _balance(W, with_floor=False)[0]
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]
     f.flags.writeable = False         # owned here: Field keeps it uncopied
     return W.with_values(f)
-
-
-def _d2_gain(grid: Grid) -> np.ndarray:
-    """Sum of the second difference's weight magnitudes at the interior nodes."""
-    return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
 
 
 def f_roundoff_floor(state: VMState) -> np.ndarray:
@@ -356,12 +379,10 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     magnitudes: on the first cells of the clustered grid F is undefined in
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
-    w = state.W.values
-    gain = state.psi_grid.cached("d2_gain", _d2_gain, state.psi_grid)
-    eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
-    out = np.full_like(w, np.inf)
-    out[1:-1] = np.sqrt(np.maximum(w[1:-1], 0.0)) * eps_w * gain
+    out = np.empty_like(state.W.values)
+    out[1:-1] = _balance(state.W, with_F=False)[1]
     out[0] = 0.0
+    out[-1] = np.inf
     return out
 
 
@@ -408,13 +429,18 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _resolvent_buffers(n: int) -> tuple:
-    """(band, rhs, r, diag): the work arrays of ``_resolvent_solve`` on an
-    n-node grid.  The band's unit diagonal and its zero Dirichlet
-    off-diagonal entries are set here once; the solves fill the rest."""
+def _march_buffers(n: int) -> tuple:
+    """The work arrays of a march's steps on an n-node grid, allocated once
+    and overwritten by every step: (band, scaled_rhs, r, diag) of
+    ``_resolvent_solve``, then the BDF2 right-hand side, the Picard start
+    and two n-node temporaries of ``_bdf2_solve`` and ``march_step``.  The
+    band's unit diagonal and its zero Dirichlet off-diagonal entries are
+    set here once; the solves fill the rest.  No station is ever one of
+    these: each solve returns a new array."""
     band = np.zeros((3, n))
     band[1] = 1.0
-    return band, np.empty(n), np.empty(n - 2), np.empty(n - 2)
+    return (band, np.empty(n), np.empty(n - 2), np.empty(n - 2),
+            np.empty(n), np.empty(n), np.empty(n), np.empty(n))
 
 
 def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
@@ -429,10 +455,10 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     first 10-30 nodes.  Equilibrated, the elimination error stays relative
     to each row's own scale.
 
-    ``buffers`` (from ``_resolvent_buffers``) are overwritten; the result
-    is a new array.
+    ``buffers`` (from ``_march_buffers``) are overwritten; the result is a
+    new array.
     """
-    band, scaled_rhs, r, diag = buffers
+    band, scaled_rhs, r, diag = buffers[:4]
     a, b, c = _three_point_weights(grid, 2)
     np.multiply(tau, coeff[1:-1], out=r)
     np.multiply(r, b, out=diag)
@@ -470,7 +496,7 @@ def _milne_ratio(h: float, h_prev: float, h_older: float) -> float:
 
 def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
                 h: float, far_value: float, source: float,
-                scale: float) -> tuple:
+                scale: float, buffers: tuple) -> tuple:
     """Variable-step BDF2 step with Picard-iterated degenerate coefficient.
 
     Second order in the step, L-stable, and structurally monotone (M-matrix
@@ -495,45 +521,58 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
     Returns (w, sweeps, converged, step_error): ``converged`` is False when
     the last allowed sweep still moved w by more than PICARD_TOL * scale,
     and ``step_error`` is the estimate's largest magnitude relative to
-    ``scale``, nan without the quadratic start.
+    ``scale``, nan without the quadratic start.  The right-hand side, the
+    start and every sweep's temporaries are written into ``buffers`` (from
+    ``_march_buffers``) in the operation order of the plain expressions,
+    so each value is the same bit for bit; w is a new array.
     """
+    rhs, extrapolated, dw, tmp = buffers[4:]
     if not prev:
         w_prev, h_prev, max_picard = w_n, np.inf, STARTUP_SWEEPS
     else:
         (w_prev, h_prev), max_picard = prev[0], PICARD_SWEEPS
     om = h / h_prev
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
-    rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev
-           - 2.0 * h * source) / alpha
+    # ((1 + om) w_n - om**2/(1 + om) w_prev - 2 h source) / alpha
+    np.multiply(1.0 + om, w_n, out=rhs)
+    np.subtract(rhs, np.multiply(om * om / (1.0 + om), w_prev, out=tmp), out=rhs)
+    np.subtract(rhs, 2.0 * h * source, out=rhs)
+    np.divide(rhs, alpha, out=rhs)
     tau = h / alpha
-    buffers = _resolvent_buffers(len(grid))
     w_new, error_gain = w_n, np.nan
     if prev:
-        dw = w_n - w_prev
-        w_new = w_n + om * dw
+        np.subtract(w_n, w_prev, out=dw)
+        w_new = np.add(w_n, np.multiply(om, dw, out=extrapolated),
+                       out=extrapolated)
         if len(prev) > 1:
             # Newton form: the linear start plus h (h + h_prev) times the
             # second divided difference of the three stations
             w_older, h_older = prev[1]
-            w_new += (om * (h + h_prev) / (h_prev + h_older)
-                      * (dw - h_prev / h_older * (w_prev - w_older)))
+            curvature = np.subtract(w_prev, w_older, out=tmp)
+            np.multiply(h_prev / h_older, curvature, out=curvature)
+            np.subtract(dw, curvature, out=curvature)
+            np.multiply(om * (h + h_prev) / (h_prev + h_older), curvature,
+                        out=curvature)
+            w_new += curvature
             error_gain = _milne_ratio(h, h_prev, h_older) / scale
     start, converged = w_new, False
     for sweep in range(1, max_picard + 1):
         # restore the wall law before forming the degenerate coefficient:
         # a clamped noise-floor cell must not decouple its row
-        coeff = np.sqrt(_wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
+        coeff = _wall_restore(grid.nodes, np.maximum(w_new, 0.0, out=tmp))
+        np.sqrt(coeff, out=coeff)
         try:
             w_next = _resolvent_solve(grid, rhs, coeff, tau, far_value, buffers)
         except StepFailureError as exc:
             exc.solves = sweep        # this attempt's, the failed solve included
             raise
-        delta = float(np.max(np.abs(w_next - w_new)))
+        delta = float(np.abs(np.subtract(w_next, w_new, out=tmp), out=tmp).max())
         w_new = w_next
         if delta <= PICARD_TOL * scale:
             converged = True
             break
-    return w_new, sweep, converged, error_gain * float(np.max(np.abs(w_new - start)))
+    gap = float(np.abs(np.subtract(w_new, start, out=tmp), out=tmp).max())
+    return w_new, sweep, converged, error_gain * gap
 
 
 def slow_time_increment(dx, lam_old, lam_new):
@@ -543,22 +582,28 @@ def slow_time_increment(dx, lam_old, lam_new):
 
 
 def march_step(state: VMState, dx: float, cfg: MarchConfig,
-               prev: tuple = ()) -> tuple:
+               prev: tuple = (), buffers: Optional[tuple] = None) -> tuple:
     """Advance one station; retries with halved dx on monotonicity loss.
 
     ``prev``, the (w, h) of up to two stations before this one, newest
     first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
     without it (the first step) the step is the iterated backward-Euler
-    start-up.  The slow time advances by ``slow_time_increment``, second
-    order in dx like the step.  The far value is the old edge value less
-    2 source_scale dx.  Returns (state, solves, halvings, converged,
-    step_error): ``converged`` is False when the accepted attempt stopped
-    at the sweep cap above PICARD_TOL, and ``step_error`` is its local
-    error estimate (see ``_bdf2_solve``).  A failed step's error carries
-    ``work``, the {"solves", "halvings"} of its attempts.
+    start-up.  ``buffers``, from ``_march_buffers``, are the march's work
+    arrays; a step called on its own allocates them.  The slow time
+    advances by ``slow_time_increment``, second order in dx like the step.
+    The far value is the old edge value less 2 source_scale dx.  Returns
+    (state, solves, halvings, converged, step_error): ``converged`` is
+    False when the accepted attempt stopped at the sweep cap above
+    PICARD_TOL, and ``step_error`` is its local error estimate (see
+    ``_bdf2_solve``).  A failed step's error carries ``work``, the
+    {"solves", "halvings"} of its attempts.
     """
+    grid = state.psi_grid
+    if buffers is None:
+        buffers = _march_buffers(len(grid))
+    tmp = buffers[-1]
     w_old = state.W.values
-    scale = float(np.max(w_old))
+    scale = float(w_old.max())
     solves = halvings = 0
     try:
         while True:
@@ -566,15 +611,20 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
             if far <= 0.0:
                 raise StepFailureError("pressure horizon reached before separation")
             w_new, sweeps, converged, step_error = _bdf2_solve(
-                state.psi_grid, w_old, prev, dx, far, cfg.source_scale, scale)
+                grid, w_old, prev, dx, far, cfg.source_scale, scale, buffers)
             solves += sweeps
-            # clamp roundoff negatives on the first cells to w >= 0, and judge
-            # monotonicity with a roundoff-relative tolerance
-            w_new = np.maximum(w_new, 0.0)
-            mono_ok = np.min(np.diff(w_new)) >= -_MONO_TOL_FACTOR * scale
-            nonpos = np.nonzero(w_new[1:] <= 0.0)[0]
-            floor_ok = len(nonpos) == 0 or (nonpos[-1] < WALL_FLOOR_CELLS
-                                            and len(nonpos) == nonpos[-1] + 1)
+            # clamp roundoff negatives on the first cells to w >= 0 (the
+            # solve's new array, in place), and judge monotonicity with a
+            # roundoff-relative tolerance
+            np.maximum(w_new, 0.0, out=w_new)
+            rise = np.subtract(w_new[1:], w_new[:-1], out=tmp[:-1])
+            mono_ok = rise.min() >= -_MONO_TOL_FACTOR * scale
+            # nonpositive cells only as a leading block of the first
+            # WALL_FLOOR_CELLS: as many of them as the head holds, none
+            # after them, and a positive tail
+            head = w_new[1:WALL_FLOOR_CELLS + 1] <= 0.0
+            floor_ok = (not head[int(head.sum()):].any()
+                        and w_new[WALL_FLOOR_CELLS + 1:].min() > 0.0)
             if mono_ok and floor_ok:
                 break
             dx *= 0.5
@@ -582,17 +632,18 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
             if dx < DX_MIN:
                 raise StepFailureError("step size underflow (separation reached?)")
         w_new.flags.writeable = False     # owned here: Field keeps it uncopied
+        W = Field(grid, w_new)
         # wall_shear centres its window on the old shear and reads no s
-        state_new = replace(state, x=state.x + dx, W=Field(state.psi_grid, w_new))
-        lam = wall_shear(state_new)
+        x = state.x + dx
+        lam = wall_shear(VMState(x, state.s, grid, W, state.lam))
         if lam <= 0.0:
             raise InvalidStateError("wall shear no longer resolvable on this "
                                     "grid (separation reached before lambda_stop)")
     except (StepFailureError, InvalidStateError) as exc:
         exc.work = {"solves": solves + getattr(exc, "solves", 0), "halvings": halvings}
         raise
-    ds = slow_time_increment(state_new.x - state.x, state.lam, lam)
-    return (replace(state_new, s=state.s + ds, lam=lam), solves, halvings,
+    ds = slow_time_increment(x - state.x, state.lam, lam)
+    return (VMState(x, state.s + ds, grid, W, lam), solves, halvings,
             converged, step_error)
 
 
@@ -650,13 +701,15 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     failure, failed_step = "", None
+    buffers = _march_buffers(len(state.psi_grid))
 
     def record(st: VMState, solves: int, halvings: int, converged: bool,
                step_error: float) -> None:
-        F = compute_F(st.W).values
-        mask = trusted_F_mask(st)
+        # F_max, the max of compute_F over trusted_F_mask, from one pass
+        F, floor = _balance(st.W)
+        trusted = floor <= F_TRUST_FLOOR
         rows.append((st.x, st.lam, st.s,
-                     float(np.max(F[mask])) if mask.any() else np.nan,
+                     float(F[trusted].max()) if trusted.any() else np.nan,
                      solves, halvings, int(not converged), step_error))
 
     record(state, 0, 0, True, np.nan)
@@ -671,7 +724,8 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
         dx = max(min(cfg.dx_init, CFL_SAFETY * state.lam**4 * ds_rel * state.s),
                  DX_MIN * 10.0)
         try:
-            new_state, *work = march_step(state, dx, cfg, prev=prev)
+            new_state, *work = march_step(state, dx, cfg, prev=prev,
+                                          buffers=buffers)
         except (StepFailureError, InvalidStateError) as exc:
             failure, failed_step = str(exc), exc.work
             break

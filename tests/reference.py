@@ -258,10 +258,11 @@ def wall_shear_full_y(state) -> float:
     return est
 
 
-def bdf2_solve_from_old_station(grid, w_n, prev, h: float, far_value: float,
-                                source: float, scale: float) -> tuple:
-    """``vonmises._bdf2_solve`` with every Picard iteration started from
-    w_n, as the march did before it started from the extrapolated state."""
+def bdf2_solve(grid, w_n, prev, h: float, far_value: float, source: float,
+               scale: float, extrapolate: bool = True) -> tuple:
+    """``vonmises._bdf2_solve`` in plain array expressions, each value a new
+    array; without ``extrapolate``, every Picard iteration starts from w_n,
+    as the march did before it started from the extrapolated state."""
     if not prev:
         w_prev, h_prev, max_picard = w_n, np.inf, vm.STARTUP_SWEEPS
     else:
@@ -270,8 +271,17 @@ def bdf2_solve_from_old_station(grid, w_n, prev, h: float, far_value: float,
     alpha = (1.0 + 2.0 * om) / (1.0 + om)
     rhs = ((1.0 + om) * w_n - om * om / (1.0 + om) * w_prev
            - 2.0 * h * source) / alpha
-    buffers = vm._resolvent_buffers(len(grid))
-    w_new = w_n
+    buffers = vm._march_buffers(len(grid))
+    w_new, error_gain = w_n, np.nan
+    if prev and extrapolate:
+        dw = w_n - w_prev
+        w_new = w_n + om * dw
+        if len(prev) > 1:
+            w_older, h_older = prev[1]
+            w_new += (om * (h + h_prev) / (h_prev + h_older)
+                      * (dw - h_prev / h_older * (w_prev - w_older)))
+            error_gain = vm._milne_ratio(h, h_prev, h_older) / scale
+    start, converged = w_new, False
     for sweep in range(1, max_picard + 1):
         coeff = np.sqrt(vm._wall_restore(grid.nodes, np.maximum(w_new, 0.0)))
         w_next = vm._resolvent_solve(grid, rhs, coeff, h / alpha, far_value,
@@ -279,5 +289,6 @@ def bdf2_solve_from_old_station(grid, w_n, prev, h: float, far_value: float,
         delta = float(np.max(np.abs(w_next - w_new)))
         w_new = w_next
         if delta <= vm.PICARD_TOL * scale:
-            return w_new, sweep, True
-    return w_new, max_picard, False
+            converged = True
+            break
+    return w_new, sweep, converged, error_gain * float(np.max(np.abs(w_new - start)))

@@ -375,7 +375,7 @@ class TestSimulateAndAudit:
         "steps_off_the_rows", "steps_is_a_bool", "steps_is_a_string", "config_edited",
         "config_hash_zeroed", "negative_step_error", "nan_in_x", "inf_in_solves",
         "header_only_csv", "empty_csv", "commented_rows", "manifest_not_an_object",
-        "config_not_an_object", "schema_10"])
+        "config_not_an_object", "schema_10", "unknown_manifest_key"])
     def test_broken_artifacts_exit_4(self, finished_run, tmp_path, damage, capsys):
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
@@ -451,6 +451,9 @@ class TestSimulateAndAudit:
             traj.write_text(traj.read_text().replace("\n", ",extra\n", 1))
         elif damage == "unknown_config_key":
             manifest["config"]["no_such_key"] = 1
+        elif damage == "unknown_manifest_key":
+            # a key simulate never writes: schema 6's solve count
+            manifest["tridiag_solves"] = 5
         elif damage == "missing_config_key":
             del manifest["config"]["n_rescaled"]
         elif damage == "config_not_an_object":
@@ -569,6 +572,8 @@ class TestSimulateAndAudit:
                 "ragged_csv": "the number of columns changed from 8 to 2",
                 "renamed_column": "trajectory.csv: missing column 'F_max'",
                 "unknown_config_key": "unknown config keys ['no_such_key']",
+                "unknown_manifest_key":
+                    "manifest.json: unknown keys ['tridiag_solves']",
                 "missing_config_key": "missing config keys ['n_rescaled']",
                 "empty_snapshots": "no snapshots listed",
                 "nan_in_x": "trajectory.csv: column x, row 10: nan is not finite",

@@ -190,7 +190,7 @@ class TestGridCaches:
         grid = vm.default_psi_grid(3.0, 2305)
         builds = self._builds(monkeypatch, vm, "_build_three_point")
         w = grid.nodes ** 0.75
-        buffers = vm._resolvent_buffers(len(grid))
+        buffers = vm._march_buffers(len(grid))
         for _ in range(2):
             vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1], buffers)
         vm.compute_F(Field(grid, w))
@@ -437,14 +437,15 @@ class TestMarch:
         gaps, sweeps, linear = [], [], []
         solve = vm._bdf2_solve
 
-        def both(grid, w_n, prev, h, far_value, source, scale):
-            out = solve(grid, w_n, prev, h, far_value, source, scale)
-            old = reference.bdf2_solve_from_old_station(
-                grid, w_n, prev, h, far_value, source, scale)
+        def both(grid, w_n, prev, h, far_value, source, scale, buffers):
+            out = solve(grid, w_n, prev, h, far_value, source, scale, buffers)
+            old = reference.bdf2_solve(grid, w_n, prev, h, far_value, source,
+                                       scale, extrapolate=False)
             gaps.append(float(np.max(np.abs(out[0] - old[0]))) / scale)
             sweeps.append((out[1], old[1]))
             if len(prev) == 2:
-                two = solve(grid, w_n, prev[:1], h, far_value, source, scale)
+                two = solve(grid, w_n, prev[:1], h, far_value, source, scale,
+                            buffers)
                 linear.append((out[1], two[1]))
             return out
 
@@ -465,9 +466,9 @@ class TestMarch:
         sweeps = []
         solve = vm._bdf2_solve
 
-        def bumped(grid, w_n, prev, h, far_value, source, scale):
+        def bumped(grid, w_n, prev, h, far_value, source, scale, buffers):
             w, n, converged, error = solve(grid, w_n, prev, h, far_value,
-                                           source, scale)
+                                           source, scale, buffers)
             sweeps.append(n)
             if len(sweeps) == 4:
                 w = w.copy()
@@ -485,6 +486,75 @@ class TestMarch:
         # the step cap ends the run between steps: no step failed
         assert traj.failure == "max_steps exhausted"
         assert traj.failed_step == {"solves": 0, "halvings": 0}
+
+    def test_bdf2_solve_equals_plain_expressions_bit_for_bit(self, data05,
+                                                              monkeypatch):
+        # the in-place arithmetic on the march's buffers gives what the plain
+        # array expressions give, on the start-up, the linear-start and the
+        # quadratic-start steps alike
+        results = []
+        solve = vm._bdf2_solve
+
+        def both(grid, w_n, prev, h, far_value, source, scale, buffers):
+            out = solve(grid, w_n, prev, h, far_value, source, scale, buffers)
+            results.append((len(prev), out, reference.bdf2_solve(
+                grid, w_n, prev, h, far_value, source, scale)))
+            return out
+
+        monkeypatch.setattr(vm, "_bdf2_solve", both)
+        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153, max_steps=8))
+        assert [n for n, *_ in results] == [0, 1] + [2] * 6
+        for _, (w, *counts), (w_ref, *counts_ref) in results:
+            assert same_bits(w, w_ref)
+            assert same_bits(np.array(counts), np.array(counts_ref))
+
+    def test_work_arrays_built_once_and_no_station_shares_them(self, data05,
+                                                               monkeypatch):
+        # one allocation of the work arrays per march; every station a step
+        # reads or makes, those in prev included, is read-only, apart from
+        # the others and from the work arrays, and stays as it was made
+        allocations, steps = [], []
+        allocate, step = vm._march_buffers, vm.march_step
+
+        def spy_allocate(n):
+            allocations.append(allocate(n))
+            return allocations[-1]
+
+        def spy_step(state, dx, cfg, prev=(), buffers=None):
+            out = step(state, dx, cfg, prev=prev, buffers=buffers)
+            steps.append(([state.W.values, out[0].W.values]
+                          + [w for w, _ in prev], out[0].W.values.copy()))
+            return out
+
+        monkeypatch.setattr(vm, "_march_buffers", spy_allocate)
+        monkeypatch.setattr(vm, "march_step", spy_step)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153,
+                                                                max_steps=30))
+        assert len(allocations) == 1 and len(steps) == 30
+        assert len(traj.psi_grid) == 1153
+        work = allocations[0]
+        assert [len(stations) for stations, _ in steps[:3]] == [2, 3, 4]
+        for stations, _ in steps:
+            for k, w in enumerate(stations):
+                assert not w.flags.writeable
+                assert not any(np.shares_memory(w, buf) for buf in work)
+                assert not any(np.shares_memory(w, other)
+                               for other in stations[k + 1:])
+        for stations, made in steps:
+            assert same_bits(stations[1], made)
+
+    def test_F_max_column_is_the_audit_F_path(self, short_traj):
+        # the record's one pass over each state gives the max of compute_F
+        # over trusted_F_mask, the F that the audit reads, bit for bit
+        traj = short_traj
+        assert traj.snapshots
+        for snap in traj.snapshots:
+            for state, row in ((snap.state, snap.station),
+                               (snap.pair_state, snap.station + 1)):
+                F = vm.compute_F(state.W).values
+                trusted = vm.trusted_F_mask(state)
+                expected = np.max(F[trusted]) if trusted.any() else np.nan
+                assert same_bits(traj.F_max[row], expected)
 
     def test_monotonicity_preserved(self, short_traj):
         # every kept state is non-decreasing in phi to the roundoff tolerance
