@@ -156,9 +156,9 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
 
     Operates in rescaled streamfunction variables.  The sandwich is checked
     on every data node of the admissible domain; the differential
-    inequalities are evaluated on a log-spaced sample with discrete
-    psi-derivatives (the s-derivative uses the defining decay law of the
-    regularized rate).
+    inequalities are evaluated on a log-spaced sample with the closed-form
+    psi-derivatives of the explicit comparison solutions (the s-derivative
+    uses the defining decay law of the regularized rate).
     """
     psi = W.grid.nodes
     bottom, p, w_data, base = _sandwich_domain(W, btilde)

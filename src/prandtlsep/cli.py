@@ -68,9 +68,9 @@ class RunConfig:
     x0_pressure: float = 1.0
     perturbation_amplitude: float = 0.0
     lambda_stop_factor: float = 50.0
-    ds_rel: float = 0.016
-    n_psi: int = 2305
-    snapshots_per_decade: float = 8.0
+    ds_rel: float = vm.MarchConfig.ds_rel
+    n_psi: int = vm.MarchConfig.n_psi
+    snapshots_per_decade: float = vm.MarchConfig.snapshots_per_decade
     n_physical: int = 3073
     n_rescaled: int = 641
     outdir: str = "run-output"
@@ -204,8 +204,8 @@ _ERRATUM_NOTE = (
 )
 
 
-def run_verify_algebra(outdir: str, tamper: Optional[str] = None) -> int:
-    checks = rp.algebra_certificate(tamper=tamper)
+def run_verify_algebra(outdir: str) -> int:
+    checks = rp.algebra_certificate()
     coeffs = rp.profile_coefficients()
     a4, a7 = coeffs["a4"], coeffs["a7"]
     erratum = [
@@ -549,7 +549,7 @@ def load_trajectory(outdir: str) -> tuple:
     w = table[1:]
     with np.errstate(all="ignore"):
         steep = ~np.isfinite(w[:, 1:] / grid.nodes[1:])
-    falls = np.diff(w, axis=1) < -vm._MONO_TOL_FACTOR * w.max(axis=1, keepdims=True)
+    falls = np.diff(w, axis=1) < -vm.MONO_TOL_FACTOR * w.max(axis=1, keepdims=True)
     for bad, first_node, problem in (
             (w[:, :1] != 0.0, 0, "is not 0 at the wall"),
             (w < 0.0, 0, "is negative"),
@@ -732,7 +732,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_alg = sub.add_parser("verify-algebra", help="re-derive and certify the "
                            "exact profile algebra")
     p_alg.add_argument("--outdir", default="run-output")
-    p_alg.add_argument("--tamper", default=None, help=argparse.SUPPRESS)
 
     p_sim = sub.add_parser("simulate", help="march to separation and fit the "
                            "collapse law")
@@ -749,7 +748,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify-algebra":
-            return run_verify_algebra(args.outdir, tamper=args.tamper)
+            return run_verify_algebra(args.outdir)
         if args.command == "simulate":
             return run_simulate(_build_config(args))
         if args.command == "audit":

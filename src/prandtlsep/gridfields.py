@@ -11,6 +11,7 @@ the streamfunction map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -70,9 +71,13 @@ def wall_window(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return idx
 
 
-#: LAPACK ``dgels``, bound by the first ``lstsq_powers`` call: importing
-#: scipy.linalg takes about 0.3 s, which ``import prandtlsep.cli`` need not pay
-_dgels = None
+@cache
+def lapack(name: str):
+    """``scipy.linalg.lapack``'s routine ``name``, the one binding of every
+    LAPACK call, made on first use: importing scipy.linalg takes about
+    0.3 s, which ``import prandtlsep.cli`` need not pay."""
+    from scipy.linalg import lapack as scipy_lapack
+    return getattr(scipy_lapack, name)
 
 
 def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
@@ -90,16 +95,13 @@ def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
     (numpy's ``rcond=None`` rank rule, m the node count), as on a window of
     fewer distinct nodes than columns.
     """
-    global _dgels
-    if _dgels is None:
-        from scipy.linalg.lapack import dgels as _dgels
     m, n = len(y), len(powers)
     if m < n:
         raise SingularInputError(f"{m} nodes for {n} monomials")
     # (m, n) in Fortran order, which gels may overwrite in place
     cols = (y ** np.array(powers, dtype=float)[:, None]).T
     norms2 = (cols * cols).sum(axis=0)
-    qr, x, info = _dgels(cols, v[:, None], overwrite_a=1)
+    qr, x, info = lapack("dgels")(cols, v[:, None], overwrite_a=1)
     # |R_jj| is column j's distance from the span of the columns before it
     diag = qr.diagonal()
     sol = x[:n, 0]
@@ -176,7 +178,7 @@ class Grid:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def tanh_clustered(cls, n: int, x_max: float, strength: float = 4.0) -> "Grid":
+    def tanh_clustered(cls, n: int, x_max: float, strength: float) -> "Grid":
         """Nodes clustered at 0 through a tanh map; ``strength`` ~ contrast."""
         xi = np.linspace(0.0, 1.0, n)
         nodes = x_max * (1.0 + np.tanh(strength * (xi - 1.0)) / np.tanh(strength))
@@ -185,7 +187,7 @@ class Grid:
         return cls(nodes)
 
     @classmethod
-    def power_clustered(cls, n: int, x_max: float, exponent: float = 2.0) -> "Grid":
+    def power_clustered(cls, n: int, x_max: float, exponent: float) -> "Grid":
         """Nodes x_max * (i/(n-1))**exponent; strong wall clustering."""
         xi = np.linspace(0.0, 1.0, n)
         return cls(x_max * xi**exponent)

@@ -76,8 +76,8 @@ def evolve_btilde(s: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     """Fit log lam = log C + p log(x* - x) over (x*, C, p).
 
-    Needs a tail spanning at least a decade in lam; returns the fitted
-    parameters and the rms log-residual.
+    Needs a tail over which lam falls by a factor of at least 8, most of a
+    decade; returns the fitted parameters and the rms log-residual.
     """
     from scipy.optimize import least_squares  # only simulate fits
 

@@ -531,12 +531,8 @@ class IdentityCheck:
     passed: bool
 
 
-def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
-    """Re-derive and certify every exact identity; optionally inject a fault.
-
-    ``tamper="a4"`` flips the Y**4 coefficient of the second iterate before
-    checking, exercising the failure path end to end.
-    """
+def algebra_certificate() -> list[IdentityCheck]:
+    """Re-derive and certify every exact identity."""
     checks: list[IdentityCheck] = []
 
     def add(name: str, expected, computed) -> None:
@@ -547,10 +543,7 @@ def algebra_certificate(tamper: str | None = None) -> list[IdentityCheck]:
     half_y2 = RationalPoly.monomial(Fraction(1, 2), 2)
     add("residual(Y^2/2)", RationalPoly.zero(), prandtl_residual(half_y2))
 
-    chain = profile_chain(4)
-    u1, u2, u3, u4 = chain
-    if tamper == "a4":
-        u2 = u2 + RationalPoly.monomial(Fraction(1, 10**6), 4, 1)
+    u1, u2, u3, u4 = profile_chain(4)
 
     c = WALL_COEFFICIENTS
     a4, a7, a10, a11 = c["a4"], c["a7"], c["a10"], c["a11"]

@@ -49,12 +49,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import gridfields  # fd_weights through its module: rebinding it reaches here
+from . import gridfields  # fd_weights, lapack: rebinding either reaches here
 from .errors import (InvalidProfileError, InvalidStateError, SingularInputError,
                      StepFailureError)
 from .gridfields import Field, Grid, diff, lstsq_powers
 
-_MONO_TOL_FACTOR = 1e-9
+#: a step's w may fall from one node to the next by at most
+#: MONO_TOL_FACTOR * max w (roundoff): the march's monotonicity test, which
+#: ``cli.load_trajectory`` applies again to every row of snapshots.npy
+MONO_TOL_FACTOR = 1e-9
 
 #: a step halved below DX_MIN fails the march
 DX_MIN = 1e-13
@@ -241,7 +244,7 @@ def wall_shear(state: VMState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def default_psi_grid(phi_max: float, n: int = 1153) -> Grid:
+def default_psi_grid(phi_max: float, n: int) -> Grid:
     return Grid.power_clustered(n, phi_max, PSI_POWER)
 
 
@@ -290,7 +293,7 @@ def _u_at_streamfunction(y: np.ndarray, u: np.ndarray, du: np.ndarray,
     return u_at(th)
 
 
-def to_von_mises(u: Field, lam: float, s: float, n_psi: int = 1153) -> VMState:
+def to_von_mises(u: Field, lam: float, s: float, n_psi: int) -> VMState:
     """Map a physical profile u(y) of wall shear ``lam`` to the streamfunction
     state at x = 0 and slow time ``s``.
 
@@ -338,23 +341,19 @@ def _d2_gain(grid: Grid) -> np.ndarray:
     return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
 
 
-def _balance(W: Field, with_F: bool = True, with_floor: bool = True) -> tuple:
-    """(F, its roundoff floor) at the interior nodes of W, each None unless
-    asked for: both read one sqrt(w), and each formula is written here only.
+def _balance(W: Field) -> tuple:
+    """(F, its roundoff floor) at the interior nodes of W: both read one
+    sqrt(w), and each formula is written here only.
 
     F = sqrt(w) w_phiphi - 2.  The floor is sqrt(w) 8 eps max(w) times the
     sum of the second difference's weight magnitudes (``f_roundoff_floor``).
     """
     w = W.values
     sq = np.sqrt(np.maximum(w[1:-1], 0.0))
-    F = floor = None
-    if with_F:
-        a, b, c = _three_point_weights(W.grid, 2)
-        F = sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]) - 2.0
-    if with_floor:
-        gain = W.grid.cached("d2_gain", _d2_gain, W.grid)
-        floor = sq * (8.0 * np.finfo(float).eps * float(w.max())) * gain
-    return F, floor
+    a, b, c = _three_point_weights(W.grid, 2)
+    F = sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]) - 2.0
+    gain = W.grid.cached("d2_gain", _d2_gain, W.grid)
+    return F, sq * (8.0 * np.finfo(float).eps * float(w.max())) * gain
 
 
 def compute_F(W: Field) -> Field:
@@ -364,7 +363,7 @@ def compute_F(W: Field) -> Field:
     (phi / lam**3, w / lam**4) of a state it is the same F node by node.
     """
     f = np.empty_like(W.values)
-    f[1:-1] = _balance(W, with_floor=False)[0]
+    f[1:-1] = _balance(W)[0]
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]
     f.flags.writeable = False         # owned here: Field keeps it uncopied
@@ -380,7 +379,7 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
     out = np.empty_like(state.W.values)
-    out[1:-1] = _balance(state.W, with_F=False)[1]
+    out[1:-1] = _balance(state.W)[1]
     out[0] = 0.0
     out[-1] = np.inf
     return out
@@ -403,11 +402,6 @@ def trusted_F_mask(state: VMState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: LAPACK ``dgtsv``, bound by the first ``solve_banded`` call: importing
-#: scipy.linalg takes about 0.3 s, which only a march needs to pay
-_dgtsv = None
-
-
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system ``ab`` x = rhs by LAPACK ``gtsv``.
 
@@ -418,12 +412,9 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` are left as they are and the result is a new array.  A
     non-finite entry or a singular matrix fails the step.
     """
-    global _dgtsv
-    if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv as _dgtsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise StepFailureError("tridiagonal solve: non-finite entry")
-    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    *_, x, info = gridfields.lapack("dgtsv")(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
         raise StepFailureError(f"tridiagonal solve: singular matrix (gtsv info {info})")
     return x
@@ -618,7 +609,7 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
             # roundoff-relative tolerance
             np.maximum(w_new, 0.0, out=w_new)
             rise = np.subtract(w_new[1:], w_new[:-1], out=tmp[:-1])
-            mono_ok = rise.min() >= -_MONO_TOL_FACTOR * scale
+            mono_ok = rise.min() >= -MONO_TOL_FACTOR * scale
             # nonpositive cells only as a leading block of the first
             # WALL_FLOOR_CELLS: as many of them as the head holds, none
             # after them, and a positive tail

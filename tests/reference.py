@@ -16,9 +16,11 @@ extrapolation to the wall and the F roundoff floor; two per-step formulas
 of the march without its prefix or work buffers: the wall shear with
 y(phi) integrated over the whole grid, and the equilibrated resolvent
 solve on a freshly allocated band; and the BDF2 step with its Picard
-iteration started from the old station instead of the extrapolated one.
+iteration started from the old station instead of the extrapolated one;
+and a fault for the algebra certificate to catch.
 """
 
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -56,6 +58,20 @@ def poly_eval(p: rp.RationalPoly, Y: float, b: float = 0.0, bs: float = 0.0) -> 
     for (dy, db, dbs), c in p.terms.items():
         total += float(c) * Y**dy * b**db * bs**dbs
     return total
+
+
+def tamper_second_iterate(monkeypatch) -> None:
+    """Add 1e-6 b Y**4 to U_2 of every ``ratpoly.profile_chain``, a wrong
+    a4 that the certificate's U2 row must name."""
+    chain_of = rp.profile_chain
+
+    def tampered(n: int) -> list:
+        chain = chain_of(n)
+        if n >= 2:
+            chain[1] = chain[1] + rp.RationalPoly.monomial(Fraction(1, 10**6), 4, 1)
+        return chain
+
+    monkeypatch.setattr(rp, "profile_chain", tampered)
 
 
 def uapp_core_poly() -> rp.RationalPoly:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import tamper_second_iterate
 
 import prandtlsep
 from prandtlsep import cli
@@ -66,6 +67,11 @@ class TestConfig:
         # the dense-snapshots benchmark workload and the bound itself pass
         for spd in (16.0, cli.MAX_SNAPSHOTS_PER_DECADE):
             cli.RunConfig(snapshots_per_decade=spd).validate()
+
+    def test_default_run_marches_the_library_default(self):
+        # the acceptance tests judge the library's default march, which
+        # simulate must be the one to run
+        assert cli.RunConfig().march_config() == cli.vm.MarchConfig()
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, ds_rel=0.01)
@@ -201,12 +207,24 @@ class TestVerifyAlgebra:
         # d-coefficients are emitted with exact values
         assert any("d-coefficients" in i["name"] for i in cert["identities"])
 
-    def test_tampered_coefficient_fails_naming_culprit(self, tmp_path, capsys):
-        code = cli.main(["verify-algebra", "--outdir", str(tmp_path),
-                         "--tamper", "a4"])
+    def test_tampered_coefficient_fails_naming_culprit(self, tmp_path, capsys,
+                                                       monkeypatch):
+        tamper_second_iterate(monkeypatch)
+        code = cli.main(["verify-algebra", "--outdir", str(tmp_path)])
         assert code == cli.EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "U2" in out
+
+    def test_removed_tamper_flag_is_refused(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code = cli.main(["verify-algebra", "--outdir", str(outdir),
+                         "--tamper", "a4"])
+        assert code == cli.EXIT_CONFIG
+        assert not outdir.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: unrecognized arguments: "
+                                "--tamper a4\n")
 
 
 class _MakesDirectory:
@@ -1011,17 +1029,18 @@ class TestSolverFailurePath:
     def test_singular_solve_exits_2_with_partial_artifacts(self, quick_cfg,
                                                            monkeypatch, capsys):
         # LAPACK reports a zero pivot from the 40th tridiagonal solve on;
-        # the march binds its gtsv on the first solve, so a patched one
+        # every solve asks the one binder for its gtsv, so a patched binder
         # stands in from the start
-        from scipy.linalg.lapack import dgtsv as gtsv
+        lapack = cli.vm.gridfields.lapack
         calls = []
 
         def singular_from_40th(*args):
             calls.append(None)
-            *out, info = gtsv(*args)
+            *out, info = lapack("dgtsv")(*args)
             return (*out, 2 if len(calls) >= 40 else info)
 
-        monkeypatch.setattr(cli.vm, "_dgtsv", singular_from_40th)
+        monkeypatch.setattr(cli.vm.gridfields, "lapack", lambda name: (
+            singular_from_40th if name == "dgtsv" else lapack(name)))
         assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
         assert os.path.exists(os.path.join(quick_cfg.outdir, "snapshots.npy"))
         manifest = _json(quick_cfg.outdir, "manifest.json")
@@ -1038,15 +1057,16 @@ class TestSolverFailurePath:
                                                               monkeypatch, capsys):
         # LAPACK reports a rank-deficient wall-shear fit from the 20th fit
         # on: the window is unusable, and the march stops at that step
-        from scipy.linalg.lapack import dgels as gels
+        lapack = cli.vm.gridfields.lapack
         calls = []
 
         def singular_from_20th(*args, **kwargs):
             calls.append(None)
-            *out, info = gels(*args, **kwargs)
+            *out, info = lapack("dgels")(*args, **kwargs)
             return (*out, 1 if len(calls) >= 20 else info)
 
-        monkeypatch.setattr(cli.vm.gridfields, "_dgels", singular_from_20th)
+        monkeypatch.setattr(cli.vm.gridfields, "lapack", lambda name: (
+            singular_from_20th if name == "dgels" else lapack(name)))
         assert cli.run_simulate(quick_cfg) == cli.EXIT_SOLVER
         manifest = _json(quick_cfg.outdir, "manifest.json")
         assert not manifest["completed"]

@@ -5,7 +5,8 @@ from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
-from prandtlsep.gridfields import spline_interpolant
+from prandtlsep.gridfields import Field, spline_interpolant
+from prandtlsep.operators import OperatorContext
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,28 @@ class TestFrames:
         for fr in reported:
             r = fr.report
             assert r.E1 >= 0 and r.E2 >= 0 and r.D1 >= 0
+
+
+class TestRepresentationRoundTrip:
+    @pytest.mark.parametrize("s", [7.2e2, 2.7e4, 5.3e5])
+    def test_wall_curvature_of_the_approximate_solution(self, s):
+        # u(y) = lam**2 U_app(y/lam) at lam = s**-1/2, through the path of
+        # a marched snapshot: streamfunction state at the march's n_psi,
+        # inverse map, spline, wall-unit rescaling; its U_YY matches
+        # U_app's on the same grid (measured 4e-11, 7e-10 and 3e-8)
+        lam = s**-0.5
+        g = pr.default_physical_grid(3073)
+        u = Field(g, lam**2 * pr.eval_uapp(s, 1.0 / s, g.nodes / lam))
+        state = vm.to_von_mises(u, lam, s, n_psi=vm.MarchConfig.n_psi)
+        u_at = spline_interpolant(vm.from_von_mises(state))
+        grid = md.standard_rescaled_grid(s, 641, reach=u_at.span / lam)
+        ctx = dg.rescale_snapshot_profile(u_at, lam, grid)
+        exact = OperatorContext.from_profile(
+            Field(grid, pr.eval_uapp(s, 1.0 / s, grid.nodes)))
+        Y = grid.nodes
+        window = (Y >= 0.25) & (Y <= 2.0)
+        gap = np.abs(ctx.U_YY.values - exact.U_YY.values)[window]
+        assert gap.max() < 1e-7
 
 
 class TestAuditSuite:

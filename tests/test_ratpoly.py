@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import uapp_core_poly
+from reference import tamper_second_iterate, uapp_core_poly
 
 from prandtlsep import ratpoly as rp
 from prandtlsep.errors import (AlgebraCertificateError, DegreeCapError,
@@ -247,8 +247,9 @@ class TestCertificate:
         cert = rp.algebra_certificate()
         assert all(c.passed for c in cert)
 
-    def test_fault_injection_names_culprit(self):
-        cert = rp.algebra_certificate(tamper="a4")
+    def test_fault_injection_names_culprit(self, monkeypatch):
+        tamper_second_iterate(monkeypatch)
+        cert = rp.algebra_certificate()
         failed = [c for c in cert if not c.passed]
         assert failed
         assert "U2" in failed[0].name

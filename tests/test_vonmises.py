@@ -31,14 +31,14 @@ class TestTransforms:
     def test_linear_profile(self):
         # u = y: phi = y^2/2, w = y^2 = 2 phi
         g = uniform_grid(1025, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0)
+        state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0, n_psi=1153)
         phi = state.psi_grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
 
     def test_quadratic_profile(self):
         # u = y^2/2: phi = y^3/6, w = (6 phi)^(4/3)/4 exactly
         g = Grid.power_clustered(2049, 2.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, n_psi=1153)
         phi = state.psi_grid.nodes[1:]
         expected = (6.0 * phi) ** (4.0 / 3.0) / 4.0
         rel = np.abs(state.W.values[1:] - expected) / expected
@@ -46,7 +46,7 @@ class TestTransforms:
         assert np.max(rel[phi > 1e-4]) < 1e-5
 
     def test_round_trip(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         u_back = vm.from_von_mises(state)
         ref = spline_interpolant(data05.u0)(
             np.clip(u_back.grid.nodes, 0, data05.grid.span))
@@ -90,10 +90,10 @@ class TestTransforms:
         g = uniform_grid(256, 2.0)
         u = np.sin(3 * g.nodes)
         with pytest.raises(InvalidProfileError):
-            vm.to_von_mises(Field(g, u), 3.0, 1.0)
+            vm.to_von_mises(Field(g, u), 3.0, 1.0, n_psi=1153)
 
     def test_wall_shear_estimate(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         assert abs(vm.wall_shear(state) - 0.05) / 0.05 < 2e-3
 
 
@@ -330,18 +330,18 @@ class TestDiffusionBalance:
     def test_self_similar_region_balances(self):
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
         g = Grid.power_clustered(2049, 3.0, 2.0)
-        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0)
+        state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, n_psi=1153)
         F = vm.compute_F(state.W).values
         trusted = vm.trusted_F_mask(state)
         inner = trusted & (state.psi_grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         assert vm.compute_F(state.W).values[0] == 0.0
 
     def test_far_field_approaches_minus_two(self, data05):
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         F = vm.compute_F(state.W).values
         assert abs(F[-2] + 2.0) < 1e-2
 
@@ -349,7 +349,7 @@ class TestDiffusionBalance:
 class TestMarch:
     def test_step_consistency_with_balance(self, data05):
         # one small step must move w by dx * (sqrt(w) w_phiphi - 2)
-        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
         new, *_ = vm.march_step(state, dx, cfg)
@@ -563,7 +563,7 @@ class TestMarch:
         for snap in short_traj.snapshots:
             for state in (snap.state, snap.pair_state):
                 w = state.W.values
-                assert np.min(np.diff(w)) >= -vm._MONO_TOL_FACTOR * np.max(w)
+                assert np.min(np.diff(w)) >= -vm.MONO_TOL_FACTOR * np.max(w)
 
     def test_balance_stays_nonpositive(self, short_traj):
         assert np.nanmax(short_traj.F_max) <= 1e-6
