@@ -71,7 +71,7 @@ class RunConfig:
     ds_rel: float = vm.MarchConfig.ds_rel
     n_psi: int = vm.MarchConfig.n_psi
     snapshots_per_decade: float = vm.MarchConfig.snapshots_per_decade
-    n_physical: int = 3073
+    n_physical: int = pr.N_PHYSICAL
     n_rescaled: int = 641
     outdir: str = "run-output"
 
@@ -205,8 +205,9 @@ _ERRATUM_NOTE = (
 
 
 def run_verify_algebra(outdir: str) -> int:
-    checks = rp.algebra_certificate()
-    coeffs = rp.profile_coefficients()
+    chain = rp.profile_chain(4)
+    checks = rp.algebra_certificate(chain)
+    coeffs = rp.profile_coefficients(chain[-1])
     a4, a7 = coeffs["a4"], coeffs["a7"]
     erratum = [
         {

@@ -73,10 +73,13 @@ def rescale_snapshot_profile(u_at: Callable, lam: float,
         raise DomainError("lam must be positive")
     Y = grid.nodes
     window = wall_window(Y, Y[1], DEFAULT_FIT.hi)
+    # each attempt reads the fit window, and the last node, whose query
+    # is the whole grid's range check
+    probe = np.append(window, len(Y) - 1)
     lam_use = lam
     for attempt in range(4):
-        vals = u_at(lam_use * Y) / lam_use**2
-        c1 = float(lstsq_powers(Y[window], vals[window], (1, 2, 3, 4))[0])
+        vals = u_at(lam_use * Y[probe])[:-1] / lam_use**2
+        c1 = float(lstsq_powers(Y[window], vals, (1, 2, 3, 4))[0])
         if abs(c1 - 1.0) < 1e-9 or attempt == 3:
             break
         lam_use *= c1
@@ -84,7 +87,7 @@ def rescale_snapshot_profile(u_at: Callable, lam: float,
         raise InconsistentLambdaError(
             f"claimed shear {lam:.6g} vs wall-normalized {lam_use:.6g}"
         )
-    return OperatorContext.from_profile(Field(grid, vals))
+    return OperatorContext.from_profile(Field(grid, u_at(lam_use * Y) / lam_use**2))
 
 
 def _wall_unit_energies(u_at: Callable, state: vm.VMState, b: float, bs: float,

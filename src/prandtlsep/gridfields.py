@@ -5,18 +5,21 @@ the classic recursive algorithm for arbitrary node placement, so the same
 code path serves interior (centered) and boundary (one-sided) nodes.
 Cumulative integration is trapezoidal, which preserves monotonicity of the
 primitive for non-negative integrands; that property is load-bearing for
-the streamfunction map.
+the streamfunction map.  The other numerical primitives the modules share
+live here too: least-squares power fits, Brent's root finder and the
+quintic interpolating spline, with every LAPACK routine bound in one place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .errors import (DomainError, ExtrapolationError, SingularInputError,
-                     TooFewNodesError)
+from .errors import (DomainError, ExtrapolationError, FitFailureError,
+                     SingularInputError, TooFewNodesError)
 
 _MIN_NODES = 64
 _EPS = np.finfo(float).eps
@@ -110,6 +113,69 @@ def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
         raise SingularInputError(f"monomials {tuple(powers)} are rank-deficient "
                                  "on the fit window, or a sample is not finite")
     return sol
+
+
+#: Brent's iteration cap, SciPy's ``brentq`` default
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method as SciPy's ``brentq`` runs it (its C routine, step for
+    step, so the root agrees to the bit): each step keeps a bracket [xcur,
+    xblk] with xcur the better end, tries inverse quadratic interpolation
+    through the last three points (the secant while only two are known),
+    and bisects where that step is not short; it stops when the bracket's
+    half-width falls below (xtol + rtol |xcur|)/2.
+
+    Raises DomainError if f(a) and f(b) share a sign or f is not finite,
+    and FitFailureError after ``_BRENT_MAXITER`` steps.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise DomainError(f"root finder: f({x!r}) = {fx!r} is not finite")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError("root finder: f(a) and f(b) share a sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise FitFailureError(f"root finder did not converge in {_BRENT_MAXITER} steps")
 
 
 def fd_weights(x: np.ndarray, x0: float | np.ndarray, order: int) -> np.ndarray:
@@ -272,25 +338,140 @@ def smoothstep_prime(t):
     return 30.0 * t * t * (1.0 - t) ** 2
 
 
+#: the spline's degree; the not-a-knot knots drop x_1, x_2, x_{n-3}, x_{n-2}
+_K = 5
+#: band half-width of the collocation system once its end rows are reduced
+_KL = 3
+
+
+def _windows(a: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) view of the 1-D array a whose row r is a[r:r+width]."""
+    return np.ndarray((rows, width), a.dtype, a, 0, (a.itemsize, a.itemsize))
+
+
+def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(left ends, power table P) of the not-a-knot quintic interpolant of
+    y on the nodes x: on [left[j], left[j+1]] it is sum_m P[m, j] (x -
+    left[j])**m.
+
+    The spline is the one SciPy's ``make_interp_spline(x, y, k=5)``
+    builds: knots x_0 (six times), x_3..x_{n-4}, x_{n-1} (six times), so
+    that the n - 5 intervals start at x_0, x_3, .., x_{n-4}, and
+    B-spline coefficients c from the collocation system, one LAPACK
+    ``gbsv`` call.  The B-spline values come from de Boor's recurrence, one
+    row per basis function, at the n - 5 left ends and at x_1, x_2,
+    x_{n-3}, x_{n-2}, x_{n-1}: the degree-5 values are the collocation rows
+    (the left ends are nodes), and the lower degrees give P[m] = S^(m)/m!
+    at each left end from the differenced coefficients (de Boor, *A
+    Practical Guide to Splines*, ch. X)."""
+    k, n = _K, len(x)
+    nint = n - k
+    t = np.empty(n + k + 1)
+    t[:k + 1] = x[0]
+    t[k + 1:n] = x[3:n - 3]
+    t[n:] = x[-1]
+    left = t[k:n]
+    # column p < nint is the left end t_{p+k} on its own interval; the last
+    # five are x_1, x_2 (on the first interval) and x_{n-3}..x_{n-1}
+    ends = ((1, k), (2, k), (n - 3, n - 1), (n - 2, n - 1), (n - 1, n - 1))
+    right = np.empty((k, n))   # right[m-1] = t_{j+m} - x on interval j
+    back = np.empty((k, n))    # back[i] = x - t_{j+1-k+i}
+    T = _windows(t, 2 * k + 1, nint)
+    np.subtract(T[k + 1:], left, out=right[:, :nint])
+    np.subtract(left, T[1:k + 1], out=back[:, :nint])
+    for p, (i, j) in enumerate(ends, nint):
+        right[:, p] = t[j + 1:j + k + 1] - x[i]
+        back[:, p] = x[i] - t[j + 1 - k:j + 1]
+    basis = [np.ones((1, n))]
+    denom = [None]
+    for d in range(1, k + 1):
+        b = back[k - d:]
+        den = right[:d] + b
+        temp = basis[-1] / den
+        new = np.empty((d + 1, n))
+        np.multiply(right[:d], temp, out=new[:d])
+        new[d] = 0.0
+        temp *= b
+        new[1:] += temp
+        basis.append(new)
+        denom.append(den)
+    B = basis[k]
+
+    # collocation rows in band storage: row x_i, i = 3..n-4, holds
+    # B_{i-2..i+2}(x_i) on diagonals -2..2 (B_{i+3} vanishes at its knot).
+    # x_1 and x_2 meet c_0..c_5, x_{n-3} and x_{n-2} meet c_{n-6}..c_{n-1}:
+    # one multiple of x_2's row clears c_5 from x_1's, and one of
+    # x_{n-3}'s clears c_{n-6} from x_{n-2}'s, so three diagonals a side do
+    kl = _KL
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    for r in range(k):
+        ab[2 * kl + 2 - r, 1 + r:n - 5 + r] = B[r, 1:nint]
+    rhs = np.array(y, dtype=float)
+    row1, row2, row_m3, row_m2 = B[:, nint:nint + 4].T
+    alpha, beta = row1[k] / row2[k], row_m2[0] / row_m3[0]
+    rhs[1] -= alpha * rhs[2]
+    rhs[n - 2] -= beta * rhs[n - 3]
+    for i, c0, vals in ((0, 0, B[:1, 0]), (1, 0, (row1 - alpha * row2)[:k]),
+                        (2, 0, row2), (n - 3, n - 6, row_m3),
+                        (n - 2, n - 5, (row_m2 - beta * row_m3)[1:]),
+                        (n - 1, n - 1, B[k:, n - 1])):
+        for r, v in enumerate(vals):
+            ab[2 * kl + i - c0 - r, c0 + r] = v
+    _, _, c, info = lapack("dgbsv")(kl, kl, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(c).all():
+        raise SingularInputError("spline collocation system is singular, "
+                                 "or a sample is not finite")
+
+    # P[m] = C(k, m) sum_r E_r B_{r, k-m}, E the m-fold differenced
+    # coefficients: at a left end the last B-spline of each degree vanishes
+    # and the first of degree 0 and 1 is 1, so P[4] and P[5] read E_0 alone
+    P = np.empty((k + 1, nint))
+    P[0, 0] = y[0]
+    P[0, 1:] = y[3:n - 3]
+    E = _windows(c, k + 1, nint)
+    scale = 1.0
+    for m in range(1, k + 1):
+        E = (E[1:] - E[:-1]) / denom[k + 1 - m][:, :nint]
+        scale *= (k + 1 - m) / m
+        if m < k - 1:
+            np.einsum("ij,ij->j", E[:-1], basis[k - m][:-1, :nint], out=P[m])
+            P[m] *= scale
+        else:
+            np.multiply(E[0], scale, out=P[m])
+    return left, P
+
+
 def spline_interpolant(f: Field):
     """Quintic interpolating spline of the field, C**4 across the nodes.
 
     Local Lagrange interpolation is only continuous: derivatives taken on a
-    finer target grid see its kinks.  Queries must lie inside the grid span,
-    which the returned function carries as its ``span``.
+    finer target grid see its kinks.  The spline is built once as a table
+    of per-interval power coefficients (``_quintic_table``), so a query is
+    one ``searchsorted`` and a degree-5 Horner sum.  Queries must lie inside
+    the grid span, which the returned function carries as its ``span``.
     """
-    from scipy.interpolate import make_interp_spline
-
-    spline = make_interp_spline(f.grid.nodes, f.values, k=5)
+    left, P = _quintic_table(f.grid.nodes, f.values)
     span = f.grid.span
     tol = 1e-12 * max(1.0, span)
 
     def evaluate(points) -> np.ndarray:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        if np.any(pts < -tol) or np.any(pts > span + tol):
+        lo, hi = pts.min(), pts.max()
+        if lo < -tol or hi > span + tol:
             raise ExtrapolationError("interpolation query outside grid span")
-        return spline(np.clip(pts, 0.0, span))
+        if lo < 0.0 or hi > span:
+            pts = np.clip(pts, 0.0, span)
+        # the last node closes the last interval
+        idx = np.searchsorted(left, pts, side="right")
+        idx -= 1
+        dx = pts - left[idx]
+        coef = P[:, idx]
+        vals = coef[_K] * dx
+        for m in range(_K - 1, 0, -1):
+            vals += coef[m]
+            vals *= dx
+        vals += coef[0]
+        return vals
 
     evaluate.span = span
     return evaluate
-

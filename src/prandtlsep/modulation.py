@@ -5,10 +5,11 @@ The slow variable s, with ds/dx = lam**-4, is the march's own clock, which
 shears; ``standard_rescaled_grid`` is the wall-unit grid of the rescaled
 profiles; the modulation rate b = -2 lam_x lam**3 is extracted with a
 smoothed local slope; and the wall-shear collapse law lam ~ C (x* - x)**p
-is fitted by nonlinear least squares in log-log form, with the exponent
-left free, on a window whose ends are set in lam (``fit_window``).  With
-b s = k held constant the clock gives p = k / (2 (2k - 1)), which
-``simulate`` reports beside the fitted p.
+is fitted in log-log form, with the exponent left free, by variable
+projection: a linear fit of log C and p for each x*, and a root of the
+projected residual's derivative in x*, on a window whose ends are set in
+lam (``fit_window``).  With b s = k held constant the clock gives p = k /
+(2 (2k - 1)), which ``simulate`` reports beside the fitted p.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, FitFailureError
-from .gridfields import Grid, cumtrapz, window_starts
+from .errors import DomainError, FitFailureError, SingularInputError
+from .gridfields import Grid, brentq, cumtrapz, lstsq_powers, window_starts
 
 
 # one unit grid, and so one stencil set, per node count, kept for the process
@@ -73,14 +74,25 @@ def evolve_btilde(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-cumtrapz(b, s)) / s[0]
 
 
+#: the collapse fit's bracket in u = log(x* - x_end) ends at most this many
+#: steps from the estimate on each side, each step three times as far out
+_BRACKET_STEPS = 5
+#: the root's tolerance in u, a relative one in x* - x_end
+_U_TOL = 1e-12
+
+
 def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     """Fit log lam = log C + p log(x* - x) over (x*, C, p).
 
     Needs a tail over which lam falls by a factor of at least 8, most of a
     decade; returns the fitted parameters and the rms log-residual.
-    """
-    from scipy.optimize import least_squares  # only simulate fits
 
+    Variable projection (Golub and Pereyra): for a fixed x*, log C and p
+    are a linear least-squares fit, so the squared residual is a function
+    of x* alone, whose derivative is 2 sum r_i p/(x* - x_i) at the fitted
+    (log C, p).  x* is the root of that sum, found by ``brentq`` in u =
+    log(x* - x_end) on a bracket stepped out from the p = 1/2 estimate.
+    """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if len(x) < 30:
@@ -88,27 +100,43 @@ def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
     if lam[0] / lam[-1] < 8.0:
         raise DomainError("fit window must span most of a decade in lam")
     x_end = x[-1]
-    # collapse-law initializer: x* from matching two samples with p = 1/2
-    r = (lam[0] / lam[-1]) ** 2
-    x_star0 = max((r * x_end - x[0]) / (r - 1.0), x_end + 1e-12)
     log_lam = np.log(lam)
 
-    def residual(theta):
-        dx_star, log_c, p = theta
-        return log_c + p * np.log(np.exp(dx_star) + x_end - x) - log_lam
+    def projection(u: float) -> tuple:
+        """(log(x* - x), log C, p, residual) at x* = x_end + e**u."""
+        log_gap = np.log(np.exp(u) + x_end - x)
+        log_c, p = lstsq_powers(log_gap, log_lam, (0, 1))
+        return log_gap, log_c, p, log_c + p * log_gap - log_lam
 
-    theta0 = np.array([np.log(max(x_star0 - x_end, 1e-14)),
-                       float(log_lam[-1] - 0.5 * np.log(x_star0 - x_end)), 0.5])
-    res = least_squares(residual, theta0, method="lm", max_nfev=2000)
-    if not res.success:
-        raise FitFailureError(f"collapse fit did not converge: {res.message}")
-    dx_star, log_c, p = res.x
-    rms = float(np.sqrt(np.mean(res.fun**2)))
+    def slope(u: float) -> float:
+        log_gap, _, p, res = projection(u)
+        return float(p * np.sum(res * np.exp(-log_gap)))
+
+    # collapse-law initializer: x* from matching two samples with p = 1/2
+    r = (lam[0] / lam[-1]) ** 2
+    u0 = np.log(max((r * x_end - x[0]) / (r - 1.0) - x_end, 1e-14))
+
+    def bracket_end(u: float, sign: float) -> float:
+        """u, moved away from u0 until the slope has the given sign; far
+        out, log(x* - x) flattens until the fit of p is singular."""
+        try:
+            for _ in range(_BRACKET_STEPS):
+                if sign * slope(u) > 0.0:
+                    return u
+                u = u0 + 3.0 * (u - u0)
+        except SingularInputError:
+            pass
+        raise FitFailureError("collapse fit did not converge: the residual "
+                              f"has no minimum in x* - x_end near {np.exp(u0):.3g}")
+
+    u = brentq(slope, bracket_end(u0 - 1.0, -1.0), bracket_end(u0 + 1.0, 1.0),
+               xtol=_U_TOL, rtol=4.0 * np.finfo(float).eps)
+    _, log_c, p, res = projection(u)
     return {
-        "x_star": float(x_end + np.exp(dx_star)),
+        "x_star": float(x_end + np.exp(u)),
         "C": float(np.exp(log_c)),
         "exponent": float(p),
-        "residual": rms,
+        "residual": float(np.sqrt(np.mean(res**2))),
         "window": [float(x[0]), float(x_end)],
         "n_samples": int(len(x)),
     }

@@ -21,14 +21,14 @@ the difference start at discretization level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from . import ratpoly
 from .errors import DomainError, InvalidInitialDataError
-from .gridfields import Field, Grid, cumint, smoothstep, smoothstep_prime
+from .gridfields import (Field, Grid, brentq, cumint, smoothstep,
+                         smoothstep_prime)
 
 # ---------------------------------------------------------------------------
 # Cutoff and far-field completion shapes
@@ -128,8 +128,13 @@ class InitialData:
         return self.u0.grid
 
 
-def default_physical_grid(n: int = 3073) -> Grid:
-    """Inflow grid on [0, 3.2]; ``build_initial_data`` rescales its span."""
+#: node count of the inflow grid, ``RunConfig.n_physical``'s default
+N_PHYSICAL = 3073
+
+
+def default_physical_grid(n: int) -> Grid:
+    """Inflow grid of n nodes on [0, 3.2]; ``build_initial_data`` rescales
+    its span."""
     return Grid.tanh_clustered(n, 3.2, strength=5.0)
 
 
@@ -154,7 +159,7 @@ def _perturbation(y: np.ndarray, lambda0: float, amplitude: float, c8: float):
     return v, v1, v2
 
 
-def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
+def build_initial_data(lambda0: float, grid: Grid,
                        perturbation_amplitude: float = 0.0,
                        x0_pressure: float = 1.0) -> InitialData:
     """Construct inflow data with wall shear ``lambda0``.
@@ -167,8 +172,6 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
     """
     if not 0.0 < lambda0 <= 0.2:
         raise DomainError("lambda0 must lie in (0, 0.2]")
-    if grid is None:
-        grid = default_physical_grid()
     y1 = lambda0 ** (3.0 / 7.0)
     if grid.span < 6.0 * y1:
         raise DomainError("grid span must cover at least 6 * lambda0^(3/7)")
@@ -184,8 +187,6 @@ def build_initial_data(lambda0: float, grid: Optional[Grid] = None,
     # outer-flow speed on this grid's own quadrature.  The supplied grid is
     # a resolution/clustering template: its span is rescaled as needed so
     # the matching problem brackets.
-    from scipy.optimize import brentq
-
     u_inf = np.sqrt(2.0 * x0_pressure)
     for _ in range(60):
         y, span = grid.nodes, grid.span

@@ -336,14 +336,13 @@ def profile_coefficients(u4: RationalPoly | None = None) -> Dict[str, Fraction]:
     }
 
 
-def leading_V_coefficients() -> Tuple[Fraction, Fraction]:
+def leading_V_coefficients(u2: RationalPoly) -> Tuple[Fraction, Fraction]:
     """(b_s + b**2)-normalized Y**7 and Y**8 coefficients of the first corrector.
 
     The corrector is the double primitive of the (b_s + b**2)-aligned part
-    of the residual of the second iterate; its two leading coefficients set
-    the wall trace used throughout the diagnostics.
+    of the residual of the second iterate ``u2``; its two leading
+    coefficients set the wall trace used throughout the diagnostics.
     """
-    u2 = profile_chain(2)[-1]
     res = prandtl_residual(u2)
     aligned, _ = res.split_bs_linear()  # residual = aligned*(b_s) + rest
     v = aligned.antiderivative_Y().antiderivative_Y()
@@ -531,8 +530,9 @@ class IdentityCheck:
     passed: bool
 
 
-def algebra_certificate() -> list[IdentityCheck]:
-    """Re-derive and certify every exact identity."""
+def algebra_certificate(chain: list[RationalPoly]) -> list[IdentityCheck]:
+    """Certify every exact identity on ``chain``, the iterates [U_1, ..,
+    U_4] of ``profile_chain(4)``, derived once by the caller."""
     checks: list[IdentityCheck] = []
 
     def add(name: str, expected, computed) -> None:
@@ -543,7 +543,7 @@ def algebra_certificate() -> list[IdentityCheck]:
     half_y2 = RationalPoly.monomial(Fraction(1, 2), 2)
     add("residual(Y^2/2)", RationalPoly.zero(), prandtl_residual(half_y2))
 
-    u1, u2, u3, u4 = profile_chain(4)
+    u1, u2, u3, u4 = chain
 
     c = WALL_COEFFICIENTS
     a4, a7, a10, a11 = c["a4"], c["a7"], c["a10"], c["a11"]
@@ -600,7 +600,7 @@ def algebra_certificate() -> list[IdentityCheck]:
     except AlgebraCertificateError as exc:
         checks.append(IdentityCheck("remainder decomposition", "certified shape", str(exc), False))
 
-    c7v, c8v = leading_V_coefficients()
+    c7v, c8v = leading_V_coefficients(u2)
     add("corrector Y^7 coefficient = -8 a7/5 = -1/2520", Fraction(-8, 5) * a7, c7v)
     add("corrector Y^8 coefficient = -3 a4/560 = -1/8960", Fraction(-3, 560) * a4, c8v)
 

@@ -8,7 +8,9 @@ observed convergence order of an error sequence; a bitwise array
 comparison; the cumulative trapezoid as it was written inline before
 ``gridfields.cumtrapz`` replaced the copies; the least-squares fit as the
 scaled SVD solve that ``gridfields.lstsq_powers`` was before it called
-LAPACK ``gels``; the closed forms of the
+LAPACK ``gels``; the collapse-law fit as the Levenberg-Marquardt fit that
+``modulation.fit_singularity`` was before variable projection; the inflow
+grid at the default node count; the closed forms of the
 march's stencil weights, which ``gridfields.fd_weights`` now generates:
 the three-point first and second differences on the phi grid, the cubic
 interpolation at the Gauss points of each t = sqrt(phi) cell, the quadratic
@@ -36,6 +38,11 @@ from prandtlsep.gridfields import Field, Grid, cumint, lstsq_powers
 
 def uniform_grid(n: int, x_max: float) -> Grid:
     return Grid(np.linspace(0.0, x_max, n))
+
+
+def inflow_grid() -> Grid:
+    """The inflow grid that ``simulate`` builds at the default ``n_physical``."""
+    return pr.default_physical_grid(pr.N_PHYSICAL)
 
 
 def convergence_order(errors: Iterable[float]) -> float:
@@ -151,6 +158,30 @@ def lstsq_powers_svd(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     sol, *_ = np.linalg.lstsq(cols / norms, v, rcond=None)
     return sol / norms
+
+
+def fit_singularity_lm(x: np.ndarray, lam: np.ndarray) -> dict:
+    """x_star, C, exponent and residual of ``modulation.fit_singularity`` as
+    it was before variable projection: SciPy's Levenberg-Marquardt over
+    (log(x* - x_end), log C, p) from the p = 1/2 estimate."""
+    from scipy.optimize import least_squares
+
+    x_end = x[-1]
+    r = (lam[0] / lam[-1]) ** 2
+    x_star0 = max((r * x_end - x[0]) / (r - 1.0), x_end + 1e-12)
+    log_lam = np.log(lam)
+
+    def residual(theta):
+        dx_star, log_c, p = theta
+        return log_c + p * np.log(np.exp(dx_star) + x_end - x) - log_lam
+
+    theta0 = np.array([np.log(max(x_star0 - x_end, 1e-14)),
+                       float(log_lam[-1] - 0.5 * np.log(x_star0 - x_end)), 0.5])
+    res = least_squares(residual, theta0, method="lm", max_nfev=2000)
+    assert res.success, res.message
+    dx_star, log_c, p = res.x
+    return {"x_star": float(x_end + np.exp(dx_star)), "C": float(np.exp(log_c)),
+            "exponent": float(p), "residual": float(np.sqrt(np.mean(res.fun**2)))}
 
 
 def same_bits(a, b) -> bool:

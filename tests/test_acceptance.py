@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hardy import hardy_constant, hardy_phi, hardy_phi_closed
-from reference import convergence_order, op_L
+from reference import convergence_order, inflow_grid, op_L
 
 from prandtlsep import cli
 from prandtlsep import diagnostics as dg
@@ -40,7 +40,7 @@ def conclude(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def main_run():
-    data = pr.build_initial_data(0.05)
+    data = pr.build_initial_data(0.05, inflow_grid())
     cfg = vm.MarchConfig(lambda_stop=0.05 / 50.0)
     t0 = time.time()
     traj = vm.solve_until_separation(data, cfg)
@@ -51,7 +51,7 @@ def main_run():
 
 @pytest.fixture(scope="module")
 def small_run():
-    data = pr.build_initial_data(0.025)
+    data = pr.build_initial_data(0.025, inflow_grid())
     cfg = vm.MarchConfig(lambda_stop=0.025 / 50.0)
     traj = vm.solve_until_separation(data, cfg)
     assert traj.completed
@@ -140,7 +140,7 @@ def test_march_picard_work(main_run):
 
 
 def test_criterion_4_exact_algebra():
-    cert = {c.name: c for c in rp.algebra_certificate()}
+    cert = {c.name: c for c in rp.algebra_certificate(rp.profile_chain(4))}
     coeffs = rp.profile_coefficients()
     checks = [
         coeffs["a4"] == Fraction(1, 48),
@@ -150,7 +150,8 @@ def test_criterion_4_exact_algebra():
         cert["residual(Y^2/2)"].passed,
         cert["remainder: (b_s+b^2) coefficient"].passed,
         cert["remainder: pure b^4 part"].passed,
-        rp.leading_V_coefficients() == (Fraction(-1, 2520), Fraction(-1, 8960)),
+        rp.leading_V_coefficients(rp.profile_chain(2)[-1])
+        == (Fraction(-1, 2520), Fraction(-1, 8960)),
     ]
     ok = all(checks)
     conclude(4, ok, "a4 = 1/48, a7 = 1/4032, a10 = 27a7/1440, a11 = 3a7/1760, "
@@ -320,7 +321,7 @@ def test_criterion_10_hardy_constants():
 
 
 def test_criterion_11_global_solution_control():
-    data = pr.build_initial_data(0.05)
+    data = pr.build_initial_data(0.05, inflow_grid())
     cfg = vm.MarchConfig(source_scale=0.0, lambda_stop=1e-6,
                          dx_init=5e-4, max_steps=400)
     traj = vm.solve_until_separation(data, cfg)

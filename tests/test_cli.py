@@ -215,6 +215,20 @@ class TestVerifyAlgebra:
         out = capsys.readouterr().out
         assert "U2" in out
 
+    def test_profile_chain_is_derived_once(self, tmp_path, monkeypatch):
+        # the certificate, the corrector's coefficients and the erratum rows
+        # all read the one chain of iterates that verify-algebra derives
+        calls = []
+        chain_of = cli.rp.profile_chain
+
+        def counted(n):
+            calls.append(n)
+            return chain_of(n)
+
+        monkeypatch.setattr(cli.rp, "profile_chain", counted)
+        assert cli.main(["verify-algebra", "--outdir", str(tmp_path)]) == cli.EXIT_OK
+        assert calls == [4]
+
     def test_removed_tamper_flag_is_refused(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         code = cli.main(["verify-algebra", "--outdir", str(outdir),
@@ -785,8 +799,6 @@ class TestSimulateAndAudit:
         # an inverted state, a snapshot or a commutator pair, is splined once
         # and every rescale of it (full and half resolution, commutator)
         # reads that spline
-        import scipy.interpolate
-
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         calls = {"spline": 0, "invert": 0}
@@ -797,8 +809,8 @@ class TestSimulateAndAudit:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scipy.interpolate, "make_interp_spline",
-                            counted("spline", scipy.interpolate.make_interp_spline))
+        monkeypatch.setattr(cli.dg, "spline_interpolant",
+                            counted("spline", cli.dg.spline_interpolant))
         monkeypatch.setattr(cli.dg.vm, "from_von_mises",
                             counted("invert", cli.dg.vm.from_von_mises))
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
@@ -1133,14 +1145,38 @@ def test_benchmark_checks_read_the_cli_artifacts(tmp_path):
 
 
 def test_cli_import_loads_neither_integrate_nor_optimize():
-    # every subcommand pays for what importing the CLI loads: only the march
-    # and the least-squares fits of simulate and audit call LAPACK
-    # (scipy.linalg), only simulate fits the collapse law (scipy.optimize),
-    # only audit interpolates (scipy.interpolate), only sweep starts
-    # processes, and no subcommand integrates by quadrature
+    # every subcommand pays for what importing the CLI loads: only the march,
+    # the least-squares fits and the spline of simulate and audit call
+    # LAPACK (scipy.linalg), only sweep starts processes, and no subcommand
+    # integrates by quadrature
     assert _loaded_after("import prandtlsep.cli", (
         "scipy.integrate", "scipy.optimize", "scipy.linalg",
         "scipy.interpolate", "concurrent.futures.process")) == []
+
+
+#: what neither simulate nor audit loads: the inflow root, the collapse fit
+#: and the spline are the package's own, on scipy.linalg's LAPACK alone
+_UNLOADED = ("scipy.optimize", "scipy.interpolate", "scipy.sparse")
+
+
+def test_simulate_and_audit_load_neither_optimize_nor_interpolate(tmp_path):
+    # each in its own interpreter: a simulate that fits the collapse law,
+    # then an audit that splines every snapshot of its run
+    outdir = str(tmp_path / "run")
+    config = tmp_path / "run.cfg"
+    config.write_text("lambda0 = 0.05\nn_psi = 1153\nn_physical = 1537\n"
+                      "ds_rel = 0.02\nsnapshots_per_decade = 10.0\n"
+                      f"outdir = {outdir}\n")
+    simulate = ("from prandtlsep import cli\n"
+                f"assert cli.main(['simulate', '--config', {str(config)!r}]) == 0")
+    assert _loaded_after(simulate, _UNLOADED) == []
+    assert "x_star" in _json(outdir, "fit_report.json")
+    audit = ("from prandtlsep import cli\n"
+             f"assert cli.main(['audit', {outdir!r}]) in (0, 2)")
+    assert _loaded_after(audit, _UNLOADED) == []
+    manifest = _json(outdir, "manifest.json")
+    summary = _json(outdir, "audit_summary.json")
+    assert len(summary["failed_snapshots"]) < len(manifest["snapshots"])
 
 
 def test_verify_algebra_never_loads_lapack(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import inflow_grid
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
@@ -11,7 +12,7 @@ from prandtlsep.operators import OperatorContext
 
 @pytest.fixture(scope="module")
 def short_traj():
-    data = pr.build_initial_data(0.05)
+    data = pr.build_initial_data(0.05, inflow_grid())
     cfg = vm.MarchConfig(lambda_stop=0.05 / 8.0)
     traj = vm.solve_until_separation(data, cfg)
     assert traj.completed
@@ -57,7 +58,7 @@ class TestRepresentationRoundTrip:
         # inverse map, spline, wall-unit rescaling; its U_YY matches
         # U_app's on the same grid (measured 4e-11, 7e-10 and 3e-8)
         lam = s**-0.5
-        g = pr.default_physical_grid(3073)
+        g = inflow_grid()
         u = Field(g, lam**2 * pr.eval_uapp(s, 1.0 / s, g.nodes / lam))
         state = vm.to_von_mises(u, lam, s, n_psi=vm.MarchConfig.n_psi)
         u_at = spline_interpolant(vm.from_von_mises(state))
@@ -83,6 +84,38 @@ class TestAuditSuite:
         s2 = dg.run_audit_suite(frames)
         assert s1.M2 == s2.M2
         assert s1.A_minus == s2.A_minus and s1.A_plus == s2.A_plus
+
+
+class TestSplineOracle:
+    @staticmethod
+    def _assert_scipys(u, lam, s):
+        # at the nodes, between them and on the audit's wall-unit grid, the
+        # package's spline is make_interp_spline(k=5) to 1e-13 relative
+        from scipy.interpolate import make_interp_spline
+
+        y = u.grid.nodes
+        walls = lam * md.standard_rescaled_grid(s, 641, reach=u.grid.span / lam).nodes
+        q = np.sort(np.concatenate([y, 0.5 * (y[1:] + y[:-1]), walls]))
+        ref = make_interp_spline(y, u.values, k=5)(q)
+        ours = spline_interpolant(u)(q)
+        inside = q > 0.0
+        assert np.all(np.abs(ours - ref)[inside] <= 1e-13 * np.abs(ref[inside]))
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_marched_states(self, short_traj):
+        for snap in short_traj.snapshots:
+            for state in (snap.state, snap.pair_state):
+                self._assert_scipys(vm.from_von_mises(state), state.lam, state.s)
+
+    @pytest.mark.parametrize("s", [7.2e2, 2.7e4, 5.3e5])
+    def test_late_states(self, s):
+        # the approximate solution's states, as in the round trip above, out
+        # to s ~ 5e5 where the march's wall layer is thinnest
+        lam = s**-0.5
+        g = inflow_grid()
+        u = Field(g, lam**2 * pr.eval_uapp(s, 1.0 / s, g.nodes / lam))
+        state = vm.to_von_mises(u, lam, s, n_psi=vm.MarchConfig.n_psi)
+        self._assert_scipys(vm.from_von_mises(state), lam, s)
 
 
 class TestCommutator:

@@ -7,7 +7,8 @@ from reference import convergence_order, same_bits, uniform_grid
 
 from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
-from prandtlsep.errors import (ExtrapolationError, SingularInputError,
+from prandtlsep.errors import (DomainError, ExtrapolationError,
+                               FitFailureError, SingularInputError,
                                TooFewNodesError)
 
 
@@ -260,6 +261,59 @@ class TestInterpolate:
         f = gf.Field(g, g.nodes)
         with pytest.raises(ExtrapolationError):
             gf.spline_interpolant(f)([1.5])
+
+    def test_is_scipys_not_a_knot_quintic(self, grid_maker):
+        # the same spline as make_interp_spline(k=5), at the nodes, between
+        # them and at both ends
+        from scipy.interpolate import make_interp_spline
+
+        g = grid_maker(200)
+        f = gf.Field(g, np.exp(-g.nodes) * np.sin(3.0 * g.nodes) + g.nodes)
+        mid = 0.5 * (g.nodes[1:] + g.nodes[:-1])
+        q = np.sort(np.concatenate([g.nodes, mid]))
+        ref = make_interp_spline(g.nodes, f.values, k=5)(q)
+        ours = gf.spline_interpolant(f)(q)
+        assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestBrent:
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),      # Wallis's cubic
+        (lambda x: np.cos(x) - x, 0.0, 1.0),
+        (lambda x: np.exp(x) - 2.0, 0.0, 2.0),
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: x**5 - x - 1.0, 1.0, 2.0),
+        (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),  # a near step
+        (lambda x: np.arctan(1e3 * (x - 0.77)), 0.0, 1.0),
+        (lambda x: x - 1e-300, -1.0, 1.0),
+        # where inverse interpolation overshoots and Brent bisects instead
+        (lambda x: np.exp(x) - 1e6, 0.0, 20.0),
+        (lambda x: np.log(x), 0.1, 10.0),
+        (lambda x: np.cbrt(x - 0.1), -1.0, 2.0),               # infinite slope
+        (lambda x: 1.0 / x - 3.0, 0.01, 1.0),
+    ])
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-6, 2e-12, 1e-14])
+    def test_roots_are_scipys_bit_for_bit(self, f, a, b, xtol):
+        from scipy.optimize import brentq
+
+        ours = gf.brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+        assert same_bits(ours, brentq(f, a, b, xtol=xtol, rtol=8.9e-16))
+        assert abs(f(ours)) <= abs(f(ours + 4.0 * xtol)) or f(ours) == 0.0
+
+    def test_endpoint_root_bad_brackets_and_the_step_cap(self):
+        from scipy.optimize import brentq
+
+        assert gf.brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 1e-15) == 1.0
+        # on this triple root both give up after 100 steps
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq(lambda x: (x - 1.0) ** 3, 0.0, 3.0, xtol=2e-12, rtol=8.9e-16)
+        with pytest.raises(FitFailureError, match="100 steps"):
+            gf.brentq(lambda x: (x - 1.0) ** 3, 0.0, 3.0, 2e-12, 8.9e-16)
+        with pytest.raises(DomainError, match="share a sign"):
+            gf.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+        with pytest.raises(DomainError, match="not finite"):
+            gf.brentq(lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0,
+                      1e-12, 1e-15)
 
 
 def test_smoothstep_ramp_and_derivative():

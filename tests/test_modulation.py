@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import fit_singularity_lm, inflow_grid
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
-from prandtlsep.errors import (DomainError, InconsistentLambdaError,
-                               InvalidProfileError)
+from prandtlsep.errors import (DomainError, FitFailureError,
+                               InconsistentLambdaError, InvalidProfileError)
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 
@@ -126,6 +127,41 @@ class TestCollapseFit:
         fit = md.fit_singularity(x, (0.01 - x) ** (1.0 / 3.0))
         assert abs(fit["exponent"] - 1.0 / 3.0) < 1e-6
 
+    @pytest.mark.parametrize("law", ["square-root", "cube-root"])
+    def test_synthetic_laws_match_the_levenberg_marquardt_fit(self, law):
+        # variable projection lands on the least-squares minimum that the
+        # LM fit it replaced found; both residuals are roundoff
+        if law == "square-root":
+            x = np.linspace(0, 0.00995, 400)
+            lam = 0.3 * np.sqrt(0.01 - x)
+        else:
+            x = np.linspace(0, 0.0099999, 500)
+            lam = (0.01 - x) ** (1.0 / 3.0)
+        fit, ref = md.fit_singularity(x, lam), fit_singularity_lm(x, lam)
+        for key in ("x_star", "C", "exponent"):
+            assert fit[key] == pytest.approx(ref[key], rel=1e-9, abs=0)
+        assert fit["residual"] < 1e-12 and ref["residual"] < 1e-12
+
+    def test_default_window_matches_the_levenberg_marquardt_fit(self):
+        from prandtlsep import profiles as pr
+        from prandtlsep import vonmises as vm
+
+        cfg = vm.MarchConfig()
+        traj = vm.solve_until_separation(
+            pr.build_initial_data(0.05, inflow_grid()), cfg)
+        win = md.fit_window(traj.lam, cfg.lambda_stop)
+        fit = md.fit_singularity(traj.x[win], traj.lam[win])
+        ref = fit_singularity_lm(traj.x[win], traj.lam[win])
+        for key in ("x_star", "C", "exponent", "residual"):
+            assert fit[key] == pytest.approx(ref[key], rel=1e-9, abs=0)
+
+    def test_no_minimum_in_reach_raises(self):
+        # an exponential decay has no finite x*: the residual falls all the
+        # way out, and the bracket's last step still reads a falling slope
+        x = np.linspace(0.0, 1.0, 60)
+        with pytest.raises(FitFailureError, match="has no minimum"):
+            md.fit_singularity(x, np.exp(-3.0 * x))
+
     def test_preconditions(self):
         x = np.linspace(0, 0.001, 40)
         lam = 0.3 * np.sqrt(0.01 - x)  # spans far less than a decade
@@ -157,7 +193,7 @@ class TestFitWindow:
         from prandtlsep import profiles as pr
         from prandtlsep import vonmises as vm
 
-        data = pr.build_initial_data(0.05)
+        data = pr.build_initial_data(0.05, inflow_grid())
         lam_end = md.FIT_END * 5e-3
         ends = []
         for ds_rel in (0.008, 0.016):
@@ -236,19 +272,23 @@ class TestRescale:
     ], ids=["shear-within-tolerance", "shear-rejected"])
     def test_check_judges_the_shear_the_profile_is_built_with(self, drift, error,
                                                              message):
-        # a wall slope that never settles: every fit reads c1 = drift, so
-        # the fourth and last profile is built with lam = drift**3.  At 1.007
+        # a wall slope that never settles: the profile read at the k-th
+        # shear tried is drift**k y, so every fit reads c1 = drift and the
+        # fourth and last profile is built with lam = drift**3.  At 1.007
         # that shear is within SLOPE_RTOL of 1 (one more update would leave
         # it) and only the context's own slope check rejects the profile; at
         # 1.01 the rejection quotes the shear the profile was built with
         grid = md.standard_rescaled_grid(400.0, 321)
-        calls = []
+        shears = []
 
         def u_at(y):
-            calls.append(y)
-            return drift ** len(calls) * y
+            # every query ends at the grid's last node, so it names its shear
+            shear = y[-1] / grid.span
+            if not shears or not np.isclose(shear, shears[-1], rtol=1e-12):
+                shears.append(shear)
+            return drift ** len(shears) * y
 
         with pytest.raises(error, match=message):
             dg.rescale_snapshot_profile(u_at, 1.0, grid)
-        assert len(calls) == 4
-        assert np.allclose(calls[-1], drift**3 * grid.nodes, rtol=1e-12, atol=0)
+        assert len(shears) == 4
+        assert shears[-1] == pytest.approx(drift**3, rel=1e-12, abs=0)

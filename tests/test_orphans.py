@@ -121,6 +121,17 @@ def test_least_squares_is_solved_only_in_gridfields():
             if re.search(r"\b(np|numpy)\.linalg\b", text)] == []
 
 
+def test_no_module_loads_scipy_optimize_or_interpolate():
+    # Brent's root finder, the collapse fit and the quintic spline are the
+    # package's own (gridfields); scipy.linalg's LAPACK is the one SciPy
+    # subpackage it loads
+    texts = {os.path.basename(path): Path(path).read_text()
+             for path in sorted(glob.glob(os.path.join(SRC, "*.py")))}
+    assert texts
+    assert [name for name, text in texts.items()
+            if re.search(r"scipy\.(optimize|interpolate)\b", text)] == []
+
+
 def test_every_function_is_reachable_from_the_cli():
     defs, roots, module_uses = _definitions()
     orphans = set(defs) - _reachable(defs, roots, module_uses)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from reference import (eval_uapp_Y, poly_eval, theta_prime, theta_second,
-                       uapp_core_poly, uniform_grid)
+from reference import (eval_uapp_Y, inflow_grid, poly_eval, same_bits,
+                       theta_prime, theta_second, uapp_core_poly, uniform_grid)
 
 from prandtlsep import energies as en
+from prandtlsep import gridfields as gf
 from prandtlsep import profiles as pr
 from prandtlsep.errors import DomainError
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
@@ -101,7 +102,7 @@ class TestEvalUapp:
 
 @pytest.fixture(scope="module")
 def data():
-    return pr.build_initial_data(0.05)
+    return pr.build_initial_data(0.05, inflow_grid())
 
 
 class TestInitialData:
@@ -144,9 +145,9 @@ class TestInitialData:
 
     def test_lambda_range_enforced(self):
         with pytest.raises(DomainError):
-            pr.build_initial_data(0.0)
+            pr.build_initial_data(0.0, inflow_grid())
         with pytest.raises(DomainError):
-            pr.build_initial_data(0.25)
+            pr.build_initial_data(0.25, inflow_grid())
 
     def test_span_precondition(self):
         small = Grid.tanh_clustered(257, 0.5, 4.0)
@@ -154,13 +155,32 @@ class TestInitialData:
             pr.build_initial_data(0.05, grid=small)
 
     def test_perturbation_keeps_invariants(self):
-        data = pr.build_initial_data(0.05, perturbation_amplitude=1e-3)
+        data = pr.build_initial_data(0.05, inflow_grid(),
+                                     perturbation_amplitude=1e-3)
         assert np.max(data.u0_second.values) <= 1.0 + 1e-12
         assert np.all(data.u0_prime.values[:-1] > 0)
 
+    @pytest.mark.parametrize("lambda0", [0.025, 0.048, 0.05, 0.0512, 0.1])
+    def test_matching_root_is_scipys_bit_for_bit(self, lambda0, monkeypatch):
+        # the outer-speed matching, solved by the package's Brent port and
+        # by scipy.optimize.brentq with the same bracket and tolerances
+        from scipy.optimize import brentq
+
+        roots = []
+
+        def both(f, a, b, xtol, rtol):
+            roots.append((gf.brentq(f, a, b, xtol, rtol),
+                          brentq(f, a, b, xtol=xtol, rtol=rtol)))
+            return roots[-1][0]
+
+        monkeypatch.setattr(pr, "brentq", both)
+        pr.build_initial_data(lambda0, inflow_grid())
+        (ours, scipys), = roots
+        assert same_bits(ours, scipys)
+
     def test_zero_perturbation_is_exact_zero(self):
-        a = pr.build_initial_data(0.05)
-        b = pr.build_initial_data(0.05, perturbation_amplitude=0.0)
+        a = pr.build_initial_data(0.05, inflow_grid())
+        b = pr.build_initial_data(0.05, inflow_grid(), perturbation_amplitude=0.0)
         assert np.array_equal(a.u0.values, b.u0.values)
 
     def test_inner_zone_matches_reference_profile(self, data):
@@ -176,7 +196,7 @@ class TestWellPrepared:
         from prandtlsep import diagnostics as dg
         from prandtlsep import modulation as md
 
-        data = pr.build_initial_data(0.05)
+        data = pr.build_initial_data(0.05, inflow_grid())
         grid = md.standard_rescaled_grid(data.s0, 513)
         U0 = dg.rescale_snapshot_profile(spline_interpolant(data.u0),
                                          data.lambda0, grid).U

@@ -131,7 +131,7 @@ class TestResidualAndChain:
         assert min_deg >= 8
 
     def test_corrector_leading_coefficients(self):
-        c7, c8 = rp.leading_V_coefficients()
+        c7, c8 = rp.leading_V_coefficients(rp.profile_chain(2)[-1])
         assert c7 == F(-8, 5) * F(1, 4032) == F(-1, 2520)
         assert c8 == F(-3, 560) * F(1, 48) == F(-1, 8960)
 
@@ -196,7 +196,7 @@ class TestSeriesOracle:
         assert rp.wall_trace_coefficient(u, Y(7)) == 1260
 
     def test_trace_times_leading_coefficient_is_half(self):
-        c7, _ = rp.leading_V_coefficients()
+        c7, _ = rp.leading_V_coefficients(rp.profile_chain(2)[-1])
         assert c7 * 1260 == F(-1, 2)
 
     def test_companion_weight(self):
@@ -210,7 +210,8 @@ class TestSeriesOracle:
         # the certificate checks the constants the approximate profile uses
         monkeypatch.setitem(rp.WALL_COEFFICIENTS, key,
                             rp.WALL_COEFFICIENTS[key] * F(1001, 1000))
-        failed = [c.name for c in rp.algebra_certificate() if not c.passed]
+        failed = [c.name for c in rp.algebra_certificate(rp.profile_chain(4))
+                  if not c.passed]
         assert row in failed
 
     def test_linv_series_on_closed_form(self):
@@ -244,12 +245,12 @@ class TestSerialization:
 
 class TestCertificate:
     def test_fresh_build_passes(self):
-        cert = rp.algebra_certificate()
+        cert = rp.algebra_certificate(rp.profile_chain(4))
         assert all(c.passed for c in cert)
 
     def test_fault_injection_names_culprit(self, monkeypatch):
         tamper_second_iterate(monkeypatch)
-        cert = rp.algebra_certificate()
+        cert = rp.algebra_certificate(rp.profile_chain(4))
         failed = [c for c in cert if not c.passed]
         assert failed
         assert "U2" in failed[0].name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference
 import scipy.linalg
-from reference import same_bits, uniform_grid
+from reference import inflow_grid, same_bits, uniform_grid
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
@@ -18,7 +18,7 @@ from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 @pytest.fixture(scope="module")
 def data05():
-    return pr.build_initial_data(0.05)
+    return pr.build_initial_data(0.05, inflow_grid())
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestWallShearWindow:
         # of the grid (the bound phi/sqrt(w) <= y took 576-640 nodes here).
         # Every station past the inflow, whose shear is lambda0, is estimated
         calls = self._spy_prefixes(monkeypatch)
-        traj = vm.solve_until_separation(pr.build_initial_data(0.05),
+        traj = vm.solve_until_separation(pr.build_initial_data(0.05, inflow_grid()),
                                          vm.MarchConfig(max_steps=200))
         assert len(calls) >= len(traj.x) - 1 and None not in calls
         assert max(calls) < 0.2 * len(traj.psi_grid)
