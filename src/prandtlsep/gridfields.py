@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DomainError, ExtrapolationError, FitFailureError,
                      SingularInputError, TooFewNodesError)
@@ -117,9 +118,12 @@ def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
 
 #: Brent's iteration cap, SciPy's ``brentq`` default
 _BRENT_MAXITER = 100
+#: Brent's relative tolerance, just above SciPy's floor of 4 eps; the
+#: inflow's matching root is SciPy's to the bit at this value
+_BRENT_RTOL = 8.9e-16
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method as SciPy's ``brentq`` runs it (its C routine, step for
@@ -127,7 +131,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     xblk] with xcur the better end, tries inverse quadratic interpolation
     through the last three points (the secant while only two are known),
     and bisects where that step is not short; it stops when the bracket's
-    half-width falls below (xtol + rtol |xcur|)/2.
+    half-width falls below (xtol + ``_BRENT_RTOL`` |xcur|)/2.
 
     Raises DomainError if f(a) and f(b) share a sign or f is not finite,
     and FitFailureError after ``_BRENT_MAXITER`` steps.
@@ -154,7 +158,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -344,11 +348,6 @@ _K = 5
 _KL = 3
 
 
-def _windows(a: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """The (rows, width) view of the 1-D array a whose row r is a[r:r+width]."""
-    return np.ndarray((rows, width), a.dtype, a, 0, (a.itemsize, a.itemsize))
-
-
 def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     """(left ends, power table P) of the not-a-knot quintic interpolant of
     y on the nodes x: on [left[j], left[j+1]] it is sum_m P[m, j] (x -
@@ -376,9 +375,9 @@ def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     ends = ((1, k), (2, k), (n - 3, n - 1), (n - 2, n - 1), (n - 1, n - 1))
     right = np.empty((k, n))   # right[m-1] = t_{j+m} - x on interval j
     back = np.empty((k, n))    # back[i] = x - t_{j+1-k+i}
-    T = _windows(t, 2 * k + 1, nint)
-    np.subtract(T[k + 1:], left, out=right[:, :nint])
-    np.subtract(left, T[1:k + 1], out=back[:, :nint])
+    for m in range(1, k + 1):
+        np.subtract(t[k + m:n + m], left, out=right[m - 1, :nint])
+        np.subtract(left, t[m:nint + m], out=back[m - 1, :nint])
     for p, (i, j) in enumerate(ends, nint):
         right[:, p] = t[j + 1:j + k + 1] - x[i]
         back[:, p] = x[i] - t[j + 1 - k:j + 1]
@@ -428,7 +427,7 @@ def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     P = np.empty((k + 1, nint))
     P[0, 0] = y[0]
     P[0, 1:] = y[3:n - 3]
-    E = _windows(c, k + 1, nint)
+    E = sliding_window_view(c, nint)
     scale = 1.0
     for m in range(1, k + 1):
         E = (E[1:] - E[:-1]) / denom[k + 1 - m][:, :nint]
@@ -456,7 +455,8 @@ def spline_interpolant(f: Field):
 
     def evaluate(points) -> np.ndarray:
         pts = np.atleast_1d(np.asarray(points, dtype=float))
-        lo, hi = pts.min(), pts.max()
+        # fmin and fmax pass over NaN, so a NaN query hides no other one
+        lo, hi = np.fmin.reduce(pts), np.fmax.reduce(pts)
         if lo < -tol or hi > span + tol:
             raise ExtrapolationError("interpolation query outside grid span")
         if lo < 0.0 or hi > span:

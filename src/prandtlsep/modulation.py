@@ -130,7 +130,7 @@ def fit_singularity(x: np.ndarray, lam: np.ndarray) -> dict:
                               f"has no minimum in x* - x_end near {np.exp(u0):.3g}")
 
     u = brentq(slope, bracket_end(u0 - 1.0, -1.0), bracket_end(u0 + 1.0, 1.0),
-               xtol=_U_TOL, rtol=4.0 * np.finfo(float).eps)
+               xtol=_U_TOL)
     _, log_c, p, res = projection(u)
     return {
         "x_star": float(x_end + np.exp(u)),

@@ -220,7 +220,7 @@ def build_initial_data(lambda0: float, grid: Grid,
     if span < 4.5 * y1:
         raise InvalidInitialDataError("matched span leaves too little inner room")
 
-    y_c = brentq(lambda yc: far_value(yc) - u_inf, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    y_c = brentq(lambda yc: far_value(yc) - u_inf, lo, hi, xtol=1e-14)
 
     t = (y - y_c) / (span - y_c)
     D = 1.0 - smoothstep(t)

@@ -168,9 +168,9 @@ class TestInitialData:
 
         roots = []
 
-        def both(f, a, b, xtol, rtol):
-            roots.append((gf.brentq(f, a, b, xtol, rtol),
-                          brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        def both(f, a, b, xtol):
+            roots.append((gf.brentq(f, a, b, xtol),
+                          brentq(f, a, b, xtol=xtol, rtol=gf._BRENT_RTOL)))
             return roots[-1][0]
 
         monkeypatch.setattr(pr, "brentq", both)
