@@ -315,14 +315,10 @@ def run_simulate(cfg: RunConfig) -> int:
     _atomic_write(os.path.join(cfg.outdir, "trajectory.csv"), _csv_lines(
         list(_TRAJECTORY_CSV),
         [getattr(traj, field) for field, _ in _TRAJECTORY_CSV.values()]))
-    # one table: the shared phi grid, then w of each snapshot and its pair
-    rows = [traj.psi_grid.nodes]
-    for snap in traj.snapshots:
-        for state in (snap.state, snap.pair_state):
-            if state.psi_grid is not traj.psi_grid:
-                raise ValueError(f"snapshot {snap.index} is off the march's phi grid")
-            rows.append(state.W.values)
-    table = np.array(rows, dtype=np.float64)
+    # one table: the march's one phi grid, then w of each snapshot and its pair
+    table = np.array([traj.psi_grid.nodes] + [
+        state.W.values for snap in traj.snapshots
+        for state in (snap.state, snap.pair_state)], dtype=np.float64)
     _atomic_save(os.path.join(cfg.outdir, "snapshots.npy"),
                  lambda fh: np.save(fh, table, allow_pickle=False), "wb")
 
@@ -545,18 +541,32 @@ def load_trajectory(outdir: str) -> tuple:
         grid = Grid(table[0])
     except (ValueError, TooFewNodesError) as exc:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
-    # each w as the march leaves it: 0 at the wall, w/phi finite, and rising
-    # but for the roundoff that the march's own monotonicity test forgives
+    # each w as the march leaves it: 0 at the wall, 0 after it only on a
+    # leading block that a step may clamp, w/phi finite, rising but for the
+    # roundoff that the march's monotonicity test forgives, and its edge the
+    # march's far value: the row before's less 2 source_scale dx
     w = table[1:]
+    zero = w[:, 1:] == 0.0
+    clamped = np.logical_and.accumulate(zero, axis=1)
+    clamped[:, vm.WALL_FLOOR_CELLS:] = False
+    edge, off_edge = w[:, -1], np.zeros((len(w), 1), dtype=bool)
+    drop = 2.0 * cfg.march_config().source_scale * np.diff(
+        x[[row for station in stations for row in (station, station + 1)]])
     with np.errstate(all="ignore"):
         steep = ~np.isfinite(w[:, 1:] / grid.nodes[1:])
+        off_edge[1:, 0] = ~(np.abs(edge[1:] - (edge[:-1] - drop)) <= 1e-9 * np.maximum(
+            np.abs(edge[1:]), np.abs(edge[:-1])))
     falls = np.diff(w, axis=1) < -vm.MONO_TOL_FACTOR * w.max(axis=1, keepdims=True)
     for bad, first_node, problem in (
             (w[:, :1] != 0.0, 0, "is not 0 at the wall"),
             (w < 0.0, 0, "is negative"),
+            (zero & ~clamped, 1, "is 0 outside a leading block of the first "
+                                 f"{vm.WALL_FLOOR_CELLS} cells after the wall"),
             (steep, 1, "over phi is not finite"),
             (falls, 1, "falls below the node before by more than the march "
-                       "accepts")):
+                       "accepts"),
+            (off_edge, len(grid) - 1, "is not the edge value of the row before "
+                                      "less 2 dx")):
         _reject(table_path, w[:, first_node:], bad, lambda row, node: (
             f"row {_row_name(row + 1)}, node {node + first_node}"), problem)
 
@@ -596,10 +606,9 @@ def run_audit(outdir: str) -> int:
     suite = dg.run_audit_suite(frames)
     calibration = asdict(suite)
     reports = calibration.pop("reports")
-    snapshots = {snap.index: snap for snap in traj.snapshots}
     commutator = []
     for fr in frames[1:-1:4]:
-        snap = snapshots[fr.index]
+        snap = traj.snapshots[fr.index]
         if fr.failure is not None:   # no spline or context to check
             commutator.append({"s_mid": snap.state.s, "error": str(fr.failure)})
             continue

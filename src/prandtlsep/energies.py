@@ -27,53 +27,34 @@ from . import profiles
 from .audits import C_ZONE
 from .errors import DomainError
 from .gridfields import Field, cumtrapz, diff, lstsq_powers, wall_window
-from .operators import (CHAIN_FITS, OperatorContext, clu_chain, op_cLU,
-                        op_Linv, wall_slope_extrapolation)
+from .operators import (CHAIN_FITS, OperatorContext, op_Linv,
+                        wall_slope_extrapolation)
+
+#: (a, beta, m) of the weights w_0, w_1, w_2 of E_k and D_k; each row keeps
+#: 0 <= a < 1, m >= 0 and 1/4 < beta < 2/7.
+WEIGHTS = ((0.05, 0.28, 20), (0.05, 0.27, 40), (0.05, 0.26, 80))
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """w(s, Y) = Y**(-a) (1 + s**(-beta) Y)**(-m)."""
-
-    a: float
-    beta: float
-    m: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise DomainError("weight exponent a must lie in [0, 1)")
-        if self.m < 0:
-            raise DomainError("weight power m must be non-negative")
-        if self.m > 0 and not 0.25 < self.beta < 2.0 / 7.0:
-            raise DomainError("weight scale beta must lie in (1/4, 2/7)")
-
-    @classmethod
-    def default_w0(cls) -> "WeightSpec":
-        return cls(a=0.05, beta=0.28, m=20)
-
-    @classmethod
-    def default_w1(cls) -> "WeightSpec":
-        return cls(a=0.05, beta=0.27, m=40)
-
-    @classmethod
-    def default_w2(cls) -> "WeightSpec":
-        return cls(a=0.05, beta=0.26, m=80)
-
-
-def weight_eval(spec: WeightSpec, s: float, Y: np.ndarray) -> np.ndarray:
-    """Pointwise weight; the wall node carries a 0 sentinel when a > 0.
-
-    (The true weight diverges like Y**(-a) there; quadratures here start at
-    the first interior node, which the sentinel implements.)
-    """
+def weight_eval(a: float, beta: float, m: int, s: float, Y) -> np.ndarray:
+    """Pointwise weight Y**(-a) (1 + s**(-beta) Y)**(-m), with a 0 sentinel
+    at the wall node when a > 0: the true weight diverges like Y**(-a)
+    there, and the sentinel starts the quadratures at the first interior
+    node."""
     if s <= 0.0:
         raise DomainError("weight needs s > 0")
     Y = np.asarray(Y, dtype=float)
     out = np.empty_like(Y)
     pos = Y > 0.0
-    out[pos] = Y[pos] ** (-spec.a) * (1.0 + s ** (-spec.beta) * Y[pos]) ** (-spec.m)
-    out[~pos] = 0.0 if spec.a > 0 else 1.0
+    out[pos] = Y[pos] ** (-a) * (1.0 + s ** (-beta) * Y[pos]) ** (-m)
+    out[~pos] = 0.0 if a > 0 else 1.0
     return out
+
+
+def _dissipation(g, g_y, u, w, y) -> float:
+    """int ((g_Y)**2/U + g**2/U**2) w, from the first interior node on."""
+    vals = np.zeros_like(u)
+    vals[1:] = g_y[1:] ** 2 / u[1:] + g[1:] ** 2 / u[1:] ** 2
+    return float(np.trapezoid(vals * w, y))
 
 
 @dataclass(frozen=True)
@@ -129,7 +110,7 @@ def trace_inequality_audit(f: Field, L: float, a: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1.0 + 1e-9))}
 
 
-def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec,
+def coercivity_audit(ctx: OperatorContext, f: Field, weight: tuple,
                      s: float) -> dict:
     """Compare the diffusion quadratic form against its coercive minorant.
 
@@ -137,20 +118,17 @@ def coercivity_audit(ctx: OperatorContext, f: Field, spec: WeightSpec,
     quad = c_bar (int (f')**2/U w + int f**2/U**2 w) - delta b int f**2 w
 
     with c_bar = delta = 1/50, one fixed choice of the estimate's small
-    positive constants.
+    positive constants, and w the weight of an (a, beta, m) row of WEIGHTS.
 
     The dropped cross-window tail of the underlying inequality is evaluated
     separately (unit constant) and reported, not subtracted.
     """
     y = ctx.grid.nodes
     u = ctx.U.values
-    w = weight_eval(spec, s, y)
+    w = weight_eval(*weight, s, y)
     d2 = diff(op_Linv(ctx, f), 2)
     lhs = -float(np.trapezoid(d2.values * f.values * w, y))
-    fy = diff(f, 1).values
-    quad_vals = np.zeros_like(y)
-    quad_vals[1:] = fy[1:] ** 2 / u[1:] + f.values[1:] ** 2 / u[1:] ** 2
-    quad = float(np.trapezoid(quad_vals * w, y))
+    quad = _dissipation(f.values, diff(f, 1).values, u, w, y)
     mass = float(np.trapezoid(f.values**2 * w, y))
     b = 1.0 / s
     c_bar = delta = 1.0 / 50.0
@@ -181,31 +159,24 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     on the same field, on the window Y <= s**beta with the exponent a of
     the E2 weight.
     """
-    a1 = clu_chain(ctx, V, 1)
-    a2 = op_cLU(ctx, a1, CHAIN_FITS[1])   # = clu_chain(ctx, V, 2)
-    u = ctx.U.values
-    y = ctx.grid.nodes
-
-    def pair(field: Field, spec: WeightSpec):
-        w = weight_eval(spec, s, y)
-        g = diff(field, 2).values
-        gy = diff(field, 3).values
-        vals = np.zeros_like(u)
-        vals[1:] = gy[1:] ** 2 / u[1:] + g[1:] ** 2 / u[1:] ** 2
-        return (float(np.trapezoid(g**2 * w, y)),
-                float(np.trapezoid(vals * w, y)))
-
-    w2 = WeightSpec.default_w2()
-    E0, D0 = pair(V, WeightSpec.default_w0())
-    E1, D1 = pair(a1, WeightSpec.default_w1())
-    E2, D2 = pair(a2, w2)
-    t_field = diff(a2, 1)
+    u, y = ctx.U.values, ctx.grid.nodes
+    stage, sums = V, []
+    for k, weight in enumerate(WEIGHTS):
+        # the stage's curvature, once: E_k, D_k and the next stage read it
+        w = weight_eval(*weight, s, y)
+        g = diff(stage, 2)
+        sums += [float(np.trapezoid(g.values**2 * w, y)),
+                 _dissipation(g.values, diff(stage, 3).values, u, w, y)]
+        if k < len(CHAIN_FITS):
+            stage = op_Linv(ctx, g, CHAIN_FITS[k])
+    E0, D0, E1, D1, E2, D2 = sums
+    t_field = diff(stage, 1)
     trace = wall_slope_extrapolation(t_field)
-    expected = -0.5 * (bs + b * b)
-    bound = trace_inequality_audit(t_field, L=s**w2.beta, a=w2.a)
+    a2, beta2, _ = WEIGHTS[2]
+    bound = trace_inequality_audit(t_field, L=s**beta2, a=a2)
     return EnergyReport(
         s=s, E0=E0, E1=E1, E2=E2, D0=D0, D1=D1, D2=D2,
-        trace_residual=float(trace - expected),
+        trace_residual=float(trace + 0.5 * (bs + b * b)),
         bs_plus_b2=float(bs + b * b),
         v_wall_ratio=v_wall_ratio(V),
         trace_ineq_lhs=bound["lhs"], trace_ineq_rhs=bound["rhs"],

@@ -48,20 +48,13 @@ class WallFit:
 
 DEFAULT_FIT = WallFit()
 
-#: windows for the chained diffusion applications: each stage's fit
-#: window must clear the previous stage's blend junction.
+#: fit windows of the stages L V and L**2 V of the energy chain
+#: (L = op_Linv o d2/dY2): each stage's fit window must clear the previous
+#: stage's blend junction.
 CHAIN_FITS = (
     WallFit(lo=0.25, hi=2.0, powers=(2, 3, 4, 5, 6, 7), rel_tol=0.25),
     WallFit(lo=0.6, hi=3.0, powers=(2, 3, 4, 5, 6), rel_tol=0.4),
 )
-
-
-def clu_chain(ctx: "OperatorContext", v: "Field", k: int) -> "Field":
-    """k-fold application of the diffusion operator with staged windows."""
-    out = v
-    for j in range(k):
-        out = op_cLU(ctx, out, CHAIN_FITS[min(j, len(CHAIN_FITS) - 1)])
-    return out
 
 
 def _series_div(num, den, order):
@@ -185,11 +178,6 @@ def op_Linv(ctx: OperatorContext, f: Field, fit: WallFit = DEFAULT_FIT,
     g, h = _patched_quotients(ctx, f.values, coeffs, fit)
     integral = cumint(f.with_values(g)).values
     return f.with_values(ctx.U_Y.values * integral + h)
-
-
-def op_cLU(ctx: OperatorContext, v: Field, fit: WallFit = DEFAULT_FIT) -> Field:
-    """Diffusion operator: inverse of L_U applied to the Y-curvature of v."""
-    return op_Linv(ctx, diff(v, 2), fit)
 
 
 def op_diffusion(ctx: OperatorContext, fit: WallFit = DEFAULT_FIT) -> Field:

@@ -70,8 +70,8 @@ PICARD_TOL = 1e-12
 #: Picard sweeps allowed in a BDF2 step and in the backward-Euler start-up
 PICARD_SWEEPS = 6
 STARTUP_SWEEPS = 13
-#: a step may clamp a leading block of at most WALL_FLOOR_CELLS cells to the
-#: noise floor w = 0, and ``_wall_restore`` puts the wall law back on it
+#: a step may clamp a leading block of at most WALL_FLOOR_CELLS cells to w = 0;
+#: ``_wall_restore`` puts the wall law back, ``cli.load_trajectory`` checks it
 WALL_FLOOR_CELLS = 12
 
 
@@ -321,6 +321,8 @@ def from_von_mises(state: VMState) -> Field:
     if np.any(w[1:] <= 0.0):
         raise InvalidStateError("w must be positive away from the wall")
     y = _normal_coordinate(state.psi_grid, w)
+    if not np.all(np.diff(y) > 0.0):
+        raise InvalidStateError("y(phi) = int dphi/sqrt(w) does not increase")
     return Field(Grid(y), np.sqrt(w))
 
 

@@ -276,8 +276,8 @@ _HOSTILE = (0, -1, 1e300, float("nan"), float("inf"), "text", [], {}, None, True
 
 @pytest.fixture(scope="module")
 def hostile_rundir(finished_run, tmp_path_factory):
-    """A copy of the finished run whose two text artifacts each example of
-    the property test rewrites."""
+    """A copy of the finished run whose three artifacts each example of the
+    property test rewrites."""
     rundir = tmp_path_factory.mktemp("hostile") / "run"
     shutil.copytree(finished_run, rundir)
     return rundir
@@ -394,6 +394,7 @@ class TestSimulateAndAudit:
         "schema_9", "text_file", "npz_archive", "cut_npz_archive",
         "pickled_object_array", "int64_array", "one_d_array", "empty_file",
         "half_file", "huge_header", "huge_row", "wall_nonzero", "decreasing_row",
+        "zeros_past_the_floor", "zero_inside_the_row", "edge_off_the_march",
         "completed_not_a_bool", "failure_not_a_string", "completed_with_failure",
         "failed_step_on_completed_run",
         "fractional_solves", "negative_halvings", "nan_value",
@@ -427,7 +428,8 @@ class TestSimulateAndAudit:
         if damage in edited:
             np.save(snap, edited[damage])
         elif damage in ("nan_value", "unsorted_phi", "huge_row", "wall_nonzero",
-                        "decreasing_row"):
+                        "decreasing_row", "zeros_past_the_floor",
+                        "zero_inside_the_row", "edge_off_the_march"):
             table = table.copy()
             if damage == "nan_value":
                 table[7, 10] = np.nan
@@ -438,6 +440,14 @@ class TestSimulateAndAudit:
                 table[7, 1:] = 1e300
             elif damage == "wall_nonzero":
                 table[7, 0] = 1e-3
+            elif damage == "zeros_past_the_floor":
+                # a leading block of zeros longer than a step may clamp
+                table[7, 1:cli.vm.WALL_FLOOR_CELLS + 9] = 0.0
+            elif damage == "zero_inside_the_row":
+                table[7, 500] = 0.0
+            elif damage == "edge_off_the_march":
+                # still rising, but off the march's far value
+                table[7, -1] *= 1.001
             else:
                 table[7, 500] *= 0.5
             np.save(snap, table)
@@ -644,6 +654,11 @@ class TestSimulateAndAudit:
                 "huge_row": "row w_003, node 1: 1e+300 over phi is not finite",
                 "wall_nonzero": "row w_003, node 0: 0.001 is not 0 at the wall",
                 "decreasing_row": "row w_003, node 500: ",
+                "zeros_past_the_floor":
+                    f"row w_003, node {cli.vm.WALL_FLOOR_CELLS + 1}: 0.0 is 0 outside "
+                    f"a leading block of the first {cli.vm.WALL_FLOOR_CELLS} cells",
+                "zero_inside_the_row": "row w_003, node 500: 0.0 is 0 outside",
+                "edge_off_the_march": f"row w_003, node {shape[1] - 1}: ",
                 "completed_not_a_bool": "completed 'yes' is not a boolean",
                 "failure_not_a_string": "failure 5 is not a string",
                 "completed_with_failure":
@@ -682,18 +697,28 @@ class TestSimulateAndAudit:
             assert "is off the clock ds/dx = lambda**-4" in out
         if damage == "decreasing_row":
             assert "falls below the node before by more than the march" in out
+        if damage == "edge_off_the_march":
+            assert "is not the edge value of the row before less 2 dx" in out
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(data=st.data())
     def test_hostile_edit_exits_with_one_line(self, finished_run, hostile_rundir,
                                               data):
-        # one cell of a trajectory.csv column, or the value of one manifest
-        # key, set to a hostile value or, in the trajectory, swapped with the
-        # next row's: audit exits with a known code after one line, and
-        # raises no exception and no warning
+        # one cell of a trajectory.csv column, the value of one manifest key,
+        # or one cell of a w row of snapshots.npy, set to a hostile value or
+        # swapped with the next row's (trajectory) or set to the next node's
+        # (w): audit exits with a known code after one line, and raises no
+        # exception and no warning
         rows = Path(finished_run, "trajectory.csv").read_text().splitlines()
         manifest = _json(finished_run, "manifest.json")
-        if data.draw(st.booleans()):
+        table = np.load(Path(finished_run, "snapshots.npy"), allow_pickle=False)
+        target = data.draw(st.sampled_from(("trajectory", "manifest", "snapshots")))
+        if target == "snapshots":
+            row = data.draw(st.integers(1, table.shape[0] - 1))
+            value = data.draw(st.sampled_from(_HOSTILE[:5] + ("next",)))
+            node = data.draw(st.integers(0, table.shape[1] - 1 - (value == "next")))
+            table[row, node] = table[row, node + 1] if value == "next" else value
+        elif target == "trajectory":
             column = rows[0].split(",").index(
                 data.draw(st.sampled_from(list(cli._TRAJECTORY_CSV))))
             row = data.draw(st.integers(1, len(rows) - 2))
@@ -710,6 +735,7 @@ class TestSimulateAndAudit:
                 data.draw(st.sampled_from(_HOSTILE))
         (hostile_rundir / "trajectory.csv").write_text("\n".join(rows) + "\n")
         (hostile_rundir / "manifest.json").write_text(json.dumps(manifest))
+        np.save(hostile_rundir / "snapshots.npy", table)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out), \
                 warnings.catch_warnings():

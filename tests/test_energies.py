@@ -6,7 +6,7 @@ from prandtlsep import energies as en
 from prandtlsep import profiles as pr
 from prandtlsep.errors import DomainError
 from prandtlsep.gridfields import Field, Grid, diff
-from prandtlsep.operators import (OperatorContext, WallFit, clu_chain, op_cLU,
+from prandtlsep.operators import (CHAIN_FITS, OperatorContext, WallFit, op_Linv,
                                   wall_slope_extrapolation)
 
 
@@ -19,35 +19,38 @@ def flat_ctx():
 
 class TestWeights:
     def test_trivial_weight(self):
-        spec = en.WeightSpec(a=0.0, beta=0.26, m=0)
         Y = np.linspace(0, 10, 50)
-        assert np.array_equal(en.weight_eval(spec, 100.0, Y), np.ones(50))
+        assert np.array_equal(en.weight_eval(0.0, 0.26, 0, 100.0, Y), np.ones(50))
 
     def test_scale_point_value(self):
-        spec = en.WeightSpec(a=0.0, beta=0.27, m=3)
         s = 1000.0
-        val = en.weight_eval(spec, s, np.array([s**0.27]))
+        val = en.weight_eval(0.0, 0.27, 3, s, np.array([s**0.27]))
         assert abs(val[0] - 2.0**-3) < 1e-14
 
     def test_default_band_value(self):
-        spec = en.WeightSpec.default_w1()
+        a, beta, m = en.WEIGHTS[1]
         s = 400.0
-        Y = np.array([4.0 * s**spec.beta])
-        got = en.weight_eval(spec, s, Y)[0]
-        assert abs(got - Y[0] ** -spec.a * 5.0**-40) < 1e-12 * got
+        Y = np.array([4.0 * s**beta])
+        got = en.weight_eval(a, beta, m, s, Y)[0]
+        assert m == 40
+        assert abs(got - Y[0] ** -a * 5.0**-40) < 1e-12 * got
 
     def test_positive_decreasing(self):
-        spec = en.WeightSpec.default_w2()
         Y = np.linspace(0.0, 200.0, 400)
-        w = en.weight_eval(spec, 500.0, Y)
+        w = en.weight_eval(*en.WEIGHTS[2], 500.0, Y)
         assert np.all(w[1:] > 0)
         assert np.all(np.diff(w[1:]) < 0)
 
-    def test_invalid_spec(self):
+    def test_weights_lie_in_the_admissible_band(self):
+        assert len(en.WEIGHTS) == 3
+        for a, beta, m in en.WEIGHTS:
+            assert 0.0 <= a < 1.0
+            assert m >= 0
+            assert 0.25 < beta < 2.0 / 7.0
+
+    def test_nonpositive_s_rejected(self):
         with pytest.raises(DomainError):
-            en.WeightSpec(a=-0.1, beta=0.26, m=4)
-        with pytest.raises(DomainError):
-            en.WeightSpec(a=0.05, beta=0.4, m=4)
+            en.weight_eval(*en.WEIGHTS[0], 0.0, np.linspace(0, 1, 5))
 
 
 class TestCorrector:
@@ -86,10 +89,9 @@ class TestEnergies:
         g = flat_ctx.grid
         Y = g.nodes
         V = Field(g, 1e-2 * Y**4 * np.exp(-Y))
-        spec = en.WeightSpec.default_w0()
         got = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6).E0
         d2 = diff(V, 2).values
-        ref = np.trapezoid(d2**2 * en.weight_eval(spec, 500.0, Y), Y)
+        ref = np.trapezoid(d2**2 * en.weight_eval(*en.WEIGHTS[0], 500.0, Y), Y)
         assert abs(got - ref) < 1e-12 * max(ref, 1.0)
 
 
@@ -112,11 +114,23 @@ class TestTrace:
             c = 2.5e-5
             V = Field(g, c * Y**7)
             fit = WallFit(lo=0.02, hi=0.35)
-            g2 = op_cLU(ctx, op_cLU(ctx, V, fit), fit)
+            g1 = op_Linv(ctx, diff(V, 2), fit)
+            g2 = op_Linv(ctx, diff(g1, 2), fit)
             tr = wall_slope_extrapolation(diff(g2, 1))
             results.append(abs(tr - 1260.0 * c) / (1260.0 * c))
         assert results[-1] < 5e-3
         assert results[1] <= max(0.5 * results[0], 2e-4)
+
+    def test_report_trace_on_y7_production_windows(self, flat_ctx):
+        # with b_s = -b**2 the trace residual is the wall trace of the
+        # report's own chain; its production windows hold the series value
+        # 1260 c within a few percent of model bias
+        Y = flat_ctx.grid.nodes
+        c, b = 2.5e-5, 2e-3
+        V = Field(flat_ctx.grid, c * Y**7)
+        rep = en.energy_report(flat_ctx, V, s=500.0, b=b, bs=-b * b)
+        assert rep.bs_plus_b2 == 0.0
+        assert abs(rep.trace_residual - 1260.0 * c) / (1260.0 * c) < 0.05
 
 
 class TestInequalities:
@@ -149,7 +163,7 @@ class TestInequalities:
     def test_coercivity_zero_field(self, flat_ctx):
         g = flat_ctx.grid
         f = Field(g, np.zeros(len(g)))
-        out = en.coercivity_audit(flat_ctx, f, en.WeightSpec.default_w1(), 500.0)
+        out = en.coercivity_audit(flat_ctx, f, en.WEIGHTS[1], 500.0)
         assert out["lhs"] == 0.0
         assert out["holds_with_margin"]
 
@@ -157,8 +171,8 @@ class TestInequalities:
         g = flat_ctx.grid
         Y = g.nodes
         V = Field(g, 2e-4 * Y**7 * np.exp(-Y / 2))
-        f = diff(op_cLU(flat_ctx, V), 2)
-        out = en.coercivity_audit(flat_ctx, f, en.WeightSpec.default_w1(), 500.0)
+        f = diff(op_Linv(flat_ctx, diff(V, 2)), 2)
+        out = en.coercivity_audit(flat_ctx, f, en.WEIGHTS[1], 500.0)
         assert out["holds_with_margin"]
         assert out["margin"] > 0.0
         assert np.isfinite(out["tail_term"])
@@ -172,6 +186,6 @@ class TestReport:
         rep = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6)
         assert rep.E1 > 0 and rep.D1 > 0
         assert rep.bs_plus_b2 == -4e-6 + 4e-6
-        g1 = diff(clu_chain(flat_ctx, V, 1), 2).values
-        e1 = np.trapezoid(g1**2 * en.weight_eval(en.WeightSpec.default_w1(), 500.0, Y), Y)
+        g1 = diff(op_Linv(flat_ctx, diff(V, 2), CHAIN_FITS[0]), 2).values
+        e1 = np.trapezoid(g1**2 * en.weight_eval(*en.WEIGHTS[1], 500.0, Y), Y)
         assert abs(rep.E1 - e1) < 1e-12 * e1

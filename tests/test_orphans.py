@@ -23,12 +23,18 @@ function never reads.
 """
 
 import ast
+import contextlib
 import glob
 import importlib
 import importlib.util
+import io
 import os
 import re
 from pathlib import Path
+
+from test_cli import _quick_config
+
+from prandtlsep import cli
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
 
@@ -160,14 +166,36 @@ def test_every_parameter_is_used():
     assert unread == []
 
 
-def test_every_benchmark_hook_resolves():
-    # perfbench/spans.py's tracer rebinds each (module, attribute) pair of
-    # its HOOKS and raises at once on a missing one: a renamed or deleted
-    # target fails here, not only in the traced benchmark run
+def _benchmark_spans():
+    """perfbench/spans.py, loaded by path: perfbench is not a package."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_benchmark_hook_resolves():
+    # perfbench/spans.py's tracer rebinds each (module, attribute) pair of
+    # its HOOKS and raises at once on a missing one: a renamed or deleted
+    # target fails here, not only in the traced benchmark run
+    spans = _benchmark_spans()
     assert spans.HOOKS
     with spans.Tracer().installed():
         pass
+
+
+def test_every_benchmark_hook_records_a_call(tmp_path):
+    # a traced benchmark run stops on a hooked span that records no call;
+    # a short simulate, audit and verify-algebra call every one of them
+    spans = _benchmark_spans()
+    cfg = _quick_config(tmp_path / "run")
+    tracer = spans.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_simulate(cfg) == cli.EXIT_OK
+        assert cli.main(["audit", cfg.outdir]) == cli.EXIT_OK
+        assert cli.main(["verify-algebra", "--outdir",
+                         str(tmp_path / "algebra")]) == cli.EXIT_OK
+    silent = [name for name in (spans.span_name(m, a) for m, a in spans.HOOKS)
+              if tracer.calls(name) == 0]
+    assert silent == []

@@ -12,7 +12,8 @@ from prandtlsep import modulation as md
 from prandtlsep import operators as ops
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
-from prandtlsep.errors import InvalidProfileError, StepFailureError
+from prandtlsep.errors import (InvalidProfileError, InvalidStateError,
+                              StepFailureError)
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 
@@ -85,6 +86,16 @@ class TestTransforms:
         D = ops.op_diffusion(ctx, fit=ops.CHAIN_FITS[0]).values
         window = (Y >= 0.5) & (Y <= 2.0)
         assert np.max(np.abs(D + b * Y / 2)[window]) < 1e-8
+
+    def test_inversion_refuses_a_normal_coordinate_that_does_not_increase(
+            self, data05):
+        # a first cell of w at 1e-300 passes the positivity test, but
+        # 1/sqrt(w) there swamps every later cell of y(phi)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
+        w = state.W.values.copy()
+        w[1] = 1e-300
+        with pytest.raises(InvalidStateError, match="does not increase"):
+            vm.from_von_mises(replace(state, W=Field(state.psi_grid, w)))
 
     def test_monotonicity_required(self):
         g = uniform_grid(256, 2.0)
