@@ -315,12 +315,19 @@ def run_simulate(cfg: RunConfig) -> int:
     _atomic_write(os.path.join(cfg.outdir, "trajectory.csv"), _csv_lines(
         list(_TRAJECTORY_CSV),
         [getattr(traj, field) for field, _ in _TRAJECTORY_CSV.values()]))
-    # one table: the march's one phi grid, then w of each snapshot and its pair
-    table = np.array([traj.psi_grid.nodes] + [
-        state.W.values for snap in traj.snapshots
-        for state in (snap.state, snap.pair_state)], dtype=np.float64)
-    _atomic_save(os.path.join(cfg.outdir, "snapshots.npy"),
-                 lambda fh: np.save(fh, table, allow_pickle=False), "wb")
+    # one table: the march's one phi grid, then w of each snapshot and its
+    # pair, written row by row after the header np.save would write
+    rows = [traj.psi_grid.nodes] + [state.W.values for snap in traj.snapshots
+                                    for state in (snap.state, snap.pair_state)]
+
+    def write_table(fh):
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+            "fortran_order": False, "shape": (len(rows), len(traj.psi_grid))})
+        for row in rows:
+            row.tofile(fh)
+
+    _atomic_save(os.path.join(cfg.outdir, "snapshots.npy"), write_table, "wb")
 
     late = traj.s >= 5.0 * traj.s[0]
     fit_payload = {}
@@ -606,17 +613,7 @@ def run_audit(outdir: str) -> int:
     suite = dg.run_audit_suite(frames)
     calibration = asdict(suite)
     reports = calibration.pop("reports")
-    commutator = []
-    for fr in frames[1:-1:4]:
-        snap = traj.snapshots[fr.index]
-        if fr.failure is not None:   # no spline or context to check
-            commutator.append({"s_mid": snap.state.s, "error": str(fr.failure)})
-            continue
-        try:
-            commutator.append(dg.commutator_identity_check(
-                snap, fr.u_at, fr.b, cfg.n_rescaled))
-        except PrandtlSepError as exc:
-            commutator.append({"s_mid": snap.state.s, "error": str(exc)})
+    commutator = [fr.commutator for fr in frames if fr.commutator is not None]
     payload = {
         "calibration": calibration,
         "reports": reports,

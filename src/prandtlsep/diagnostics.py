@@ -12,7 +12,7 @@ so later slices are genuine checks rather than fits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +37,14 @@ SLOPE_RTOL = 2.5e-2
 
 @dataclass(frozen=True, eq=False)
 class SnapshotFrame:
-    """One snapshot in rescaled variables plus modulation data.
+    """One audited snapshot: its modulation data, energies and checks.
 
+    ``checks`` holds its max-principle, sub/super-solution and balance
+    reports against the frozen calibration, and ``calibrated`` the
+    constants of that calibration first set on it.  ``commutator`` is the
+    identity check on its marching pair, on the checked snapshots only.
     A snapshot that cannot be inverted, splined or rescaled to wall units
-    keeps its frame, with no ``ctx`` and no report, and ``failure`` holds
+    keeps its frame, with no report and no checks, and ``failure`` holds
     the error that stopped it.
     """
 
@@ -49,13 +53,11 @@ class SnapshotFrame:
     lam: float
     b: float
     btilde: float
-    W_resc: Field
-    F: np.ndarray           # the balance F of W_resc
-    trusted: np.ndarray
-    u_at: Optional[Callable] = None   # spline of the state's physical profile
-    ctx: Optional[OperatorContext] = None
-    report: Optional[en.EnergyReport] = None
-    failure: Optional[PrandtlSepError] = None
+    report: Optional[en.EnergyReport]
+    checks: Tuple[au.AuditReport, ...]
+    calibrated: dict
+    commutator: Optional[dict]
+    failure: Optional[PrandtlSepError]
 
 
 def rescale_snapshot_profile(u_at: Callable, lam: float,
@@ -105,57 +107,154 @@ def _wall_unit_energies(u_at: Callable, state: vm.VMState, b: float, bs: float,
         return ctx, None
 
 
-def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
-    """Rescale every snapshot and attach modulation data and energies.
+def measure_M0(ctx: OperatorContext, s: float) -> float:
+    """Envelope constant of the initial curvature defect,
+    1 - U_YY <= M0 min(1, Y**2/s), measured away from the wall noise."""
+    y = ctx.grid.nodes
+    uyy = ctx.U_YY.values
+    env = np.minimum(1.0, y * y / s)
+    sel = y >= 1.0
+    ratio = (1.0 - uyy[sel]) / np.maximum(env[sel], 1e-300)
+    return max(float(np.max(ratio)), 1.0)
 
-    Each snapshot state is inverted to its physical profile and splined
-    once.  A snapshot that raises a package error on the way, such as a
+
+def _curvature_frame(snap: vm.Snapshot, b: float, bs: float, btilde: float,
+                     n_grid: int, frozen: dict, pair: bool) -> SnapshotFrame:
+    """The frame of one snapshot: its energies, its max-principle report
+    and, with ``pair``, its commutator check.
+
+    The state is inverted and splined once, for the full- and
+    half-resolution rescales and the commutator; the spline and the
+    contexts go when this returns.  An empty ``frozen`` is filled with the
+    curvature calibration measured here, and the frame records it.
+    """
+    state = snap.state
+    s, lam = state.s, state.lam
+    scalars = {"index": snap.index, "s": s, "lam": lam, "b": b, "btilde": btilde}
+    try:
+        u_at = spline_interpolant(vm.from_von_mises(state))
+        ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
+    except PrandtlSepError as exc:
+        # no spline or context for the commutator either
+        failed = {"s_mid": s, "error": str(exc)} if pair else None
+        return SnapshotFrame(**scalars, report=None, checks=(), calibrated={},
+                             commutator=failed, failure=exc)
+    if report is not None:
+        try:
+            r2 = _wall_unit_energies(u_at, state, b, bs, n_grid // 2 + 1)[1]
+        except PrandtlSepError:
+            r2 = None
+        # unresolved also where the half-resolution chain could not even
+        # be evaluated
+        resolved = r2 is not None and not any(
+            a > 0 and abs(a - c) > 0.10 * max(a, c)
+            for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
+                         (report.E2, r2.E2)))
+        report = replace(report, resolved_flag=resolved)
+    calibrated = {}
+    if not frozen:
+        M2, M0 = au.calibrate_M2(ctx, s, b), measure_M0(ctx, s)
+        calibrated = {"M2": M2, "M0": M0,
+                      "M1": au.dyadic_ceil(1.1 * max(M2, 1.0, M0)),
+                      "alpha": max(6.0 ** (2.0 / 3.0), 12.0 * M0)}
+        frozen.update(calibrated, lam=lam)
+    # the wall-layer truncation zone of the fixed marching grid grows as
+    # the shear collapses; below it the balance audit in native
+    # streamfunction variables carries the same inequality
+    y_min = 0.5 * max(1.0, (frozen["lam"] / lam) ** 0.6)
+    check = au.max_principle_audit(ctx, s, b, frozen["M2"], frozen["M1"],
+                                   y_min=y_min)
+    commutator = None
+    if pair:
+        try:
+            commutator = commutator_identity_check(snap, u_at, b, n_grid)
+        except PrandtlSepError as exc:
+            commutator = {"s_mid": s, "error": str(exc)}
+    return SnapshotFrame(**scalars, report=report, checks=(check,),
+                         calibrated=calibrated, commutator=commutator, failure=None)
+
+
+def _balance_data(state: vm.VMState) -> tuple:
+    """(W, F, trust mask): the state in rescaled streamfunction variables,
+    W = w / lam**4 on phi / lam**3.  The diffusion balance F is
+    scale-invariant, so F and its roundoff trust mask carry over from the
+    marched state node by node."""
+    lam = state.lam
+    return (Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4),
+            vm.compute_F(state.W).values, vm.trusted_F_mask(state))
+
+
+def _balance_checks(frames: List[SnapshotFrame], waiting: list,
+                    amplitudes: tuple, alpha: float) -> None:
+    """Add the sub/super-solution and balance reports to each waiting
+    frame, (position in ``frames``, W, F, trust mask), and empty ``waiting``."""
+    for position, W, F, trusted in waiting:
+        fr = frames[position]
+        frames[position] = replace(fr, checks=fr.checks + (
+            au.subsolution_audit(W, fr.s, fr.b, fr.btilde, *amplitudes),
+            au.F_bound_audit(W, F, fr.s, fr.btilde, alpha, trusted=trusted)))
+    waiting.clear()
+
+
+def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
+    """Audit the snapshots one at a time, in order: one frame each.
+
+    Each snapshot's energies and max-principle report come from
+    ``_curvature_frame``; the snapshots at positions 1, 5, 9, .. short of
+    the last also check the commutator identity on their pair.  The
+    comparison constants are calibrated on the first snapshot that
+    rescales, the sandwich amplitudes on the first rescaled one whose
+    sandwich floor lies inside half its streamfunction span, and then
+    frozen, so later snapshots are genuine checks rather than fits.  The
+    sub/super-solution and balance checks wait for the amplitudes: only
+    the snapshots audited before they are known keep their rescaled w, F
+    and trust mask, and only until then.  Every other array of a snapshot
+    is dropped before the next is inverted.
+
+    A snapshot that raises a package error on the way, such as a
     wall-fitted shear that misses the tracked one, keeps a frame that
-    records the error, so the list holds one frame per snapshot.  The
-    resolved flag compares the energies against a half-resolution
-    recomputation; samples that move more than 10%, or whose
-    half-resolution chain fails, are flagged and excluded from
+    records the error.  The resolved flag compares the energies against a
+    half-resolution recomputation; samples that move more than 10%, or
+    whose half-resolution chain fails, are flagged and excluded from
     acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
     bs_arr = md.local_slope(traj.s, b_arr)
+    checked = range(1, len(traj.snapshots) - 1, 4)
     frames: List[SnapshotFrame] = []
-    for snap in traj.snapshots:
-        i, state = snap.station, snap.state
-        b, bs, bt = float(b_arr[i]), float(bs_arr[i]), float(bt_arr[i])
-        # the diffusion balance F is scale-invariant, so F and its
-        # roundoff trust mask carry over from the marched state node by node
-        lam = state.lam
-        W_resc = Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4)
-        frame = SnapshotFrame(index=snap.index, s=state.s, lam=lam, b=b,
-                              btilde=bt, W_resc=W_resc,
-                              F=vm.compute_F(state.W).values,
-                              trusted=vm.trusted_F_mask(state))
-        try:
-            u_at = spline_interpolant(vm.from_von_mises(state))
-            ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
-        except PrandtlSepError as exc:
-            frames.append(replace(frame, failure=exc))
+    frozen: dict = {}
+    amplitudes, waiting = None, []
+    for position, snap in enumerate(traj.snapshots):
+        i = snap.station
+        frame = _curvature_frame(snap, float(b_arr[i]), float(bs_arr[i]),
+                                 float(bt_arr[i]), n_grid, frozen,
+                                 position in checked)
+        frames.append(frame)
+        if frame.failure is not None:
             continue
-        if report is not None:
-            try:
-                r2 = _wall_unit_energies(u_at, state, b, bs, n_grid // 2 + 1)[1]
-            except PrandtlSepError:
-                r2 = None
-            # unresolved also where the half-resolution chain could not even
-            # be evaluated
-            resolved = r2 is not None and not any(
-                a > 0 and abs(a - c) > 0.10 * max(a, c)
-                for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
-                             (report.E2, r2.E2)))
-            report = replace(report, resolved_flag=resolved)
-        frames.append(replace(frame, u_at=u_at, ctx=ctx, report=report))
+        W, F, trusted = _balance_data(snap.state)
+        if amplitudes is None and au.sandwich_floor(frame.btilde) < W.grid.span * 0.5:
+            amplitudes = au.calibrate_A(W, frame.btilde)
+            frames[-1] = replace(frame, calibrated={
+                **frame.calibrated, "A_minus": amplitudes[0],
+                "A_plus": amplitudes[1]})
+        waiting.append((position, W, F, trusted))
+        del W, F, trusted   # held by ``waiting`` alone, until checked
+        if amplitudes is not None:
+            _balance_checks(frames, waiting, amplitudes, frozen["alpha"])
+    if waiting:
+        # no snapshot qualified for the sandwich: unit amplitudes, set on
+        # the first audited frame
+        first = frames[waiting[0][0]]
+        frames[waiting[0][0]] = replace(first, calibrated={
+            **first.calibrated, "A_minus": 1.0, "A_plus": 1.0})
+        _balance_checks(frames, waiting, (1.0, 1.0), frozen["alpha"])
     return frames
 
 
 # ---------------------------------------------------------------------------
-# Audit orchestration with frozen calibration
+# The frozen calibration and the reports of the audited frames
 # ---------------------------------------------------------------------------
 
 
@@ -171,50 +270,17 @@ class AuditSuite:
     reports: List[au.AuditReport] = field(default_factory=list)
 
 
-def measure_M0(ctx: OperatorContext, s: float) -> float:
-    """Envelope constant of the initial curvature defect,
-    1 - U_YY <= M0 min(1, Y**2/s), measured away from the wall noise."""
-    y = ctx.grid.nodes
-    uyy = ctx.U_YY.values
-    env = np.minimum(1.0, y * y / s)
-    sel = y >= 1.0
-    ratio = (1.0 - uyy[sel]) / np.maximum(env[sel], 1e-300)
-    return max(float(np.max(ratio)), 1.0)
-
-
 def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
-    """Calibrate the comparison constants on the first rescaled frame,
-    freeze them, and audit every rescaled frame."""
-    frames = [fr for fr in frames if fr.ctx is not None]
-    if not frames:
+    """The calibration that ``build_frames`` froze, and the reports of
+    every rescaled frame in snapshot order."""
+    audited = [fr for fr in frames if fr.failure is None]
+    if not audited:
         raise InconsistentLambdaError("no snapshot could be rescaled to wall units")
-    first = frames[0]
-    M2 = au.calibrate_M2(first.ctx, first.s, first.b)
-    M0 = measure_M0(first.ctx, first.s)
-    M1 = au.dyadic_ceil(1.1 * max(M2, 1.0, M0))
-    alpha = max(6.0 ** (2.0 / 3.0), 12.0 * M0)
-    a_minus, a_plus = None, None
-    for fr in frames:
-        if au.sandwich_floor(fr.btilde) < fr.W_resc.grid.span * 0.5:
-            a_minus, a_plus = au.calibrate_A(fr.W_resc, fr.btilde)
-            break
-    if a_minus is None:
-        a_minus, a_plus = 1.0, 1.0
-    suite = AuditSuite(M2=M2, M0=M0, M1=M1, alpha=alpha, A_minus=a_minus,
-                       A_plus=a_plus, C_minus=au.C_MINUS)
-    lam_cal = frames[0].lam
-    for fr in frames:
-        # the wall-layer truncation zone of the fixed marching grid grows
-        # as the shear collapses; below it the balance audit in native
-        # streamfunction variables carries the same inequality
-        y_min = 0.5 * max(1.0, (lam_cal / fr.lam) ** 0.6)
-        suite.reports.append(au.max_principle_audit(fr.ctx, fr.s, fr.b, M2, M1,
-                                                    y_min=y_min))
-        suite.reports.append(au.subsolution_audit(
-            fr.W_resc, fr.s, fr.b, fr.btilde, a_minus, a_plus))
-        suite.reports.append(au.F_bound_audit(
-            fr.W_resc, fr.F, fr.s, fr.btilde, alpha, trusted=fr.trusted))
-    return suite
+    constants = {}
+    for fr in audited:
+        constants.update(fr.calibrated)
+    return AuditSuite(**constants, C_minus=au.C_MINUS,
+                      reports=[r for fr in audited for r in fr.checks])
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +292,8 @@ def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
                               n_grid: int) -> dict:
     """Finite-difference transport commutator against its closed form.
 
-    ``u_at`` is the spline of the snapshot's physical profile (the frame's
-    ``u_at``); only the pair state is inverted and splined here.  On the
+    ``u_at`` is the spline of the snapshot's physical profile, the one its
+    rescales read; only the pair state is inverted and splined here.  On the
     pair of states (s1, s2) around s_mid, with a fixed smooth test function
     T(Y) = Y**2 exp(-Y/4):
 

@@ -348,6 +348,39 @@ _K = 5
 _KL = 3
 
 
+def _collocation_solve(B: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """B-spline coefficients c of the not-a-knot quintic through y, from
+    the degree-5 values B of ``_quintic_table``: one LAPACK ``gbsv`` call.
+    The band and B go when this returns."""
+    k, n = _K, len(y)
+    nint = n - k
+    # collocation rows in band storage: row x_i, i = 3..n-4, holds
+    # B_{i-2..i+2}(x_i) on diagonals -2..2 (B_{i+3} vanishes at its knot).
+    # x_1 and x_2 meet c_0..c_5, x_{n-3} and x_{n-2} meet c_{n-6}..c_{n-1}:
+    # one multiple of x_2's row clears c_5 from x_1's, and one of
+    # x_{n-3}'s clears c_{n-6} from x_{n-2}'s, so three diagonals a side do
+    kl = _KL
+    ab = np.zeros((3 * kl + 1, n), order="F")
+    for r in range(k):
+        ab[2 * kl + 2 - r, 1 + r:n - 5 + r] = B[r, 1:nint]
+    rhs = np.array(y, dtype=float)
+    row1, row2, row_m3, row_m2 = B[:, nint:nint + 4].T
+    alpha, beta = row1[k] / row2[k], row_m2[0] / row_m3[0]
+    rhs[1] -= alpha * rhs[2]
+    rhs[n - 2] -= beta * rhs[n - 3]
+    for i, c0, vals in ((0, 0, B[:1, 0]), (1, 0, (row1 - alpha * row2)[:k]),
+                        (2, 0, row2), (n - 3, n - 6, row_m3),
+                        (n - 2, n - 5, (row_m2 - beta * row_m3)[1:]),
+                        (n - 1, n - 1, B[k:, n - 1])):
+        for r, v in enumerate(vals):
+            ab[2 * kl + i - c0 - r, c0 + r] = v
+    _, _, c, info = lapack("dgbsv")(kl, kl, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(c).all():
+        raise SingularInputError("spline collocation system is singular, "
+                                 "or a sample is not finite")
+    return c
+
+
 def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     """(left ends, power table P) of the not-a-knot quintic interpolant of
     y on the nodes x: on [left[j], left[j+1]] it is sum_m P[m, j] (x -
@@ -381,45 +414,25 @@ def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     for p, (i, j) in enumerate(ends, nint):
         right[:, p] = t[j + 1:j + k + 1] - x[i]
         back[:, p] = x[i] - t[j + 1 - k:j + 1]
-    basis = [np.ones((1, n))]
-    denom = [None]
+    # de Boor's recurrence, degree by degree.  The conversion below reads
+    # degrees 2 to 4 and each degree's denominators right + back, which it
+    # forms again in the same work rows: degrees 0 and 1 are dropped once
+    # the next is built, and degree 5 once the collocation system is solved
+    work = np.empty((k, n))
+    basis = {0: np.ones((1, n))}
     for d in range(1, k + 1):
         b = back[k - d:]
-        den = right[:d] + b
-        temp = basis[-1] / den
+        temp = np.add(right[:d], b, out=work[:d])
+        np.divide(basis[d - 1], temp, out=temp)
         new = np.empty((d + 1, n))
         np.multiply(right[:d], temp, out=new[:d])
         new[d] = 0.0
         temp *= b
         new[1:] += temp
-        basis.append(new)
-        denom.append(den)
-    B = basis[k]
-
-    # collocation rows in band storage: row x_i, i = 3..n-4, holds
-    # B_{i-2..i+2}(x_i) on diagonals -2..2 (B_{i+3} vanishes at its knot).
-    # x_1 and x_2 meet c_0..c_5, x_{n-3} and x_{n-2} meet c_{n-6}..c_{n-1}:
-    # one multiple of x_2's row clears c_5 from x_1's, and one of
-    # x_{n-3}'s clears c_{n-6} from x_{n-2}'s, so three diagonals a side do
-    kl = _KL
-    ab = np.zeros((3 * kl + 1, n), order="F")
-    for r in range(k):
-        ab[2 * kl + 2 - r, 1 + r:n - 5 + r] = B[r, 1:nint]
-    rhs = np.array(y, dtype=float)
-    row1, row2, row_m3, row_m2 = B[:, nint:nint + 4].T
-    alpha, beta = row1[k] / row2[k], row_m2[0] / row_m3[0]
-    rhs[1] -= alpha * rhs[2]
-    rhs[n - 2] -= beta * rhs[n - 3]
-    for i, c0, vals in ((0, 0, B[:1, 0]), (1, 0, (row1 - alpha * row2)[:k]),
-                        (2, 0, row2), (n - 3, n - 6, row_m3),
-                        (n - 2, n - 5, (row_m2 - beta * row_m3)[1:]),
-                        (n - 1, n - 1, B[k:, n - 1])):
-        for r, v in enumerate(vals):
-            ab[2 * kl + i - c0 - r, c0 + r] = v
-    _, _, c, info = lapack("dgbsv")(kl, kl, ab, rhs, overwrite_ab=1, overwrite_b=1)
-    if info != 0 or not np.isfinite(c).all():
-        raise SingularInputError("spline collocation system is singular, "
-                                 "or a sample is not finite")
+        basis[d] = new
+        if d < 3:
+            del basis[d - 1]
+    c = _collocation_solve(basis.pop(k), y)
 
     # P[m] = C(k, m) sum_r E_r B_{r, k-m}, E the m-fold differenced
     # coefficients: at a left end the last B-spline of each degree vanishes
@@ -430,7 +443,9 @@ def _quintic_table(x: np.ndarray, y: np.ndarray) -> tuple:
     E = sliding_window_view(c, nint)
     scale = 1.0
     for m in range(1, k + 1):
-        E = (E[1:] - E[:-1]) / denom[k + 1 - m][:, :nint]
+        d = k + 1 - m
+        E = np.subtract(E[1:], E[:-1])
+        E /= np.add(right[:d], back[k - d:], out=work[:d])[:, :nint]
         scale *= (k + 1 - m) / m
         if m < k - 1:
             np.einsum("ij,ij->j", E[:-1], basis[k - m][:-1, :nint], out=P[m])

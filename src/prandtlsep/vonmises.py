@@ -412,9 +412,11 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the same ``gtsv`` call on the same diagonals, without the wrapper's
     per-call argument handling.  ``gtsv`` works on copies, so ``ab`` and
     ``rhs`` are left as they are and the result is a new array.  A
-    non-finite entry or a singular matrix fails the step.
+    non-finite right-hand side or a singular matrix fails the step; the
+    band's finiteness is the caller's to check (``_resolvent_solve``
+    checks the diagonal it fills, which bounds the rest).
     """
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(rhs).all():
         raise StepFailureError("tridiagonal solve: non-finite entry")
     *_, x, info = gridfields.lapack("dgtsv")(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
@@ -456,6 +458,11 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     np.multiply(tau, coeff[1:-1], out=r)
     np.multiply(r, b, out=diag)
     np.subtract(1.0, diag, out=diag)
+    # r >= 0 and b = -(a + c) < 0, so a finite diagonal 1 + r |b| >= 1
+    # bounds each off-diagonal entry below by -1: a non-finite coefficient
+    # shows here, and the solve checks the right-hand side
+    if not np.isfinite(diag).all():
+        raise StepFailureError("tridiagonal solve: non-finite entry")
     for row, weight in ((band[0, 2:], c), (band[2, :-2], a)):
         # -(r * weight) / diag: the superdiagonal (column-indexed) and the
         # subdiagonal

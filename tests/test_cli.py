@@ -6,7 +6,9 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -819,6 +821,69 @@ class TestSimulateAndAudit:
         out = capsys.readouterr().out
         assert (f"({n - 1} snapshots audited); 1 snapshots failed to rescale "
                 "(first: snapshot 2: planted)") in out
+
+    @pytest.mark.parametrize("planted", [(0,), (0, 1)])
+    def test_calibration_moves_past_snapshots_that_fail_to_rescale(
+            self, finished_run, tmp_path, monkeypatch, planted):
+        # the first snapshot fails to rescale, then also the one that took
+        # over the calibration: the constants, the sandwich amplitudes
+        # included, come from the next snapshot that rescales, as on a run
+        # that never listed the failed ones, and the failures and the
+        # reports come out in snapshot order
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        cfg, traj = cli.load_trajectory(str(rundir))
+        n = len(traj.snapshots)
+        clean = cli.dg.run_audit_suite(cli.dg.build_frames(traj, cfg.n_rescaled))
+        rest = replace(traj, snapshots=traj.snapshots[len(planted):])
+        expected = asdict(cli.dg.run_audit_suite(
+            cli.dg.build_frames(rest, cfg.n_rescaled)))
+        reports = expected.pop("reports")
+        assert expected != {k: v for k, v in asdict(clean).items()
+                            if k != "reports"}
+        lams = {traj.snapshots[i].state.lam for i in planted}
+        rescale = cli.dg.rescale_snapshot_profile
+
+        def failing_rescale(u_at, lam, grid):
+            if lam in lams and len(grid) == cfg.n_rescaled:
+                raise InconsistentLambdaError("planted")
+            return rescale(u_at, lam, grid)
+
+        monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", failing_rescale)
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_SOLVER
+        summary = json.loads((rundir / "audit_summary.json").read_text())
+        assert [f["index"] for f in summary["failed_snapshots"]] == list(planted)
+        assert summary["calibration"] == expected
+        assert summary["reports"] == json.loads(json.dumps(reports))
+        names = ["max-principle", "sub-super-solutions", "diffusion-balance-bounds"]
+        assert [r["name"] for r in summary["reports"]] == names * (n - len(planted))
+        assert [r["details"]["s"] for r in summary["reports"][::3]] == [
+            snap.state.s for snap in rest.snapshots]
+
+    def test_audit_memory_does_not_grow_with_snapshots(self, finished_run,
+                                                       tmp_path, capsys):
+        # one snapshot's spline, contexts and rescaled arrays are alive at
+        # a time, so twice the snapshots per decade raise the audit's
+        # traced peak by less than a quarter (by 55% when every frame kept
+        # them until the audit returned)
+        dense = replace(_quick_config(tmp_path / "dense"),
+                        snapshots_per_decade=20.0)
+        assert cli.run_simulate(dense) == cli.EXIT_OK
+        peaks, counts = [], []
+        for source in (finished_run, dense.outdir):
+            rundir = tmp_path / f"audit{len(peaks)}"
+            shutil.copytree(source, rundir)
+            # a first audit builds what the process keeps: unit grids, stencils
+            assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+            tracemalloc.start()
+            try:
+                assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            counts.append(len(_json(rundir, "manifest.json")["snapshots"]))
+        assert counts[1] >= 1.8 * counts[0]
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_audit_splines_and_inverts_each_state_once(self, finished_run,
                                                        tmp_path, monkeypatch):

@@ -20,8 +20,39 @@ def short_traj():
 
 
 @pytest.fixture(scope="module")
-def frames(short_traj):
-    return dg.build_frames(short_traj, 513)
+def audited(short_traj):
+    """The frames of the short run, with what the pass handed on and then
+    dropped: each snapshot's full-resolution wall-unit context, by shear,
+    and the rescaled w that each balance check read, by slow time."""
+    contexts, balance = {}, {}
+    rescale = dg.rescale_snapshot_profile
+    sub, bounds = dg.au.subsolution_audit, dg.au.F_bound_audit
+
+    def keep_context(u_at, lam, grid):
+        ctx = rescale(u_at, lam, grid)
+        if len(grid) == 513:   # the commutator's own grids come after
+            contexts.setdefault(lam, ctx)
+        return ctx
+
+    def keep_sub(W, s, *args):
+        balance.setdefault(s, []).append(W)
+        return sub(W, s, *args)
+
+    def keep_bounds(W, F, s, *args, **kwargs):
+        balance.setdefault(s, []).append(W)
+        return bounds(W, F, s, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dg, "rescale_snapshot_profile", keep_context)
+        patch.setattr(dg.au, "subsolution_audit", keep_sub)
+        patch.setattr(dg.au, "F_bound_audit", keep_bounds)
+        frames = dg.build_frames(short_traj, 513)
+    return frames, contexts, balance
+
+
+@pytest.fixture(scope="module")
+def frames(audited):
+    return audited[0]
 
 
 class TestFrames:
@@ -31,16 +62,23 @@ class TestFrames:
             assert 0.8 < fr.b * fr.s < 1.2
             assert 0.8 < fr.btilde * fr.s < 1.2
 
-    def test_profiles_normalized(self, frames):
+    def test_profiles_normalized(self, audited):
+        frames, contexts, _ = audited
+        assert all(fr.failure is None for fr in frames)
         for fr in frames:
-            assert abs(fr.ctx.near_wall[0] - 1.0) < 1e-6
-            assert fr.ctx.U.values[0] == 0.0
+            ctx = contexts[fr.lam]
+            assert abs(ctx.near_wall[0] - 1.0) < 1e-6
+            assert ctx.U.values[0] == 0.0
 
-    def test_streamfunction_scaling(self, frames, short_traj):
+    def test_streamfunction_scaling(self, audited, short_traj):
+        # both balance checks of a snapshot read its w / lam**4
+        frames, _, balance = audited
         fr = frames[2]
         snap = short_traj.snapshots[2]
-        assert np.allclose(fr.W_resc.values * snap.state.lam**4,
-                           snap.state.W.values, atol=1e-30)
+        assert len(balance[fr.s]) == 2
+        for W in balance[fr.s]:
+            assert np.allclose(W.values * snap.state.lam**4,
+                               snap.state.W.values, atol=1e-30)
 
     def test_energy_reports_attached(self, frames):
         reported = [fr for fr in frames if fr.report is not None]
@@ -84,6 +122,40 @@ class TestAuditSuite:
         s2 = dg.run_audit_suite(frames)
         assert s1.M2 == s2.M2
         assert s1.A_minus == s2.A_minus and s1.A_plus == s2.A_plus
+
+    def test_sandwich_checks_wait_for_their_amplitudes(self, frames, short_traj,
+                                                       monkeypatch):
+        # the first two snapshots are asked whether their sandwich floor
+        # lies inside their span, and answered no, so the third calibrates
+        # the amplitudes; the two before it are checked against them once
+        # known, and every frame keeps its reports in the suite's order
+        early, asked = {fr.btilde for fr in frames[:2]}, set()
+        floor = dg.au.sandwich_floor
+
+        def unreachable_once(bt):
+            if bt in early - asked:
+                asked.add(bt)
+                return np.inf
+            return floor(bt)
+
+        monkeypatch.setattr(dg.au, "sandwich_floor", unreachable_once)
+        late = dg.build_frames(short_traj, 513)
+        assert asked == early
+        suite = dg.run_audit_suite(late)
+        assert [sorted(fr.calibrated) for fr in late[:3]] == [
+            ["M0", "M1", "M2", "alpha"], [], ["A_minus", "A_plus"]]
+        W = dg._balance_data(short_traj.snapshots[2].state)[0]
+        assert (suite.A_minus, suite.A_plus) == dg.au.calibrate_A(W, late[2].btilde)
+        assert suite.M2 == dg.run_audit_suite(frames).M2
+        for fr in late:
+            assert [r.name for r in fr.checks] == [
+                "max-principle", "sub-super-solutions", "diffusion-balance-bounds"]
+            assert fr.checks[1].details["A_minus"] == suite.A_minus
+        for fr, snap in zip(late[:2], short_traj.snapshots):
+            W = dg._balance_data(snap.state)[0]
+            assert fr.checks[1] == dg.au.subsolution_audit(
+                W, fr.s, fr.b, fr.btilde, suite.A_minus, suite.A_plus)
+        assert suite.reports == [r for fr in late for r in fr.checks]
 
 
 class TestSplineOracle:

@@ -330,6 +330,19 @@ class TestTridiagonalSolve:
         with pytest.raises(StepFailureError, match="non-finite"):
             vm.solve_banded(ab, rhs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["coeff", "rhs"])
+    def test_nonfinite_coefficient_or_rhs_fails_the_step(self, where, value):
+        # the march's solve checks the diagonal it fills and the right-hand
+        # side, not the whole band
+        grid = vm.default_psi_grid(3.0, 1153)
+        w = grid.nodes ** 0.75
+        inputs = {"rhs": w.copy(), "coeff": np.sqrt(w)}
+        inputs[where][7] = value
+        with pytest.raises(StepFailureError, match="non-finite"):
+            vm._resolvent_solve(grid, inputs["rhs"], inputs["coeff"], 1e-6,
+                                w[-1], vm._march_buffers(len(grid)))
+
     def test_zero_pivot_fails_the_step(self):
         ab, rhs = self._system()
         ab[1, 0] = ab[2, 0] = 0.0     # first column zero
