@@ -75,6 +75,10 @@ class RunConfig:
     n_rescaled: int = 641
     outdir: str = "run-output"
 
+    def __post_init__(self):  # typed as a config file types it: 10 is 10.0
+        for f in fields(self):
+            object.__setattr__(self, f.name, _config_value(f.name, getattr(self, f.name)))
+
     def validate(self) -> None:
         if not 0.0 < self.lambda0 <= 0.2:
             raise ConfigError("lambda0 must lie in (0, 0.2]")
@@ -307,10 +311,8 @@ def _row_name(row: int) -> str:
 
 def run_simulate(cfg: RunConfig) -> int:
     cfg.validate()
-    data = pr.build_initial_data(
-        cfg.lambda0, grid=pr.default_physical_grid(cfg.n_physical),
-        perturbation_amplitude=cfg.perturbation_amplitude,
-        x0_pressure=cfg.x0_pressure)
+    data = pr.build_initial_data(cfg.lambda0, pr.default_physical_grid(cfg.n_physical),
+                                 cfg.perturbation_amplitude, cfg.x0_pressure)
     traj = vm.solve_until_separation(data, cfg.march_config())
     _atomic_write(os.path.join(cfg.outdir, "trajectory.csv"), _csv_lines(
         list(_TRAJECTORY_CSV),
@@ -485,8 +487,7 @@ def load_trajectory(outdir: str) -> tuple:
         if not ok:
             raise MissingArtifactError(f"{man_path}: {problem}")
     try:
-        cfg = RunConfig(**{key: _config_value(key, value)
-                           for key, value in config.items()})
+        cfg = RunConfig(**config)
         cfg.validate()
     except ConfigError as exc:
         raise MissingArtifactError(f"{man_path}: {exc}") from exc
@@ -548,20 +549,25 @@ def load_trajectory(outdir: str) -> tuple:
         grid = Grid(table[0])
     except (ValueError, TooFewNodesError) as exc:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
+    # the k-th listed station's w is row 2k + 1, its pair's row 2k + 2
+    w = table[1:]
+    states = [vm.VMState(x=float(x[row]), s=float(s[row]), psi_grid=grid,
+                         W=Field(grid, w_row), lam=float(lam[row]))
+              for row, w_row in zip([row for station in stations
+                                     for row in (station, station + 1)], w)]
     # each w as the march leaves it: 0 at the wall, 0 after it only on a
     # leading block that a step may clamp, w/phi finite, rising but for the
     # roundoff that the march's monotonicity test forgives, and its edge the
-    # march's far value: the row before's less 2 source_scale dx
-    w = table[1:]
+    # far value of the march's outer flow from the row before
     zero = w[:, 1:] == 0.0
     clamped = np.logical_and.accumulate(zero, axis=1)
     clamped[:, vm.WALL_FLOOR_CELLS:] = False
     edge, off_edge = w[:, -1], np.zeros((len(w), 1), dtype=bool)
-    drop = 2.0 * cfg.march_config().source_scale * np.diff(
-        x[[row for station in stations for row in (station, station + 1)]])
     with np.errstate(all="ignore"):
+        far = np.array([vm.adverse_outer_flow(before, after.x - before.x)[1]
+                        for before, after in zip(states, states[1:])])
         steep = ~np.isfinite(w[:, 1:] / grid.nodes[1:])
-        off_edge[1:, 0] = ~(np.abs(edge[1:] - (edge[:-1] - drop)) <= 1e-9 * np.maximum(
+        off_edge[1:, 0] = ~(np.abs(edge[1:] - far) <= 1e-9 * np.maximum(
             np.abs(edge[1:]), np.abs(edge[:-1])))
     falls = np.diff(w, axis=1) < -vm.MONO_TOL_FACTOR * w.max(axis=1, keepdims=True)
     for bad, first_node, problem in (
@@ -577,15 +583,8 @@ def load_trajectory(outdir: str) -> tuple:
         _reject(table_path, w[:, first_node:], bad, lambda row, node: (
             f"row {_row_name(row + 1)}, node {node + first_node}"), problem)
 
-    def state(row: int, station: int) -> vm.VMState:
-        return vm.VMState(x=float(x[station]), s=float(s[station]),
-                          psi_grid=grid, W=Field(grid, table[row]),
-                          lam=float(lam[station]))
-
-    # the k-th listed station's w is row 2k + 1, its pair's row 2k + 2
-    snapshots = [vm.Snapshot(index=index, station=station,
-                             state=state(2 * index + 1, station),
-                             pair_state=state(2 * index + 2, station + 1))
+    snapshots = [vm.Snapshot(index=index, station=station, state=states[2 * index],
+                             pair_state=states[2 * index + 1])
                  for index, station in enumerate(stations)]
     traj = vm.Trajectory(
         **{field: raw[name] for name, (field, _) in _TRAJECTORY_CSV.items()},
@@ -717,13 +716,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            values[f.name] = _config_value(f.name, raw)
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                  if getattr(args, f.name, None) is not None)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

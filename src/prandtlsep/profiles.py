@@ -159,9 +159,8 @@ def _perturbation(y: np.ndarray, lambda0: float, amplitude: float, c8: float):
     return v, v1, v2
 
 
-def build_initial_data(lambda0: float, grid: Grid,
-                       perturbation_amplitude: float = 0.0,
-                       x0_pressure: float = 1.0) -> InitialData:
+def build_initial_data(lambda0: float, grid: Grid, perturbation_amplitude: float,
+                       x0_pressure: float) -> InitialData:
     """Construct inflow data with wall shear ``lambda0``.
 
     The curvature equals the exact wall polynomial of the reference profile

@@ -3,10 +3,11 @@
 With phi = int_0^y u and w = u**2 the problem becomes the degenerate
 parabolic equation
 
-    w_x - sqrt(w) w_phiphi = -2,   w(x, 0) = 0,  w -> u_E(x)**2 far out,
+    w_x - sqrt(w) w_phiphi = -2 q,   w(x, 0) = 0,  w -> u_E(x)**2 far out,
 
-with u_E(x) = sqrt(2 (x0 - x)), which a step carries from the old edge
-value by d(u_E**2)/dx = -2.  The tangential coordinate x acts as time.
+with q and the far value from the outer flow's one forcing; the default,
+``adverse_outer_flow``, is u_E(x) = sqrt(2 (x0 - x)): q = 1, and each step
+carries u_E**2 from the old edge value by -2 dx.  x acts as time.
 Steps are variable-step BDF2, implicit in the diffusion, with the
 degenerate coefficient sqrt(w) Picard-iterated to convergence; the first
 step, which has no previous station, is an iterated backward-Euler step.
@@ -45,7 +46,7 @@ prefix that falls short of the window is replaced by the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -59,8 +60,11 @@ from .gridfields import Field, Grid, diff, lstsq_powers
 #: ``cli.load_trajectory`` applies again to every row of snapshots.npy
 MONO_TOL_FACTOR = 1e-9
 
-#: a step halved below DX_MIN fails the march
+#: a step halved below DX_MIN fails the march; none is longer than DX_MAX
 DX_MIN = 1e-13
+DX_MAX = 1e-4
+#: a march stops after MAX_STEPS steps ("max_steps exhausted")
+MAX_STEPS = 200000
 #: the step is CFL_SAFETY times the slow-variable clock's lam**4 ds
 CFL_SAFETY = 0.9
 #: phi grid nodes phi_max * (i/(n-1))**PSI_POWER
@@ -77,17 +81,12 @@ WALL_FLOOR_CELLS = 12
 
 @dataclass(frozen=True)
 class MarchConfig:
-    dx_init: float = 1e-4
     lambda_stop: float = 1e-3
     ds_rel: float = 0.016          # target step in s, relative: ds = ds_rel * s
     n_psi: int = 2305
-    source_scale: float = 1.0      # 1: adverse gradient; 0: flat outer flow
     snapshots_per_decade: float = 8.0
-    max_steps: int = 200000
 
     def __post_init__(self):
-        if not DX_MIN < self.dx_init:
-            raise ValueError("dx_init must exceed DX_MIN")
         if self.lambda_stop <= 0.0:
             raise ValueError("lambda_stop must be positive")
 
@@ -495,8 +494,8 @@ def _milne_ratio(h: float, h_prev: float, h_older: float) -> float:
 
 
 def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
-                h: float, far_value: float, source: float,
-                scale: float, buffers: tuple) -> tuple:
+                h: float, far_value: float, source, scale: float,
+                buffers: tuple) -> tuple:
     """Variable-step BDF2 step with Picard-iterated degenerate coefficient.
 
     Second order in the step, L-stable, and structurally monotone (M-matrix
@@ -581,17 +580,24 @@ def slow_time_increment(dx, lam_old, lam_new):
     return 0.5 * dx * (lam_old**-4 + lam_new**-4)
 
 
-def march_step(state: VMState, dx: float, cfg: MarchConfig,
-               prev: tuple = (), buffers: Optional[tuple] = None) -> tuple:
+def adverse_outer_flow(state: VMState, dx: float) -> tuple:
+    """The forcing (q, far value) of a step dx from ``state``: u_E**2 falls
+    by 2 dx.  Another forcing may give q per node."""
+    return 1.0, state.W.values[-1] - 2.0 * dx
+
+
+def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
+               buffers: tuple) -> tuple:
     """Advance one station; retries with halved dx on monotonicity loss.
 
     ``prev``, the (w, h) of up to two stations before this one, newest
     first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
     without it (the first step) the step is the iterated backward-Euler
     start-up.  ``buffers``, from ``_march_buffers``, are the march's work
-    arrays; a step called on its own allocates them.  The slow time
+    arrays.  The slow time
     advances by ``slow_time_increment``, second order in dx like the step.
-    The far value is the old edge value less 2 source_scale dx.  Returns
+    ``forcing(state, dx)`` gives each attempt its source and far value
+    (``adverse_outer_flow`` on every run of the command line).  Returns
     (state, solves, halvings, converged, step_error): ``converged`` is
     False when the accepted attempt stopped at the sweep cap above
     PICARD_TOL, and ``step_error`` is its local error estimate (see
@@ -599,19 +605,17 @@ def march_step(state: VMState, dx: float, cfg: MarchConfig,
     {"solves", "halvings"} of its attempts.
     """
     grid = state.psi_grid
-    if buffers is None:
-        buffers = _march_buffers(len(grid))
     tmp = buffers[-1]
     w_old = state.W.values
     scale = float(w_old.max())
     solves = halvings = 0
     try:
         while True:
-            far = w_old[-1] - 2.0 * cfg.source_scale * dx
+            source, far = forcing(state, dx)
             if far <= 0.0:
                 raise StepFailureError("pressure horizon reached before separation")
             w_new, sweeps, converged, step_error = _bdf2_solve(
-                grid, w_old, prev, dx, far, cfg.source_scale, scale, buffers)
+                grid, w_old, prev, dx, far, source, scale, buffers)
             solves += sweeps
             # clamp roundoff negatives on the first cells to w >= 0 (the
             # solve's new array, in place), and judge monotonicity with a
@@ -685,8 +689,9 @@ class Trajectory:
         return not self.failure
 
 
-def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
-    """March from inflow data until the wall shear hits lambda_stop.
+def solve_until_separation(data, cfg: MarchConfig,
+                           forcing=adverse_outer_flow) -> Trajectory:
+    """March under ``forcing`` from inflow data until lambda hits lambda_stop.
 
     ``data`` is an InitialData (physical profile).  The tangential step
     follows dx = cfl * lam**4 * (ds_rel * s), mirroring the slow-variable
@@ -717,15 +722,14 @@ def solve_until_separation(data, cfg: MarchConfig) -> Trajectory:
     pending: Optional[VMState] = state
     prev = ()
     lam_next_snap = data.lambda0 * decade_step
-    for step in range(cfg.max_steps):
+    for step in range(MAX_STEPS):
         if state.lam <= cfg.lambda_stop:
             break
         ds_rel = cfg.ds_rel if pending is None else 0.5 * cfg.ds_rel
-        dx = max(min(cfg.dx_init, CFL_SAFETY * state.lam**4 * ds_rel * state.s),
+        dx = max(min(DX_MAX, CFL_SAFETY * state.lam**4 * ds_rel * state.s),
                  DX_MIN * 10.0)
         try:
-            new_state, *work = march_step(state, dx, cfg, prev=prev,
-                                          buffers=buffers)
+            new_state, *work = march_step(state, dx, forcing, prev, buffers)
         except (StepFailureError, InvalidStateError) as exc:
             failure, failed_step = str(exc), exc.work
             break

@@ -10,7 +10,8 @@ comparison; the cumulative trapezoid as it was written inline before
 scaled SVD solve that ``gridfields.lstsq_powers`` was before it called
 LAPACK ``gels``; the collapse-law fit as the Levenberg-Marquardt fit that
 ``modulation.fit_singularity`` was before variable projection; the inflow
-grid at the default node count; the closed forms of the
+grid at the default node count, and the inflow data on it at
+``RunConfig``'s perturbation amplitude and outer flow; the closed forms of the
 march's stencil weights, which ``gridfields.fd_weights`` now generates:
 the three-point first and second differences on the phi grid, the cubic
 interpolation at the Gauss points of each t = sqrt(phi) cell, the quadratic
@@ -29,6 +30,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.polynomial import polyval
 
+from prandtlsep import cli
 from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
 from prandtlsep import vonmises as vm
@@ -43,6 +45,16 @@ def uniform_grid(n: int, x_max: float) -> Grid:
 def inflow_grid() -> Grid:
     """The inflow grid that ``simulate`` builds at the default ``n_physical``."""
     return pr.default_physical_grid(pr.N_PHYSICAL)
+
+
+def inflow_data(lambda0: float, grid: Grid = None, **overrides):
+    """``build_initial_data`` as ``simulate`` calls it: on ``grid`` (the
+    inflow grid by default), with ``RunConfig``'s perturbation amplitude and
+    outer flow unless ``overrides`` names them."""
+    values = {"perturbation_amplitude": cli.RunConfig.perturbation_amplitude,
+              "x0_pressure": cli.RunConfig.x0_pressure, **overrides}
+    return pr.build_initial_data(
+        lambda0, inflow_grid() if grid is None else grid, **values)
 
 
 def convergence_order(errors: Iterable[float]) -> float:

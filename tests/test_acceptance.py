@@ -14,15 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from forcings import flat_outer_flow
 from hardy import hardy_constant, hardy_phi, hardy_phi_closed
-from reference import convergence_order, inflow_grid, op_L
+from reference import convergence_order, inflow_data, op_L
 
 from prandtlsep import cli
 from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
-from prandtlsep import profiles as pr
 from prandtlsep import ratpoly as rp
 from prandtlsep import vonmises as vm
 from prandtlsep.gridfields import Field
@@ -40,7 +40,7 @@ def conclude(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def main_run():
-    data = pr.build_initial_data(0.05, inflow_grid())
+    data = inflow_data(0.05)
     cfg = vm.MarchConfig(lambda_stop=0.05 / 50.0)
     t0 = time.time()
     traj = vm.solve_until_separation(data, cfg)
@@ -51,7 +51,7 @@ def main_run():
 
 @pytest.fixture(scope="module")
 def small_run():
-    data = pr.build_initial_data(0.025, inflow_grid())
+    data = inflow_data(0.025)
     cfg = vm.MarchConfig(lambda_stop=0.025 / 50.0)
     traj = vm.solve_until_separation(data, cfg)
     assert traj.completed
@@ -320,11 +320,12 @@ def test_criterion_10_hardy_constants():
                      f"closed form vs quadrature {max(gaps):.1e} < 1e-8")
 
 
-def test_criterion_11_global_solution_control():
-    data = pr.build_initial_data(0.05, inflow_grid())
-    cfg = vm.MarchConfig(source_scale=0.0, lambda_stop=1e-6,
-                         dx_init=5e-4, max_steps=400)
-    traj = vm.solve_until_separation(data, cfg)
+def test_criterion_11_global_solution_control(monkeypatch):
+    data = inflow_data(0.05)
+    monkeypatch.setattr(vm, "DX_MAX", 5e-4)
+    monkeypatch.setattr(vm, "MAX_STEPS", 400)
+    traj = vm.solve_until_separation(data, vm.MarchConfig(lambda_stop=1e-6),
+                                     flat_outer_flow)
     horizon = traj.x[-1]
     lam_min = float(traj.lam.min())
     ok = lam_min >= 0.5 * data.lambda0 and horizon > 20.0 * 0.05**2

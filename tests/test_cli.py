@@ -83,6 +83,19 @@ class TestConfig:
         assert parsed == cfg
         assert parsed.config_hash() == cfg.config_hash()
 
+    def test_an_int_where_a_float_is_meant_reloads(self, tmp_path):
+        # a value is typed as a config file types it, so an int where the
+        # field is a float hashes as the float that the manifest reloads
+        cfg = cli.RunConfig(lambda0=0.05, lambda_stop_factor=6, n_psi=1153,
+                            n_physical=1537, ds_rel=0.02, snapshots_per_decade=10,
+                            outdir=str(tmp_path / "run"))
+        assert type(cfg.snapshots_per_decade) is float
+        assert cfg.config_hash() == _quick_config(tmp_path / "run").config_hash()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run_simulate(cfg) == cli.EXIT_OK
+        loaded, _ = cli.load_trajectory(cfg.outdir)
+        assert loaded == cfg
+
     def test_readme_config_block_lists_every_field(self):
         # the ini block of README.md documents every RunConfig field and no other key
         readme = Path(os.path.dirname(__file__), os.pardir, "README.md").read_text()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import inflow_grid
+from reference import inflow_data, inflow_grid
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
@@ -12,7 +12,7 @@ from prandtlsep.operators import OperatorContext
 
 @pytest.fixture(scope="module")
 def short_traj():
-    data = pr.build_initial_data(0.05, inflow_grid())
+    data = inflow_data(0.05)
     cfg = vm.MarchConfig(lambda_stop=0.05 / 8.0)
     traj = vm.solve_until_separation(data, cfg)
     assert traj.completed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import fit_singularity_lm, inflow_grid
+from reference import fit_singularity_lm, inflow_data
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
@@ -143,12 +143,10 @@ class TestCollapseFit:
         assert fit["residual"] < 1e-12 and ref["residual"] < 1e-12
 
     def test_default_window_matches_the_levenberg_marquardt_fit(self):
-        from prandtlsep import profiles as pr
         from prandtlsep import vonmises as vm
 
         cfg = vm.MarchConfig()
-        traj = vm.solve_until_separation(
-            pr.build_initial_data(0.05, inflow_grid()), cfg)
+        traj = vm.solve_until_separation(inflow_data(0.05), cfg)
         win = md.fit_window(traj.lam, cfg.lambda_stop)
         fit = md.fit_singularity(traj.x[win], traj.lam[win])
         ref = fit_singularity_lm(traj.x[win], traj.lam[win])
@@ -190,10 +188,9 @@ class TestFitWindow:
         # a coarse march at ds_rel 0.008 and 0.016: each window ends at its
         # last station above lam_end, so the two end shears lie within one
         # step's change of lam (0.7% at ds_rel 0.016) of each other
-        from prandtlsep import profiles as pr
         from prandtlsep import vonmises as vm
 
-        data = pr.build_initial_data(0.05, inflow_grid())
+        data = inflow_data(0.05)
         lam_end = md.FIT_END * 5e-3
         ends = []
         for ds_rel in (0.008, 0.016):

@@ -30,11 +30,13 @@ import importlib.util
 import io
 import os
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from test_cli import _quick_config
 
 from prandtlsep import cli
+from prandtlsep import vonmises as vm
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
 
@@ -164,6 +166,18 @@ def test_every_parameter_is_used():
             unread += [f"{modname}.{name}({p})" for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def test_every_march_config_field_is_set_by_the_run_config():
+    # a MarchConfig field that RunConfig.march_config() leaves at its
+    # default is a value that only tests set
+    tree = ast.parse(Path(SRC, "cli.py").read_text())
+    (method,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "march_config"]
+    (call,) = [node for node in ast.walk(method) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "MarchConfig"]
+    assert sorted(keyword.arg for keyword in call.keywords) == sorted(
+        f.name for f in fields(vm.MarchConfig))
 
 
 def _benchmark_spans():

