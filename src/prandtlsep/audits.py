@@ -73,7 +73,7 @@ class AuditReport:
 
 
 def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
-                        M1: float, y_min: float = 0.5) -> AuditReport:
+                        M1: float, y_min: float) -> AuditReport:
     """Check 1 - M2 b Y**2 <= U_YY <= 1 on Y <= C_ZONE s**(1/3), and the
     uniform band -M1 <= U_YY <= 1 beyond, over the curvature-resolvable zone.
 

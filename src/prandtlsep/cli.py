@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
@@ -91,7 +91,8 @@ class RunConfig:
                               f"{MAX_SNAPSHOTS_PER_DECADE:g}")
         if not np.isfinite(self.perturbation_amplitude):
             raise ConfigError("perturbation_amplitude must be finite")
-        if self.n_psi < 257 or self.n_rescaled < 65 or self.n_physical < 257:
+        if (self.n_psi < 257 or self.n_rescaled < dg.MIN_RESCALED_NODES
+                or self.n_physical < 257):
             raise ConfigError("grid sizes too small")
         if max(self.n_psi, self.n_rescaled, self.n_physical) > MAX_GRID_NODES:
             raise ConfigError(f"grid sizes must not exceed {MAX_GRID_NODES} nodes")
@@ -648,12 +649,9 @@ def run_audit(outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_worker(args: tuple) -> dict:
-    lambda0, base = args
-    cfg = RunConfig(**{**base, "lambda0": lambda0,
-                       "outdir": os.path.join(base["outdir"], f"lam{lambda0!r}")})
+def _sweep_worker(cfg: RunConfig) -> dict:
     code = run_simulate(cfg)
-    entry = {"lambda0": lambda0, "exit": code}
+    entry = {"lambda0": cfg.lambda0, "exit": code}
     fit_path = os.path.join(cfg.outdir, "fit_report.json")
     if os.path.exists(fit_path):
         with open(fit_path) as fh:
@@ -661,29 +659,36 @@ def _sweep_worker(args: tuple) -> dict:
     return entry
 
 
-def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
-    # only sweep starts processes: the pool machinery stays out of the import
-    # that every subcommand pays for
-    from concurrent.futures import ProcessPoolExecutor
-
+def _sweep_members(lambda0_list: List[float], cfg: RunConfig) -> List[RunConfig]:
+    """Each member's validated configuration, largest lambda0 first."""
     if len(lambda0_list) < 2:
         raise ConfigError("sweep needs at least two lambda0 values")
     if len(set(lambda0_list)) < len(lambda0_list):
         raise ConfigError("sweep lambda0 values must differ: each member "
                           "writes to the directory named by its value")
-    base = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    jobs = [(lam0, base) for lam0 in sorted(lambda0_list, reverse=True)]
-    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 2)) as ex:
-        results = list(ex.map(_sweep_worker, jobs))
+    members = [replace(cfg, lambda0=lam0,
+                       outdir=os.path.join(cfg.outdir, f"lam{lam0!r}"))
+               for lam0 in sorted(lambda0_list, reverse=True)]
+    for member in members:
+        member.validate()
+    return members
+
+
+def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
+    # only sweep starts processes: the pool machinery stays out of the import
+    # that every subcommand pays for
+    from concurrent.futures import ProcessPoolExecutor
+
+    members = _sweep_members(lambda0_list, cfg)
+    with ProcessPoolExecutor(max_workers=min(len(members), os.cpu_count() or 2)) as ex:
+        results = list(ex.map(_sweep_worker, members))
     rows = []
-    any_fail = False
     for entry in results:
         fit = entry.get("fit", {})
         x_star = fit.get("x_star", float("nan"))
         rows.append((entry["lambda0"], x_star,
                      x_star / entry["lambda0"] ** 2 if np.isfinite(x_star) else float("nan"),
                      fit.get("exponent", float("nan"))))
-        any_fail = any_fail or entry["exit"] != 0
     table = "".join(_csv_lines(
         ["lambda0", "x_star", "x_star_over_lambda0_sq", "exponent"],
         [np.asarray(col) for col in zip(*rows)]))
@@ -693,7 +698,7 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
     if len(ratios) >= 2:
         spread = (max(ratios) - min(ratios)) / min(ratios)
         print(f"sweep: x*/lambda0^2 spread = {spread:.1%}")
-    return EXIT_SOLVER if any_fail else EXIT_OK
+    return EXIT_SOLVER if any(entry["exit"] for entry in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from . import modulation as md
 from . import vonmises as vm
 from .errors import (DomainError, InconsistentLambdaError, PrandtlSepError,
                      SingularInputError)
-from .gridfields import (Field, Grid, diff, lstsq_powers, spline_interpolant,
-                         wall_window)
+from .gridfields import (MIN_NODES, Field, Grid, diff, lstsq_powers,
+                         spline_interpolant, wall_window)
 from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
                         op_commutator, op_diffusion)
 
@@ -33,6 +33,10 @@ from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
 #: stays below 0.2%, so it is a phi-resolution effect of the march.  The
 #: rescale refits the slope anyway, so the cross-check is this loose
 SLOPE_RTOL = 2.5e-2
+
+#: the resolved flag recomputes the energies on n // 2 + 1 of a frame's n
+#: wall-unit nodes, a grid that needs MIN_NODES nodes
+MIN_RESCALED_NODES = 2 * (MIN_NODES - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,42 +178,33 @@ def _curvature_frame(snap: vm.Snapshot, b: float, bs: float, btilde: float,
                          calibrated=calibrated, commutator=commutator, failure=None)
 
 
-def _balance_data(state: vm.VMState) -> tuple:
-    """(W, F, trust mask): the state in rescaled streamfunction variables,
-    W = w / lam**4 on phi / lam**3.  The diffusion balance F is
-    scale-invariant, so F and its roundoff trust mask carry over from the
-    marched state node by node."""
+def _rescaled_W(state: vm.VMState) -> Field:
+    """The state in rescaled variables: W = w / lam**4 on phi / lam**3."""
     lam = state.lam
-    return (Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4),
-            vm.compute_F(state.W).values, vm.trusted_F_mask(state))
+    return Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4)
 
 
-def _balance_checks(frames: List[SnapshotFrame], waiting: list,
-                    amplitudes: tuple, alpha: float) -> None:
-    """Add the sub/super-solution and balance reports to each waiting
-    frame, (position in ``frames``, W, F, trust mask), and empty ``waiting``."""
-    for position, W, F, trusted in waiting:
-        fr = frames[position]
-        frames[position] = replace(fr, checks=fr.checks + (
-            au.subsolution_audit(W, fr.s, fr.b, fr.btilde, *amplitudes),
-            au.F_bound_audit(W, F, fr.s, fr.btilde, alpha, trusted=trusted)))
-    waiting.clear()
+def _balance_data(state: vm.VMState) -> tuple:
+    """(W, F, trust mask): the rescaled w and the diffusion balance F.  F
+    is scale-invariant, so F and its roundoff trust mask carry over from
+    the marched state node by node."""
+    return (_rescaled_W(state), vm.compute_F(state.W).values,
+            vm.trusted_F_mask(state))
 
 
 def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
-    """Audit the snapshots one at a time, in order: one frame each.
+    """Audit the snapshots in two passes, one at a time: one frame each.
 
-    Each snapshot's energies and max-principle report come from
-    ``_curvature_frame``; the snapshots at positions 1, 5, 9, .. short of
-    the last also check the commutator identity on their pair.  The
-    comparison constants are calibrated on the first snapshot that
-    rescales, the sandwich amplitudes on the first rescaled one whose
-    sandwich floor lies inside half its streamfunction span, and then
-    frozen, so later snapshots are genuine checks rather than fits.  The
-    sub/super-solution and balance checks wait for the amplitudes: only
-    the snapshots audited before they are known keep their rescaled w, F
-    and trust mask, and only until then.  Every other array of a snapshot
-    is dropped before the next is inverted.
+    The first pass gives each snapshot its energies and max-principle
+    report from ``_curvature_frame``, against the constants calibrated on
+    the first snapshot that rescales; the snapshots at positions 1, 5, 9,
+    .. short of the last also check the commutator identity on their pair.
+    The sandwich amplitudes are then calibrated once, on the first
+    rescaled snapshot whose sandwich floor lies inside half its
+    streamfunction span (on the first rescaled one, as 1 and 1, where none
+    does), before the second pass adds the sub/super-solution and balance
+    checks against them to every rescaled frame.  No check reads a
+    constant that later snapshots could still move.
 
     A snapshot that raises a package error on the way, such as a
     wall-fitted shear that misses the tracked one, keeps a frame that
@@ -224,32 +219,29 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     checked = range(1, len(traj.snapshots) - 1, 4)
     frames: List[SnapshotFrame] = []
     frozen: dict = {}
-    amplitudes, waiting = None, []
     for position, snap in enumerate(traj.snapshots):
         i = snap.station
-        frame = _curvature_frame(snap, float(b_arr[i]), float(bs_arr[i]),
-                                 float(bt_arr[i]), n_grid, frozen,
-                                 position in checked)
-        frames.append(frame)
-        if frame.failure is not None:
-            continue
-        W, F, trusted = _balance_data(snap.state)
-        if amplitudes is None and au.sandwich_floor(frame.btilde) < W.grid.span * 0.5:
-            amplitudes = au.calibrate_A(W, frame.btilde)
-            frames[-1] = replace(frame, calibrated={
-                **frame.calibrated, "A_minus": amplitudes[0],
-                "A_plus": amplitudes[1]})
-        waiting.append((position, W, F, trusted))
-        del W, F, trusted   # held by ``waiting`` alone, until checked
-        if amplitudes is not None:
-            _balance_checks(frames, waiting, amplitudes, frozen["alpha"])
-    if waiting:
-        # no snapshot qualified for the sandwich: unit amplitudes, set on
-        # the first audited frame
-        first = frames[waiting[0][0]]
-        frames[waiting[0][0]] = replace(first, calibrated={
-            **first.calibrated, "A_minus": 1.0, "A_plus": 1.0})
-        _balance_checks(frames, waiting, (1.0, 1.0), frozen["alpha"])
+        frames.append(_curvature_frame(snap, float(b_arr[i]), float(bs_arr[i]),
+                                       float(bt_arr[i]), n_grid, frozen,
+                                       position in checked))
+    rescaled = [p for p, fr in enumerate(frames) if fr.failure is None]
+    if not rescaled:
+        return frames
+    at, amplitudes = rescaled[0], (1.0, 1.0)
+    for p in rescaled:
+        W = _rescaled_W(traj.snapshots[p].state)
+        if au.sandwich_floor(frames[p].btilde) < W.grid.span * 0.5:
+            at, amplitudes = p, au.calibrate_A(W, frames[p].btilde)
+            break
+    frames[at] = replace(frames[at], calibrated={
+        **frames[at].calibrated, "A_minus": amplitudes[0], "A_plus": amplitudes[1]})
+    for p in rescaled:
+        fr = frames[p]
+        W, F, trusted = _balance_data(traj.snapshots[p].state)
+        frames[p] = replace(fr, checks=fr.checks + (
+            au.subsolution_audit(W, fr.s, fr.b, fr.btilde, *amplitudes),
+            au.F_bound_audit(W, F, fr.s, fr.btilde, frozen["alpha"],
+                             trusted=trusted)))
     return frames
 
 

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (DomainError, ExtrapolationError, FitFailureError,
                      SingularInputError, TooFewNodesError)
 
-_MIN_NODES = 64
+MIN_NODES = 64
 _EPS = np.finfo(float).eps
 
 
@@ -230,8 +230,8 @@ class Grid:
 
     def __post_init__(self):
         nodes = _frozen(self.nodes)
-        if nodes.ndim != 1 or len(nodes) < _MIN_NODES:
-            raise TooFewNodesError(f"grid needs >= {_MIN_NODES} nodes, got {nodes.shape}")
+        if nodes.ndim != 1 or len(nodes) < MIN_NODES:
+            raise TooFewNodesError(f"grid needs >= {MIN_NODES} nodes, got {nodes.shape}")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(nodes) <= 0):

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import DomainError, FitFailureError, SingularInputError
 from .gridfields import Grid, brentq, cumtrapz, lstsq_powers, window_starts
 
+#: samples in the Theil-Sen window of ``compute_b``
+B_WINDOW = 7
+
 
 # one unit grid, and so one stencil set, per node count, kept for the process
 @lru_cache(maxsize=8)
@@ -28,7 +31,7 @@ def _unit_rescaled_grid(n: int) -> Grid:
     return Grid.tanh_clustered(n, 1.0, strength=4.0)
 
 
-def standard_rescaled_grid(s: float, n: int, reach: float = np.inf) -> Grid:
+def standard_rescaled_grid(s: float, n: int, reach: float) -> Grid:
     """Wall-clustered grid of n nodes on [0, 8 s**(2/7)], cut at ``reach``:
     the span of the profile it samples, in wall units.  Every such grid of
     n nodes is one unit grid scaled, whose stencils it shares."""
@@ -46,7 +49,7 @@ def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (np.sum(xs * fs, axis=1) - sum_x * np.sum(fs, axis=1) / window) / den
 
 
-def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
+def compute_b(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Modulation rate b = -2 lam_x lam**3 with a robust local slope.
 
     The slope is the median of pairwise slopes over a centered window
@@ -55,9 +58,9 @@ def compute_b(x: np.ndarray, lam: np.ndarray, window: int = 7) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    idx = window_starts(len(x), window)[:, None] + np.arange(window)
+    idx = window_starts(len(x), B_WINDOW)[:, None] + np.arange(B_WINDOW)
     xs, fs = x[idx], lam[idx]
-    a, c = np.triu_indices(window, 1)
+    a, c = np.triu_indices(B_WINDOW, 1)
     lam_x = np.median((fs[:, a] - fs[:, c]) / (xs[:, a] - xs[:, c]), axis=1)
     return -2.0 * lam_x * lam**3
 

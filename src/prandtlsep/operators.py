@@ -180,14 +180,13 @@ def op_Linv(ctx: OperatorContext, f: Field, fit: WallFit = DEFAULT_FIT,
     return f.with_values(ctx.U_Y.values * integral + h)
 
 
-def op_diffusion(ctx: OperatorContext, fit: WallFit = DEFAULT_FIT) -> Field:
+def op_diffusion(ctx: OperatorContext, fit: WallFit) -> Field:
     """Inverse of L_U applied to (U_YY - 1); needs wall compatibility."""
     defect = ctx.U_YY.with_values(ctx.U_YY.values - 1.0)
     return op_Linv(ctx, defect, fit, scale_hint=float(abs(ctx.U_YY.values).max()))
 
 
-def op_commutator(ctx: OperatorContext, D: Field, w: Field,
-                  fit: WallFit = DEFAULT_FIT) -> Field:
+def op_commutator(ctx: OperatorContext, D: Field, w: Field, fit: WallFit) -> Field:
     """Commutator source: -(D int_0^Y w/U**2)_Y + 2 (U int_0^Y (w/U**3) D)_Y."""
     coeffs = _fit_vanishing(ctx, w.values, fit)
     g, _ = _patched_quotients(ctx, w.values, coeffs, fit)

@@ -316,16 +316,13 @@ def profile_chain(n: int) -> list[RationalPoly]:
     return chain
 
 
-def profile_coefficients(u4: RationalPoly | None = None) -> Dict[str, Fraction]:
+def profile_coefficients(u4: RationalPoly) -> Dict[str, Fraction]:
     """Exact coefficients of the fourth iterate, keyed a4, a7, a10, a11, a13, a16.
 
     Sign convention: the iterate is
     Y + Y**2/2 - a4 b Y**4 - a7 b**2 Y**7 - a10 b**3 Y**10 - a11 b**3 Y**11
-    + a13 b**4 Y**13 + a16 b**5 Y**16.  They are read off ``u4``, which is
-    built by the recursion when not given.
+    + a13 b**4 Y**13 + a16 b**5 Y**16.  They are read off ``u4``.
     """
-    if u4 is None:
-        u4 = profile_chain(4)[-1]
     return {
         "a4": -u4.coeff(4, 1),
         "a7": -u4.coeff(7, 2),

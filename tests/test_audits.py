@@ -73,7 +73,8 @@ def flat_ctx():
 
 class TestMaxPrinciple:
     def test_flat_profile_passes_with_zero_margin(self, flat_ctx):
-        rep = au.max_principle_audit(flat_ctx, s=500.0, b=2e-3, M2=0.5, M1=1.0)
+        rep = au.max_principle_audit(flat_ctx, s=500.0, b=2e-3, M2=0.5, M1=1.0,
+                                     y_min=0.5)
         assert rep.passed
         assert rep.worst_margin >= 0.0
 
@@ -85,9 +86,10 @@ class TestMaxPrinciple:
         Y = g.nodes
         ctx = OperatorContext.from_profile(Field(g, pr.eval_uapp(s, b, Y)),
                                            slope_tol=1e-2)
-        ok = au.max_principle_audit(ctx, s, b, M2=0.5, M1=1.0)
+        ok = au.max_principle_audit(ctx, s, b, M2=0.5, M1=1.0, y_min=0.5)
         assert ok.passed
-        too_small = au.max_principle_audit(ctx, s, b, M2=1.0 / 16.0, M1=1.0)
+        too_small = au.max_principle_audit(ctx, s, b, M2=1.0 / 16.0, M1=1.0,
+                                            y_min=0.5)
         assert not too_small.passed
 
     def test_calibration_rounds_to_dyadic(self, flat_ctx):

@@ -63,12 +63,16 @@ class TestConfig:
                     {"snapshots_per_decade": cli.MAX_SNAPSHOTS_PER_DECADE + 1.0},
                     {"x0_pressure": inf}, {"perturbation_amplitude": nan},
                     {"n_psi": 10**11}, {"n_physical": 10**11},
-                    {"n_rescaled": 10**11}):
+                    {"n_rescaled": 10**11}, {"n_rescaled": 125}):
             with pytest.raises(cli.ConfigError):
                 cli.RunConfig(**bad).validate()
         # the dense-snapshots benchmark workload and the bound itself pass
         for spd in (16.0, cli.MAX_SNAPSHOTS_PER_DECADE):
             cli.RunConfig(snapshots_per_decade=spd).validate()
+        # the resolved flag recomputes the energies on n_rescaled // 2 + 1
+        # nodes: 64 at 126, the grid minimum; 63 at 125 would leave every
+        # sample unresolved
+        cli.RunConfig(n_rescaled=126).validate()
 
     def test_default_run_marches_the_library_default(self):
         # the acceptance tests judge the library's default march, which
@@ -180,7 +184,7 @@ class TestConfig:
                             # rejected before any array exists: 10**11 nodes
                             # would ask numpy for 745 GiB
                             ("--n-psi", str(10**11)), ("--n-physical", str(10**11)),
-                            ("--n-rescaled", str(10**11))):
+                            ("--n-rescaled", str(10**11)), ("--n-rescaled", "125")):
             code = cli.main(["simulate", flag, value, "--outdir", str(tmp_path)])
             assert code == cli.EXIT_CONFIG, flag
             assert not os.listdir(tmp_path)
@@ -1084,17 +1088,20 @@ class TestSweep:
         assert not os.listdir(tmp_path)
         assert "must differ" in capsys.readouterr().err
 
-    def test_member_directory_keeps_every_digit(self, tmp_path, monkeypatch):
+    def test_out_of_range_member_rejected_before_any_member_runs(self, tmp_path,
+                                                                  capsys):
+        # 0.5 is outside (0, 0.2]: no member writes, the 0.05 one included
+        code = cli.main(["sweep", "0.05", "0.5", "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert not os.listdir(tmp_path)
+        assert "lambda0 must lie in" in capsys.readouterr().err
+
+    def test_member_directory_keeps_every_digit(self, tmp_path):
         # 0.05 and 0.05000001 print alike under :g and must not share lam0.05
-        outdirs = []
-        monkeypatch.setattr(cli, "run_simulate",
-                            lambda cfg: outdirs.append(cfg.outdir) or cli.EXIT_OK)
-        base = {f.name: getattr(cli.RunConfig(outdir=str(tmp_path)), f.name)
-                for f in cli.fields(cli.RunConfig)}
-        for lam0 in (0.05, 0.05000001, 0.025):
-            cli._sweep_worker((lam0, base))
-        assert [os.path.basename(d) for d in outdirs] == [
-            "lam0.05", "lam0.05000001", "lam0.025"]
+        members = cli._sweep_members([0.05, 0.05000001, 0.025],
+                                     cli.RunConfig(outdir=str(tmp_path)))
+        assert [os.path.basename(m.outdir) for m in members] == [
+            "lam0.05000001", "lam0.05", "lam0.025"]
 
 
 class TestSweepIntegration:

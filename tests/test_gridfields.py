@@ -33,7 +33,7 @@ def grid_maker(request):
         "power": lambda n: gf.Grid.power_clustered(n, 6.0, 3.0),
         # wall-unit grids, which scale a shared unit grid's stencils: the
         # span 8 s**(2/7) is 6 at s = 0.75**3.5, and cut to 6 at s = 400
-        "rescaled": lambda n: md.standard_rescaled_grid(0.75**3.5, n),
+        "rescaled": lambda n: md.standard_rescaled_grid(0.75**3.5, n, reach=np.inf),
         "rescaled_reach": lambda n: md.standard_rescaled_grid(400.0, n, reach=6.0),
     }
     return makers[request.param]

@@ -48,15 +48,16 @@ class TestModulationRate:
         rng = np.random.default_rng(7)
         x = np.cumsum(rng.uniform(0.5, 1.5, 60))
         lam = np.exp(-0.01 * x) * (1.0 + 1e-3 * rng.standard_normal(60))
-        for window in (5, 7):
-            half = window // 2
-            ref = np.empty(len(x))
-            for i in range(len(x)):
-                lo = max(0, min(i - half, len(x) - window))
-                pts = range(lo, lo + window)
-                ref[i] = np.median([(lam[a] - lam[c]) / (x[a] - x[c])
-                                    for a, c in itertools.combinations(pts, 2)])
-            assert np.array_equal(md.compute_b(x, lam, window), -2.0 * ref * lam**3)
+        window = md.B_WINDOW
+        assert window == 7
+        half = window // 2
+        ref = np.empty(len(x))
+        for i in range(len(x)):
+            lo = max(0, min(i - half, len(x) - window))
+            pts = range(lo, lo + window)
+            ref[i] = np.median([(lam[a] - lam[c]) / (x[a] - x[c])
+                                for a, c in itertools.combinations(pts, 2)])
+        assert np.array_equal(md.compute_b(x, lam), -2.0 * ref * lam**3)
 
 
 class TestLocalSlope:
@@ -239,7 +240,7 @@ class TestRescale:
         lam = 0.05
         g = Grid.tanh_clustered(2049, 3.0, 5.0)
         u = Field(g, lam * g.nodes + g.nodes**2 / 2)
-        grid = md.standard_rescaled_grid(400.0, 321)
+        grid = md.standard_rescaled_grid(400.0, 321, reach=np.inf)
         U = self._rescale(u, lam, grid)
         expected = grid.nodes + grid.nodes**2 / 2
         assert np.max(np.abs(U.values - expected)) < 1e-6
@@ -248,7 +249,7 @@ class TestRescale:
         lam = 0.04
         g = Grid.tanh_clustered(2049, 3.0, 5.0)
         u = Field(g, lam * g.nodes + g.nodes**2 / 2 - 0.02 * g.nodes**4)
-        grid = md.standard_rescaled_grid(625.0, 321)
+        grid = md.standard_rescaled_grid(625.0, 321, reach=np.inf)
         U = self._rescale(u, lam, grid)
         Y = grid.nodes
         sel = (Y > 0) & (Y < 0.35)
@@ -259,7 +260,7 @@ class TestRescale:
     def test_inconsistent_shear_rejected(self):
         g = Grid.tanh_clustered(2049, 3.0, 5.0)
         u = Field(g, 0.05 * g.nodes + g.nodes**2 / 2)
-        grid = md.standard_rescaled_grid(400.0, 321)
+        grid = md.standard_rescaled_grid(400.0, 321, reach=np.inf)
         with pytest.raises(InconsistentLambdaError):
             self._rescale(u, 0.06, grid)
 
@@ -275,7 +276,7 @@ class TestRescale:
         # that shear is within SLOPE_RTOL of 1 (one more update would leave
         # it) and only the context's own slope check rejects the profile; at
         # 1.01 the rejection quotes the shear the profile was built with
-        grid = md.standard_rescaled_grid(400.0, 321)
+        grid = md.standard_rescaled_grid(400.0, 321, reach=np.inf)
         shears = []
 
         def u_at(y):

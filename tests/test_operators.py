@@ -81,7 +81,7 @@ class TestExplicitInverses:
 class TestDiffusionField:
     def test_zero_on_base_profile(self, ctx513):
         ctx, _, _ = ctx513
-        assert np.max(np.abs(ops.op_diffusion(ctx).values)) < 1e-7
+        assert np.max(np.abs(ops.op_diffusion(ctx, fit=ops.DEFAULT_FIT).values)) < 1e-7
 
     def test_leading_term_on_curved_profile(self):
         # profile with quartic correction: leading diffusion field is -b Y/2
@@ -91,7 +91,7 @@ class TestDiffusionField:
         a4 = 1.0 / 48.0
         U = Field(g, Y + Y**2 / 2 - a4 * b * Y**4)
         ctx = ops.OperatorContext.from_profile(U)
-        D = ops.op_diffusion(ctx).values
+        D = ops.op_diffusion(ctx, fit=ops.DEFAULT_FIT).values
         window = (Y > 0.1) & (Y < 1.0)
         rel = np.abs(D[window] + 0.5 * b * Y[window]) / (0.5 * b * Y[window])
         assert np.max(rel) < 0.05
@@ -102,7 +102,7 @@ class TestCommutator:
         ctx, g, Y = ctx513
         D0 = Field(g, np.zeros_like(Y))
         w = Field(g, Y**2 * np.exp(-Y / 3))
-        assert np.max(np.abs(ops.op_commutator(ctx, D0, w).values)) == 0.0
+        assert np.max(np.abs(ops.op_commutator(ctx, D0, w, fit=ops.DEFAULT_FIT).values)) == 0.0
 
     def test_manufactured_s_commutator(self):
         # family U(s) with known U_s: the finite-difference commutator must

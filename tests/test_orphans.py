@@ -19,7 +19,8 @@ the default window rejects f on 13 of 14 frames, and the chain's own
 window gives a left side below the form on all 14.  Until that dependence
 is understood the audit is not reported.  Any other function that the
 command line cannot reach fails here, and so does a parameter that its
-function never reads.
+function never reads, and a parameter default that no call in the package
+leaves in place.
 """
 
 import ast
@@ -166,6 +167,45 @@ def test_every_parameter_is_used():
             unread += [f"{modname}.{name}({p})" for p in params
                        if p not in read and p not in ("self", "cls")]
     assert unread == []
+
+
+def _omits(call: ast.Call, position: int, name: str) -> bool:
+    """Whether ``call`` leaves the parameter at ``position`` (counted after
+    a bound ``self`` or ``cls``), called ``name``, to its default."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            keyword.arg is None for keyword in call.keywords):
+        return False   # *args or **kwargs may carry it
+    return len(call.args) <= position and all(
+        keyword.arg != name for keyword in call.keywords)
+
+
+def test_every_parameter_default_is_relied_on():
+    # a default that every call in the package overrides is a value that
+    # only tests take; calls are matched by name, as reachability is, and
+    # dunder methods are called implicitly (``cls()`` reaches __init__)
+    defs, _, _ = _definitions()
+    calls = [node for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+             for node in ast.walk(ast.parse(Path(path).read_text(), path))
+             if isinstance(node, ast.Call)]
+    assert calls
+    unrelied = []
+    for qual, (name, fn) in defs.items():
+        if name.startswith("__"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        bound = qual.count(".") == 2 and not any(
+            getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+        # a keyword-only parameter takes no positional argument
+        defaulted += [(len(positional), a.arg)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        named = [call for call in calls if name in (
+            getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+        unrelied += [f"{qual}({p})" for position, p in defaulted
+                     if not any(_omits(call, position, p) for call in named)]
+    assert unrelied == []
 
 
 def test_every_march_config_field_is_set_by_the_run_config():

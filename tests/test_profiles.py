@@ -198,7 +198,7 @@ class TestWellPrepared:
         from prandtlsep import modulation as md
 
         data = inflow_data(0.05)
-        grid = md.standard_rescaled_grid(data.s0, 513)
+        grid = md.standard_rescaled_grid(data.s0, 513, reach=np.inf)
         U0 = dg.rescale_snapshot_profile(spline_interpolant(data.u0),
                                          data.lambda0, grid).U
         report = check_wellprepared(U0, data.s0)

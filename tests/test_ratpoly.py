@@ -87,7 +87,7 @@ class TestNonlocalProduct:
         assert rp.apply_L(u, u.derivative_Y()) == P.zero()
 
     def test_core_profile_on_y7(self):
-        coeffs = rp.profile_coefficients()
+        coeffs = rp.profile_coefficients(rp.profile_chain(4)[-1])
         core = uapp_core_poly()
         got = rp.apply_L(core, Y(7))
         expected = (mono((7, 8), 8) + mono((3, 8), 9)
@@ -112,7 +112,7 @@ class TestResidualAndChain:
         assert res == expected
 
     def test_chain_coefficients(self):
-        c = rp.profile_coefficients()
+        c = rp.profile_coefficients(rp.profile_chain(4)[-1])
         assert c["a4"] == F(1, 48)
         assert c["a7"] == c["a4"] / 84 == F(1, 4032)
         assert c["a10"] == F(27, 1440) * c["a7"]
@@ -146,7 +146,8 @@ class TestIndependentDerivation:
         return symbolic_recursion
 
     def test_chain_coefficients_agree(self, symbolic):
-        assert symbolic.profile_coefficients(4) == rp.profile_coefficients()
+        assert symbolic.profile_coefficients(4) == rp.profile_coefficients(
+            rp.profile_chain(4)[-1])
 
     def test_residual_of_second_iterate_agrees(self, symbolic):
         u2_sym = symbolic.profile_chain(2)[-1]
@@ -164,7 +165,7 @@ class TestRemainderDecomposition:
     def test_shape(self):
         u4 = rp.profile_chain(4)[-1]
         dec = rp.remainder_decomposition(u4)
-        c = rp.profile_coefficients()
+        c = rp.profile_coefficients(rp.profile_chain(4)[-1])
         expected_aligned = (mono(c["a4"], 4) + mono(2 * c["a7"], 7, 1)
                             + mono(3 * c["a10"], 10, 2) + mono(3 * c["a11"], 11, 2))
         assert dec.bs_b2_coeff == expected_aligned
@@ -176,7 +177,7 @@ class TestRemainderDecomposition:
         # hand-derived from combining the curvature defect bracket with the
         # traded Y^7 term: d11 = 2 a10 - a4 a7/4, d12 = (9/4) a11,
         # d14 = -a7^2/16, d17 = a7 a10/8, d18 = 3 a7 a11/16
-        c = rp.profile_coefficients()
+        c = rp.profile_coefficients(rp.profile_chain(4)[-1])
         dec = rp.remainder_decomposition(rp.profile_chain(4)[-1])
         assert dec.d_terms[(11, 4)] == 2 * c["a10"] - c["a4"] * c["a7"] / 4
         assert dec.d_terms[(12, 4)] == F(9, 4) * c["a11"]
