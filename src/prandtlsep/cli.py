@@ -584,9 +584,8 @@ def load_trajectory(outdir: str) -> tuple:
         _reject(table_path, w[:, first_node:], bad, lambda row, node: (
             f"row {_row_name(row + 1)}, node {node + first_node}"), problem)
 
-    snapshots = [vm.Snapshot(index=index, station=station, state=states[2 * index],
-                             pair_state=states[2 * index + 1])
-                 for index, station in enumerate(stations)]
+    snapshots = [vm.Snapshot(station=station, state=state, pair_state=pair)
+                 for station, state, pair in zip(stations, states[::2], states[1::2])]
     traj = vm.Trajectory(
         **{field: raw[name] for name, (field, _) in _TRAJECTORY_CSV.items()},
         snapshots=snapshots, psi_grid=grid, failure=failure, failed_step=step)

@@ -52,7 +52,7 @@ class SnapshotFrame:
     the error that stopped it.
     """
 
-    index: int              # the snapshot's index
+    index: int              # the snapshot's position in the trajectory
     s: float
     lam: float
     b: float
@@ -122,10 +122,10 @@ def measure_M0(ctx: OperatorContext, s: float) -> float:
     return max(float(np.max(ratio)), 1.0)
 
 
-def _curvature_frame(snap: vm.Snapshot, b: float, bs: float, btilde: float,
+def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde: float,
                      n_grid: int, frozen: dict, pair: bool) -> SnapshotFrame:
-    """The frame of one snapshot: its energies, its max-principle report
-    and, with ``pair``, its commutator check.
+    """The frame of the snapshot at position ``index``: its energies, its
+    max-principle report and, with ``pair``, its commutator check.
 
     The state is inverted and splined once, for the full- and
     half-resolution rescales and the commutator; the spline and the
@@ -134,13 +134,14 @@ def _curvature_frame(snap: vm.Snapshot, b: float, bs: float, btilde: float,
     """
     state = snap.state
     s, lam = state.s, state.lam
-    scalars = {"index": snap.index, "s": s, "lam": lam, "b": b, "btilde": btilde}
+    scalars = {"index": index, "s": s, "lam": lam, "b": b, "btilde": btilde}
+    s_mid = 0.5 * (s + snap.pair_state.s)
     try:
         u_at = spline_interpolant(vm.from_von_mises(state))
         ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
     except PrandtlSepError as exc:
         # no spline or context for the commutator either
-        failed = {"s_mid": s, "error": str(exc)} if pair else None
+        failed = {"s_mid": s_mid, "error": str(exc)} if pair else None
         return SnapshotFrame(**scalars, report=None, checks=(), calibrated={},
                              commutator=failed, failure=exc)
     if report is not None:
@@ -173,7 +174,7 @@ def _curvature_frame(snap: vm.Snapshot, b: float, bs: float, btilde: float,
         try:
             commutator = commutator_identity_check(snap, u_at, b, n_grid)
         except PrandtlSepError as exc:
-            commutator = {"s_mid": s, "error": str(exc)}
+            commutator = {"s_mid": s_mid, "error": str(exc)}
     return SnapshotFrame(**scalars, report=report, checks=(check,),
                          calibrated=calibrated, commutator=commutator, failure=None)
 
@@ -221,9 +222,9 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     frozen: dict = {}
     for position, snap in enumerate(traj.snapshots):
         i = snap.station
-        frames.append(_curvature_frame(snap, float(b_arr[i]), float(bs_arr[i]),
-                                       float(bt_arr[i]), n_grid, frozen,
-                                       position in checked))
+        frames.append(_curvature_frame(position, snap, float(b_arr[i]),
+                                       float(bs_arr[i]), float(bt_arr[i]),
+                                       n_grid, frozen, position in checked))
     rescaled = [p for p, fr in enumerate(frames) if fr.failure is None]
     if not rescaled:
         return frames
@@ -282,12 +283,24 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
 
 def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
                               n_grid: int) -> dict:
+    """``commutator_gap`` on a snapshot's marching pair: this adds only the
+    pair state's spline (``u_at`` is the snapshot's) and both rescales."""
+    state, pair = snap.state, snap.pair_state
+    s_mid = 0.5 * (state.s + pair.s)
+    u_at2 = spline_interpolant(vm.from_von_mises(pair))
+    grid = md.standard_rescaled_grid(
+        s_mid, n_grid, reach=min(u_at.span / state.lam, u_at2.span / pair.lam))
+    ctx1 = rescale_snapshot_profile(u_at, state.lam, grid)
+    ctx2 = rescale_snapshot_profile(u_at2, pair.lam, grid)
+    return commutator_gap(ctx1, ctx2, state.s, pair.s, b)
+
+
+def commutator_gap(ctx1: OperatorContext, ctx2: OperatorContext, s1: float,
+                   s2: float, b: float) -> dict:
     """Finite-difference transport commutator against its closed form.
 
-    ``u_at`` is the spline of the snapshot's physical profile, the one its
-    rescales read; only the pair state is inverted and splined here.  On the
-    pair of states (s1, s2) around s_mid, with a fixed smooth test function
-    T(Y) = Y**2 exp(-Y/4):
+    On the wall-unit profiles ``ctx1`` and ``ctx2`` at s1 and s2, on one
+    grid, with a fixed smooth test function T(Y) = Y**2 exp(-Y/4):
 
       lhs = d/ds[Linv T] + (b/2)(Linv(Y T') - Y d/dY Linv T) - b Linv T
       rhs = commutator source built from the diffusion field D.
@@ -295,14 +308,8 @@ def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
     Returns the relative gap on Y in [0.1, s**(1/4)] and the pinned
     tolerance 5 (ds/s + h_rel**2).
     """
-    s1, s2 = snap.state.s, snap.pair_state.s
     s_mid = 0.5 * (s1 + s2)
-    lam1, lam2 = snap.state.lam, snap.pair_state.lam
-    u_at2 = spline_interpolant(vm.from_von_mises(snap.pair_state))
-    grid = md.standard_rescaled_grid(
-        s_mid, n_grid, reach=min(u_at.span / lam1, u_at2.span / lam2))
-    ctx1 = rescale_snapshot_profile(u_at, lam1, grid)
-    ctx2 = rescale_snapshot_profile(u_at2, lam2, grid)
+    grid = ctx1.grid
     U_mid = ctx1.U.with_values(0.5 * (ctx1.U.values + ctx2.U.values))
     ctx = OperatorContext.from_profile(U_mid, slope_tol=1e-3)
 

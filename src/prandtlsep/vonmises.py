@@ -656,7 +656,6 @@ class Snapshot:
     """A marching pair: the state at trajectory row ``station`` and the
     state one accepted step later, at row station + 1."""
 
-    index: int
     station: int
     state: VMState
     pair_state: VMState
@@ -739,8 +738,8 @@ def solve_until_separation(data, cfg: MarchConfig,
         record(state, *work)
         if pending is not None:
             # the pending state sits one row above the pair just recorded
-            snapshots.append(Snapshot(index=len(snapshots), station=len(rows) - 2,
-                                      state=pending, pair_state=state))
+            snapshots.append(Snapshot(station=len(rows) - 2, state=pending,
+                                      pair_state=state))
             pending = None
         if state.lam <= lam_next_snap and state.lam > cfg.lambda_stop:
             pending = state

@@ -839,6 +839,32 @@ class TestSimulateAndAudit:
         assert (f"({n - 1} snapshots audited); 1 snapshots failed to rescale "
                 "(first: snapshot 2: planted)") in out
 
+    @pytest.mark.parametrize("failing", ["state", "pair_state"])
+    def test_failed_commutator_check_is_written_at_the_pair_midpoint(
+            self, finished_run, tmp_path, monkeypatch, failing):
+        # snapshot 1's pair is checked; its own rescale fails, or only its
+        # pair state's, and the failed entry sits where a finished one
+        # would, at the mean of the pair's slow times in trajectory.csv
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        cfg, traj = cli.load_trajectory(str(rundir))
+        snap = traj.snapshots[1]
+        planted = getattr(snap, failing).lam
+        rescale = cli.dg.rescale_snapshot_profile
+
+        def failing_rescale(u_at, lam, grid):
+            if lam == planted and len(grid) == cfg.n_rescaled:
+                raise InconsistentLambdaError("planted")
+            return rescale(u_at, lam, grid)
+
+        monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", failing_rescale)
+        cli.main(["audit", str(rundir)])
+        summary = json.loads((rundir / "audit_summary.json").read_text())
+        entry = summary["commutator_identity"][0]
+        assert entry["error"] == "planted"
+        s = _trajectory_columns(rundir)["s"]
+        assert entry["s_mid"] == 0.5 * (s[snap.station] + s[snap.station + 1])
+
     @pytest.mark.parametrize("planted", [(0,), (0, 1)])
     def test_calibration_moves_past_snapshots_that_fail_to_rescale(
             self, finished_run, tmp_path, monkeypatch, planted):
@@ -997,7 +1023,7 @@ class TestSimulateAndAudit:
         assert len(traj.snapshots) == len(ref.snapshots) > 2
         assert np.array_equal(traj.psi_grid.nodes, ref.psi_grid.nodes)
         for got, want in zip(traj.snapshots, ref.snapshots):
-            assert (got.index, got.station) == (want.index, want.station)
+            assert got.station == want.station
             for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
                 # one Grid shared by every loaded state, as in the march
                 assert a.psi_grid is traj.psi_grid

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import uapp_pairs as up
 from reference import inflow_data, inflow_grid
 
 from prandtlsep import diagnostics as dg
@@ -201,3 +202,25 @@ class TestCommutator:
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(
             5.0 * (out["ds_over_s"] + out["h_rel"] ** 2))
+
+    # known answers on pairs of the approximate solution (tests/uapp_pairs.py,
+    # whose script prints them), at the first checked pair of a default
+    # run, a middle one and the latest; the tolerance is 0.0403 to 0.0405
+
+    @pytest.mark.parametrize("s1", up.S_FIRST)
+    def test_approximate_solution_closes_the_identity(self, s1):
+        # measured 2.14e-5, 2.03e-5 and 1.93e-5
+        out = up.uapp_pair_gap(s1)
+        assert out["relative_gap"] < 1e-3 and out["holds"]
+
+    @pytest.mark.parametrize("s1", up.S_FIRST)
+    def test_a_rate_off_by_2_5_percent_shows_as_its_error(self, s1):
+        # measured 0.0249, 0.0250 and 0.0250: a gap of the size of b's error
+        gap = up.uapp_pair_gap(s1, b_factor=up.B_FACTOR)["relative_gap"]
+        assert 0.02 <= gap <= 0.03
+
+    @pytest.mark.parametrize("s1", up.S_FIRST)
+    def test_a_static_profile_error_fails_the_check(self, s1):
+        # measured 0.267, 1.15 and 1.007
+        out = up.uapp_pair_gap(s1, delta=up.DELTA)
+        assert out["relative_gap"] > out["tolerance"] and not out["holds"]
