@@ -80,8 +80,8 @@ class RunConfig:
             object.__setattr__(self, f.name, _config_value(f.name, getattr(self, f.name)))
 
     def validate(self) -> None:
-        if not 0.0 < self.lambda0 <= 0.2:
-            raise ConfigError("lambda0 must lie in (0, 0.2]")
+        if not 0.0 < self.lambda0 <= pr.LAMBDA0_MAX:
+            raise ConfigError(f"lambda0 must lie in (0, {pr.LAMBDA0_MAX:g}]")
         for name, low in (("x0_pressure", 0.0), ("lambda_stop_factor", 1.0),
                           ("ds_rel", 0.0), ("snapshots_per_decade", 0.0)):
             if not low < getattr(self, name) < np.inf:
@@ -200,9 +200,14 @@ def write_json(path: str, payload) -> None:
 # ---------------------------------------------------------------------------
 
 #: stated values of the two highest-order chain coefficients in the source
-#: material; the defining recursion provably yields different ones (see the
-#: certificate), so these rows are reported as documented mismatches and do
-#: not gate the exit status.
+#: material, each with its row name and the coefficient it states; the
+#: defining recursion provably yields different ones (see the certificate),
+#: so these rows are reported as documented mismatches and do not gate the
+#: exit status.
+_STATED_CONSTANTS = (
+    ("stated a13 = 11 a4 a7/2496", "a13", lambda c: 11 * c["a4"] * c["a7"] / 2496),
+    ("stated a16 = a7^2/640", "a16", lambda c: c["a7"] * c["a7"] / 640),
+)
 _ERRATUM_NOTE = (
     "stated constant is inconsistent with the defining recursion; "
     "the derived value is certified instead"
@@ -213,22 +218,10 @@ def run_verify_algebra(outdir: str) -> int:
     chain = rp.profile_chain(4)
     checks = rp.algebra_certificate(chain)
     coeffs = rp.profile_coefficients(chain[-1])
-    a4, a7 = coeffs["a4"], coeffs["a7"]
     erratum = [
-        {
-            "name": "stated a13 = 11 a4 a7/2496",
-            "stated": str(11 * a4 * a7 / 2496),
-            "derived": str(coeffs["a13"]),
-            "match": coeffs["a13"] == 11 * a4 * a7 / 2496,
-            "note": _ERRATUM_NOTE,
-        },
-        {
-            "name": "stated a16 = a7^2/640",
-            "stated": str(a7 * a7 / 640),
-            "derived": str(coeffs["a16"]),
-            "match": coeffs["a16"] == a7 * a7 / 640,
-            "note": _ERRATUM_NOTE,
-        },
+        {"name": name, "stated": str(stated(coeffs)), "derived": str(coeffs[key]),
+         "match": coeffs[key] == stated(coeffs), "note": _ERRATUM_NOTE}
+        for name, key, stated in _STATED_CONSTANTS
     ]
     payload = {
         "identities": [asdict(c) for c in checks],
@@ -236,17 +229,6 @@ def run_verify_algebra(outdir: str) -> int:
         "all_passed": all(c.passed for c in checks),
     }
     write_json(os.path.join(outdir, "certificate.json"), payload)
-    lines = ["exact algebra certificate", "=" * 60]
-    for c in checks:
-        lines.append(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}")
-        if not c.passed:
-            lines.append(f"    expected: {c.expected}")
-            lines.append(f"    computed: {c.computed}")
-    for e in erratum:
-        tag = "MATCH" if e["match"] else "MISMATCH (documented erratum)"
-        lines.append(f"[{tag}] {e['name']}: derived {e['derived']}")
-    _atomic_write(os.path.join(outdir, "certificate.txt"),
-                  ["\n".join(lines) + "\n"])
     failing = [c.name for c in checks if not c.passed]
     if failing:
         print(f"verify-algebra: FAIL at {failing[0]}")

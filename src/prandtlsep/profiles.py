@@ -30,6 +30,10 @@ from .errors import DomainError, InvalidInitialDataError
 from .gridfields import (Field, Grid, brentq, cumint, smoothstep,
                          smoothstep_prime)
 
+#: largest inflow wall shear: lambda0 must lie in (0, LAMBDA0_MAX], which
+#: ``build_initial_data`` and the run configuration both enforce
+LAMBDA0_MAX = 0.2
+
 # ---------------------------------------------------------------------------
 # Cutoff and far-field completion shapes
 # ---------------------------------------------------------------------------
@@ -169,8 +173,8 @@ def build_initial_data(lambda0: float, grid: Grid, perturbation_amplitude: float
     is brought to zero at the far edge by a C2 descent window whose onset
     is solved so that u(y_max) = sqrt(2 x0) exactly on the grid.
     """
-    if not 0.0 < lambda0 <= 0.2:
-        raise DomainError("lambda0 must lie in (0, 0.2]")
+    if not 0.0 < lambda0 <= LAMBDA0_MAX:
+        raise DomainError(f"lambda0 must lie in (0, {LAMBDA0_MAX:g}]")
     y1 = lambda0 ** (3.0 / 7.0)
     if grid.span < 6.0 * y1:
         raise DomainError("grid span must cover at least 6 * lambda0^(3/7)")

@@ -17,7 +17,8 @@ The module owns:
 * the non-local product ``L_{w1} w2 = w1*w2 - w1' * int_0^Y w2``,
 * the residual of the rescaled boundary-layer equation,
 * the decomposition of the evolution remainder into its
-  ``(b_s + b**2)``-aligned and pure ``b**4`` parts,
+  ``(b_s + b**2)``-aligned part, its pure ``b**4`` part, a traded
+  ``b**3 Y**7`` term and a bracket,
 * exact wall Taylor series for the inverse operator chain (used as the
   oracle for the discrete trace diagnostics).
 """
@@ -353,26 +354,20 @@ def leading_V_coefficients(u2: RationalPoly) -> Tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class RemainderDecomposition:
-    """Certified shape of the evolution remainder of the approximate profile.
+    """The four parts of the evolution remainder of the approximate profile,
+    as ``remainder_decomposition`` computes them; ``algebra_certificate``
+    checks each against its closed form.
 
     ``bs_b2_coeff``: polynomial multiplying (b_s + b**2);
-    ``b4_part``: the pure-b**4 polynomial part;
-    ``d_terms``: surviving bracket coefficients keyed by (deg_Y, deg_b).
+    ``b4_part``: the pure-b terms of degree 10 and above in Y;
+    ``rest``: the pure-b terms below Y**10, whose b**3 Y**7 term is traded;
+    ``bracket``: the curvature defect of P with the traded term added.
     """
 
     bs_b2_coeff: RationalPoly
     b4_part: RationalPoly
-    leftover_b3_y7: Fraction
-    d_terms: Dict[Tuple[int, int], Fraction]
-
-
-def _remainder_shapes(c: Mapping[str, Fraction]) -> Tuple[RationalPoly, RationalPoly]:
-    """The (b_s + b**2) coefficient and the pure-b**4 part of the remainder
-    for the chain coefficients ``c`` (see remainder_decomposition)."""
-    mono = RationalPoly.monomial
-    aligned = (mono(c["a4"], 4, 0) + mono(2 * c["a7"], 7, 1)
-               + mono(3 * c["a10"], 10, 2) + mono(3 * c["a11"], 11, 2))
-    return aligned, mono(c["a10"], 10, 4) + mono(Fraction(3, 2) * c["a11"], 11, 4)
+    rest: RationalPoly
+    bracket: RationalPoly
 
 
 def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
@@ -380,78 +375,37 @@ def remainder_decomposition(u4: RationalPoly) -> RemainderDecomposition:
 
     Starting from the chain output, the truncated wall polynomial P (degree
     <= 11) is transported by d/ds - b + (b/2) Y d/dY, the diffusion head
-    +(b/2) Y is added back, and the negated result is split into
+    +(b/2) Y is added back, and the negated result is split as
 
-        (b_s + b**2) * [a4 Y**4 + 2 a7 b Y**7 + 3 a10 b**2 Y**10
-                        + 3 a11 b**2 Y**11]
-        + [a10 b**4 Y**10 + (3/2) a11 b**4 Y**11]
-        + (a7/2) b**3 Y**7,
+        (b_s + b**2) * bs_b2_coeff + b4_part + rest,
 
-    with a4...a11 read off ``u4``.  The last monomial is rewritten through
-    the inverse operator against L_P(Y**7) and combined with the curvature
-    defect of P; the Y**8 and Y**9 entries of the resulting bracket must
-    vanish identically, and the survivors are the d-coefficients.  Any shape
-    mismatch raises.
+    with b4_part the pure-b terms from Y**10 on.  The b**3 Y**7 term of
+    ``rest`` is rewritten through the inverse operator against L_P(Y**7)
+    and combined with the curvature defect of P into ``bracket``.  Nothing
+    is checked here: for the chain's u4 the certificate finds
+    bs_b2_coeff = a4 Y**4 + 2 a7 b Y**7 + 3 a10 b**2 Y**10 + 3 a11 b**2 Y**11,
+    b4_part = a10 b**4 Y**10 + (3/2) a11 b**4 Y**11, rest = (a7/2) b**3 Y**7
+    and a b_s-free bracket whose Y**8 and Y**9 entries cancel, leaving the
+    five d-coefficients.
     """
-    coeffs = profile_coefficients(u4)
-    expected_aligned, expected_b4 = _remainder_shapes(coeffs)
-
     p = u4.truncate_degree_Y(11)
     b = RationalPoly.b()
     y = RationalPoly.Y()
 
     transport = (p.s_derivative() - b * p + Fraction(1, 2) * b * y * p.derivative_Y()
                  + Fraction(1, 2) * b * y)
-    main = -transport
-    aligned, rest = main.split_bs_linear()
-    # main = aligned*b_s + rest = aligned*(b_s + b**2) + (rest - aligned*b**2)
-    pure = rest - (aligned * b * b)
-
-    if aligned != expected_aligned:
-        raise AlgebraCertificateError(
-            "modulation-aligned remainder part has unexpected shape: "
-            + aligned.canonical_str()
-        )
-
+    aligned, free = (-transport).split_bs_linear()
+    # -transport = aligned*b_s + free = aligned*(b_s + b**2) + (free - aligned*b**2)
+    pure = free - (aligned * b * b)
     b4_part = RationalPoly({m: c for m, c in pure.terms.items() if m[0] >= 10})
-    if b4_part != expected_b4:
-        raise AlgebraCertificateError(
-            "pure-b**4 remainder part has unexpected shape: " + b4_part.canonical_str()
-        )
-
-    leftover = pure - b4_part
-    if leftover.terms.keys() != {(7, 3, 0)}:
-        raise AlgebraCertificateError(
-            "leftover beyond the b**4 part is not a single b**3 Y**7 term: "
-            + leftover.canonical_str()
-        )
-    c7 = leftover.coeff(7, 3)
-    if c7 != coeffs["a7"] / 2:
-        raise AlgebraCertificateError(f"b**3 Y**7 leftover is {c7}, expected a7/2")
+    rest = pure - b4_part
 
     # Curvature defect of P beyond the head (b/2) L_P(Y), then the traded term.
     q = RationalPoly.monomial(1) - p.derivative_Y().derivative_Y()
     q_rest = q - Fraction(1, 2) * b * apply_L(p, y)
-    bracket = -q_rest + RationalPoly.monomial(c7, 0, 3) * apply_L(p, RationalPoly.Y(7))
-
-    d_terms: Dict[Tuple[int, int], Fraction] = {}
-    for (dy, db, dbs), c in bracket.terms.items():
-        if dbs != 0:
-            raise AlgebraCertificateError("bracket must be b_s-free")
-        if dy in (8, 9):
-            raise AlgebraCertificateError(
-                f"Y**{dy} entry of the bracket failed to cancel: coefficient {c}"
-            )
-        d_terms[(dy, db)] = c
-
-    expected_keys = {(11, 4), (12, 4), (14, 5), (17, 6), (18, 6)}
-    if set(d_terms) != expected_keys:
-        raise AlgebraCertificateError(
-            f"bracket supported on {sorted(d_terms)}, expected {sorted(expected_keys)}"
-        )
-
+    traded = RationalPoly.monomial(rest.coeff(7, 3), 0, 3) * apply_L(p, RationalPoly.Y(7))
     return RemainderDecomposition(bs_b2_coeff=aligned, b4_part=b4_part,
-                                  leftover_b3_y7=c7, d_terms=d_terms)
+                                  rest=rest, bracket=traded - q_rest)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +483,9 @@ class IdentityCheck:
 
 def algebra_certificate(chain: list[RationalPoly]) -> list[IdentityCheck]:
     """Certify every exact identity on ``chain``, the iterates [U_1, ..,
-    U_4] of ``profile_chain(4)``, derived once by the caller."""
+    U_4] of ``profile_chain(4)``, derived once by the caller.  Every row
+    compares a computed value with its closed form, so a failed identity
+    fails its own row and the other rows stay in place."""
     checks: list[IdentityCheck] = []
 
     def add(name: str, expected, computed) -> None:
@@ -585,17 +541,21 @@ def algebra_certificate(chain: list[RationalPoly]) -> list[IdentityCheck]:
         (bs_plus_b2 * ysym(5)).substitute_bs(),
     )
 
-    try:
-        dec = remainder_decomposition(u4)
-        aligned, b4 = _remainder_shapes(WALL_COEFFICIENTS)
-        add("remainder: (b_s+b^2) coefficient", aligned, dec.bs_b2_coeff)
-        add("remainder: pure b^4 part", b4, dec.b4_part)
-        d_str = ", ".join(
-            f"d[Y^{dy} b^{db}] = {dec.d_terms[(dy, db)]}" for dy, db in sorted(dec.d_terms)
-        )
-        checks.append(IdentityCheck("remainder: d-coefficients (emitted)", d_str, d_str, True))
-    except AlgebraCertificateError as exc:
-        checks.append(IdentityCheck("remainder decomposition", "certified shape", str(exc), False))
+    dec = remainder_decomposition(u4)
+    mono = RationalPoly.monomial
+    add("remainder: (b_s+b^2) coefficient",
+        mono(a4, 4, 0) + mono(2 * a7, 7, 1) + mono(3 * a10, 10, 2) + mono(3 * a11, 11, 2),
+        dec.bs_b2_coeff)
+    add("remainder: pure b^4 part", mono(a10, 10, 4) + mono(Fraction(3, 2) * a11, 11, 4),
+        dec.b4_part)
+    add("remainder: rest = (a7/2) b^3 Y^7", mono(a7 / 2, 7, 3), dec.rest)
+    # the bracket is b_s-free and its Y^8 and Y^9 entries cancel
+    add("remainder: bracket d11 = 2a10 - a4a7/4, d12 = 9a11/4, d14 = -a7^2/16, "
+        "d17 = a7a10/8, d18 = 3a7a11/16",
+        mono(2 * a10 - a4 * a7 / 4, 11, 4) + mono(Fraction(9, 4) * a11, 12, 4)
+        + mono(-a7 * a7 / 16, 14, 5) + mono(a7 * a10 / 8, 17, 6)
+        + mono(Fraction(3, 16) * a7 * a11, 18, 6),
+        dec.bracket)
 
     c7v, c8v = leading_V_coefficients(u2)
     add("corrector Y^7 coefficient = -8 a7/5 = -1/2520", Fraction(-8, 5) * a7, c7v)
@@ -607,12 +567,5 @@ def algebra_certificate(chain: list[RationalPoly]) -> list[IdentityCheck]:
 
     add("perturbation companion weight c8 = 9/32", PERTURBATION_Y8_WEIGHT,
         perturbation_y8_weight())
-
-    coeffs = profile_coefficients(u4)
-    scaling = (
-        f"c7 = 4*a7 = {4 * coeffs['a7']}, c10 = 8*a10 = {8 * coeffs['a10']}, "
-        f"c11 = 8*a11 = {8 * coeffs['a11']}"
-    )
-    checks.append(IdentityCheck("physical-variable coefficients (emitted)", scaling, scaling, True))
 
     return checks

@@ -56,8 +56,8 @@ from .errors import (InvalidProfileError, InvalidStateError, SingularInputError,
 from .gridfields import Field, Grid, diff, lstsq_powers
 
 #: a step's w may fall from one node to the next by at most
-#: MONO_TOL_FACTOR * max w (roundoff): the march's monotonicity test, which
-#: ``cli.load_trajectory`` applies again to every row of snapshots.npy
+#: MONO_TOL_FACTOR * its own max (roundoff): the march's monotonicity test,
+#: which ``cli.load_trajectory`` applies again to every row of snapshots.npy
 MONO_TOL_FACTOR = 1e-9
 
 #: a step halved below DX_MIN fails the march; none is longer than DX_MAX
@@ -619,10 +619,11 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
             solves += sweeps
             # clamp roundoff negatives on the first cells to w >= 0 (the
             # solve's new array, in place), and judge monotonicity with a
-            # roundoff-relative tolerance
+            # roundoff-relative tolerance on the new state's own max, as
+            # ``cli.load_trajectory`` judges the saved row
             np.maximum(w_new, 0.0, out=w_new)
             rise = np.subtract(w_new[1:], w_new[:-1], out=tmp[:-1])
-            mono_ok = rise.min() >= -MONO_TOL_FACTOR * scale
+            mono_ok = rise.min() >= -MONO_TOL_FACTOR * float(w_new.max())
             # nonpositive cells only as a leading block of the first
             # WALL_FLOOR_CELLS: as many of them as the head holds, none
             # after them, and a positive tail

@@ -219,12 +219,16 @@ class TestVerifyAlgebra:
     def test_fresh_build_passes(self, tmp_path):
         code = cli.main(["verify-algebra", "--outdir", str(tmp_path)])
         assert code == cli.EXIT_OK
+        # one artifact, in which every row is a computed check
+        assert os.listdir(tmp_path) == ["certificate.json"]
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert cert["all_passed"]
         names = " ".join(i["name"] for i in cert["identities"])
         assert "1/48" in names
-        # d-coefficients are emitted with exact values
-        assert any("d-coefficients" in i["name"] for i in cert["identities"])
+        assert "(emitted)" not in names
+        # the bracket's d-coefficients are checked with exact values
+        assert any("d11 = 2a10 - a4a7/4" in i["name"] and "(31/3870720)*Y^11*b^4"
+                   in i["computed"] for i in cert["identities"])
 
     def test_tampered_coefficient_fails_naming_culprit(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -376,6 +380,32 @@ class TestSimulateAndAudit:
             + [cli.vm.PICARD_SWEEPS] * (steps - 1)
         assert not trajectory["halvings"].any()
         assert f"{steps} steps short of the Picard tolerance" in capsys.readouterr().out
+
+    def test_march_rejects_a_fall_that_audit_rejects(self, quick_cfg,
+                                                     monkeypatch, capsys):
+        # the first solve returns w with a fall at node 1000 halfway between
+        # MONO_TOL_FACTOR times the old state's max and times its own, which
+        # the edge undercuts by 2 dx: the loader judges a row against its
+        # own max, so the march must halve that step, and audit then loads
+        # every row
+        solve = cli.vm._bdf2_solve
+        calls = []
+
+        def fall(grid, w_n, prev, h, far_value, source, scale, buffers):
+            w, n, converged, error = solve(grid, w_n, prev, h, far_value,
+                                           source, scale, buffers)
+            calls.append(h)
+            if len(calls) == 1:
+                w = w.copy()
+                w[1001] = w[1000] - cli.vm.MONO_TOL_FACTOR * (scale + w.max()) / 2
+            return w, n, converged, error
+
+        monkeypatch.setattr(cli.vm, "_bdf2_solve", fall)
+        assert cli.run_simulate(quick_cfg) == cli.EXIT_OK
+        halvings = _trajectory_columns(quick_cfg.outdir)["halvings"]
+        assert halvings[1] == 1 and halvings.sum() == 1
+        assert calls[1] == calls[0] / 2
+        assert cli.main(["audit", quick_cfg.outdir]) == cli.EXIT_OK
 
     def test_rerun_is_bit_identical(self, quick_cfg, tmp_path):
         cli.run_simulate(quick_cfg)

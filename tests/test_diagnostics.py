@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import first_gap as fg
 import uapp_pairs as up
 from reference import inflow_data, inflow_grid
 
@@ -224,3 +225,12 @@ class TestCommutator:
         # measured 0.267, 1.15 and 1.007
         out = up.uapp_pair_gap(s1, delta=up.DELTA)
         assert out["relative_gap"] > out["tolerance"] and not out["holds"]
+
+    def test_first_checked_pair_misses_the_curvature_by_1e_4(self):
+        # the first checked pair of the default run (tests/first_gap.py,
+        # whose script prints it against n_psi): the marched U_YY of both
+        # states and of their mean misses 1 - bY^2/4 by about 1e-4
+        row = fg.first_pair_row(2305)
+        assert row["s_mid"] == pytest.approx(722.3, abs=0.1)
+        assert all(5e-5 < miss < 2e-4 for miss in row["U_YY_miss"])
+        assert np.isfinite(row["gap"]) and np.isfinite(row["d_ds_off_uapp"])

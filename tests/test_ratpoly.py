@@ -1,6 +1,10 @@
 """Exact-algebra engine tests: every value is derived, never guessed."""
 
+import ast
+import glob
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +12,8 @@ from hypothesis import strategies as st
 from reference import tamper_second_iterate, uapp_core_poly
 
 from prandtlsep import ratpoly as rp
-from prandtlsep.errors import (AlgebraCertificateError, DegreeCapError,
-                               InvalidProfileError, UnsupportedInputError)
+from prandtlsep.errors import (DegreeCapError, InvalidProfileError,
+                               UnsupportedInputError)
 
 P = rp.RationalPoly
 F = Fraction
@@ -163,32 +167,41 @@ class TestIndependentDerivation:
 
 class TestRemainderDecomposition:
     def test_shape(self):
-        u4 = rp.profile_chain(4)[-1]
-        dec = rp.remainder_decomposition(u4)
+        dec = rp.remainder_decomposition(rp.profile_chain(4)[-1])
         c = rp.profile_coefficients(rp.profile_chain(4)[-1])
         expected_aligned = (mono(c["a4"], 4) + mono(2 * c["a7"], 7, 1)
                             + mono(3 * c["a10"], 10, 2) + mono(3 * c["a11"], 11, 2))
         assert dec.bs_b2_coeff == expected_aligned
         expected_b4 = mono(c["a10"], 10, 4) + mono(F(3, 2) * c["a11"], 11, 4)
         assert dec.b4_part == expected_b4
-        assert dec.leftover_b3_y7 == c["a7"] / 2
+        assert dec.rest == mono(c["a7"] / 2, 7, 3)
 
     def test_d_constants_values(self):
         # hand-derived from combining the curvature defect bracket with the
         # traded Y^7 term: d11 = 2 a10 - a4 a7/4, d12 = (9/4) a11,
-        # d14 = -a7^2/16, d17 = a7 a10/8, d18 = 3 a7 a11/16
+        # d14 = -a7^2/16, d17 = a7 a10/8, d18 = 3 a7 a11/16; the bracket is
+        # b_s-free and its Y^8 and Y^9 entries cancel
         c = rp.profile_coefficients(rp.profile_chain(4)[-1])
-        dec = rp.remainder_decomposition(rp.profile_chain(4)[-1])
-        assert dec.d_terms[(11, 4)] == 2 * c["a10"] - c["a4"] * c["a7"] / 4
-        assert dec.d_terms[(12, 4)] == F(9, 4) * c["a11"]
-        assert dec.d_terms[(14, 5)] == -c["a7"] ** 2 / 16
-        assert dec.d_terms[(17, 6)] == c["a7"] * c["a10"] / 8
-        assert dec.d_terms[(18, 6)] == 3 * c["a7"] * c["a11"] / 16
+        bracket = rp.remainder_decomposition(rp.profile_chain(4)[-1]).bracket
+        assert bracket.coeff(11, 4) == 2 * c["a10"] - c["a4"] * c["a7"] / 4
+        assert bracket.coeff(12, 4) == F(9, 4) * c["a11"]
+        assert bracket.coeff(14, 5) == -c["a7"] ** 2 / 16
+        assert bracket.coeff(17, 6) == c["a7"] * c["a10"] / 8
+        assert bracket.coeff(18, 6) == 3 * c["a7"] * c["a11"] / 16
+        assert set(bracket.terms) == {(11, 4, 0), (12, 4, 0), (14, 5, 0),
+                                      (17, 6, 0), (18, 6, 0)}
 
     def test_rejects_tampered_input(self):
-        u4 = rp.profile_chain(4)[-1] + mono((1, 1000), 9, 2)
-        with pytest.raises(AlgebraCertificateError):
-            rp.remainder_decomposition(u4)
+        # a b^2 Y^9 term in u4 leaves every row of the certificate in place
+        # and fails exactly the rows that read the truncated profile
+        chain = rp.profile_chain(4)
+        clean = [c.name for c in rp.algebra_certificate(chain)]
+        tampered = rp.algebra_certificate(chain[:3] + [chain[3] + mono((1, 1000), 9, 2)])
+        assert [c.name for c in tampered] == clean and len(clean) == 20
+        failed = [c.name for c in tampered if not c.passed]
+        assert failed[:3] == ["L_{core}(Y^7)", "remainder: (b_s+b^2) coefficient",
+                              "remainder: rest = (a7/2) b^3 Y^7"]
+        assert len(failed) == 4 and failed[3].startswith("remainder: bracket d11 = ")
 
 
 class TestSeriesOracle:
@@ -255,3 +268,21 @@ class TestCertificate:
         failed = [c for c in cert if not c.passed]
         assert failed
         assert "U2" in failed[0].name
+
+    def test_no_row_has_a_literal_verdict(self):
+        # a row built with passed=True or passed=False checks nothing: every
+        # IdentityCheck in the package gets its verdict from a comparison
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "prandtlsep")
+        paths = sorted(glob.glob(os.path.join(src, "*.py")))
+        assert paths
+        literal = []
+        for path in paths:
+            for node in ast.walk(ast.parse(Path(path).read_text(), path)):
+                if not (isinstance(node, ast.Call) and "IdentityCheck" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                    continue
+                values = node.args + [keyword.value for keyword in node.keywords]
+                if any(isinstance(v, ast.Constant) and isinstance(v.value, bool)
+                       for v in values):
+                    literal.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert literal == []
