@@ -231,7 +231,9 @@ def run_verify_algebra(outdir: str) -> int:
     write_json(os.path.join(outdir, "certificate.json"), payload)
     failing = [c.name for c in checks if not c.passed]
     if failing:
-        print(f"verify-algebra: FAIL at {failing[0]}")
+        # row names hold commas, so the list is split at semicolons
+        print(f"verify-algebra: FAIL at {len(failing)} of {len(checks)} rows: "
+              + "; ".join(failing))
         return EXIT_CHECK_FAILED
     print(f"verify-algebra: {len(checks)} identities PASS "
           f"(a4 = {coeffs['a4']}, a7 = {coeffs['a7']}); "

@@ -84,6 +84,15 @@ def lapack(name: str):
     return getattr(scipy_lapack, name)
 
 
+@cache
+def _exponent_column(powers: tuple) -> np.ndarray:
+    """The exponents of ``lstsq_powers`` as a read-only (n, 1) float column,
+    made once per tuple of powers."""
+    column = np.array(powers, dtype=float)[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
     """Least-squares coefficients of v in the monomials y**p, p in ``powers``.
 
@@ -103,7 +112,7 @@ def lstsq_powers(y: np.ndarray, v: np.ndarray, powers) -> np.ndarray:
     if m < n:
         raise SingularInputError(f"{m} nodes for {n} monomials")
     # (m, n) in Fortran order, which gels may overwrite in place
-    cols = (y ** np.array(powers, dtype=float)[:, None]).T
+    cols = (y ** _exponent_column(tuple(powers))).T
     norms2 = (cols * cols).sum(axis=0)
     qr, x, info = lapack("dgels")(cols, v[:, None], overwrite_a=1)
     # |R_jj| is column j's distance from the span of the columns before it

@@ -26,10 +26,15 @@ with half the step.  Every tridiagonal system goes straight to LAPACK
 ``gtsv`` (``solve_banded``).  The band, the right-hand side, the Picard
 start and each sweep's temporaries are work arrays that a march allocates
 once (``_march_buffers``) and every step refills in place; each solve
-returns a new array, so no kept station is one of them.  An accepted
-state's trajectory row takes one pass: one sqrt(w) serves F and its
-roundoff floor (``_balance``).  Every stencil weight comes from
-``gridfields.fd_weights``, built once per grid by ``Grid.cached``.
+returns a new array, so no kept station is one of them.  Each fact about
+an accepted state is computed once: the step that accepts it takes its max
+w for the monotonicity test and hands it on, to the state's trajectory row
+and to the next step's Picard scale, and counts the clamped cells of its
+head for the floor test, which the wall-shear read then takes as they are.
+The row takes one pass: one sqrt(w) serves F and its roundoff floor
+(``_balance``).  Every stencil weight comes from ``gridfields.fd_weights``,
+built once per grid by ``Grid.cached``, and each function on the step's
+path fetches the grid-only data it reads in one lookup.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -149,8 +154,8 @@ def _normal_coordinate(grid: Grid, w: np.ndarray,
         w = w[:m + 1]
         h, stencils, lag = h[:m - 1], stencils[:m - 1], lag[:m - 1]
     cells = len(h)
-    g = np.empty_like(w)
-    g[1:] = w[1:] / grid.nodes[1:len(w)]
+    g = np.empty(len(w))
+    np.divide(w[1:], grid.nodes[1:len(w)], out=g[1:])
     g[0] = wall @ g[1:4]
     sq = np.sqrt(np.maximum(g, 0.0))
     seg = 4.0 * h / np.maximum(sq[1:cells + 1] + sq[:cells], 1e-300)
@@ -158,8 +163,10 @@ def _normal_coordinate(grid: Grid, w: np.ndarray,
     with np.errstate(invalid="ignore"):
         gauss = h * ((2.0 / np.sqrt(g_pts)) @ _GAUSS3_W)
     ok = np.isfinite(gauss) & (gauss <= 4.0 * seg)
-    seg = np.where(ok, gauss, seg)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    y = np.empty(cells + 1)
+    y[0] = 0.0
+    np.where(ok, gauss, seg).cumsum(out=y[1:])
+    return y
 
 
 def _wall_restore(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -169,24 +176,39 @@ def _wall_restore(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     The march clamps roundoff-level negatives on the deepest cells of the
     clustered grid to 0; their physical values follow w ~ (w_k/phi_k) phi.
     """
-    nonpos = np.nonzero(w[1 : WALL_FLOOR_CELLS + 1] <= 0.0)[0]
+    nonpos = (w[1 : WALL_FLOOR_CELLS + 1] <= 0.0).nonzero()[0]
     if len(nonpos) == 0:
         return w
-    kp = int(nonpos[-1]) + 2
+    return _wall_law(phi, w, int(nonpos[-1]) + 1)
+
+
+def _wall_law(phi: np.ndarray, w: np.ndarray, cells: int) -> np.ndarray:
+    """A copy of w whose first ``cells`` cells after the wall follow the
+    linear wall law through the next node."""
+    kp = cells + 1
     out = w.copy()
     out[1:kp] = w[kp] * phi[1:kp] / phi[kp]
     return out
 
 
-def wall_shear(state: VMState) -> float:
-    """Corrected wall-slope estimate of lam from a streamfunction profile."""
-    grid = state.psi_grid
-    phi = grid.nodes
-    w = _wall_restore(phi, state.W.values)
-    guess = float(state.lam)
-    phi_sq = grid.cached("phi_squared", np.square, phi)
+def _wall_shear_weights(grid: Grid) -> tuple:
+    """Grid-only part of ``wall_shear``: phi**2, which sizes the y prefix,
+    and the rows (a, b, c) of the first difference's three-point weights."""
+    return (np.square(grid.nodes), *_three_point_weights(grid, 1))
 
-    def normal_coordinate(y_cap: float) -> np.ndarray:
+
+def wall_shear(grid: Grid, w: np.ndarray, guess: float) -> float:
+    """Corrected wall-slope estimate of lam from the streamfunction profile
+    w on ``grid``, its fit window first centred on the shear ``guess``.
+
+    w must hold the wall law on its clamped cells (``_wall_restore``): the
+    march hands on the w whose head it has already judged.
+    """
+    phi_sq, a, b, c = grid.cached("wall_shear", _wall_shear_weights, grid)
+    n = len(w)
+
+    def estimate(g: float):
+        y_cap = 0.25 * g ** (1.0 / 3.0)
         # y on a node prefix that ends past y_cap.  Where w ~ 2 lam phi,
         # y = 2 phi/sqrt(w), so the prefix runs through the first node k
         # where that estimate passes y_cap, compared squared to skip a
@@ -196,24 +218,20 @@ def wall_shear(state: VMState) -> float:
         # of a run by 0.4 MB).  Where no node passes, or the prefix falls
         # short, y on the whole grid; y on any prefix is y on the whole grid
         # bit for bit, so the prefix sets the work and not the result.
-        k = int(np.argmax(phi_sq > 0.25 * y_cap * y_cap * w))
+        k = int((phi_sq > 0.25 * y_cap * y_cap * w).argmax())
         m = (k // 64 + 1) * 64
-        if k > 0 and m < len(phi):
+        y = None
+        if k > 0 and m < n:
             y = _normal_coordinate(grid, w, m)
-            if y[-1] > y_cap:
-                return y
-        return _normal_coordinate(grid, w)
-
-    def estimate(g: float):
-        y_cap = 0.25 * g ** (1.0 / 3.0)
-        y = normal_coordinate(y_cap)
+        if y is None or not y[-1] > y_cap:
+            y = _normal_coordinate(grid, w)
         # the window y in [y_cap/4, y_cap] of the increasing y, interior nodes
-        lo = max(int(np.searchsorted(y, 0.25 * y_cap, side="left")), 1)
-        hi = min(int(np.searchsorted(y, y_cap, side="right")), len(phi) - 1)
+        lo = max(int(y.searchsorted(0.25 * y_cap, side="left")), 1)
+        hi = min(int(y.searchsorted(y_cap, side="right")), n - 1)
         if hi - lo < 4:
             return None
-        a, b, c = _three_point_weights(grid, 1)[:, lo - 1:hi - 1]
-        w_phi = a * w[lo - 1:hi - 1] + b * w[lo:hi] + c * w[lo + 1:hi + 1]
+        i = slice(lo - 1, hi - 1)
+        w_phi = a[i] * w[lo - 1:hi - 1] + b[i] * w[lo:hi] + c[i] * w[lo + 1:hi + 1]
         y_win = y[lo:hi]
         samples = 0.5 * w_phi - y_win
         # the curvature-defect bias grows like y**3: extrapolate it away.  A
@@ -337,14 +355,22 @@ def _three_point_weights(grid: Grid, order: int) -> np.ndarray:
     return grid.cached(("three_point", order), _build_three_point, grid, order)
 
 
+def _resolvent_weights(grid: Grid) -> tuple:
+    """Rows (-a, b, -c) of the second difference's three-point weights:
+    the resolvent's off-diagonals read the negated outer weights."""
+    a, b, c = _three_point_weights(grid, 2)
+    return -a, b, -c
+
+
 def _d2_gain(grid: Grid) -> np.ndarray:
     """Sum of the second difference's weight magnitudes at the interior nodes."""
     return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
 
 
-def _balance(W: Field) -> tuple:
-    """(F, its roundoff floor) at the interior nodes of W: both read one
-    sqrt(w), and each formula is written here only.
+def _balance(W: Field, w_max: float) -> tuple:
+    """(F, its roundoff floor) at the interior nodes of W, whose largest
+    value is ``w_max``: both read one sqrt(w), and each formula is written
+    here only.
 
     F = sqrt(w) w_phiphi - 2.  The floor is sqrt(w) 8 eps max(w) times the
     sum of the second difference's weight magnitudes (``f_roundoff_floor``).
@@ -354,7 +380,7 @@ def _balance(W: Field) -> tuple:
     a, b, c = _three_point_weights(W.grid, 2)
     F = sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]) - 2.0
     gain = W.grid.cached("d2_gain", _d2_gain, W.grid)
-    return F, sq * (8.0 * np.finfo(float).eps * float(w.max())) * gain
+    return F, sq * (8.0 * gridfields._EPS * w_max) * gain
 
 
 def compute_F(W: Field) -> Field:
@@ -364,7 +390,7 @@ def compute_F(W: Field) -> Field:
     (phi / lam**3, w / lam**4) of a state it is the same F node by node.
     """
     f = np.empty_like(W.values)
-    f[1:-1] = _balance(W)[0]
+    f[1:-1] = _balance(W, float(W.values.max()))[0]
     f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
     f[-1] = f[-2]
     f.flags.writeable = False         # owned here: Field keeps it uncopied
@@ -380,7 +406,7 @@ def f_roundoff_floor(state: VMState) -> np.ndarray:
     float arithmetic.  Audits restrict to nodes where this bound is small.
     """
     out = np.empty_like(state.W.values)
-    out[1:-1] = _balance(state.W)[1]
+    out[1:-1] = _balance(state.W, float(state.W.values.max()))[1]
     out[0] = 0.0
     out[-1] = np.inf
     return out
@@ -453,7 +479,7 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     new array.
     """
     band, scaled_rhs, r, diag = buffers[:4]
-    a, b, c = _three_point_weights(grid, 2)
+    neg_a, b, neg_c = grid.cached("resolvent", _resolvent_weights, grid)
     np.multiply(tau, coeff[1:-1], out=r)
     np.multiply(r, b, out=diag)
     np.subtract(1.0, diag, out=diag)
@@ -462,11 +488,10 @@ def _resolvent_solve(grid: Grid, rhs: np.ndarray, coeff: np.ndarray,
     # shows here, and the solve checks the right-hand side
     if not np.isfinite(diag).all():
         raise StepFailureError("tridiagonal solve: non-finite entry")
-    for row, weight in ((band[0, 2:], c), (band[2, :-2], a)):
+    for row, neg_weight in ((band[0, 2:], neg_c), (band[2, :-2], neg_a)):
         # -(r * weight) / diag: the superdiagonal (column-indexed) and the
-        # subdiagonal
-        np.multiply(r, weight, out=row)
-        np.negative(row, out=row)
+        # subdiagonal; r * (-weight) is -(r * weight) to the bit
+        np.multiply(r, neg_weight, out=row)
         np.divide(row, diag, out=row)
     np.divide(rhs[1:-1], diag, out=scaled_rhs[1:-1])
     scaled_rhs[0] = 0.0
@@ -570,7 +595,10 @@ def _bdf2_solve(grid: Grid, w_n: np.ndarray, prev: tuple,
         if delta <= PICARD_TOL * scale:
             converged = True
             break
-    gap = float(np.abs(np.subtract(w_new, start, out=tmp), out=tmp).max())
+    # a one-sweep step started its only sweep from the start: the gap is
+    # that sweep's move
+    gap = delta if sweep == 1 else float(
+        np.abs(np.subtract(w_new, start, out=tmp), out=tmp).max())
     return w_new, sweep, converged, error_gain * gap
 
 
@@ -587,27 +615,27 @@ def adverse_outer_flow(state: VMState, dx: float) -> tuple:
 
 
 def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
-               buffers: tuple) -> tuple:
+               buffers: tuple, scale: float) -> tuple:
     """Advance one station; retries with halved dx on monotonicity loss.
 
     ``prev``, the (w, h) of up to two stations before this one, newest
     first (see ``_bdf2_solve``), feeds the BDF2 step and its Picard start;
     without it (the first step) the step is the iterated backward-Euler
     start-up.  ``buffers``, from ``_march_buffers``, are the march's work
-    arrays.  The slow time
+    arrays, and ``scale`` is the largest w of ``state``, as the step that
+    made it returned it.  The slow time
     advances by ``slow_time_increment``, second order in dx like the step.
     ``forcing(state, dx)`` gives each attempt its source and far value
     (``adverse_outer_flow`` on every run of the command line).  Returns
-    (state, solves, halvings, converged, step_error): ``converged`` is
-    False when the accepted attempt stopped at the sweep cap above
-    PICARD_TOL, and ``step_error`` is its local error estimate (see
-    ``_bdf2_solve``).  A failed step's error carries ``work``, the
-    {"solves", "halvings"} of its attempts.
+    (state, w_max, solves, halvings, converged, step_error): ``w_max`` is
+    the new state's largest w, ``converged`` is False when the accepted
+    attempt stopped at the sweep cap above PICARD_TOL, and ``step_error``
+    is its local error estimate (see ``_bdf2_solve``).  A failed step's
+    error carries ``work``, the {"solves", "halvings"} of its attempts.
     """
     grid = state.psi_grid
     tmp = buffers[-1]
     w_old = state.W.values
-    scale = float(w_old.max())
     solves = halvings = 0
     try:
         while True:
@@ -623,12 +651,14 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
             # ``cli.load_trajectory`` judges the saved row
             np.maximum(w_new, 0.0, out=w_new)
             rise = np.subtract(w_new[1:], w_new[:-1], out=tmp[:-1])
-            mono_ok = rise.min() >= -MONO_TOL_FACTOR * float(w_new.max())
+            w_max = float(w_new.max())
+            mono_ok = rise.min() >= -MONO_TOL_FACTOR * w_max
             # nonpositive cells only as a leading block of the first
             # WALL_FLOOR_CELLS: as many of them as the head holds, none
             # after them, and a positive tail
             head = w_new[1:WALL_FLOOR_CELLS + 1] <= 0.0
-            floor_ok = (not head[int(head.sum()):].any()
+            clamped = int(head.sum())
+            floor_ok = (not head[clamped:].any()
                         and w_new[WALL_FLOOR_CELLS + 1:].min() > 0.0)
             if mono_ok and floor_ok:
                 break
@@ -638,9 +668,11 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
                 raise StepFailureError("step size underflow (separation reached?)")
         w_new.flags.writeable = False     # owned here: Field keeps it uncopied
         W = Field(grid, w_new)
-        # wall_shear centres its window on the old shear and reads no s
+        # wall_shear centres its window on the old shear; the clamped head
+        # that the floor test counted takes the wall law
         x = state.x + dx
-        lam = wall_shear(VMState(x, state.s, grid, W, state.lam))
+        lam = wall_shear(grid, _wall_law(grid.nodes, w_new, clamped)
+                         if clamped else w_new, state.lam)
         if lam <= 0.0:
             raise InvalidStateError("wall shear no longer resolvable on this "
                                     "grid (separation reached before lambda_stop)")
@@ -648,7 +680,7 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
         exc.work = {"solves": solves + getattr(exc, "solves", 0), "halvings": halvings}
         raise
     ds = slow_time_increment(x - state.x, state.lam, lam)
-    return (VMState(x, state.s + ds, grid, W, lam), solves, halvings,
+    return (VMState(x, state.s + ds, grid, W, lam), w_max, solves, halvings,
             converged, step_error)
 
 
@@ -708,16 +740,19 @@ def solve_until_separation(data, cfg: MarchConfig,
     failure, failed_step = "", None
     buffers = _march_buffers(len(state.psi_grid))
 
-    def record(st: VMState, solves: int, halvings: int, converged: bool,
-               step_error: float) -> None:
+    def record(st: VMState, w_max: float, solves: int, halvings: int,
+               converged: bool, step_error: float) -> None:
         # F_max, the max of compute_F over trusted_F_mask, from one pass
-        F, floor = _balance(st.W)
+        # that reads the max of w the step handed on
+        F, floor = _balance(st.W, w_max)
         trusted = floor <= F_TRUST_FLOOR
         rows.append((st.x, st.lam, st.s,
                      float(F[trusted].max()) if trusted.any() else np.nan,
                      solves, halvings, int(not converged), step_error))
 
-    record(state, 0, 0, True, np.nan)
+    # the largest w of the newest state: each step's scale and its record's
+    scale = float(state.W.values.max())
+    record(state, scale, 0, 0, True, np.nan)
     # the snapshot state that waits for its pair, the next state
     pending: Optional[VMState] = state
     prev = ()
@@ -729,14 +764,15 @@ def solve_until_separation(data, cfg: MarchConfig,
         dx = max(min(DX_MAX, CFL_SAFETY * state.lam**4 * ds_rel * state.s),
                  DX_MIN * 10.0)
         try:
-            new_state, *work = march_step(state, dx, forcing, prev, buffers)
+            new_state, scale, *work = march_step(state, dx, forcing, prev,
+                                                 buffers, scale)
         except (StepFailureError, InvalidStateError) as exc:
             failure, failed_step = str(exc), exc.work
             break
         # the station just left and the one before it start the next Picard
         prev = ((state.W.values, new_state.x - state.x),) + prev[:1]
         state = new_state
-        record(state, *work)
+        record(state, scale, *work)
         if pending is not None:
             # the pending state sits one row above the pair just recorded
             snapshots.append(Snapshot(station=len(rows) - 2, state=pending,

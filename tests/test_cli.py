@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,27 @@ class TestVerifyAlgebra:
         assert code == cli.EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "U2" in out
+
+    def test_failure_line_names_every_failing_row(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a b^2 Y^9 term in u4 fails four of the 20 rows: the line gives
+        # the count and every name, in certificate order
+        chain_of = cli.rp.profile_chain
+
+        def tampered(n):
+            chain = chain_of(n)
+            chain[3] = chain[3] + cli.rp.RationalPoly.monomial(Fraction(1, 1000), 9, 2)
+            return chain
+
+        monkeypatch.setattr(cli.rp, "profile_chain", tampered)
+        code = cli.main(["verify-algebra", "--outdir", str(tmp_path)])
+        assert code == cli.EXIT_CHECK_FAILED
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        failed = [i["name"] for i in cert["identities"] if not i["passed"]]
+        assert len(failed) == 4 and len(cert["identities"]) == 20
+        assert capsys.readouterr().out == (
+            "verify-algebra: FAIL at 4 of 20 rows: " + "; ".join(failed) + "\n")
+        assert failed[0] == "L_{core}(Y^7)"
 
     def test_profile_chain_is_derived_once(self, tmp_path, monkeypatch):
         # the certificate, the corrector's coefficients and the erratum rows

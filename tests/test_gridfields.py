@@ -199,6 +199,26 @@ class TestLstsqPowers:
             gf.lstsq_powers(y, v, powers)
 
 
+    def test_exponent_column_is_cached_read_only_for_tuples_and_lists(self):
+        # the exponent column is made once per tuple of powers and shared by
+        # every later fit, so it is read-only; a list of the same powers is
+        # served the same column and gives the same coefficients to the bit
+        y = np.linspace(0.25, 2.0, 129)
+        v = np.cos(y)
+        column = gf._exponent_column((1, 2, 3))
+        assert same_bits(column, np.array([[1.0], [2.0], [3.0]]))
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0, 0] = 5.0
+        from_tuple = gf.lstsq_powers(y, v, (1, 2, 3))
+        before = gf._exponent_column.cache_info()
+        from_list = gf.lstsq_powers(y, v, [1, 2, 3])
+        after = gf._exponent_column.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert gf._exponent_column((1, 2, 3)) is column
+        assert same_bits(from_list, from_tuple)
+
+
 class TestCumint:
     def test_constant(self, grid_maker):
         g = grid_maker(100)

@@ -6,6 +6,7 @@ import reference
 import scipy.linalg
 from forcings import collapse_errors, flat_outer_flow
 from reference import inflow_data, same_bits, uniform_grid
+from step_cost import step_calls
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import gridfields as gf
@@ -15,6 +16,18 @@ from prandtlsep import vonmises as vm
 from prandtlsep.errors import (InvalidProfileError, InvalidStateError,
                               StepFailureError)
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
+
+
+def w_max(state) -> float:
+    """The largest w of a state: the scale ``vm.march_step`` is handed."""
+    return float(state.W.values.max())
+
+
+def shear(state) -> float:
+    """``vm.wall_shear`` of a state, on its w with the wall law restored
+    and its window centred on the state's own shear."""
+    w = vm._wall_restore(state.psi_grid.nodes, state.W.values)
+    return vm.wall_shear(state.psi_grid, w, state.lam)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +118,7 @@ class TestTransforms:
 
     def test_wall_shear_estimate(self, data05):
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        assert abs(vm.wall_shear(state) - 0.05) / 0.05 < 2e-3
+        assert abs(shear(state) - 0.05) / 0.05 < 2e-3
 
 
 class TestWallShearWindow:
@@ -128,7 +141,7 @@ class TestWallShearWindow:
                   for st in (snap.state, snap.pair_state)]
         assert len(states) > 2
         for st in states:
-            assert vm.wall_shear(st) == reference.wall_shear_full_y(st)
+            assert shear(st) == reference.wall_shear_full_y(st)
         # the full-y reference calls with m None; every windowed call is short
         windowed = [m for m in prefixes if m is not None]
         assert len(windowed) >= len(states)
@@ -148,7 +161,7 @@ class TestWallShearWindow:
         w = vm._wall_restore(phi, st.W.values)
         guess = self._guess_at(st, 1.01 * np.max(2.0 * phi[1:] / np.sqrt(w[1:])))
         prefixes = self._spy_prefixes(monkeypatch)
-        assert vm.wall_shear(guess) == reference.wall_shear_full_y(guess)
+        assert shear(guess) == reference.wall_shear_full_y(guess)
         assert prefixes[0] is None
 
     def test_fallback_to_full_y_when_the_prefix_falls_short(self, short_traj,
@@ -161,7 +174,7 @@ class TestWallShearWindow:
         y_end = vm._normal_coordinate(st.psi_grid, w)[-1]
         guess = self._guess_at(st, 0.95 * y_end)
         prefixes = self._spy_prefixes(monkeypatch)
-        assert vm.wall_shear(guess) == reference.wall_shear_full_y(guess)
+        assert shear(guess) == reference.wall_shear_full_y(guess)
         assert prefixes[0] is not None and prefixes[1] is None
 
     def test_prefix_covers_the_window_on_the_default_march(self, monkeypatch):
@@ -215,9 +228,10 @@ class TestGridCaches:
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         builds = self._builds(monkeypatch, gf, "fd_weights")
         forcing, buffers = vm.adverse_outer_flow, vm._march_buffers(1153)
-        first, *_ = vm.march_step(state, 1e-6, forcing, (), buffers)
+        first, *_ = vm.march_step(state, 1e-6, forcing, (), buffers, w_max(state))
         assert sorted(args[2] for args in builds) == [0, 0, 1, 2]
-        vm.march_step(first, 1e-6, forcing, ((state.W.values, 1e-6),), buffers)
+        vm.march_step(first, 1e-6, forcing, ((state.W.values, 1e-6),), buffers,
+                      w_max(first))
         vm.compute_F(first.W)
         vm.trusted_F_mask(first)
         assert len(builds) == 4
@@ -352,6 +366,24 @@ class TestTridiagonalSolve:
             vm.solve_banded(ab, rhs)
 
 
+class TestStepCost:
+    def test_package_frames_per_step(self):
+        # the frames that each march step enters in the package, over the 30
+        # steps after the start-up of a 1153-node march: a one-sweep step
+        # enters 17 (march_step, the forcing, _bdf2_solve, _milne_ratio,
+        # the Field's two, wall_shear with its one lookup and estimate,
+        # _normal_coordinate with its one lookup, lstsq_powers,
+        # slow_time_increment, and one sweep's _wall_restore,
+        # _resolvent_solve with its one lookup, and solve_banded), each
+        # further sweep 4 more, and the second march step, which has no
+        # quadratic start, no _milne_ratio
+        counts = step_calls(1153, 31)
+        package = [frames for _, frames, _ in counts]
+        assert len(package) == 30
+        assert package[:6] == [32, 37, 33, 29, 25, 21]
+        assert sum(package) == 681
+
+
 class TestDiffusionBalance:
     def test_self_similar_region_balances(self):
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
@@ -378,7 +410,7 @@ class TestMarch:
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         dx = 1e-8
         new, *_ = vm.march_step(state, dx, vm.adverse_outer_flow, (),
-                                vm._march_buffers(1153))
+                                vm._march_buffers(1153), w_max(state))
         # the slow-time clock: the trapezoid rule on the two stations' shears,
         # not the first-order rule on the old one
         dx_taken = new.x - state.x
@@ -443,7 +475,8 @@ class TestMarch:
         ws, errors, prev = [state.W.values], [], ()
         for _ in range(3):
             new, *_, error = vm.march_step(state, h, vm.adverse_outer_flow,
-                                           prev, vm._march_buffers(1153))
+                                           prev, vm._march_buffers(1153),
+                                           w_max(state))
             prev = ((state.W.values, h),) + prev[:1]
             state = new
             ws.append(state.W.values)
@@ -516,11 +549,42 @@ class TestMarch:
         assert traj.failure == "max_steps exhausted"
         assert traj.failed_step == {"solves": 0, "halvings": 0}
 
+    def test_clamped_head_takes_the_wall_law_in_the_shear_read(self, data05,
+                                                                monkeypatch):
+        # a solve that leaves the first three cells after the wall negative:
+        # the step clamps them to 0 and keeps them so in the new state, and
+        # the wall shear reads the w of _wall_restore, from the count of
+        # clamped cells that the floor test made
+        solve, shear_of, reads = vm._bdf2_solve, vm.wall_shear, []
+
+        def dipped(*args):
+            w, *rest = solve(*args)
+            w[1:4] = -1e-30
+            return (w, *rest)
+
+        def spy(grid, w, guess):
+            reads.append(w)
+            return shear_of(grid, w, guess)
+
+        monkeypatch.setattr(vm, "_bdf2_solve", dipped)
+        monkeypatch.setattr(vm, "wall_shear", spy)
+        state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
+        new, *_ = vm.march_step(state, 1e-6, vm.adverse_outer_flow, (),
+                                vm._march_buffers(1153), w_max(state))
+        w = new.W.values
+        assert (w[1:4] == 0.0).all() and w[4] > 0.0
+        (read,) = reads
+        restored = vm._wall_restore(state.psi_grid.nodes, w)
+        assert same_bits(read, restored) and not same_bits(read, w)
+        assert new.lam == shear_of(state.psi_grid, restored, state.lam)
+
     def test_bdf2_solve_equals_plain_expressions_bit_for_bit(self, data05,
                                                               monkeypatch):
         # the in-place arithmetic on the march's buffers gives what the plain
         # array expressions give, on the start-up, the linear-start and the
-        # quadratic-start steps alike
+        # quadratic-start steps alike.  The quadratic-start steps include
+        # multi-sweep ones, whose gap to the start is taken anew, and, from
+        # row 84 on, one-sweep ones, whose gap is that sweep's move
         results = []
         solve = vm._bdf2_solve
 
@@ -531,9 +595,11 @@ class TestMarch:
             return out
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
-        monkeypatch.setattr(vm, "MAX_STEPS", 8)
+        monkeypatch.setattr(vm, "MAX_STEPS", 90)
         vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
-        assert [n for n, *_ in results] == [0, 1] + [2] * 6
+        assert [n for n, *_ in results] == [0, 1] + [2] * 88
+        sweeps = {out[1] for n, out, _ in results if n == 2}
+        assert 1 in sweeps and max(sweeps) > 1
         for _, (w, *counts), (w_ref, *counts_ref) in results:
             assert same_bits(w, w_ref)
             assert same_bits(np.array(counts), np.array(counts_ref))
@@ -550,8 +616,8 @@ class TestMarch:
             allocations.append(allocate(n))
             return allocations[-1]
 
-        def spy_step(state, dx, forcing, prev, buffers):
-            out = step(state, dx, forcing, prev, buffers)
+        def spy_step(state, dx, forcing, prev, buffers, scale):
+            out = step(state, dx, forcing, prev, buffers, scale)
             steps.append(([state.W.values, out[0].W.values]
                           + [w for w, _ in prev], out[0].W.values.copy()))
             return out
@@ -573,7 +639,14 @@ class TestMarch:
         for stations, made in steps:
             assert same_bits(stations[1], made)
 
-    def test_F_max_column_is_the_audit_F_path(self, short_traj):
+    @staticmethod
+    def _audit_F_max(state) -> float:
+        F = vm.compute_F(state.W).values
+        trusted = vm.trusted_F_mask(state)
+        return np.max(F[trusted]) if trusted.any() else np.nan
+
+    def test_F_max_column_is_the_audit_F_path(self, short_traj, data05,
+                                              monkeypatch):
         # the record's one pass over each state gives the max of compute_F
         # over trusted_F_mask, the F that the audit reads, bit for bit
         traj = short_traj
@@ -581,10 +654,26 @@ class TestMarch:
         for snap in traj.snapshots:
             for state, row in ((snap.state, snap.station),
                                (snap.pair_state, snap.station + 1)):
-                F = vm.compute_F(state.W).values
-                trusted = vm.trusted_F_mask(state)
-                expected = np.max(F[trusted]) if trusted.any() else np.nan
-                assert same_bits(traj.F_max[row], expected)
+                assert same_bits(traj.F_max[row], self._audit_F_max(state))
+        # every row's pass reads the max of w that the step handed on: the
+        # state's own max bit for bit, and one pass per row
+        passes = []
+        balance = vm._balance
+
+        def spy(W, w_max_):
+            passes.append((W, w_max_))
+            return balance(W, w_max_)
+
+        monkeypatch.setattr(vm, "_balance", spy)
+        monkeypatch.setattr(vm, "MAX_STEPS", 30)
+        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
+        marched = passes[:]
+        assert len(marched) == len(traj.x) == 31
+        for row, (W, handed_on) in enumerate(marched):
+            assert same_bits(handed_on, W.values.max())
+            state = vm.VMState(x=traj.x[row], s=traj.s[row], psi_grid=W.grid,
+                               W=W, lam=traj.lam[row])
+            assert same_bits(traj.F_max[row], self._audit_F_max(state))
 
     def test_monotonicity_preserved(self, short_traj):
         # every kept state is non-decreasing in phi to the roundoff tolerance
@@ -647,7 +736,7 @@ class TestZeroSource:
         # come from one forcing
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
         new, *_ = vm.march_step(state, 1e-5, flat_outer_flow, (),
-                                vm._march_buffers(1153))
+                                vm._march_buffers(1153), w_max(state))
         assert new.x == 1e-5
         assert same_bits(new.W.values[-1], state.W.values[-1])
 
