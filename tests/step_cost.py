@@ -37,14 +37,16 @@ from prandtlsep import vonmises as vm
 PACKAGE = os.path.dirname(os.path.abspath(prandtlsep.__file__)) + os.sep
 
 N_PSI = (577, 2305, 4609)
+#: timed simulate runs per node count, after one untimed run
+RUNS = 7
 
 
-def warm_simulate_s(n_psi: int, runs: int = 7) -> tuple:
-    """(march steps, median wall time of ``runs`` warm simulate runs)."""
+def warm_simulate_s(n_psi: int) -> tuple:
+    """(march steps, median wall time of ``RUNS`` warm simulate runs)."""
     with tempfile.TemporaryDirectory() as outdir:
         cfg = cli.RunConfig(n_psi=n_psi, outdir=outdir)
         times = []
-        for _ in range(runs + 1):
+        for _ in range(RUNS + 1):
             start = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.run_simulate(cfg) == cli.EXIT_OK
