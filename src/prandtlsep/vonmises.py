@@ -29,12 +29,14 @@ once (``_march_buffers``) and every step refills in place; each solve
 returns a new array, so no kept station is one of them.  Each fact about
 an accepted state is computed once: the step that accepts it takes its max
 w for the monotonicity test and hands it on, to the state's trajectory row
-and to the next step's Picard scale, and counts the clamped cells of its
-head for the floor test, which the wall-shear read then takes as they are.
+and to the next step's Picard scale; and it counts the clamped cells at
+the wall for the floor test, from which the w that the wall-shear read
+gets has those cells on the wall law, with no second test.
 The row takes one pass: one sqrt(w) serves F and its roundoff floor
 (``_balance``).  Every stencil weight comes from ``gridfields.fd_weights``,
-built once per grid by ``Grid.cached``, and each function on the step's
-path fetches the grid-only data it reads in one lookup.
+built once per grid by ``Grid.cached``; the resolvent solve, the wall-shear
+read and the normal coordinate each fetch the grid-only data they read in
+one lookup.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
