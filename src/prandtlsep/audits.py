@@ -103,7 +103,7 @@ def max_principle_audit(ctx: OperatorContext, s: float, b: float, M2: float,
         worst_margin=float(np.min(margins)),
         violation_count=violations,
         samples=int(len(margins)),
-        details={"M2": M2, "M1": M1, "b": b, "s": s},
+        details={"M2": M2, "M1": M1, "b": b, "s": s, "y_min": y_min},
     )
 
 
@@ -246,13 +246,15 @@ def F_bound_audit(W: Field, F: np.ndarray, s: float, btilde: float,
     lower_marg = (F - lower + tol)[dom] if dom.any() else np.array([np.inf])
     nv_lower = int(np.sum(lower_marg < 0))
     worst = float(min(np.min(upper_marg[trusted]), np.min(lower_marg)))
+    upper_samples, lower_samples = int(np.sum(trusted)), int(np.sum(dom))
     return AuditReport(
         name="diffusion-balance-bounds",
         domain_checked=f"global upper; lower on [{bottom:.3g}, "
                        f"{F_LOWER_CAP * btilde**-1.25:.3g}]",
         worst_margin=worst,
         violation_count=nv_upper + nv_lower,
-        samples=int(np.sum(trusted) + np.sum(dom)),
+        samples=upper_samples + lower_samples,
         details={"alpha": alpha, "btilde": btilde, "s": s,
-                 "upper_violations": nv_upper, "lower_violations": nv_lower},
+                 "upper_violations": nv_upper, "lower_violations": nv_lower,
+                 "upper_samples": upper_samples, "lower_samples": lower_samples},
     )

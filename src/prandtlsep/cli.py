@@ -633,8 +633,17 @@ def run_audit(outdir: str) -> int:
 
 
 def _sweep_worker(cfg: RunConfig) -> dict:
-    code = run_simulate(cfg)
-    entry = {"lambda0": cfg.lambda0, "exit": code}
+    """One member's ``simulate``: its exit code and fit report.  A package
+    error but ConfigError exits 2, as ``simulate`` alone would, and leaves
+    the other members running."""
+    entry = {"lambda0": cfg.lambda0}
+    try:
+        entry["exit"] = run_simulate(cfg)
+    except ConfigError:
+        raise
+    except PrandtlSepError as exc:
+        entry.update(exit=EXIT_SOLVER, error=f"solver error: {exc}")
+        return entry
     fit_path = os.path.join(cfg.outdir, "fit_report.json")
     if os.path.exists(fit_path):
         with open(fit_path) as fh:
@@ -667,6 +676,8 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
         results = list(ex.map(_sweep_worker, members))
     rows = []
     for entry in results:
+        if "error" in entry:
+            print(f"sweep: lambda0 = {entry['lambda0']!r}: {entry['error']}")
         fit = entry.get("fit", {})
         x_star = fit.get("x_star", float("nan"))
         rows.append((entry["lambda0"], x_star,

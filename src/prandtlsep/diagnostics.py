@@ -185,14 +185,6 @@ def _rescaled_W(state: vm.VMState) -> Field:
     return Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4)
 
 
-def _balance_data(state: vm.VMState) -> tuple:
-    """(W, F, trust mask): the rescaled w and the diffusion balance F.  F
-    is scale-invariant, so F and its roundoff trust mask carry over from
-    the marched state node by node."""
-    return (_rescaled_W(state), vm.compute_F(state.W).values,
-            vm.trusted_F_mask(state))
-
-
 def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     """Audit the snapshots in two passes, one at a time: one frame each.
 
@@ -237,12 +229,15 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     frames[at] = replace(frames[at], calibrated={
         **frames[at].calibrated, "A_minus": amplitudes[0], "A_plus": amplitudes[1]})
     for p in rescaled:
-        fr = frames[p]
-        W, F, trusted = _balance_data(traj.snapshots[p].state)
+        fr, state = frames[p], traj.snapshots[p].state
+        W = _rescaled_W(state)
+        # F is scale-invariant: the marched state's F and trust mask hold
+        # on W node by node
+        F, floor = vm.compute_F(state.W, float(state.W.values.max()))
         frames[p] = replace(fr, checks=fr.checks + (
             au.subsolution_audit(W, fr.s, fr.b, fr.btilde, *amplitudes),
             au.F_bound_audit(W, F, fr.s, fr.btilde, frozen["alpha"],
-                             trusted=trusted)))
+                             trusted=vm.trusted_F_mask(floor))))
     return frames
 
 
@@ -305,8 +300,9 @@ def commutator_gap(ctx1: OperatorContext, ctx2: OperatorContext, s1: float,
       lhs = d/ds[Linv T] + (b/2)(Linv(Y T') - Y d/dY Linv T) - b Linv T
       rhs = commutator source built from the diffusion field D.
 
-    Returns the relative gap on Y in [0.1, s**(1/4)] and the pinned
-    tolerance 5 (ds/s + h_rel**2).
+    Returns the relative gap max|lhs - rhs| / max|rhs| on Y in
+    [0.1, s**(1/4)], the two window maxima max|lhs| and max|rhs| that it
+    compares, and the pinned tolerance 5 (ds/s + h_rel**2).
     """
     s_mid = 0.5 * (s1 + s2)
     grid = ctx1.grid
@@ -330,6 +326,7 @@ def commutator_gap(ctx1: OperatorContext, ctx2: OperatorContext, s1: float,
     rhs = op_commutator(ctx, D, T, fit=CHAIN_FITS[0]).values
 
     window = (Y >= 0.1) & (Y <= s_mid**0.25)
+    max_lhs = float(np.max(np.abs(lhs[window])))
     scale = float(np.max(np.abs(rhs[window])))
     gap = float(np.max(np.abs(lhs[window] - rhs[window]))) / max(scale, 1e-300)
     h_rel = float(np.max(np.diff(Y)[window[1:]] / (1.0 + Y[1:][window[1:]])))
@@ -341,4 +338,6 @@ def commutator_gap(ctx1: OperatorContext, ctx2: OperatorContext, s1: float,
         "ds_over_s": ds / s_mid,
         "h_rel": h_rel,
         "s_mid": s_mid,
+        "max_lhs": max_lhs,
+        "max_rhs": scale,
     }

@@ -32,11 +32,11 @@ w for the monotonicity test and hands it on, to the state's trajectory row
 and to the next step's Picard scale; and it counts the clamped cells at
 the wall for the floor test, from which the w that the wall-shear read
 gets has those cells on the wall law, with no second test.
-The row takes one pass: one sqrt(w) serves F and its roundoff floor
-(``_balance``).  Every stencil weight comes from ``gridfields.fd_weights``,
-built once per grid by ``Grid.cached``; the resolvent solve, the wall-shear
-read and the normal coordinate each fetch the grid-only data they read in
-one lookup.
+The row takes one pass, as the audit does: one sqrt(w) serves F and its
+roundoff floor (``compute_F``).  Every stencil weight comes from
+``gridfields.fd_weights``, built once per grid by ``Grid.cached``; the
+resolvent solve, the wall-shear read and the normal coordinate each fetch
+the grid-only data they read in one lookup.
 
 The wall shear lam(x) = u_y(x, 0) is the quantity everything else watches.
 Reading it straight off the wall slope of w requires resolving phi well
@@ -369,58 +369,42 @@ def _d2_gain(grid: Grid) -> np.ndarray:
     return np.abs(_three_point_weights(grid, 2)).sum(axis=0)
 
 
-def _balance(W: Field, w_max: float) -> tuple:
-    """(F, its roundoff floor) at the interior nodes of W, whose largest
-    value is ``w_max``: both read one sqrt(w), and each formula is written
-    here only.
+def compute_F(W: Field, w_max: float) -> tuple:
+    """(F, its roundoff floor) on every node of W, whose largest value is
+    ``w_max``: both read one sqrt(w), and each formula is written here only.
 
-    F = sqrt(w) w_phiphi - 2.  The floor is sqrt(w) 8 eps max(w) times the
-    sum of the second difference's weight magnitudes (``f_roundoff_floor``).
+    F = sqrt(w) w_phiphi - 2 is scale-invariant: on the wall-unit rescaling
+    (phi / lam**3, w / lam**4) of a state it is the same F node by node.
+    The floor, sqrt(w) 8 eps max(w) times the sum of the second
+    difference's weight magnitudes, bounds F's roundoff, since the march
+    determines w to ~ eps max(w); it is large on the first cells of the
+    clustered grid (``trusted_F_mask``).  At the wall F takes its exact
+    limit 0 (sqrt(w) w_phiphi -> 2 u_yy(0) = 2) and the floor 0; at the
+    last node F repeats its neighbour and the floor is inf.
     """
     w = W.values
     sq = np.sqrt(np.maximum(w[1:-1], 0.0))
     a, b, c = _three_point_weights(W.grid, 2)
-    F = sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]) - 2.0
+    F = np.empty_like(w)
+    np.subtract(sq * (a * w[:-2] + b * w[1:-1] + c * w[2:]), 2.0, out=F[1:-1])
+    F[0] = 0.0
+    F[-1] = F[-2]
     gain = W.grid.cached("d2_gain", _d2_gain, W.grid)
-    return F, sq * (8.0 * gridfields._EPS * w_max) * gain
-
-
-def compute_F(W: Field) -> Field:
-    """Diffusion balance F = sqrt(w) w_phiphi - 2 on W's streamfunction grid.
-
-    The balance is scale-invariant: on the wall-unit rescaling
-    (phi / lam**3, w / lam**4) of a state it is the same F node by node.
-    """
-    f = np.empty_like(W.values)
-    f[1:-1] = _balance(W, float(W.values.max()))[0]
-    f[0] = 0.0            # exact wall limit: sqrt(w) w_phiphi -> 2 u_yy(0) = 2
-    f[-1] = f[-2]
-    f.flags.writeable = False         # owned here: Field keeps it uncopied
-    return W.with_values(f)
-
-
-def f_roundoff_floor(state: VMState) -> np.ndarray:
-    """Roundoff bound on the F diagnostic per node.
-
-    The marching solve determines w to absolute accuracy ~ eps * max(w),
-    and the second difference multiplies that by the sum of its weights'
-    magnitudes: on the first cells of the clustered grid F is undefined in
-    float arithmetic.  Audits restrict to nodes where this bound is small.
-    """
-    out = np.empty_like(state.W.values)
-    out[1:-1] = _balance(state.W, float(state.W.values.max()))[1]
-    out[0] = 0.0
-    out[-1] = np.inf
-    return out
+    floor = np.empty_like(w)
+    np.multiply(sq * (8.0 * gridfields._EPS * w_max), gain, out=floor[1:-1])
+    floor[0] = 0.0
+    floor[-1] = np.inf
+    return F, floor
 
 
 #: F is trusted where its roundoff bound is at most this
 F_TRUST_FLOOR = 5e-4
 
 
-def trusted_F_mask(state: VMState) -> np.ndarray:
-    """Interior nodes where the F diagnostic is numerically determined."""
-    mask = f_roundoff_floor(state) <= F_TRUST_FLOOR
+def trusted_F_mask(floor: np.ndarray) -> np.ndarray:
+    """Interior nodes where F is numerically determined: its roundoff
+    ``floor`` (from ``compute_F``) is at most F_TRUST_FLOOR."""
+    mask = floor <= F_TRUST_FLOOR
     mask[0] = False
     mask[-1] = False
     return mask
@@ -744,10 +728,10 @@ def solve_until_separation(data, cfg: MarchConfig,
 
     def record(st: VMState, w_max: float, solves: int, halvings: int,
                converged: bool, step_error: float) -> None:
-        # F_max, the max of compute_F over trusted_F_mask, from one pass
-        # that reads the max of w the step handed on
-        F, floor = _balance(st.W, w_max)
-        trusted = floor <= F_TRUST_FLOOR
+        # F_max, the max of F over its trusted nodes, from the pass that the
+        # audit makes, on the max of w the step handed on
+        F, floor = compute_F(st.W, w_max)
+        trusted = trusted_F_mask(floor)
         rows.append((st.x, st.lam, st.s,
                      float(F[trusted].max()) if trusted.any() else np.nan,
                      solves, halvings, int(not converged), step_error))

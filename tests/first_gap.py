@@ -12,7 +12,11 @@ marches that configuration at several ``n_psi`` and, on that pair, reports:
 - max |(U - U_app)(s2) - (U - U_app)(s1)| / ds on the check's window
   Y in [0.1, s_mid**(1/4)], with U_app = ``profiles.eval_uapp(s, b, Y)`` at
   each state's own marched b: the part of the marched dU/ds that the
-  approximate solution does not carry.
+  approximate solution does not carry;
+- the two window maxima that the gap compares, max |lhs| and max |rhs|,
+  for the marched pair and for the U_app pair ``eval_uapp(s, b, Y)`` at
+  the pair's s1 and s2 with the marched b, on the check's grid: the gap is
+  max |lhs - rhs| / max |rhs|.
 
 Run as a script, ``python tests/first_gap.py`` marches the default run at
 n_psi 2305, 4609 and 9217 (about 2 s) and prints one row per n_psi.
@@ -25,7 +29,7 @@ from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
 from prandtlsep.cli import RunConfig
-from prandtlsep.gridfields import spline_interpolant
+from prandtlsep.gridfields import Field, spline_interpolant
 from prandtlsep.operators import OperatorContext
 
 N_PSI = (2305, 4609, 9217)
@@ -67,21 +71,29 @@ def first_pair_row(n_psi: int) -> dict:
     off1 = ctx1.U.values - pr.eval_uapp(s1, b1, Y)
     off2 = ctx2.U.values - pr.eval_uapp(s2, b2, Y)
     drift = float(np.max(np.abs(off2 - off1)[window])) / (s2 - s1)
+    uapp = dg.commutator_gap(*(OperatorContext.from_profile(
+        Field(grid, pr.eval_uapp(s, b, Y))) for s in (s1, s2)), s1, s2, b)
     return {"n_psi": n_psi, "s_mid": s_mid, "gap": check["relative_gap"],
             "tolerance": check["tolerance"], "U_YY_miss": misses,
-            "d_ds_off_uapp": drift}
+            "d_ds_off_uapp": drift,
+            "max_lhs": check["max_lhs"], "max_rhs": check["max_rhs"],
+            "uapp_max_lhs": uapp["max_lhs"], "uapp_max_rhs": uapp["max_rhs"]}
 
 
 if __name__ == "__main__":
     import time
 
     print("| n_psi | s_mid | gap | tolerance | U_YY miss, state 1 | state 2 "
-          "| U_mid | max|Δ(U − U_app)|/ds | s |")
-    print("| --- |" + " --- |" * 8)
+          "| U_mid | max|Δ(U − U_app)|/ds | marched max|lhs| | max|rhs| "
+          "| U_app max|lhs| | max|rhs| | s |")
+    print("| --- |" + " --- |" * 12)
     for n_psi in N_PSI:
         t0 = time.perf_counter()
         row = first_pair_row(n_psi)
         print(f"| {n_psi} | {row['s_mid']:.1f} | {row['gap']:.3f} | "
               f"{row['tolerance']:.4f} | "
               + " | ".join(f"{m:.2e}" for m in row["U_YY_miss"])
-              + f" | {row['d_ds_off_uapp']:.2e} | {time.perf_counter() - t0:.1f} |")
+              + f" | {row['d_ds_off_uapp']:.2e} | "
+              + " | ".join(f"{row[key]:.3e}" for key in (
+                  "max_lhs", "max_rhs", "uapp_max_lhs", "uapp_max_rhs"))
+              + f" | {time.perf_counter() - t0:.1f} |")

@@ -242,8 +242,9 @@ def wall_extrapolation_weights(t: np.ndarray) -> np.ndarray:
 
 
 def f_roundoff_floor(state) -> np.ndarray:
-    """``vonmises.f_roundoff_floor`` in closed form: the second difference's
-    weights sum to 4/(hm hp) in magnitude."""
+    """The roundoff floor of ``vonmises.compute_F`` (its second value) in
+    closed form: the second difference's weights sum to 4/(hm hp) in
+    magnitude."""
     w = state.W.values
     phi = state.psi_grid.nodes
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))

@@ -300,6 +300,25 @@ def test_criterion_8_maximum_principle(main_run, main_suite):
                     f"(max {np.nanmax(traj.F_max):.2e})")
 
 
+def test_criterion_8_audits_state_what_they_checked(main_suite):
+    # the balance audit counts the trusted nodes of its upper bound and the
+    # nodes of its lower bound's domain, which is empty on frames 0-3, where
+    # its floor lies past its cap; the curvature audit starts at y_min,
+    # measured 0.5 to 4.896
+    mp = [r for r in main_suite.reports if r.name == "max-principle"]
+    fb = [r for r in main_suite.reports if r.name == "diffusion-balance-bounds"]
+    assert len(mp) == len(fb) == 14
+    for r in fb:
+        assert r.samples == r.details["upper_samples"] + r.details["lower_samples"]
+        # measured 2142 to 2158 of the 2303 interior phi nodes
+        assert 2100 < r.details["upper_samples"] < 2303
+    lower = [r.details["lower_samples"] for r in fb]
+    assert lower[:4] == [0, 0, 0, 0] and all(n > 0 for n in lower[4:])
+    y_min = [r.details["y_min"] for r in mp]
+    assert y_min[0] == 0.5 and y_min == sorted(y_min)
+    assert y_min[-1] == pytest.approx(4.896, abs=1e-3)
+
+
 def test_criterion_9_sub_super_solutions(main_suite):
     ss = [r for r in main_suite.reports if r.name == "sub-super-solutions"]
     sandwich = sum(r.details["sandwich_violations"] for r in ss)

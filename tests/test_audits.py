@@ -77,6 +77,7 @@ class TestMaxPrinciple:
                                      y_min=0.5)
         assert rep.passed
         assert rep.worst_margin >= 0.0
+        assert rep.details["y_min"] == 0.5
 
     def test_reference_profile_needs_quarter(self):
         # curvature of the wall polynomial: 1 - 12 a4 b Y^2 + h.o.t., so the
@@ -136,10 +137,12 @@ class TestBalanceBounds:
         # every interior node trusted: F is undefined at the two ends
         trusted = np.ones(len(psi), dtype=bool)
         trusted[0] = trusted[-1] = False
-        rep = au.F_bound_audit(w, vm.compute_F(w).values, s=500.0,
-                               btilde=2e-3, alpha=6.0 ** (2.0 / 3.0),
-                               trusted=trusted)
+        F = vm.compute_F(w, float(w.values.max()))[0]
+        rep = au.F_bound_audit(w, F, s=500.0, btilde=2e-3,
+                               alpha=6.0 ** (2.0 / 3.0), trusted=trusted)
         assert rep.passed
+        assert rep.details["upper_samples"] == len(psi) - 2
+        assert rep.samples == len(psi) - 2 + rep.details["lower_samples"]
 
     def test_tolerance_floor(self):
         h = np.array([1e-3, 1e-2])

@@ -1195,6 +1195,27 @@ class TestSweepIntegration:
         ratios = [float(r.split(",")[2]) for r in table[1:]]
         assert all(np.isfinite(ratios))
 
+    def test_a_member_with_rejected_initial_data_keeps_the_sweep(self, tmp_path,
+                                                                 capsys):
+        # lambda0 = 0.1 with a negative perturbation has inflow curvature
+        # above 1: that member exits 2 as its simulate would, with a nan row
+        # and a line that names it, and the 0.05 member's row is kept
+        cfg = cli.RunConfig(lambda_stop_factor=40.0, n_psi=1153,
+                            n_physical=1537, ds_rel=0.02,
+                            perturbation_amplitude=-0.01,
+                            outdir=str(tmp_path / "sweep"))
+        code = cli.run_sweep([0.05, 0.1], cfg)
+        assert code == cli.EXIT_SOLVER
+        out = capsys.readouterr().out
+        assert ("sweep: lambda0 = 0.1: solver error: curvature exceeds 1 "
+                "somewhere") in out.splitlines()
+        table = Path(cfg.outdir, "sweep.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in table[1:]] == ["0.1", "0.05"]
+        assert table[1] == "0.1,nan,nan,nan"
+        assert all(np.isfinite([float(v) for v in table[2].split(",")]))
+        assert os.path.exists(os.path.join(cfg.outdir, "lam0.05", "fit_report.json"))
+        assert not os.path.exists(os.path.join(cfg.outdir, "lam0.1"))
+
 
 class TestSolverFailurePath:
     def test_unreachable_stop_exits_2_with_partial_artifacts(self, tmp_path,

@@ -146,7 +146,7 @@ class TestAuditSuite:
         suite = dg.run_audit_suite(late)
         assert [sorted(fr.calibrated) for fr in late[:3]] == [
             ["M0", "M1", "M2", "alpha"], [], ["A_minus", "A_plus"]]
-        W = dg._balance_data(short_traj.snapshots[2].state)[0]
+        W = dg._rescaled_W(short_traj.snapshots[2].state)
         assert (suite.A_minus, suite.A_plus) == dg.au.calibrate_A(W, late[2].btilde)
         assert suite.M2 == dg.run_audit_suite(frames).M2
         for fr in late:
@@ -154,7 +154,7 @@ class TestAuditSuite:
                 "max-principle", "sub-super-solutions", "diffusion-balance-bounds"]
             assert fr.checks[1].details["A_minus"] == suite.A_minus
         for fr, snap in zip(late[:2], short_traj.snapshots):
-            W = dg._balance_data(snap.state)[0]
+            W = dg._rescaled_W(snap.state)
             assert fr.checks[1] == dg.au.subsolution_audit(
                 W, fr.s, fr.b, fr.btilde, suite.A_minus, suite.A_plus)
         assert suite.reports == [r for fr in late for r in fr.checks]
@@ -215,6 +215,16 @@ class TestCommutator:
         assert out["relative_gap"] < 1e-3 and out["holds"]
 
     @pytest.mark.parametrize("s1", up.S_FIRST)
+    @pytest.mark.parametrize("kwargs", [kwargs for _, kwargs in up.CASES])
+    def test_the_gap_bounds_the_gap_of_the_window_maxima(self, s1, kwargs):
+        # max|lhs| and max|rhs| are the maxima that the gap compares:
+        # they differ by at most max|lhs - rhs| = relative_gap max|rhs|
+        out = up.uapp_pair_gap(s1, **kwargs)
+        assert out["max_rhs"] > 0.0
+        assert (abs(out["max_lhs"] - out["max_rhs"])
+                <= out["relative_gap"] * out["max_rhs"])
+
+    @pytest.mark.parametrize("s1", up.S_FIRST)
     def test_a_rate_off_by_2_5_percent_shows_as_its_error(self, s1):
         # measured 0.0249, 0.0250 and 0.0250: a gap of the size of b's error
         gap = up.uapp_pair_gap(s1, b_factor=up.B_FACTOR)["relative_gap"]
@@ -234,3 +244,8 @@ class TestCommutator:
         assert row["s_mid"] == pytest.approx(722.3, abs=0.1)
         assert all(5e-5 < miss < 2e-4 for miss in row["U_YY_miss"])
         assert np.isfinite(row["gap"]) and np.isfinite(row["d_ds_off_uapp"])
+        # the gap's left side is U_app's (5.357e-3 against 5.337e-3 and
+        # 5.357e-3); its denominator, the marched max|rhs|, reads 1.073e-2
+        assert row["max_lhs"] == pytest.approx(row["uapp_max_rhs"], rel=1e-3)
+        assert row["uapp_max_lhs"] == pytest.approx(row["uapp_max_rhs"], rel=1e-2)
+        assert row["max_rhs"] == pytest.approx(1.073e-2, rel=1e-3)

@@ -29,6 +29,7 @@ import glob
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 from dataclasses import fields
@@ -253,3 +254,23 @@ def test_every_benchmark_hook_records_a_call(tmp_path):
     silent = [name for name in (spans.span_name(m, a) for m, a in spans.HOOKS)
               if tracer.calls(name) == 0]
     assert silent == []
+
+
+def test_the_march_and_the_audit_take_one_balance_pass_per_state(tmp_path):
+    # the benchmark's vonmises.record_s times compute_F and trusted_F_mask
+    # under the march: one call of each per trajectory row there, and one
+    # per audited frame under build_frames, the only other caller
+    spans = _benchmark_spans()
+    cfg = _quick_config(tmp_path / "run")
+    tracer = spans.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_simulate(cfg) == cli.EXIT_OK
+        assert cli.main(["audit", cfg.outdir]) == cli.EXIT_OK
+    rows = len(Path(cfg.outdir, "trajectory.csv").read_text().splitlines()) - 1
+    reports = json.loads(Path(cfg.outdir, "audit_summary.json").read_text())["reports"]
+    frames = sum(r["name"] == "diffusion-balance-bounds" for r in reports)
+    assert rows > 1 and frames > 1
+    for name in ("vonmises.compute_F", "vonmises.trusted_F_mask"):
+        assert tracer.calls(name, "vonmises.solve_until_separation") == rows
+        assert tracer.calls(name, "diagnostics.build_frames") == frames
+        assert tracer.calls(name) == rows + frames

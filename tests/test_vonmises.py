@@ -217,7 +217,7 @@ class TestGridCaches:
         buffers = vm._march_buffers(len(grid))
         for _ in range(2):
             vm._resolvent_solve(grid, w, np.sqrt(w), 1e-6, w[-1], buffers)
-        vm.compute_F(Field(grid, w))
+        vm.compute_F(Field(grid, w), float(w.max()))
         assert [args[1] for args in builds] == [2]
         assert self._frozen(grid, ("three_point", 2))
 
@@ -232,8 +232,7 @@ class TestGridCaches:
         assert sorted(args[2] for args in builds) == [0, 0, 1, 2]
         vm.march_step(first, 1e-6, forcing, ((state.W.values, 1e-6),), buffers,
                       w_max(first))
-        vm.compute_F(first.W)
-        vm.trusted_F_mask(first)
+        vm.trusted_F_mask(vm.compute_F(first.W, w_max(first))[1])
         assert len(builds) == 4
 
     def test_normal_coordinate_weights_built_once_per_grid(self, monkeypatch):
@@ -251,9 +250,9 @@ class TestGridCaches:
         phi = grid.nodes
         state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
                            W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
-        first = vm.f_roundoff_floor(state)
-        vm.trusted_F_mask(state)
-        assert same_bits(vm.f_roundoff_floor(state), first)
+        first = vm.compute_F(state.W, w_max(state))[1]
+        vm.trusted_F_mask(first)
+        assert same_bits(vm.compute_F(state.W, w_max(state))[1], first)
         assert len(builds) == 1
         assert self._frozen(grid, "d2_gain")
 
@@ -288,7 +287,8 @@ class TestGridCaches:
         assert close(wall, reference.wall_extrapolation_weights(t))
         state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
                            W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
-        got, ref = vm.f_roundoff_floor(state)[:-1], reference.f_roundoff_floor(state)[:-1]
+        got = vm.compute_F(state.W, w_max(state))[1][:-1]
+        ref = reference.f_roundoff_floor(state)[:-1]
         assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
@@ -389,18 +389,18 @@ class TestDiffusionBalance:
         # u = y^2/2 has sqrt(w) w_phiphi = 2 exactly
         g = Grid.power_clustered(2049, 3.0, 2.0)
         state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, n_psi=1153)
-        F = vm.compute_F(state.W).values
-        trusted = vm.trusted_F_mask(state)
+        F, floor = vm.compute_F(state.W, w_max(state))
+        trusted = vm.trusted_F_mask(floor)
         inner = trusted & (state.psi_grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        assert vm.compute_F(state.W).values[0] == 0.0
+        assert vm.compute_F(state.W, w_max(state))[0][0] == 0.0
 
     def test_far_field_approaches_minus_two(self, data05):
         state = vm.to_von_mises(data05.u0, data05.lambda0, data05.s0, n_psi=1153)
-        F = vm.compute_F(state.W).values
+        F = vm.compute_F(state.W, w_max(state))[0]
         assert abs(F[-2] + 2.0) < 1e-2
 
 
@@ -416,8 +416,8 @@ class TestMarch:
         dx_taken = new.x - state.x
         assert new.s == state.s + 0.5 * dx_taken * (state.lam**-4 + new.lam**-4)
         assert new.s != state.s + dx_taken / state.lam**4
-        F = vm.compute_F(state.W).values
-        trusted = vm.trusted_F_mask(state)
+        F, floor = vm.compute_F(state.W, w_max(state))
+        trusted = vm.trusted_F_mask(floor)
         dw_rate = (new.W.values - state.W.values) / dx
         sel = trusted & (state.psi_grid.nodes > 1e-3) \
             & (state.psi_grid.nodes < 0.9 * state.psi_grid.span)
@@ -641,13 +641,13 @@ class TestMarch:
 
     @staticmethod
     def _audit_F_max(state) -> float:
-        F = vm.compute_F(state.W).values
-        trusted = vm.trusted_F_mask(state)
+        F, floor = vm.compute_F(state.W, w_max(state))
+        trusted = vm.trusted_F_mask(floor)
         return np.max(F[trusted]) if trusted.any() else np.nan
 
     def test_F_max_column_is_the_audit_F_path(self, short_traj, data05,
                                               monkeypatch):
-        # the record's one pass over each state gives the max of compute_F
+        # the record's one compute_F pass over each state gives the max of F
         # over trusted_F_mask, the F that the audit reads, bit for bit
         traj = short_traj
         assert traj.snapshots
@@ -658,13 +658,13 @@ class TestMarch:
         # every row's pass reads the max of w that the step handed on: the
         # state's own max bit for bit, and one pass per row
         passes = []
-        balance = vm._balance
+        compute_F = vm.compute_F
 
         def spy(W, w_max_):
             passes.append((W, w_max_))
-            return balance(W, w_max_)
+            return compute_F(W, w_max_)
 
-        monkeypatch.setattr(vm, "_balance", spy)
+        monkeypatch.setattr(vm, "compute_F", spy)
         monkeypatch.setattr(vm, "MAX_STEPS", 30)
         traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
         marched = passes[:]
