@@ -163,8 +163,9 @@ def subsolution_audit(W: Field, s: float, b: float, btilde: float,
     psi = W.grid.nodes
     bottom, p, w_data, base = _sandwich_domain(W, btilde)
     if not len(p):
-        return AuditReport("sub-super-sandwich", "empty domain", 0.0, 0, 0,
-                           {"bottom": bottom, "psi_max": float(psi[-1])})
+        return AuditReport("sub-super-solutions", "empty domain", 0.0, 0, 0,
+                           {"bottom": bottom, "psi_max": float(psi[-1]),
+                            "sandwich_violations": 0, "differential_violations": 0})
     lower = _w_lower(p, A_minus, btilde)
     upper = _w_upper(p, A_plus, btilde)
     tol = SANDWICH_RTOL * np.maximum(base, 1.0)

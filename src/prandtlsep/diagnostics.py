@@ -34,8 +34,8 @@ from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
 #: rescale refits the slope anyway, so the cross-check is this loose
 SLOPE_RTOL = 2.5e-2
 
-#: the resolved flag recomputes the energies on n // 2 + 1 of a frame's n
-#: wall-unit nodes, a grid that needs MIN_NODES nodes
+#: the resolved flag recomputes E0, E1, E2 up to the first that moves, and
+#: no D_k or trace, on n // 2 + 1 of n wall-unit nodes: MIN_NODES at least
 MIN_RESCALED_NODES = 2 * (MIN_NODES - 1)
 
 
@@ -96,19 +96,29 @@ def rescale_snapshot_profile(u_at: Callable, lam: float,
     return OperatorContext.from_profile(Field(grid, u_at(lam_use * Y) / lam_use**2))
 
 
-def _wall_unit_energies(u_at: Callable, state: vm.VMState, b: float, bs: float,
-                        n_grid: int) -> tuple:
-    """(ctx, report): the state's profile in wall units on ``n_grid``
-    nodes and its energies; no report where the operator chain is singular.
-    The wall-unit grid ends where the profile ``u_at`` ends."""
-    s, lam = state.s, state.lam
-    grid = md.standard_rescaled_grid(s, n_grid, reach=u_at.span / lam)
-    ctx = rescale_snapshot_profile(u_at, lam, grid)
+def _wall_unit_corrector(u_at: Callable, state: vm.VMState, b: float,
+                         n_grid: int) -> tuple:
+    """(ctx, V): the state's profile in wall units on ``n_grid`` nodes and
+    its corrector.  The wall-unit grid ends where the profile ``u_at`` ends."""
+    grid = md.standard_rescaled_grid(state.s, n_grid, reach=u_at.span / state.lam)
+    ctx = rescale_snapshot_profile(u_at, state.lam, grid)
+    return ctx, en.compute_V(ctx.U, state.s, b)
+
+
+def energies_resolved(report: en.EnergyReport, u_at: Callable,
+                      state: vm.VMState, b: float, n_grid: int) -> bool:
+    """Whether E0, E1 and E2 of ``report``, taken on ``n_grid`` wall-unit
+    nodes, each hold within 10% on n_grid // 2 + 1 nodes, compared in that
+    order one chain stage at a time: the first energy that moves ends the
+    check, which reads no D_k or trace.  A package error means unresolved."""
     try:
-        V = en.compute_V(ctx.U, s, b)
-        return ctx, en.energy_report(ctx, V, s, b, bs)
-    except SingularInputError:
-        return ctx, None
+        ctx, V = _wall_unit_corrector(u_at, state, b, n_grid // 2 + 1)
+        return not any(
+            a > 0 and abs(a - c) > 0.10 * max(a, c)
+            for a, (c, *_) in zip((report.E0, report.E1, report.E2),
+                                  en.energy_chain(ctx, V, state.s)))
+    except PrandtlSepError:
+        return False
 
 
 def measure_M0(ctx: OperatorContext, s: float) -> float:
@@ -127,9 +137,9 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
     """The frame of the snapshot at position ``index``: its energies, its
     max-principle report and, with ``pair``, its commutator check.
 
-    The state is inverted and splined once, for the full- and
-    half-resolution rescales and the commutator; the spline and the
-    contexts go when this returns.  An empty ``frozen`` is filled with the
+    The state is inverted and splined once, for the report, the E_k of
+    ``energies_resolved`` and the commutator; the spline and the contexts
+    go when this returns.  An empty ``frozen`` is filled with the
     curvature calibration measured here, and the frame records it.
     """
     state = snap.state
@@ -138,24 +148,18 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
     s_mid = 0.5 * (s + snap.pair_state.s)
     try:
         u_at = spline_interpolant(vm.from_von_mises(state))
-        ctx, report = _wall_unit_energies(u_at, state, b, bs, n_grid)
+        ctx, V = _wall_unit_corrector(u_at, state, b, n_grid)
+        try:   # no report where the operator chain is singular
+            report = en.energy_report(ctx, V, s, b, bs)
+            report = replace(report, resolved_flag=energies_resolved(
+                report, u_at, state, b, n_grid))
+        except SingularInputError:
+            report = None
     except PrandtlSepError as exc:
         # no spline or context for the commutator either
         failed = {"s_mid": s_mid, "error": str(exc)} if pair else None
         return SnapshotFrame(**scalars, report=None, checks=(), calibrated={},
                              commutator=failed, failure=exc)
-    if report is not None:
-        try:
-            r2 = _wall_unit_energies(u_at, state, b, bs, n_grid // 2 + 1)[1]
-        except PrandtlSepError:
-            r2 = None
-        # unresolved also where the half-resolution chain could not even
-        # be evaluated
-        resolved = r2 is not None and not any(
-            a > 0 and abs(a - c) > 0.10 * max(a, c)
-            for a, c in ((report.E0, r2.E0), (report.E1, r2.E1),
-                         (report.E2, r2.E2)))
-        report = replace(report, resolved_flag=resolved)
     calibrated = {}
     if not frozen:
         M2, M0 = au.calibrate_M2(ctx, s, b), measure_M0(ctx, s)
@@ -201,10 +205,10 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
 
     A snapshot that raises a package error on the way, such as a
     wall-fitted shear that misses the tracked one, keeps a frame that
-    records the error.  The resolved flag compares the energies against a
-    half-resolution recomputation; samples that move more than 10%, or
-    whose half-resolution chain fails, are flagged and excluded from
-    acceptance-style gates.
+    records the error.  The resolved flag recomputes E0, E1 and E2 at half
+    resolution up to the first that moves more than 10%, and no D_k or
+    trace; samples that move, or whose half-resolution chain fails, are
+    flagged and excluded from acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)

@@ -149,6 +149,18 @@ def coercivity_audit(ctx: OperatorContext, f: Field, weight: tuple,
     }
 
 
+def energy_chain(ctx: OperatorContext, V: Field, s: float):
+    """Yield (E_k, stage, curvature, weight) down the chain V, L V, L**2 V:
+    each stage's curvature is taken once, and the next stage's ``op_Linv``
+    runs only when that stage is asked for."""
+    y, stage = ctx.grid.nodes, V
+    for k, weight in enumerate(WEIGHTS):
+        w, g = weight_eval(*weight, s, y), diff(stage, 2)
+        yield float(np.trapezoid(g.values**2 * w, y)), stage, g, w
+        if k < len(CHAIN_FITS):
+            stage = op_Linv(ctx, g, CHAIN_FITS[k])
+
+
 def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
                   bs: float) -> EnergyReport:
     """E_k and D_k for k = 0, 1, 2, and the wall trace of d/dY L**2 V
@@ -160,23 +172,16 @@ def energy_report(ctx: OperatorContext, V: Field, s: float, b: float,
     the E2 weight.
     """
     u, y = ctx.U.values, ctx.grid.nodes
-    stage, sums = V, []
-    for k, weight in enumerate(WEIGHTS):
-        # the stage's curvature, once: E_k, D_k and the next stage read it
-        w = weight_eval(*weight, s, y)
-        g = diff(stage, 2)
-        sums += [float(np.trapezoid(g.values**2 * w, y)),
-                 _dissipation(g.values, diff(stage, 3).values, u, w, y)]
-        if k < len(CHAIN_FITS):
-            stage = op_Linv(ctx, g, CHAIN_FITS[k])
+    sums = []
+    for E, stage, g, w in energy_chain(ctx, V, s):
+        sums += [E, _dissipation(g.values, diff(stage, 3).values, u, w, y)]
     E0, D0, E1, D1, E2, D2 = sums
     t_field = diff(stage, 1)
-    trace = wall_slope_extrapolation(t_field)
     a2, beta2, _ = WEIGHTS[2]
     bound = trace_inequality_audit(t_field, L=s**beta2, a=a2)
     return EnergyReport(
         s=s, E0=E0, E1=E1, E2=E2, D0=D0, D1=D1, D2=D2,
-        trace_residual=float(trace + 0.5 * (bs + b * b)),
+        trace_residual=float(wall_slope_extrapolation(t_field) + 0.5 * (bs + b * b)),
         bs_plus_b2=float(bs + b * b),
         v_wall_ratio=v_wall_ratio(V),
         trace_ineq_lhs=bound["lhs"], trace_ineq_rhs=bound["rhs"],

@@ -58,13 +58,14 @@ CHAIN_FITS = (
 
 
 def _series_div(num, den, order):
-    """Power-series quotient num/den up to Y**order; den[0] != 0."""
-    out = np.zeros(order + 1)
-    acc = np.concatenate([np.asarray(num, dtype=float), np.zeros(order + 1)])
-    den = np.concatenate([np.asarray(den, dtype=float), np.zeros(order + 1)])
+    """Power-series quotient num/den up to Y**order, on Python floats; den[0] != 0."""
+    acc = [float(x) for x in num] + [0.0] * (order + 1)
+    den = [float(x) for x in den] + [0.0] * (order + 1)
+    out = []
     for k in range(order + 1):
-        out[k] = acc[k] / den[0]
-        acc[k : order + 1] -= out[k] * den[: order + 1 - k]
+        out.append(acc[k] / den[0])
+        for j in range(k, order + 1):
+            acc[j] -= out[k] * den[j - k]
     return out
 
 
@@ -133,41 +134,30 @@ def _fit_vanishing(ctx: OperatorContext, f: np.ndarray, fit: WallFit,
     return coeffs
 
 
-def _wall_patched(y: np.ndarray, raw_tail: np.ndarray, model: np.ndarray,
+def _wall_patched(y: np.ndarray, raw_tail: np.ndarray, series,
                   fit: WallFit) -> np.ndarray:
     """A singular quotient spliced with its wall-series model.
 
     ``raw_tail`` holds the quotient on nodes 1.., where it is defined; the
-    wall node takes the model's value.  Below fit.lo the model replaces the
-    raw values, above fit.blend_hi they are kept, and a C2 smoothstep blends
-    the two in between: the quintic ramp keeps the result twice
-    differentiable, so a later derivative stage sees no junction spike.
+    model, the power ``series``, is evaluated on Y <= fit.blend_hi only.
+    The wall node takes its value, below fit.lo it replaces the raw values,
+    above fit.blend_hi they are kept, and a C2 smoothstep blends the two in
+    between, so a later derivative stage sees no junction spike.
     """
-    out = np.empty_like(model)
-    out[1:] = raw_tail
-    out[0] = model[0]
-    inside = y <= fit.blend_hi
-    s = smoothstep((y[inside] - fit.lo) / (fit.blend_hi - fit.lo))
-    out[inside] = (1.0 - s) * model[inside] + s * out[inside]
+    m = y.searchsorted(fit.blend_hi, "right")
+    model = polyval(y[:m], series)
+    out = np.concatenate((model[:1], raw_tail))
+    s = smoothstep((y[:m] - fit.lo) / (fit.blend_hi - fit.lo))
+    out[:m] = (1.0 - s) * model + s * out[:m]
     return out
-
-
-def _model_series(ctx: OperatorContext, coeffs):
-    """Wall series (in Y) of f/U**2 and f/U given the Y**2.. model of f."""
-    c = np.asarray(ctx.near_wall)  # U/Y series
-    f_over_y2 = np.asarray(coeffs, dtype=float)  # f/Y^2 series
-    over_u2 = _series_div(f_over_y2, np.convolve(c, c), 5)
-    over_u = _series_div(f_over_y2, c, 5)  # (f/Y^2)/(U/Y) = f/(UY)
-    return over_u2, over_u
 
 
 def _patched_quotients(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit):
     """(f/U**2, f/U) with the sub-window region replaced by the fit model."""
-    y = ctx.grid.nodes
-    u = ctx.U.values
-    over_u2, over_u = _model_series(ctx, coeffs)
-    g = _wall_patched(y, f[1:] / u[1:] ** 2, polyval(y, over_u2), fit)
-    h = _wall_patched(y, f[1:] / u[1:], polyval(y, over_u) * y, fit)
+    y, u, c = ctx.grid.nodes, ctx.U.values, ctx.near_wall  # c: the U/Y series
+    # coeffs is the f/Y**2 series; f/U = Y (f/Y**2)/(U/Y), one power up
+    g = _wall_patched(y, f[1:] / u[1:] ** 2, _series_div(coeffs, np.convolve(c, c), 5), fit)
+    h = _wall_patched(y, f[1:] / u[1:], [0.0] + _series_div(coeffs, c, 5), fit)
     return g, h
 
 
@@ -193,12 +183,11 @@ def op_commutator(ctx: OperatorContext, D: Field, w: Field, fit: WallFit) -> Fie
     i1 = cumint(w.with_values(g)).values
     term1 = -ctx.grid.apply_diff(D.values * i1, 1)
 
-    y = ctx.grid.nodes
-    u = ctx.U.values
+    y, u = ctx.grid.nodes, ctx.U.values
     idx = wall_window(y, fit.lo, fit.hi)
     dc = lstsq_powers(y[idx], D.values[idx], (1, 2, 3))
     ratio = _series_div(dc, ctx.near_wall, 4)  # (D/Y)/(U/Y) = D/U
-    d_over_u = _wall_patched(y, D.values[1:] / u[1:], polyval(y, ratio), fit)
+    d_over_u = _wall_patched(y, D.values[1:] / u[1:], ratio, fit)
     i2 = cumint(w.with_values(g * d_over_u)).values
     term2 = 2.0 * ctx.grid.apply_diff(u * i2, 1)
     return w.with_values(term1 + term2)

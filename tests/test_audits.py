@@ -117,11 +117,17 @@ class TestSubSuper:
         assert rep.passed
 
     def test_empty_domain_reported(self):
+        # psi ends below the sandwich floor: no node is checked, and the
+        # report reads as every other sandwich report, with no violations
         psi = uniform_grid(128, 10.0)
+        assert psi.span < au.sandwich_floor(2e-3)
         w = Field(psi, (6.0 * psi.nodes) ** (4.0 / 3.0) / 4.0)
         rep = au.subsolution_audit(w, s=500.0, b=2e-3, btilde=2e-3,
                                    A_minus=0.5, A_plus=0.25)
-        assert rep.samples == 0
+        assert rep.samples == 0 and rep.domain_checked == "empty domain"
+        assert rep.name == "sub-super-solutions" and rep.passed
+        assert rep.details["sandwich_violations"] == 0
+        assert rep.details["differential_violations"] == 0
 
     def test_calibration_floors(self):
         psi = Grid.power_clustered(700, 1e6, 3.0)

@@ -1012,7 +1012,8 @@ class TestSimulateAndAudit:
         # commutator grid, scales the stencils of one unit grid, so a fresh
         # process builds each order once per shape however many frames it
         # rescales, next to the loaded phi grid's own second differences,
-        # Gauss-point interpolation and wall extrapolation
+        # Gauss-point interpolation and wall extrapolation.  The half grid
+        # reads no dissipation, so it needs no third difference
         from prandtlsep import gridfields as gf
         from prandtlsep import modulation as md
 
@@ -1031,13 +1032,31 @@ class TestSimulateAndAudit:
         n = _quick_config(rundir).n_rescaled
         shapes = (n, n // 2 + 1)
         wall = sorted(b for b in builds if len(b[0]) == 2 and b[0][0] in shapes)
-        assert wall == sorted(((m, gf._STENCIL_WIDTH[k]), k)
-                              for m in shapes for k in (1, 2, 3))
-        assert len(builds) == len(wall) + 3 == 9
+        assert wall == sorted([((n, gf._STENCIL_WIDTH[k]), k) for k in (1, 2, 3)]
+                              + [((n // 2 + 1, gf._STENCIL_WIDTH[k]), k) for k in (1, 2)])
+        assert len(builds) == len(wall) + 3 == 8
         # a later audit in the process builds only its phi grid's
         builds.clear()
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
         assert len(builds) == 3
+
+    def test_audit_takes_one_energy_report_per_rescaled_frame(
+            self, finished_run, tmp_path, monkeypatch):
+        # the resolved check reads its half-resolution energies off the
+        # chain, not off a second report
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        calls = []
+        report = cli.dg.en.energy_report
+
+        def counted(ctx, *args):
+            calls.append(len(ctx.grid))
+            return report(ctx, *args)
+
+        monkeypatch.setattr(cli.dg.en, "energy_report", counted)
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+        rows = np.loadtxt(rundir / "energies.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert calls == [_quick_config(rundir).n_rescaled] * len(rows)
 
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
         # a completed run of a few steps is too short for the modulation rate

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import first_gap as fg
@@ -8,6 +10,7 @@ from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
+from prandtlsep.errors import SingularInputError
 from prandtlsep.gridfields import Field, spline_interpolant
 from prandtlsep.operators import OperatorContext
 
@@ -88,6 +91,74 @@ class TestFrames:
         for fr in reported:
             r = fr.report
             assert r.E1 >= 0 and r.E2 >= 0 and r.D1 >= 0
+
+
+class TestResolved:
+    """The resolved flag recomputes E0, E1, E2 on n // 2 + 1 wall-unit
+    nodes, one chain stage at a time, and stops at the first that moves."""
+
+    @staticmethod
+    def _report(u_at, state, b, n):
+        ctx, V = dg._wall_unit_corrector(u_at, state, b, n)
+        return dg.en.energy_report(ctx, V, state.s, b, -b * b)
+
+    @staticmethod
+    def _spy_linv(monkeypatch, fail_at=None):
+        # the node count of every op_Linv call of the chain, raising on
+        # call number ``fail_at``
+        calls, linv = [], dg.en.op_Linv
+
+        def counted(ctx, *args):
+            calls.append(len(ctx.grid))
+            if len(calls) == fail_at:
+                raise SingularInputError("planted")
+            return linv(ctx, *args)
+
+        monkeypatch.setattr(dg.en, "op_Linv", counted)
+        return calls
+
+    @staticmethod
+    def _smooth_profile(s, b):
+        # U_app plus the smooth corrector 1e-3 Y**7 exp(-Y), in wall units
+        def u_at(y):
+            return pr.eval_uapp(s, b, y) + 1e-3 * y**7 * np.exp(-y)
+
+        u_at.span = 1e3
+        return u_at, types.SimpleNamespace(s=s, lam=1.0)
+
+    @pytest.mark.parametrize("position, first_moved", [(0, 1), (1, 0)])
+    def test_no_stage_past_the_first_energy_that_moves(
+            self, short_traj, monkeypatch, position, first_moved):
+        # the inflow's E1 moves by a factor 3 at half resolution, snapshot
+        # 1's E0 by 30%: the check runs no half-grid op_Linv past that stage
+        snap = short_traj.snapshots[position]
+        b = float(md.compute_b(short_traj.x, short_traj.lam)[snap.station])
+        u_at = spline_interpolant(vm.from_von_mises(snap.state))
+        report = self._report(u_at, snap.state, b, 513)
+        ctx, V = dg._wall_unit_corrector(u_at, snap.state, b, 257)
+        half = [E for E, *_ in dg.en.energy_chain(ctx, V, snap.state.s)]
+        moved = [abs(a - c) > 0.10 * max(a, c)
+                 for a, c in zip((report.E0, report.E1, report.E2), half)]
+        assert moved.index(True) == first_moved
+        calls = self._spy_linv(monkeypatch)
+        assert not dg.energies_resolved(report, u_at, snap.state, b, 513)
+        assert calls == [257] * first_moved
+
+    def test_a_smooth_corrector_runs_every_stage_and_is_resolved(self, monkeypatch):
+        u_at, state = self._smooth_profile(500.0, 2e-3)
+        report = self._report(u_at, state, 2e-3, 513)
+        calls = self._spy_linv(monkeypatch)
+        assert dg.energies_resolved(report, u_at, state, 2e-3, 513)
+        assert calls == [257, 257]
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_a_stage_that_raises_leaves_the_energies_unresolved(
+            self, monkeypatch, fail_at):
+        u_at, state = self._smooth_profile(500.0, 2e-3)
+        report = self._report(u_at, state, 2e-3, 513)
+        calls = self._spy_linv(monkeypatch, fail_at)
+        assert not dg.energies_resolved(report, u_at, state, 2e-3, 513)
+        assert calls == [257] * fail_at
 
 
 class TestRepresentationRoundTrip:

@@ -189,3 +189,11 @@ class TestReport:
         g1 = diff(op_Linv(flat_ctx, diff(V, 2), CHAIN_FITS[0]), 2).values
         e1 = np.trapezoid(g1**2 * en.weight_eval(*en.WEIGHTS[1], 500.0, Y), Y)
         assert abs(rep.E1 - e1) < 1e-12 * e1
+
+    def test_the_chain_energies_are_the_report_energies(self, flat_ctx):
+        # the resolved check and the report read E_k off one chain loop
+        Y = flat_ctx.grid.nodes
+        V = Field(flat_ctx.grid, 1e-4 * Y**7 * np.exp(-Y))
+        rep = en.energy_report(flat_ctx, V, s=500.0, b=2e-3, bs=-4e-6)
+        chain = [E for E, *_ in en.energy_chain(flat_ctx, V, 500.0)]
+        assert chain == [rep.E0, rep.E1, rep.E2]
