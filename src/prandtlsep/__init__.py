@@ -16,6 +16,6 @@ from .ratpoly import (RationalPoly, algebra_certificate,  # noqa: F401
                       apply_L, leading_V_coefficients, next_iterate,
                       prandtl_residual, profile_coefficients,
                       remainder_decomposition)
-from .vonmises import (MarchConfig, Snapshot, Trajectory,  # noqa: F401
-                       VMState, compute_F, from_von_mises, march_step,
+from .vonmises import (Snapshot, Trajectory, VMState,  # noqa: F401
+                       compute_F, from_von_mises, march_step,
                        solve_until_separation, to_von_mises, wall_shear)

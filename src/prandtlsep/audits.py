@@ -7,7 +7,7 @@ count and the worst margin, under discretization-aware tolerances
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class AuditReport:
     worst_margin: float
     violation_count: int
     samples: int
-    details: dict = field(default_factory=dict)
+    details: dict
 
     @property
     def passed(self) -> bool:

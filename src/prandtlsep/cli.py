@@ -68,10 +68,10 @@ class RunConfig:
     x0_pressure: float = 1.0
     perturbation_amplitude: float = 0.0
     lambda_stop_factor: float = 50.0
-    ds_rel: float = vm.MarchConfig.ds_rel
-    n_psi: int = vm.MarchConfig.n_psi
-    snapshots_per_decade: float = vm.MarchConfig.snapshots_per_decade
-    n_physical: int = pr.N_PHYSICAL
+    ds_rel: float = 0.016          # target step in s, relative: ds = ds_rel * s
+    n_psi: int = 2305
+    snapshots_per_decade: float = 8.0
+    n_physical: int = 3073
     n_rescaled: int = 641
     outdir: str = "run-output"
 
@@ -100,12 +100,6 @@ class RunConfig:
     @property
     def lambda_stop(self) -> float:
         return self.lambda0 / self.lambda_stop_factor
-
-    def march_config(self) -> vm.MarchConfig:
-        return vm.MarchConfig(
-            lambda_stop=self.lambda_stop, ds_rel=self.ds_rel, n_psi=self.n_psi,
-            snapshots_per_decade=self.snapshots_per_decade,
-        )
 
     def canonical_text(self) -> str:
         lines = []
@@ -298,7 +292,7 @@ def run_simulate(cfg: RunConfig) -> int:
     cfg.validate()
     data = pr.build_initial_data(cfg.lambda0, pr.default_physical_grid(cfg.n_physical),
                                  cfg.perturbation_amplitude, cfg.x0_pressure)
-    traj = vm.solve_until_separation(data, cfg.march_config())
+    traj = vm.solve_until_separation(data, cfg)
     _atomic_write(os.path.join(cfg.outdir, "trajectory.csv"), _csv_lines(
         list(_TRAJECTORY_CSV),
         [getattr(traj, field) for field, _ in _TRAJECTORY_CSV.values()]))
@@ -536,7 +530,7 @@ def load_trajectory(outdir: str) -> tuple:
         raise MissingArtifactError(f"{table_path}: {exc}") from exc
     # the k-th listed station's w is row 2k + 1, its pair's row 2k + 2
     w = table[1:]
-    states = [vm.VMState(x=float(x[row]), s=float(s[row]), psi_grid=grid,
+    states = [vm.VMState(x=float(x[row]), s=float(s[row]),
                          W=Field(grid, w_row), lam=float(lam[row]))
               for row, w_row in zip([row for station in stations
                                      for row in (station, station + 1)], w)]

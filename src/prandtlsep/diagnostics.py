@@ -11,7 +11,7 @@ so later slices are genuine checks rather than fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -186,7 +186,7 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
 def _rescaled_W(state: vm.VMState) -> Field:
     """The state in rescaled variables: W = w / lam**4 on phi / lam**3."""
     lam = state.lam
-    return Field(Grid(state.psi_grid.nodes / lam**3), state.W.values / lam**4)
+    return Field(Grid(state.W.grid.nodes / lam**3), state.W.values / lam**4)
 
 
 def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
@@ -259,7 +259,7 @@ class AuditSuite:
     A_minus: float
     A_plus: float
     C_minus: float
-    reports: List[au.AuditReport] = field(default_factory=list)
+    reports: List[au.AuditReport]
 
 
 def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:

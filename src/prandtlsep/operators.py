@@ -17,6 +17,7 @@ windowed fit projects it out.  All operators expect profiles in wall units
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -75,11 +76,10 @@ class OperatorContext:
 
     ``near_wall``: (c1, c2, c3, c4) with U = c1 Y + c2 Y**2 + c3 Y**3
     + c4 Y**4 near the wall; c1 must sit at 1 within ``slope_tol``.
+    ``U_Y`` and ``U_YY`` are differenced on first read, if at all.
     """
 
     U: Field
-    U_Y: Field
-    U_YY: Field
     near_wall: Tuple[float, float, float, float]
 
     @classmethod
@@ -97,7 +97,15 @@ class OperatorContext:
             raise InvalidProfileError(
                 f"wall slope {c[0]:.8f} outside 1 +/- {slope_tol:g}"
             )
-        return cls(U, diff(U, 1), diff(U, 2), tuple(float(x) for x in c))
+        return cls(U, tuple(float(x) for x in c))
+
+    @cached_property
+    def U_Y(self) -> Field:
+        return diff(self.U, 1)
+
+    @cached_property
+    def U_YY(self) -> Field:
+        return diff(self.U, 2)
 
     @property
     def grid(self):
@@ -152,20 +160,21 @@ def _wall_patched(y: np.ndarray, raw_tail: np.ndarray, series,
     return out
 
 
-def _patched_quotients(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit):
-    """(f/U**2, f/U) with the sub-window region replaced by the fit model."""
-    y, u, c = ctx.grid.nodes, ctx.U.values, ctx.near_wall  # c: the U/Y series
-    # coeffs is the f/Y**2 series; f/U = Y (f/Y**2)/(U/Y), one power up
-    g = _wall_patched(y, f[1:] / u[1:] ** 2, _series_div(coeffs, np.convolve(c, c), 5), fit)
-    h = _wall_patched(y, f[1:] / u[1:], [0.0] + _series_div(coeffs, c, 5), fit)
-    return g, h
+def _patched_over_u2(ctx: OperatorContext, f: np.ndarray, coeffs, fit: WallFit):
+    """f/U**2 spliced with its model from ``coeffs``, the f/Y**2 series."""
+    c = ctx.near_wall  # the U/Y series
+    return _wall_patched(ctx.grid.nodes, f[1:] / ctx.U.values[1:] ** 2,
+                         _series_div(coeffs, np.convolve(c, c), 5), fit)
 
 
 def op_Linv(ctx: OperatorContext, f: Field, fit: WallFit = DEFAULT_FIT,
             scale_hint: float = 0.0) -> Field:
     """Inverse of L_U:  U_Y int_0^Y f/U**2 + f/U, for f vanishing like Y**2."""
     coeffs = _fit_vanishing(ctx, f.values, fit, scale_hint=scale_hint)
-    g, h = _patched_quotients(ctx, f.values, coeffs, fit)
+    g = _patched_over_u2(ctx, f.values, coeffs, fit)
+    # f/U = Y (f/Y**2)/(U/Y): the f/Y**2 series over U/Y, one power up
+    h = _wall_patched(ctx.grid.nodes, f.values[1:] / ctx.U.values[1:],
+                      [0.0] + _series_div(coeffs, ctx.near_wall, 5), fit)
     integral = cumint(f.with_values(g)).values
     return f.with_values(ctx.U_Y.values * integral + h)
 
@@ -179,7 +188,7 @@ def op_diffusion(ctx: OperatorContext, fit: WallFit) -> Field:
 def op_commutator(ctx: OperatorContext, D: Field, w: Field, fit: WallFit) -> Field:
     """Commutator source: -(D int_0^Y w/U**2)_Y + 2 (U int_0^Y (w/U**3) D)_Y."""
     coeffs = _fit_vanishing(ctx, w.values, fit)
-    g, _ = _patched_quotients(ctx, w.values, coeffs, fit)
+    g = _patched_over_u2(ctx, w.values, coeffs, fit)
     i1 = cumint(w.with_values(g)).values
     term1 = -ctx.grid.apply_diff(D.values * i1, 1)
 

@@ -132,10 +132,6 @@ class InitialData:
         return self.u0.grid
 
 
-#: node count of the inflow grid, ``RunConfig.n_physical``'s default
-N_PHYSICAL = 3073
-
-
 def default_physical_grid(n: int) -> Grid:
     """Inflow grid of n nodes on [0, 3.2]; ``build_initial_data`` rescales
     its span."""

@@ -86,25 +86,12 @@ STARTUP_SWEEPS = 13
 WALL_FLOOR_CELLS = 12
 
 
-@dataclass(frozen=True)
-class MarchConfig:
-    lambda_stop: float = 1e-3
-    ds_rel: float = 0.016          # target step in s, relative: ds = ds_rel * s
-    n_psi: int = 2305
-    snapshots_per_decade: float = 8.0
-
-    def __post_init__(self):
-        if self.lambda_stop <= 0.0:
-            raise ValueError("lambda_stop must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class VMState:
-    """A streamfunction state at station x and slow time s."""
+    """A streamfunction state at station x and slow time s, on W's phi grid."""
 
     x: float
     s: float
-    psi_grid: Grid
     W: Field
     lam: float
 
@@ -330,16 +317,16 @@ def to_von_mises(u: Field, lam: float, s: float, n_psi: int) -> VMState:
     w = _u_at_streamfunction(y, u_vals, du, phi, grid.nodes) ** 2
     w[0] = 0.0
     w = np.maximum.accumulate(np.maximum(w, 0.0))  # clip cubic overshoots
-    return VMState(x=0.0, s=s, psi_grid=grid, W=Field(grid, w), lam=lam)
+    return VMState(x=0.0, s=s, W=Field(grid, w), lam=lam)
 
 
 def from_von_mises(state: VMState) -> Field:
     """Invert the streamfunction map: u(y) = sqrt(w) on y = int dphi/sqrt(w)."""
-    phi = state.psi_grid.nodes
-    w = _wall_restore(phi, state.W.values)
+    grid = state.W.grid
+    w = _wall_restore(grid.nodes, state.W.values)
     if np.any(w[1:] <= 0.0):
         raise InvalidStateError("w must be positive away from the wall")
-    y = _normal_coordinate(state.psi_grid, w)
+    y = _normal_coordinate(grid, w)
     if not np.all(np.diff(y) > 0.0):
         raise InvalidStateError("y(phi) = int dphi/sqrt(w) does not increase")
     return Field(Grid(y), np.sqrt(w))
@@ -619,7 +606,7 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
     is its local error estimate (see ``_bdf2_solve``).  A failed step's
     error carries ``work``, the {"solves", "halvings"} of its attempts.
     """
-    grid = state.psi_grid
+    grid = state.W.grid
     tmp = buffers[-1]
     w_old = state.W.values
     solves = halvings = 0
@@ -666,7 +653,7 @@ def march_step(state: VMState, dx: float, forcing: Callable, prev: tuple,
         exc.work = {"solves": solves + getattr(exc, "solves", 0), "halvings": halvings}
         raise
     ds = slow_time_increment(x - state.x, state.lam, lam)
-    return (VMState(x, state.s + ds, grid, W, lam), w_max, solves, halvings,
+    return (VMState(x, state.s + ds, W, lam), w_max, solves, halvings,
             converged, step_error)
 
 
@@ -697,21 +684,22 @@ class Trajectory:
     step_error: np.ndarray
     snapshots: List[Snapshot]
     psi_grid: Grid             # the one phi grid of every marched state
-    failure: str = ""
+    failure: str               # empty on a completed run
     # {"solves", "halvings"} of the attempts of the step that ended a run
     # that stopped early; None on a completed run
-    failed_step: Optional[dict] = None
+    failed_step: Optional[dict]
 
     @property
     def completed(self) -> bool:
         return not self.failure
 
 
-def solve_until_separation(data, cfg: MarchConfig,
-                           forcing=adverse_outer_flow) -> Trajectory:
+def solve_until_separation(data, cfg, forcing=adverse_outer_flow) -> Trajectory:
     """March under ``forcing`` from inflow data until lambda hits lambda_stop.
 
-    ``data`` is an InitialData (physical profile).  The tangential step
+    ``data`` is an InitialData (physical profile) and ``cfg`` the run's
+    ``cli.RunConfig``, of which the march reads ``lambda_stop``, ``ds_rel``,
+    ``n_psi`` and ``snapshots_per_decade``.  The tangential step
     follows dx = cfl * lam**4 * (ds_rel * s), mirroring the slow-variable
     clock, and the full streamfunction state is snapshotted on a uniform
     schedule in log(lam), together with the state one step later (used by
@@ -719,12 +707,14 @@ def solve_until_separation(data, cfg: MarchConfig,
     ds_rel / 2, so the commutator check's ds/s, and with it its tolerance,
     is that of a march at half the step.
     """
+    if cfg.lambda_stop <= 0.0:
+        raise ValueError("lambda_stop must be positive")
     state = to_von_mises(data.u0, float(data.lambda0), data.s0, n_psi=cfg.n_psi)
     rows = []       # a station's Trajectory columns, x to step_error, in order
     snapshots: List[Snapshot] = []
     decade_step = 10.0 ** (-1.0 / cfg.snapshots_per_decade)
     failure, failed_step = "", None
-    buffers = _march_buffers(len(state.psi_grid))
+    buffers = _march_buffers(len(state.W))
 
     def record(st: VMState, w_max: float, solves: int, halvings: int,
                converged: bool, step_error: float) -> None:
@@ -772,5 +762,5 @@ def solve_until_separation(data, cfg: MarchConfig,
 
     # a snapshot still pending here never got its pair and is not kept
     return Trajectory(*map(np.array, zip(*rows)), snapshots=snapshots,
-                      psi_grid=state.psi_grid, failure=failure,
+                      psi_grid=state.W.grid, failure=failure,
                       failed_step=failed_step)

@@ -44,7 +44,7 @@ def first_pair_row(n_psi: int) -> dict:
     cfg = RunConfig(n_psi=n_psi)
     data = pr.build_initial_data(cfg.lambda0, pr.default_physical_grid(cfg.n_physical),
                                  cfg.perturbation_amplitude, cfg.x0_pressure)
-    traj = vm.solve_until_separation(data, cfg.march_config())
+    traj = vm.solve_until_separation(data, cfg)
     snap = traj.snapshots[1]
     b_arr = md.compute_b(traj.x, traj.lam)
     b = float(b_arr[snap.station])

@@ -30,6 +30,7 @@ import numpy as np
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import vonmises as vm
+from prandtlsep.cli import RunConfig
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
 
 #: the manufactured inflow's wall shear and the span in phi of the real
@@ -75,7 +76,7 @@ def manufactured_collapse(state: vm.VMState, dx: float) -> tuple:
     """The forcing of the manufactured collapse: q = 1 + y**2/4 on every
     node and the exact w at the far node, both at the new station."""
     x = state.x + dx
-    y = normal_coordinate(x, state.psi_grid.nodes)
+    y = normal_coordinate(x, state.W.grid.nodes)
     return 1.0 + 0.25 * y * y, exact_u(x, y[-1]) ** 2
 
 
@@ -99,7 +100,7 @@ def collapse_errors(n_psi: int, s_probe: float = 720.0,
     of the energy chain's first stage) at the snapshot nearest ``s_probe``,
     rescaled as ``audit`` rescales it, with that snapshot's s.
     """
-    cfg = vm.MarchConfig(lambda_stop=LAMBDA0 / 50.0, n_psi=n_psi)
+    cfg = RunConfig(lambda0=LAMBDA0, n_psi=n_psi)
     traj = vm.solve_until_separation(manufactured_inflow(), cfg,
                                      manufactured_collapse)
     assert traj.completed, traj.failure

@@ -44,7 +44,7 @@ def uniform_grid(n: int, x_max: float) -> Grid:
 
 def inflow_grid() -> Grid:
     """The inflow grid that ``simulate`` builds at the default ``n_physical``."""
-    return pr.default_physical_grid(pr.N_PHYSICAL)
+    return pr.default_physical_grid(cli.RunConfig.n_physical)
 
 
 def inflow_data(lambda0: float, grid: Grid = None, **overrides):
@@ -246,7 +246,7 @@ def f_roundoff_floor(state) -> np.ndarray:
     closed form: the second difference's weights sum to 4/(hm hp) in
     magnitude."""
     w = state.W.values
-    phi = state.psi_grid.nodes
+    phi = state.W.grid.nodes
     eps_w = 8.0 * np.finfo(float).eps * float(np.max(w))
     out = np.full_like(w, np.inf)
     hm = phi[1:-1] - phi[:-2]
@@ -284,7 +284,7 @@ def resolvent_solve(grid, rhs, coeff, tau: float, far_value: float) -> np.ndarra
 
 def wall_shear_full_y(state) -> float:
     """``vonmises.wall_shear`` with y(phi) integrated over the whole grid."""
-    grid = state.psi_grid
+    grid = state.W.grid
     phi = grid.nodes
     w = vm._wall_restore(phi, state.W.values)
     guess = float(state.lam)

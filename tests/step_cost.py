@@ -86,7 +86,7 @@ def step_calls(n_psi: int, steps: int) -> list:
     max_steps = vm.MAX_STEPS
     vm.march_step, vm.MAX_STEPS = counted, steps
     try:
-        vm.solve_until_separation(data, cfg.march_config())
+        vm.solve_until_separation(data, cfg)
     finally:
         vm.march_step, vm.MAX_STEPS = step, max_steps
     return counts[1:]

@@ -10,6 +10,7 @@ nodes as the shear collapses) and the resolution table are in CHANGES.md.
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ def conclude(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def main_run():
     data = inflow_data(0.05)
-    cfg = vm.MarchConfig(lambda_stop=0.05 / 50.0)
+    cfg = cli.RunConfig()
     t0 = time.time()
     traj = vm.solve_until_separation(data, cfg)
     elapsed = time.time() - t0
@@ -52,7 +53,7 @@ def main_run():
 @pytest.fixture(scope="module")
 def small_run():
     data = inflow_data(0.025)
-    cfg = vm.MarchConfig(lambda_stop=0.025 / 50.0)
+    cfg = cli.RunConfig(lambda0=0.025)
     traj = vm.solve_until_separation(data, cfg)
     assert traj.completed
     return data, cfg, traj
@@ -270,8 +271,7 @@ def test_criterion_7_trace_identity(main_run, main_frames):
     # refinement leg only meaningful once samples resolve at all
     data, cfg, _, _ = main_run
     refined = vm.solve_until_separation(
-        data, vm.MarchConfig(lambda_stop=cfg.lambda_stop,
-                             ds_rel=cfg.ds_rel / 2.0, n_psi=3457))
+        data, replace(cfg, ds_rel=cfg.ds_rel / 2.0, n_psi=3457))
     frames_ref = dg.build_frames(refined, cli.RunConfig().n_rescaled)
     rep_ref = [fr.report for fr in frames_ref
                if fr.report is not None and fr.report.resolved_flag]
@@ -346,8 +346,8 @@ def test_criterion_11_global_solution_control(monkeypatch):
     data = inflow_data(0.05)
     monkeypatch.setattr(vm, "DX_MAX", 5e-4)
     monkeypatch.setattr(vm, "MAX_STEPS", 400)
-    traj = vm.solve_until_separation(data, vm.MarchConfig(lambda_stop=1e-6),
-                                     flat_outer_flow)
+    traj = vm.solve_until_separation(
+        data, cli.RunConfig(lambda_stop_factor=5e4), flat_outer_flow)
     horizon = traj.x[-1]
     lam_min = float(traj.lam.min())
     ok = lam_min >= 0.5 * data.lambda0 and horizon > 20.0 * 0.05**2

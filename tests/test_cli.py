@@ -75,11 +75,6 @@ class TestConfig:
         # sample unresolved
         cli.RunConfig(n_rescaled=126).validate()
 
-    def test_default_run_marches_the_library_default(self):
-        # the acceptance tests judge the library's default march, which
-        # simulate must be the one to run
-        assert cli.RunConfig().march_config() == cli.vm.MarchConfig()
-
     def test_round_trip_through_file(self, tmp_path):
         cfg = cli.RunConfig(lambda0=0.04, n_psi=1537, ds_rel=0.01)
         path = tmp_path / "run.cfg"
@@ -1097,7 +1092,7 @@ class TestSimulateAndAudit:
             assert got.station == want.station
             for a, b in ((got.state, want.state), (got.pair_state, want.pair_state)):
                 # one Grid shared by every loaded state, as in the march
-                assert a.psi_grid is traj.psi_grid
+                assert a.W.grid is traj.psi_grid
                 # w is a row of the one loaded table, next to phi, not a
                 # copy of it
                 assert a.W.values.base is traj.psi_grid.nodes.base is not None

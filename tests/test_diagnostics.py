@@ -10,6 +10,7 @@ from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
 from prandtlsep import vonmises as vm
+from prandtlsep.cli import RunConfig
 from prandtlsep.errors import SingularInputError
 from prandtlsep.gridfields import Field, spline_interpolant
 from prandtlsep.operators import OperatorContext
@@ -18,8 +19,7 @@ from prandtlsep.operators import OperatorContext
 @pytest.fixture(scope="module")
 def short_traj():
     data = inflow_data(0.05)
-    cfg = vm.MarchConfig(lambda_stop=0.05 / 8.0)
-    traj = vm.solve_until_separation(data, cfg)
+    traj = vm.solve_until_separation(data, RunConfig(lambda_stop_factor=8.0))
     assert traj.completed
     return traj
 
@@ -171,7 +171,7 @@ class TestRepresentationRoundTrip:
         lam = s**-0.5
         g = inflow_grid()
         u = Field(g, lam**2 * pr.eval_uapp(s, 1.0 / s, g.nodes / lam))
-        state = vm.to_von_mises(u, lam, s, n_psi=vm.MarchConfig.n_psi)
+        state = vm.to_von_mises(u, lam, s, n_psi=RunConfig.n_psi)
         u_at = spline_interpolant(vm.from_von_mises(state))
         grid = md.standard_rescaled_grid(s, 641, reach=u_at.span / lam)
         ctx = dg.rescale_snapshot_profile(u_at, lam, grid)
@@ -259,7 +259,7 @@ class TestSplineOracle:
         lam = s**-0.5
         g = inflow_grid()
         u = Field(g, lam**2 * pr.eval_uapp(s, 1.0 / s, g.nodes / lam))
-        state = vm.to_von_mises(u, lam, s, n_psi=vm.MarchConfig.n_psi)
+        state = vm.to_von_mises(u, lam, s, n_psi=RunConfig.n_psi)
         self._assert_scipys(vm.from_von_mises(state), lam, s)
 
 

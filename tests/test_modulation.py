@@ -8,6 +8,7 @@ from reference import fit_singularity_lm, inflow_data
 
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
+from prandtlsep.cli import RunConfig
 from prandtlsep.errors import (DomainError, FitFailureError,
                                InconsistentLambdaError, InvalidProfileError)
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
@@ -146,7 +147,7 @@ class TestCollapseFit:
     def test_default_window_matches_the_levenberg_marquardt_fit(self):
         from prandtlsep import vonmises as vm
 
-        cfg = vm.MarchConfig()
+        cfg = RunConfig()
         traj = vm.solve_until_separation(inflow_data(0.05), cfg)
         win = md.fit_window(traj.lam, cfg.lambda_stop)
         fit = md.fit_singularity(traj.x[win], traj.lam[win])
@@ -196,7 +197,7 @@ class TestFitWindow:
         ends = []
         for ds_rel in (0.008, 0.016):
             traj = vm.solve_until_separation(
-                data, vm.MarchConfig(lambda_stop=5e-3, ds_rel=ds_rel, n_psi=577))
+                data, RunConfig(lambda_stop_factor=10.0, ds_rel=ds_rel, n_psi=577))
             win = md.fit_window(traj.lam, 5e-3)
             assert traj.lam[win.stop] <= lam_end < traj.lam[win.stop - 1]
             ends.append(traj.lam[win.stop - 1])

@@ -13,6 +13,7 @@ from prandtlsep import gridfields as gf
 from prandtlsep import modulation as md
 from prandtlsep import operators as ops
 from prandtlsep import vonmises as vm
+from prandtlsep.cli import RunConfig
 from prandtlsep.errors import (InvalidProfileError, InvalidStateError,
                               StepFailureError)
 from prandtlsep.gridfields import Field, Grid, spline_interpolant
@@ -26,8 +27,8 @@ def w_max(state) -> float:
 def shear(state) -> float:
     """``vm.wall_shear`` of a state, on its w with the wall law restored
     and its window centred on the state's own shear."""
-    w = vm._wall_restore(state.psi_grid.nodes, state.W.values)
-    return vm.wall_shear(state.psi_grid, w, state.lam)
+    w = vm._wall_restore(state.W.grid.nodes, state.W.values)
+    return vm.wall_shear(state.W.grid, w, state.lam)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ def data05():
 
 @pytest.fixture(scope="module")
 def short_traj(data05):
-    cfg = vm.MarchConfig(lambda_stop=0.03)
-    return vm.solve_until_separation(data05, cfg)
+    # lambda_stop 0.05 / (5/3) = 0.03
+    return vm.solve_until_separation(data05, RunConfig(lambda_stop_factor=5.0 / 3.0))
 
 
 class TestTransforms:
@@ -46,14 +47,14 @@ class TestTransforms:
         # u = y: phi = y^2/2, w = y^2 = 2 phi
         g = uniform_grid(1025, 2.0)
         state = vm.to_von_mises(Field(g, g.nodes), 1.0, 1.0, n_psi=1153)
-        phi = state.psi_grid.nodes
+        phi = state.W.grid.nodes
         assert np.max(np.abs(state.W.values - 2.0 * phi)) < 1e-7
 
     def test_quadratic_profile(self):
         # u = y^2/2: phi = y^3/6, w = (6 phi)^(4/3)/4 exactly
         g = Grid.power_clustered(2049, 2.0, 2.0)
         state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, n_psi=1153)
-        phi = state.psi_grid.nodes[1:]
+        phi = state.W.grid.nodes[1:]
         expected = (6.0 * phi) ** (4.0 / 3.0) / 4.0
         rel = np.abs(state.W.values[1:] - expected) / expected
         assert np.max(rel[phi > 1e-9]) < 1e-3    # 4/3-power cusp at the wall
@@ -86,8 +87,7 @@ class TestTransforms:
         for _ in range(60):   # Newton from above: monotone convergence
             Y_exact = Y_exact - (phi_of(Y_exact) - phi) / np.maximum(
                 u_of(Y_exact), 1e-300)
-        state = vm.VMState(x=0.0, s=s, psi_grid=psi,
-                           W=Field(psi, u_of(Y_exact)**2), lam=1.0)
+        state = vm.VMState(x=0.0, s=s, W=Field(psi, u_of(Y_exact)**2), lam=1.0)
         u = vm.from_von_mises(state)
         rel = np.abs(u.grid.nodes[1:] - Y_exact[1:]) / Y_exact[1:]
         assert np.max(rel) < 5e-9
@@ -108,7 +108,7 @@ class TestTransforms:
         w = state.W.values.copy()
         w[1] = 1e-300
         with pytest.raises(InvalidStateError, match="does not increase"):
-            vm.from_von_mises(replace(state, W=Field(state.psi_grid, w)))
+            vm.from_von_mises(replace(state, W=Field(state.W.grid, w)))
 
     def test_monotonicity_required(self):
         g = uniform_grid(256, 2.0)
@@ -157,7 +157,7 @@ class TestWallShearWindow:
         # a y_cap past every wall estimate 2 phi_k/sqrt(w_k): no prefix is
         # tried, the whole grid is used
         st = short_traj.snapshots[-1].state
-        phi = st.psi_grid.nodes
+        phi = st.W.grid.nodes
         w = vm._wall_restore(phi, st.W.values)
         guess = self._guess_at(st, 1.01 * np.max(2.0 * phi[1:] / np.sqrt(w[1:])))
         prefixes = self._spy_prefixes(monkeypatch)
@@ -170,8 +170,8 @@ class TestWallShearWindow:
         # ahead of y, so a y_cap near the grid's end gets a prefix that
         # ends before it: that prefix is dropped for the whole grid
         st = short_traj.snapshots[-1].state
-        w = vm._wall_restore(st.psi_grid.nodes, st.W.values)
-        y_end = vm._normal_coordinate(st.psi_grid, w)[-1]
+        w = vm._wall_restore(st.W.grid.nodes, st.W.values)
+        y_end = vm._normal_coordinate(st.W.grid, w)[-1]
         guess = self._guess_at(st, 0.95 * y_end)
         prefixes = self._spy_prefixes(monkeypatch)
         assert shear(guess) == reference.wall_shear_full_y(guess)
@@ -184,7 +184,7 @@ class TestWallShearWindow:
         # Every station past the inflow, whose shear is lambda0, is estimated
         calls = self._spy_prefixes(monkeypatch)
         monkeypatch.setattr(vm, "MAX_STEPS", 200)
-        traj = vm.solve_until_separation(inflow_data(0.05), vm.MarchConfig())
+        traj = vm.solve_until_separation(inflow_data(0.05), RunConfig())
         assert len(calls) >= len(traj.x) - 1 and None not in calls
         assert max(calls) < 0.2 * len(traj.psi_grid)
 
@@ -248,8 +248,7 @@ class TestGridCaches:
         grid = vm.default_psi_grid(3.0, 2305)
         builds = self._builds(monkeypatch, vm, "_d2_gain")
         phi = grid.nodes
-        state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
-                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
+        state = vm.VMState(x=0.0, s=1.0, W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
         first = vm.compute_F(state.W, w_max(state))[1]
         vm.trusted_F_mask(first)
         assert same_bits(vm.compute_F(state.W, w_max(state))[1], first)
@@ -285,8 +284,7 @@ class TestGridCaches:
         assert close(lag, reference.gauss_interpolation_weights(
             t, stencils[:, 0], pts))
         assert close(wall, reference.wall_extrapolation_weights(t))
-        state = vm.VMState(x=0.0, s=1.0, psi_grid=grid,
-                           W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
+        state = vm.VMState(x=0.0, s=1.0, W=Field(grid, 2.0 * phi + phi**1.5), lam=1.0)
         got = vm.compute_F(state.W, w_max(state))[1][:-1]
         ref = reference.f_roundoff_floor(state)[:-1]
         assert np.all(np.abs(got - ref) <= 1e-15 * ref)
@@ -313,7 +311,7 @@ class TestTridiagonalSolve:
 
         monkeypatch.setattr(vm, "solve_banded", keep)
         monkeypatch.setattr(vm, "MAX_STEPS", 3)
-        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=n_psi))
+        vm.solve_until_separation(data05, RunConfig(n_psi=n_psi))
         assert len(systems) > 6
         for ab, rhs in systems:
             assert len(rhs) == n_psi
@@ -334,7 +332,7 @@ class TestTridiagonalSolve:
 
         monkeypatch.setattr(vm, "_resolvent_solve", keep)
         monkeypatch.setattr(vm, "MAX_STEPS", 3)
-        vm.solve_until_separation(data05, vm.MarchConfig())
+        vm.solve_until_separation(data05, RunConfig())
         assert len(solves) > 6
         for grid, rhs, coeff, tau, far_value, out in solves:
             assert same_bits(out, reference.resolvent_solve(grid, rhs, coeff,
@@ -391,7 +389,7 @@ class TestDiffusionBalance:
         state = vm.to_von_mises(Field(g, g.nodes**2 / 2), 0.0, 1.0, n_psi=1153)
         F, floor = vm.compute_F(state.W, w_max(state))
         trusted = vm.trusted_F_mask(floor)
-        inner = trusted & (state.psi_grid.nodes < 2.0)
+        inner = trusted & (state.W.grid.nodes < 2.0)
         assert np.max(np.abs(F[inner])) < 2e-3
 
     def test_wall_value_is_zero(self, data05):
@@ -419,8 +417,8 @@ class TestMarch:
         F, floor = vm.compute_F(state.W, w_max(state))
         trusted = vm.trusted_F_mask(floor)
         dw_rate = (new.W.values - state.W.values) / dx
-        sel = trusted & (state.psi_grid.nodes > 1e-3) \
-            & (state.psi_grid.nodes < 0.9 * state.psi_grid.span)
+        sel = trusted & (state.W.grid.nodes > 1e-3) \
+            & (state.W.grid.nodes < 0.9 * state.W.grid.span)
         err = np.abs(dw_rate[sel] - F[sel])
         assert np.max(err) / np.max(np.abs(F[sel])) < 0.05
 
@@ -438,7 +436,7 @@ class TestMarch:
         trapezoid = 0.5 * (1.0 + (traj.lam[:-1] / traj.lam[1:]) ** 4)
         np.testing.assert_allclose(
             ds_over_s / trapezoid,
-            vm.CFL_SAFETY * vm.MarchConfig().ds_rel * np.where(half, 0.5, 1.0),
+            vm.CFL_SAFETY * RunConfig.ds_rel * np.where(half, 0.5, 1.0),
             rtol=1e-12)
         late = pairs[pairs > 0]
         np.testing.assert_allclose(ds_over_s[late] / ds_over_s[late - 1], 0.5,
@@ -511,7 +509,7 @@ class TestMarch:
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
         monkeypatch.setattr(vm, "MAX_STEPS", 20)
-        vm.solve_until_separation(data05, vm.MarchConfig())
+        vm.solve_until_separation(data05, RunConfig())
         assert len(gaps) == 20
         assert max(gaps) <= 1e-11
         assert sweeps[0][0] == sweeps[0][1]          # the start-up step
@@ -538,7 +536,7 @@ class TestMarch:
 
         monkeypatch.setattr(vm, "_bdf2_solve", bumped)
         monkeypatch.setattr(vm, "MAX_STEPS", 6)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig())
+        traj = vm.solve_until_separation(data05, RunConfig())
         assert len(traj.x) == 7 and len(sweeps) == 7
         assert traj.solves.tolist() == [0] + sweeps[:3] + [sweeps[3] + sweeps[4]] \
             + sweeps[5:]
@@ -574,9 +572,9 @@ class TestMarch:
         w = new.W.values
         assert (w[1:4] == 0.0).all() and w[4] > 0.0
         (read,) = reads
-        restored = vm._wall_restore(state.psi_grid.nodes, w)
+        restored = vm._wall_restore(state.W.grid.nodes, w)
         assert same_bits(read, restored) and not same_bits(read, w)
-        assert new.lam == shear_of(state.psi_grid, restored, state.lam)
+        assert new.lam == shear_of(state.W.grid, restored, state.lam)
 
     def test_bdf2_solve_equals_plain_expressions_bit_for_bit(self, data05,
                                                               monkeypatch):
@@ -596,7 +594,7 @@ class TestMarch:
 
         monkeypatch.setattr(vm, "_bdf2_solve", both)
         monkeypatch.setattr(vm, "MAX_STEPS", 90)
-        vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
+        vm.solve_until_separation(data05, RunConfig(n_psi=1153))
         assert [n for n, *_ in results] == [0, 1] + [2] * 88
         sweeps = {out[1] for n, out, _ in results if n == 2}
         assert 1 in sweeps and max(sweeps) > 1
@@ -625,7 +623,7 @@ class TestMarch:
         monkeypatch.setattr(vm, "_march_buffers", spy_allocate)
         monkeypatch.setattr(vm, "march_step", spy_step)
         monkeypatch.setattr(vm, "MAX_STEPS", 30)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
+        traj = vm.solve_until_separation(data05, RunConfig(n_psi=1153))
         assert len(allocations) == 1 and len(steps) == 30
         assert len(traj.psi_grid) == 1153
         work = allocations[0]
@@ -666,13 +664,12 @@ class TestMarch:
 
         monkeypatch.setattr(vm, "compute_F", spy)
         monkeypatch.setattr(vm, "MAX_STEPS", 30)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig(n_psi=1153))
+        traj = vm.solve_until_separation(data05, RunConfig(n_psi=1153))
         marched = passes[:]
         assert len(marched) == len(traj.x) == 31
         for row, (W, handed_on) in enumerate(marched):
             assert same_bits(handed_on, W.values.max())
-            state = vm.VMState(x=traj.x[row], s=traj.s[row], psi_grid=W.grid,
-                               W=W, lam=traj.lam[row])
+            state = vm.VMState(x=traj.x[row], s=traj.s[row], W=W, lam=traj.lam[row])
             assert same_bits(traj.F_max[row], self._audit_F_max(state))
 
     def test_monotonicity_preserved(self, short_traj):
@@ -701,7 +698,7 @@ class TestMarch:
             for state, row in ((snap.state, i), (snap.pair_state, i + 1)):
                 assert (state.x, state.s, state.lam) == (
                     short_traj.x[row], short_traj.s[row], short_traj.lam[row])
-            assert snap.state.psi_grid is snap.pair_state.psi_grid \
+            assert snap.state.W.grid is snap.pair_state.W.grid \
                 is short_traj.psi_grid
 
     def test_far_field_consistency(self, short_traj):
@@ -725,7 +722,7 @@ class TestZeroSource:
     def test_flat_outer_flow_does_not_separate(self, data05, monkeypatch):
         monkeypatch.setattr(vm, "DX_MAX", 5e-4)
         monkeypatch.setattr(vm, "MAX_STEPS", 300)
-        traj = vm.solve_until_separation(data05, vm.MarchConfig(lambda_stop=1e-6),
+        traj = vm.solve_until_separation(data05, RunConfig(lambda_stop_factor=5e4),
                                          flat_outer_flow)
         assert traj.lam.min() >= 0.5 * data05.lambda0
         assert traj.lam[-1] >= traj.lam[0]
@@ -742,10 +739,10 @@ class TestZeroSource:
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, data05):
         assert vm.DX_MIN < vm.DX_MAX
         with pytest.raises(ValueError):
-            vm.MarchConfig(lambda_stop=0.0)
+            vm.solve_until_separation(data05, RunConfig(lambda0=0.0))
 
 
 class TestManufacturedCollapse:
@@ -768,9 +765,8 @@ class TestRefinement:
         # overall order >= 1 in the (dx, h) pair
         histories = []
         for factor in (1.0, 2.0, 4.0):
-            cfg = vm.MarchConfig(lambda_stop=0.05 / 8.0,
-                                 ds_rel=0.016 / factor,
-                                 n_psi=int(1152 * np.sqrt(factor)) + 1)
+            cfg = RunConfig(lambda_stop_factor=8.0, ds_rel=0.016 / factor,
+                            n_psi=int(1152 * np.sqrt(factor)) + 1)
             traj = vm.solve_until_separation(data05, cfg)
             histories.append((traj.x, traj.lam))
         x_probe = np.linspace(0.2, 0.8, 7) * min(h[0][-1] for h in histories)

@@ -23,7 +23,6 @@ import numpy as np
 from prandtlsep import diagnostics as dg
 from prandtlsep import modulation as md
 from prandtlsep import profiles as pr
-from prandtlsep import vonmises as vm
 from prandtlsep.cli import RunConfig
 from prandtlsep.gridfields import Field
 from prandtlsep.operators import OperatorContext
@@ -40,7 +39,7 @@ DELTA = 1e-5
 def uapp_pair_gap(s1: float, b_factor: float = 1.0, delta: float = 0.0) -> dict:
     """``commutator_gap`` on the U_app pair from s1, both profiles plus
     ``delta`` Y**2 exp(-Y), checked with b = ``b_factor`` / s_mid."""
-    s2 = (1.0 + 0.5 * vm.MarchConfig.ds_rel) * s1
+    s2 = (1.0 + 0.5 * RunConfig.ds_rel) * s1
     s_mid = 0.5 * (s1 + s2)
     grid = md.standard_rescaled_grid(s_mid, RunConfig.n_rescaled, reach=np.inf)
     Y = grid.nodes
