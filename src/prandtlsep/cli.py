@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, List, Optional
 
@@ -588,8 +590,8 @@ def run_audit(outdir: str) -> int:
                "type": type(fr.failure).__name__}
               for fr in frames if fr.failure is not None]
     suite = dg.run_audit_suite(frames)
-    calibration = asdict(suite)
-    reports = calibration.pop("reports")
+    calibration = {k: v for k, v in vars(suite).items() if k != "reports"}
+    reports = [vars(r) for r in suite.reports]
     commutator = [fr.commutator for fr in frames if fr.commutator is not None]
     payload = {
         "calibration": calibration,
@@ -627,17 +629,21 @@ def run_audit(outdir: str) -> int:
 
 
 def _sweep_worker(cfg: RunConfig) -> dict:
-    """One member's ``simulate``: its exit code and fit report.  A package
-    error but ConfigError exits 2, as ``simulate`` alone would, and leaves
-    the other members running."""
+    """One member's ``simulate``: its exit code, its captured stdout and its
+    fit report.  A package error but ConfigError exits 2, as ``simulate``
+    alone would, and leaves the other members running."""
     entry = {"lambda0": cfg.lambda0}
+    out = io.StringIO()
     try:
-        entry["exit"] = run_simulate(cfg)
+        with redirect_stdout(out):
+            entry["exit"] = run_simulate(cfg)
     except ConfigError:
         raise
     except PrandtlSepError as exc:
         entry.update(exit=EXIT_SOLVER, error=f"solver error: {exc}")
         return entry
+    finally:
+        entry["stdout"] = out.getvalue()
     fit_path = os.path.join(cfg.outdir, "fit_report.json")
     if os.path.exists(fit_path):
         with open(fit_path) as fh:
@@ -668,6 +674,8 @@ def run_sweep(lambda0_list: List[float], cfg: RunConfig) -> int:
     members = _sweep_members(lambda0_list, cfg)
     with ProcessPoolExecutor(max_workers=min(len(members), os.cpu_count() or 2)) as ex:
         results = list(ex.map(_sweep_worker, members))
+    # the members' own lines in member order, whichever finished first
+    print("".join(entry["stdout"] for entry in results), end="")
     rows = []
     for entry in results:
         if "error" in entry:

@@ -35,7 +35,8 @@ from .operators import (CHAIN_FITS, DEFAULT_FIT, OperatorContext, op_Linv,
 SLOPE_RTOL = 2.5e-2
 
 #: the resolved flag recomputes E0, E1, E2 up to the first that moves, and
-#: no D_k or trace, on n // 2 + 1 of n wall-unit nodes: MIN_NODES at least
+#: no D_k or trace, on every other node of the frame's n wall-unit nodes,
+#: n // 2 + 1 of them: MIN_NODES at least
 MIN_RESCALED_NODES = 2 * (MIN_NODES - 1)
 
 
@@ -105,18 +106,22 @@ def _wall_unit_corrector(u_at: Callable, state: vm.VMState, b: float,
     return ctx, en.compute_V(ctx.U, state.s, b)
 
 
-def energies_resolved(report: en.EnergyReport, u_at: Callable,
-                      state: vm.VMState, b: float, n_grid: int) -> bool:
-    """Whether E0, E1 and E2 of ``report``, taken on ``n_grid`` wall-unit
-    nodes, each hold within 10% on n_grid // 2 + 1 nodes, compared in that
-    order one chain stage at a time: the first energy that moves ends the
-    check, which reads no D_k or trace.  A package error means unresolved."""
+def energies_resolved(report: en.EnergyReport, ctx: OperatorContext,
+                      V: Field, s: float) -> bool:
+    """Whether E0, E1 and E2 of ``report``, taken on the wall-unit context
+    ``ctx`` with corrector ``V``, each hold within 10% on every other node
+    of ctx's n-node grid (``md.subsampled_rescaled_grid``: n // 2 + 1
+    nodes), compared in that order one chain stage at a time: the first
+    energy that moves ends the check, which reads no D_k or trace.  The
+    subsampled profile is not rescaled again.  A package error, the
+    subsampled profile's wall-slope check included, means unresolved."""
     try:
-        ctx, V = _wall_unit_corrector(u_at, state, b, n_grid // 2 + 1)
+        grid, idx = md.subsampled_rescaled_grid(ctx.grid)
+        coarse = OperatorContext.from_profile(Field(grid, ctx.U.values[idx]))
+        chain = en.energy_chain(coarse, Field(grid, V.values[idx]), s)
         return not any(
             a > 0 and abs(a - c) > 0.10 * max(a, c)
-            for a, (c, *_) in zip((report.E0, report.E1, report.E2),
-                                  en.energy_chain(ctx, V, state.s)))
+            for a, (c, *_) in zip((report.E0, report.E1, report.E2), chain))
     except PrandtlSepError:
         return False
 
@@ -137,9 +142,10 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
     """The frame of the snapshot at position ``index``: its energies, its
     max-principle report and, with ``pair``, its commutator check.
 
-    The state is inverted and splined once, for the report, the E_k of
-    ``energies_resolved`` and the commutator; the spline and the contexts
-    go when this returns.  An empty ``frozen`` is filled with the
+    The state is inverted, splined and rescaled once, for the report and
+    the E_k of ``energies_resolved``, which subsample that rescale; the
+    commutator reads the same spline.  The spline and the contexts go
+    when this returns.  An empty ``frozen`` is filled with the
     curvature calibration measured here, and the frame records it.
     """
     state = snap.state
@@ -152,7 +158,7 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
         try:   # no report where the operator chain is singular
             report = en.energy_report(ctx, V, s, b, bs)
             report = replace(report, resolved_flag=energies_resolved(
-                report, u_at, state, b, n_grid))
+                report, ctx, V, s))
         except SingularInputError:
             report = None
     except PrandtlSepError as exc:
@@ -205,10 +211,11 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
 
     A snapshot that raises a package error on the way, such as a
     wall-fitted shear that misses the tracked one, keeps a frame that
-    records the error.  The resolved flag recomputes E0, E1 and E2 at half
-    resolution up to the first that moves more than 10%, and no D_k or
-    trace; samples that move, or whose half-resolution chain fails, are
-    flagged and excluded from acceptance-style gates.
+    records the error.  The resolved flag recomputes E0, E1 and E2 on
+    every other node of the frame's own wall-unit profile, up to the first
+    that moves more than 10%, and no D_k or trace; samples that move, or
+    whose subsampled chain fails, are flagged and excluded from
+    acceptance-style gates.
     """
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)

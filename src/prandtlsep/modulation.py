@@ -38,6 +38,24 @@ def standard_rescaled_grid(s: float, n: int, reach: float) -> Grid:
     return _unit_rescaled_grid(n).scaled(min(8.0 * s ** (2.0 / 7.0), reach))
 
 
+# nodes 0, 2, 4, .. and the last of the unit grid of n nodes, as a grid of
+# their own with its own stencil set, and their positions, kept for the process
+@lru_cache(maxsize=8)
+def _unit_subsampled_grid(n: int) -> tuple:
+    idx = np.append(np.arange(0, n - 1, 2), n - 1)
+    idx.flags.writeable = False
+    return Grid(_unit_rescaled_grid(n).nodes[idx]), idx
+
+
+def subsampled_rescaled_grid(grid: Grid) -> tuple:
+    """(coarse, idx): every other node of the standard rescaled ``grid`` of
+    n nodes, 0, 2, 4, .. and the last, n // 2 + 1 of them, with coarse.nodes
+    equal to grid.nodes[idx].  Every such grid of a given n is one unit grid
+    scaled, whose stencils it shares."""
+    coarse, idx = _unit_subsampled_grid(len(grid))
+    return coarse.scaled(grid.span), idx
+
+
 def local_slope(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Least-squares slope of f(x) over a centered 5-sample window per sample."""
     window = 5

@@ -842,28 +842,34 @@ class TestSimulateAndAudit:
 
     def test_snapshot_that_fails_to_rescale_is_listed(self, finished_run, tmp_path,
                                                       monkeypatch, capsys):
-        # snapshot 2 fails to rescale at full resolution, snapshot 3 only at
-        # half resolution: the first is listed and left out, the second is
+        # snapshot 2 fails to rescale, snapshot 3's energy chain only on
+        # every other node: the first is listed and left out, the second is
         # audited with its energies flagged unresolved
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         cfg, traj = cli.load_trajectory(str(rundir))
         n = len(traj.snapshots)
-        planted = {(traj.snapshots[2].state.lam, cfg.n_rescaled),
-                   (traj.snapshots[3].state.lam, cfg.n_rescaled // 2 + 1)}
         rescale, build = cli.dg.rescale_snapshot_profile, cli.dg.build_frames
+        chain = cli.dg.en.energy_chain
         built = []
 
         def failing_rescale(u_at, lam, grid):
-            if (lam, len(grid)) in planted:
+            if lam == traj.snapshots[2].state.lam and len(grid) == cfg.n_rescaled:
                 raise InconsistentLambdaError("planted")
             return rescale(u_at, lam, grid)
+
+        def failing_chain(ctx, V, s):
+            if (s, len(ctx.grid)) == (traj.snapshots[3].state.s,
+                                      cfg.n_rescaled // 2 + 1):
+                raise InconsistentLambdaError("planted")
+            return chain(ctx, V, s)
 
         def keep_frames(*args, **kwargs):
             built.append(build(*args, **kwargs))
             return built[-1]
 
         monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", failing_rescale)
+        monkeypatch.setattr(cli.dg.en, "energy_chain", failing_chain)
         monkeypatch.setattr(cli.dg, "build_frames", keep_frames)
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_SOLVER
         # one frame per snapshot, in snapshot order
@@ -978,8 +984,8 @@ class TestSimulateAndAudit:
     def test_audit_splines_and_inverts_each_state_once(self, finished_run,
                                                        tmp_path, monkeypatch):
         # an inverted state, a snapshot or a commutator pair, is splined once
-        # and every rescale of it (full and half resolution, commutator)
-        # reads that spline
+        # and every rescale of it (the frame's, the commutator's) reads that
+        # spline
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         calls = {"spline": 0, "invert": 0}
@@ -1003,12 +1009,13 @@ class TestSimulateAndAudit:
 
     def test_audit_builds_one_stencil_set_per_wall_unit_shape(
             self, finished_run, tmp_path, monkeypatch):
-        # every wall-unit grid of n nodes, full or half resolution or a
-        # commutator grid, scales the stencils of one unit grid, so a fresh
+        # every wall-unit grid of n nodes, a frame's or a commutator grid,
+        # scales the stencils of one unit grid, and so does every grid of
+        # a frame's every other node, n // 2 + 1 of them, so a fresh
         # process builds each order once per shape however many frames it
-        # rescales, next to the loaded phi grid's own second differences,
-        # Gauss-point interpolation and wall extrapolation.  The half grid
-        # reads no dissipation, so it needs no third difference
+        # audits, next to the loaded phi grid's own second differences,
+        # Gauss-point interpolation and wall extrapolation.  The subsampled
+        # grid reads no dissipation, so it needs no third difference
         from prandtlsep import gridfields as gf
         from prandtlsep import modulation as md
 
@@ -1023,6 +1030,7 @@ class TestSimulateAndAudit:
 
         monkeypatch.setattr(gf, "fd_weights", counted)
         md._unit_rescaled_grid.cache_clear()
+        md._unit_subsampled_grid.cache_clear()
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
         n = _quick_config(rundir).n_rescaled
         shapes = (n, n // 2 + 1)
@@ -1037,8 +1045,8 @@ class TestSimulateAndAudit:
 
     def test_audit_takes_one_energy_report_per_rescaled_frame(
             self, finished_run, tmp_path, monkeypatch):
-        # the resolved check reads its half-resolution energies off the
-        # chain, not off a second report
+        # the resolved check reads its subsampled energies off the chain,
+        # not off a second report
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         calls = []
@@ -1052,6 +1060,35 @@ class TestSimulateAndAudit:
         assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
         rows = np.loadtxt(rundir / "energies.csv", delimiter=",", skiprows=1, ndmin=2)
         assert calls == [_quick_config(rundir).n_rescaled] * len(rows)
+
+    def test_audit_rescales_each_snapshot_once(self, finished_run, tmp_path,
+                                               monkeypatch):
+        # the resolved check subsamples the frame's own rescale, so an audit
+        # rescales each snapshot once and each checked pair's two states
+        # once more, every one on n_rescaled nodes, and none inside the check
+        rundir = tmp_path / "run"
+        shutil.copytree(finished_run, rundir)
+        calls, inside = [], []
+        rescale, resolved = cli.dg.rescale_snapshot_profile, cli.dg.energies_resolved
+
+        def counted(u_at, lam, grid):
+            calls.append(len(grid))
+            return rescale(u_at, lam, grid)
+
+        def watched(*args):
+            before = len(calls)
+            flag = resolved(*args)
+            inside.append(len(calls) - before)
+            return flag
+
+        monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", counted)
+        monkeypatch.setattr(cli.dg, "energies_resolved", watched)
+        assert cli.main(["audit", str(rundir)]) == cli.EXIT_OK
+        snapshots = len(_json(rundir, "manifest.json")["snapshots"])
+        pairs = len(_json(rundir, "audit_summary.json")["commutator_identity"])
+        assert pairs > 0
+        assert calls == [_quick_config(rundir).n_rescaled] * (snapshots + 2 * pairs)
+        assert inside == [0] * snapshots
 
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):
         # a completed run of a few steps is too short for the modulation rate
@@ -1197,17 +1234,26 @@ class TestSweep:
 
 
 class TestSweepIntegration:
-    def test_two_member_sweep(self, tmp_path):
+    def test_two_member_sweep(self, tmp_path, capsys):
         cfg = cli.RunConfig(lambda_stop_factor=40.0, n_psi=1153,
                             n_physical=1537, ds_rel=0.02,
                             outdir=str(tmp_path / "sweep"))
-        code = cli.run_sweep([0.05, 0.04], cfg)
+        code = cli.run_sweep([0.04, 0.05], cfg)
         assert code == cli.EXIT_OK
         table = Path(cfg.outdir, "sweep.csv").read_text().splitlines()
         assert table[0] == "lambda0,x_star,x_star_over_lambda0_sq,exponent"
         assert len(table) == 3
         ratios = [float(r.split(",")[2]) for r in table[1:]]
         assert all(np.isfinite(ratios))
+        # each member's simulate line reaches this process's stdout, largest
+        # lambda0 first, before the table: the final lambdas decrease
+        out = capsys.readouterr().out.splitlines()
+        members = [line for line in out if line.startswith("simulate: ")]
+        assert len(members) == 2
+        assert out.index(members[-1]) < out.index(table[0])
+        final = [float(line.split("to lambda = ")[1].split(",")[0])
+                 for line in members]
+        assert final[0] > final[1]
 
     def test_a_member_with_rejected_initial_data_keeps_the_sweep(self, tmp_path,
                                                                  capsys):

@@ -94,13 +94,15 @@ class TestFrames:
 
 
 class TestResolved:
-    """The resolved flag recomputes E0, E1, E2 on n // 2 + 1 wall-unit
-    nodes, one chain stage at a time, and stops at the first that moves."""
+    """The resolved flag recomputes E0, E1, E2 on every other node of the
+    frame's n wall-unit nodes, n // 2 + 1 of them, one chain stage at a
+    time, and stops at the first that moves."""
 
     @staticmethod
-    def _report(u_at, state, b, n):
+    def _frame(u_at, state, b, n):
+        # the frame's context, corrector and report
         ctx, V = dg._wall_unit_corrector(u_at, state, b, n)
-        return dg.en.energy_report(ctx, V, state.s, b, -b * b)
+        return ctx, V, dg.en.energy_report(ctx, V, state.s, b, -b * b)
 
     @staticmethod
     def _spy_linv(monkeypatch, fail_at=None):
@@ -129,36 +131,59 @@ class TestResolved:
     @pytest.mark.parametrize("position, first_moved", [(0, 1), (1, 0)])
     def test_no_stage_past_the_first_energy_that_moves(
             self, short_traj, monkeypatch, position, first_moved):
-        # the inflow's E1 moves by a factor 3 at half resolution, snapshot
-        # 1's E0 by 30%: the check runs no half-grid op_Linv past that stage
+        # the inflow's E1 moves by a factor 3 on every other node, snapshot
+        # 1's E0 by 30%: the check runs no subsampled op_Linv past that stage
         snap = short_traj.snapshots[position]
         b = float(md.compute_b(short_traj.x, short_traj.lam)[snap.station])
         u_at = spline_interpolant(vm.from_von_mises(snap.state))
-        report = self._report(u_at, snap.state, b, 513)
-        ctx, V = dg._wall_unit_corrector(u_at, snap.state, b, 257)
-        half = [E for E, *_ in dg.en.energy_chain(ctx, V, snap.state.s)]
+        ctx, V, report = self._frame(u_at, snap.state, b, 513)
+        grid, idx = md.subsampled_rescaled_grid(ctx.grid)
+        coarse = OperatorContext.from_profile(Field(grid, ctx.U.values[idx]))
+        half = [E for E, *_ in dg.en.energy_chain(
+            coarse, Field(grid, V.values[idx]), snap.state.s)]
         moved = [abs(a - c) > 0.10 * max(a, c)
                  for a, c in zip((report.E0, report.E1, report.E2), half)]
         assert moved.index(True) == first_moved
         calls = self._spy_linv(monkeypatch)
-        assert not dg.energies_resolved(report, u_at, snap.state, b, 513)
+        assert not dg.energies_resolved(report, ctx, V, snap.state.s)
         assert calls == [257] * first_moved
 
     def test_a_smooth_corrector_runs_every_stage_and_is_resolved(self, monkeypatch):
         u_at, state = self._smooth_profile(500.0, 2e-3)
-        report = self._report(u_at, state, 2e-3, 513)
+        ctx, V, report = self._frame(u_at, state, 2e-3, 513)
         calls = self._spy_linv(monkeypatch)
-        assert dg.energies_resolved(report, u_at, state, 2e-3, 513)
+        assert dg.energies_resolved(report, ctx, V, state.s)
         assert calls == [257, 257]
 
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_a_stage_that_raises_leaves_the_energies_unresolved(
             self, monkeypatch, fail_at):
         u_at, state = self._smooth_profile(500.0, 2e-3)
-        report = self._report(u_at, state, 2e-3, 513)
+        ctx, V, report = self._frame(u_at, state, 2e-3, 513)
         calls = self._spy_linv(monkeypatch, fail_at)
-        assert not dg.energies_resolved(report, u_at, state, 2e-3, 513)
+        assert not dg.energies_resolved(report, ctx, V, state.s)
         assert calls == [257] * fail_at
+
+    @pytest.mark.parametrize("n", [513, 641, 640, 127, 126])
+    def test_the_subsampled_grid_is_every_other_node(self, n):
+        # nodes 0, 2, 4, .. and the last: n // 2 + 1 of them, the frame
+        # grid's own, and one unit grid's scaled copy for every frame of n
+        # nodes; for odd n they are the nodes of the (n + 1)/2-node
+        # standard grid of the same span up to roundoff
+        s, reach = 2.7e4, 40.0
+        frame = md.standard_rescaled_grid(s, n, reach)
+        grid, idx = md.subsampled_rescaled_grid(frame)
+        assert len(grid) == n // 2 + 1
+        assert np.array_equal(idx[:-1], np.arange(0, n - 1, 2))
+        assert idx[-1] == n - 1
+        assert np.array_equal(grid.nodes, frame.nodes[idx])
+        assert grid.span == frame.span
+        again, _ = md.subsampled_rescaled_grid(md.standard_rescaled_grid(2 * s, n, reach))
+        assert grid._unit is not None and again._unit is grid._unit
+        if n % 2:
+            direct = md.standard_rescaled_grid(s, n // 2 + 1, reach)
+            assert np.allclose(grid.nodes, direct.nodes, rtol=4 * np.finfo(float).eps,
+                               atol=0.0)
 
 
 class TestRepresentationRoundTrip:
