@@ -142,10 +142,10 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
     """The frame of the snapshot at position ``index``: its energies, its
     max-principle report and, with ``pair``, its commutator check.
 
-    The state is inverted, splined and rescaled once, for the report and
-    the E_k of ``energies_resolved``, which subsample that rescale; the
-    commutator reads the same spline.  The spline and the contexts go
-    when this returns.  An empty ``frozen`` is filled with the
+    The state is inverted, splined and rescaled once, for the report, the
+    E_k of ``energies_resolved``, which subsample that rescale, and the
+    commutator check, which reads that context.  The spline and the
+    contexts go when this returns.  An empty ``frozen`` is filled with the
     curvature calibration measured here, and the frame records it.
     """
     state = snap.state
@@ -162,7 +162,7 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
         except SingularInputError:
             report = None
     except PrandtlSepError as exc:
-        # no spline or context for the commutator either
+        # no context for the commutator either
         failed = {"s_mid": s_mid, "error": str(exc)} if pair else None
         return SnapshotFrame(**scalars, report=None, checks=(), calibrated={},
                              commutator=failed, failure=exc)
@@ -182,7 +182,7 @@ def _curvature_frame(index: int, snap: vm.Snapshot, b: float, bs: float, btilde:
     commutator = None
     if pair:
         try:
-            commutator = commutator_identity_check(snap, u_at, b, n_grid)
+            commutator = commutator_identity_check(ctx, snap, b)
         except PrandtlSepError as exc:
             commutator = {"s_mid": s_mid, "error": str(exc)}
     return SnapshotFrame(**scalars, report=report, checks=(check,),
@@ -200,8 +200,9 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
 
     The first pass gives each snapshot its energies and max-principle
     report from ``_curvature_frame``, against the constants calibrated on
-    the first snapshot that rescales; the snapshots at positions 1, 5, 9,
-    .. short of the last also check the commutator identity on their pair.
+    the first snapshot that rescales.  Of n snapshots, those at positions
+    1, n // 2 and n - 2 that lie in 1 .. n - 2 also check the commutator
+    identity on their pair, on their frame's own wall-unit context.
     The sandwich amplitudes are then calibrated once, on the first
     rescaled snapshot whose sandwich floor lies inside half its
     streamfunction span (on the first rescaled one, as 1 and 1, where none
@@ -220,7 +221,8 @@ def build_frames(traj: vm.Trajectory, n_grid: int) -> List[SnapshotFrame]:
     b_arr = md.compute_b(traj.x, traj.lam)
     bt_arr = md.evolve_btilde(traj.s, b_arr)
     bs_arr = md.local_slope(traj.s, b_arr)
-    checked = range(1, len(traj.snapshots) - 1, 4)
+    n = len(traj.snapshots)
+    checked = {p for p in (1, n // 2, n - 2) if 1 <= p <= n - 2}
     frames: List[SnapshotFrame] = []
     frozen: dict = {}
     for position, snap in enumerate(traj.snapshots):
@@ -287,18 +289,15 @@ def run_audit_suite(frames: List[SnapshotFrame]) -> AuditSuite:
 # ---------------------------------------------------------------------------
 
 
-def commutator_identity_check(snap: vm.Snapshot, u_at: Callable, b: float,
-                              n_grid: int) -> dict:
-    """``commutator_gap`` on a snapshot's marching pair: this adds only the
-    pair state's spline (``u_at`` is the snapshot's) and both rescales."""
-    state, pair = snap.state, snap.pair_state
-    s_mid = 0.5 * (state.s + pair.s)
-    u_at2 = spline_interpolant(vm.from_von_mises(pair))
-    grid = md.standard_rescaled_grid(
-        s_mid, n_grid, reach=min(u_at.span / state.lam, u_at2.span / pair.lam))
-    ctx1 = rescale_snapshot_profile(u_at, state.lam, grid)
-    ctx2 = rescale_snapshot_profile(u_at2, pair.lam, grid)
-    return commutator_gap(ctx1, ctx2, state.s, pair.s, b)
+def commutator_identity_check(ctx: OperatorContext, snap: vm.Snapshot,
+                              b: float) -> dict:
+    """``commutator_gap`` on a snapshot's marching pair, where ``ctx`` is
+    the snapshot's own wall-unit context, its frame's: this adds only the
+    pair state's spline and its rescale onto ``ctx.grid``."""
+    pair = snap.pair_state
+    ctx2 = rescale_snapshot_profile(spline_interpolant(vm.from_von_mises(pair)),
+                                    pair.lam, ctx.grid)
+    return commutator_gap(ctx, ctx2, snap.state.s, pair.s, b)
 
 
 def commutator_gap(ctx1: OperatorContext, ctx2: OperatorContext, s1: float,

@@ -49,15 +49,15 @@ def first_pair_row(n_psi: int) -> dict:
     b_arr = md.compute_b(traj.x, traj.lam)
     b = float(b_arr[snap.station])
     states = (snap.state, snap.pair_state)
-    splines = [spline_interpolant(vm.from_von_mises(st)) for st in states]
-    check = dg.commutator_identity_check(snap, splines[0], b, cfg.n_rescaled)
-
-    # the check's grid and its two wall-unit profiles
+    # the snapshot's frame context, as the audit builds it, and the pair
+    # state rescaled onto its grid, as the check rescales it
+    ctx1, _ = dg._wall_unit_corrector(spline_interpolant(
+        vm.from_von_mises(snap.state)), snap.state, b, cfg.n_rescaled)
+    check = dg.commutator_identity_check(ctx1, snap, b)
+    grid = ctx1.grid
+    ctx2 = dg.rescale_snapshot_profile(spline_interpolant(
+        vm.from_von_mises(snap.pair_state)), snap.pair_state.lam, grid)
     s_mid = check["s_mid"]
-    grid = md.standard_rescaled_grid(s_mid, cfg.n_rescaled, reach=min(
-        u_at.span / st.lam for u_at, st in zip(splines, states)))
-    ctx1, ctx2 = (dg.rescale_snapshot_profile(u_at, st.lam, grid)
-                  for u_at, st in zip(splines, states))
     mid = OperatorContext.from_profile(
         ctx1.U.with_values(0.5 * (ctx1.U.values + ctx2.U.values)), slope_tol=1e-3)
     Y = grid.nodes

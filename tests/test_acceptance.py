@@ -221,28 +221,25 @@ def test_criterion_5_operator_identities():
                     f"runtime {elapsed:.1f}s")
 
 
-def test_criterion_6_commutator_identity(main_run):
-    # finite-difference check at the stated 5 (ds/s + h^2) scale.  The
-    # diffusion field D = Linv(U_YY - 1) is fitted on Y in [0.25, 2], where
-    # the physical signal -bY^2/4 of U_YY - 1 is 1.4e-3 at s ~ 715 and
-    # 2e-6 at s ~ 5e5.  The marched U_YY misses 1 - bY^2/4 there by 1e-4
-    # at s ~ 715, growing to 4e-3 at s ~ 5e5 (n_psi = 2305), as the window
-    # shrinks from phi nodes 133-333 to nodes 20-49 of the fixed grid; D
-    # is then dominated by the march's curvature error and the gap stays
-    # near 1.  The miss converges at second order in n_psi, but the first
-    # checked pair's gap does not fall steadily with it: 1.499, 3.014 and
-    # 0.231 at n_psi 2305, 4609 and 9217.  The check itself closes to 2e-5
-    # on pairs of the approximate solution (test_diagnostics.py)
-    _, _, traj, _ = main_run
-    b_arr = md.compute_b(traj.x, traj.lam)
-    gaps, tols = [], []
-    for snap in (traj.snapshots[1], traj.snapshots[len(traj.snapshots) // 2],
-                 traj.snapshots[-2]):
-        out = dg.commutator_identity_check(
-            snap, gf.spline_interpolant(vm.from_von_mises(snap.state)),
-            float(b_arr[snap.station]), cli.RunConfig().n_rescaled)
-        gaps.append(out["relative_gap"])
-        tols.append(out["tolerance"])
+def test_criterion_6_commutator_identity(main_frames):
+    # finite-difference check at the stated 5 (ds/s + h^2) scale, on the
+    # pairs that the audit checks: snapshots 1, 7 and 12, at s_mid 722,
+    # 2.67e4 and 5.34e5.  The diffusion field D = Linv(U_YY - 1) is fitted
+    # on Y in [0.25, 2], where the physical signal -bY^2/4 of U_YY - 1 is
+    # 1.4e-3 at s ~ 715 and 2e-6 at s ~ 5e5.  The marched U_YY misses
+    # 1 - bY^2/4 there by 1e-4 at s ~ 715, growing to 4e-3 at s ~ 5e5
+    # (n_psi = 2305), as the window shrinks from phi nodes 133-333 to nodes
+    # 20-49 of the fixed grid; D is then dominated by the march's curvature
+    # error and the gap stays near 1.  The miss converges at second order in
+    # n_psi, but the first checked pair's gap does not fall steadily with
+    # it: 1.498, 3.033 and 0.232 at n_psi 2305, 4609 and 9217.  The check
+    # itself closes to 2e-5 on pairs of the approximate solution
+    # (test_diagnostics.py)
+    checks = {fr.index: fr.commutator for fr in main_frames
+              if fr.commutator is not None}
+    assert list(checks) == [1, 7, 12]
+    gaps = [c["relative_gap"] for c in checks.values()]
+    tols = [5.0 * (c["ds_over_s"] + c["h_rel"] ** 2) for c in checks.values()]
     ok = all(g <= t for g, t in zip(gaps, tols))
     conclude(6, ok, f"relative gaps {[f'{g:.3f}' for g in gaps]} vs "
                     f"tolerances {[f'{t:.4f}' for t in tols]}")
@@ -250,12 +247,16 @@ def test_criterion_6_commutator_identity(main_run):
 
 def test_criterion_7_trace_identity(main_run, main_frames):
     # check at the stated tolerance 0.25 max(|b_s + b^2|, 1e-6/s^2), which
-    # is 2e-8 at s ~ 715 and below 1e-13 late.  The resolved flag compares
-    # the energies at n_rescaled = 641 and 321: E1 and E2 agree to 10%, but
-    # E0 grows 1.3-1.7x per doubling, from the march's truncation error on
-    # its first three phi cells, so the default run flags no sample.  The
-    # trace residuals are resolution-stable but sit at 6e-3 .. 0.35, carried
-    # by the same curvature error of the marched data as criterion 6
+    # is 1.6e-9 at s ~ 720 and below 1e-14 late.  The resolved flag compares
+    # the energies of the frame's 641-node wall-unit profile with those of
+    # the same profile on every other node, not of a second rescale, and
+    # the default run flags no sample: E0 moves 1.3-1.6x on frames 1-8,
+    # from the march's truncation error on its first three phi cells, E1
+    # on the inflow frame, and frames 9-13 end on the subsampled profile's
+    # 1e-6 wall-slope check before any energy is compared.  The trace
+    # residuals of frames 1-13, 6.7e-3 to 0.43, are stable in n_rescaled but
+    # fall 4x per doubling of n_psi: the march's second-order error, the
+    # same curvature error of the marched data as criterion 6's
     reports = [fr.report for fr in main_frames if fr.report is not None]
     resolved = [r for r in reports if r.resolved_flag]
     detail_all = f"{len(resolved)}/{len(reports)} samples resolved"

@@ -365,8 +365,15 @@ class TestSimulateAndAudit:
         resolved = np.loadtxt(os.path.join(outdir, "energies.csv"), delimiter=",",
                               skiprows=1, ndmin=2)[:, -1]
         out = capsys.readouterr().out
-        assert f"commutator identity holds {holds}/{len(checks)}" in out
+        assert f"commutator identity holds {holds}/{len(checks)};" in out
         assert f"energies resolved {int(resolved.sum())}/{len(resolved)}" in out
+        # and names the frames whose lower balance bound had no sample
+        no_lower = [i for i, r in enumerate(summary["reports"][2::3])
+                    if r["details"]["lower_samples"] == 0]
+        assert no_lower
+        assert (f"lower balance bound not checked on {len(no_lower)} frames "
+                f"({', '.join(map(str, no_lower))}: empty domain); "
+                "commutator identity") in out
 
     @pytest.mark.parametrize("stop, error", [
         (2.0, "no samples above 3.11 * lambda_stop"),
@@ -894,10 +901,11 @@ class TestSimulateAndAudit:
 
     @pytest.mark.parametrize("failing", ["state", "pair_state"])
     def test_failed_commutator_check_is_written_at_the_pair_midpoint(
-            self, finished_run, tmp_path, monkeypatch, failing):
+            self, finished_run, tmp_path, monkeypatch, capsys, failing):
         # snapshot 1's pair is checked; its own rescale fails, or only its
         # pair state's, and the failed entry sits where a finished one
-        # would, at the mean of the pair's slow times in trajectory.csv
+        # would, at the mean of the pair's slow times in trajectory.csv.
+        # The summary line names it as not checked, not as a gap that fails
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         cfg, traj = cli.load_trajectory(str(rundir))
@@ -913,10 +921,15 @@ class TestSimulateAndAudit:
         monkeypatch.setattr(cli.dg, "rescale_snapshot_profile", failing_rescale)
         cli.main(["audit", str(rundir)])
         summary = json.loads((rundir / "audit_summary.json").read_text())
-        entry = summary["commutator_identity"][0]
+        checks = summary["commutator_identity"]
+        entry = checks[0]
         assert entry["error"] == "planted"
         s = _trajectory_columns(rundir)["s"]
         assert entry["s_mid"] == 0.5 * (s[snap.station] + s[snap.station + 1])
+        holds = sum(c.get("holds") is True for c in checks)
+        assert (f"commutator identity holds {holds}/{len(checks)}, 1 not checked "
+                f"(first: s_mid {entry['s_mid']:.3g}: planted); energies resolved"
+                ) in capsys.readouterr().out
 
     @pytest.mark.parametrize("planted", [(0,), (0, 1)])
     def test_calibration_moves_past_snapshots_that_fail_to_rescale(
@@ -984,8 +997,7 @@ class TestSimulateAndAudit:
     def test_audit_splines_and_inverts_each_state_once(self, finished_run,
                                                        tmp_path, monkeypatch):
         # an inverted state, a snapshot or a commutator pair, is splined once
-        # and every rescale of it (the frame's, the commutator's) reads that
-        # spline
+        # and its one rescale reads that spline
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         calls = {"spline": 0, "invert": 0}
@@ -1009,9 +1021,9 @@ class TestSimulateAndAudit:
 
     def test_audit_builds_one_stencil_set_per_wall_unit_shape(
             self, finished_run, tmp_path, monkeypatch):
-        # every wall-unit grid of n nodes, a frame's or a commutator grid,
-        # scales the stencils of one unit grid, and so does every grid of
-        # a frame's every other node, n // 2 + 1 of them, so a fresh
+        # every frame's wall-unit grid of n nodes, which its commutator check
+        # reads too, scales the stencils of one unit grid, and so does every
+        # grid of a frame's every other node, n // 2 + 1 of them, so a fresh
         # process builds each order once per shape however many frames it
         # audits, next to the loaded phi grid's own second differences,
         # Gauss-point interpolation and wall extrapolation.  The subsampled
@@ -1063,9 +1075,10 @@ class TestSimulateAndAudit:
 
     def test_audit_rescales_each_snapshot_once(self, finished_run, tmp_path,
                                                monkeypatch):
-        # the resolved check subsamples the frame's own rescale, so an audit
-        # rescales each snapshot once and each checked pair's two states
-        # once more, every one on n_rescaled nodes, and none inside the check
+        # the resolved check subsamples the frame's own rescale and the
+        # commutator check reads it, so an audit rescales each snapshot once
+        # and each checked pair's state once, onto its snapshot's grid, every
+        # one on n_rescaled nodes, and none inside the resolved check
         rundir = tmp_path / "run"
         shutil.copytree(finished_run, rundir)
         calls, inside = [], []
@@ -1087,7 +1100,7 @@ class TestSimulateAndAudit:
         snapshots = len(_json(rundir, "manifest.json")["snapshots"])
         pairs = len(_json(rundir, "audit_summary.json")["commutator_identity"])
         assert pairs > 0
-        assert calls == [_quick_config(rundir).n_rescaled] * (snapshots + 2 * pairs)
+        assert calls == [_quick_config(rundir).n_rescaled] * (snapshots + pairs)
         assert inside == [0] * snapshots
 
     def test_audit_of_too_short_run_exits_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def audited(short_traj):
 
     def keep_context(u_at, lam, grid):
         ctx = rescale(u_at, lam, grid)
-        if len(grid) == 513:   # the commutator's own grids come after
+        if len(grid) == 513:   # the pair states' rescales come after
             contexts.setdefault(lam, ctx)
         return ctx
 
@@ -290,15 +291,38 @@ class TestSplineOracle:
 
 class TestCommutator:
     def test_pair_based_identity_runs(self, short_traj):
-        b = md.compute_b(short_traj.x, short_traj.lam)
         snap = short_traj.snapshots[2]
-        out = dg.commutator_identity_check(
-            snap, spline_interpolant(vm.from_von_mises(snap.state)),
-            float(b[snap.station]), 513)
+        b = float(md.compute_b(short_traj.x, short_traj.lam)[snap.station])
+        ctx, _ = dg._wall_unit_corrector(
+            spline_interpolant(vm.from_von_mises(snap.state)), snap.state, b, 513)
+        out = dg.commutator_identity_check(ctx, snap, b)
         assert out["s_mid"] > short_traj.s[0]
         assert np.isfinite(out["relative_gap"])
         assert out["tolerance"] == pytest.approx(
             5.0 * (out["ds_over_s"] + out["h_rel"] ** 2))
+
+    @pytest.mark.parametrize("n, checked", [(2, []), (3, [1]), (4, [1, 2]),
+                                            (5, [1, 2, 3])])
+    def test_the_checked_pairs_are_criterion_6s(self, short_traj, n, checked,
+                                                monkeypatch):
+        # of n snapshots, those at positions 1, n // 2 and n - 2 that lie in
+        # 1 .. n - 2 check their pair, whose state is rescaled onto the
+        # grid of the snapshot's own frame
+        grids, rescale = {}, dg.rescale_snapshot_profile
+
+        def kept(u_at, lam, grid):
+            grids[lam] = grid
+            return rescale(u_at, lam, grid)
+
+        monkeypatch.setattr(dg, "rescale_snapshot_profile", kept)
+        traj = replace(short_traj, snapshots=short_traj.snapshots[:n])
+        frames = dg.build_frames(traj, 513)
+        assert [fr.index for fr in frames if fr.commutator is not None] == checked
+        for p in checked:
+            state, pair = traj.snapshots[p].state, traj.snapshots[p].pair_state
+            assert frames[p].commutator["s_mid"] == 0.5 * (state.s + pair.s)
+            assert grids[pair.lam] is grids[state.lam]
+        assert len(grids) == n + len(checked)
 
     # known answers on pairs of the approximate solution (tests/uapp_pairs.py,
     # whose script prints them), at the first checked pair of a default
@@ -340,8 +364,8 @@ class TestCommutator:
         assert row["s_mid"] == pytest.approx(722.3, abs=0.1)
         assert all(5e-5 < miss < 2e-4 for miss in row["U_YY_miss"])
         assert np.isfinite(row["gap"]) and np.isfinite(row["d_ds_off_uapp"])
-        # the gap's left side is U_app's (5.357e-3 against 5.337e-3 and
-        # 5.357e-3); its denominator, the marched max|rhs|, reads 1.073e-2
+        # the gap's left side is U_app's (5.412e-3 against 5.392e-3 and
+        # 5.412e-3); its denominator, the marched max|rhs|, reads 1.087e-2
         assert row["max_lhs"] == pytest.approx(row["uapp_max_rhs"], rel=1e-3)
         assert row["uapp_max_lhs"] == pytest.approx(row["uapp_max_rhs"], rel=1e-2)
-        assert row["max_rhs"] == pytest.approx(1.073e-2, rel=1e-3)
+        assert row["max_rhs"] == pytest.approx(1.087e-2, rel=1e-3)
